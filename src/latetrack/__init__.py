@@ -26,7 +26,7 @@ from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
                          kf_predict, kf_update, load_kf_noise, make_kf_state,
                          save_kf_noise, zero_motion_predict)
 from .simulate import (PredictorAdapter, ProcessedFrame, RunLog, TrackerAdapter,
-                       load_run_log, load_trace, next_frame, pick_horizon_n,
+                       load_run_log, load_trace, next_frame, pick_horizon_n, predictor_for,
                        run_log_from_trace, run_stream, save_run_log, save_trace)
 from .training import (AdamW, OptimizerConfig, SyntheticSpec, TrainSample,
                        gen_synthetic, linear_track, motion_l1_on_samples,

@@ -3,8 +3,7 @@ horizon.
 
 Every command takes --out and writes a manifest.json there; result
 files carry the manifest ref in a comment/field. Randomness funnels
-through --seed and fixed-key derivation, so outputs are reproducible
-regardless of --workers.
+through --seed and fixed-key derivation, so outputs are reproducible.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure,
 4 training divergence.
@@ -14,24 +13,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .boxes import Sequence, load_sequence, save_sequence
+from .boxes import load_sequence, save_sequence
 from .config import (Config, ReplayTrackerConfig, predictor_from_config,
                      synthetic_spec_from_config, tracker_from_config)
 from .errors import DivergenceError, ReplayExhaustedError, ValidationError
 from .evaluate import sigma_grid, sweep
 from .latency import LatencyProfile
-from .network import load_weights, save_weights
-from .predictors import load_kf_noise
+from .network import save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
 from .seeding import derive_seed, rng_for
-from .simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
-                       load_run_log, pick_horizon_n, run_stream, save_run_log,
-                       save_trace)
+from .simulate import (load_run_log, pick_horizon_n, predictor_for, run_stream,
+                       save_run_log, save_trace)
 from .training import OptimizerConfig, gen_synthetic, sample_windows, train_pm
 
 EXIT_OK = 0
@@ -64,13 +60,6 @@ def _load_sequences(arg: str, framerate: float = 30.0) -> list:
     else:
         raise FileNotFoundError(f"no such sequence path: {path}")
     return [load_sequence(f, framerate=framerate) for f in files]
-
-
-def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sequence_inputs(arg: str) -> dict:
@@ -119,14 +108,10 @@ def cmd_simulate(args) -> int:
     sequences = _load_sequences(args.sequences, framerate=args.framerate)
     manifest = build_manifest("simulate", seed, payload, inputs)
     out = _out_dir(args)
-
-    def one(seq: Sequence):
-        adapter = _bind_tracker(tracker, seq.name)
-        return run_stream(seq, adapter, predictor,
-                          seed=derive_seed(seed, "simulate", seq.name))
-
     with timer.stage("simulate"):
-        logs = _map_ordered(one, sequences, args.workers)
+        logs = [run_stream(seq, _bind_tracker(tracker, seq.name), predictor,
+                           seed=derive_seed(seed, "simulate", seq.name))
+                for seq in sequences]
     with timer.stage("write"):
         for seq, log in zip(sequences, logs):
             save_run_log(log, out / f"{seq.name}.log.csv", manifest_ref=manifest.ref)
@@ -258,25 +243,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_predictor_name(name: str, horizon: int, latency: LatencyProfile):
-    """none | zero | kf | kf_learned:<noise file> | pm:<checkpoint>"""
-    if name == "none":
-        return None
-    if name == "zero":
-        return PredictorAdapter(ZERO_MOTION, horizon, latency)
-    if name == "kf":
-        return PredictorAdapter(KF, horizon, latency)
-    if name.startswith("kf_learned:"):
-        q_diag, r_diag = load_kf_noise(name.split(":", 1)[1])
-        return PredictorAdapter(KF_LEARNED, horizon, latency,
-                                q_diag=q_diag, r_diag=r_diag)
-    if name.startswith("pm:"):
-        weights = load_weights(name.split(":", 1)[1])
-        return PredictorAdapter(NEURAL_PM, weights.n_heads, latency, weights=weights)
-    raise ValidationError(
-        f"unknown predictor {name!r}; use none, zero, kf, kf_learned:<file>, pm:<checkpoint>")
-
-
 def cmd_compare(args) -> int:
     seed = _seed(args)
     sequences = _load_sequences(args.sequences, framerate=args.framerate)
@@ -293,11 +259,14 @@ def cmd_compare(args) -> int:
             horizon = pick_horizon_n(sequences[0], _bind_tracker(tracker, sequences[0].name),
                                      seed=derive_seed(seed, "horizon"))
     latency = LatencyProfile.constant(args.pred_latency)
-    adapters = [(name, _parse_predictor_name(name, horizon, latency)) for name in names]
+    adapters = []
     inputs = {"tracker": args.tracker, **_sequence_inputs(args.sequences)}
     for name in names:
-        if ":" in name:
-            inputs[name.split(":", 1)[0]] = name.split(":", 1)[1]
+        kind, _, file = name.partition(":")
+        adapters.append((name, predictor_for(kind, latency, file=file or None,
+                                             default_horizon=horizon)))
+        if file:
+            inputs[kind] = file
     manifest = build_manifest(
         "compare", seed,
         {"tracker": tracker_cfg.values, "predictors": names, "horizon": horizon,
@@ -309,10 +278,9 @@ def cmd_compare(args) -> int:
     curves_by_name = {}
     with timer.stage("simulate_and_score"):
         for name, adapter in adapters:
-            def one(seq, adapter=adapter, name=name):
-                return run_stream(seq, _bind_tracker(tracker, seq.name), adapter,
-                                  seed=derive_seed(seed, "compare", name, seq.name))
-            logs = _map_ordered(one, sequences, args.workers)
+            logs = [run_stream(seq, _bind_tracker(tracker, seq.name), adapter,
+                               seed=derive_seed(seed, "compare", name, seq.name))
+                    for seq in sequences]
             auc_curve, dp_curve = sweep(sequences, logs)
             curves_by_name[name] = auc_curve
             invocations = sum(log.predictor_invocations for log in logs)
@@ -350,10 +318,9 @@ def cmd_horizon(args) -> int:
                               {"tracker": args.tracker, **_sequence_inputs(args.sequences)})
     out = _out_dir(args)
     with timer.stage("pre_run"):
-        def one(seq):
-            return pick_horizon_n(seq, _bind_tracker(tracker, seq.name), trials=args.trials,
-                                  seed=derive_seed(seed, "horizon", seq.name))
-        gaps = _map_ordered(one, sequences, args.workers)
+        gaps = [pick_horizon_n(seq, _bind_tracker(tracker, seq.name), trials=args.trials,
+                               seed=derive_seed(seed, "horizon", seq.name))
+                for seq in sequences]
     per_seq = {seq.name: gap for seq, gap in zip(sequences, gaps)}
     overall = max(gaps)
     with timer.stage("write"):
@@ -372,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers")
     common.add_argument("--format", choices=["csv", "json", "md", "svg"], default="csv",
                         help="extra report format (CSV/JSON are always written)")
     common.add_argument("--framerate", type=float, default=30.0,

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .latency import LatencyProfile
-from .network import load_weights
 from .training import SyntheticSpec
 
 
@@ -184,23 +183,15 @@ class ReplayTrackerConfig:
 
 
 def predictor_from_config(cfg: Config, default_horizon: int = 2):
-    from .simulate import KF_LEARNED, NEURAL_PM, PredictorAdapter
+    """Predictor config: `kind`, its file (`noise =` for kf_learned,
+    `weights =` for pm), `horizon`, and an optional `latency.` group."""
+    from .simulate import KF_LEARNED, NEURAL_PM, predictor_for
 
     kind = cfg.get_str("kind")
-    if kind == "pm":
-        kind = NEURAL_PM
-    horizon = cfg.get_int("horizon", default_horizon)
+    file_key = {KF_LEARNED: "noise", NEURAL_PM: "weights"}.get(kind)
     latency = (latency_from_config(cfg) if cfg.has_group("latency.")
                else LatencyProfile.constant(0.005))
-    q_diag = ()
-    r_diag = ()
-    weights = None
-    if kind == KF_LEARNED:
-        from .predictors import load_kf_noise
-
-        q_diag, r_diag = load_kf_noise(cfg.get_str("noise"))
-    if kind == NEURAL_PM:
-        weights = load_weights(cfg.get_str("weights"))
-        horizon = cfg.get_int("horizon", weights.n_heads)
-    return PredictorAdapter(kind, horizon, latency, q_diag=q_diag, r_diag=r_diag,
-                            weights=weights)
+    return predictor_for(kind, latency,
+                         file=cfg.get_str(file_key) if file_key else None,
+                         horizon=cfg.get_int("horizon") if "horizon" in cfg else None,
+                         default_horizon=default_horizon)

@@ -68,6 +68,13 @@ def _check_noise(q_diag: np.ndarray, r_diag: np.ndarray) -> None:
         raise ValidationError("Q and R diagonals must be strictly positive")
 
 
+def _check_init_cov(init_cov: float) -> float:
+    init_cov = float(init_cov)
+    if not 0.0 < init_cov < np.inf:
+        raise ValidationError(f"initial covariance must be positive and finite, got {init_cov}")
+    return init_cov
+
+
 def make_kf_state(b0: BoundingBox, q_diag=None, r_diag=None,
                   init_cov: float = DEFAULT_INIT_COV) -> KalmanState:
     """Zero-velocity state centered on b0 with diagonal initial covariance."""
@@ -75,7 +82,7 @@ def make_kf_state(b0: BoundingBox, q_diag=None, r_diag=None,
     x[:4] = (b0.cx, b0.cy, b0.w, b0.h)
     return KalmanState(
         x=x,
-        cov=np.eye(8) * init_cov,
+        cov=np.eye(8) * _check_init_cov(init_cov),
         q_diag=DEFAULT_Q_DIAG if q_diag is None else q_diag,
         r_diag=DEFAULT_R_DIAG if r_diag is None else r_diag,
     )
@@ -166,7 +173,7 @@ class KalmanBoxPredictor:
     def __init__(self, q_diag=None, r_diag=None, init_cov: float = DEFAULT_INIT_COV):
         self.q_diag = None if q_diag is None else np.asarray(q_diag, dtype=np.float64)
         self.r_diag = None if r_diag is None else np.asarray(r_diag, dtype=np.float64)
-        self.init_cov = init_cov
+        self.init_cov = _check_init_cov(init_cov)
         self._state = None
         self._frame = 0
 
@@ -246,6 +253,7 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
     q_diag = np.asarray(DEFAULT_Q_DIAG if q_diag is None else q_diag, dtype=np.float64)
     r_diag = np.asarray(DEFAULT_R_DIAG if r_diag is None else r_diag, dtype=np.float64)
     _check_noise(q_diag, r_diag)
+    init_cov = _check_init_cov(init_cov)
     q = np.diag(q_diag)
     r = np.diag(r_diag)
 

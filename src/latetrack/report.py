@@ -73,12 +73,13 @@ def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    y_lo, y_hi = y_range
     if y_range is None:
         ys_all = [y for _, _, ys in series for y in ys]
         y_lo, y_hi = min(ys_all), max(ys_all)
         if y_hi == y_lo:
             y_hi = y_lo + 1.0
+    else:
+        y_lo, y_hi = y_range
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w

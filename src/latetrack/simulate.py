@@ -23,17 +23,19 @@ from pathlib import Path
 from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence, TimedOutput
 from .errors import ValidationError
 from .latency import LatencyProfile
-from .network import PMWeights
-from .predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor
+from .network import PMWeights, load_weights
+from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
+                         load_kf_noise)
 from .seeding import derive_seed, rng_for
 
 ORACLE_NOISY = "oracle_noisy"
 REPLAY_LOG = "replay_log"
 
-ZERO_MOTION = "zero_motion"
+NONE = "none"
+ZERO_MOTION = "zero"
 KF = "kf"
 KF_LEARNED = "kf_learned"
-NEURAL_PM = "neural_pm"
+NEURAL_PM = "pm"
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +138,7 @@ class PredictorAdapter:
             raise ValidationError("kf_learned needs fitted q (8) and r (4) diagonals")
         if self.kind == NEURAL_PM:
             if self.weights is None:
-                raise ValidationError("neural_pm needs trained weights")
+                raise ValidationError("pm needs trained weights")
             if self.weights.n_heads != self.horizon_n:
                 raise ValidationError(
                     f"checkpoint predicts {self.weights.n_heads} frames but horizon is {self.horizon_n}"
@@ -150,6 +152,34 @@ class PredictorAdapter:
         if self.kind == KF_LEARNED:
             return KalmanBoxPredictor(self.q_diag, self.r_diag)
         return MotionNetPredictor(self.weights)
+
+
+def predictor_for(kind: str, latency: LatencyProfile, *, file=None, horizon: int = None,
+                  default_horizon: int = 2):
+    """The predictor vocabulary: none | zero | kf | kf_learned | pm.
+
+    `file` is the fitted-noise JSON of kf_learned or the checkpoint of
+    pm; the other kinds take none. A pm horizon is the checkpoint's head
+    count, and an explicit `horizon` must agree with it; the other kinds
+    run `horizon`, else `default_horizon`, frames ahead. Returns None
+    for none, the raw tracker alone.
+    """
+    if kind not in (NONE, ZERO_MOTION, KF, KF_LEARNED, NEURAL_PM):
+        raise ValidationError(f"unknown predictor kind {kind!r}; use none, zero, kf, "
+                              "kf_learned:<noise file>, pm:<checkpoint>")
+    needs_file = kind in (KF_LEARNED, NEURAL_PM)
+    if needs_file != bool(file):
+        raise ValidationError(f"predictor {kind!r} {'needs' if needs_file else 'takes no'} file")
+    if kind == NONE:
+        return None
+    q_diag, r_diag, weights = (), (), None
+    if kind == KF_LEARNED:
+        q_diag, r_diag = load_kf_noise(file)
+    if kind == NEURAL_PM:
+        weights = load_weights(file)
+        default_horizon = weights.n_heads
+    return PredictorAdapter(kind, default_horizon if horizon is None else horizon, latency,
+                            q_diag=q_diag, r_diag=r_diag, weights=weights)
 
 
 def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,

@@ -8,7 +8,8 @@ import pytest
 from latetrack.boxes import load_sequence
 from latetrack.cli import main
 from latetrack.evaluate import score_run
-from latetrack.network import init_weights, load_weights
+from latetrack.network import init_weights, load_weights, save_weights
+from latetrack.predictors import save_kf_noise
 from latetrack.seeding import derive_seed
 from latetrack.simulate import load_run_log
 
@@ -126,16 +127,6 @@ class TestSimulate:
         log = load_run_log(out / "constant_velocity-000.log.csv")
         kinds = {o.kind for o in log.outputs}
         assert kinds == {"raw", "predicted"}
-
-    def test_workers_do_not_change_results(self, tmp_path, tracker_cfg):
-        seqs = gen_corpus(tmp_path, noise=0.4)
-        a, b = tmp_path / "w1", tmp_path / "w4"
-        main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
-              "--seed", "9", "--out", str(a)])
-        main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
-              "--seed", "9", "--workers", "4", "--out", str(b)])
-        for f in a.glob("*.log.csv"):
-            assert f.read_bytes() == (b / f.name).read_bytes()
 
 
 class TestEvaluate:
@@ -311,6 +302,72 @@ class TestCompare:
         seqs = gen_corpus(tmp_path, count=1, length=30)
         assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
                      "--predictors", "psychic", "--horizon", "2",
+                     "--out", str(tmp_path / "cmp")]) == 2
+
+
+def body_lines(path):
+    """File lines without the `# manifest=` comment, which hashes the
+    run's own configuration."""
+    return [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("# manifest=")]
+
+
+class TestPredictorVocabulary:
+    """The README kinds none | zero | kf | kf_learned | pm, as config
+    `kind` values and as compare tokens."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        noise = tmp_path / "noise.json"
+        save_kf_noise(np.full(8, 0.02), np.full(4, 1.5), noise)
+        ckpt = tmp_path / "pm.json"
+        save_weights(init_weights(k=3, n_heads=2, c_enc=8, c_dec=6, seed=1), ckpt)
+        return {"kf_learned": f"noise = {noise}\n", "pm": f"weights = {ckpt}\n",
+                "noise": noise, "ckpt": ckpt}
+
+    def simulate(self, tmp_path, tracker_cfg, text, out="runs"):
+        seqs = gen_corpus(tmp_path, count=2, length=30, noise=0.5)
+        pred = write_cfg(tmp_path / "pred.cfg", text)
+        return main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictor", pred, "--seed", "3", "--out", str(tmp_path / out)])
+
+    @pytest.mark.parametrize("kind", ["none", "zero", "kf", "kf_learned", "pm"])
+    def test_every_readme_kind_simulates(self, tmp_path, tracker_cfg, files, kind):
+        text = f"kind = {kind}\n" + files.get(kind, "")
+        assert self.simulate(tmp_path, tracker_cfg, text) == 0
+        log = load_run_log(tmp_path / "runs" / "constant_velocity-000.log.csv")
+        kinds = {o.kind for o in log.outputs}
+        assert kinds == ({"raw"} if kind == "none" else {"raw", "predicted"})
+
+    def test_every_readme_kind_compares(self, tmp_path, tracker_cfg, files):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        out = tmp_path / "cmp"
+        tokens = ["none", "zero", "kf", f"kf_learned:{files['noise']}", f"pm:{files['ckpt']}"]
+        assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictors", ",".join(tokens), "--out", str(out)]) == 0
+        _, rows = read_csv_rows(out / "comparison.csv")
+        assert [r[0] for r in rows] == tokens
+
+    def test_kind_none_matches_a_run_without_predictor(self, tmp_path, tracker_cfg):
+        assert self.simulate(tmp_path, tracker_cfg, "kind = none\n", out="none") == 0
+        bare = tmp_path / "bare"
+        assert main(["simulate", "--sequences", str(tmp_path / "seqs"), "--tracker", tracker_cfg,
+                     "--seed", "3", "--out", str(bare)]) == 0
+        for f in bare.glob("*.csv"):
+            assert body_lines(f) == body_lines(tmp_path / "none" / f.name)
+
+    def test_pm_horizon_must_match_checkpoint(self, tmp_path, tracker_cfg, files):
+        text = "kind = pm\nhorizon = 3\n" + files["pm"]
+        assert self.simulate(tmp_path, tracker_cfg, text) == 2
+
+    @pytest.mark.parametrize("kind", ["zero_motion", "neural_pm"])
+    def test_old_spellings_rejected(self, tmp_path, tracker_cfg, files, kind):
+        assert self.simulate(tmp_path, tracker_cfg, f"kind = {kind}\n" + files["pm"]) == 2
+
+    @pytest.mark.parametrize("token", ["kf_learned", "pm", "kf:noise.json"])
+    def test_malformed_compare_token(self, tmp_path, tracker_cfg, token):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictors", token, "--horizon", "2",
                      "--out", str(tmp_path / "cmp")]) == 2
 
 

@@ -181,7 +181,7 @@ class TestPredictorFromConfig:
         assert adapter.latency.mean == 0.005
 
     def test_default_horizon_used_when_absent(self):
-        cfg = Config.from_text("kind = zero_motion\n")
+        cfg = Config.from_text("kind = zero\n")
         assert predictor_from_config(cfg, default_horizon=4).horizon_n == 4
 
     def test_pm_alias_loads_checkpoint(self, tmp_path):

@@ -152,6 +152,22 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             KalmanState(np.zeros(8), np.eye(8), np.ones(4), DEFAULT_R_DIAG)
 
+    @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
+    def test_bad_init_cov_rejected_by_make_kf_state(self, init_cov):
+        with pytest.raises(ValidationError, match="initial covariance"):
+            make_kf_state(BoundingBox(0, 0, 10, 10), init_cov=init_cov)
+
+    @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
+    def test_bad_init_cov_rejected_by_kalman_predictor(self, init_cov):
+        with pytest.raises(ValidationError, match="initial covariance"):
+            KalmanBoxPredictor(init_cov=init_cov)
+
+    @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
+    def test_bad_init_cov_rejected_by_kf_motion_batch(self, init_cov):
+        # rejected when the predictor is built, before any window runs
+        with pytest.raises(ValidationError, match="initial covariance"):
+            kf_motion_batch(1, init_cov=init_cov)
+
     def test_bad_gap_rejected(self):
         state = make_kf_state(BoundingBox(0, 0, 10, 10))
         with pytest.raises(ValidationError):

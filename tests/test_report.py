@@ -62,6 +62,21 @@ class TestSvg:
                       title="t", x_label="x", y_label="y")
         assert "<polyline" in path.read_text()
 
+    def test_autoscaled_y_range(self, tmp_path):
+        path = tmp_path / "p.svg"
+        svg_line_plot(path, [("s", [0.0, 1.0, 2.0], [3.0, 5.0, 7.0])],
+                      title="t", x_label="x", y_label="y", y_range=None)
+        text = path.read_text()
+        assert "<polyline" in text
+        # the five y ticks span the data, 3 to 7
+        assert ">3.00<" in text and ">7.00<" in text
+
+    def test_autoscaled_flat_series_survives(self, tmp_path):
+        path = tmp_path / "p.svg"
+        svg_line_plot(path, [("s", [0.0, 1.0], [0.4, 0.4])],
+                      title="t", x_label="x", y_label="y", y_range=None)
+        assert "<polyline" in path.read_text()
+
 
 class TestManifest:
     def test_ref_is_twelve_hex_chars(self):
