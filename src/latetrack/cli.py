@@ -20,7 +20,7 @@ from .boxes import load_sequence, save_sequence
 from .config import (Config, ReplayTrackerConfig, predictor_from_config,
                      synthetic_spec_from_config, tracker_from_config)
 from .errors import DivergenceError, ReplayExhaustedError, ValidationError
-from .evaluate import sigma_grid, sweep
+from .evaluate import average_curves, sigma_grid, sweep
 from .latency import LatencyProfile
 from .network import save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
@@ -121,14 +121,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _curve_summary(seqs, logs) -> dict:
-    auc_curve, dp_curve = sweep(seqs, logs)
+def _curve_summary(auc_curve, dp_curve) -> dict:
     return {
         "auc_la0": auc_curve.values[0],
         "dp_la0": dp_curve.values[0],
         "mauc": auc_curve.aggregate,
         "mdp": dp_curve.aggregate,
-        "_curves": (auc_curve, dp_curve),
     }
 
 
@@ -153,22 +151,18 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     timer = StageTimer()
     with timer.stage("score"):
-        seqs = [s for s, _ in pairs]
-        logs = [l for _, l in pairs]
-        overall = _curve_summary(seqs, logs)
-        per_seq = {s.name: _curve_summary([s], [l]) for s, l in pairs}
-    auc_curve, dp_curve = overall.pop("_curves")
+        curves = [sweep([s], [l]) for s, l in pairs]
+        auc_curve = average_curves([auc for auc, _ in curves])
+        dp_curve = average_curves([dp for _, dp in curves])
+    overall = _curve_summary(auc_curve, dp_curve)
+    per_seq = {s.name: _curve_summary(*c) for (s, _), c in zip(pairs, curves)}
     with timer.stage("write"):
         grid = sigma_grid()
         write_csv(out / "curves.csv", ["sigma", "auc", "dp"],
                   [(s, a, d) for s, a, d in zip(grid, auc_curve.values, dp_curve.values)],
                   manifest_ref=manifest.ref)
-        summary = dict(overall)
-        summary["per_sequence"] = {
-            name: {k: v for k, v in vals.items() if not k.startswith("_")}
-            for name, vals in sorted(per_seq.items())
-        }
-        write_json(out / "summary.json", summary, manifest_ref=manifest.ref)
+        write_json(out / "summary.json", {**overall, "per_sequence": per_seq},
+                   manifest_ref=manifest.ref)
         if args.format == "md":
             rows = [(name, f"{v['auc_la0']:.4f}", f"{v['dp_la0']:.4f}",
                      f"{v['mauc']:.4f}", f"{v['mdp']:.4f}")

@@ -6,16 +6,21 @@ The permitted latency sigma is dimensionless, a fraction of one frame
 period; the slack added to frame f's deadline is sigma / kappa seconds.
 sigma = 0 scores the stream strictly online; sigma -> 1 approaches (but
 never reaches) a one-frame grace period.
+
+Scoring is array-native: an EstimateMatcher indexes one run log once,
+and the same index answers a single `match` and every (frame, sigma)
+pair of a sweep with two `searchsorted` calls. Center error, IoU, DP
+and AUC are then array reductions over (annotated frames x sigmas).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import RAW, BoundingBox, Sequence, center_error, iou
+from .boxes import RAW, BoundingBox, Sequence
 from .errors import ValidationError
 from .simulate import RunLog
 
@@ -25,6 +30,7 @@ DP_THRESHOLD_PX = 20.0
 IOU_THRESHOLDS = tuple((np.arange(21) / 20.0).tolist())
 
 _GRID = tuple((np.arange(50) * 0.02).tolist())
+_TAU = np.asarray(IOU_THRESHOLDS)
 
 
 def sigma_grid() -> tuple:
@@ -57,49 +63,112 @@ def _as_sigma(sigma) -> PermittedLatency:
     return PermittedLatency(float(sigma))
 
 
+def _box_rows(boxes) -> np.ndarray:
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float)
+
+
 class EstimateMatcher:
     """Deadline matcher over one run log, built once and queried per
-    (frame, sigma) pair.
+    (frame, sigma) pair or for a whole sigma grid at once.
 
-    Outputs are bucketed by availability instant. A query takes the
-    newest instant not after the deadline, then within that bucket the
-    entry with the largest target frame <= f, else the largest target
-    frame outright; ties go to the latest entry in log order. No bucket
-    in time means the initial box."""
+    The policy: take the newest availability instant not after the
+    deadline, then within that instant the output with the largest
+    target frame <= f, else the largest target frame outright; ties go
+    to the latest entry in log order. No instant in time means the
+    initial box b0.
+
+    The index sorts the outputs by (available_at, target_frame, log
+    index). Outputs sharing an instant form a group, stored as its first
+    and last positions. Each entry's key is group * span + target_frame,
+    where span exceeds every target and every frame, so the keys ascend
+    and a right `searchsorted` of group * span + f lands on the group's
+    last entry with target <= f, or before the group's start when there
+    is none. Row 0 of the served table is b0; sorted entry k is row k + 1.
+    """
 
     def __init__(self, seq: Sequence, log: RunLog):
-        for out in log.outputs:
+        outputs = log.outputs
+        for out in outputs:
             if out.kind == RAW and out.target_frame > seq.last_frame:
                 raise ValidationError(
                     f"log targets frame {out.target_frame} beyond sequence end {seq.last_frame}"
                 )
         self._seq = seq
-        order = sorted(range(len(log.outputs)),
-                       key=lambda i: (log.outputs[i].available_at, i))
-        self._avail = []
-        self._groups = []
-        self._group_targets = []
-        for i in order:
-            out = log.outputs[i]
-            if not self._avail or out.available_at != self._avail[-1]:
-                self._avail.append(out.available_at)
-                self._groups.append([])
-            self._groups[-1].append((out.target_frame, i, out))
-        for group in self._groups:
-            group.sort(key=lambda entry: entry[:2])
-            self._group_targets.append([entry[0] for entry in group])
+        avail = np.array([out.available_at for out in outputs], dtype=float)
+        target = np.array([out.target_frame for out in outputs], dtype=np.int64)
+        order = np.lexsort((np.arange(len(outputs)), target, avail))
+        avail = avail[order]
+        target = target[order]
+        starts = np.ones(len(outputs), dtype=bool)
+        starts[1:] = avail[1:] != avail[:-1]
+        self._avail = avail[starts]
+        self._first = np.flatnonzero(starts)
+        self._last = np.append(self._first[1:], len(outputs)) - 1
+        self._span = max(seq.last_frame, int(target.max(initial=0))) + 2
+        self._keys = (np.cumsum(starts) - 1) * self._span + target
+        self._served = ((seq.b0, INITIAL_B0),) + tuple(
+            (outputs[i].box, outputs[i].kind) for i in order.tolist())
+        self._rows = _box_rows(box for box, _ in self._served)
+        annotated = [(f, gt) for f, gt in enumerate(seq.ground_truth) if gt is not None]
+        self._frames = np.array([f for f, _ in annotated], dtype=np.int64)
+        self._truth = _box_rows(gt for _, gt in annotated)
+
+    def _pick(self, frames, deadlines):
+        """Row of the served table for each (frame, deadline) pair;
+        frames broadcast against deadlines."""
+        gi = np.searchsorted(self._avail, deadlines, side="right") - 1
+        if not len(self._avail):
+            return np.zeros(np.shape(gi), dtype=np.intp)
+        group = np.maximum(gi, 0)
+        pos = np.searchsorted(self._keys, group * self._span + frames, side="right") - 1
+        pos = np.where(pos < self._first[group], self._last[group], pos)
+        return np.where(gi < 0, 0, pos + 1)
 
     def match(self, f: int, sigma) -> MatchedEstimate:
         if not 0 <= f <= self._seq.last_frame:
             raise ValidationError(f"frame {f} outside sequence 0..{self._seq.last_frame}")
         deadline = self._seq.clock.capture_time(f) + _as_sigma(sigma).slack_seconds(
             self._seq.clock.framerate_kappa)
-        gi = bisect_right(self._avail, deadline) - 1
-        if gi < 0:
-            return MatchedEstimate(f, self._seq.b0, INITIAL_B0)
-        pos = bisect_right(self._group_targets[gi], f) - 1
-        out = self._groups[gi][pos][2]
-        return MatchedEstimate(f, out.box, out.kind)
+        box, source = self._served[int(self._pick(f, deadline))]
+        return MatchedEstimate(f, box, source)
+
+    def _scores(self, sigmas) -> tuple:
+        """(DP, AUC) arrays with one entry per sigma. Frames without an
+        annotation are excluded from both."""
+        kappa = self._seq.clock.framerate_kappa
+        frames = self._frames[:, None]
+        # f / kappa + sigma / kappa: the same IEEE operations as match
+        deadlines = frames / kappa + np.asarray(sigmas, dtype=float)[None, :] / kappa
+        est = self._rows[self._pick(frames, deadlines)]
+        gt = self._truth[:, None, :]
+        gx, gy, gw, gh = (gt[..., i] for i in range(4))
+        ex, ey, ew, eh = (est[..., i] for i in range(4))
+        # boxes.center_error and boxes.iou, elementwise
+        dx = (gx + gw / 2.0) - (ex + ew / 2.0)
+        dy = (gy + gh / 2.0) - (ey + eh / 2.0)
+        cle = np.hypot(dx, dy)
+        hits = cle <= DP_THRESHOLD_PX
+        # np.hypot and math.hypot may round an ulp apart; settle the
+        # threshold near 20 px with the scalar center_error's math.hypot
+        for i in np.flatnonzero(np.abs(cle - DP_THRESHOLD_PX) < 1e-9).tolist():
+            hits.flat[i] = math.hypot(dx.flat[i], dy.flat[i]) <= DP_THRESHOLD_PX
+        ix = np.minimum(gx + gw, ex + ew) - np.maximum(gx, ex)
+        iy = np.minimum(gy + gh, ey + eh) - np.maximum(gy, ey)
+        inter = ix * iy
+        overlap = np.zeros_like(inter)
+        np.divide(inter, gw * gh + ew * eh - inter, out=overlap, where=(ix > 0) & (iy > 0))
+        np.minimum(overlap, 1.0, out=overlap)
+        n, n_sigma = hits.shape
+        dp = hits.sum(axis=0) / n
+        # above[j, k] = #(iou > tau_k) at sigma j, from the number of
+        # thresholds below each IoU, binned per sigma
+        below = np.searchsorted(_TAU, overlap, side="left")
+        bins = len(_TAU) + 1
+        hist = np.bincount((below + bins * np.arange(n_sigma)).ravel(),
+                           minlength=bins * n_sigma).reshape(n_sigma, bins)
+        above = n - np.cumsum(hist, axis=1)[:, :-1]
+        auc = (above / n).mean(axis=1)
+        return dp, auc
 
 
 def match_elae(seq: Sequence, log: RunLog, f: int, sigma) -> MatchedEstimate:
@@ -112,28 +181,11 @@ def match_lae(seq: Sequence, log: RunLog, f: int) -> MatchedEstimate:
     return match_elae(seq, log, f, 0.0)
 
 
-def _score_matched(seq: Sequence, matcher: EstimateMatcher, sigma) -> tuple:
-    cle_hits = 0
-    ious = []
-    annotated = 0
-    for f, gt in enumerate(seq.ground_truth):
-        if gt is None:
-            continue
-        annotated += 1
-        est = matcher.match(f, sigma).estimate
-        if center_error(gt, est) <= DP_THRESHOLD_PX:
-            cle_hits += 1
-        ious.append(iou(gt, est))
-    arr = np.asarray(ious)
-    dp = cle_hits / annotated
-    auc = float(np.mean([(arr > tau).mean() for tau in IOU_THRESHOLDS]))
-    return dp, auc
-
-
 def score_run(seq: Sequence, log: RunLog, sigma) -> tuple:
     """(DP, AUC) of the log against the sequence at one permitted
     latency. Frames without an annotation are excluded from both."""
-    return _score_matched(seq, EstimateMatcher(seq, log), sigma)
+    dp, auc = EstimateMatcher(seq, log)._scores((_as_sigma(sigma).sigma,))
+    return float(dp[0]), float(auc[0])
 
 
 @dataclass(frozen=True)
@@ -160,6 +212,18 @@ class EvalCurve:
         return float(np.mean(self.values))
 
 
+def _uniform_mean(per_sequence) -> list:
+    """Per-sigma mean over sequences of equal-length value rows; each
+    sigma's values are summed in sequence order, as np.mean of a list."""
+    return np.stack(per_sequence, axis=1).mean(axis=1).tolist()
+
+
+def average_curves(curves) -> EvalCurve:
+    """Uniform mean of per-sequence curves; sweep over several
+    sequences returns exactly this mean of their one-sequence sweeps."""
+    return EvalCurve.from_values(_uniform_mean([np.asarray(c.values) for c in curves]))
+
+
 def sweep(seq_set, logs) -> tuple:
     """Score every sequence at every grid sigma; returns the AUC curve
     and the DP curve, each averaged uniformly across sequences."""
@@ -169,16 +233,6 @@ def sweep(seq_set, logs) -> tuple:
         raise ValidationError("sweep needs at least one sequence")
     if len(seq_set) != len(logs):
         raise ValidationError(f"{len(seq_set)} sequences but {len(logs)} logs")
-    matchers = [EstimateMatcher(seq, log) for seq, log in zip(seq_set, logs)]
-    auc_values = []
-    dp_values = []
-    for sigma in _GRID:
-        dps = []
-        aucs = []
-        for seq, matcher in zip(seq_set, matchers):
-            dp, auc = _score_matched(seq, matcher, sigma)
-            dps.append(dp)
-            aucs.append(auc)
-        dp_values.append(float(np.mean(dps)))
-        auc_values.append(float(np.mean(aucs)))
-    return EvalCurve.from_values(auc_values), EvalCurve.from_values(dp_values)
+    scores = [EstimateMatcher(seq, log)._scores(_GRID) for seq, log in zip(seq_set, logs)]
+    return (EvalCurve.from_values(_uniform_mean([auc for _, auc in scores])),
+            EvalCurve.from_values(_uniform_mean([dp for dp, _ in scores])))

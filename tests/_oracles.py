@@ -1,13 +1,13 @@
 """Independent reference implementations the real code is checked
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
-package beyond the domain dataclasses."""
+package beyond the domain dataclasses and the scalar box metrics."""
 
 import math
 
 import numpy as np
 
-from latetrack.boxes import BoundingBox
+from latetrack.boxes import BoundingBox, center_error, iou
 
 
 def elae_scan(seq, log, f, sigma):
@@ -28,6 +28,32 @@ def elae_scan(seq, log, f, sigma):
     pool = at_or_before if at_or_before else group
     best, _ = max(pool, key=lambda pair: (pair[0].target_frame, pair[1]))
     return best.box, best.kind
+
+
+def score_scan(seq, log, sigma):
+    """Literal (DP, AUC) of one log at one permitted latency: elae_scan
+    per annotated frame, then the scalar center error and IoU.
+
+    DP is the share of frames within 20 px; AUC is the mean, over the
+    thresholds 0, 0.05, ..., 1, of the share of frames with IoU above
+    the threshold (np.mean, as the package averages)."""
+    hits = 0
+    ious = []
+    for f, gt in enumerate(seq.ground_truth):
+        if gt is None:
+            continue
+        box, _ = elae_scan(seq, log, f, sigma)
+        if center_error(gt, box) <= 20.0:
+            hits += 1
+        ious.append(iou(gt, box))
+    shares = []
+    for k in range(21):
+        above = 0
+        for value in ious:
+            if value > k / 20.0:
+                above += 1
+        shares.append(above / len(ious))
+    return hits / len(ious), float(np.mean(shares))
 
 
 class TextbookKalman:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, TimedOutput
+from latetrack.boxes import BoundingBox, FrameClock, Sequence, TimedOutput, center_error
 from latetrack.errors import ValidationError
 from latetrack.evaluate import (INITIAL_B0, EstimateMatcher, EvalCurve,
                                 PermittedLatency, match_elae, match_lae, score_run,
@@ -12,7 +12,7 @@ from latetrack.latency import LatencyProfile
 from latetrack.simulate import RunLog, TrackerAdapter, run_stream
 from latetrack.training import linear_track
 
-from _oracles import elae_scan
+from _oracles import elae_scan, score_scan
 
 
 def cv_sequence(n=10, vx=2.0, kappa=30.0, name="cv"):
@@ -253,3 +253,112 @@ class TestSweep:
             sweep([seq], [])
         with pytest.raises(ValidationError):
             sweep([], [])
+
+
+def perturbed(box, rng):
+    """An estimate near box: a random shift and scale, or one of the
+    exact ties (a 20 px center offset, a doubled size whose IoU is 0.25,
+    the box itself, a one-ulp nudge whose IoU can round past 1)."""
+    pick = rng.random()
+    if pick < 0.15:
+        return BoundingBox(box.x + 20.0, box.y, box.w, box.h)
+    if pick < 0.3:
+        return BoundingBox(box.x, box.y, 2 * box.w, 2 * box.h)
+    if pick < 0.35:
+        return box
+    if pick < 0.45:
+        return BoundingBox(np.nextafter(box.x, np.inf), box.y, np.nextafter(box.w, 0), box.h)
+    dx, dy = rng.normal(0.0, 12.0, size=2)
+    sw, sh = rng.uniform(0.6, 1.5, size=2)
+    return BoundingBox(box.x + dx, box.y + dy, box.w * sw, box.h * sh)
+
+
+def random_case(rng, name, n_outputs):
+    """A sequence with unannotated frames and a log of perturbed raw and
+    predicted outputs: predictions may target past the end, and
+    availability instants are rounded so that many tie."""
+    n = int(rng.integers(6, 30))
+    track = linear_track(BoundingBox(40, 30, 16, 12), tuple(rng.uniform(-3, 3, size=2)), n + 4)
+    truth = tuple(b if f == 0 or rng.random() > 0.2 else None for f, b in enumerate(track[:n]))
+    seq = Sequence(name, FrameClock(30.0), truth)
+    outputs = []
+    for _ in range(n_outputs):
+        kind = "raw" if rng.random() < 0.6 else "predicted"
+        target = int(rng.integers(0, n if kind == "raw" else n + 4))
+        avail = round(float(rng.uniform(0.0, n / 30 * 1.2)), 2)
+        outputs.append(TimedOutput(target, perturbed(track[target], rng), avail, kind))
+    return seq, log_of(name, *outputs)
+
+
+class TestScoreOracle:
+    """sweep and score_run against the literal per-frame scan, exactly."""
+
+    def test_sweep_and_score_run_equal_the_scan(self):
+        rng = np.random.default_rng(2024)
+        grid = sigma_grid()
+        for trial in range(4):
+            cases = [random_case(rng, f"t{trial}s{i}", int(rng.integers(1, 60)))
+                     for i in range(3)]
+            cases.append(random_case(rng, f"t{trial}empty", 0))
+            seqs = [seq for seq, _ in cases]
+            logs = [log for _, log in cases]
+            auc_curve, dp_curve = sweep(seqs, logs)
+            want = [[score_scan(seq, log, sigma) for seq, log in cases] for sigma in grid]
+            assert dp_curve.values == tuple(float(np.mean([dp for dp, _ in row])) for row in want)
+            assert auc_curve.values == tuple(float(np.mean([auc for _, auc in row]))
+                                             for row in want)
+            for i, (seq, log) in enumerate(cases):
+                for j in (0, 13, 31, 49):
+                    assert score_run(seq, log, grid[j]) == want[j][i]
+
+    def test_center_error_ties_at_the_dp_threshold_follow_the_scalar_metric(self):
+        # centers within an ulp of 20 px: np.hypot can round to the other
+        # side of the threshold than center_error; the score must not
+        rng = np.random.default_rng(5)
+        gt = BoundingBox(100, 100, 20, 20)
+        seq = Sequence("ring", FrameClock(30.0), (gt, gt))
+        straddling = 0
+        for _ in range(3000):
+            t = rng.uniform(0, 2 * np.pi)
+            r = 20.0 * (1.0 + rng.normal(0.0, 3e-16))
+            est = BoundingBox.from_center(gt.cx + r * np.cos(t), gt.cy + r * np.sin(t), 20, 20)
+            vector = np.hypot(gt.cx - est.cx, gt.cy - est.cy) <= 20.0
+            if vector == (center_error(gt, est) <= 20.0):
+                continue
+            straddling += 1
+            log = log_of("ring", raw(1, est, 0.0))
+            assert score_run(seq, log, 0.0) == score_scan(seq, log, 0.0)
+        assert straddling > 0
+
+    def test_iou_rounding_past_one_is_clamped(self):
+        # a one-ulp nudge can round the overlap ratio above 1, which the
+        # IoU > 1.0 threshold would otherwise count
+        rng = np.random.default_rng(11)
+        past_one = 0
+        for _ in range(200):
+            gt = BoundingBox(*rng.uniform(10, 60, size=2), *rng.uniform(5, 30, size=2))
+            est = BoundingBox(np.nextafter(gt.x, np.inf), gt.y, np.nextafter(gt.w, 0), gt.h)
+            inter = (min(gt.x + gt.w, est.x + est.w) - max(gt.x, est.x)) * gt.h
+            past_one += inter / (gt.w * gt.h + est.w * est.h - inter) > 1.0
+            seq = Sequence("nudge", FrameClock(30.0), (gt, gt))
+            log = log_of("nudge", raw(1, est, 0.0))
+            assert score_run(seq, log, 0.0) == score_scan(seq, log, 0.0)
+        assert past_one > 0
+
+    def test_empty_log_scores_the_initial_box(self):
+        # b0 sits 0, 5, ..., 25 px from the frames' centers; 20 px still counts
+        seq = cv_sequence(6, vx=5.0)
+        dp, auc = score_scan(seq, log_of("cv"), 0.5)
+        assert score_run(seq, log_of("cv"), 0.5) == (dp, auc)
+        assert dp == 5 / 6
+
+    def test_sweep_rejects_raw_target_past_the_end(self):
+        seq = cv_sequence(5)
+        bad = raw(5, BoundingBox(0, 0, 10, 10), 0.1)
+        with pytest.raises(ValidationError):
+            sweep([seq, seq], [perfect_log(seq), log_of("cv", bad)])
+
+    def test_score_run_rejects_sigma_outside_the_range(self):
+        seq = cv_sequence(5)
+        with pytest.raises(ValidationError):
+            score_run(seq, perfect_log(seq), 1.0)

@@ -11,7 +11,7 @@ from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DI
                                   KalmanBoxPredictor, KalmanState, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                                   kf_predict, kf_update, load_kf_noise, make_kf_state,
-                                  save_kf_noise, zero_motion_predict)
+                                  save_kf_noise, zero_motion_predict, _kf_step)
 from latetrack.training import OptimizerConfig, TrainSample, sample_windows
 from latetrack.seeding import rng_for
 
@@ -287,11 +287,12 @@ class TestKfMotionBatch:
             kf_motion_batch(1, r_diag=np.full(4, -1.0))(samples)
 
     def test_degenerate_innovation_covariance_rejected(self):
-        # after one unit-gap time update the position block of the
-        # covariance is 2 * init_cov + q = -0.5, so S = -0.5 + r = 0
-        samples = [window(cv_track(1.0, 0.5, 4))]
+        # validated Q, R and init_cov keep S positive definite, so the
+        # singular branch is reached through the step itself: with zero
+        # covariance and noise, S = H P H^T + R is exactly zero
         with pytest.raises(ValidationError):
-            kf_motion_batch(1, np.full(8, 0.5), np.full(4, 0.5), init_cov=-0.5)(samples)
+            _kf_step(np.zeros(8), np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((4, 4)),
+                     np.zeros(4), 1)
 
     def test_non_finite_prediction_rejected(self):
         # centers 1e308 apart are representable, but one more step of
