@@ -6,8 +6,9 @@ axis, pools, decodes through a shared layer, then N independent head
 layers and a shared 4-wide output layer produce one motion factor per
 future frame. No output nonlinearity: factors multiply a signed speed.
 
-Everything is float64 numpy; gradients are written out by hand and
-checked against central finite differences in the tests.
+Everything is float64 numpy and batched: a single window is a batch of
+one. Gradients are written out by hand and checked against central
+finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -144,41 +145,41 @@ def constant_factor_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64,
     return w
 
 
-def _check_input(w: PMWeights, x: np.ndarray, batched: bool) -> np.ndarray:
+def _check_input(w: PMWeights, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    want = (w.k, 8)
-    if batched:
-        if x.ndim != 3 or x.shape[1:] != want:
-            raise ValidationError(f"input must have shape (B, {w.k}, 8), got {x.shape}")
-    elif x.shape != want:
-        raise ValidationError(f"input must have shape ({w.k}, 8), got {x.shape}")
+    if x.ndim != 3 or x.shape[1:] != (w.k, 8):
+        raise ValidationError(f"input must have shape (B, {w.k}, 8), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("network input contains non-finite values")
     return x
 
 
 def forward_batch(w: PMWeights, x: np.ndarray, keep_cache: bool = False):
-    """Evaluate a (B, k, 8) batch -> (B, N, 4) factors, optional cache."""
-    x = _check_input(w, x, batched=True)
+    """Evaluate a (B, k, 8) batch -> (B, N, 4) factors, optional cache.
+
+    Every layer is one 2-D matmul over stacked rows. The temporal conv
+    multiplies all B·k rows by each tap and adds the products shifted
+    by one step; the rows a shift pushes past either end are dropped,
+    which is the zero padding.
+    """
+    x = _check_input(w, x)
     b, k, _ = x.shape
-    pre1 = np.einsum("bki,ci->bkc", x, w.enc_w) + w.enc_b
+    c, d, n = w.c_enc, w.c_dec, w.n_heads
+    pre1 = x.reshape(b * k, 8) @ w.enc_w.T + w.enc_b
     h1 = np.maximum(pre1, 0.0)
-    hp = np.zeros((b, k + 2, w.c_enc))
-    hp[:, 1:k + 1] = h1
-    prec = np.einsum("bkc,oc->bko", hp[:, 0:k], w.conv_w[0])
-    prec += np.einsum("bkc,oc->bko", hp[:, 1:k + 1], w.conv_w[1])
-    prec += np.einsum("bkc,oc->bko", hp[:, 2:k + 2], w.conv_w[2])
+    prec = (h1 @ w.conv_w[1].T).reshape(b, k, c)
+    prec[:, 1:] += (h1 @ w.conv_w[0].T).reshape(b, k, c)[:, :-1]
+    prec[:, :-1] += (h1 @ w.conv_w[2].T).reshape(b, k, c)[:, 1:]
     prec += w.conv_b
-    h2 = np.maximum(prec, 0.0)
-    g = h2.mean(axis=1)
+    g = np.maximum(prec, 0.0).mean(axis=1)
     pre3 = g @ w.dec_w.T + w.dec_b
     h3 = np.maximum(pre3, 0.0)
-    pre4 = np.einsum("bd,nod->bno", h3, w.head_w) + w.head_b
-    h4 = np.maximum(pre4, 0.0)
-    out = np.einsum("bno,fo->bnf", h4, w.out_w) + w.out_b
+    pre4 = (h3 @ w.head_w.reshape(n * d, d).T).reshape(b, n, d) + w.head_b
+    h4 = np.maximum(pre4, 0.0).reshape(b * n, d)
+    out = (h4 @ w.out_w.T + w.out_b).reshape(b, n, 4)
     if not keep_cache:
         return out, None
-    cache = {"x": x, "pre1": pre1, "hp": hp, "prec": prec, "g": g,
+    cache = {"x": x, "pre1": pre1, "h1": h1, "prec": prec, "g": g,
              "pre3": pre3, "h3": h3, "pre4": pre4, "h4": h4}
     return out, cache
 
@@ -187,36 +188,37 @@ def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> dict:
     """Gradients of sum(out * grad_out) w.r.t. every parameter array."""
     x = cache["x"]
     b, k, _ = x.shape
+    c, d, n = w.c_enc, w.c_dec, w.n_heads
     go = np.asarray(grad_out, dtype=np.float64)
-    if go.shape != (b, w.n_heads, 4):
-        raise ValidationError(f"grad_out must have shape {(b, w.n_heads, 4)}, got {go.shape}")
+    if go.shape != (b, n, 4):
+        raise ValidationError(f"grad_out must have shape {(b, n, 4)}, got {go.shape}")
 
-    h4 = cache["h4"]
-    d_out_b = go.sum(axis=(0, 1))
-    d_out_w = np.einsum("bnf,bno->fo", go, h4)
-    d_h4 = np.einsum("bnf,fo->bno", go, w.out_w)
-    d_pre4 = d_h4 * (cache["pre4"] > 0.0)
-    d_head_b = d_pre4.sum(axis=0)
-    d_head_w = np.einsum("bno,bd->nod", d_pre4, cache["h3"])
-    d_h3 = np.einsum("bno,nod->bd", d_pre4, w.head_w)
+    go = go.reshape(b * n, 4)
+    d_out_b = go.sum(axis=0)
+    d_out_w = go.T @ cache["h4"]
+    d_pre4 = ((go @ w.out_w) * (cache["pre4"].reshape(b * n, d) > 0.0)).reshape(b, n * d)
+    d_head_b = d_pre4.sum(axis=0).reshape(n, d)
+    d_head_w = (d_pre4.T @ cache["h3"]).reshape(n, d, d)
+    d_h3 = d_pre4 @ w.head_w.reshape(n * d, d)
     d_pre3 = d_h3 * (cache["pre3"] > 0.0)
     d_dec_b = d_pre3.sum(axis=0)
-    d_dec_w = np.einsum("bd,bc->dc", d_pre3, cache["g"])
+    d_dec_w = d_pre3.T @ cache["g"]
     d_g = d_pre3 @ w.dec_w
-    d_h2 = np.repeat(d_g[:, None, :] / k, k, axis=1)
-    d_prec = d_h2 * (cache["prec"] > 0.0)
+    d_prec = d_g[:, None, :] / k * (cache["prec"] > 0.0)
     d_conv_b = d_prec.sum(axis=(0, 1))
-    hp = cache["hp"]
-    d_conv_w = np.stack([
-        np.einsum("bko,bkc->oc", d_prec, hp[:, d:d + k]) for d in range(3)
-    ])
-    d_hp = np.zeros_like(hp)
-    for d in range(3):
-        d_hp[:, d:d + k] += np.einsum("bko,oc->bkc", d_prec, w.conv_w[d])
-    d_h1 = d_hp[:, 1:k + 1]
-    d_pre1 = d_h1 * (cache["pre1"] > 0.0)
-    d_enc_b = d_pre1.sum(axis=(0, 1))
-    d_enc_w = np.einsum("bkc,bki->ci", d_pre1, x)
+    h1 = cache["h1"]
+    h1_seq = h1.reshape(b, k, c)
+    d_conv_w = np.empty_like(w.conv_w)
+    d_conv_w[0] = d_prec[:, 1:].reshape(-1, c).T @ h1_seq[:, :-1].reshape(-1, c)
+    d_conv_w[1] = d_prec.reshape(b * k, c).T @ h1
+    d_conv_w[2] = d_prec[:, :-1].reshape(-1, c).T @ h1_seq[:, 1:].reshape(-1, c)
+    d_prec = d_prec.reshape(b * k, c)
+    d_h1 = (d_prec @ w.conv_w[1]).reshape(b, k, c)
+    d_h1[:, :-1] += (d_prec @ w.conv_w[0]).reshape(b, k, c)[:, 1:]
+    d_h1[:, 1:] += (d_prec @ w.conv_w[2]).reshape(b, k, c)[:, :-1]
+    d_pre1 = d_h1.reshape(b * k, c) * (cache["pre1"] > 0.0)
+    d_enc_b = d_pre1.sum(axis=0)
+    d_enc_w = d_pre1.T @ x.reshape(b * k, 8)
     return {
         "enc_w": d_enc_w, "enc_b": d_enc_b,
         "conv_w": d_conv_w, "conv_b": d_conv_b,
@@ -224,23 +226,6 @@ def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> dict:
         "head_w": d_head_w, "head_b": d_head_b,
         "out_w": d_out_w, "out_b": d_out_b,
     }
-
-
-def pm_forward(w: PMWeights, x: np.ndarray) -> np.ndarray:
-    """Single window (k, 8) -> (N, 4) motion factors."""
-    x = _check_input(w, x, batched=False)
-    out, _ = forward_batch(w, x[None])
-    return out[0]
-
-
-def pm_backward(w: PMWeights, x: np.ndarray, grad_out: np.ndarray) -> dict:
-    """Parameter gradients of sum(pm_forward(w, x) * grad_out)."""
-    x = _check_input(w, x, batched=False)
-    _, cache = forward_batch(w, x[None], keep_cache=True)
-    go = np.asarray(grad_out, dtype=np.float64)
-    if go.shape != (w.n_heads, 4):
-        raise ValidationError(f"grad_out must have shape {(w.n_heads, 4)}, got {go.shape}")
-    return backward_batch(w, cache, go[None])
 
 
 def history_input(history: MotionHistory) -> np.ndarray:
@@ -261,33 +246,36 @@ def pm_predict(w: PMWeights, history: MotionHistory, latest_box: BoundingBox) ->
     """
     if history.k != w.k:
         raise ValidationError(f"history length {history.k} != network k {w.k}")
-    factors = pm_forward(w, history_input(history))
+    factors, _ = forward_batch(w, history_input(history)[None])
     speed = average_speed(history)
     boxes = []
     for n in range(w.n_heads):
-        m_hat = apply_factor(NormalizedMotion(*factors[n]), speed)
+        m_hat = apply_factor(NormalizedMotion(*factors[0, n]), speed)
         boxes.append(apply_motion(latest_box, m_hat))
     return boxes
 
 
-def l1_loss(pred_factors: np.ndarray, history_speed: NormalizedMotion,
-            target_motions: np.ndarray):
-    """Mean absolute error in motion space, plus its factor gradient.
+def l1_loss(factors: np.ndarray, speeds: np.ndarray, targets: np.ndarray):
+    """Mean absolute motion-space error of a batch, plus its factor gradient.
 
-    The prediction compared against targets is factor * speed, so the
-    gradient w.r.t. the factors carries the speed through the product;
-    the subgradient at exact ties is 0.
+    factors and targets are (B, N, 4), speeds (B, 4). Each window's
+    prediction is factor * speed, so the gradient w.r.t. the factors
+    carries the speed through the product; the subgradient at exact
+    ties is 0.
     """
-    pred_factors = np.asarray(pred_factors, dtype=np.float64)
-    targets = np.asarray(target_motions, dtype=np.float64)
-    if pred_factors.shape != targets.shape or pred_factors.ndim != 2 or pred_factors.shape[1] != 4:
+    factors = np.asarray(factors, dtype=np.float64)
+    speeds = np.asarray(speeds, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if (factors.ndim != 3 or factors.shape[2] != 4 or targets.shape != factors.shape
+            or speeds.shape != (factors.shape[0], 4)):
         raise ValidationError(
-            f"factor/target shapes must match as (N, 4), got {pred_factors.shape} and {targets.shape}"
+            f"need factors and targets shaped (B, N, 4) and speeds (B, 4), got "
+            f"{factors.shape}, {targets.shape} and {speeds.shape}"
         )
-    speed = np.array(history_speed.as_tuple())
-    diff = pred_factors * speed - targets
+    speeds = speeds[:, None, :]
+    diff = factors * speeds - targets
     loss = float(np.abs(diff).mean())
-    grad = np.sign(diff) * speed / diff.size
+    grad = np.sign(diff) * speeds / diff.size
     return loss, grad
 
 
@@ -307,12 +295,22 @@ def save_weights(w: PMWeights, path, manifest_ref: str = None) -> None:
 
 
 def load_weights(path) -> PMWeights:
+    """Read a checkpoint; any malformed content is a ValidationError
+    naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path}: not a valid checkpoint: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: checkpoint must be a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('format_version')!r}")
+    geometry = {}
+    for key in ("k", "n_heads", "c_enc", "c_dec"):
+        try:
+            geometry[key] = int(doc[key])
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError(f"{path}: missing or non-integer {key!r}") from None
     arrays = {}
     for key, layer_name in _LAYER_NAMES.items():
         try:
@@ -320,5 +318,7 @@ def load_weights(path) -> PMWeights:
             arrays[key] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: bad layer {layer_name}: {exc}") from None
-    return PMWeights(k=int(doc["k"]), n_heads=int(doc["n_heads"]),
-                     c_enc=int(doc["c_enc"]), c_dec=int(doc["c_dec"]), **arrays)
+    try:
+        return PMWeights(**geometry, **arrays)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

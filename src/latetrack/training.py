@@ -12,8 +12,7 @@ import numpy as np
 from .boxes import BoundingBox, FrameClock, Sequence
 from .errors import DivergenceError, ValidationError
 from .motion import MotionHistory, average_speed, encode_motion
-from .network import (PMWeights, backward_batch, forward_batch, history_input,
-                      init_weights)
+from .network import backward_batch, forward_batch, history_input, init_weights, l1_loss
 from .seeding import derive_seed, rng_for
 
 _EPS = 1e-8
@@ -153,15 +152,6 @@ def _sample_arrays(samples, k: int, horizon_n: int):
     return xs, targets, speeds
 
 
-def _batch_l1(weights, xs, targets, speeds):
-    factors, cache = forward_batch(weights, xs, keep_cache=True)
-    pred = factors * speeds[:, None, :]
-    diff = pred - targets
-    loss = float(np.abs(diff).mean())
-    grad_fac = np.sign(diff) * speeds[:, None, :] / diff.size
-    return loss, grad_fac, cache
-
-
 def _mean_l1(weights, xs, targets, speeds, batch: int = 512) -> float:
     if len(xs) == 0:
         return 0.0
@@ -207,7 +197,8 @@ def train_pm(samples_per_track, k: int, horizon_n: int, config: OptimizerConfig,
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo:lo + config.batch_size]
-            loss, grad_fac, cache = _batch_l1(weights, xs[idx], targets[idx], speeds[idx])
+            factors, cache = forward_batch(weights, xs[idx], keep_cache=True)
+            loss, grad_fac = l1_loss(factors, speeds[idx], targets[idx])
             if not math.isfinite(loss):
                 raise DivergenceError(f"training loss became {loss} at epoch {epoch}")
             grads = backward_batch(weights, cache, grad_fac)
@@ -329,8 +320,7 @@ def motion_l1_on_samples(samples, predict_batch) -> float:
 def pm_motion_batch(weights):
     """Window predictor wrapping trained motion-factor weights."""
     def predict(samples):
-        xs = np.stack([history_input(s.history) for s in samples])
-        speeds = np.array([average_speed(s.history).as_tuple() for s in samples])
+        xs, _, speeds = _sample_arrays(samples, weights.k, weights.n_heads)
         factors, _ = forward_batch(weights, xs)
         return factors * speeds[:, None, :]
     return predict

@@ -128,6 +128,43 @@ class ReferenceAdamW:
                 flat_p[i] -= lr * (mhat / (math.sqrt(vhat) + self.eps) + self.wd * flat_p[i])
 
 
+def pm_forward_loops(w, x):
+    """Literal forward pass of the motion net over a (B, k, 8) batch.
+
+    Explicit loops over rows: the dense encoder, the 3-tap temporal conv
+    (tap d reads row t + d - 1, and rows outside the window read as
+    zeros), mean pooling over time, the shared decoder, each head and
+    the shared output layer, with a ReLU after every layer but the last.
+    Returns a (B, N, 4) array."""
+    def relu(v):
+        return max(v, 0.0)
+
+    k, c_enc, c_dec = w.k, w.c_enc, w.c_dec
+    out = np.zeros((len(x), w.n_heads, 4))
+    for b, window in enumerate(x):
+        h1 = []
+        for t in range(k):
+            h1.append([relu(w.enc_b[c] + sum(w.enc_w[c, i] * window[t][i] for i in range(8)))
+                       for c in range(c_enc)])
+        pooled = [0.0] * c_enc
+        for t in range(k):
+            for o in range(c_enc):
+                acc = w.conv_b[o]
+                for tap in range(3):
+                    src = t + tap - 1
+                    if 0 <= src < k:
+                        acc += sum(w.conv_w[tap, o, c] * h1[src][c] for c in range(c_enc))
+                pooled[o] += relu(acc) / k
+        h3 = [relu(w.dec_b[o] + sum(w.dec_w[o, c] * pooled[c] for c in range(c_enc)))
+              for o in range(c_dec)]
+        for n in range(w.n_heads):
+            h4 = [relu(w.head_b[n, o] + sum(w.head_w[n, o, i] * h3[i] for i in range(c_dec)))
+                  for o in range(c_dec)]
+            for f in range(4):
+                out[b, n, f] = w.out_b[f] + sum(w.out_w[f, o] * h4[o] for o in range(c_dec))
+    return out
+
+
 def central_differences(fn, arrays: dict, h: float = 1e-6) -> dict:
     """d fn / d arrays by central finite differences, element by element.
     `fn` must be a pure scalar function of the (mutated) arrays."""

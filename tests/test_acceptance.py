@@ -15,9 +15,9 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error, sav
 from latetrack.cli import main
 from latetrack.evaluate import EstimateMatcher, score_run, sigma_grid
 from latetrack.latency import LatencyProfile
-from latetrack.motion import NormalizedMotion, apply_motion, encode_motion
-from latetrack.network import (constant_factor_weights, history_input, init_weights,
-                               l1_loss, pm_backward, pm_forward, save_weights)
+from latetrack.motion import apply_motion, encode_motion
+from latetrack.network import (backward_batch, constant_factor_weights, forward_batch,
+                               history_input, init_weights, l1_loss, save_weights)
 from latetrack.predictors import (kf_fit_noise, kf_motion_batch, kf_predict,
                                   kf_update, make_kf_state)
 from latetrack.seeding import rng_for
@@ -143,16 +143,17 @@ def test_analytic_gradients_match_finite_differences():
         for seed in range(5):
             w = init_weights(PM_K, PM_HORIZON, c_enc=8, c_dec=6, seed=seed)
             rng = np.random.default_rng(seed + 100)
-            x = rng.normal(0, 0.3, size=(PM_K, 8))
-            speed = NormalizedMotion(*rng.normal(0, 0.2, size=4))
-            targets = rng.normal(0, 0.3, size=(PM_HORIZON, 4))
+            x = rng.normal(0, 0.3, size=(1, PM_K, 8))
+            speeds = rng.normal(0, 0.2, size=(1, 4))
+            targets = rng.normal(0, 0.3, size=(1, PM_HORIZON, 4))
 
             def scalar():
-                loss, _ = l1_loss(pm_forward(w, x), speed, targets)
+                loss, _ = l1_loss(forward_batch(w, x)[0], speeds, targets)
                 return loss
 
-            _, grad_factor = l1_loss(pm_forward(w, x), speed, targets)
-            grads = pm_backward(w, x, grad_factor)
+            factors, cache = forward_batch(w, x, keep_cache=True)
+            _, grad_factor = l1_loss(factors, speeds, targets)
+            grads = backward_batch(w, cache, grad_factor)
             fd = central_differences(scalar, w.params(), h=1e-6)
             for name in fd:
                 denom = max(np.max(np.abs(fd[name])), 1e-8)

@@ -359,6 +359,11 @@ class TestPredictorVocabulary:
         text = "kind = pm\nhorizon = 3\n" + files["pm"]
         assert self.simulate(tmp_path, tracker_cfg, text) == 2
 
+    def test_malformed_pm_checkpoint_is_a_validation_error(self, tmp_path, tracker_cfg, files):
+        doc = json.loads(files["ckpt"].read_text())
+        files["ckpt"].write_text(json.dumps(dict(doc, k="three")))
+        assert self.simulate(tmp_path, tracker_cfg, "kind = pm\n" + files["pm"]) == 2
+
     @pytest.mark.parametrize("kind", ["zero_motion", "neural_pm"])
     def test_old_spellings_rejected(self, tmp_path, tracker_cfg, files, kind):
         assert self.simulate(tmp_path, tracker_cfg, f"kind = {kind}\n" + files["pm"]) == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,18 +8,36 @@ import pytest
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import MotionHistory, NormalizedMotion, encode_motion
-from latetrack.network import (PMWeights, constant_factor_weights, forward_batch,
-                               history_input, init_weights, l1_loss, load_weights,
-                               pm_backward, pm_forward, pm_predict, save_weights,
-                               zero_weights)
+from latetrack.network import (PMWeights, backward_batch, constant_factor_weights,
+                               forward_batch, history_input, init_weights, l1_loss,
+                               load_weights, pm_predict, save_weights, zero_weights)
 
-from _oracles import central_differences
+from _oracles import central_differences, pm_forward_loops
 
 SMALL = dict(k=3, n_heads=2, c_enc=8, c_dec=6)
 
 
 def random_input(k=3, seed=0):
     return np.random.default_rng(seed).normal(0, 0.3, size=(k, 8))
+
+
+def forward_one(w, x):
+    """(N, 4) factors of one (k, 8) window, run as a batch of one."""
+    out, _ = forward_batch(w, x[None])
+    return out[0]
+
+
+def backward_one(w, x, grad_out):
+    """Parameter gradients of sum(forward_one(w, x) * grad_out)."""
+    _, cache = forward_batch(w, x[None], keep_cache=True)
+    return backward_batch(w, cache, grad_out[None])
+
+
+def assert_matches_finite_differences(grads, scalar, params, label=""):
+    fd = central_differences(scalar, params, h=1e-6)
+    for name in fd:
+        denom = max(np.max(np.abs(fd[name])), 1e-8)
+        assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4, f"{label} {name}"
 
 
 def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
@@ -30,26 +49,26 @@ def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
 class TestForward:
     def test_zero_weights_give_zero_factors(self):
         w = zero_weights(**SMALL)
-        out = pm_forward(w, random_input(seed=1))
+        out = forward_one(w, random_input(seed=1))
         assert out.shape == (2, 4)
         assert np.all(out == 0.0)
 
     def test_output_shape_any_geometry(self):
         w = init_weights(k=5, n_heads=3, c_enc=16, c_dec=8, seed=2)
-        out = pm_forward(w, random_input(k=5, seed=3))
+        out = forward_one(w, random_input(k=5, seed=3))
         assert out.shape == (3, 4)
         assert np.all(np.isfinite(out))
 
     def test_output_bias_reaches_every_head(self):
         w = zero_weights(**SMALL)
         w.out_b[:] = [1.5, -0.5, 0.25, 0.0]
-        out = pm_forward(w, random_input(seed=4))
+        out = forward_one(w, random_input(seed=4))
         for n in range(2):
             assert out[n].tolist() == [1.5, -0.5, 0.25, 0.0]
 
     def test_constant_factor_fixture(self):
         w = constant_factor_weights(k=3, n_heads=3, c_enc=8, c_dec=6)
-        out = pm_forward(w, random_input(seed=5))
+        out = forward_one(w, random_input(seed=5))
         for n in range(3):
             assert out[n] == pytest.approx([n + 1] * 4)
 
@@ -58,41 +77,45 @@ class TestForward:
         w.out_w[:, 0] = 1.0
         w.head_b[0, 0] = -2.0
         w.head_b[1, 0] = 2.0
-        out = pm_forward(w, random_input(seed=6))
+        out = forward_one(w, random_input(seed=6))
         assert out[0].tolist() == [0.0] * 4
         assert out[1].tolist() == [2.0] * 4
 
     def test_head_independence(self):
         w = init_weights(seed=7, **SMALL)
-        base = pm_forward(w, random_input(seed=8))
+        base = forward_one(w, random_input(seed=8))
         w2 = w.copy()
         w2.head_w[1] += 0.5
         w2.head_b[1] -= 0.25
-        out = pm_forward(w2, random_input(seed=8))
+        out = forward_one(w2, random_input(seed=8))
         assert np.array_equal(out[0], base[0])
         assert not np.array_equal(out[1], base[1])
 
     def test_batched_forward_matches_single(self):
-        w = init_weights(seed=9, **SMALL)
-        xs = np.stack([random_input(seed=s) for s in (10, 11, 12)])
-        batched, cache = forward_batch(w, xs, keep_cache=True)
-        assert cache is not None
-        for i in range(3):
-            assert batched[i] == pytest.approx(pm_forward(w, xs[i]), abs=1e-12)
+        """forward_batch against the literal loop oracle, window by window,
+        at every batch size, window length and head count listed."""
+        for b in (1, 7):
+            for k in (1, 2, 5):
+                for n_heads in (1, 3):
+                    w = init_weights(k=k, n_heads=n_heads, c_enc=8, c_dec=6, seed=9 + k)
+                    xs = np.random.default_rng(b * 10 + k).normal(0, 0.3, size=(b, k, 8))
+                    batched, cache = forward_batch(w, xs, keep_cache=True)
+                    assert cache is not None
+                    assert batched == pytest.approx(pm_forward_loops(w, xs), abs=1e-12), \
+                        f"B={b} k={k} N={n_heads}"
 
     def test_wrong_input_shape_rejected(self):
         w = init_weights(seed=0, **SMALL)
-        with pytest.raises(ValidationError):
-            pm_forward(w, np.zeros((4, 8)))
-        with pytest.raises(ValidationError):
-            pm_forward(w, np.zeros((3, 7)))
+        for shape in ((1, 4, 8), (1, 3, 7), (3, 8)):
+            with pytest.raises(ValidationError):
+                forward_batch(w, np.zeros(shape))
 
     def test_non_finite_input_rejected(self):
         w = init_weights(seed=0, **SMALL)
         x = random_input()
         x[0, 0] = float("nan")
         with pytest.raises(ValidationError):
-            pm_forward(w, x)
+            forward_one(w, x)
 
 
 class TestWeights:
@@ -127,46 +150,46 @@ class TestWeights:
 
 class TestBackward:
     def test_matches_finite_differences(self):
-        w = init_weights(seed=21, **SMALL)
-        x = random_input(seed=22)
-        g_out = np.random.default_rng(23).normal(size=(2, 4))
-        grads = pm_backward(w, x, g_out)
+        """Both window edges of the temporal conv (k = 1, 2, 5) and the
+        reduction over the batch (B = 3)."""
+        for b in (1, 3):
+            for k in (1, 2, 5):
+                w = init_weights(seed=21, **dict(SMALL, k=k))
+                x = np.random.default_rng(22 + k).normal(0, 0.3, size=(b, k, 8))
+                g_out = np.random.default_rng(23 + b).normal(size=(b, 2, 4))
+                _, cache = forward_batch(w, x, keep_cache=True)
+                grads = backward_batch(w, cache, g_out)
 
-        def scalar():
-            return float(np.sum(pm_forward(w, x) * g_out))
+                def scalar():
+                    return float(np.sum(forward_batch(w, x)[0] * g_out))
 
-        fd = central_differences(scalar, w.params(), h=1e-6)
-        for name in fd:
-            denom = max(np.max(np.abs(fd[name])), 1e-8)
-            assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4, name
+                assert_matches_finite_differences(grads, scalar, w.params(), f"B={b} k={k}")
 
     def test_l1_pipeline_gradient(self):
         w = init_weights(seed=31, **SMALL)
         _, hist = cv_history(k=3)
-        x = history_input(hist)
-        speed = NormalizedMotion(0.21, -0.07, 0.0, 0.0)
-        targets = np.array([[0.3, -0.1, 0.0, 0.0], [0.6, -0.2, 0.0, 0.0]])
+        x = history_input(hist)[None]
+        speeds = np.array([[0.21, -0.07, 0.0, 0.0]])
+        targets = np.array([[[0.3, -0.1, 0.0, 0.0], [0.6, -0.2, 0.0, 0.0]]])
 
         def scalar():
-            loss, _ = l1_loss(pm_forward(w, x), speed, targets)
+            loss, _ = l1_loss(forward_batch(w, x)[0], speeds, targets)
             return loss
 
-        loss, g_factor = l1_loss(pm_forward(w, x), speed, targets)
-        grads = pm_backward(w, x, g_factor)
-        fd = central_differences(scalar, w.params(), h=1e-6)
-        for name in fd:
-            denom = max(np.max(np.abs(fd[name])), 1e-8)
-            assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4, name
+        factors, cache = forward_batch(w, x, keep_cache=True)
+        _, g_factor = l1_loss(factors, speeds, targets)
+        grads = backward_batch(w, cache, g_factor)
+        assert_matches_finite_differences(grads, scalar, w.params())
 
     def test_zero_grad_out_gives_zero_grads(self):
         w = init_weights(seed=41, **SMALL)
-        grads = pm_backward(w, random_input(seed=42), np.zeros((2, 4)))
+        grads = backward_one(w, random_input(seed=42), np.zeros((2, 4)))
         for arr in grads.values():
             assert np.all(arr == 0.0)
 
     def test_grad_shapes_mirror_params(self):
         w = init_weights(seed=43, **SMALL)
-        grads = pm_backward(w, random_input(seed=44), np.ones((2, 4)))
+        grads = backward_one(w, random_input(seed=44), np.ones((2, 4)))
         assert set(grads) == set(w.params())
         for name, arr in grads.items():
             assert arr.shape == w.params()[name].shape
@@ -174,29 +197,32 @@ class TestBackward:
 
 class TestL1Loss:
     def test_exact_match_is_zero(self):
-        speed = NormalizedMotion(0.1, 0.2, 0.0, 0.0)
-        factors = np.array([[2.0, 0.5, 0.0, 0.0]])
-        targets = factors * np.array(speed.as_tuple())
-        loss, grad = l1_loss(factors, speed, targets)
+        speeds = np.array([[0.1, 0.2, 0.0, 0.0]])
+        factors = np.array([[[2.0, 0.5, 0.0, 0.0]]])
+        targets = factors * speeds[:, None, :]
+        loss, grad = l1_loss(factors, speeds, targets)
         assert loss == 0.0
         assert np.all(grad == 0.0)
 
     def test_unit_diff_means_unit_loss(self):
-        speed = NormalizedMotion(1.0, 1.0, 1.0, 1.0)
-        loss, grad = l1_loss(np.ones((1, 4)) * 2.0, speed, np.ones((1, 4)))
+        loss, grad = l1_loss(np.full((1, 1, 4), 2.0), np.ones((1, 4)), np.ones((1, 1, 4)))
         assert loss == 1.0
-        assert grad == pytest.approx(np.full((1, 4), 0.25))
+        assert grad == pytest.approx(np.full((1, 1, 4), 0.25))
 
     def test_zero_speed_blocks_gradient(self):
-        speed = NormalizedMotion(0.0, 0.0, 0.0, 0.0)
-        loss, grad = l1_loss(np.ones((2, 4)), speed, np.ones((2, 4)) * 0.5)
+        loss, grad = l1_loss(np.ones((3, 2, 4)), np.zeros((3, 4)), np.full((3, 2, 4), 0.5))
         assert loss == 0.5
         assert np.all(grad == 0.0)
 
     def test_shape_mismatch_rejected(self):
-        speed = NormalizedMotion(0.1, 0, 0, 0)
-        with pytest.raises(ValidationError):
-            l1_loss(np.ones((1, 4)), speed, np.ones((2, 4)))
+        speeds = np.array([[0.1, 0.0, 0.0, 0.0]])
+        for factors, speeds_, targets in (
+            (np.ones((1, 1, 4)), speeds, np.ones((1, 2, 4))),
+            (np.ones((1, 1, 4)), np.ones((2, 4)), np.ones((1, 1, 4))),
+            (np.ones((1, 4)), speeds, np.ones((1, 4))),
+        ):
+            with pytest.raises(ValidationError):
+                l1_loss(factors, speeds_, targets)
 
 
 class TestPredict:
@@ -292,4 +318,17 @@ class TestCheckpoint:
         del doc["layers"]["enc_fc.weight"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError):
+            load_weights(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: json.dumps({key: v for key, v in doc.items() if key != "c_dec"}).encode(),
+        lambda doc: json.dumps([1, 2]).encode(),
+        lambda doc: json.dumps(dict(doc, k="three")).encode(),
+        lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
+    ], ids=["missing_geometry", "not_an_object", "k_not_integer", "not_utf8"])
+    def test_malformed_checkpoint_rejected_with_path(self, tmp_path, corrupt):
+        path = tmp_path / "w.json"
+        save_weights(init_weights(seed=66, **SMALL), path)
+        path.write_bytes(corrupt(json.loads(path.read_text())))
+        with pytest.raises(ValidationError, match=re.escape(str(path))):
             load_weights(path)

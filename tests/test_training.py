@@ -216,6 +216,12 @@ class TestMotionL1Harness:
         speeds = np.array([average_speed(s.history).as_tuple() for s in samples])
         assert np.array_equal(out, factors * speeds[:, None, :])
 
+    def test_pm_batch_rejects_windows_of_the_wrong_size(self):
+        w = init_weights(3, 2, c_enc=8, c_dec=6, seed=12)
+        for samples in (cv_samples(k=4), cv_samples(horizon=3)):
+            with pytest.raises(ValidationError):
+                pm_motion_batch(w)(samples)
+
     def test_zero_motion_batch_shape(self):
         samples = cv_samples()
         out = zero_motion_batch(2)(samples)
