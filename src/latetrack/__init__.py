@@ -17,8 +17,7 @@ from .errors import DivergenceError, ReplayExhaustedError, ValidationError
 from .evaluate import (EstimateMatcher, EvalCurve, MatchedEstimate, PermittedLatency,
                        match_elae, match_lae, score_run, sigma_grid, sweep)
 from .latency import LatencyProfile
-from .motion import (MotionHistory, NormalizedMotion, apply_factor, apply_motion,
-                     average_speed, encode_motion, invert_motion, unroll_history)
+from .motion import MotionHistory, NormalizedMotion, apply_motion, encode_motion
 from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,
                       load_weights, pm_predict, save_weights)
 from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
@@ -28,7 +27,6 @@ from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
 from .simulate import (PredictorAdapter, ProcessedFrame, RunLog, TrackerAdapter,
                        load_run_log, load_trace, next_frame, pick_horizon_n, predictor_for,
                        run_log_from_trace, run_stream, save_run_log, save_trace)
-from .training import (AdamW, OptimizerConfig, SyntheticSpec, TrainSample,
-                       gen_synthetic, linear_track, motion_l1_on_samples,
-                       pm_motion_batch, sample_windows, train_pm,
-                       zero_motion_batch)
+from .training import (AdamW, OptimizerConfig, SyntheticSpec, Windows, gen_synthetic,
+                       linear_track, motion_l1_on_samples, pm_motion_batch, sample_windows,
+                       train_pm, zero_motion_batch)

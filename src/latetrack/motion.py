@@ -4,8 +4,7 @@ A motion between two boxes is the 4-vector
 [d_center_x / prev.w, d_center_y / prev.h, ln(cur.w / prev.w), ln(cur.h / prev.h)]:
 center displacement in units of the previous box size plus log size
 ratios. The representation is scale-free, so a predictor trained on one
-motion scale transfers to another. The average per-frame speed over a
-history window is what predicted motion factors multiply.
+motion scale transfers to another.
 """
 
 from __future__ import annotations
@@ -84,11 +83,16 @@ def encode_motion(prev: BoundingBox, cur: BoundingBox) -> NormalizedMotion:
 def encode_motion_rows(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """encode_motion over arrays of (cx, cy, w, h) rows that broadcast
     against each other; the same size check, and non-finite motions
-    raise just as NormalizedMotion does."""
+    raise just as NormalizedMotion does.
+
+    The log size ratios go through math.log, as in encode_motion:
+    np.log differs from it by an ulp on some inputs, and the two codecs
+    must give the same numbers."""
     if np.any(prev[..., 2:] <= _SIZE_EPS) or np.any(cur[..., 2:] <= _SIZE_EPS):
         raise ValidationError("cannot encode motion for degenerate box sizes")
-    motions = np.concatenate([(cur[..., :2] - prev[..., :2]) / prev[..., 2:],
-                              np.log(cur[..., 2:] / prev[..., 2:])], axis=-1)
+    ratios = cur[..., 2:] / prev[..., 2:]
+    logs = np.array([math.log(v) for v in ratios.ravel().tolist()]).reshape(ratios.shape)
+    motions = np.concatenate([(cur[..., :2] - prev[..., :2]) / prev[..., 2:], logs], axis=-1)
     if not np.all(np.isfinite(motions)):
         raise ValidationError("motion components must be finite")
     return motions
@@ -101,41 +105,3 @@ def apply_motion(base: BoundingBox, m: NormalizedMotion) -> BoundingBox:
     w = base.w * math.exp(m.log_w_ratio)
     h = base.h * math.exp(m.log_h_ratio)
     return BoundingBox.from_center(cx, cy, w, h)
-
-
-def invert_motion(cur: BoundingBox, m: NormalizedMotion) -> BoundingBox:
-    """Solve apply_motion for its base: the box m started from, given
-    the box it led to."""
-    w = cur.w / math.exp(m.log_w_ratio)
-    h = cur.h / math.exp(m.log_h_ratio)
-    if min(w, h) <= _SIZE_EPS:
-        raise ValidationError("cannot invert motion into a degenerate box")
-    return BoundingBox.from_center(cur.cx - m.dx_over_w * w, cur.cy - m.dy_over_h * h, w, h)
-
-
-def unroll_history(latest: BoundingBox, history: MotionHistory) -> list:
-    """The k+1 boxes a history window was encoded from, oldest first,
-    ending at `latest`."""
-    boxes = [latest]
-    for m in reversed(history.motions):
-        boxes.append(invert_motion(boxes[-1], m))
-    boxes.reverse()
-    return boxes
-
-
-def average_speed(history: MotionHistory) -> NormalizedMotion:
-    """Componentwise mean of motion / interval over the history window."""
-    k = history.k
-    acc = [0.0, 0.0, 0.0, 0.0]
-    for m, d in zip(history.motions, history.intervals):
-        t = m.as_tuple()
-        for i in range(4):
-            acc[i] += t[i] / d
-    return NormalizedMotion(*(a / k for a in acc))
-
-
-def apply_factor(factor: NormalizedMotion, speed: NormalizedMotion) -> NormalizedMotion:
-    """Elementwise product: a predicted factor scaled by the average speed."""
-    f = factor.as_tuple()
-    s = speed.as_tuple()
-    return NormalizedMotion(*(f[i] * s[i] for i in range(4)))

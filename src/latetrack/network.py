@@ -22,7 +22,7 @@ import numpy as np
 
 from .boxes import BoundingBox
 from .errors import ValidationError
-from .motion import MotionHistory, NormalizedMotion, apply_factor, apply_motion, average_speed
+from .motion import MotionHistory, NormalizedMotion, apply_motion
 
 CHECKPOINT_VERSION = 1
 
@@ -228,13 +228,17 @@ def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> dict:
     }
 
 
-def history_input(history: MotionHistory) -> np.ndarray:
-    """Network input rows [motion, motion / interval] for each history step."""
-    rows = []
-    for m, d in zip(history.motions, history.intervals):
-        t = m.as_tuple()
-        rows.append(t + tuple(v / d for v in t))
-    return np.array(rows, dtype=np.float64)
+def window_inputs(motions: np.ndarray, intervals: np.ndarray):
+    """Network inputs and mean speeds of a batch of motion windows.
+
+    motions (B, k, 4) and their frame intervals (B, k) give the input
+    rows [motion, motion / interval], shaped (B, k, 8), and each
+    window's mean per-frame speed, the mean of motion / interval over
+    its k steps, shaped (B, 4). The speed is what predicted motion
+    factors multiply.
+    """
+    rates = motions / intervals[..., None]
+    return np.concatenate([motions, rates], axis=-1), rates.sum(axis=1) / motions.shape[1]
 
 
 def pm_predict(w: PMWeights, history: MotionHistory, latest_box: BoundingBox) -> list:
@@ -246,13 +250,10 @@ def pm_predict(w: PMWeights, history: MotionHistory, latest_box: BoundingBox) ->
     """
     if history.k != w.k:
         raise ValidationError(f"history length {history.k} != network k {w.k}")
-    factors, _ = forward_batch(w, history_input(history)[None])
-    speed = average_speed(history)
-    boxes = []
-    for n in range(w.n_heads):
-        m_hat = apply_factor(NormalizedMotion(*factors[0, n]), speed)
-        boxes.append(apply_motion(latest_box, m_hat))
-    return boxes
+    xs, speeds = window_inputs(np.array([[m.as_tuple() for m in history.motions]]),
+                               np.array([history.intervals]))
+    factors, _ = forward_batch(w, xs)
+    return [apply_motion(latest_box, NormalizedMotion(*m)) for m in factors[0] * speeds]
 
 
 def l1_loss(factors: np.ndarray, speeds: np.ndarray, targets: np.ndarray):

@@ -25,8 +25,7 @@ import numpy as np
 
 from .boxes import BoundingBox
 from .errors import DivergenceError, ValidationError
-from .motion import (MotionHistory, NormalizedMotion, encode_motion, encode_motion_rows,
-                     unroll_history)
+from .motion import MotionHistory, NormalizedMotion, encode_motion, encode_motion_rows
 from .network import PMWeights, pm_predict
 from .seeding import rng_for
 
@@ -235,10 +234,10 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
                     init_cov: float = DEFAULT_INIT_COV):
     """Window predictor wrapping the Kalman filter.
 
-    Each window's boxes are reconstructed from its history, the filter
-    restarts on the oldest box, runs over the remaining k observations
-    at their recorded frame gaps, then rolls N frames out. Predictions
-    are re-encoded as motions from the window's anchor box.
+    For each window the filter starts on the oldest of its boxes, runs
+    over the remaining k boxes at their recorded frame gaps, then rolls
+    N frames out. Predictions are re-encoded as motions from the
+    window's anchor box.
 
     The result equals a fresh KalmanBoxPredictor per window, but the
     covariance and gain recursion runs once per gap pattern (8 for k=3
@@ -257,21 +256,19 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
     q = np.diag(q_diag)
     r = np.diag(r_diag)
 
-    def predict(samples):
-        out = np.empty((len(samples), horizon_n, 4))
-        groups = {}
-        for i, s in enumerate(samples):
-            groups.setdefault(s.history.intervals, []).append(i)
-        for gaps, idx in groups.items():
-            if min(gaps) < 1:
-                raise ValidationError(f"observations must advance frames, got gaps {gaps}")
-            boxes = np.array([[(b.cx, b.cy, b.w, b.h)
-                               for b in unroll_history(samples[i].latest_box, samples[i].history)]
-                              for i in idx])
+    def predict(windows):
+        if np.any(windows.intervals < 1):
+            raise ValidationError("observations must advance frames; window gaps must be >= 1")
+        patterns, which = np.unique(windows.intervals, axis=0, return_inverse=True)
+        which = which.reshape(-1)  # not 1-D in every numpy release
+        out = np.empty((len(windows), horizon_n, 4))
+        for g, gaps in enumerate(patterns):
+            idx = np.flatnonzero(which == g)
+            boxes = windows.boxes[idx]
             x = np.zeros((len(idx), 8))
             x[:, :4] = boxes[:, 0]
             p = np.eye(8) * init_cov
-            for j, gap in enumerate(gaps, start=1):
+            for j, gap in enumerate(gaps.tolist(), start=1):
                 x, p = _kf_step(x, p, q, r, boxes[:, j], gap)
             rollout = np.empty((len(idx), horizon_n, 4))
             for n in range(horizon_n):
@@ -307,13 +304,6 @@ def load_kf_noise(path):
     return q, r
 
 
-def _track_boxes(track) -> list:
-    boxes = list(track.ground_truth) if hasattr(track, "ground_truth") else list(track)
-    if any(b is None for b in boxes):
-        raise ValidationError("fitting tracks must be fully annotated")
-    return boxes
-
-
 def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
                  stride_set=(1, 2), max_windows: int = 400):
     """Fit the Q/R diagonals by gradient descent on their logs.
@@ -331,11 +321,11 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
     per window. That is exact: the recursion depends on Q, R, the
     initial covariance and the gaps, never on the measurements.
     """
-    from .training import AdamW, OptimizerConfig, sample_windows
+    from .training import AdamW, OptimizerConfig, Windows, sample_windows
 
     if config is None:
         config = OptimizerConfig(epochs=30, milestones=(20,))
-    tracks = [_track_boxes(t) for t in tracks]
+    tracks = [list(getattr(t, "ground_truth", t)) for t in tracks]
     if not tracks:
         raise ValidationError("need at least one trajectory")
     order = list(rng_for(config.seed, "kf-fit-split").permutation(len(tracks)))
@@ -343,32 +333,27 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
     val_idx = set(order[:n_val])
 
     def windows(indices, tag):
-        out = []
-        for i in indices:
-            out.extend(sample_windows(tracks[i], k, 1, stride_set,
-                                      rng_for(config.seed, "kf-fit-windows", tag, i)))
+        out = Windows.concat(sample_windows(tracks[i], k, 1, stride_set,
+                                            rng_for(config.seed, "kf-fit-windows", tag, i))
+                             for i in indices)
         if len(out) > max_windows:
             keep = rng_for(config.seed, "kf-fit-thin", tag).choice(
                 len(out), size=max_windows, replace=False)
-            out = [out[j] for j in sorted(keep)]
-        if not out:
-            raise ValidationError("no usable fitting windows")
+            out = out[np.sort(keep)]
         return out
 
     train_w = windows([i for i in range(len(tracks)) if i not in val_idx], "train")
     val_w = windows(sorted(val_idx), "val") if val_idx else train_w
-    train_targets = np.array([[t.as_tuple() for t in s.targets] for s in train_w])
-    val_targets = np.array([[t.as_tuple() for t in s.targets] for s in val_w])
     init_cov = float(init.cov[0, 0])
 
-    def loss(theta, samples, targets):
+    def loss(theta, batch):
         pred = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]),
-                               init_cov=init_cov)(samples)
-        return float(np.abs(pred - targets).mean())
+                               init_cov=init_cov)(batch)
+        return float(np.abs(pred - batch.targets).mean())
 
     theta = np.log(np.concatenate([init.q_diag, init.r_diag]))
     best_theta = theta.copy()
-    best_val = loss(theta, val_w, val_targets)
+    best_val = loss(theta, val_w)
 
     opt = AdamW(config)
     h = 1e-4
@@ -377,12 +362,11 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
         for i in range(theta.size):
             bump = np.zeros_like(theta)
             bump[i] = h
-            grad[i] = (loss(theta + bump, train_w, train_targets)
-                       - loss(theta - bump, train_w, train_targets)) / (2 * h)
+            grad[i] = (loss(theta + bump, train_w) - loss(theta - bump, train_w)) / (2 * h)
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(f"non-finite fitting gradient at step {step}")
         opt.step({"theta": theta}, {"theta": grad}, epoch=step)
-        val = loss(theta, val_w, val_targets)
+        val = loss(theta, val_w)
         if not np.isfinite(val):
             raise DivergenceError(f"non-finite validation loss at step {step}: {val}")
         if val < best_val:

@@ -11,8 +11,8 @@ import numpy as np
 
 from .boxes import BoundingBox, FrameClock, Sequence
 from .errors import DivergenceError, ValidationError
-from .motion import MotionHistory, average_speed, encode_motion
-from .network import backward_batch, forward_batch, history_input, init_weights, l1_loss
+from .motion import encode_motion_rows
+from .network import backward_batch, forward_batch, init_weights, l1_loss, window_inputs
 from .seeding import derive_seed, rng_for
 
 _EPS = 1e-8
@@ -92,26 +92,74 @@ class AdamW:
             p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + _EPS) + wd * p)
 
 
-@dataclass(frozen=True)
-class TrainSample:
-    """One supervised window: a motion history ending at latest_box,
-    plus the true normalized motions from that anchor frame to each of
-    the next N frames."""
+@dataclass(frozen=True, eq=False)
+class Windows:
+    """Supervised windows over trajectories, as arrays with one row per
+    window. Boxes are (cx, cy, w, h) rows.
 
-    history: MotionHistory
-    latest_box: BoundingBox
-    targets: tuple
+    boxes      (n, k+1, 4)  the history's boxes, oldest first, anchor last
+    intervals  (n, k)       frame gap each history motion spans
+    motions    (n, k, 4)    normalized motions between consecutive boxes
+    targets    (n, N, 4)    true motions from the anchor to each of the
+                            next N frames
+
+    A Windows holds at least one window. len() counts them, indexing
+    and slicing select rows, and iterating yields one-row Windows, so a
+    list of windows flattened across trajectories joins back with
+    concat.
+    """
+
+    boxes: np.ndarray
+    intervals: np.ndarray
+    motions: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if not self.targets:
-            raise ValidationError("sample needs at least one target")
+        n, k = self.intervals.shape if self.intervals.ndim == 2 else (0, 0)
+        if not (n >= 1 and k >= 1 and self.boxes.shape == (n, k + 1, 4) and self.motions.shape == (n, k, 4)
+                and self.targets.ndim == 3 and self.targets.shape[0] == n
+                and self.targets.shape[1] >= 1 and self.targets.shape[2] == 4):
+            raise ValidationError(
+                f"window arrays disagree: boxes {self.boxes.shape}, intervals "
+                f"{self.intervals.shape}, motions {self.motions.shape}, targets {self.targets.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.intervals)
+
+    def __getitem__(self, rows) -> "Windows":
+        return Windows(self.boxes[rows], self.intervals[rows], self.motions[rows],
+                       self.targets[rows])
+
+    def __iter__(self):
+        return (self[i:i + 1] for i in range(len(self)))
+
+    @classmethod
+    def concat(cls, parts) -> "Windows":
+        """One Windows from a Windows (returned as is) or an iterable of them."""
+        if isinstance(parts, Windows):
+            return parts
+        parts = list(parts)
+        if not parts:
+            raise ValidationError("no windows")
+        sizes = {(p.intervals.shape[1], p.targets.shape[1]) for p in parts}
+        if len(sizes) > 1:
+            raise ValidationError(f"cannot join windows of different (k, N): {sorted(sizes)}")
+        return cls(*(np.concatenate([getattr(p, f) for p in parts])
+                     for f in ("boxes", "intervals", "motions", "targets")))
 
 
-def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> list:
-    """Windows over one trajectory: every anchor with room for a full
-    stride-k history and N future frames, with the k history intervals
-    drawn uniformly from stride_set."""
+def _check_sizes(windows: Windows, k: int, horizon_n: int) -> None:
+    got = (windows.intervals.shape[1], windows.targets.shape[1])
+    if got != (k, horizon_n):
+        raise ValidationError(f"windows have (k, N) = {got}, the model needs {(k, horizon_n)}")
+
+
+def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
+    """Windows over one trajectory of boxes: every anchor with room for
+    a full stride-k history and N future frames, with the k history
+    intervals drawn uniformly from stride_set (one draw per anchor and
+    step, in anchor order)."""
     strides = sorted(set(int(s) for s in stride_set))
     if not strides or strides[0] < 1:
         raise ValidationError(f"stride_set must hold integers >= 1, got {stride_set!r}")
@@ -120,36 +168,20 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> list:
     need = k * strides[-1] + horizon_n + 1
     if len(traj) < need:
         raise ValidationError(f"trajectory of {len(traj)} frames is shorter than {need}")
-    samples = []
-    for anchor in range(k * strides[-1], len(traj) - horizon_n):
-        picks = rng.integers(0, len(strides), size=k)
-        frames = [anchor]
-        for idx in picks:
-            frames.append(frames[-1] - strides[idx])
-        frames.reverse()
-        motions = []
-        intervals = []
-        for prev, cur in zip(frames, frames[1:]):
-            motions.append(encode_motion(traj[prev], traj[cur]))
-            intervals.append(cur - prev)
-        targets = tuple(encode_motion(traj[anchor], traj[anchor + n])
-                        for n in range(1, horizon_n + 1))
-        samples.append(TrainSample(MotionHistory(tuple(motions), tuple(intervals)),
-                                   traj[anchor], targets))
-    return samples
-
-
-def _sample_arrays(samples, k: int, horizon_n: int):
-    xs = np.empty((len(samples), k, 8))
-    targets = np.empty((len(samples), horizon_n, 4))
-    speeds = np.empty((len(samples), 4))
-    for i, s in enumerate(samples):
-        if s.history.k != k or len(s.targets) != horizon_n:
-            raise ValidationError("sample window sizes disagree with the model")
-        xs[i] = history_input(s.history)
-        targets[i] = [t.as_tuple() for t in s.targets]
-        speeds[i] = average_speed(s.history).as_tuple()
-    return xs, targets, speeds
+    missing = [f for f, b in enumerate(traj) if b is None]
+    if missing:
+        raise ValidationError(f"windows need a box on every frame; frame {missing[0]} has none")
+    rows = np.array([(b.cx, b.cy, b.w, b.h) for b in traj])
+    anchors = np.arange(k * strides[-1], len(traj) - horizon_n)
+    steps = np.array(strides)[rng.integers(0, len(strides), size=(len(anchors), k))]
+    # draw j is the gap that ends j steps before the anchor; frames run oldest first
+    frames = np.concatenate([anchors[:, None] - np.cumsum(steps, axis=1)[:, ::-1],
+                             anchors[:, None]], axis=1)
+    boxes = rows[frames]
+    future = rows[anchors[:, None] + np.arange(1, horizon_n + 1)]
+    return Windows(boxes, np.diff(frames, axis=1),
+                   encode_motion_rows(boxes[:, :-1], boxes[:, 1:]),
+                   encode_motion_rows(boxes[:, -1:], future))
 
 
 def _mean_l1(weights, xs, targets, speeds, batch: int = 512) -> float:
@@ -163,27 +195,28 @@ def _mean_l1(weights, xs, targets, speeds, batch: int = 512) -> float:
     return total / targets.size
 
 
-def train_pm(samples_per_track, k: int, horizon_n: int, config: OptimizerConfig,
+def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
              *, c_enc: int = 64, c_dec: int = 32):
-    """Train the motion network on windows grouped per trajectory.
+    """Train the motion network on windows grouped per trajectory, one
+    Windows (or iterable of them) per trajectory.
 
     Trajectories (not windows) are split 90/10 into train/validation so
     validation frames never leak into training. Returns the weights with
     the best validation L1 seen (initialization included) and the
     per-epoch loss history as (epoch, train_l1, val_l1) rows.
     """
-    groups = [list(g) for g in samples_per_track if g]
+    groups = [Windows.concat(g) for g in windows_per_track if len(g)]
     if not groups:
         raise ValidationError("no training windows")
     order = rng_for(config.seed, "pm-split").permutation(len(groups))
     n_val = max(1, round(0.1 * len(groups))) if len(groups) >= 2 else 0
-    val_samples = [s for i in order[:n_val] for s in groups[i]]
-    train_samples = [s for i in order[n_val:] for s in groups[i]]
-    if not val_samples:
-        val_samples = train_samples
+    train_w = Windows.concat(groups[i] for i in order[n_val:])
+    val_w = Windows.concat(groups[i] for i in order[:n_val]) if n_val else train_w
+    _check_sizes(train_w, k, horizon_n)
 
-    xs, targets, speeds = _sample_arrays(train_samples, k, horizon_n)
-    vxs, vtargets, vspeeds = _sample_arrays(val_samples, k, horizon_n)
+    xs, speeds = window_inputs(train_w.motions, train_w.intervals)
+    vxs, vspeeds = window_inputs(val_w.motions, val_w.intervals)
+    targets, vtargets = train_w.targets, val_w.targets
 
     weights = init_weights(k, horizon_n, c_enc=c_enc, c_dec=c_dec,
                            seed=derive_seed(config.seed, "pm-init"))
@@ -191,7 +224,7 @@ def train_pm(samples_per_track, k: int, horizon_n: int, config: OptimizerConfig,
     best = weights.copy()
     best_val = _mean_l1(weights, vxs, vtargets, vspeeds)
     history = []
-    n = len(train_samples)
+    n = len(train_w)
     for epoch in range(1, config.epochs + 1):
         perm = rng_for(config.seed, "pm-epoch", epoch).permutation(n)
         epoch_loss = 0.0
@@ -297,30 +330,29 @@ def gen_synthetic(spec: SyntheticSpec) -> list:
     return sequences
 
 
-def motion_l1_on_samples(samples, predict_batch) -> float:
-    """Mean motion-space L1 error of a predictor over supervised windows.
+def motion_l1_on_samples(windows, predict_batch) -> float:
+    """Mean motion-space L1 error of a predictor over supervised windows,
+    given as one Windows or an iterable of them.
 
-    predict_batch maps a list of TrainSamples to an (n, N, 4) array of
-    predicted normalized motions from each window's anchor. Comparing
-    predictors through this harness keeps them honest: every predictor
-    sees the identical windows, boxes, and frame gaps.
+    predict_batch maps a Windows to an (n, N, 4) array of predicted
+    normalized motions from each window's anchor. Comparing predictors
+    through this harness keeps them honest: every predictor sees the
+    identical windows, boxes, and frame gaps.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("no evaluation windows")
-    pred = np.asarray(predict_batch(samples), dtype=float)
-    targets = np.array([[t.as_tuple() for t in s.targets] for s in samples])
-    if pred.shape != targets.shape:
+    windows = Windows.concat(windows)
+    pred = np.asarray(predict_batch(windows), dtype=float)
+    if pred.shape != windows.targets.shape:
         raise ValidationError(
-            f"predictions shaped {pred.shape} do not match targets {targets.shape}"
+            f"predictions shaped {pred.shape} do not match targets {windows.targets.shape}"
         )
-    return float(np.abs(pred - targets).mean())
+    return float(np.abs(pred - windows.targets).mean())
 
 
 def pm_motion_batch(weights):
     """Window predictor wrapping trained motion-factor weights."""
-    def predict(samples):
-        xs, _, speeds = _sample_arrays(samples, weights.k, weights.n_heads)
+    def predict(windows):
+        _check_sizes(windows, weights.k, weights.n_heads)
+        xs, speeds = window_inputs(windows.motions, windows.intervals)
         factors, _ = forward_batch(weights, xs)
         return factors * speeds[:, None, :]
     return predict
@@ -328,6 +360,6 @@ def pm_motion_batch(weights):
 
 def zero_motion_batch(horizon_n: int):
     """Window predictor for the stay-put baseline: all-zero motions."""
-    def predict(samples):
-        return np.zeros((len(samples), horizon_n, 4))
+    def predict(windows):
+        return np.zeros((len(windows), horizon_n, 4))
     return predict

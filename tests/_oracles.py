@@ -165,6 +165,42 @@ def pm_forward_loops(w, x):
     return out
 
 
+def sample_windows_loop(traj, k, horizon_n, stride_set, rng):
+    """Literal per-anchor window sampler over a list of boxes.
+
+    For each anchor with room for a full history and N future frames:
+    one rng call draws its k stride indices, the history walks back from
+    the anchor by those strides, and every motion is the scalar codec
+    formula with math.log. Returns (boxes, intervals, motions, targets)
+    as arrays shaped (n, k+1, 4), (n, k), (n, k, 4) and (n, N, 4)."""
+    def encode(prev, cur):
+        return [(cur.cx - prev.cx) / prev.w, (cur.cy - prev.cy) / prev.h,
+                math.log(cur.w / prev.w), math.log(cur.h / prev.h)]
+
+    strides = sorted(set(stride_set))
+    boxes, intervals, motions, targets = [], [], [], []
+    for anchor in range(k * strides[-1], len(traj) - horizon_n):
+        picks = rng.integers(0, len(strides), size=k)
+        frames = [anchor]
+        for idx in picks:
+            frames.append(frames[-1] - strides[idx])
+        frames.reverse()
+        rows, gaps, steps = [], [], []
+        for f in frames:
+            rows.append([traj[f].cx, traj[f].cy, traj[f].w, traj[f].h])
+        for prev, cur in zip(frames, frames[1:]):
+            gaps.append(cur - prev)
+            steps.append(encode(traj[prev], traj[cur]))
+        future = []
+        for n in range(1, horizon_n + 1):
+            future.append(encode(traj[anchor], traj[anchor + n]))
+        boxes.append(rows)
+        intervals.append(gaps)
+        motions.append(steps)
+        targets.append(future)
+    return np.array(boxes), np.array(intervals), np.array(motions), np.array(targets)
+
+
 def central_differences(fn, arrays: dict, h: float = 1e-6) -> dict:
     """d fn / d arrays by central finite differences, element by element.
     `fn` must be a pure scalar function of the (mutated) arrays."""

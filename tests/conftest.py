@@ -7,7 +7,7 @@ from latetrack.boxes import load_sequence
 from latetrack.seeding import rng_for
 from latetrack.simulate import load_run_log
 from latetrack.training import (CONSTANT_ACCELERATION, SINUSOIDAL, OptimizerConfig,
-                                SyntheticSpec, gen_synthetic, sample_windows, train_pm)
+                                SyntheticSpec, Windows, gen_synthetic, sample_windows, train_pm)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -24,7 +24,7 @@ CORPUS_ACCEL = (0.001, 0.04)
 
 
 def window_groups(sequences, seed):
-    """Per-trajectory window lists with seeded per-sequence strides."""
+    """Per-trajectory Windows with seeded per-sequence strides."""
     return [
         sample_windows(list(s.ground_truth), PM_K, PM_HORIZON, PM_STRIDES,
                        rng_for(seed, "windows", s.name))
@@ -33,8 +33,8 @@ def window_groups(sequences, seed):
 
 
 def collect_windows(sequences, seed):
-    """Flat window list over sequences, for held-out evaluation."""
-    return [w for g in window_groups(sequences, seed) for w in g]
+    """All sequences' windows joined, for held-out evaluation."""
+    return Windows.concat(window_groups(sequences, seed))
 
 
 def corpus_sequences():

@@ -17,7 +17,7 @@ from latetrack.evaluate import EstimateMatcher, score_run, sigma_grid
 from latetrack.latency import LatencyProfile
 from latetrack.motion import apply_motion, encode_motion
 from latetrack.network import (backward_batch, constant_factor_weights, forward_batch,
-                               history_input, init_weights, l1_loss, save_weights)
+                               init_weights, l1_loss, save_weights)
 from latetrack.predictors import (kf_fit_noise, kf_motion_batch, kf_predict,
                                   kf_update, make_kf_state)
 from latetrack.seeding import rng_for

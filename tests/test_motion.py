@@ -1,13 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import (MotionHistory, NormalizedMotion, apply_factor,
-                              apply_motion, average_speed, encode_motion,
-                              invert_motion, unroll_history)
+from latetrack.motion import (MotionHistory, NormalizedMotion, apply_motion, encode_motion,
+                              encode_motion_rows)
+from latetrack.network import pm_predict, window_inputs, zero_weights
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.5, 1e3, allow_nan=False, allow_infinity=False)
@@ -68,64 +69,78 @@ class TestApply:
             apply_motion(BoundingBox(0, 0, 1, 1), NormalizedMotion(0, 0, -800.0, 0))
 
 
-class TestInvert:
-    @given(gt_boxes, gt_boxes)
-    def test_inverse_of_encode(self, prev, cur):
-        back = invert_motion(cur, encode_motion(prev, cur))
-        for a, b in zip((back.x, back.y, back.w, back.h), (prev.x, prev.y, prev.w, prev.h)):
-            assert a == pytest.approx(b, abs=1e-6 * max(1.0, abs(b)))
+class TestEncodeRows:
+    def test_matches_scalar_codec_exactly(self):
+        # np.log would differ from math.log in a few of these size ratios
+        rng = np.random.default_rng(4)
+        pairs = [[BoundingBox(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 80, 2))
+                  for _ in range(2)] for _ in range(500)]
+        rows = np.array([[(b.cx, b.cy, b.w, b.h) for b in pair] for pair in pairs])
+        got = encode_motion_rows(rows[:, 0], rows[:, 1])
+        for (prev, cur), row in zip(pairs, got):
+            assert tuple(row) == encode_motion(prev, cur).as_tuple()
 
-    def test_unroll_orders_oldest_first(self):
-        track = [BoundingBox(i * 2.0, 0, 10, 10) for i in range(4)]
-        motions = tuple(encode_motion(a, b) for a, b in zip(track, track[1:]))
-        hist = MotionHistory(motions, (1, 1, 1))
-        out = unroll_history(track[-1], hist)
-        assert len(out) == 4
-        for got, want in zip(out, track):
-            assert got.cx == pytest.approx(want.cx, abs=1e-9)
+    def test_degenerate_size_rejected(self):
+        with pytest.raises(ValidationError):
+            encode_motion_rows(np.array([0.0, 0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+
+
+def speed_of(motions, intervals):
+    """Mean speed of one window, through the network's input builder."""
+    _, speeds = window_inputs(np.array([[m.as_tuple() for m in motions]], dtype=float),
+                              np.array([intervals]))
+    return tuple(speeds[0])
 
 
 class TestAverageSpeed:
     def test_interval_weighting(self):
         # one unit of x-motion over one frame, then none over one frame
-        h = MotionHistory((NormalizedMotion(0.2, 0, 0, 0), NormalizedMotion(0, 0, 0, 0)), (1, 1))
-        assert motion_tuple(average_speed(h)) == (0.1, 0.0, 0.0, 0.0)
+        ms = (NormalizedMotion(0.2, 0, 0, 0), NormalizedMotion(0, 0, 0, 0))
+        assert speed_of(ms, (1, 1)) == (0.1, 0.0, 0.0, 0.0)
 
     def test_zeros(self):
-        h = MotionHistory((NormalizedMotion(0, 0, 0, 0),) * 3, (1, 2, 1))
-        assert motion_tuple(average_speed(h)) == (0.0, 0.0, 0.0, 0.0)
+        assert speed_of((NormalizedMotion(0, 0, 0, 0),) * 3, (1, 2, 1)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_single_entry_with_stride(self):
-        h = MotionHistory((NormalizedMotion(0.2, -0.2, 0, 0),), (2,))
-        assert motion_tuple(average_speed(h)) == (0.1, -0.1, 0.0, 0.0)
+        assert speed_of((NormalizedMotion(0.2, -0.2, 0, 0),), (2,)) == (0.1, -0.1, 0.0, 0.0)
 
 
-def factor(*vals):
-    return NormalizedMotion(*vals)
+BASE = BoundingBox(0, 0, 10, 10)
+
+
+def predicted_box(factor, speed):
+    """pm_predict's box for a constant factor over a one-step, one-frame
+    history moving at `speed`."""
+    w = zero_weights(k=1, n_heads=1, c_enc=2, c_dec=2)
+    w.out_b[:] = factor
+    return pm_predict(w, MotionHistory((speed,), (1,)), BASE)[0]
 
 
 class TestApplyFactor:
+    """A predicted factor scales the window's average speed
+    elementwise; pm_predict applies the product to the latest box."""
+
     def test_scales_speed_by_factor(self):
         speed = NormalizedMotion(0.1, 0, 0, 0)
-        m = apply_factor(factor(3.0, 3.0, 3.0, 3.0), speed)
-        assert m.dx_over_w == pytest.approx(0.3, abs=1e-15)
-        assert motion_tuple(m)[1:] == (0.0, 0.0, 0.0)
+        want = apply_motion(BASE, NormalizedMotion(3.0 * 0.1, 0.0, 0.0, 0.0))
+        assert predicted_box((3.0, 3.0, 3.0, 3.0), speed) == want
 
     def test_zero_factor_annihilates(self):
         speed = NormalizedMotion(0.1, -0.2, 0.05, 0.01)
-        assert motion_tuple(apply_factor(factor(0, 0, 0, 0), speed)) == (0, 0, 0, 0)
+        assert predicted_box((0, 0, 0, 0), speed) == apply_motion(BASE, NormalizedMotion.zero())
 
     def test_unit_factor_identity(self):
         speed = NormalizedMotion(0.1, -0.2, 0.05, 0.01)
-        assert motion_tuple(apply_factor(factor(1, 1, 1, 1), speed)) == motion_tuple(speed)
+        assert predicted_box((1, 1, 1, 1), speed) == apply_motion(BASE, speed)
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_linear_in_factor(self, f1, f2):
         speed = NormalizedMotion(0.25, -0.5, 0.125, 0.0625)
-        a = apply_factor(factor(f1, f1, f1, f1), speed)
-        b = apply_factor(factor(f2, f2, f2, f2), speed)
-        both = apply_factor(factor(*(f1 + f2,) * 4), speed)
-        for x, y, z in zip(motion_tuple(a), motion_tuple(b), motion_tuple(both)):
+
+        def motion(f):
+            return motion_tuple(encode_motion(BASE, predicted_box((f,) * 4, speed)))
+
+        for x, y, z in zip(motion(f1), motion(f2), motion(f1 + f2)):
             assert x + y == pytest.approx(z, abs=1e-12)
 
 
@@ -134,8 +149,7 @@ class TestConstantVelocityExactness:
         # constant pixel velocity with fixed size: every step encodes identically
         track = [BoundingBox(3.0 * i, -1.5 * i, 12, 12) for i in range(6)]
         motions = tuple(encode_motion(a, b) for a, b in zip(track, track[1:]))
-        hist = MotionHistory(motions, (1,) * len(motions))
-        step = apply_factor(NormalizedMotion(1, 1, 1, 1), average_speed(hist))
+        step = NormalizedMotion(*speed_of(motions, (1,) * len(motions)))
         nxt = apply_motion(track[-1], step)
         want = BoundingBox(3.0 * 6, -1.5 * 6, 12, 12)
         assert nxt.cx == pytest.approx(want.cx, abs=1e-12)

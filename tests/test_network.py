@@ -9,8 +9,9 @@ from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import MotionHistory, NormalizedMotion, encode_motion
 from latetrack.network import (PMWeights, backward_batch, constant_factor_weights,
-                               forward_batch, history_input, init_weights, l1_loss,
-                               load_weights, pm_predict, save_weights, zero_weights)
+                               forward_batch, init_weights, l1_loss,
+                               load_weights, pm_predict, save_weights, window_inputs,
+                               zero_weights)
 
 from _oracles import central_differences, pm_forward_loops
 
@@ -38,6 +39,11 @@ def assert_matches_finite_differences(grads, scalar, params, label=""):
     for name in fd:
         denom = max(np.max(np.abs(fd[name])), 1e-8)
         assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4, f"{label} {name}"
+
+
+def history_arrays(hist):
+    """A MotionHistory as a batch of one: motions (1, k, 4), intervals (1, k)."""
+    return np.array([[m.as_tuple() for m in hist.motions]]), np.array([hist.intervals])
 
 
 def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
@@ -168,7 +174,7 @@ class TestBackward:
     def test_l1_pipeline_gradient(self):
         w = init_weights(seed=31, **SMALL)
         _, hist = cv_history(k=3)
-        x = history_input(hist)[None]
+        x, _ = window_inputs(*history_arrays(hist))
         speeds = np.array([[0.21, -0.07, 0.0, 0.0]])
         targets = np.array([[[0.3, -0.1, 0.0, 0.0], [0.6, -0.2, 0.0, 0.0]]])
 
@@ -269,9 +275,21 @@ class TestPredict:
 class TestHistoryInput:
     def test_rows_pair_motion_with_rate(self):
         m = NormalizedMotion(0.2, -0.4, 0.1, 0.0)
-        hist = MotionHistory((m,), (2,))
-        row = history_input(hist)[0]
-        assert row.tolist() == [0.2, -0.4, 0.1, 0.0, 0.1, -0.2, 0.05, 0.0]
+        xs, _ = window_inputs(*history_arrays(MotionHistory((m,), (2,))))
+        assert xs[0, 0].tolist() == [0.2, -0.4, 0.1, 0.0, 0.1, -0.2, 0.05, 0.0]
+
+    def test_batch_rows_match_a_literal_loop(self):
+        rng = np.random.default_rng(5)
+        motions = rng.normal(0, 0.3, size=(6, 5, 4))
+        intervals = rng.integers(1, 4, size=(6, 5))
+        xs, speeds = window_inputs(motions, intervals)
+        for b in range(6):
+            acc = [0.0] * 4
+            for t in range(5):
+                rates = [v / intervals[b, t] for v in motions[b, t]]
+                assert xs[b, t].tolist() == list(motions[b, t]) + rates
+                acc = [a + r for a, r in zip(acc, rates)]
+            assert speeds[b].tolist() == [a / 5 for a in acc]
 
 
 class TestCheckpoint:

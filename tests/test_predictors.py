@@ -5,14 +5,14 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import MotionHistory, NormalizedMotion, encode_motion, unroll_history
+from latetrack.motion import encode_motion, encode_motion_rows
 from latetrack.network import init_weights, zero_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, KalmanState, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                                   kf_predict, kf_update, load_kf_noise, make_kf_state,
                                   save_kf_noise, zero_motion_predict, _kf_step)
-from latetrack.training import OptimizerConfig, TrainSample, sample_windows
+from latetrack.training import OptimizerConfig, Windows, sample_windows
 from latetrack.seeding import rng_for
 
 from _oracles import TextbookKalman
@@ -240,24 +240,27 @@ class TestOnlinePredictors:
         assert pred.cx == pytest.approx(track[4].cx, abs=1e-9)
 
 
-def manual_window_motions(s, horizon, q_diag=None, r_diag=None, init_cov=DEFAULT_INIT_COV):
-    """One window through a fresh online KalmanBoxPredictor, re-encoded
-    as motions from the window's anchor."""
-    boxes = unroll_history(s.latest_box, s.history)
+def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None,
+                          init_cov=DEFAULT_INIT_COV):
+    """Window i through a fresh online KalmanBoxPredictor, re-encoded as
+    motions from the window's anchor."""
+    boxes = [BoundingBox.from_center(*row) for row in windows.boxes[i].tolist()]
     p = KalmanBoxPredictor(q_diag, r_diag, init_cov)
     p.reset(boxes[0])
     f = 0
-    for gap, box in zip(s.history.intervals, boxes[1:]):
+    for gap, box in zip(windows.intervals[i].tolist(), boxes[1:]):
         f += gap
         p.observe(f, box)
-    return [encode_motion(s.latest_box, b).as_tuple() for b in p.predict(horizon)]
+    anchor = BoundingBox.from_center(*windows.boxes[i, -1].tolist())
+    return [encode_motion(anchor, b).as_tuple() for b in p.predict(horizon)]
 
 
 def window(boxes):
     """A hand-built unit-gap window over boxes (oldest first, anchor last)."""
-    motions = tuple(encode_motion(a, b) for a, b in zip(boxes, boxes[1:]))
-    return TrainSample(MotionHistory(motions, (1,) * len(motions)), boxes[-1],
-                       (NormalizedMotion.zero(),))
+    rows = np.array([[(b.cx, b.cy, b.w, b.h) for b in boxes]])
+    k = len(boxes) - 1
+    return Windows(rows, np.ones((1, k), dtype=int),
+                   encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, 1, 4)))
 
 
 class TestKfMotionBatch:
@@ -271,16 +274,16 @@ class TestKfMotionBatch:
             samples = sample_windows(traj, 3, horizon, (1, 2), rng_for(5, "w"))
             # every gap pattern, interleaved, so the per-pattern batches
             # must scatter back to the original window order
-            assert len({s.history.intervals for s in samples}) == 8
+            assert len({tuple(gaps) for gaps in samples.intervals.tolist()}) == 8
             for q_diag, r_diag, init_cov in noises:
                 out = kf_motion_batch(horizon, q_diag, r_diag, init_cov)(samples)
                 assert out.shape == (len(samples), horizon, 4)
-                for i, s in enumerate(samples):
-                    want = manual_window_motions(s, horizon, q_diag, r_diag, init_cov)
+                for i in range(len(samples)):
+                    want = manual_window_motions(samples, i, horizon, q_diag, r_diag, init_cov)
                     assert out[i] == pytest.approx(np.array(want), abs=1e-9)
 
     def test_nonpositive_noise_rejected(self):
-        samples = [window(cv_track(1.0, 0.5, 4))]
+        samples = window(cv_track(1.0, 0.5, 4))
         with pytest.raises(ValidationError):
             kf_motion_batch(1, q_diag=np.zeros(8))(samples)
         with pytest.raises(ValidationError):
@@ -299,7 +302,7 @@ class TestKfMotionBatch:
         # the same velocity overflows
         boxes = [BoundingBox.from_center(c * 1e308, 0.0, 10, 10) for c in (-1.5, -0.5, 0.5, 1.5)]
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
-            kf_motion_batch(1)([window(boxes)])
+            kf_motion_batch(1)(window(boxes))
 
 
 class TestNoiseFiles:
@@ -346,3 +349,11 @@ class TestFitNoise:
         init = make_kf_state(BoundingBox(0, 0, 10, 10))
         with pytest.raises(ValidationError):
             kf_fit_noise([], init)
+
+    def test_track_with_missing_box_rejected(self):
+        tracks = [cv_track(1.0, 0.5, 20), cv_track(-1.0, 0.2, 20)]
+        tracks[1][9] = None
+        init = make_kf_state(BoundingBox(0, 0, 10, 10))
+        cfg = OptimizerConfig(epochs=1, milestones=(), seed=0)
+        with pytest.raises(ValidationError, match="frame 9"):
+            kf_fit_noise(tracks, init, cfg)

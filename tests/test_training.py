@@ -4,15 +4,18 @@ import pytest
 from latetrack.boxes import BoundingBox
 from latetrack.errors import DivergenceError, ValidationError
 from latetrack.motion import encode_motion
-from latetrack.network import forward_batch, history_input, init_weights
+from latetrack.network import forward_batch, init_weights
+from latetrack.predictors import kf_motion_batch
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, RANDOM_WALK,
                                 SINUSOIDAL, AdamW, OptimizerConfig, SyntheticSpec,
-                                TrainSample, gen_synthetic, linear_track,
+                                Windows, gen_synthetic, linear_track,
                                 motion_l1_on_samples, pm_motion_batch, sample_windows,
                                 train_pm, zero_motion_batch)
 
-from _oracles import ReferenceAdamW
+from _oracles import ReferenceAdamW, sample_windows_loop
+
+FIELDS = ("boxes", "intervals", "motions", "targets")
 
 
 def cv_samples(vx=2.0, vy=-1.0, length=12, k=3, horizon=2, seed=0):
@@ -94,6 +97,16 @@ class TestAdamW:
             opt.step({"a": np.ones(2)}, {"b": np.ones(2)}, epoch=1)
 
 
+def varied_track(seed, length=40):
+    """A random walk whose box sizes change every frame."""
+    rng = np.random.default_rng(seed)
+    cx = 200 + np.cumsum(rng.normal(0, 2.0, length))
+    cy = 150 + np.cumsum(rng.normal(0, 2.0, length))
+    w = 40 * np.exp(np.cumsum(rng.normal(0, 0.03, length)))
+    h = 30 * np.exp(np.cumsum(rng.normal(0, 0.03, length)))
+    return [BoundingBox.from_center(*row) for row in zip(cx, cy, w, h)]
+
+
 class TestSampleWindows:
     def test_window_count_minimal_track(self):
         traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 0), 5)
@@ -108,25 +121,27 @@ class TestSampleWindows:
     def test_linear_track_window_contents(self):
         traj = linear_track(BoundingBox(0, 0, 10, 10), (2, 0), 8)
         samples = sample_windows(traj, 2, 2, (1,), rng_for(0, "w"))
-        for s in samples:
-            assert s.history.intervals == (1, 1)
-            assert s.latest_box in traj
-            anchor = traj.index(s.latest_box)
-            for n, target in enumerate(s.targets, start=1):
+        assert np.all(samples.intervals == 1)
+        anchors = range(2, len(traj) - 2)
+        assert len(samples) == len(anchors)
+        for row, anchor in zip(samples, anchors):
+            box = traj[anchor]
+            assert row.boxes[0, -1].tolist() == [box.cx, box.cy, box.w, box.h]
+            for n in range(1, 3):
                 want = encode_motion(traj[anchor], traj[anchor + n])
-                assert target.dx_over_w == pytest.approx(want.dx_over_w)
+                assert row.targets[0, n - 1, 0] == pytest.approx(want.dx_over_w)
 
     def test_strides_drawn_from_the_set(self):
         traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 1), 30)
         samples = sample_windows(traj, 3, 1, (1, 2), rng_for(3, "w"))
-        seen = {d for s in samples for d in s.history.intervals}
-        assert seen == {1, 2}
+        assert set(np.unique(samples.intervals).tolist()) == {1, 2}
 
     def test_deterministic_under_same_rng_seed(self):
         traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 1), 20)
         a = sample_windows(traj, 3, 2, (1, 2), rng_for(9, "w"))
         b = sample_windows(traj, 3, 2, (1, 2), rng_for(9, "w"))
-        assert a == b
+        for field in FIELDS:
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_bad_stride_set_rejected(self):
         traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 0), 20)
@@ -136,8 +151,61 @@ class TestSampleWindows:
             sample_windows(traj, 3, 1, (), rng_for(0, "w"))
 
     def test_sample_needs_targets(self):
+        traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 0), 20)
         with pytest.raises(ValidationError):
-            TrainSample(cv_samples()[0].history, BoundingBox(0, 0, 1, 1), ())
+            sample_windows(traj, 3, 0, (1,), rng_for(0, "w"))
+
+    @pytest.mark.parametrize("strides", [(1,), (1, 2), (1, 2, 3)])
+    def test_matches_per_anchor_oracle(self, strides):
+        for seed, (k, horizon) in enumerate((k, n) for k in (1, 3, 5) for n in (1, 2)):
+            traj = varied_track(seed)
+            got_rng, want_rng = rng_for(seed, "w"), rng_for(seed, "w")
+            got = sample_windows(traj, k, horizon, strides, got_rng)
+            want = sample_windows_loop(traj, k, horizon, strides, want_rng)
+            for field, expected in zip(FIELDS, want):
+                assert np.array_equal(getattr(got, field), expected), (k, horizon, field)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_missing_box_rejected(self):
+        traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 0), 20)
+        traj[7] = None
+        with pytest.raises(ValidationError, match="frame 7"):
+            sample_windows(traj, 3, 1, (1,), rng_for(0, "w"))
+
+
+class TestWindows:
+    def test_rows_iterate_and_join_back(self):
+        windows = sample_windows(varied_track(1), 3, 2, (1, 2), rng_for(1, "w"))
+        rows = list(windows)
+        assert len(rows) == len(windows) and all(len(r) == 1 for r in rows)
+        joined = Windows.concat(rows)
+        for field in FIELDS:
+            assert np.array_equal(getattr(joined, field), getattr(windows, field))
+        assert Windows.concat(windows) is windows
+
+    def test_row_index_selects_windows(self):
+        windows = sample_windows(varied_track(2), 3, 1, (1, 2), rng_for(2, "w"))
+        picked = windows[np.array([4, 0, 7])]
+        assert np.array_equal(picked.boxes, windows.boxes[[4, 0, 7]])
+        assert np.array_equal(picked.targets, windows.targets[[4, 0, 7]])
+
+    def test_mixed_sizes_rejected(self):
+        traj = varied_track(3)
+        parts = [sample_windows(traj, 3, 1, (1,), rng_for(0, "w")),
+                 sample_windows(traj, 2, 1, (1,), rng_for(0, "w"))]
+        with pytest.raises(ValidationError):
+            Windows.concat(parts)
+        with pytest.raises(ValidationError):
+            Windows.concat([])
+
+    def test_inconsistent_arrays_rejected(self):
+        w = sample_windows(varied_track(4), 3, 1, (1,), rng_for(0, "w"))
+        with pytest.raises(ValidationError):
+            Windows(w.boxes[:, 1:], w.intervals, w.motions, w.targets)
+        with pytest.raises(ValidationError):
+            Windows(w.boxes, w.intervals, w.motions, w.targets[:, :0])
+        with pytest.raises(ValidationError):
+            w[:0]
 
 
 class TestTrainPM:
@@ -184,7 +252,7 @@ class TestMotionL1Harness:
         samples = cv_samples()
 
         def oracle(batch):
-            return np.array([[t.as_tuple() for t in s.targets] for s in batch])
+            return batch.targets
 
         assert motion_l1_on_samples(samples, oracle) == 0.0
 
@@ -192,7 +260,7 @@ class TestMotionL1Harness:
         samples = cv_samples()
 
         def off_by_one(batch):
-            return np.array([[t.as_tuple() for t in s.targets] for s in batch]) + 1.0
+            return batch.targets + 1.0
 
         assert motion_l1_on_samples(samples, off_by_one) == pytest.approx(1.0)
 
@@ -209,11 +277,15 @@ class TestMotionL1Harness:
         samples = cv_samples()
         w = init_weights(3, 2, c_enc=8, c_dec=6, seed=12)
         out = pm_motion_batch(w)(samples)
-        xs = np.stack([history_input(s.history) for s in samples])
+        xs = np.empty((len(samples), 3, 8))
+        speeds = np.zeros((len(samples), 4))
+        for i in range(len(samples)):
+            for t in range(3):
+                rates = samples.motions[i, t] / samples.intervals[i, t]
+                xs[i, t] = np.concatenate([samples.motions[i, t], rates])
+                speeds[i] += rates
+        speeds /= 3
         factors, _ = forward_batch(w, xs)
-        from latetrack.motion import average_speed
-
-        speeds = np.array([average_speed(s.history).as_tuple() for s in samples])
         assert np.array_equal(out, factors * speeds[:, None, :])
 
     def test_pm_batch_rejects_windows_of_the_wrong_size(self):
@@ -227,6 +299,27 @@ class TestMotionL1Harness:
         out = zero_motion_batch(2)(samples)
         assert out.shape == (len(samples), 2, 4)
         assert np.all(out == 0.0)
+
+
+class TestBenchCallingConvention:
+    """The benchmark's fit-quality check flattens per-track windows into
+    one list of rows and scores the fitted filter on it; that must equal
+    scoring the per-track windows joined with Windows.concat."""
+
+    def test_flattened_rows_equal_per_track_concat(self):
+        seqs = gen_synthetic(SyntheticSpec(SINUSOIDAL, 3, 40, seed=6, noise_sigma=0.45))
+        q, r = np.linspace(0.004, 0.03, 8), np.array([0.6, 0.9, 1.3, 2.0])
+
+        def per_track():
+            return [sample_windows(list(s.ground_truth), 3, 1, (1, 2),
+                                   rng_for(6, "holdout", s.name)) for s in seqs]
+
+        flat = [w for g in per_track() for w in g]
+        joined = Windows.concat(per_track())
+        for field in FIELDS:
+            assert np.array_equal(getattr(Windows.concat(flat), field), getattr(joined, field))
+        assert (motion_l1_on_samples(flat, kf_motion_batch(1, q, r))
+                == motion_l1_on_samples(joined, kf_motion_batch(1, q, r)))
 
 
 class TestSynthetic:
