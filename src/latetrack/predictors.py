@@ -7,11 +7,15 @@ All predictors speak one online protocol:
     observe(frame, box)  feed a raw tracker output (frames strictly increase)
     predict(horizon)     boxes for the `horizon` frames after the last observed
 
-The Kalman state is 8-dimensional: (cx, cy, w, h) plus their per-frame
-velocities. Updates are gap-aware because a slow tracker skips frames:
-the transition is applied once per skipped frame, then a single
-measurement correction runs. Joseph-form correction plus explicit
-symmetrization keeps the covariance PSD.
+Each of (cx, cy, w, h) has its own constant-velocity filter over
+(position, per-frame velocity). The transition [[I, I], [0, I]], the
+measurement [I, 0] and diagonal Q, R and initial covariance never couple
+coordinates, so the 8-state filter is exactly four independent 2-state
+filters, each with covariance [[a, b], [b, c]] and scalar innovation
+variance a + r. Updates are gap-aware because a slow tracker skips
+frames: the transition is applied once per skipped frame, then a single
+measurement correction runs. The closed-form Joseph correction keeps
+each block symmetric by construction and PSD.
 """
 
 from __future__ import annotations
@@ -33,38 +37,32 @@ DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
 DEFAULT_INIT_COV = 10.0
 
-_F = np.eye(8)
-for _i in range(4):
-    _F[_i, _i + 4] = 1.0
-_H = np.zeros((4, 8))
-_H[:4, :4] = np.eye(4)
-
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Filter mean, covariance, and noise diagonals. Value semantics:
-    updates return new states and never mutate the arrays in place."""
+    """Per coordinate (cx, cy, w, h): position and velocity means and the
+    covariance [[a, b], [b, c]]; plus the Q (8) and R (4) diagonals.
+    make_kf_state builds and validates it; updates return new states."""
 
-    x: np.ndarray
-    cov: np.ndarray
+    pos: np.ndarray
+    vel: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
     q_diag: np.ndarray
     r_diag: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=np.float64))
-        object.__setattr__(self, "q_diag", np.asarray(self.q_diag, dtype=np.float64))
-        object.__setattr__(self, "r_diag", np.asarray(self.r_diag, dtype=np.float64))
-        if self.x.shape != (8,) or self.cov.shape != (8, 8):
-            raise ValidationError(f"state must be 8-dim, got x{self.x.shape}, cov{self.cov.shape}")
-        _check_noise(self.q_diag, self.r_diag)
 
-
-def _check_noise(q_diag: np.ndarray, r_diag: np.ndarray) -> None:
-    if q_diag.shape != (8,) or r_diag.shape != (4,):
-        raise ValidationError("Q diagonal must have 8 entries and R diagonal 4")
-    if np.any(q_diag <= 0) or np.any(r_diag <= 0):
-        raise ValidationError("Q and R diagonals must be strictly positive")
+def _check_noise(q_diag, r_diag):
+    """Q and R diagonals as float arrays, defaults for None; each entry
+    must be positive and finite."""
+    q = np.asarray(DEFAULT_Q_DIAG if q_diag is None else q_diag, dtype=np.float64)
+    r = np.asarray(DEFAULT_R_DIAG if r_diag is None else r_diag, dtype=np.float64)
+    if q.shape != (8,) or r.shape != (4,):
+        raise ValidationError(f"need 8 Q and 4 R entries, got shapes {q.shape} and {r.shape}")
+    if not (np.all((0.0 < q) & (q < np.inf)) and np.all((0.0 < r) & (r < np.inf))):
+        raise ValidationError("Q and R diagonals must be positive and finite")
+    return q, r
 
 
 def _check_init_cov(init_cov: float) -> float:
@@ -76,39 +74,42 @@ def _check_init_cov(init_cov: float) -> float:
 
 def make_kf_state(b0: BoundingBox, q_diag=None, r_diag=None,
                   init_cov: float = DEFAULT_INIT_COV) -> KalmanState:
-    """Zero-velocity state centered on b0 with diagonal initial covariance."""
-    x = np.zeros(8)
-    x[:4] = (b0.cx, b0.cy, b0.w, b0.h)
-    return KalmanState(
-        x=x,
-        cov=np.eye(8) * _check_init_cov(init_cov),
-        q_diag=DEFAULT_Q_DIAG if q_diag is None else q_diag,
-        r_diag=DEFAULT_R_DIAG if r_diag is None else r_diag,
-    )
+    """Zero-velocity state centered on b0 with diagonal initial
+    covariance. The one place a state's noise and init_cov are checked."""
+    q_diag, r_diag = _check_noise(q_diag, r_diag)
+    init_cov = _check_init_cov(init_cov)
+    return KalmanState(pos=np.array((b0.cx, b0.cy, b0.w, b0.h)), vel=np.zeros(4),
+                       a=np.full(4, init_cov), b=np.zeros(4), c=np.full(4, init_cov),
+                       q_diag=q_diag, r_diag=r_diag)
 
 
-def _kf_step(x: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray,
-             z: np.ndarray, gap: int):
-    """One gap-aware update: `gap` single-frame time updates, then one
-    correction on the measurement z (cx, cy, w, h).
+def _kf_step(pos, vel, a, b, c, q, r, z, gap: int):
+    """One gap-aware update of the four filters: `gap` single-frame time
+    updates, then one correction on the measurement z (cx, cy, w, h).
 
-    x is one state (8,) or a stack (n, 8) of states sharing the
-    covariance p; z matches it as (4,) or (n, 4). The covariance and
-    gain depend only on (p, q, r, gap), never on z, so a stack of
-    windows with one gap pattern shares a single covariance recursion.
+    pos, vel and z are one state (4,) or a stack (n, 4) of states that
+    share the covariance blocks a, b, c (4,) each; q is the Q diagonal
+    (8,) and r the R diagonal (4,). The covariance and gain depend only
+    on (a, b, c, q, r, gap), never on z, so a stack of windows with one
+    gap pattern shares a single covariance recursion. With r > 0 and
+    a >= 0 the innovation variance s = a + r is positive.
     """
+    q_pos, q_vel = q[:4], q[4:]
     for _ in range(gap):
-        x = x @ _F.T
-        p = _F @ p @ _F.T + q
-    s = _H @ p @ _H.T + r
-    try:
-        k_gain = np.linalg.solve(s.T, (_H @ p.T)).T
-    except np.linalg.LinAlgError:
-        raise ValidationError("innovation covariance is not invertible; degenerate R") from None
-    x = x + (z - x[..., :4]) @ k_gain.T
-    ikh = np.eye(8) - k_gain @ _H
-    p = ikh @ p @ ikh.T + k_gain @ r @ k_gain.T
-    return x, (p + p.T) / 2.0
+        pos = pos + vel
+        bc = b + c
+        a = a + b + bc + q_pos
+        b = bc
+        c = c + q_vel
+    s = a + r
+    k1, k2 = a / s, b / s
+    innov = z - pos
+    pos = pos + k1 * innov
+    vel = vel + k2 * innov
+    # Joseph form (I - KH) P (I - KH)^T + K r K^T with I - KH = [[1 - k1, 0], [-k2, 1]]
+    j = 1.0 - k1
+    return (pos, vel, j * j * a + k1 * k1 * r, j * (b - k2 * a) + k1 * k2 * r,
+            c - 2.0 * k2 * b + k2 * k2 * s)
 
 
 def kf_update(state: KalmanState, measured: BoundingBox, gap: int = 1) -> KalmanState:
@@ -116,19 +117,21 @@ def kf_update(state: KalmanState, measured: BoundingBox, gap: int = 1) -> Kalman
 
     The gap update is literally `gap` single-frame time updates, so a
     gap-2 update equals two gap-1 time updates followed by one
-    correction, covariance included.
+    correction, covariance included. The state was validated when
+    make_kf_state built it; only the gap is checked here.
     """
     if gap < 1:
         raise ValidationError(f"gap must be >= 1, got {gap}")
     z = np.array((measured.cx, measured.cy, measured.w, measured.h))
-    x, p = _kf_step(state.x, state.cov, np.diag(state.q_diag), np.diag(state.r_diag), z, gap)
-    return KalmanState(x=x, cov=p, q_diag=state.q_diag, r_diag=state.r_diag)
+    pos, vel, a, b, c = _kf_step(state.pos, state.vel, state.a, state.b, state.c,
+                                 state.q_diag, state.r_diag, z, gap)
+    return KalmanState(pos, vel, a, b, c, state.q_diag, state.r_diag)
 
 
-def _state_box(x: np.ndarray) -> BoundingBox:
-    w = max(x[2], 1.0)
-    h = max(x[3], 1.0)
-    return BoundingBox.from_center(x[0], x[1], w, h)
+def _state_box(pos: np.ndarray) -> BoundingBox:
+    w = max(pos[2], 1.0)
+    h = max(pos[3], 1.0)
+    return BoundingBox.from_center(pos[0], pos[1], w, h)
 
 
 def kf_predict(state: KalmanState, horizon: int) -> list:
@@ -139,11 +142,11 @@ def kf_predict(state: KalmanState, horizon: int) -> list:
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    x = state.x
+    pos = state.pos
     boxes = []
     for _ in range(horizon):
-        x = _F @ x
-        boxes.append(_state_box(x))
+        pos = pos + state.vel
+        boxes.append(_state_box(pos))
     return boxes
 
 
@@ -170,8 +173,7 @@ class ZeroMotionPredictor:
 
 class KalmanBoxPredictor:
     def __init__(self, q_diag=None, r_diag=None, init_cov: float = DEFAULT_INIT_COV):
-        self.q_diag = None if q_diag is None else np.asarray(q_diag, dtype=np.float64)
-        self.r_diag = None if r_diag is None else np.asarray(r_diag, dtype=np.float64)
+        self.q_diag, self.r_diag = _check_noise(q_diag, r_diag)
         self.init_cov = _check_init_cov(init_cov)
         self._state = None
         self._frame = 0
@@ -240,21 +242,17 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
     window's anchor box.
 
     The result equals a fresh KalmanBoxPredictor per window, but the
-    covariance and gain recursion runs once per gap pattern (8 for k=3
-    and strides {1, 2}) and its gains are applied to all of that
-    pattern's windows as one array. This is exact, not an
+    covariance blocks a, b, c run once per gap pattern (8 for k=3 and
+    strides {1, 2}) while the means of all that pattern's windows move
+    as one (n, 4) stack through the same _kf_step. This is exact, not an
     approximation: the recursion depends only on (Q, R, init_cov, the
     gaps), never on the measured boxes. Noise, horizon and gaps are
     validated once per call rather than once per window.
     """
     if horizon_n < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon_n}")
-    q_diag = np.asarray(DEFAULT_Q_DIAG if q_diag is None else q_diag, dtype=np.float64)
-    r_diag = np.asarray(DEFAULT_R_DIAG if r_diag is None else r_diag, dtype=np.float64)
-    _check_noise(q_diag, r_diag)
+    q_diag, r_diag = _check_noise(q_diag, r_diag)
     init_cov = _check_init_cov(init_cov)
-    q = np.diag(q_diag)
-    r = np.diag(r_diag)
 
     def predict(windows):
         if np.any(windows.intervals < 1):
@@ -265,15 +263,14 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
         for g, gaps in enumerate(patterns):
             idx = np.flatnonzero(which == g)
             boxes = windows.boxes[idx]
-            x = np.zeros((len(idx), 8))
-            x[:, :4] = boxes[:, 0]
-            p = np.eye(8) * init_cov
+            pos, vel = boxes[:, 0], np.zeros((len(idx), 4))
+            a, b, c = np.full(4, init_cov), np.zeros(4), np.full(4, init_cov)
             for j, gap in enumerate(gaps.tolist(), start=1):
-                x, p = _kf_step(x, p, q, r, boxes[:, j], gap)
+                pos, vel, a, b, c = _kf_step(pos, vel, a, b, c, q_diag, r_diag, boxes[:, j], gap)
             rollout = np.empty((len(idx), horizon_n, 4))
             for n in range(horizon_n):
-                x = x @ _F.T
-                rollout[:, n] = x[:, :4]
+                pos = pos + vel
+                rollout[:, n] = pos
             rollout[..., 2:] = np.maximum(rollout[..., 2:], 1.0)
             out[idx] = encode_motion_rows(boxes[:, -1:], rollout)
         return out
@@ -282,11 +279,8 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
 
 def save_kf_noise(q_diag, r_diag, path, manifest_ref=None) -> None:
     """Fitted noise diagonals as a JSON document {q: [8], r: [4]}."""
-    q = [float(v) for v in q_diag]
-    r = [float(v) for v in r_diag]
-    if len(q) != 8 or len(r) != 4:
-        raise ValidationError(f"need 8 Q and 4 R entries, got {len(q)} and {len(r)}")
-    doc = {"q": q, "r": r}
+    q, r = _check_noise(q_diag, r_diag)
+    doc = {"q": q.tolist(), "r": r.tolist()}
     if manifest_ref is not None:
         doc["manifest"] = manifest_ref
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -299,8 +293,10 @@ def load_kf_noise(path):
         r = tuple(float(v) for v in doc["r"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         raise ValidationError(f"{path}: not a fitted-noise file (JSON with q and r lists)") from None
-    if len(q) != 8 or len(r) != 4:
-        raise ValidationError(f"{path}: need 8 Q and 4 R entries, got {len(q)} and {len(r)}")
+    try:
+        _check_noise(q, r)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return q, r
 
 
@@ -317,9 +313,11 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
     so the fit never leaves validation worse than the starting point.
 
     Each loss evaluation is one kf_motion_batch call, which runs the
-    covariance and gain recursion once per gap pattern rather than once
-    per window. That is exact: the recursion depends on Q, R, the
-    initial covariance and the gaps, never on the measurements.
+    four filters' covariance recursion once per gap pattern rather than
+    once per window. That is exact: the recursion depends on Q, R, the
+    initial covariance and the gaps, never on the measurements. The
+    initial covariance is init's (every block starts at a = c =
+    init_cov, b = 0).
     """
     from .training import AdamW, OptimizerConfig, Windows, sample_windows
 
@@ -344,7 +342,7 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
 
     train_w = windows([i for i in range(len(tracks)) if i not in val_idx], "train")
     val_w = windows(sorted(val_idx), "val") if val_idx else train_w
-    init_cov = float(init.cov[0, 0])
+    init_cov = float(init.a[0])
 
     def loss(theta, batch):
         pred = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]),

@@ -355,6 +355,12 @@ class TestPredictorVocabulary:
         for f in bare.glob("*.csv"):
             assert body_lines(f) == body_lines(tmp_path / "none" / f.name)
 
+    def test_non_finite_noise_file_is_a_validation_error(self, tmp_path, tracker_cfg, files,
+                                                         capsys):
+        files["noise"].write_text(json.dumps({"q": [float("nan")] + [0.02] * 7, "r": [1.5] * 4}))
+        assert self.simulate(tmp_path, tracker_cfg, "kind = kf_learned\n" + files["kf_learned"]) == 2
+        assert str(files["noise"]) in capsys.readouterr().err
+
     def test_pm_horizon_must_match_checkpoint(self, tmp_path, tracker_cfg, files):
         text = "kind = pm\nhorizon = 3\n" + files["pm"]
         assert self.simulate(tmp_path, tracker_cfg, text) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,10 +9,10 @@ from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion, encode_motion_rows
 from latetrack.network import init_weights, zero_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
-                                  KalmanBoxPredictor, KalmanState, MotionNetPredictor,
+                                  KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                                   kf_predict, kf_update, load_kf_noise, make_kf_state,
-                                  save_kf_noise, zero_motion_predict, _kf_step)
+                                  save_kf_noise, zero_motion_predict)
 from latetrack.training import OptimizerConfig, Windows, sample_windows
 from latetrack.seeding import rng_for
 
@@ -27,27 +28,50 @@ def centers(boxes):
     return [(b.cx, b.cy) for b in boxes]
 
 
+def assert_matches_oracle(state, oracle, atol):
+    """The four 2-state filters against the 8-state textbook filter: each
+    coordinate i's (pos, vel) is oracle.x[i, i + 4] and its (a, b, c) is
+    the (i, i), (i, i + 4), (i + 4, i + 4) entries of oracle.P, which is
+    exactly zero everywhere else."""
+    i = np.arange(4)
+    assert np.allclose(state.pos, oracle.x[:4], atol=atol)
+    assert np.allclose(state.vel, oracle.x[4:], atol=atol)
+    assert np.allclose(state.a, oracle.P[i, i], atol=atol)
+    assert np.allclose(state.b, oracle.P[i, i + 4], atol=atol)
+    assert np.allclose(state.b, oracle.P[i + 4, i], atol=atol)
+    assert np.allclose(state.c, oracle.P[i + 4, i + 4], atol=atol)
+    blocks = np.zeros((8, 8), dtype=bool)
+    blocks[i, i] = blocks[i, i + 4] = blocks[i + 4, i] = blocks[i + 4, i + 4] = True
+    assert np.all(oracle.P[~blocks] == 0.0)
+
+
+NOISES = [(DEFAULT_Q_DIAG, DEFAULT_R_DIAG, DEFAULT_INIT_COV),
+          (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0]), 3.0),
+          (np.array([0.5, 0.1, 0.02, 0.3, 0.04, 0.2, 0.001, 0.05]),
+           np.array([0.01, 4.0, 0.2, 30.0]), 250.0)]
+
+
 class TestAgainstTextbookFilter:
     def test_random_walk_agreement(self):
-        rng = np.random.default_rng(77)
-        b0 = BoundingBox(10, 10, 20, 15)
-        state = make_kf_state(b0)
-        oracle = TextbookKalman(b0, DEFAULT_Q_DIAG, DEFAULT_R_DIAG, DEFAULT_INIT_COV)
-        f = 0
-        for _ in range(40):
-            gap = int(rng.integers(1, 4))
-            f += gap
-            box = BoundingBox(10 + f + rng.normal(0, 2), 10 + rng.normal(0, 2),
-                              20 + abs(rng.normal(0, 1)), 15 + abs(rng.normal(0, 1)))
-            state = kf_update(state, box, gap)
-            oracle.update(box, gap)
-            assert np.allclose(state.x, oracle.x, atol=1e-8)
-            assert np.allclose(state.cov, oracle.P, atol=1e-8)
-        got = kf_predict(state, 3)
-        want = oracle.predict(3)
-        for g, w in zip(got, want):
-            assert g.cx == pytest.approx(w.cx, abs=1e-8)
-            assert g.w == pytest.approx(w.w, abs=1e-8)
+        for q_diag, r_diag, init_cov in NOISES:
+            rng = np.random.default_rng(77)
+            b0 = BoundingBox(10, 10, 20, 15)
+            state = make_kf_state(b0, q_diag, r_diag, init_cov)
+            oracle = TextbookKalman(b0, q_diag, r_diag, init_cov)
+            f = 0
+            for _ in range(40):
+                gap = int(rng.integers(1, 4))
+                f += gap
+                box = BoundingBox(10 + f + rng.normal(0, 2), 10 + rng.normal(0, 2),
+                                  20 + abs(rng.normal(0, 1)), 15 + abs(rng.normal(0, 1)))
+                state = kf_update(state, box, gap)
+                oracle.update(box, gap)
+                assert_matches_oracle(state, oracle, atol=1e-8)
+            got = kf_predict(state, 3)
+            want = oracle.predict(3)
+            for g, w in zip(got, want):
+                assert g.cx == pytest.approx(w.cx, abs=1e-8)
+                assert g.w == pytest.approx(w.w, abs=1e-8)
 
     def test_gap_two_equals_textbook_gap_two(self):
         b0 = BoundingBox(0, 0, 10, 10)
@@ -56,8 +80,7 @@ class TestAgainstTextbookFilter:
         meas = BoundingBox(4, 1, 10, 10)
         state = kf_update(state, meas, gap=2)
         oracle.update(meas, gap=2)
-        assert np.allclose(state.x, oracle.x, atol=1e-10)
-        assert np.allclose(state.cov, oracle.P, atol=1e-10)
+        assert_matches_oracle(state, oracle, atol=1e-10)
 
 
 class TestKalmanBehavior:
@@ -69,7 +92,7 @@ class TestKalmanBehavior:
         pred = kf_predict(state, 1)[0]
         assert pred.cx == pytest.approx(b.cx, abs=1e-6)
         assert pred.cy == pytest.approx(b.cy, abs=1e-6)
-        assert abs(state.x[4]) < 1e-6 and abs(state.x[5]) < 1e-6
+        assert abs(state.vel[0]) < 1e-6 and abs(state.vel[1]) < 1e-6
 
     def test_burn_in_tracks_constant_velocity(self):
         track = cv_track(1.0, -0.7, 22)
@@ -80,13 +103,14 @@ class TestKalmanBehavior:
         assert pred.cx == pytest.approx(track[21].cx, abs=1e-3)
         assert pred.cy == pytest.approx(track[21].cy, abs=1e-3)
 
-    def test_covariance_stays_symmetric(self):
+    def test_covariance_blocks_stay_psd(self):
         rng = np.random.default_rng(5)
         state = make_kf_state(BoundingBox(0, 0, 10, 10))
         for i in range(200):
             box = BoundingBox(rng.normal(0, 5), rng.normal(0, 5), 10, 10)
             state = kf_update(state, box, gap=1 + i % 3)
-            assert np.max(np.abs(state.cov - state.cov.T)) < 1e-9
+            assert np.all(state.a >= 0) and np.all(state.c >= 0)
+            assert np.all(state.a * state.c - state.b ** 2 >= -1e-9)
 
     def test_huge_r_ignores_measurements(self):
         b0 = BoundingBox(0, 0, 10, 10)
@@ -95,8 +119,8 @@ class TestKalmanBehavior:
         far = BoundingBox(100, 0, 10, 10)
         sluggish = kf_update(sluggish, far)
         eager = kf_update(eager, far)
-        assert abs(sluggish.x[0] - b0.cx) < 1.0
-        assert eager.x[0] == pytest.approx(far.cx, abs=1e-6)
+        assert abs(sluggish.pos[0] - b0.cx) < 1.0
+        assert eager.pos[0] == pytest.approx(far.cx, abs=1e-6)
 
     def test_noiseless_cv_prediction_is_near_optimal(self):
         track = cv_track(2.0, 1.0, 40)
@@ -108,26 +132,29 @@ class TestKalmanBehavior:
             assert pred.cy == pytest.approx(track[n].cy, abs=1e-3)
 
 
+def moving_state(pos, vel):
+    """A fresh filter at box center/size pos, given per-frame velocities."""
+    return dataclasses.replace(make_kf_state(BoundingBox.from_center(*pos)),
+                               vel=np.array(vel, dtype=float))
+
+
 class TestKfPredict:
     def test_fresh_state_has_zero_velocity(self):
         b = BoundingBox(5, 5, 10, 10)
         assert centers(kf_predict(make_kf_state(b), 3)) == [(b.cx, b.cy)] * 3
 
     def test_unit_velocity_marches_right(self):
-        x = np.array([6.0, 5.0, 10.0, 10.0, 1.0, 0.0, 0.0, 0.0])
-        state = KalmanState(x, np.eye(8), DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
+        state = moving_state((6.0, 5.0, 10.0, 10.0), (1.0, 0.0, 0.0, 0.0))
         assert centers(kf_predict(state, 3)) == [(7.0, 5.0), (8.0, 5.0), (9.0, 5.0)]
 
     def test_horizon_composition(self):
-        x = np.array([0.0, 0.0, 10.0, 10.0, 1.5, -0.5, 0.2, 0.1])
-        state = KalmanState(x, np.eye(8), DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
+        state = moving_state((0.0, 0.0, 10.0, 10.0), (1.5, -0.5, 0.2, 0.1))
         long = kf_predict(state, 4)
         for i in range(4):
             assert centers(kf_predict(state, i + 1))[-1] == centers(long)[: i + 1][-1]
 
     def test_sizes_clamped_at_one_pixel(self):
-        x = np.array([0.0, 0.0, 3.0, 3.0, 0.0, 0.0, -2.0, -2.0])
-        state = KalmanState(x, np.eye(8), DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
+        state = moving_state((0.0, 0.0, 3.0, 3.0), (0.0, 0.0, -2.0, -2.0))
         boxes = kf_predict(state, 4)
         assert [b.w for b in boxes] == [1.0, 1.0, 1.0, 1.0]
         # the rollout itself keeps shrinking past the clamp
@@ -139,18 +166,23 @@ class TestKfPredict:
             kf_predict(state, 0)
 
 
+BAD_NOISE = (0.0, -1.0, float("nan"), float("inf"))
+
+
 class TestStateValidation:
     def test_nonpositive_noise_rejected(self):
-        with pytest.raises(ValidationError):
-            make_kf_state(BoundingBox(0, 0, 1, 1), q_diag=np.zeros(8))
-        with pytest.raises(ValidationError):
-            make_kf_state(BoundingBox(0, 0, 1, 1), r_diag=np.full(4, -1.0))
+        for bad in BAD_NOISE:
+            for noise in ({"q_diag": np.full(8, bad)}, {"r_diag": np.full(4, bad)}):
+                with pytest.raises(ValidationError):
+                    make_kf_state(BoundingBox(0, 0, 1, 1), **noise)
+                with pytest.raises(ValidationError):
+                    KalmanBoxPredictor(**noise)
 
     def test_wrong_shapes_rejected(self):
         with pytest.raises(ValidationError):
-            KalmanState(np.zeros(7), np.eye(8), DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
+            make_kf_state(BoundingBox(0, 0, 1, 1), q_diag=np.ones(4))
         with pytest.raises(ValidationError):
-            KalmanState(np.zeros(8), np.eye(8), np.ones(4), DEFAULT_R_DIAG)
+            make_kf_state(BoundingBox(0, 0, 1, 1), r_diag=np.ones(8))
 
     @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
     def test_bad_init_cov_rejected_by_make_kf_state(self, init_cov):
@@ -284,18 +316,11 @@ class TestKfMotionBatch:
 
     def test_nonpositive_noise_rejected(self):
         samples = window(cv_track(1.0, 0.5, 4))
-        with pytest.raises(ValidationError):
-            kf_motion_batch(1, q_diag=np.zeros(8))(samples)
-        with pytest.raises(ValidationError):
-            kf_motion_batch(1, r_diag=np.full(4, -1.0))(samples)
-
-    def test_degenerate_innovation_covariance_rejected(self):
-        # validated Q, R and init_cov keep S positive definite, so the
-        # singular branch is reached through the step itself: with zero
-        # covariance and noise, S = H P H^T + R is exactly zero
-        with pytest.raises(ValidationError):
-            _kf_step(np.zeros(8), np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((4, 4)),
-                     np.zeros(4), 1)
+        for bad in BAD_NOISE:
+            with pytest.raises(ValidationError):
+                kf_motion_batch(1, q_diag=np.full(8, bad))(samples)
+            with pytest.raises(ValidationError):
+                kf_motion_batch(1, r_diag=np.full(4, bad))(samples)
 
     def test_non_finite_prediction_rejected(self):
         # centers 1e308 apart are representable, but one more step of
