@@ -30,9 +30,9 @@ def centers(boxes):
 
 def assert_matches_oracle(state, oracle, atol):
     """The four 2-state filters against the 8-state textbook filter: each
-    coordinate i's (pos, vel) is oracle.x[i, i + 4] and its (a, b, c) is
-    the (i, i), (i, i + 4), (i + 4, i + 4) entries of oracle.P, which is
-    exactly zero everywhere else."""
+    coordinate i's (pos, vel) is entries i and i + 4 of oracle.x, and its
+    (a, b, c) is the (i, i), (i, i + 4), (i + 4, i + 4) entries of
+    oracle.P, which is exactly zero everywhere else."""
     i = np.arange(4)
     assert np.allclose(state.pos, oracle.x[:4], atol=atol)
     assert np.allclose(state.vel, oracle.x[4:], atol=atol)
