@@ -17,7 +17,7 @@ from .errors import DivergenceError, ReplayExhaustedError, ValidationError
 from .evaluate import (EstimateMatcher, EvalCurve, MatchedEstimate, PermittedLatency,
                        match_elae, match_lae, score_run, sigma_grid, sweep)
 from .latency import LatencyProfile
-from .motion import MotionHistory, NormalizedMotion, apply_motion, encode_motion
+from .motion import NormalizedMotion, apply_motion, encode_motion
 from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,
                       load_weights, pm_predict, save_weights)
 from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,

@@ -51,6 +51,7 @@ class FrameClock:
     framerate_kappa: float
 
     def __post_init__(self):
+        object.__setattr__(self, "framerate_kappa", float(self.framerate_kappa))
         if not (math.isfinite(self.framerate_kappa) and self.framerate_kappa > 0):
             raise ValidationError(f"framerate must be positive and finite, got {self.framerate_kappa}")
 

@@ -53,12 +53,17 @@ class Config:
     def has_group(self, prefix: str) -> bool:
         return any(k.startswith(prefix) for k in self.values)
 
-    def get_str(self, key: str, default=None) -> str:
-        if key in self.values:
-            return self.values[key]
-        if default is None:
-            raise ValidationError(f"{self.source}: missing required key {key!r}")
-        return default
+    def _get(self, key: str, default, kind=str, many: bool = False):
+        """The key's value parsed as `kind` (a comma-separated tuple of
+        them if `many`), else the default; a missing key with no
+        default is an error."""
+        if key not in self.values:
+            if default is None:
+                raise ValidationError(f"{self.source}: missing required key {key!r}")
+            return tuple(default) if many else default
+        if many:
+            return tuple(self._parse(key, kind, part) for part in self.values[key].split(","))
+        return self._parse(key, kind, self.values[key])
 
     def _parse(self, key: str, kind, text: str):
         try:
@@ -67,33 +72,20 @@ class Config:
             raise ValidationError(
                 f"{self.source}: key {key!r} needs a {kind.__name__}, got {text!r}") from None
 
+    def get_str(self, key: str, default=None) -> str:
+        return self._get(key, default)
+
     def get_int(self, key: str, default=None) -> int:
-        if key not in self.values:
-            if default is None:
-                raise ValidationError(f"{self.source}: missing required key {key!r}")
-            return default
-        return self._parse(key, int, self.values[key])
+        return self._get(key, default, int)
 
     def get_float(self, key: str, default=None) -> float:
-        if key not in self.values:
-            if default is None:
-                raise ValidationError(f"{self.source}: missing required key {key!r}")
-            return default
-        return self._parse(key, float, self.values[key])
+        return self._get(key, default, float)
 
     def get_floats(self, key: str, default=None) -> tuple:
-        if key not in self.values:
-            if default is None:
-                raise ValidationError(f"{self.source}: missing required key {key!r}")
-            return tuple(default)
-        return tuple(self._parse(key, float, part) for part in self.values[key].split(","))
+        return self._get(key, default, float, many=True)
 
     def get_ints(self, key: str, default=None) -> tuple:
-        if key not in self.values:
-            if default is None:
-                raise ValidationError(f"{self.source}: missing required key {key!r}")
-            return tuple(default)
-        return tuple(self._parse(key, int, part) for part in self.values[key].split(","))
+        return self._get(key, default, int, many=True)
 
 
 def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile:

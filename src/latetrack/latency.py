@@ -32,8 +32,12 @@ class LatencyProfile:
     def __post_init__(self):
         if self.kind not in (CONSTANT, GAUSSIAN, REPLAY):
             raise ValidationError(f"unknown latency kind {self.kind!r}")
+        for name in ("mean", "stddev", "floor"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.floor < 0 or not math.isfinite(self.floor):
             raise ValidationError(f"floor must be >= 0, got {self.floor}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.stddev)):
+            raise ValidationError(f"mean and stddev must be finite, got {self.mean} and {self.stddev}")
         if self.kind == CONSTANT and self.mean < self.floor:
             raise ValidationError(f"constant latency {self.mean} below floor {self.floor}")
         if self.kind == GAUSSIAN and self.stddev < 0:
@@ -42,8 +46,8 @@ class LatencyProfile:
             object.__setattr__(self, "replay_values", tuple(float(v) for v in self.replay_values))
             if not self.replay_values:
                 raise ValidationError("replay profile needs at least one value")
-            if any(v < self.floor for v in self.replay_values):
-                raise ValidationError("replay latency below floor")
+            if not all(self.floor <= v < math.inf for v in self.replay_values):
+                raise ValidationError("replay latency must be finite and >= floor")
 
     @classmethod
     def constant(cls, mean: float) -> "LatencyProfile":

@@ -35,38 +35,6 @@ class NormalizedMotion:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.dx_over_w, self.dy_over_h, self.log_w_ratio, self.log_h_ratio)
 
-    @classmethod
-    def zero(cls) -> "NormalizedMotion":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True, slots=True)
-class MotionHistory:
-    """The last k motions between consecutively processed boxes.
-
-    intervals[i] is the frame gap the i-th motion spans; >= 1 because a
-    tracker never revisits a frame.
-    """
-
-    motions: tuple
-    intervals: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "motions", tuple(self.motions))
-        object.__setattr__(self, "intervals", tuple(int(d) for d in self.intervals))
-        if len(self.motions) == 0:
-            raise ValidationError("history must contain at least one motion")
-        if len(self.motions) != len(self.intervals):
-            raise ValidationError(
-                f"history has {len(self.motions)} motions but {len(self.intervals)} intervals"
-            )
-        if any(d < 1 for d in self.intervals):
-            raise ValidationError(f"intervals must be >= 1, got {self.intervals}")
-
-    @property
-    def k(self) -> int:
-        return len(self.motions)
-
 
 def encode_motion(prev: BoundingBox, cur: BoundingBox) -> NormalizedMotion:
     """Motion from prev to cur, normalized by prev's scale."""

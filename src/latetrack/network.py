@@ -7,8 +7,11 @@ layers and a shared 4-wide output layer produce one motion factor per
 future frame. No output nonlinearity: factors multiply a signed speed.
 
 Everything is float64 numpy and batched: a single window is a batch of
-one. Gradients are written out by hand and checked against central
-finite differences in the tests.
+one. Training, batch evaluation and the online predictor all reach
+forward_batch through window_inputs on (B, k, 4) motions and (B, k)
+frame intervals; online, pm_predict runs the predictor's rolling window
+as a batch of one. Gradients are written out by hand and checked
+against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .boxes import BoundingBox
 from .errors import ValidationError
-from .motion import MotionHistory, NormalizedMotion, apply_motion
+from .motion import NormalizedMotion, apply_motion
 
 CHECKPOINT_VERSION = 1
 
@@ -241,17 +244,18 @@ def window_inputs(motions: np.ndarray, intervals: np.ndarray):
     return np.concatenate([motions, rates], axis=-1), rates.sum(axis=1) / motions.shape[1]
 
 
-def pm_predict(w: PMWeights, history: MotionHistory, latest_box: BoundingBox) -> list:
+def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray,
+               latest_box: BoundingBox) -> list:
     """Predict boxes for the N frames after the latest processed one.
 
-    Head n's factor is scaled by the history's average per-frame speed
+    motions (k, 4) and intervals (k,) are one window, oldest first; it
+    runs through window_inputs and forward_batch as a batch of one, so
+    forward_batch's input check is the one shape and finiteness check.
+    Head n's factor is scaled by the window's average per-frame speed
     and the resulting motion is applied to latest_box, so predictions
     are normalized by the latest raw box's scale.
     """
-    if history.k != w.k:
-        raise ValidationError(f"history length {history.k} != network k {w.k}")
-    xs, speeds = window_inputs(np.array([[m.as_tuple() for m in history.motions]]),
-                               np.array([history.intervals]))
+    xs, speeds = window_inputs(motions[None], intervals[None])
     factors, _ = forward_batch(w, xs)
     return [apply_motion(latest_box, NormalizedMotion(*m)) for m in factors[0] * speeds]
 

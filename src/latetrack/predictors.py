@@ -16,12 +16,14 @@ variance a + r. Updates are gap-aware because a slow tracker skips
 frames: the transition is applied once per skipped frame, then a single
 measurement correction runs. The closed-form Joseph correction keeps
 each block symmetric by construction and PSD.
+
+The motion-net wrapper keeps its window as the (k, 4) motion and (k,)
+gap arrays a training window holds.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .boxes import BoundingBox
 from .errors import DivergenceError, ValidationError
-from .motion import MotionHistory, NormalizedMotion, encode_motion, encode_motion_rows
+from .motion import encode_motion, encode_motion_rows
 from .network import PMWeights, pm_predict
 from .seeding import rng_for
 
@@ -196,19 +198,22 @@ class KalmanBoxPredictor:
 class MotionNetPredictor:
     """Online wrapper around trained motion-factor weights.
 
-    Until k real motions have been observed, the history window is
-    left-padded with zero motions of interval 1, which pulls early
-    predictions toward plain zero-motion.
+    The window is a (k, 4) motion array and a (k,) frame-gap array,
+    oldest first. A reset fills them with zero motions of gap 1, and
+    each observation shifts them one row and writes the newest last, so
+    until k real motions have been observed the window is left-padded
+    with zero motion, which pulls early predictions toward plain
+    zero-motion.
     """
 
     def __init__(self, weights: PMWeights):
         self.weights = weights
-        self._window = deque(maxlen=weights.k)
         self._latest = None
         self._frame = 0
 
     def reset(self, b0: BoundingBox) -> None:
-        self._window.clear()
+        self._motions = np.zeros((self.weights.k, 4))
+        self._intervals = np.ones(self.weights.k)
         self._latest = b0
         self._frame = 0
 
@@ -216,7 +221,11 @@ class MotionNetPredictor:
         gap = frame - self._frame
         if gap < 1:
             raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        self._window.append((encode_motion(self._latest, box), gap))
+        motion = encode_motion(self._latest, box).as_tuple()
+        self._motions[:-1] = self._motions[1:]
+        self._intervals[:-1] = self._intervals[1:]
+        self._motions[-1] = motion
+        self._intervals[-1] = gap
         self._latest = box
         self._frame = frame
 
@@ -225,11 +234,7 @@ class MotionNetPredictor:
             raise ValidationError(
                 f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}"
             )
-        pad = self.weights.k - len(self._window)
-        motions = [NormalizedMotion.zero()] * pad + [m for m, _ in self._window]
-        intervals = [1] * pad + [d for _, d in self._window]
-        history = MotionHistory(tuple(motions), tuple(intervals))
-        return pm_predict(self.weights, history, self._latest)
+        return pm_predict(self.weights, self._motions, self._intervals, self._latest)
 
 
 def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,

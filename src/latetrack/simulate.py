@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .latency import LatencyProfile
 from .network import PMWeights, load_weights
 from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
-                         load_kf_noise)
+                         _check_noise, load_kf_noise)
 from .seeding import derive_seed, rng_for
 
 ORACLE_NOISY = "oracle_noisy"
@@ -40,16 +40,11 @@ NEURAL_PM = "pm"
 
 @dataclass(frozen=True, slots=True)
 class ProcessedFrame:
-    j: int
+    """One processed frame: when the tracker started and finished it."""
+
     frame: int
     t_start: float
     t_finish: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "frame", int(self.frame))
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_finish", float(self.t_finish))
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,8 @@ class PredictorAdapter:
             raise ValidationError(f"unknown predictor kind {self.kind!r}")
         if self.horizon_n < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon_n}")
-        if self.kind == KF_LEARNED and (len(self.q_diag) != 8 or len(self.r_diag) != 4):
-            raise ValidationError("kf_learned needs fitted q (8) and r (4) diagonals")
+        if self.kind == KF_LEARNED:
+            _check_noise(self.q_diag, self.r_diag)
         if self.kind == NEURAL_PM:
             if self.weights is None:
                 raise ValidationError("pm needs trained weights")
@@ -277,7 +272,6 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
     pred_lats = []
     prev_frame = None
     prev_finish = 0.0
-    j = 0
     while True:
         if prev_frame is None:
             f = 0
@@ -297,11 +291,10 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
         finish = track_start + tracker_latency.draw()
         box = source.box_for(f)
         outputs.append(TimedOutput(f, box, finish, RAW))
-        processed.append(ProcessedFrame(j, f, arrival, finish))
+        processed.append(ProcessedFrame(f, arrival, finish))
         if instance is not None and f >= 1:
             instance.observe(f, box)
         prev_frame, prev_finish = f, finish
-        j += 1
     return RunLog(seq.name, tuple(processed), tuple(outputs), tuple(pred_lats))
 
 
@@ -396,8 +389,7 @@ def load_trace(path):
 
 def run_log_from_trace(rows, name: str) -> RunLog:
     """Turn a recorded tracker trace into a scorable RunLog."""
-    processed = tuple(ProcessedFrame(j, frame, t0, t1)
-                      for j, (frame, t0, t1, _) in enumerate(rows))
+    processed = tuple(ProcessedFrame(frame, t0, t1) for frame, t0, t1, _ in rows)
     outputs = tuple(TimedOutput(frame, box, t1, RAW) for frame, _, t1, box in rows)
     return RunLog(name, processed, outputs)
 

@@ -412,3 +412,10 @@ class TestExitCodes:
                         "latency.kind = constant\nlatency.mean = abc\n")
         assert main(["simulate", "--sequences", str(seqs), "--tracker", trk,
                      "--out", str(tmp_path / "runs")]) == 2
+
+    def test_nan_latency_is_validation(self, tmp_path):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        trk = write_cfg(tmp_path / "trk.cfg",
+                        "latency.kind = gaussian\nlatency.mean = nan\nlatency.stddev = 0.01\n")
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", trk,
+                     "--out", str(tmp_path / "runs")]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from latetrack.errors import ReplayExhaustedError, ValidationError
@@ -16,6 +18,11 @@ class TestConstant:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValidationError):
             LatencyProfile.constant(-0.01)
+
+    @pytest.mark.parametrize("mean", [math.inf, math.nan])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValidationError):
+            LatencyProfile.constant(mean)
 
 
 class TestGaussian:
@@ -42,6 +49,12 @@ class TestGaussian:
         with pytest.raises(ValidationError):
             LatencyProfile.gaussian(0.03, -0.01)
 
+    @pytest.mark.parametrize("mean, stddev", [(math.nan, 0.01), (math.inf, 0.01),
+                                              (0.03, math.nan), (0.03, math.inf)])
+    def test_non_finite_parameters_rejected(self, mean, stddev):
+        with pytest.raises(ValidationError):
+            LatencyProfile.gaussian(mean, stddev)
+
 
 class TestReplay:
     def test_plays_values_in_order(self):
@@ -57,6 +70,11 @@ class TestReplay:
     def test_values_below_floor_rejected(self):
         with pytest.raises(ValidationError):
             LatencyProfile(REPLAY, replay_values=(0.01, 0.0001), floor=0.001)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            LatencyProfile.replay((0.01, bad))
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import (MotionHistory, NormalizedMotion, apply_motion, encode_motion,
-                              encode_motion_rows)
+from latetrack.motion import NormalizedMotion, apply_motion, encode_motion, encode_motion_rows
 from latetrack.network import pm_predict, window_inputs, zero_weights
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -110,10 +109,10 @@ BASE = BoundingBox(0, 0, 10, 10)
 
 def predicted_box(factor, speed):
     """pm_predict's box for a constant factor over a one-step, one-frame
-    history moving at `speed`."""
+    window moving at `speed`."""
     w = zero_weights(k=1, n_heads=1, c_enc=2, c_dec=2)
     w.out_b[:] = factor
-    return pm_predict(w, MotionHistory((speed,), (1,)), BASE)[0]
+    return pm_predict(w, np.array([speed.as_tuple()]), np.array([1]), BASE)[0]
 
 
 class TestApplyFactor:
@@ -127,7 +126,7 @@ class TestApplyFactor:
 
     def test_zero_factor_annihilates(self):
         speed = NormalizedMotion(0.1, -0.2, 0.05, 0.01)
-        assert predicted_box((0, 0, 0, 0), speed) == apply_motion(BASE, NormalizedMotion.zero())
+        assert predicted_box((0, 0, 0, 0), speed) == apply_motion(BASE, NormalizedMotion(0, 0, 0, 0))
 
     def test_unit_factor_identity(self):
         speed = NormalizedMotion(0.1, -0.2, 0.05, 0.01)
@@ -154,21 +153,3 @@ class TestConstantVelocityExactness:
         want = BoundingBox(3.0 * 6, -1.5 * 6, 12, 12)
         assert nxt.cx == pytest.approx(want.cx, abs=1e-12)
         assert nxt.cy == pytest.approx(want.cy, abs=1e-12)
-
-
-class TestMotionHistory:
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            MotionHistory((NormalizedMotion(0, 0, 0, 0),), (1, 2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            MotionHistory((), ())
-
-    def test_nonpositive_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            MotionHistory((NormalizedMotion(0, 0, 0, 0),), (0,))
-
-    def test_k_property(self):
-        h = MotionHistory((NormalizedMotion(0, 0, 0, 0),) * 3, (1, 1, 2))
-        assert h.k == 3

@@ -7,7 +7,7 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import MotionHistory, NormalizedMotion, encode_motion
+from latetrack.motion import encode_motion
 from latetrack.network import (PMWeights, backward_batch, constant_factor_weights,
                                forward_batch, init_weights, l1_loss,
                                load_weights, pm_predict, save_weights, window_inputs,
@@ -41,15 +41,15 @@ def assert_matches_finite_differences(grads, scalar, params, label=""):
         assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4, f"{label} {name}"
 
 
-def history_arrays(hist):
-    """A MotionHistory as a batch of one: motions (1, k, 4), intervals (1, k)."""
-    return np.array([[m.as_tuple() for m in hist.motions]]), np.array([hist.intervals])
+def track_window(track):
+    """The one-frame-gap window of a track: motions (k, 4), intervals (k,)."""
+    motions = np.array([encode_motion(a, b).as_tuple() for a, b in zip(track, track[1:])])
+    return motions, np.ones(len(motions), dtype=np.int64)
 
 
 def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
     track = [BoundingBox(vx * i, vy * i, size, size) for i in range(k + 1)]
-    motions = tuple(encode_motion(a, b) for a, b in zip(track, track[1:]))
-    return track, MotionHistory(motions, (1,) * k)
+    return track, track_window(track)
 
 
 class TestForward:
@@ -173,8 +173,8 @@ class TestBackward:
 
     def test_l1_pipeline_gradient(self):
         w = init_weights(seed=31, **SMALL)
-        _, hist = cv_history(k=3)
-        x, _ = window_inputs(*history_arrays(hist))
+        _, (motions, intervals) = cv_history(k=3)
+        x, _ = window_inputs(motions[None], intervals[None])
         speeds = np.array([[0.21, -0.07, 0.0, 0.0]])
         targets = np.array([[[0.3, -0.1, 0.0, 0.0], [0.6, -0.2, 0.0, 0.0]]])
 
@@ -233,15 +233,15 @@ class TestL1Loss:
 
 class TestPredict:
     def test_zero_factors_hold_the_box_still(self):
-        track, hist = cv_history(k=3)
+        track, (motions, intervals) = cv_history(k=3)
         w = zero_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        boxes = pm_predict(w, hist, track[-1])
+        boxes = pm_predict(w, motions, intervals, track[-1])
         assert boxes == [track[-1], track[-1]]
 
     def test_bias_n_heads_continue_constant_velocity(self):
-        track, hist = cv_history(vx=3.0, vy=1.5, k=3)
+        track, (motions, intervals) = cv_history(vx=3.0, vy=1.5, k=3)
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        boxes = pm_predict(w, hist, track[-1])
+        boxes = pm_predict(w, motions, intervals, track[-1])
         for n, box in enumerate(boxes, start=1):
             assert box.cx == pytest.approx(track[-1].cx + 3.0 * n, abs=1e-9)
             assert box.cy == pytest.approx(track[-1].cy + 1.5 * n, abs=1e-9)
@@ -249,24 +249,22 @@ class TestPredict:
 
     def test_static_history_predicts_static(self):
         b = BoundingBox(5, 5, 12, 8)
-        hist = MotionHistory((NormalizedMotion(0, 0, 0, 0),) * 3, (1, 1, 1))
         w = init_weights(seed=51, k=3, n_heads=2, c_enc=8, c_dec=6)
-        assert pm_predict(w, hist, b) == [b, b]
+        assert pm_predict(w, np.zeros((3, 4)), np.ones(3, dtype=np.int64), b) == [b, b]
 
     def test_history_length_mismatch_rejected(self):
-        track, hist = cv_history(k=4)
+        track, (motions, intervals) = cv_history(k=4)
         w = init_weights(seed=52, k=3, n_heads=2, c_enc=8, c_dec=6)
         with pytest.raises(ValidationError):
-            pm_predict(w, hist, track[-1])
+            pm_predict(w, motions, intervals, track[-1])
 
     def test_scale_invariance(self):
-        track, hist = cv_history(vx=2.5, vy=-0.5, k=3)
+        track, (motions, intervals) = cv_history(vx=2.5, vy=-0.5, k=3)
         w = init_weights(seed=53, k=3, n_heads=2, c_enc=8, c_dec=6)
-        base = pm_predict(w, hist, track[-1])
+        base = pm_predict(w, motions, intervals, track[-1])
         for s in (0.1, 10.0):
             scaled_track = [BoundingBox(b.x * s, b.y * s, b.w * s, b.h * s) for b in track]
-            motions = tuple(encode_motion(a, b) for a, b in zip(scaled_track, scaled_track[1:]))
-            scaled = pm_predict(w, MotionHistory(motions, (1, 1, 1)), scaled_track[-1])
+            scaled = pm_predict(w, *track_window(scaled_track), scaled_track[-1])
             for got, want in zip(scaled, base):
                 assert got.cx == pytest.approx(want.cx * s, abs=1e-9 * max(1, abs(want.cx * s)))
                 assert got.w == pytest.approx(want.w * s, abs=1e-9 * max(1, want.w * s))
@@ -274,8 +272,7 @@ class TestPredict:
 
 class TestHistoryInput:
     def test_rows_pair_motion_with_rate(self):
-        m = NormalizedMotion(0.2, -0.4, 0.1, 0.0)
-        xs, _ = window_inputs(*history_arrays(MotionHistory((m,), (2,))))
+        xs, _ = window_inputs(np.array([[[0.2, -0.4, 0.1, 0.0]]]), np.array([[2]]))
         assert xs[0, 0].tolist() == [0.2, -0.4, 0.1, 0.0, 0.1, -0.2, 0.05, 0.0]
 
     def test_batch_rows_match_a_literal_loop(self):

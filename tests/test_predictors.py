@@ -6,14 +6,14 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import encode_motion, encode_motion_rows
+from latetrack.motion import NormalizedMotion, apply_motion, encode_motion, encode_motion_rows
 from latetrack.network import init_weights, zero_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                                   kf_predict, kf_update, load_kf_noise, make_kf_state,
                                   save_kf_noise, zero_motion_predict)
-from latetrack.training import OptimizerConfig, Windows, sample_windows
+from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
 from latetrack.seeding import rng_for
 
 from _oracles import TextbookKalman
@@ -270,6 +270,35 @@ class TestOnlinePredictors:
             p.observe(f, track[f])
         pred = p.predict(1)[0]
         assert pred.cx == pytest.approx(track[4].cx, abs=1e-9)
+
+    def test_motion_net_equals_the_window_path(self):
+        # Each online prediction must equal pm_motion_batch on the one-row
+        # Windows of the last k+1 observed boxes, bit for bit. A cold
+        # start pads the front with b0 at gap 1, i.e. zero motion.
+        rng = np.random.default_rng(23)
+        k, n = 3, 2
+        w = init_weights(seed=5, k=k, n_heads=n, c_enc=16, c_dec=8)
+        frames = np.concatenate([[0], np.cumsum(rng.integers(1, 4, size=9))]).tolist()
+        assert len(set(np.diff(frames).tolist())) > 1
+        walk = rng.normal(0.0, 2.0, size=(frames[-1] + 1, 4)).cumsum(axis=0)
+        track = [BoundingBox(100 + x, 80 + y, 20 * np.exp(0.02 * sw), 15 * np.exp(0.02 * sh))
+                 for x, y, sw, sh in walk.tolist()]
+        p = MotionNetPredictor(w)
+        p.reset(track[0])
+        seen = [0]
+        for f in frames:
+            if f > 0:
+                p.observe(f, track[f])
+                seen.append(f)
+            recent = seen[-(k + 1):]
+            pad = k + 1 - len(recent)
+            rows = np.array([[(b.cx, b.cy, b.w, b.h)
+                              for b in [track[0]] * pad + [track[g] for g in recent]]])
+            row = Windows(rows, np.array([[1] * pad + np.diff(recent).tolist()]),
+                          encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, n, 4)))
+            want = [apply_motion(track[f], NormalizedMotion(*m))
+                    for m in pm_motion_batch(w)(row)[0]]
+            assert p.predict(n) == want, f"frame {f}, {len(seen) - 1} observations"
 
 
 def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None,

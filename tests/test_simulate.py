@@ -5,7 +5,7 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence
 from latetrack.errors import ReplayExhaustedError, ValidationError
 from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights
-from latetrack.simulate import (KF, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
+from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
                                 ProcessedFrame, RunLog, TrackerAdapter, load_run_log,
                                 load_trace, next_frame, pick_horizon_n,
                                 replay_adapter_from_trace, run_log_from_trace,
@@ -119,6 +119,18 @@ class TestPredictorInStream:
             truth = seq.ground_truth[o.target_frame]
             assert abs(o.box.cx - truth.cx) < 0.5
 
+    @pytest.mark.parametrize("q_diag, r_diag", [
+        ((), ()),
+        ((0.01,) * 7, (1.0,) * 4),
+        ((float("nan"),) + (0.01,) * 7, (1.0,) * 4),
+        ((0.01,) * 8, (1.0, 1.0, 1.0, float("inf"))),
+        ((0.01,) * 8, (1.0, 1.0, 1.0, 0.0)),
+    ])
+    def test_learned_noise_is_checked_when_the_adapter_is_built(self, q_diag, r_diag):
+        with pytest.raises(ValidationError):
+            PredictorAdapter(KF_LEARNED, 2, LatencyProfile.constant(0.005),
+                             q_diag=q_diag, r_diag=r_diag)
+
     def test_neural_predictor_checkpoint_must_match_horizon(self):
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
         with pytest.raises(ValidationError):
@@ -175,11 +187,11 @@ class TestPickHorizon:
 class TestRunLogInvariants:
     def test_frames_must_increase(self):
         with pytest.raises(ValidationError):
-            RunLog("x", (ProcessedFrame(0, 0, 0.0, 0.1), ProcessedFrame(1, 0, 0.1, 0.2)), ())
+            RunLog("x", (ProcessedFrame(0, 0.0, 0.1), ProcessedFrame(0, 0.1, 0.2)), ())
 
     def test_finishes_must_increase(self):
         with pytest.raises(ValidationError):
-            RunLog("x", (ProcessedFrame(0, 0, 0.0, 0.2), ProcessedFrame(1, 1, 0.1, 0.2)), ())
+            RunLog("x", (ProcessedFrame(0, 0.0, 0.2), ProcessedFrame(1, 0.1, 0.2)), ())
 
 
 class TestFiles:
@@ -210,6 +222,15 @@ class TestFiles:
         assert replay_log.frames == log.frames
         for a, b in zip(replay_log.processed, log.processed):
             assert a.t_finish == pytest.approx(b.t_finish, abs=1e-12)
+
+    def test_numpy_scalar_clock_and_latency_write_a_loadable_trace(self, tmp_path):
+        seq = Sequence("s", FrameClock(np.float64(30)),
+                       tuple(BoundingBox(i, 0, 10, 10) for i in range(10)))
+        log = run_stream(seq, tracker(np.float64(0.01)))
+        save_trace(log, tmp_path / "s.trace.csv")
+        rows = load_trace(tmp_path / "s.trace.csv")
+        assert [(f, t0, t1) for f, t0, t1, _ in rows] == [
+            (p.frame, p.t_start, p.t_finish) for p in log.processed]
 
     def test_trace_requires_full_schedule(self, tmp_path):
         log = run_stream(cv_sequence(10), tracker(0.05))
