@@ -3,6 +3,11 @@
 Boxes are axis-aligned, anchored at the top-left corner, sized in pixels.
 Centers are derived as (x + w/2, y + h/2). All timestamps are seconds in
 double precision; frame indices are non-negative ints.
+
+A BoundingBox is the checked type at file and library boundaries.
+Inside the simulation loop a box is a plain (x, y, w, h) row of floats;
+a BoundingBox unpacks as its row, so the metrics and the predictors
+take either.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ class BoundingBox:
                 raise ValidationError(f"box fields must be finite, got {self!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValidationError(f"box sizes must be positive, got w={self.w}, h={self.h}")
+
+    def __iter__(self):
+        return iter((self.x, self.y, self.w, self.h))
 
     @property
     def cx(self) -> float:
@@ -119,20 +127,24 @@ class Sequence:
         return len(self.ground_truth) - 1
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0 for disjoint boxes."""
-    ix = min(a.x + a.w, b.x + b.w) - max(a.x, b.x)
-    iy = min(a.y + a.h, b.y + b.h) - max(a.y, b.y)
+def iou(a, b) -> float:
+    """Intersection over union of two boxes or rows; 0 for disjoint boxes."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = min(ax + aw, bx + bw) - max(ax, bx)
+    iy = min(ay + ah, by + bh) - max(ay, by)
     if ix <= 0 or iy <= 0:
         return 0.0
     inter = ix * iy
     # float error can push the ratio a hair past 1 for near-identical boxes
-    return min(1.0, inter / (a.w * a.h + b.w * b.h - inter))
+    return min(1.0, inter / (aw * ah + bw * bh - inter))
 
 
-def center_error(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between box centers, pixels."""
-    return math.hypot(a.cx - b.cx, a.cy - b.cy)
+def center_error(a, b) -> float:
+    """Euclidean distance between the centers of two boxes or rows, pixels."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    return math.hypot((ax + aw / 2.0) - (bx + bw / 2.0), (ay + ah / 2.0) - (by + bh / 2.0))
 
 
 def _parse_line(line: str, lineno: int, path) -> BoundingBox | None:

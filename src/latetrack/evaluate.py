@@ -84,31 +84,31 @@ class EstimateMatcher:
     and a right `searchsorted` of group * span + f lands on the group's
     last entry with target <= f, or before the group's start when there
     is none. Row 0 of the served table is b0; sorted entry k is row k + 1.
+    The index reads the log's columns directly; `match` builds the one
+    BoundingBox it returns.
     """
 
     def __init__(self, seq: Sequence, log: RunLog):
-        outputs = log.outputs
-        for out in outputs:
-            if out.kind == RAW and out.target_frame > seq.last_frame:
-                raise ValidationError(
-                    f"log targets frame {out.target_frame} beyond sequence end {seq.last_frame}"
-                )
+        target = log.target_frame
+        beyond = (log.kind == RAW) & (target > seq.last_frame)
+        if beyond.any():
+            raise ValidationError(
+                f"log targets frame {target[np.argmax(beyond)]} beyond sequence end {seq.last_frame}"
+            )
         self._seq = seq
-        avail = np.array([out.available_at for out in outputs], dtype=float)
-        target = np.array([out.target_frame for out in outputs], dtype=np.int64)
-        order = np.lexsort((np.arange(len(outputs)), target, avail))
-        avail = avail[order]
+        self._kind = log.kind
+        order = np.lexsort((np.arange(len(target)), target, log.available_at))
+        avail = log.available_at[order]
         target = target[order]
-        starts = np.ones(len(outputs), dtype=bool)
+        starts = np.ones(len(order), dtype=bool)
         starts[1:] = avail[1:] != avail[:-1]
         self._avail = avail[starts]
         self._first = np.flatnonzero(starts)
-        self._last = np.append(self._first[1:], len(outputs)) - 1
+        self._last = np.append(self._first[1:], len(order)) - 1
         self._span = max(seq.last_frame, int(target.max(initial=0))) + 2
         self._keys = (np.cumsum(starts) - 1) * self._span + target
-        self._served = ((seq.b0, INITIAL_B0),) + tuple(
-            (outputs[i].box, outputs[i].kind) for i in order.tolist())
-        self._rows = _box_rows(box for box, _ in self._served)
+        self._order = order
+        self._rows = np.concatenate([_box_rows([seq.b0]), log.boxes[order]])
         annotated = [(f, gt) for f, gt in enumerate(seq.ground_truth) if gt is not None]
         self._frames = np.array([f for f, _ in annotated], dtype=np.int64)
         self._truth = _box_rows(gt for _, gt in annotated)
@@ -129,8 +129,11 @@ class EstimateMatcher:
             raise ValidationError(f"frame {f} outside sequence 0..{self._seq.last_frame}")
         deadline = self._seq.clock.capture_time(f) + _as_sigma(sigma).slack_seconds(
             self._seq.clock.framerate_kappa)
-        box, source = self._served[int(self._pick(f, deadline))]
-        return MatchedEstimate(f, box, source)
+        row = int(self._pick(f, deadline))
+        if row == 0:
+            return MatchedEstimate(f, self._seq.b0, INITIAL_B0)
+        return MatchedEstimate(f, BoundingBox(*self._rows[row].tolist()),
+                               str(self._kind[self._order[row - 1]]))
 
     def _scores(self, sigmas) -> tuple:
         """(DP, AUC) arrays with one entry per sigma. Frames without an

@@ -5,6 +5,10 @@ A motion between two boxes is the 4-vector
 center displacement in units of the previous box size plus log size
 ratios. The representation is scale-free, so a predictor trained on one
 motion scale transfers to another.
+
+The scalar codec takes a BoundingBox or a plain (x, y, w, h) row for
+each box; apply_motion_row is the decoder on rows that the online
+motion net uses.
 """
 
 from __future__ import annotations
@@ -36,15 +40,17 @@ class NormalizedMotion:
         return (self.dx_over_w, self.dy_over_h, self.log_w_ratio, self.log_h_ratio)
 
 
-def encode_motion(prev: BoundingBox, cur: BoundingBox) -> NormalizedMotion:
-    """Motion from prev to cur, normalized by prev's scale."""
-    if min(prev.w, prev.h, cur.w, cur.h) <= _SIZE_EPS:
+def encode_motion(prev, cur) -> NormalizedMotion:
+    """Motion from prev to cur (boxes or rows), normalized by prev's scale."""
+    px, py, pw, ph = prev
+    cx, cy, cw, ch = cur
+    if min(pw, ph, cw, ch) <= _SIZE_EPS:
         raise ValidationError("cannot encode motion for degenerate box sizes")
     return NormalizedMotion(
-        (cur.cx - prev.cx) / prev.w,
-        (cur.cy - prev.cy) / prev.h,
-        math.log(cur.w / prev.w),
-        math.log(cur.h / prev.h),
+        ((cx + cw / 2.0) - (px + pw / 2.0)) / pw,
+        ((cy + ch / 2.0) - (py + ph / 2.0)) / ph,
+        math.log(cw / pw),
+        math.log(ch / ph),
     )
 
 
@@ -66,10 +72,19 @@ def encode_motion_rows(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return motions
 
 
+def apply_motion_row(base, m) -> tuple:
+    """apply_motion on a box or row and any 4 motion components; returns
+    the (x, y, w, h) row, unchecked. The sizes go through math.exp, and
+    a log size ratio beyond its range is a ValidationError."""
+    x, y, w, h = base
+    dx, dy, lw, lh = m
+    try:
+        nw, nh = w * math.exp(lw), h * math.exp(lh)
+    except OverflowError:
+        raise ValidationError(f"decoded box size overflows: log size ratios {lw}, {lh}") from None
+    return ((x + w / 2.0) + dx * w - nw / 2.0, (y + h / 2.0) + dy * h - nh / 2.0, nw, nh)
+
+
 def apply_motion(base: BoundingBox, m: NormalizedMotion) -> BoundingBox:
     """Inverse of encode_motion: apply m to base, normalized by base's scale."""
-    cx = base.cx + m.dx_over_w * base.w
-    cy = base.cy + m.dy_over_h * base.h
-    w = base.w * math.exp(m.log_w_ratio)
-    h = base.h * math.exp(m.log_h_ratio)
-    return BoundingBox.from_center(cx, cy, w, h)
+    return BoundingBox(*apply_motion_row(base, m.as_tuple()))

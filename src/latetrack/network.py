@@ -23,9 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoundingBox
 from .errors import ValidationError
-from .motion import NormalizedMotion, apply_motion
+from .motion import apply_motion_row
 
 CHECKPOINT_VERSION = 1
 
@@ -244,20 +243,21 @@ def window_inputs(motions: np.ndarray, intervals: np.ndarray):
     return np.concatenate([motions, rates], axis=-1), rates.sum(axis=1) / motions.shape[1]
 
 
-def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray,
-               latest_box: BoundingBox) -> list:
-    """Predict boxes for the N frames after the latest processed one.
+def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray, latest) -> list:
+    """Predict (x, y, w, h) rows for the N frames after the latest
+    processed one.
 
     motions (k, 4) and intervals (k,) are one window, oldest first; it
     runs through window_inputs and forward_batch as a batch of one, so
     forward_batch's input check is the one shape and finiteness check.
     Head n's factor is scaled by the window's average per-frame speed
-    and the resulting motion is applied to latest_box, so predictions
-    are normalized by the latest raw box's scale.
+    and the resulting motion is applied to the latest box or row with
+    apply_motion_row, so predictions are normalized by the latest raw
+    box's scale. The rows are checked where the run log is built.
     """
     xs, speeds = window_inputs(motions[None], intervals[None])
     factors, _ = forward_batch(w, xs)
-    return [apply_motion(latest_box, NormalizedMotion(*m)) for m in factors[0] * speeds]
+    return [apply_motion_row(latest, m) for m in (factors[0] * speeds).tolist()]
 
 
 def l1_loss(factors: np.ndarray, speeds: np.ndarray, targets: np.ndarray):

@@ -1,11 +1,16 @@
 """Box predictors: constant-velocity Kalman filter, learned-noise variant,
 zero-motion control, and the trained motion-network wrapper.
 
-All predictors speak one online protocol:
+All predictors speak one online protocol on plain (x, y, w, h) rows of
+floats, the form boxes take inside the simulation loop:
 
     reset(b0)            initialize at frame 0 with the ground-truth box
-    observe(frame, box)  feed a raw tracker output (frames strictly increase)
-    predict(horizon)     boxes for the `horizon` frames after the last observed
+    observe(frame, row)  feed a raw tracker output (frames strictly increase)
+    predict(horizon)     rows for the `horizon` frames after the last observed
+
+A BoundingBox unpacks as its row, so b0 and observations may be either.
+Rows are not checked here: run_stream checks every emitted row once,
+when its RunLog is built.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
@@ -29,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import BoundingBox
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion, encode_motion_rows
 from .network import PMWeights, pm_predict
@@ -74,13 +78,19 @@ def _check_init_cov(init_cov: float) -> float:
     return init_cov
 
 
-def make_kf_state(b0: BoundingBox, q_diag=None, r_diag=None,
+def _measurement(box) -> np.ndarray:
+    x, y, w, h = box
+    return np.array((x + w / 2.0, y + h / 2.0, w, h))
+
+
+def make_kf_state(b0, q_diag=None, r_diag=None,
                   init_cov: float = DEFAULT_INIT_COV) -> KalmanState:
-    """Zero-velocity state centered on b0 with diagonal initial
-    covariance. The one place a state's noise and init_cov are checked."""
+    """Zero-velocity state centered on b0 (a box or row) with diagonal
+    initial covariance. The one place a state's noise and init_cov are
+    checked."""
     q_diag, r_diag = _check_noise(q_diag, r_diag)
     init_cov = _check_init_cov(init_cov)
-    return KalmanState(pos=np.array((b0.cx, b0.cy, b0.w, b0.h)), vel=np.zeros(4),
+    return KalmanState(pos=_measurement(b0), vel=np.zeros(4),
                        a=np.full(4, init_cov), b=np.zeros(4), c=np.full(4, init_cov),
                        q_diag=q_diag, r_diag=r_diag)
 
@@ -114,8 +124,9 @@ def _kf_step(pos, vel, a, b, c, q, r, z, gap: int):
             c - 2.0 * k2 * b + k2 * k2 * s)
 
 
-def kf_update(state: KalmanState, measured: BoundingBox, gap: int = 1) -> KalmanState:
-    """Advance the filter `gap` frames, then correct on the measured box.
+def kf_update(state: KalmanState, measured, gap: int = 1) -> KalmanState:
+    """Advance the filter `gap` frames, then correct on the measured box
+    or row.
 
     The gap update is literally `gap` single-frame time updates, so a
     gap-2 update equals two gap-1 time updates followed by one
@@ -124,20 +135,14 @@ def kf_update(state: KalmanState, measured: BoundingBox, gap: int = 1) -> Kalman
     """
     if gap < 1:
         raise ValidationError(f"gap must be >= 1, got {gap}")
-    z = np.array((measured.cx, measured.cy, measured.w, measured.h))
     pos, vel, a, b, c = _kf_step(state.pos, state.vel, state.a, state.b, state.c,
-                                 state.q_diag, state.r_diag, z, gap)
+                                 state.q_diag, state.r_diag, _measurement(measured), gap)
     return KalmanState(pos, vel, a, b, c, state.q_diag, state.r_diag)
 
 
-def _state_box(pos: np.ndarray) -> BoundingBox:
-    w = max(pos[2], 1.0)
-    h = max(pos[3], 1.0)
-    return BoundingBox.from_center(pos[0], pos[1], w, h)
-
-
 def kf_predict(state: KalmanState, horizon: int) -> list:
-    """Roll the transition forward without corrections; one box per step.
+    """Roll the transition forward without corrections; one (x, y, w, h)
+    row per step.
 
     Emitted sizes are clamped at 1 px; the internal rollout is not, so
     the N-step prediction composes exactly from single steps.
@@ -145,15 +150,17 @@ def kf_predict(state: KalmanState, horizon: int) -> list:
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     pos = state.pos
-    boxes = []
+    rows = []
     for _ in range(horizon):
         pos = pos + state.vel
-        boxes.append(_state_box(pos))
-    return boxes
+        cx, cy, w, h = pos.tolist()
+        w, h = max(w, 1.0), max(h, 1.0)
+        rows.append((cx - w / 2.0, cy - h / 2.0, w, h))
+    return rows
 
 
-def zero_motion_predict(last: BoundingBox, horizon: int) -> list:
-    """Control baseline: the latest box carried forward."""
+def zero_motion_predict(last, horizon: int) -> list:
+    """Control baseline: the latest box or row carried forward."""
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     return [last] * horizon
@@ -163,11 +170,11 @@ class ZeroMotionPredictor:
     def __init__(self):
         self._latest = None
 
-    def reset(self, b0: BoundingBox) -> None:
-        self._latest = b0
+    def reset(self, b0) -> None:
+        self._latest = tuple(b0)
 
-    def observe(self, frame: int, box: BoundingBox) -> None:
-        self._latest = box
+    def observe(self, frame: int, row) -> None:
+        self._latest = tuple(row)
 
     def predict(self, horizon: int) -> list:
         return zero_motion_predict(self._latest, horizon)
@@ -180,15 +187,15 @@ class KalmanBoxPredictor:
         self._state = None
         self._frame = 0
 
-    def reset(self, b0: BoundingBox) -> None:
+    def reset(self, b0) -> None:
         self._state = make_kf_state(b0, self.q_diag, self.r_diag, self.init_cov)
         self._frame = 0
 
-    def observe(self, frame: int, box: BoundingBox) -> None:
+    def observe(self, frame: int, row) -> None:
         gap = frame - self._frame
         if gap < 1:
             raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        self._state = kf_update(self._state, box, gap)
+        self._state = kf_update(self._state, row, gap)
         self._frame = frame
 
     def predict(self, horizon: int) -> list:
@@ -211,22 +218,22 @@ class MotionNetPredictor:
         self._latest = None
         self._frame = 0
 
-    def reset(self, b0: BoundingBox) -> None:
+    def reset(self, b0) -> None:
         self._motions = np.zeros((self.weights.k, 4))
         self._intervals = np.ones(self.weights.k)
-        self._latest = b0
+        self._latest = tuple(b0)
         self._frame = 0
 
-    def observe(self, frame: int, box: BoundingBox) -> None:
+    def observe(self, frame: int, row) -> None:
         gap = frame - self._frame
         if gap < 1:
             raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        motion = encode_motion(self._latest, box).as_tuple()
+        motion = encode_motion(self._latest, row).as_tuple()
         self._motions[:-1] = self._motions[1:]
         self._intervals[:-1] = self._intervals[1:]
         self._motions[-1] = motion
         self._intervals[-1] = gap
-        self._latest = box
+        self._latest = tuple(row)
         self._frame = frame
 
     def predict(self, horizon: int) -> list:

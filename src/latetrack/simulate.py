@@ -11,6 +11,15 @@ When a predictor rides along, each new-frame arrival first triggers a
 prediction batch covering the previous frame + 1 .. + N (available after
 the predictor's own latency), and only then does tracking of the arrived
 frame start; both latencies land on the raw output's finish time.
+
+The loop runs on plain numbers: boxes are (x, y, w, h) rows of floats,
+the predictors observe and predict rows (see `predictors`), and each
+processed frame appends one (frame, t_start, t_finish) tuple and its
+outputs one (target_frame, available_at, kind, row) tuple each. A
+RunLog holds them as columns and checks them once, as a whole, when it
+is built, with the messages BoundingBox and TimedOutput give a single
+box or output. The log and trace files are written straight from the
+columns.
 """
 
 from __future__ import annotations
@@ -18,7 +27,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence, TimedOutput
 from .errors import ValidationError
@@ -47,27 +59,101 @@ class ProcessedFrame:
     t_finish: float
 
 
-@dataclass(frozen=True)
-class RunLog:
-    sequence_name: str
-    processed: tuple
-    outputs: tuple
-    predictor_latencies: tuple = ()
+_RUN_COLUMNS = ("frame", "t_start", "t_finish", "target_frame", "available_at", "kind", "boxes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "processed", tuple(self.processed))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "predictor_latencies", tuple(self.predictor_latencies))
-        frames = [p.frame for p in self.processed]
-        finishes = [p.t_finish for p in self.processed]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValidationError(f"processed frames must strictly increase, got {frames}")
-        if any(b <= a for a, b in zip(finishes, finishes[1:])):
+
+def _column(values, dtype) -> np.ndarray:
+    col = np.array(values, dtype=dtype)
+    col.flags.writeable = False
+    return col
+
+
+class RunLog:
+    """One run as read-only numpy columns.
+
+    The schedule has one entry per processed frame: `frame`, `t_start`
+    and `t_finish`. The outputs are in emission order: `target_frame`,
+    `available_at`, `kind` and `boxes`, an (m, 4) array of (x, y, w, h)
+    rows. `predictor_latencies` is a tuple with one entry per predictor
+    invocation.
+
+    RunLog(name, processed, outputs, predictor_latencies) takes
+    ProcessedFrame and TimedOutput objects, and RunLog.from_rows plain
+    (frame, t_start, t_finish) and (target_frame, available_at, kind,
+    row) tuples. Either way every output row is checked as BoundingBox
+    and TimedOutput check one, and frames and finish times must strictly
+    increase, all in one vectorized pass. `processed` and `outputs`
+    build the objects on first use, and `frames` the frame tuple.
+    """
+
+    def __init__(self, sequence_name: str, processed=(), outputs=(), predictor_latencies=()):
+        self._fill(sequence_name, [(p.frame, p.t_start, p.t_finish) for p in processed],
+                   [(o.target_frame, o.available_at, o.kind, tuple(o.box)) for o in outputs],
+                   predictor_latencies)
+
+    @classmethod
+    def from_rows(cls, sequence_name: str, schedule, outputs, predictor_latencies=()) -> "RunLog":
+        log = cls.__new__(cls)
+        log._fill(sequence_name, schedule, outputs, predictor_latencies)
+        return log
+
+    def _fill(self, sequence_name, schedule, outputs, predictor_latencies):
+        frame, t_start, t_finish = zip(*schedule) if schedule else ((), (), ())
+        target, available, kind, boxes = zip(*outputs) if outputs else ((), (), (), ())
+        self.sequence_name = sequence_name
+        self.frame = _column(frame, np.int64)
+        self.t_start = _column(t_start, np.float64)
+        self.t_finish = _column(t_finish, np.float64)
+        self.target_frame = _column(target, np.int64)
+        self.available_at = _column(available, np.float64)
+        self.kind = _column(kind, str)
+        self.boxes = _column(boxes, np.float64).reshape(-1, 4)
+        self.predictor_latencies = tuple(predictor_latencies)
+        self._check()
+
+    def _check(self):
+        b, avail = self.boxes, self.available_at
+        ok = (np.isfinite(b).all(axis=1) & (b[:, 2] > 0) & (b[:, 3] > 0)
+              & (self.target_frame >= 0) & np.isfinite(avail) & (avail >= 0)
+              & ((self.kind == RAW) | (self.kind == PREDICTED)))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            # the first bad row raises its first failing check, worded as
+            # BoundingBox and TimedOutput word it
+            TimedOutput(int(self.target_frame[i]), BoundingBox(*b[i].tolist()),
+                        float(avail[i]), str(self.kind[i]))
+        if np.any(self.frame[1:] <= self.frame[:-1]):
+            raise ValidationError(f"processed frames must strictly increase, got {self.frame.tolist()}")
+        if np.any(self.t_finish[1:] <= self.t_finish[:-1]):
             raise ValidationError("finish times must strictly increase")
+
+    def __eq__(self, other):
+        if not isinstance(other, RunLog):
+            return NotImplemented
+        return (self.sequence_name == other.sequence_name
+                and self.predictor_latencies == other.predictor_latencies
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in _RUN_COLUMNS))
+
+    def __repr__(self) -> str:
+        return (f"RunLog({self.sequence_name!r}, {len(self.frame)} processed frames, "
+                f"{len(self.kind)} outputs)")
+
+    @cached_property
+    def processed(self) -> tuple:
+        return tuple(map(ProcessedFrame, self.frame.tolist(), self.t_start.tolist(),
+                         self.t_finish.tolist()))
+
+    @cached_property
+    def outputs(self) -> tuple:
+        return tuple(TimedOutput(target, BoundingBox(*row), available, kind)
+                     for target, available, kind, row in zip(
+                         self.target_frame.tolist(), self.available_at.tolist(),
+                         self.kind.tolist(), self.boxes.tolist()))
 
     @property
     def frames(self) -> tuple:
-        return tuple(p.frame for p in self.processed)
+        return tuple(self.frame.tolist())
 
     @property
     def predictor_invocations(self) -> int:
@@ -95,8 +181,9 @@ class TrackerAdapter:
     def __post_init__(self):
         if self.behavior not in (ORACLE_NOISY, REPLAY_LOG):
             raise ValidationError(f"unknown tracker behavior {self.behavior!r}")
-        if self.sigma_pos < 0 or self.sigma_scale < 0:
-            raise ValidationError("noise sigmas must be >= 0")
+        if not (0.0 <= self.sigma_pos < math.inf and 0.0 <= self.sigma_scale < math.inf):
+            raise ValidationError(f"noise sigmas must be finite and >= 0, got "
+                                  f"{self.sigma_pos} and {self.sigma_scale}")
         if self.behavior == REPLAY_LOG:
             object.__setattr__(self, "replay_boxes", tuple(self.replay_boxes))
             if not self.replay_boxes:
@@ -202,37 +289,37 @@ def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,
 
 
 class _OracleBoxes:
+    """Ground truth rows (the last annotated box on an unannotated frame)
+    plus seeded noise. Frame 0 is exact; each later processed frame takes
+    the next row of one (n, 4) standard normal block, which is the stream
+    of one normal(size=4) draw per frame."""
+
     def __init__(self, seq: Sequence, sigma_pos: float, sigma_scale: float, rng):
         self._filled = []
         last = seq.b0
         for box in seq.ground_truth:
             if box is not None:
                 last = box
-            self._filled.append(last)
-        self._sigma_pos = sigma_pos
-        self._sigma_scale = sigma_scale
-        self._rng = rng
+            self._filled.append((last.x, last.y, last.w, last.h))
+        sigmas = (sigma_pos, sigma_pos, sigma_scale, sigma_scale)
+        self._noise = iter((rng.normal(size=(len(self._filled) - 1, 4)) * sigmas).tolist())
 
-    def box_for(self, f: int) -> BoundingBox:
-        gt = self._filled[f]
+    def box_for(self, f: int) -> tuple:
+        row = self._filled[f]
         if f == 0:
-            return gt
-        d = self._rng.normal(size=4)
-        return BoundingBox(
-            gt.x + self._sigma_pos * d[0],
-            gt.y + self._sigma_pos * d[1],
-            gt.w * math.exp(self._sigma_scale * d[2]),
-            gt.h * math.exp(self._sigma_scale * d[3]),
-        )
+            return row
+        x, y, w, h = row
+        dx, dy, dw, dh = next(self._noise)
+        return (x + dx, y + dy, w * math.exp(dw), h * math.exp(dh))
 
 
 class _ReplayBoxes:
     def __init__(self, boxes):
-        self._boxes = dict(boxes)
+        self._rows = {f: tuple(box) for f, box in boxes}
 
-    def box_for(self, f: int) -> BoundingBox:
+    def box_for(self, f: int) -> tuple:
         try:
-            return self._boxes[f]
+            return self._rows[f]
         except KeyError:
             raise ValidationError(f"replay log has no box for frame {f}") from None
 
@@ -268,7 +355,7 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
         predictor_latency = predictor.latency.sampler(pred_lat_seed)
 
     outputs = []
-    processed = []
+    schedule = []
     pred_lats = []
     prev_frame = None
     prev_finish = 0.0
@@ -284,18 +371,19 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
         if instance is not None and prev_frame is not None:
             lat_p = predictor_latency.draw()
             available = arrival + lat_p
-            for i, box in enumerate(instance.predict(predictor.horizon_n), start=1):
-                outputs.append(TimedOutput(prev_frame + i, box, available, PREDICTED))
+            for target, row in enumerate(instance.predict(predictor.horizon_n),
+                                         start=prev_frame + 1):
+                outputs.append((target, available, PREDICTED, row))
             pred_lats.append(lat_p)
             track_start = available
         finish = track_start + tracker_latency.draw()
-        box = source.box_for(f)
-        outputs.append(TimedOutput(f, box, finish, RAW))
-        processed.append(ProcessedFrame(f, arrival, finish))
+        row = source.box_for(f)
+        outputs.append((f, finish, RAW, row))
+        schedule.append((f, arrival, finish))
         if instance is not None and f >= 1:
-            instance.observe(f, box)
+            instance.observe(f, row)
         prev_frame, prev_finish = f, finish
-    return RunLog(seq.name, tuple(processed), tuple(outputs), tuple(pred_lats))
+    return RunLog.from_rows(seq.name, schedule, outputs, pred_lats)
 
 
 def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
@@ -307,11 +395,9 @@ def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    worst = 0
-    for t in range(trials):
-        frames = run_stream(seq, tracker, seed=derive_seed(seed, "prerun", t)).frames
-        worst = max(worst, max(b - a for a, b in zip(frames, frames[1:])))
-    return worst
+    gaps = (np.diff(run_stream(seq, tracker, seed=derive_seed(seed, "prerun", t)).frame).max()
+            for t in range(trials))
+    return int(max(gaps))
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +407,23 @@ _LOG_COLUMNS = ["kind", "target_frame", "available_at", "x", "y", "w", "h"]
 _TRACE_COLUMNS = ["frame", "t_start", "t_finish", "x", "y", "w", "h"]
 
 
-def save_run_log(log: RunLog, path, manifest_ref: str = None) -> None:
+def _write_rows(path, header, lines, manifest_ref) -> None:
+    """Write a header and pre-formatted lines. The fields are ints, float
+    reprs and the two kind names, none of which csv would quote, so the
+    bytes are csv.writer's, "\r\n" line endings included."""
     with open(path, "w", newline="") as fh:
         if manifest_ref:
             fh.write(f"# manifest={manifest_ref}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_LOG_COLUMNS)
-        for out in log.outputs:
-            writer.writerow([out.kind, out.target_frame, repr(out.available_at),
-                             repr(out.box.x), repr(out.box.y), repr(out.box.w), repr(out.box.h)])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(lines))
+
+
+def save_run_log(log: RunLog, path, manifest_ref: str = None) -> None:
+    _write_rows(path, _LOG_COLUMNS, [
+        f"{kind},{target},{available!r},{x!r},{y!r},{w!r},{h!r}\r\n"
+        for kind, target, available, (x, y, w, h) in zip(
+            log.kind.tolist(), log.target_frame.tolist(), log.available_at.tolist(),
+            log.boxes.tolist())], manifest_ref)
 
 
 def _read_csv_rows(path, expected_header):
@@ -351,27 +445,27 @@ def load_run_log(path, name: str = None) -> RunLog:
     for row in _read_csv_rows(path, _LOG_COLUMNS):
         try:
             kind, target, avail, x, y, w, h = row
-            outputs.append(TimedOutput(int(target), BoundingBox(float(x), float(y), float(w), float(h)),
-                                       float(avail), kind))
-        except (ValueError, ValidationError) as exc:
+            outputs.append((int(target), float(avail), kind,
+                            (float(x), float(y), float(w), float(h))))
+        except ValueError as exc:
             raise ValidationError(f"{path}: bad log row {row}: {exc}") from None
-    return RunLog(name or Path(path).stem, (), tuple(outputs))
+    try:
+        return RunLog.from_rows(name or Path(path).stem, (), outputs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_trace(log: RunLog, path, manifest_ref: str = None) -> None:
     """Write the processed-frame schedule with its raw boxes; the file
     doubles as a replay source for scoring recorded runs."""
-    raw = [o for o in log.outputs if o.kind == RAW]
-    if len(raw) != len(log.processed):
+    raw = log.kind == RAW
+    if np.count_nonzero(raw) != len(log.frame):
         raise ValidationError("log has no full schedule; cannot write a trace")
-    with open(path, "w", newline="") as fh:
-        if manifest_ref:
-            fh.write(f"# manifest={manifest_ref}\n")
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLUMNS)
-        for p, out in zip(log.processed, raw):
-            writer.writerow([p.frame, repr(p.t_start), repr(p.t_finish),
-                             repr(out.box.x), repr(out.box.y), repr(out.box.w), repr(out.box.h)])
+    _write_rows(path, _TRACE_COLUMNS, [
+        f"{frame},{t0!r},{t1!r},{x!r},{y!r},{w!r},{h!r}\r\n"
+        for frame, t0, t1, (x, y, w, h) in zip(
+            log.frame.tolist(), log.t_start.tolist(), log.t_finish.tolist(),
+            log.boxes[raw].tolist())], manifest_ref)
 
 
 def load_trace(path):
@@ -389,9 +483,8 @@ def load_trace(path):
 
 def run_log_from_trace(rows, name: str) -> RunLog:
     """Turn a recorded tracker trace into a scorable RunLog."""
-    processed = tuple(ProcessedFrame(frame, t0, t1) for frame, t0, t1, _ in rows)
-    outputs = tuple(TimedOutput(frame, box, t1, RAW) for frame, _, t1, box in rows)
-    return RunLog(name, processed, outputs)
+    return RunLog.from_rows(name, [(frame, t0, t1) for frame, t0, t1, _ in rows],
+                            [(frame, t1, RAW, tuple(box)) for frame, _, t1, box in rows])
 
 
 def replay_adapter_from_trace(rows) -> TrackerAdapter:

@@ -278,8 +278,8 @@ class SyntheticSpec:
             raise ValidationError(f"unknown trajectory kind {self.kind!r}")
         if self.n_sequences < 1 or self.length < 2:
             raise ValidationError("need n_sequences >= 1 and length >= 2")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def linear_track(b0: BoundingBox, velocity, length: int) -> list:

@@ -8,7 +8,7 @@ import pytest
 from latetrack.boxes import load_sequence
 from latetrack.cli import main
 from latetrack.evaluate import score_run
-from latetrack.network import init_weights, load_weights, save_weights
+from latetrack.network import constant_factor_weights, init_weights, load_weights, save_weights
 from latetrack.predictors import save_kf_noise
 from latetrack.seeding import derive_seed
 from latetrack.simulate import load_run_log
@@ -370,6 +370,17 @@ class TestPredictorVocabulary:
         files["ckpt"].write_text(json.dumps(dict(doc, k="three")))
         assert self.simulate(tmp_path, tracker_cfg, "kind = pm\n" + files["pm"]) == 2
 
+    def test_pm_size_overflow_is_a_validation_error(self, tmp_path, capsys):
+        # a factor this large sends the decoded log size ratio past exp's range
+        w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
+        w.out_w[:, 0] *= 1e5
+        save_weights(w, tmp_path / "huge.json")
+        tracker = write_cfg(tmp_path / "scaled.cfg", "sigma_scale = 0.05\n"
+                            "latency.kind = constant\nlatency.mean = 0.05\n")
+        text = f"kind = pm\nweights = {tmp_path / 'huge.json'}\n"
+        assert self.simulate(tmp_path, tracker, text) == 2
+        assert "decoded box size overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["zero_motion", "neural_pm"])
     def test_old_spellings_rejected(self, tmp_path, tracker_cfg, files, kind):
         assert self.simulate(tmp_path, tracker_cfg, f"kind = {kind}\n" + files["pm"]) == 2
@@ -412,6 +423,21 @@ class TestExitCodes:
                         "latency.kind = constant\nlatency.mean = abc\n")
         assert main(["simulate", "--sequences", str(seqs), "--tracker", trk,
                      "--out", str(tmp_path / "runs")]) == 2
+
+    @pytest.mark.parametrize("key", ["sigma_pos", "sigma_scale"])
+    def test_nan_tracker_noise_fails_before_running(self, tmp_path, key):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        trk = write_cfg(tmp_path / "trk.cfg",
+                        f"{key} = nan\nlatency.kind = constant\nlatency.mean = 0.05\n")
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", trk,
+                     "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_nan_track_noise_fails_before_generating(self, tmp_path):
+        spec = write_cfg(tmp_path / "nan.cfg",
+                         "kind = constant_velocity\ncount = 1\nlength = 30\nnoise_sigma = nan\n")
+        assert main(["gen", spec, "--out", str(tmp_path / "seqs")]) == 2
+        assert not (tmp_path / "seqs").exists()
 
     def test_nan_latency_is_validation(self, tmp_path):
         seqs = gen_corpus(tmp_path, count=1, length=30)

@@ -108,11 +108,11 @@ BASE = BoundingBox(0, 0, 10, 10)
 
 
 def predicted_box(factor, speed):
-    """pm_predict's box for a constant factor over a one-step, one-frame
-    window moving at `speed`."""
+    """pm_predict's row for a constant factor over a one-step, one-frame
+    window moving at `speed`, as a checked box."""
     w = zero_weights(k=1, n_heads=1, c_enc=2, c_dec=2)
     w.out_b[:] = factor
-    return pm_predict(w, np.array([speed.as_tuple()]), np.array([1]), BASE)[0]
+    return BoundingBox(*pm_predict(w, np.array([speed.as_tuple()]), np.array([1]), BASE)[0])
 
 
 class TestApplyFactor:

@@ -235,13 +235,13 @@ class TestPredict:
     def test_zero_factors_hold_the_box_still(self):
         track, (motions, intervals) = cv_history(k=3)
         w = zero_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        boxes = pm_predict(w, motions, intervals, track[-1])
-        assert boxes == [track[-1], track[-1]]
+        rows = pm_predict(w, motions, intervals, track[-1])
+        assert rows == [tuple(track[-1]), tuple(track[-1])]
 
     def test_bias_n_heads_continue_constant_velocity(self):
         track, (motions, intervals) = cv_history(vx=3.0, vy=1.5, k=3)
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        boxes = pm_predict(w, motions, intervals, track[-1])
+        boxes = [BoundingBox(*row) for row in pm_predict(w, motions, intervals, track[-1])]
         for n, box in enumerate(boxes, start=1):
             assert box.cx == pytest.approx(track[-1].cx + 3.0 * n, abs=1e-9)
             assert box.cy == pytest.approx(track[-1].cy + 1.5 * n, abs=1e-9)
@@ -250,7 +250,7 @@ class TestPredict:
     def test_static_history_predicts_static(self):
         b = BoundingBox(5, 5, 12, 8)
         w = init_weights(seed=51, k=3, n_heads=2, c_enc=8, c_dec=6)
-        assert pm_predict(w, np.zeros((3, 4)), np.ones(3, dtype=np.int64), b) == [b, b]
+        assert pm_predict(w, np.zeros((3, 4)), np.ones(3, dtype=np.int64), b) == [tuple(b)] * 2
 
     def test_history_length_mismatch_rejected(self):
         track, (motions, intervals) = cv_history(k=4)
@@ -261,10 +261,11 @@ class TestPredict:
     def test_scale_invariance(self):
         track, (motions, intervals) = cv_history(vx=2.5, vy=-0.5, k=3)
         w = init_weights(seed=53, k=3, n_heads=2, c_enc=8, c_dec=6)
-        base = pm_predict(w, motions, intervals, track[-1])
+        base = [BoundingBox(*row) for row in pm_predict(w, motions, intervals, track[-1])]
         for s in (0.1, 10.0):
             scaled_track = [BoundingBox(b.x * s, b.y * s, b.w * s, b.h * s) for b in track]
-            scaled = pm_predict(w, *track_window(scaled_track), scaled_track[-1])
+            scaled = [BoundingBox(*row) for row in
+                      pm_predict(w, *track_window(scaled_track), scaled_track[-1])]
             for got, want in zip(scaled, base):
                 assert got.cx == pytest.approx(want.cx * s, abs=1e-9 * max(1, abs(want.cx * s)))
                 assert got.w == pytest.approx(want.w * s, abs=1e-9 * max(1, want.w * s))

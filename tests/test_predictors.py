@@ -24,8 +24,8 @@ def cv_track(vx, vy, n, size=10.0, start=(50.0, 50.0)):
             for i in range(n)]
 
 
-def centers(boxes):
-    return [(b.cx, b.cy) for b in boxes]
+def centers(rows):
+    return [(x + w / 2.0, y + h / 2.0) for x, y, w, h in rows]
 
 
 def assert_matches_oracle(state, oracle, atol):
@@ -67,7 +67,7 @@ class TestAgainstTextbookFilter:
                 state = kf_update(state, box, gap)
                 oracle.update(box, gap)
                 assert_matches_oracle(state, oracle, atol=1e-8)
-            got = kf_predict(state, 3)
+            got = [BoundingBox(*row) for row in kf_predict(state, 3)]
             want = oracle.predict(3)
             for g, w in zip(got, want):
                 assert g.cx == pytest.approx(w.cx, abs=1e-8)
@@ -89,7 +89,7 @@ class TestKalmanBehavior:
         state = make_kf_state(b, q_diag=np.full(8, 1e-15))
         for _ in range(50):
             state = kf_update(state, b)
-        pred = kf_predict(state, 1)[0]
+        pred = BoundingBox(*kf_predict(state, 1)[0])
         assert pred.cx == pytest.approx(b.cx, abs=1e-6)
         assert pred.cy == pytest.approx(b.cy, abs=1e-6)
         assert abs(state.vel[0]) < 1e-6 and abs(state.vel[1]) < 1e-6
@@ -99,7 +99,7 @@ class TestKalmanBehavior:
         state = make_kf_state(track[0])
         for f in range(1, 21):
             state = kf_update(state, track[f])
-        pred = kf_predict(state, 1)[0]
+        pred = BoundingBox(*kf_predict(state, 1)[0])
         assert pred.cx == pytest.approx(track[21].cx, abs=1e-3)
         assert pred.cy == pytest.approx(track[21].cy, abs=1e-3)
 
@@ -127,7 +127,8 @@ class TestKalmanBehavior:
         state = make_kf_state(track[0])
         for f in range(1, 31):
             state = kf_update(state, track[f])
-        for n, pred in enumerate(kf_predict(state, 3), start=31):
+        for n, row in enumerate(kf_predict(state, 3), start=31):
+            pred = BoundingBox(*row)
             assert pred.cx == pytest.approx(track[n].cx, abs=1e-3)
             assert pred.cy == pytest.approx(track[n].cy, abs=1e-3)
 
@@ -155,10 +156,10 @@ class TestKfPredict:
 
     def test_sizes_clamped_at_one_pixel(self):
         state = moving_state((0.0, 0.0, 3.0, 3.0), (0.0, 0.0, -2.0, -2.0))
-        boxes = kf_predict(state, 4)
-        assert [b.w for b in boxes] == [1.0, 1.0, 1.0, 1.0]
+        rows = kf_predict(state, 4)
+        assert [w for _, _, w, _ in rows] == [1.0, 1.0, 1.0, 1.0]
         # the rollout itself keeps shrinking past the clamp
-        assert centers(boxes) == [(0.0, 0.0)] * 4
+        assert centers(rows) == [(0.0, 0.0)] * 4
 
     def test_bad_horizon(self):
         state = make_kf_state(BoundingBox(0, 0, 10, 10))
@@ -223,7 +224,7 @@ class TestOnlinePredictors:
         latest = BoundingBox(7, 7, 10, 10)
         p.observe(1, BoundingBox(3, 3, 10, 10))
         p.observe(2, latest)
-        assert p.predict(2) == [latest, latest]
+        assert p.predict(2) == [tuple(latest), tuple(latest)]
 
     def test_kalman_predictor_equals_bare_functions(self):
         track = cv_track(1.0, 0.5, 12)
@@ -248,7 +249,7 @@ class TestOnlinePredictors:
         p = MotionNetPredictor(w)
         b0 = BoundingBox(5, 5, 10, 10)
         p.reset(b0)
-        assert p.predict(2) == [b0, b0]
+        assert p.predict(2) == [tuple(b0), tuple(b0)]
 
     def test_motion_net_horizon_is_fixed(self):
         w = zero_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
@@ -268,7 +269,7 @@ class TestOnlinePredictors:
         p.reset(track[0])
         for f in range(1, 4):
             p.observe(f, track[f])
-        pred = p.predict(1)[0]
+        pred = BoundingBox(*p.predict(1)[0])
         assert pred.cx == pytest.approx(track[4].cx, abs=1e-9)
 
     def test_motion_net_equals_the_window_path(self):
@@ -296,7 +297,7 @@ class TestOnlinePredictors:
                               for b in [track[0]] * pad + [track[g] for g in recent]]])
             row = Windows(rows, np.array([[1] * pad + np.diff(recent).tolist()]),
                           encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, n, 4)))
-            want = [apply_motion(track[f], NormalizedMotion(*m))
+            want = [tuple(apply_motion(track[f], NormalizedMotion(*m)))
                     for m in pm_motion_batch(w)(row)[0]]
             assert p.predict(n) == want, f"frame {f}, {len(seen) - 1} observations"
 

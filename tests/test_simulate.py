@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence
+from latetrack.boxes import BoundingBox, FrameClock, Sequence, TimedOutput
 from latetrack.errors import ReplayExhaustedError, ValidationError
 from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights
@@ -184,6 +186,24 @@ class TestPickHorizon:
             pick_horizon_n(cv_sequence(10), tracker(0.05), trials=0)
 
 
+NAN, INF = float("nan"), float("inf")
+GOOD_OUTPUT = (0, 0.1, "raw", (1.0, 2.0, 3.0, 4.0))
+# (output row, the message BoundingBox or TimedOutput gives for it)
+BAD_OUTPUTS = [
+    ((0, 0.1, "raw", (NAN, 2.0, 3.0, 4.0)),
+     "box fields must be finite, got BoundingBox(x=nan, y=2.0, w=3.0, h=4.0)"),
+    ((1, 0.1, "predicted", (1.0, 2.0, INF, 4.0)),
+     "box fields must be finite, got BoundingBox(x=1.0, y=2.0, w=inf, h=4.0)"),
+    ((0, 0.1, "raw", (1.0, 2.0, 0.0, 4.0)), "box sizes must be positive, got w=0.0, h=4.0"),
+    ((0, 0.1, "raw", (1.0, 2.0, 3.0, -4.0)), "box sizes must be positive, got w=3.0, h=-4.0"),
+    ((0, -0.1, "raw", (1.0, 2.0, 3.0, 4.0)), "available_at must be >= 0, got -0.1"),
+    ((0, NAN, "raw", (1.0, 2.0, 3.0, 4.0)), "available_at must be >= 0, got nan"),
+    ((0, INF, "raw", (1.0, 2.0, 3.0, 4.0)), "available_at must be >= 0, got inf"),
+    ((-1, 0.1, "raw", (1.0, 2.0, 3.0, 4.0)), "target_frame must be >= 0, got -1"),
+    ((0, 0.1, "guess", (1.0, 2.0, 3.0, 4.0)), "kind must be 'raw' or 'predicted', got 'guess'"),
+]
+
+
 class TestRunLogInvariants:
     def test_frames_must_increase(self):
         with pytest.raises(ValidationError):
@@ -192,6 +212,76 @@ class TestRunLogInvariants:
     def test_finishes_must_increase(self):
         with pytest.raises(ValidationError):
             RunLog("x", (ProcessedFrame(0, 0.0, 0.2), ProcessedFrame(1, 0.1, 0.2)), ())
+
+    @pytest.mark.parametrize("bad, message", BAD_OUTPUTS)
+    def test_bad_output_row_gets_the_scalar_message(self, bad, message):
+        target, available, kind, row = bad
+        with pytest.raises(ValidationError) as scalar:
+            TimedOutput(target, BoundingBox(*row), available, kind)
+        assert str(scalar.value) == message
+        with pytest.raises(ValidationError) as columns:
+            RunLog.from_rows("x", (), [GOOD_OUTPUT, bad, GOOD_OUTPUT])
+        assert str(columns.value) == message
+
+    def test_first_bad_row_is_reported(self):
+        (late, _), (early, message) = BAD_OUTPUTS[0], BAD_OUTPUTS[-1]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunLog.from_rows("x", (), [GOOD_OUTPUT, early, late])
+
+    @pytest.mark.parametrize("schedule, message", [
+        ([(0, 0.0, 0.1), (0, 0.1, 0.2)], "processed frames must strictly increase, got [0, 0]"),
+        ([(0, 0.0, 0.1), (2, 0.1, 0.2), (1, 0.2, 0.3)],
+         "processed frames must strictly increase, got [0, 2, 1]"),
+        ([(0, 0.0, 0.2), (1, 0.1, 0.2)], "finish times must strictly increase"),
+        ([(0, 0.0, 0.2), (1, 0.1, 0.1)], "finish times must strictly increase"),
+    ])
+    def test_schedule_must_increase(self, schedule, message):
+        for log in (lambda: RunLog.from_rows("x", schedule, ()),
+                    lambda: RunLog("x", [ProcessedFrame(*p) for p in schedule], ())):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                log()
+
+    def test_objects_and_rows_build_equal_logs(self):
+        pred = PredictorAdapter(KF, 2, LatencyProfile.constant(0.005))
+        log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
+        rebuilt = RunLog(log.sequence_name, log.processed, log.outputs, log.predictor_latencies)
+        assert rebuilt == log
+        assert rebuilt.outputs == log.outputs and rebuilt.processed == log.processed
+
+    def test_loaded_bad_row_names_the_file(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("kind,target_frame,available_at,x,y,w,h\nraw,0,0.1,1,2,-3,4\n")
+        with pytest.raises(ValidationError, match="log.csv: box sizes must be positive"):
+            load_run_log(path)
+
+
+class TestStreamBuildsNoObjects:
+    """The loop appends rows; BoundingBox, TimedOutput and ProcessedFrame
+    are built only by the views a caller asks for."""
+
+    @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
+    def test_no_per_frame_objects(self, kind, monkeypatch):
+        seq = cv_sequence(30)
+        weights = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
+        pred = PredictorAdapter(kind, 2, LatencyProfile.constant(0.005),
+                                weights=weights if kind == NEURAL_PM else None)
+        trk = tracker(0.05, sigma_pos=0.3, sigma_scale=0.02)
+        built = []
+
+        def counted(cls):
+            init = cls.__init__
+
+            def wrapper(self, *args):
+                built.append(cls)
+                init(self, *args)
+            return wrapper
+
+        for cls in (BoundingBox, TimedOutput, ProcessedFrame):
+            monkeypatch.setattr(cls, "__init__", counted(cls))
+        log = run_stream(seq, trk, pred, seed=1)
+        assert built == []
+        assert len(log.outputs) == len(log.kind)
+        assert set(built) == {BoundingBox, TimedOutput}
 
 
 class TestFiles:
