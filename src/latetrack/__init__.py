@@ -11,8 +11,8 @@ processing finishes.
 
 __version__ = "0.1.0"
 
-from .boxes import (BoundingBox, FrameClock, Sequence, TimedOutput, center_error,
-                    iou, load_sequence, save_sequence)
+from .boxes import (BoundingBox, FrameClock, Sequence, center_error, iou, load_sequence,
+                    save_sequence)
 from .errors import DivergenceError, ReplayExhaustedError, ValidationError
 from .evaluate import (EstimateMatcher, EvalCurve, MatchedEstimate, PermittedLatency,
                        match_elae, match_lae, score_run, sigma_grid, sweep)
@@ -24,9 +24,9 @@ from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
                          ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                          kf_predict, kf_update, load_kf_noise, make_kf_state,
                          save_kf_noise, zero_motion_predict)
-from .simulate import (PredictorAdapter, ProcessedFrame, RunLog, TrackerAdapter,
-                       load_run_log, load_trace, next_frame, pick_horizon_n, predictor_for,
-                       run_log_from_trace, run_stream, save_run_log, save_trace)
+from .simulate import (PredictorAdapter, RunLog, TrackerAdapter, load_run_log, load_trace,
+                       next_frame, pick_horizon_n, predictor_for, run_log_from_trace,
+                       run_stream, save_run_log, save_trace)
 from .training import (AdamW, OptimizerConfig, SyntheticSpec, Windows, gen_synthetic,
                        linear_track, motion_l1_on_samples, pm_motion_batch, sample_windows,
                        train_pm, zero_motion_batch)

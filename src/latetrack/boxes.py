@@ -1,13 +1,13 @@
-"""Core domain types: boxes, frame clocks, timed outputs, sequences.
+"""Core domain types: boxes, frame clocks, sequences.
 
 Boxes are axis-aligned, anchored at the top-left corner, sized in pixels.
 Centers are derived as (x + w/2, y + h/2). All timestamps are seconds in
 double precision; frame indices are non-negative ints.
 
 A BoundingBox is the checked type at file and library boundaries.
-Inside the simulation loop a box is a plain (x, y, w, h) row of floats;
-a BoundingBox unpacks as its row, so the metrics and the predictors
-take either.
+Inside the simulation loop, and in a run log's outputs, a box is a plain
+(x, y, w, h) row of floats; a BoundingBox unpacks as its row, so the
+metrics and the predictors take either.
 """
 
 from __future__ import annotations
@@ -21,22 +21,28 @@ from .errors import ValidationError
 RAW = "raw"
 PREDICTED = "predicted"
 
+_store = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class BoundingBox:
     x: float
     y: float
     w: float
     h: float
 
-    def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for v in (self.x, self.y, self.w, self.h):
-            if not math.isfinite(v):
-                raise ValidationError(f"box fields must be finite, got {self!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValidationError(f"box sizes must be positive, got w={self.w}, h={self.h}")
+    def __init__(self, x: float, y: float, w: float, h: float):
+        # one coercion and one store per field: the generated __init__
+        # plus a __post_init__ would store each field twice
+        x, y, w, h = float(x), float(y), float(w), float(h)
+        _store(self, "x", x)
+        _store(self, "y", y)
+        _store(self, "w", w)
+        _store(self, "h", h)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
+            raise ValidationError(f"box fields must be finite, got {self!r}")
+        if w <= 0 or h <= 0:
+            raise ValidationError(f"box sizes must be positive, got w={w}, h={h}")
 
     def __iter__(self):
         return iter((self.x, self.y, self.w, self.h))
@@ -68,31 +74,6 @@ class FrameClock:
         if f < 0:
             raise ValidationError(f"frame index must be >= 0, got {f}")
         return f / self.framerate_kappa
-
-
-@dataclass(frozen=True, slots=True)
-class TimedOutput:
-    """One tracker or predictor emission.
-
-    A raw output's available_at is the finish time of the frame that
-    produced it and target_frame is that frame. A predicted output
-    targets a strictly later frame than its source.
-    """
-
-    target_frame: int
-    box: BoundingBox
-    available_at: float
-    kind: str = RAW
-
-    def __post_init__(self):
-        object.__setattr__(self, "target_frame", int(self.target_frame))
-        object.__setattr__(self, "available_at", float(self.available_at))
-        if self.target_frame < 0:
-            raise ValidationError(f"target_frame must be >= 0, got {self.target_frame}")
-        if not (math.isfinite(self.available_at) and self.available_at >= 0):
-            raise ValidationError(f"available_at must be >= 0, got {self.available_at}")
-        if self.kind not in (RAW, PREDICTED):
-            raise ValidationError(f"kind must be {RAW!r} or {PREDICTED!r}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)

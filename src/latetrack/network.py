@@ -68,8 +68,7 @@ class PMWeights:
     out_b: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1 or self.n_heads < 1:
-            raise ValidationError(f"need k >= 1 and n_heads >= 1, got k={self.k}, N={self.n_heads}")
+        _check_geometry(self.k, self.n_heads, self.c_enc, self.c_dec)
         expected = self._expected_shapes()
         for name, shape in expected.items():
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
@@ -100,9 +99,17 @@ class PMWeights:
         )
 
 
+def _check_geometry(k: int, n_heads: int, c_enc: int, c_dec: int) -> None:
+    if k < 1 or n_heads < 1:
+        raise ValidationError(f"need k >= 1 and n_heads >= 1, got k={k}, N={n_heads}")
+    if c_enc < 1 or c_dec < 1:
+        raise ValidationError(f"need c_enc >= 1 and c_dec >= 1, got c_enc={c_enc}, c_dec={c_dec}")
+
+
 def init_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32,
                  seed: int = 0) -> PMWeights:
     """Fan-in-scaled uniform init (bound sqrt(6/fan_in)), zero biases."""
+    _check_geometry(k, n_heads, c_enc, c_dec)
     rng = np.random.default_rng(seed)
 
     def u(shape, fan_in):
@@ -120,6 +127,7 @@ def init_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32,
 
 
 def zero_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32) -> PMWeights:
+    _check_geometry(k, n_heads, c_enc, c_dec)
     return PMWeights(
         k=k, n_heads=n_heads, c_enc=c_enc, c_dec=c_dec,
         enc_w=np.zeros((c_enc, 8)), enc_b=np.zeros(c_enc),

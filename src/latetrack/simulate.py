@@ -16,10 +16,9 @@ The loop runs on plain numbers: boxes are (x, y, w, h) rows of floats,
 the predictors observe and predict rows (see `predictors`), and each
 processed frame appends one (frame, t_start, t_finish) tuple and its
 outputs one (target_frame, available_at, kind, row) tuple each. A
-RunLog holds them as columns and checks them once, as a whole, when it
-is built, with the messages BoundingBox and TimedOutput give a single
-box or output. The log and trace files are written straight from the
-columns.
+RunLog takes those tuples, holds them as columns and checks them once,
+as a whole, when it is built. The log and trace files are written
+straight from the columns.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence, TimedOutput
+from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence
 from .errors import ValidationError
 from .latency import LatencyProfile
 from .network import PMWeights, load_weights
@@ -50,15 +48,6 @@ KF_LEARNED = "kf_learned"
 NEURAL_PM = "pm"
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessedFrame:
-    """One processed frame: when the tracker started and finished it."""
-
-    frame: int
-    t_start: float
-    t_finish: float
-
-
 _RUN_COLUMNS = ("frame", "t_start", "t_finish", "target_frame", "available_at", "kind", "boxes")
 
 
@@ -71,33 +60,17 @@ def _column(values, dtype) -> np.ndarray:
 class RunLog:
     """One run as read-only numpy columns.
 
-    The schedule has one entry per processed frame: `frame`, `t_start`
-    and `t_finish`. The outputs are in emission order: `target_frame`,
-    `available_at`, `kind` and `boxes`, an (m, 4) array of (x, y, w, h)
-    rows. `predictor_latencies` is a tuple with one entry per predictor
-    invocation.
-
-    RunLog(name, processed, outputs, predictor_latencies) takes
-    ProcessedFrame and TimedOutput objects, and RunLog.from_rows plain
-    (frame, t_start, t_finish) and (target_frame, available_at, kind,
-    row) tuples. Either way every output row is checked as BoundingBox
-    and TimedOutput check one, and frames and finish times must strictly
-    increase, all in one vectorized pass. `processed` and `outputs`
-    build the objects on first use, and `frames` the frame tuple.
+    It takes one (frame, t_start, t_finish) tuple per processed frame,
+    one (target_frame, available_at, kind, (x, y, w, h)) tuple per
+    output in emission order, and one latency per predictor invocation,
+    and keeps the columns `frame`, `t_start`, `t_finish`, `target_frame`,
+    `available_at`, `kind` and `boxes`, an (m, 4) array of rows. One
+    vectorized pass checks every output row and requires frames and
+    finish times to strictly increase. `processed` and `outputs` give
+    the tuples back.
     """
 
-    def __init__(self, sequence_name: str, processed=(), outputs=(), predictor_latencies=()):
-        self._fill(sequence_name, [(p.frame, p.t_start, p.t_finish) for p in processed],
-                   [(o.target_frame, o.available_at, o.kind, tuple(o.box)) for o in outputs],
-                   predictor_latencies)
-
-    @classmethod
-    def from_rows(cls, sequence_name: str, schedule, outputs, predictor_latencies=()) -> "RunLog":
-        log = cls.__new__(cls)
-        log._fill(sequence_name, schedule, outputs, predictor_latencies)
-        return log
-
-    def _fill(self, sequence_name, schedule, outputs, predictor_latencies):
+    def __init__(self, sequence_name: str, schedule, outputs, predictor_latencies=()):
         frame, t_start, t_finish = zip(*schedule) if schedule else ((), (), ())
         target, available, kind, boxes = zip(*outputs) if outputs else ((), (), (), ())
         self.sequence_name = sequence_name
@@ -117,11 +90,16 @@ class RunLog:
               & (self.target_frame >= 0) & np.isfinite(avail) & (avail >= 0)
               & ((self.kind == RAW) | (self.kind == PREDICTED)))
         if not ok.all():
+            # the first bad row raises its first failing check: the box
+            # as BoundingBox words it, then target, availability and kind
             i = int(np.argmin(ok))
-            # the first bad row raises its first failing check, worded as
-            # BoundingBox and TimedOutput word it
-            TimedOutput(int(self.target_frame[i]), BoundingBox(*b[i].tolist()),
-                        float(avail[i]), str(self.kind[i]))
+            BoundingBox(*b[i].tolist())
+            target, available, kind = int(self.target_frame[i]), float(avail[i]), str(self.kind[i])
+            if target < 0:
+                raise ValidationError(f"target_frame must be >= 0, got {target}")
+            if not (math.isfinite(available) and available >= 0):
+                raise ValidationError(f"available_at must be >= 0, got {available}")
+            raise ValidationError(f"kind must be {RAW!r} or {PREDICTED!r}, got {kind!r}")
         if np.any(self.frame[1:] <= self.frame[:-1]):
             raise ValidationError(f"processed frames must strictly increase, got {self.frame.tolist()}")
         if np.any(self.t_finish[1:] <= self.t_finish[:-1]):
@@ -139,21 +117,16 @@ class RunLog:
         return (f"RunLog({self.sequence_name!r}, {len(self.frame)} processed frames, "
                 f"{len(self.kind)} outputs)")
 
-    @cached_property
+    @property
     def processed(self) -> tuple:
-        return tuple(map(ProcessedFrame, self.frame.tolist(), self.t_start.tolist(),
-                         self.t_finish.tolist()))
-
-    @cached_property
-    def outputs(self) -> tuple:
-        return tuple(TimedOutput(target, BoundingBox(*row), available, kind)
-                     for target, available, kind, row in zip(
-                         self.target_frame.tolist(), self.available_at.tolist(),
-                         self.kind.tolist(), self.boxes.tolist()))
+        """The schedule as (frame, t_start, t_finish) tuples."""
+        return tuple(zip(self.frame.tolist(), self.t_start.tolist(), self.t_finish.tolist()))
 
     @property
-    def frames(self) -> tuple:
-        return tuple(self.frame.tolist())
+    def outputs(self) -> tuple:
+        """The outputs as (target_frame, available_at, kind, (x, y, w, h)) tuples."""
+        return tuple(zip(self.target_frame.tolist(), self.available_at.tolist(),
+                         self.kind.tolist(), map(tuple, self.boxes.tolist())))
 
     @property
     def predictor_invocations(self) -> int:
@@ -383,7 +356,7 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
         if instance is not None and f >= 1:
             instance.observe(f, row)
         prev_frame, prev_finish = f, finish
-    return RunLog.from_rows(seq.name, schedule, outputs, pred_lats)
+    return RunLog(seq.name, schedule, outputs, pred_lats)
 
 
 def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
@@ -450,7 +423,7 @@ def load_run_log(path, name: str = None) -> RunLog:
         except ValueError as exc:
             raise ValidationError(f"{path}: bad log row {row}: {exc}") from None
     try:
-        return RunLog.from_rows(name or Path(path).stem, (), outputs)
+        return RunLog(name or Path(path).stem, (), outputs)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -483,8 +456,8 @@ def load_trace(path):
 
 def run_log_from_trace(rows, name: str) -> RunLog:
     """Turn a recorded tracker trace into a scorable RunLog."""
-    return RunLog.from_rows(name, [(frame, t0, t1) for frame, t0, t1, _ in rows],
-                            [(frame, t1, RAW, tuple(box)) for frame, _, t1, box in rows])
+    return RunLog(name, [(frame, t0, t1) for frame, t0, t1, _ in rows],
+                  [(frame, t1, RAW, tuple(box)) for frame, _, t1, box in rows])
 
 
 def replay_adapter_from_trace(rows) -> TrackerAdapter:

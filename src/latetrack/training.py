@@ -29,13 +29,13 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError(f"lr must be > 0, got {self.lr}")
+        if not (0 < self.lr < math.inf):
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ValidationError(f"betas must be in [0, 1), got {self.betas}")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be >= 0")
+        if not (0 <= self.weight_decay < math.inf):
+            raise ValidationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 0:
             raise ValidationError("epochs must be >= 0")
         if self.batch_size < 1:

@@ -10,8 +10,9 @@ import numpy as np
 from latetrack.boxes import BoundingBox, center_error, iou
 
 
-def elae_scan(seq, log, f, sigma):
-    """Literal exhaustive scan of the deadline-matching policy.
+def elae_scan(seq, outputs, f, sigma):
+    """Literal exhaustive scan of the deadline-matching policy over a
+    log's `outputs` rows, (target_frame, available_at, kind, row) each.
 
     Filters every output by the deadline, takes the newest availability
     instant, prefers the largest target <= f (else largest target), and
@@ -19,15 +20,15 @@ def elae_scan(seq, log, f, sigma):
     Returns (box, source_kind).
     """
     deadline = seq.clock.capture_time(f) + sigma / seq.clock.framerate_kappa
-    candidates = [(out, i) for i, out in enumerate(log.outputs) if out.available_at <= deadline]
+    candidates = [(out, i) for i, out in enumerate(outputs) if out[1] <= deadline]
     if not candidates:
         return seq.b0, "initial_b0"
-    newest = max(out.available_at for out, _ in candidates)
-    group = [(out, i) for out, i in candidates if out.available_at == newest]
-    at_or_before = [(out, i) for out, i in group if out.target_frame <= f]
+    newest = max(out[1] for out, _ in candidates)
+    group = [(out, i) for out, i in candidates if out[1] == newest]
+    at_or_before = [(out, i) for out, i in group if out[0] <= f]
     pool = at_or_before if at_or_before else group
-    best, _ = max(pool, key=lambda pair: (pair[0].target_frame, pair[1]))
-    return best.box, best.kind
+    (_, _, kind, row), _ = max(pool, key=lambda pair: (pair[0][0], pair[1]))
+    return BoundingBox(*row), kind
 
 
 def score_scan(seq, log, sigma):
@@ -39,10 +40,11 @@ def score_scan(seq, log, sigma):
     the threshold (np.mean, as the package averages)."""
     hits = 0
     ious = []
+    outputs = log.outputs
     for f, gt in enumerate(seq.ground_truth):
         if gt is None:
             continue
-        box, _ = elae_scan(seq, log, f, sigma)
+        box, _ = elae_scan(seq, outputs, f, sigma)
         if center_error(gt, box) <= 20.0:
             hits += 1
         ious.append(iou(gt, box))

@@ -21,7 +21,7 @@ from latetrack.network import (backward_batch, constant_factor_weights, forward_
 from latetrack.predictors import (kf_fit_noise, kf_motion_batch, kf_predict,
                                   kf_update, make_kf_state)
 from latetrack.seeding import rng_for
-from latetrack.simulate import RunLog, TimedOutput, TrackerAdapter, run_stream
+from latetrack.simulate import RunLog, TrackerAdapter, run_stream
 from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, SINUSOIDAL,
                                 SyntheticSpec, gen_synthetic, linear_track,
                                 motion_l1_on_samples, pm_motion_batch,
@@ -57,13 +57,14 @@ def test_deadline_matcher_agrees_with_exhaustive_scan_at_scale():
                 # predictions may target past the final frame; raw rows may not
                 target = int(rng.integers(0, n + 2 if kind == "predicted" else n))
                 avail = round(float(rng.uniform(0, n / 30 * 1.2)), 4)
-                outputs.append(TimedOutput(target, boxes[target], avail, kind))
+                outputs.append((target, avail, kind, tuple(boxes[target])))
             log = RunLog(seq.name, (), tuple(outputs))
             matcher = EstimateMatcher(seq, log)
+            rows = log.outputs
             for f in range(n):
                 for sigma in grid:
                     got = matcher.match(f, sigma)
-                    assert (got.estimate, got.source) == elae_scan(seq, log, f, sigma)
+                    assert (got.estimate, got.source) == elae_scan(seq, rows, f, sigma)
 
 
 def test_real_time_slack_flips_to_the_current_frame_on_the_grid():
@@ -75,7 +76,7 @@ def test_real_time_slack_flips_to_the_current_frame_on_the_grid():
             seq = ten_frames()
             log = run_stream(seq, TrackerAdapter.oracle_noisy(
                 LatencyProfile.constant(latency)))
-            assert log.frames == tuple(range(10))
+            assert log.frame.tolist() == list(range(10))
             matcher = EstimateMatcher(seq, log)
             flip = next(i for i, s in enumerate(grid) if s >= latency * 30)
             for f in range(1, 10):
@@ -88,7 +89,7 @@ def test_half_rate_tracker_schedule():
     with budget(1.0):
         log = run_stream(ten_frames(), TrackerAdapter.oracle_noisy(
             LatencyProfile.constant(0.05)))
-        assert log.frames == (0, 1, 3, 4, 6, 7, 9)
+        assert log.frame.tolist() == [0, 1, 3, 4, 6, 7, 9]
 
 
 def test_motion_codec_round_trip_and_scale_invariance():
@@ -250,7 +251,7 @@ def test_metric_fixtures_are_reproduced_exactly(toy_pair):
         assert auc == pytest.approx(1 / 3, abs=1e-12)
 
         ideal = RunLog(seq.name, (), tuple(
-            TimedOutput(f, box, seq.clock.capture_time(f), "raw")
+            (f, seq.clock.capture_time(f), "raw", tuple(box))
             for f, box in enumerate(seq.ground_truth)))
         for sigma in (0.0, 0.5, 0.98):
             dp, auc = score_run(seq, ideal, sigma)

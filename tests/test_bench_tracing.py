@@ -1,14 +1,23 @@
-"""The benchmark's span tracer must find every function it traces.
+"""The benchmark's span tracer must find every function it traces and
+every attribute its work counts read.
 
 bench/tracing.py swaps traced latetrack functions by name, so renaming
 or deleting one (say pm_predict or kf_update) would break only the
-benchmark's traced run. Installing and uninstalling the tracer here
-catches that in the ordinary test run.
+benchmark's traced run. Its work counts read `log.processed`,
+`log.predictor_invocations` and `seq.ground_truth`. Installing the
+tracer here, running one short traced simulation and sweep, and turning
+the spans into layer metrics catches either break in the ordinary test
+run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from latetrack import evaluate, simulate
+from latetrack.boxes import BoundingBox, FrameClock, Sequence
+from latetrack.latency import LatencyProfile
+from latetrack.training import linear_track
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -44,3 +53,29 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_it():
         assert set(after) == set(names), owner.__name__
         changed = [name for name, value in names.items() if after[name] is not value]
         assert not changed, f"{owner.__name__}: {changed} not restored"
+
+
+def test_traced_run_and_sweep_give_layer_metrics():
+    tracing = load_tracing()
+    seq = Sequence("cv", FrameClock(30.0),
+                   tuple(linear_track(BoundingBox(50, 50, 12, 12), (2.0, 0.5), 20)))
+    tracker = simulate.TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.05), sigma_pos=0.3)
+    predictor = simulate.PredictorAdapter(simulate.KF, 2, LatencyProfile.constant(0.005))
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        log = simulate.run_stream(seq, tracker, predictor, seed=1)
+        evaluate.sweep([seq], [log])
+    finally:
+        tracer.uninstall()
+    m = tracing.layer_metrics(tracer.spans, tracer.counts, {}, [])
+
+    assert m["simulate.run_stream.calls"] == 1
+    assert m["simulate.run_stream.frames_processed"] == len(log.frame) == 13
+    assert m["simulate.run_stream.frames_skipped"] == len(seq) - len(log.frame)
+    assert m["simulate.run_stream.predictor_invocations"] == log.predictor_invocations == 12
+    assert m["predictors.kf_update.calls"] == 12
+    assert m["evaluate.sweep.calls"] == 1
+    assert m["evaluate.sweep.matches"] == len(seq) * len(evaluate.sigma_grid())
+    assert m["evaluate.EstimateMatcher.build_s"] > 0

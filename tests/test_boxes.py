@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from latetrack.boxes import (BoundingBox, FrameClock, Sequence, TimedOutput,
-                             center_error, iou, load_sequence, save_sequence)
+from latetrack.boxes import (BoundingBox, FrameClock, Sequence, center_error, iou,
+                             load_sequence, save_sequence)
 from latetrack.errors import ValidationError
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -38,6 +38,14 @@ class TestBoundingBox:
 
         b = BoundingBox(np.float64(1.5), np.int64(2), np.float32(10.0), 20)
         assert all(type(v) is float for v in (b.x, b.y, b.w, b.h))
+
+    def test_keywords_and_replace(self):
+        import dataclasses
+
+        b = BoundingBox(x=1, y=2, w=3, h=4)
+        assert dataclasses.replace(b, w=5) == BoundingBox(1.0, 2.0, 5.0, 4.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.x = 0.0
 
 
 class TestFrameClock:
@@ -159,19 +167,3 @@ class TestSequenceFiles:
         path.write_text("0,0,10\n")
         with pytest.raises(ValidationError):
             load_sequence(path)
-
-
-class TestTimedOutput:
-    def test_raw_and_predicted_kinds_only(self):
-        b = BoundingBox(0, 0, 1, 1)
-        TimedOutput(0, b, 0.5, "raw")
-        TimedOutput(3, b, 0.5, "predicted")
-        with pytest.raises(ValidationError):
-            TimedOutput(0, b, 0.5, "guess")
-
-    def test_negative_fields_rejected(self):
-        b = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(ValidationError):
-            TimedOutput(-1, b, 0.5)
-        with pytest.raises(ValidationError):
-            TimedOutput(0, b, -0.5)

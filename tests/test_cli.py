@@ -95,7 +95,7 @@ class TestSimulate:
             assert (out / f"constant_velocity-{i:03d}.log.csv").exists()
             assert (out / f"constant_velocity-{i:03d}.trace.csv").exists()
         log = load_run_log(out / "constant_velocity-000.log.csv")
-        assert all(o.kind == "raw" for o in log.outputs)
+        assert all(kind == "raw" for _, _, kind, _ in log.outputs)
 
     def test_fifty_ms_schedule(self, tmp_path, tracker_cfg):
         seqs = gen_corpus(tmp_path, length=10, count=1)
@@ -125,7 +125,7 @@ class TestSimulate:
         main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
               "--predictor", pred, "--out", str(out)])
         log = load_run_log(out / "constant_velocity-000.log.csv")
-        kinds = {o.kind for o in log.outputs}
+        kinds = {kind for _, _, kind, _ in log.outputs}
         assert kinds == {"raw", "predicted"}
 
 
@@ -335,7 +335,7 @@ class TestPredictorVocabulary:
         text = f"kind = {kind}\n" + files.get(kind, "")
         assert self.simulate(tmp_path, tracker_cfg, text) == 0
         log = load_run_log(tmp_path / "runs" / "constant_velocity-000.log.csv")
-        kinds = {o.kind for o in log.outputs}
+        kinds = {kind for _, _, kind, _ in log.outputs}
         assert kinds == ({"raw"} if kind == "none" else {"raw", "predicted"})
 
     def test_every_readme_kind_compares(self, tmp_path, tracker_cfg, files):
@@ -438,6 +438,15 @@ class TestExitCodes:
                          "kind = constant_velocity\ncount = 1\nlength = 30\nnoise_sigma = nan\n")
         assert main(["gen", spec, "--out", str(tmp_path / "seqs")]) == 2
         assert not (tmp_path / "seqs").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "c_enc = 0", "c_dec = -3", "lr = nan", "weight_decay = inf",
+    ])
+    def test_bad_train_setting_is_validation(self, tmp_path, setting):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        cfg = write_cfg(tmp_path / "train.cfg", f"{setting}\n")
+        assert main(["train", "--corpus", str(seqs), "--config", cfg, "--epochs", "2",
+                     "--out", str(tmp_path / "model")]) == 2
 
     def test_nan_latency_is_validation(self, tmp_path):
         seqs = gen_corpus(tmp_path, count=1, length=30)

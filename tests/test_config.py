@@ -158,7 +158,7 @@ class TestTrackerFromConfig:
         bound = pending.bind("cv")
         assert bound.behavior == REPLAY_LOG
         replayed = run_stream(seq, bound)
-        assert replayed.frames == log.frames
+        assert replayed.frame.tolist() == log.frame.tolist()
 
     def test_replay_with_explicit_latency_overrides_durations(self, tmp_path):
         seq = Sequence("cv", FrameClock(30),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, TimedOutput, center_error
+from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error
 from latetrack.errors import ValidationError
 from latetrack.evaluate import (INITIAL_B0, EstimateMatcher, EvalCurve,
                                 PermittedLatency, match_elae, match_lae, score_run,
@@ -20,8 +20,12 @@ def cv_sequence(n=10, vx=2.0, kappa=30.0, name="cv"):
                     tuple(linear_track(BoundingBox(50, 50, 12, 12), (vx, 0.0), n)))
 
 
+def output(target, box, avail, kind):
+    return (target, avail, kind, tuple(box))
+
+
 def raw(target, box, avail):
-    return TimedOutput(target, box, avail, "raw")
+    return output(target, box, avail, "raw")
 
 
 def log_of(name, *outputs):
@@ -97,8 +101,8 @@ class TestMatchELAE:
     def test_prediction_targeting_the_frame_wins_the_tie(self):
         seq = cv_sequence(6)
         stale = raw(1, seq.ground_truth[1], 0.05)
-        hit = TimedOutput(3, seq.ground_truth[3], 0.05, "predicted")
-        over = TimedOutput(5, seq.ground_truth[5], 0.05, "predicted")
+        hit = output(3, seq.ground_truth[3], 0.05, "predicted")
+        over = output(5, seq.ground_truth[5], 0.05, "predicted")
         m = match_elae(seq, log_of("cv", stale, hit, over), 3, 0.9)
         assert m.source == "predicted"
         assert m.estimate == seq.ground_truth[3]
@@ -129,7 +133,7 @@ class TestMatchELAE:
     def test_matched_availability_is_monotone_in_sigma(self):
         seq = cv_sequence(12)
         log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.041)))
-        times = {o.box: o.available_at for o in log.outputs}
+        times = {BoundingBox(*row): available for _, available, _, row in log.outputs}
         for f in range(12):
             prev = -1.0
             for sigma in sigma_grid():
@@ -147,11 +151,11 @@ class TestMatchELAE:
                 target = int(rng.integers(0, 8))
                 avail = round(float(rng.uniform(0, 0.3)), 3)
                 kind = "raw" if rng.random() < 0.5 else "predicted"
-                outputs.append(TimedOutput(target, seq.ground_truth[target], avail, kind))
+                outputs.append(output(target, seq.ground_truth[target], avail, kind))
             log = log_of("cv", *outputs)
             for f in range(8):
                 for sigma in (0.0, 0.24, 0.5, 0.98):
-                    want_box, want_kind = elae_scan(seq, log, f, sigma)
+                    want_box, want_kind = elae_scan(seq, log.outputs, f, sigma)
                     got = match_elae(seq, log, f, sigma)
                     assert got.estimate == want_box and got.source == want_kind
 
@@ -286,7 +290,7 @@ def random_case(rng, name, n_outputs):
         kind = "raw" if rng.random() < 0.6 else "predicted"
         target = int(rng.integers(0, n if kind == "raw" else n + 4))
         avail = round(float(rng.uniform(0.0, n / 30 * 1.2)), 2)
-        outputs.append(TimedOutput(target, perturbed(track[target], rng), avail, kind))
+        outputs.append(output(target, perturbed(track[target], rng), avail, kind))
     return seq, log_of(name, *outputs)
 
 

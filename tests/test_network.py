@@ -139,6 +139,12 @@ class TestWeights:
         with pytest.raises(ValidationError):
             PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, **kwargs)
 
+    @pytest.mark.parametrize("make", [init_weights, zero_weights])
+    @pytest.mark.parametrize("c_enc, c_dec", [(0, 6), (8, 0), (8, -3)])
+    def test_channel_counts_must_be_positive(self, make, c_enc, c_dec):
+        with pytest.raises(ValidationError, match="need c_enc >= 1 and c_dec >= 1"):
+            make(k=3, n_heads=2, c_enc=c_enc, c_dec=c_dec)
+
     def test_init_is_deterministic_and_bounded(self):
         a = init_weights(seed=13, **SMALL)
         b = init_weights(seed=13, **SMALL)

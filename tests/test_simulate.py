@@ -3,15 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, TimedOutput
+from latetrack.boxes import BoundingBox, FrameClock, Sequence
 from latetrack.errors import ReplayExhaustedError, ValidationError
 from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights
 from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
-                                ProcessedFrame, RunLog, TrackerAdapter, load_run_log,
-                                load_trace, next_frame, pick_horizon_n,
-                                replay_adapter_from_trace, run_log_from_trace,
-                                run_stream, save_run_log, save_trace)
+                                RunLog, TrackerAdapter, load_run_log, load_trace,
+                                next_frame, pick_horizon_n, replay_adapter_from_trace,
+                                run_log_from_trace, run_stream, save_run_log, save_trace)
 from latetrack.training import linear_track
 
 
@@ -51,41 +50,39 @@ class TestNextFrame:
 class TestSchedule:
     def test_fifty_ms_tracker_processes_every_third_half(self):
         log = run_stream(cv_sequence(10), tracker(0.05))
-        assert log.frames == (0, 1, 3, 4, 6, 7, 9)
+        assert log.frame.tolist() == [0, 1, 3, 4, 6, 7, 9]
 
     def test_realtime_tracker_is_consecutive(self):
         log = run_stream(cv_sequence(10), tracker(0.02))
-        assert log.frames == tuple(range(10))
-        for p in log.processed:
-            assert p.t_finish == pytest.approx(p.frame / 30.0 + 0.02)
+        assert log.frame.tolist() == list(range(10))
+        for frame, _, t_finish in log.processed:
+            assert t_finish == pytest.approx(frame / 30.0 + 0.02)
 
     def test_first_frame_starts_at_zero(self):
         log = run_stream(cv_sequence(5), tracker(0.05))
-        assert log.processed[0].frame == 0
-        assert log.processed[0].t_start == 0.0
-        assert log.processed[0].t_finish == 0.05
+        assert log.processed[0] == (0, 0.0, 0.05)
 
     def test_zero_noise_oracle_reproduces_ground_truth(self):
         seq = cv_sequence(8)
         log = run_stream(seq, tracker(0.05))
-        for out in log.outputs:
-            assert out.kind == "raw"
-            assert out.box == seq.ground_truth[out.target_frame]
+        for target, _, kind, row in log.outputs:
+            assert kind == "raw"
+            assert row == tuple(seq.ground_truth[target])
 
     def test_noisy_oracle_perturbs_boxes_only_after_frame_zero(self):
         seq = cv_sequence(8)
         log = run_stream(seq, tracker(0.05, sigma_pos=1.0, sigma_scale=0.02))
-        assert log.outputs[0].box == seq.b0
-        assert any(out.box != seq.ground_truth[out.target_frame]
-                   for out in log.outputs[1:])
+        assert log.outputs[0][3] == tuple(seq.b0)
+        assert any(row != tuple(seq.ground_truth[target])
+                   for target, _, _, row in log.outputs[1:])
 
 
 class TestPredictorInStream:
     def test_emits_horizon_rows_per_arrival_after_first(self):
         pred = PredictorAdapter(ZERO_MOTION, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
-        raw = [o for o in log.outputs if o.kind == "raw"]
-        predicted = [o for o in log.outputs if o.kind == "predicted"]
+        raw = [o for o in log.outputs if o[2] == "raw"]
+        predicted = [o for o in log.outputs if o[2] == "predicted"]
         assert len(raw) == len(log.processed)
         assert len(predicted) == 2 * (len(log.processed) - 1)
         assert log.predictor_invocations == len(log.processed) - 1
@@ -94,10 +91,10 @@ class TestPredictorInStream:
         pred = PredictorAdapter(ZERO_MOTION, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
         by_avail = {}
-        for o in log.outputs:
-            if o.kind == "predicted":
-                by_avail.setdefault(o.available_at, []).append(o.target_frame)
-        prev_frames = list(log.frames[:-1])
+        for target, available, kind, _ in log.outputs:
+            if kind == "predicted":
+                by_avail.setdefault(available, []).append(target)
+        prev_frames = log.frame[:-1].tolist()
         for (avail, targets), prev in zip(sorted(by_avail.items()), prev_frames):
             assert targets == [prev + 1, prev + 2]
 
@@ -106,20 +103,19 @@ class TestPredictorInStream:
         plain = run_stream(cv_sequence(10), tracker(0.05))
         with_pred = run_stream(cv_sequence(10), tracker(0.05), pred)
         # every frame after the first pays the predictor's 5 ms
-        assert with_pred.processed[1].t_finish == pytest.approx(
-            plain.processed[1].t_finish + 0.005)
+        assert with_pred.t_finish[1] == pytest.approx(plain.t_finish[1] + 0.005)
         assert with_pred.mean_predictor_latency == pytest.approx(0.005)
 
     def test_kf_predictions_lead_the_track(self):
         pred = PredictorAdapter(KF, 2, LatencyProfile.constant(0.001))
         seq = cv_sequence(30)
         log = run_stream(seq, tracker(0.05), pred)
-        late = [o for o in log.outputs
-                if o.kind == "predicted" and o.target_frame >= 20 and o.target_frame <= seq.last_frame]
+        late = [(target, row) for target, _, kind, row in log.outputs
+                if kind == "predicted" and target >= 20 and target <= seq.last_frame]
         assert late, "expected warmed-up predictions"
-        for o in late:
-            truth = seq.ground_truth[o.target_frame]
-            assert abs(o.box.cx - truth.cx) < 0.5
+        for target, row in late:
+            truth = seq.ground_truth[target]
+            assert abs(BoundingBox(*row).cx - truth.cx) < 0.5
 
     @pytest.mark.parametrize("q_diag, r_diag", [
         ((), ()),
@@ -143,12 +139,12 @@ class TestPredictorInStream:
         pred = PredictorAdapter(NEURAL_PM, 2, LatencyProfile.constant(0.005), weights=w)
         seq = cv_sequence(20)
         log = run_stream(seq, tracker(0.05), pred)
-        predicted = [o for o in log.outputs if o.kind == "predicted"]
+        predicted = [(target, row) for target, _, kind, row in log.outputs if kind == "predicted"]
         assert predicted
-        warmed = [o for o in predicted if 10 <= o.target_frame <= seq.last_frame]
-        for o in warmed:
-            truth = seq.ground_truth[o.target_frame]
-            assert o.box.cx == pytest.approx(truth.cx, abs=1e-6)
+        warmed = [(target, row) for target, row in predicted if 10 <= target <= seq.last_frame]
+        for target, row in warmed:
+            truth = seq.ground_truth[target]
+            assert BoundingBox(*row).cx == pytest.approx(truth.cx, abs=1e-6)
 
 
 class TestDeterminism:
@@ -188,7 +184,7 @@ class TestPickHorizon:
 
 NAN, INF = float("nan"), float("inf")
 GOOD_OUTPUT = (0, 0.1, "raw", (1.0, 2.0, 3.0, 4.0))
-# (output row, the message BoundingBox or TimedOutput gives for it)
+# (output row, the message RunLog gives for it; the box ones are BoundingBox's)
 BAD_OUTPUTS = [
     ((0, 0.1, "raw", (NAN, 2.0, 3.0, 4.0)),
      "box fields must be finite, got BoundingBox(x=nan, y=2.0, w=3.0, h=4.0)"),
@@ -207,26 +203,22 @@ BAD_OUTPUTS = [
 class TestRunLogInvariants:
     def test_frames_must_increase(self):
         with pytest.raises(ValidationError):
-            RunLog("x", (ProcessedFrame(0, 0.0, 0.1), ProcessedFrame(0, 0.1, 0.2)), ())
+            RunLog("x", ((0, 0.0, 0.1), (0, 0.1, 0.2)), ())
 
     def test_finishes_must_increase(self):
         with pytest.raises(ValidationError):
-            RunLog("x", (ProcessedFrame(0, 0.0, 0.2), ProcessedFrame(1, 0.1, 0.2)), ())
+            RunLog("x", ((0, 0.0, 0.2), (1, 0.1, 0.2)), ())
 
     @pytest.mark.parametrize("bad, message", BAD_OUTPUTS)
     def test_bad_output_row_gets_the_scalar_message(self, bad, message):
-        target, available, kind, row = bad
-        with pytest.raises(ValidationError) as scalar:
-            TimedOutput(target, BoundingBox(*row), available, kind)
-        assert str(scalar.value) == message
         with pytest.raises(ValidationError) as columns:
-            RunLog.from_rows("x", (), [GOOD_OUTPUT, bad, GOOD_OUTPUT])
+            RunLog("x", (), [GOOD_OUTPUT, bad, GOOD_OUTPUT])
         assert str(columns.value) == message
 
     def test_first_bad_row_is_reported(self):
         (late, _), (early, message) = BAD_OUTPUTS[0], BAD_OUTPUTS[-1]
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            RunLog.from_rows("x", (), [GOOD_OUTPUT, early, late])
+            RunLog("x", (), [GOOD_OUTPUT, early, late])
 
     @pytest.mark.parametrize("schedule, message", [
         ([(0, 0.0, 0.1), (0, 0.1, 0.2)], "processed frames must strictly increase, got [0, 0]"),
@@ -236,17 +228,20 @@ class TestRunLogInvariants:
         ([(0, 0.0, 0.2), (1, 0.1, 0.1)], "finish times must strictly increase"),
     ])
     def test_schedule_must_increase(self, schedule, message):
-        for log in (lambda: RunLog.from_rows("x", schedule, ()),
-                    lambda: RunLog("x", [ProcessedFrame(*p) for p in schedule], ())):
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                log()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunLog("x", schedule, ())
 
-    def test_objects_and_rows_build_equal_logs(self):
+    def test_its_own_rows_rebuild_an_equal_log(self):
         pred = PredictorAdapter(KF, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
         rebuilt = RunLog(log.sequence_name, log.processed, log.outputs, log.predictor_latencies)
         assert rebuilt == log
         assert rebuilt.outputs == log.outputs and rebuilt.processed == log.processed
+        assert log.processed[1] == (log.frame[1], log.t_start[1], log.t_finish[1])
+        target, available, kind, row = log.outputs[-1]
+        assert (target, available, kind) == (log.target_frame[-1], log.available_at[-1],
+                                             log.kind[-1])
+        assert row == tuple(log.boxes[-1])
 
     def test_loaded_bad_row_names_the_file(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -256,8 +251,8 @@ class TestRunLogInvariants:
 
 
 class TestStreamBuildsNoObjects:
-    """The loop appends rows; BoundingBox, TimedOutput and ProcessedFrame
-    are built only by the views a caller asks for."""
+    """The loop appends rows and the log keeps columns: no BoundingBox
+    is built per frame, nor by reading the log back as rows."""
 
     @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
     def test_no_per_frame_objects(self, kind, monkeypatch):
@@ -276,12 +271,10 @@ class TestStreamBuildsNoObjects:
                 init(self, *args)
             return wrapper
 
-        for cls in (BoundingBox, TimedOutput, ProcessedFrame):
-            monkeypatch.setattr(cls, "__init__", counted(cls))
+        monkeypatch.setattr(BoundingBox, "__init__", counted(BoundingBox))
         log = run_stream(seq, trk, pred, seed=1)
+        assert len(log.outputs) == len(log.kind) and len(log.processed) == len(log.frame)
         assert built == []
-        assert len(log.outputs) == len(log.kind)
-        assert set(built) == {BoundingBox, TimedOutput}
 
 
 class TestFiles:
@@ -301,17 +294,17 @@ class TestFiles:
         path = tmp_path / "cv.trace.csv"
         save_trace(log, path)
         rows = load_trace(path)
-        assert [r[0] for r in rows] == list(log.frames)
+        assert [r[0] for r in rows] == log.frame.tolist()
 
         rebuilt = run_log_from_trace(rows, "cv")
-        assert rebuilt.frames == log.frames
-        assert [o.box for o in rebuilt.outputs] == [o.box for o in log.outputs]
+        assert rebuilt.frame.tolist() == log.frame.tolist()
+        assert [o[3] for o in rebuilt.outputs] == [o[3] for o in log.outputs]
 
         # replaying the trace through the simulator reproduces the schedule
         replay_log = run_stream(seq, replay_adapter_from_trace(rows))
-        assert replay_log.frames == log.frames
-        for a, b in zip(replay_log.processed, log.processed):
-            assert a.t_finish == pytest.approx(b.t_finish, abs=1e-12)
+        assert replay_log.frame.tolist() == log.frame.tolist()
+        for a, b in zip(replay_log.t_finish, log.t_finish):
+            assert a == pytest.approx(b, abs=1e-12)
 
     def test_numpy_scalar_clock_and_latency_write_a_loadable_trace(self, tmp_path):
         seq = Sequence("s", FrameClock(np.float64(30)),
@@ -319,8 +312,7 @@ class TestFiles:
         log = run_stream(seq, tracker(np.float64(0.01)))
         save_trace(log, tmp_path / "s.trace.csv")
         rows = load_trace(tmp_path / "s.trace.csv")
-        assert [(f, t0, t1) for f, t0, t1, _ in rows] == [
-            (p.frame, p.t_start, p.t_finish) for p in log.processed]
+        assert [(f, t0, t1) for f, t0, t1, _ in rows] == list(log.processed)
 
     def test_trace_requires_full_schedule(self, tmp_path):
         log = run_stream(cv_sequence(10), tracker(0.05))
@@ -354,7 +346,7 @@ class TestThroughput:
         # mean 40 ms per frame caps throughput at 25 fps against a 30 fps stream
         seq = cv_sequence(60)
         log = run_stream(seq, tracker(0.04))
-        span = log.processed[-1].t_finish - log.processed[0].t_start
+        span = log.t_finish[-1] - log.t_start[0]
         rate = len(log.processed) / span
         assert rate == pytest.approx(25.0, rel=0.05)
         assert len(log.processed) < 60

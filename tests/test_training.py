@@ -62,6 +62,14 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             OptimizerConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("lr", float("inf")),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+    ])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            OptimizerConfig(**{field: value})
+
 
 class TestAdamW:
     def test_matches_reference_across_milestone(self):
