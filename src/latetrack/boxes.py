@@ -4,17 +4,21 @@ Boxes are axis-aligned, anchored at the top-left corner, sized in pixels.
 Centers are derived as (x + w/2, y + h/2). All timestamps are seconds in
 double precision; frame indices are non-negative ints.
 
-A BoundingBox is the checked type at file and library boundaries.
-Inside the simulation loop, and in a run log's outputs, a box is a plain
+A BoundingBox is the checked type at the library boundary. Inside the
+simulation loop, and in a run log's outputs, a box is a plain
 (x, y, w, h) row of floats; a BoundingBox unpacks as its row, so the
-metrics and the predictors take either.
+metrics and the predictors take either. A Sequence's ground truth is
+one (n, 4) column of rows, NaN where a frame has no annotation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -76,36 +80,57 @@ class FrameClock:
         return f / self.framerate_kappa
 
 
-@dataclass(frozen=True)
+def box_column(boxes) -> np.ndarray:
+    """(n, 4) float64 (x, y, w, h) rows, NaN where a frame has no box,
+    from a Sequence, an array, or one BoundingBox, row or None per frame."""
+    if isinstance(boxes, Sequence):
+        return boxes.boxes
+    if not isinstance(boxes, np.ndarray):
+        boxes = [(math.nan,) * 4 if b is None else tuple(b) for b in boxes]
+    col = np.asarray(boxes, dtype=np.float64)
+    if col.size and (col.ndim != 2 or col.shape[1] != 4):
+        raise ValidationError(f"boxes must be (n, 4) rows, got shape {col.shape}")
+    return col.reshape(-1, 4)
+
+
 class Sequence:
     """A named ground-truth trajectory with its capture clock.
 
-    ground_truth has one entry per frame; None marks a frame with no
-    annotation. Frame 0 must be annotated: it is the initialization
-    box b_0 handed to tracker and predictors.
+    `boxes` is a read-only (n, 4) float64 column of (x, y, w, h) rows,
+    NaN on a frame with no annotation, and `annotated` its read-only
+    mask. The constructor takes the column or one BoundingBox, row or
+    None per frame, and checks all rows in one vectorized pass. Frame 0
+    must be annotated: it is the init box b0 handed to tracker and
+    predictors. `ground_truth` derives one BoundingBox or None per frame.
     """
 
-    name: str
-    clock: FrameClock
-    ground_truth: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
-        if len(self.ground_truth) < 2:
-            raise ValidationError(f"sequence {self.name!r} needs >= 2 frames, got {len(self.ground_truth)}")
-        if self.ground_truth[0] is None:
-            raise ValidationError(f"sequence {self.name!r} is missing the frame-0 init box")
+    def __init__(self, name: str, clock: FrameClock, truth):
+        boxes = np.array(box_column(truth))
+        if len(boxes) < 2:
+            raise ValidationError(f"sequence {name!r} needs >= 2 frames, got {len(boxes)}")
+        annotated = ~np.isnan(boxes).all(axis=1)
+        ok = ~annotated | (np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
+        if not ok.all():
+            # the first bad row (a partial NaN one included) raises as BoundingBox words it
+            BoundingBox(*boxes[int(np.argmin(ok))].tolist())
+        if not annotated[0]:
+            raise ValidationError(f"sequence {name!r} is missing the frame-0 init box")
+        boxes.flags.writeable = annotated.flags.writeable = False
+        self.name, self.clock, self.boxes, self.annotated = name, clock, boxes, annotated
+        self.b0 = BoundingBox(*boxes[0].tolist())
 
     def __len__(self) -> int:
-        return len(self.ground_truth)
+        return len(self.boxes)
 
-    @property
-    def b0(self) -> BoundingBox:
-        return self.ground_truth[0]
+    @cached_property
+    def ground_truth(self) -> tuple:
+        """One BoundingBox per annotated frame, None elsewhere; built on first use."""
+        return tuple(BoundingBox(*row) if a else None
+                     for row, a in zip(self.boxes.tolist(), self.annotated.tolist()))
 
     @property
     def last_frame(self) -> int:
-        return len(self.ground_truth) - 1
+        return len(self.boxes) - 1
 
 
 def iou(a, b) -> float:
@@ -148,27 +173,27 @@ def load_sequence(path, framerate: float = 30.0, name: str | None = None) -> Seq
 
     Blank lines and NaN,NaN,NaN,NaN lines mark frames with no
     annotation; `#` lines are comments and do not count as frames.
+    Four-field lines are cast in one numpy call (float() per field) and
+    checked as a column; on any failure the per-line parser names the
+    first bad line. Fields are counted per line, or a 3-field line and a
+    5-field line would join into two rows.
     """
     path = Path(path)
-    boxes = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            continue
-        if stripped == "":
-            boxes.append(None)
-            continue
-        boxes.append(_parse_line(stripped, lineno, path))
-    return Sequence(name or path.stem, FrameClock(framerate), tuple(boxes))
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    body = [line or "nan,nan,nan,nan" for line in lines if not line.startswith("#")]
+    if all(line.count(",") == 3 for line in body):
+        try:
+            column = np.array(",".join(body).split(","), dtype=np.float64).reshape(-1, 4)
+            return Sequence(name or path.stem, FrameClock(framerate), column)
+        except ValueError:
+            pass
+    boxes = [_parse_line(line, lineno, path) if line else None
+             for lineno, line in enumerate(lines, start=1) if not line.startswith("#")]
+    return Sequence(name or path.stem, FrameClock(framerate), boxes)
 
 
 def save_sequence(seq: Sequence, path, manifest_ref: str = None) -> None:
-    lines = []
-    if manifest_ref:
-        lines.append(f"# manifest={manifest_ref}")
-    for box in seq.ground_truth:
-        if box is None:
-            lines.append("NaN,NaN,NaN,NaN")
-        else:
-            lines.append(f"{box.x!r},{box.y!r},{box.w!r},{box.h!r}")
+    lines = [f"# manifest={manifest_ref}"] if manifest_ref else []
+    for row, annotated in zip(seq.boxes.tolist(), seq.annotated.tolist()):
+        lines.append(",".join(map(repr, row)) if annotated else "NaN,NaN,NaN,NaN")
     Path(path).write_text("\n".join(lines) + "\n")

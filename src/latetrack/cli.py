@@ -22,7 +22,7 @@ from .config import (Config, ReplayTrackerConfig, predictor_from_config,
 from .errors import DivergenceError, ReplayExhaustedError, ValidationError
 from .evaluate import average_curves, sigma_grid, sweep
 from .latency import LatencyProfile
-from .network import save_weights
+from .network import _check_geometry, save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
 from .seeding import derive_seed, rng_for
@@ -215,15 +215,15 @@ def cmd_train(args) -> int:
          "window": {"k": k, "horizon": horizon, "stride_set": list(stride_set)},
          "model": {"c_enc": c_enc, "c_dec": c_dec}},
         inputs)
+    _check_geometry(k, horizon, c_enc, c_dec)
+    for seq in sequences:
+        if not seq.annotated.all():
+            raise ValidationError(f"training sequence {seq.name!r} has missing annotations")
     out = _out_dir(args)
     timer = StageTimer()
     with timer.stage("windows"):
-        grouped = []
-        for seq in sequences:
-            if any(b is None for b in seq.ground_truth):
-                raise ValidationError(f"training sequence {seq.name!r} has missing annotations")
-            grouped.append(sample_windows(list(seq.ground_truth), k, horizon, stride_set,
-                                          rng_for(seed, "windows", seq.name)))
+        grouped = [sample_windows(seq, k, horizon, stride_set, rng_for(seed, "windows", seq.name))
+                   for seq in sequences]
     with timer.stage("train"):
         weights, history = train_pm(grouped, k, horizon, opt, c_enc=c_enc, c_dec=c_dec)
     with timer.stage("write"):

@@ -63,10 +63,6 @@ def _as_sigma(sigma) -> PermittedLatency:
     return PermittedLatency(float(sigma))
 
 
-def _box_rows(boxes) -> np.ndarray:
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float)
-
-
 class EstimateMatcher:
     """Deadline matcher over one run log, built once and queried per
     (frame, sigma) pair or for a whole sigma grid at once.
@@ -108,10 +104,9 @@ class EstimateMatcher:
         self._span = max(seq.last_frame, int(target.max(initial=0))) + 2
         self._keys = (np.cumsum(starts) - 1) * self._span + target
         self._order = order
-        self._rows = np.concatenate([_box_rows([seq.b0]), log.boxes[order]])
-        annotated = [(f, gt) for f, gt in enumerate(seq.ground_truth) if gt is not None]
-        self._frames = np.array([f for f, _ in annotated], dtype=np.int64)
-        self._truth = _box_rows(gt for _, gt in annotated)
+        self._rows = np.concatenate([seq.boxes[:1], log.boxes[order]])
+        self._frames = np.flatnonzero(seq.annotated)
+        self._truth = seq.boxes[seq.annotated]
 
     def _pick(self, frames, deadlines):
         """Row of the served table for each (frame, deadline) pair;

@@ -316,10 +316,10 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
                  stride_set=(1, 2), max_windows: int = 400):
     """Fit the Q/R diagonals by gradient descent on their logs.
 
-    Windows come from the trainer's sampler; the objective is the
-    filter's one-frame-step prediction error in motion space after
-    re-running it over each window's boxes. Gradients are central
-    finite differences on the 12 log-parameters; steps reuse the
+    Tracks are what sample_windows takes, and windows come from it; the
+    objective is the filter's one-frame-step prediction error in motion
+    space after re-running it over each window's boxes. Gradients are
+    central finite differences on the 12 log-parameters; steps reuse the
     trainer's AdamW. Tracks split 90/10 for validation; the returned
     diagonals are best-on-validation with the init always a candidate,
     so the fit never leaves validation worse than the starting point.
@@ -335,7 +335,7 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
 
     if config is None:
         config = OptimizerConfig(epochs=30, milestones=(20,))
-    tracks = [list(getattr(t, "ground_truth", t)) for t in tracks]
+    tracks = list(tracks)
     if not tracks:
         raise ValidationError("need at least one trajectory")
     order = list(rng_for(config.seed, "kf-fit-split").permutation(len(tracks)))

@@ -268,12 +268,8 @@ class _OracleBoxes:
     of one normal(size=4) draw per frame."""
 
     def __init__(self, seq: Sequence, sigma_pos: float, sigma_scale: float, rng):
-        self._filled = []
-        last = seq.b0
-        for box in seq.ground_truth:
-            if box is not None:
-                last = box
-            self._filled.append((last.x, last.y, last.w, last.h))
+        last = np.maximum.accumulate(np.where(seq.annotated, np.arange(len(seq)), 0))
+        self._filled = list(map(tuple, seq.boxes[last].tolist()))
         sigmas = (sigma_pos, sigma_pos, sigma_scale, sigma_scale)
         self._noise = iter((rng.normal(size=(len(self._filled) - 1, 4)) * sigmas).tolist())
 

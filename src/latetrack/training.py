@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoundingBox, FrameClock, Sequence
+from .boxes import BoundingBox, FrameClock, Sequence, box_column
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
 from .network import backward_batch, forward_batch, init_weights, l1_loss, window_inputs
@@ -156,7 +156,8 @@ def _check_sizes(windows: Windows, k: int, horizon_n: int) -> None:
 
 
 def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
-    """Windows over one trajectory of boxes: every anchor with room for
+    """Windows over one trajectory (a Sequence, its box column, or one
+    box per frame; see boxes.box_column): every anchor with room for
     a full stride-k history and N future frames, with the k history
     intervals drawn uniformly from stride_set (one draw per anchor and
     step, in anchor order)."""
@@ -165,13 +166,14 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
         raise ValidationError(f"stride_set must hold integers >= 1, got {stride_set!r}")
     if k < 1 or horizon_n < 1:
         raise ValidationError("k and horizon must be >= 1")
+    traj = box_column(traj)
     need = k * strides[-1] + horizon_n + 1
     if len(traj) < need:
         raise ValidationError(f"trajectory of {len(traj)} frames is shorter than {need}")
-    missing = [f for f, b in enumerate(traj) if b is None]
-    if missing:
+    missing = np.flatnonzero(np.isnan(traj).any(axis=1))
+    if missing.size:
         raise ValidationError(f"windows need a box on every frame; frame {missing[0]} has none")
-    rows = np.array([(b.cx, b.cy, b.w, b.h) for b in traj])
+    rows = np.hstack([traj[:, :2] + traj[:, 2:] / 2.0, traj[:, 2:]])
     anchors = np.arange(k * strides[-1], len(traj) - horizon_n)
     steps = np.array(strides)[rng.integers(0, len(strides), size=(len(anchors), k))]
     # draw j is the gap that ends j steps before the anchor; frames run oldest first
@@ -325,7 +327,8 @@ def gen_synthetic(spec: SyntheticSpec) -> list:
         w, h = rng.uniform(*spec.size_range, size=2)
         if spec.noise_sigma > 0:
             centers = centers + rng.normal(0.0, spec.noise_sigma, size=centers.shape)
-        boxes = tuple(BoundingBox.from_center(cx, cy, w, h) for cx, cy in centers)
+        # BoundingBox.from_center's arithmetic, on the whole column
+        boxes = np.hstack([centers - np.array([w, h]) / 2.0, np.tile([w, h], (len(centers), 1))])
         sequences.append(Sequence(f"{spec.kind}-{i:03d}", clock, boxes))
     return sequences
 

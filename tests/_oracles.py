@@ -4,10 +4,12 @@ possible (explicit loops, textbook formulas) and share no code with the
 package beyond the domain dataclasses and the scalar box metrics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 
 from latetrack.boxes import BoundingBox, center_error, iou
+from latetrack.errors import ValidationError
 
 
 def elae_scan(seq, outputs, f, sigma):
@@ -201,6 +203,47 @@ def sample_windows_loop(traj, k, horizon_n, stride_set, rng):
         motions.append(steps)
         targets.append(future)
     return np.array(boxes), np.array(intervals), np.array(motions), np.array(targets)
+
+
+def load_sequence_lines(path):
+    """Literal line-by-line ground-truth reader: strip each line, skip
+    `#` comments, read a blank line as a NaN row, split every other line
+    on commas, float() each stripped field and check the values through
+    BoundingBox. Returns the (n, 4) column (the parsed values on an
+    all-NaN line, float("nan") on a blank one) and the annotated mask;
+    a bad line raises the first error with the reader's message."""
+    path = Path(path)
+    rows, mask = [], []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        line = line.strip()
+        if line.startswith("#"):
+            continue
+        if line == "":
+            rows.append([float("nan")] * 4)
+            mask.append(False)
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise ValidationError(f"{path}:{lineno}: expected 4 comma-separated values, got {line!r}")
+        try:
+            vals = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        nans = [math.isnan(v) for v in vals]
+        if all(nans):
+            rows.append(vals)
+            mask.append(False)
+            continue
+        if any(nans):
+            raise ValidationError(f"{path}:{lineno}: partial NaN annotation {line!r}")
+        box = BoundingBox(*vals)
+        rows.append([box.x, box.y, box.w, box.h])
+        mask.append(True)
+    if len(rows) < 2:
+        raise ValidationError(f"sequence {path.stem!r} needs >= 2 frames, got {len(rows)}")
+    if not mask[0]:
+        raise ValidationError(f"sequence {path.stem!r} is missing the frame-0 init box")
+    return np.array(rows, dtype=np.float64), np.array(mask, dtype=bool)
 
 
 def central_differences(fn, arrays: dict, h: float = 1e-6) -> dict:

@@ -1,8 +1,12 @@
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracles import load_sequence_lines
 from latetrack.boxes import (BoundingBox, FrameClock, Sequence, center_error, iou,
                              load_sequence, save_sequence)
 from latetrack.errors import ValidationError
@@ -123,6 +127,44 @@ class TestSequence:
         assert seq.last_frame == 2
         assert len(seq) == 3
 
+    def test_column_and_mask(self):
+        b = BoundingBox(1.5, 2, 5, 6)
+        seq = Sequence("s", FrameClock(30), (b, None, (3, 4, 7, 8)))
+        assert seq.boxes.shape == (3, 4) and seq.boxes.dtype == np.float64
+        assert seq.annotated.tolist() == [True, False, True]
+        assert np.isnan(seq.boxes[1]).all()
+        assert seq.boxes[2].tolist() == [3.0, 4.0, 7.0, 8.0]
+        with pytest.raises(ValueError):
+            seq.boxes[0, 0] = 9.0
+        again = Sequence("s", FrameClock(30), seq.boxes)
+        assert again.boxes.tobytes() == seq.boxes.tobytes() and again.b0 == b
+
+    @pytest.mark.parametrize("row, message", [
+        ((math.nan, 0, 1, 1), "box fields must be finite, got BoundingBox(x=nan, y=0.0, w=1.0, h=1.0)"),
+        ((0, math.inf, 1, 1), "box fields must be finite, got BoundingBox(x=0.0, y=inf, w=1.0, h=1.0)"),
+        ((0, 0, 0, 1), "box sizes must be positive, got w=0.0, h=1.0"),
+    ])
+    def test_column_rows_are_checked(self, row, message):
+        column = np.array([(0, 0, 1, 1), row, (0, 0, 1, 1)], dtype=float)
+        with pytest.raises(ValidationError) as exc:
+            Sequence("s", FrameClock(30), column)
+        assert str(exc.value) == message
+
+    def test_column_shape_is_checked(self):
+        with pytest.raises(ValidationError):
+            Sequence("s", FrameClock(30), np.zeros((3, 5)))
+
+    def test_ground_truth_view_matches_the_column(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("0.5,1,10,12\nNaN,NaN,NaN,NaN\n\n2.25,3,10.5,12\n")
+        seq = load_sequence(path)
+        view = seq.ground_truth
+        assert seq.ground_truth is view
+        assert [gt is None for gt in view] == (~seq.annotated).tolist()
+        for f in np.flatnonzero(seq.annotated).tolist():
+            assert tuple(view[f]) == tuple(seq.boxes[f].tolist())
+        assert view[0] == seq.b0
+
 
 class TestSequenceFiles:
     def test_round_trip(self, tmp_path):
@@ -167,3 +209,121 @@ class TestSequenceFiles:
         path.write_text("0,0,10\n")
         with pytest.raises(ValidationError):
             load_sequence(path)
+
+
+def _random_token(rng: random.Random) -> str:
+    pick = rng.random()
+    if pick < 0.55:
+        return repr(rng.uniform(-500.0, 500.0))
+    if pick < 0.7:
+        return f"{rng.uniform(0.0, 900.0):.{rng.randrange(0, 6)}f}"
+    if pick < 0.8:
+        return f"{rng.uniform(1.0, 900.0):.{rng.randrange(1, 8)}e}".replace("e", rng.choice("eE"))
+    if pick < 0.9:
+        return str(rng.randrange(1, 2000))
+    return rng.choice(["1_000", "+7", "12.", ".5", "1e3", "2E-1", "0.0", "-0", "1e-400"])
+
+
+def _random_line(rng: random.Random) -> str:
+    tokens = [_random_token(rng), _random_token(rng)]
+    for _ in range(2):
+        tokens.append(rng.choice([repr(rng.uniform(1.0, 90.0)), f"{rng.uniform(1.0, 90.0):.3e}",
+                                  "1_000", "12.", "2E-1", "7"]))
+    pad = rng.choice(["", " ", "\t", "  "])
+    return ",".join(pad + t + rng.choice(["", " "]) for t in tokens)
+
+
+# constructs that break a file, each on its own; the 3-field line
+# followed by a 5-field line has 8 fields, two rows' worth, in all
+_BAD_LINES = [
+    ["1e400,2,3,4"], ["1,2,0,4"], ["1,2,3,-4"], ["1,NaN,3,4"], ["nan,nan,nan,5"],
+    ["1,2,3,4,"], ["1,2,3", "4,5,6,7,8"], ["1,2,3"], ["1,2,3,4,5"], ["1,2,x,4"],
+    ["1,2,inf,4"], ["-infinity,2,3,4"], ["1,,3,4"], ["0x10,2,3,4"], ["1__0,2,3,4"],
+]
+
+
+def _random_file(rng: random.Random) -> str:
+    lines = [_random_line(rng) if rng.random() < 0.95 else "NaN,NaN,NaN,NaN"]
+    for _ in range(rng.randrange(0, 40)):
+        pick = rng.random()
+        if pick < 0.08:
+            lines.append(rng.choice(["# manifest=abc", "   # a comment, with commas", "#"]))
+        elif pick < 0.14:
+            lines.append(rng.choice(["", "   ", "\t \t"]))
+        elif pick < 0.2:
+            lines.append(rng.choice(["NaN,NaN,NaN,NaN", " nan, NaN ,-nan,NAN", "nan,nan,nan,nan"]))
+        else:
+            lines.append(_random_line(rng))
+    if rng.random() < 0.5:
+        at = rng.randrange(0, len(lines) + 1)
+        lines[at:at] = rng.choice(_BAD_LINES)
+    return "\n".join(lines) + rng.choice(["\n", "", "\n\n"])
+
+
+class TestLoaderMatchesLineReader:
+    """The column loader against the literal per-line reader on random
+    files: equal columns and masks bit for bit, or the same message."""
+
+    def test_random_files(self, tmp_path):
+        rng = random.Random(20261018)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for i in range(400):
+            path = tmp_path / f"s{i}.txt"
+            path.write_text(_random_file(rng))
+            try:
+                column, mask = load_sequence_lines(path)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    load_sequence(path)
+                assert str(got.value) == str(exc), path.read_text()
+                outcomes["rejected"] += 1
+                continue
+            seq = load_sequence(path)
+            assert seq.boxes.tobytes() == column.tobytes(), path.read_text()
+            assert np.array_equal(seq.annotated, mask)
+            outcomes["loaded"] += 1
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_three_then_five_fields_is_rejected(self, tmp_path):
+        path = tmp_path / "split.txt"
+        path.write_text("0,0,10,10\n1,2,3\n4,5,6,7,8\n")
+        with pytest.raises(ValidationError, match=r"split.txt:2: expected 4 comma-separated"):
+            load_sequence(path)
+
+
+def _float_bits(text: str):
+    try:
+        return struct.pack("<d", float(text))
+    except ValueError:
+        return None
+
+
+def _numpy_bits(text: str):
+    try:
+        return np.array([text], dtype=np.float64).tobytes()
+    except ValueError:
+        return None
+
+
+class TestNumpyCastIsFloat:
+    """load_sequence casts the fields with numpy in one call; that cast
+    must give float()'s value, bits and errors on every field."""
+
+    EDGE = ["1_000", "1__0", "_1", "1_", "infinity", "-Infinity", "+inf", "iNf", "NaN", "-nan",
+            "1e400", "-1e400", "1e-400", "4.9e-324", "2.2250738585072014e-308", "0x10", "nan(1)",
+            "1d5", "", " ", " 1.5\t", "\u20031.5", "\xa02", "\u0661\u0662", ".5", "5.", "-0",
+            "+0.0", "1E+3", "9007199254740993", "0.1000000000000000055511151231257827"]
+
+    def test_edge_tokens(self):
+        for text in self.EDGE:
+            assert _numpy_bits(text) == _float_bits(text), repr(text)
+
+    def test_random_decimal_strings(self):
+        rng = np.random.default_rng(7)
+        mant = rng.integers(0, 10 ** 17, size=200_000)
+        digits = rng.integers(0, 18, size=200_000)
+        exps = rng.integers(-330, 310, size=200_000)
+        texts = [f"{'-' if m % 3 == 0 else ''}{str(m)[:d] or '0'}.{str(m)[d:]}e{e}"
+                 for m, d, e in zip(mant.tolist(), digits.tolist(), exps.tolist())]
+        expected = np.array([float(t) for t in texts])
+        assert np.array(texts, dtype=np.float64).tobytes() == expected.tobytes()

@@ -258,6 +258,15 @@ class TestTrain:
         (seqs / name).write_text("\n".join(lines) + "\n")
         assert main(["train", "--corpus", str(seqs),
                      "--out", str(tmp_path / "model")]) == 2
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("geometry", ["c_enc = 0", "c_dec = 0", "k = 0"])
+    def test_bad_geometry_writes_nothing(self, tmp_path, geometry):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        cfg = write_cfg(tmp_path / "train.cfg", geometry + "\n")
+        out = tmp_path / "model"
+        assert main(["train", "--corpus", str(seqs), "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestCompare:

@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence
+from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, save_sequence
 from latetrack.errors import ReplayExhaustedError, ValidationError
+from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights
 from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
@@ -252,29 +253,50 @@ class TestRunLogInvariants:
 
 class TestStreamBuildsNoObjects:
     """The loop appends rows and the log keeps columns: no BoundingBox
-    is built per frame, nor by reading the log back as rows."""
+    is built per frame, nor by reading the log back as rows, nor by
+    reading ground truth."""
+
+    @staticmethod
+    def count_boxes(monkeypatch) -> list:
+        built = []
+        init = BoundingBox.__init__
+
+        def wrapper(self, *args):
+            built.append(BoundingBox)
+            init(self, *args)
+
+        monkeypatch.setattr(BoundingBox, "__init__", wrapper)
+        return built
+
+    @staticmethod
+    def predictor(kind):
+        weights = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
+        return PredictorAdapter(kind, 2, LatencyProfile.constant(0.005),
+                                weights=weights if kind == NEURAL_PM else None)
 
     @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
     def test_no_per_frame_objects(self, kind, monkeypatch):
         seq = cv_sequence(30)
-        weights = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        pred = PredictorAdapter(kind, 2, LatencyProfile.constant(0.005),
-                                weights=weights if kind == NEURAL_PM else None)
         trk = tracker(0.05, sigma_pos=0.3, sigma_scale=0.02)
-        built = []
-
-        def counted(cls):
-            init = cls.__init__
-
-            def wrapper(self, *args):
-                built.append(cls)
-                init(self, *args)
-            return wrapper
-
-        monkeypatch.setattr(BoundingBox, "__init__", counted(BoundingBox))
-        log = run_stream(seq, trk, pred, seed=1)
+        built = self.count_boxes(monkeypatch)
+        log = run_stream(seq, trk, self.predictor(kind), seed=1)
         assert len(log.outputs) == len(log.kind) and len(log.processed) == len(log.frame)
         assert built == []
+
+    @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
+    def test_load_run_and_score_build_only_b0(self, kind, monkeypatch, tmp_path):
+        path = tmp_path / "gaps.txt"
+        truth = list(cv_sequence(30).ground_truth)
+        truth[3] = truth[4] = truth[9] = None
+        save_sequence(Sequence("gaps", FrameClock(30), truth), path)
+        trk = tracker(0.05, sigma_pos=0.3, sigma_scale=0.02)
+        built = self.count_boxes(monkeypatch)
+        seq = load_sequence(path)
+        log = run_stream(seq, trk, self.predictor(kind), seed=1)
+        auc, dp = sweep([seq], [log])
+        assert len(built) == 1 and auc.values[0] > 0
+        EstimateMatcher(seq, log).match(29, 0.0)
+        assert len(built) == 2
 
 
 class TestFiles:

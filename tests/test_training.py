@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox
+from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, save_sequence
 from latetrack.errors import DivergenceError, ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import forward_batch, init_weights
@@ -328,6 +328,19 @@ class TestBenchCallingConvention:
             assert np.array_equal(getattr(Windows.concat(flat), field), getattr(joined, field))
         assert (motion_l1_on_samples(flat, kf_motion_batch(1, q, r))
                 == motion_l1_on_samples(joined, kf_motion_batch(1, q, r)))
+
+    def test_ground_truth_view_samples_like_the_column(self, tmp_path):
+        # the benchmark's holdout check samples list(load_sequence(...).ground_truth)
+        rng = np.random.default_rng(12)
+        xy = 200.0 + np.cumsum(rng.normal(0.0, 2.0, size=(80, 2)), axis=0)
+        wh = 30.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, size=(80, 2)), axis=0))
+        save_sequence(Sequence("walk", FrameClock(30), np.hstack([xy, wh])), tmp_path / "walk.txt")
+        seq = load_sequence(tmp_path / "walk.txt")
+        runs = [(traj, rng_for(6, "holdout")) for traj in (list(seq.ground_truth), seq.boxes, seq)]
+        got = [sample_windows(traj, 3, 2, (1, 2, 3), gen) for traj, gen in runs]
+        for field in FIELDS:
+            assert all(np.array_equal(getattr(w, field), getattr(got[0], field)) for w in got)
+        assert len({str(gen.bit_generator.state) for _, gen in runs}) == 1
 
 
 class TestSynthetic:
