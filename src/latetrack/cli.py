@@ -219,11 +219,11 @@ def cmd_train(args) -> int:
     for seq in sequences:
         if not seq.annotated.all():
             raise ValidationError(f"training sequence {seq.name!r} has missing annotations")
-    out = _out_dir(args)
     timer = StageTimer()
     with timer.stage("windows"):
         grouped = [sample_windows(seq, k, horizon, stride_set, rng_for(seed, "windows", seq.name))
                    for seq in sequences]
+    out = _out_dir(args)
     with timer.stage("train"):
         weights, history = train_pm(grouped, k, horizon, opt, c_enc=c_enc, c_dec=c_dec)
     with timer.stage("write"):

@@ -260,10 +260,11 @@ class TestTrain:
                      "--out", str(tmp_path / "model")]) == 2
         assert not (tmp_path / "model").exists()
 
-    @pytest.mark.parametrize("geometry", ["c_enc = 0", "c_dec = 0", "k = 0"])
-    def test_bad_geometry_writes_nothing(self, tmp_path, geometry):
+    @pytest.mark.parametrize("setting", ["c_enc = 0", "c_dec = 0", "k = 0", "stride_set = 0",
+                                         "k = 20"])
+    def test_bad_setting_writes_nothing(self, tmp_path, setting):
         seqs = gen_corpus(tmp_path, count=2, length=30)
-        cfg = write_cfg(tmp_path / "train.cfg", geometry + "\n")
+        cfg = write_cfg(tmp_path / "train.cfg", setting + "\n")
         out = tmp_path / "model"
         assert main(["train", "--corpus", str(seqs), "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
