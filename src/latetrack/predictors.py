@@ -228,7 +228,7 @@ class MotionNetPredictor:
         gap = frame - self._frame
         if gap < 1:
             raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        motion = encode_motion(self._latest, row).as_tuple()
+        motion = encode_motion(self._latest, row)
         self._motions[:-1] = self._motions[1:]
         self._intervals[:-1] = self._intervals[1:]
         self._motions[-1] = motion
@@ -331,7 +331,7 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
     initial covariance is init's (every block starts at a = c =
     init_cov, b = 0).
     """
-    from .training import AdamW, OptimizerConfig, Windows, sample_windows
+    from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sample_windows
 
     if config is None:
         config = OptimizerConfig(epochs=30, milestones=(20,))
@@ -357,9 +357,8 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
     init_cov = float(init.a[0])
 
     def loss(theta, batch):
-        pred = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]),
-                               init_cov=init_cov)(batch)
-        return float(np.abs(pred - batch.targets).mean())
+        predict = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]), init_cov=init_cov)
+        return motion_l1_on_samples(batch, predict)
 
     theta = np.log(np.concatenate([init.q_diag, init.r_diag]))
     best_theta = theta.copy()

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import NormalizedMotion, apply_motion, encode_motion, encode_motion_rows
+from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
 from latetrack.network import pm_predict, window_inputs, zero_weights
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -14,42 +14,44 @@ sizes = st.floats(0.5, 1e3, allow_nan=False, allow_infinity=False)
 gt_boxes = st.builds(BoundingBox, coords, coords, sizes, sizes)
 
 
-def motion_tuple(m):
-    return (m.dx_over_w, m.dy_over_h, m.log_w_ratio, m.log_h_ratio)
-
-
 class TestEncode:
     def test_translation_example(self):
         prev = BoundingBox(0, 0, 10, 20)
         cur = BoundingBox(1, 3, 10, 20)
-        assert motion_tuple(encode_motion(prev, cur)) == (0.1, 0.15, 0.0, 0.0)
+        assert encode_motion(prev, cur) == (0.1, 0.15, 0.0, 0.0)
 
     def test_identity(self):
         b = BoundingBox(4, 5, 8, 9)
-        assert motion_tuple(encode_motion(b, b)) == (0.0, 0.0, 0.0, 0.0)
+        assert encode_motion(b, b) == (0.0, 0.0, 0.0, 0.0)
 
     def test_growth_example(self):
         prev = BoundingBox(0, 0, 10, 10)
         cur = BoundingBox.from_center(10, 10, 20, 20)
-        m = encode_motion(prev, cur)
-        assert m.dx_over_w == pytest.approx(0.5)
-        assert m.dy_over_h == pytest.approx(0.5)
-        assert m.log_w_ratio == pytest.approx(math.log(2))
-        assert m.log_h_ratio == pytest.approx(math.log(2))
+        dx, dy, lw, lh = encode_motion(prev, cur)
+        assert dx == pytest.approx(0.5)
+        assert dy == pytest.approx(0.5)
+        assert lw == pytest.approx(math.log(2))
+        assert lh == pytest.approx(math.log(2))
+
+    def test_non_finite_motion_rejected(self):
+        # both sizes pass the degenerate check, but their ratio overflows to inf
+        with pytest.raises(ValidationError, match="motion components must be finite"):
+            encode_motion((0, 0, 1e-10, 1), (0, 0, 1e300, 1))
 
 
 class TestApply:
     def test_identity(self):
         b = BoundingBox(4, 5, 8, 9)
-        assert apply_motion(b, NormalizedMotion(0, 0, 0, 0)) == b
+        assert BoundingBox(*apply_motion_row(b, (0, 0, 0, 0))) == b
 
     def test_doubling_example(self):
-        out = apply_motion(BoundingBox(0, 0, 10, 10), NormalizedMotion(0.5, 0.5, math.log(2), math.log(2)))
+        out = BoundingBox(*apply_motion_row(BoundingBox(0, 0, 10, 10),
+                                            (0.5, 0.5, math.log(2), math.log(2))))
         assert out == BoundingBox(0, 0, 20, 20)
 
     @given(gt_boxes, gt_boxes)
     def test_round_trip(self, prev, cur):
-        back = apply_motion(prev, encode_motion(prev, cur))
+        back = BoundingBox(*apply_motion_row(prev, encode_motion(prev, cur)))
         for a, b in zip((back.x, back.y, back.w, back.h), (cur.x, cur.y, cur.w, cur.h)):
             assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(b)))
 
@@ -60,12 +62,12 @@ class TestApply:
 
         m = encode_motion(prev, cur)
         ms = encode_motion(scaled(prev), scaled(cur))
-        for a, b in zip(motion_tuple(m), motion_tuple(ms)):
+        for a, b in zip(m, ms):
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_degenerate_result_rejected(self):
         with pytest.raises(ValidationError):
-            apply_motion(BoundingBox(0, 0, 1, 1), NormalizedMotion(0, 0, -800.0, 0))
+            BoundingBox(*apply_motion_row(BoundingBox(0, 0, 1, 1), (0, 0, -800.0, 0)))
 
 
 class TestEncodeRows:
@@ -77,7 +79,7 @@ class TestEncodeRows:
         rows = np.array([[(b.cx, b.cy, b.w, b.h) for b in pair] for pair in pairs])
         got = encode_motion_rows(rows[:, 0], rows[:, 1])
         for (prev, cur), row in zip(pairs, got):
-            assert tuple(row) == encode_motion(prev, cur).as_tuple()
+            assert tuple(row) == encode_motion(prev, cur)
 
     def test_degenerate_size_rejected(self):
         with pytest.raises(ValidationError):
@@ -86,7 +88,7 @@ class TestEncodeRows:
 
 def speed_of(motions, intervals):
     """Mean speed of one window, through the network's input builder."""
-    _, speeds = window_inputs(np.array([[m.as_tuple() for m in motions]], dtype=float),
+    _, speeds = window_inputs(np.array([motions], dtype=float),
                               np.array([intervals]))
     return tuple(speeds[0])
 
@@ -94,14 +96,14 @@ def speed_of(motions, intervals):
 class TestAverageSpeed:
     def test_interval_weighting(self):
         # one unit of x-motion over one frame, then none over one frame
-        ms = (NormalizedMotion(0.2, 0, 0, 0), NormalizedMotion(0, 0, 0, 0))
+        ms = ((0.2, 0, 0, 0), (0, 0, 0, 0))
         assert speed_of(ms, (1, 1)) == (0.1, 0.0, 0.0, 0.0)
 
     def test_zeros(self):
-        assert speed_of((NormalizedMotion(0, 0, 0, 0),) * 3, (1, 2, 1)) == (0.0, 0.0, 0.0, 0.0)
+        assert speed_of(((0, 0, 0, 0),) * 3, (1, 2, 1)) == (0.0, 0.0, 0.0, 0.0)
 
     def test_single_entry_with_stride(self):
-        assert speed_of((NormalizedMotion(0.2, -0.2, 0, 0),), (2,)) == (0.1, -0.1, 0.0, 0.0)
+        assert speed_of(((0.2, -0.2, 0, 0),), (2,)) == (0.1, -0.1, 0.0, 0.0)
 
 
 BASE = BoundingBox(0, 0, 10, 10)
@@ -112,7 +114,7 @@ def predicted_box(factor, speed):
     window moving at `speed`, as a checked box."""
     w = zero_weights(k=1, n_heads=1, c_enc=2, c_dec=2)
     w.out_b[:] = factor
-    return BoundingBox(*pm_predict(w, np.array([speed.as_tuple()]), np.array([1]), BASE)[0])
+    return BoundingBox(*pm_predict(w, np.array([speed]), np.array([1]), BASE)[0])
 
 
 class TestApplyFactor:
@@ -120,24 +122,25 @@ class TestApplyFactor:
     elementwise; pm_predict applies the product to the latest box."""
 
     def test_scales_speed_by_factor(self):
-        speed = NormalizedMotion(0.1, 0, 0, 0)
-        want = apply_motion(BASE, NormalizedMotion(3.0 * 0.1, 0.0, 0.0, 0.0))
+        speed = (0.1, 0, 0, 0)
+        want = BoundingBox(*apply_motion_row(BASE, (3.0 * 0.1, 0.0, 0.0, 0.0)))
         assert predicted_box((3.0, 3.0, 3.0, 3.0), speed) == want
 
     def test_zero_factor_annihilates(self):
-        speed = NormalizedMotion(0.1, -0.2, 0.05, 0.01)
-        assert predicted_box((0, 0, 0, 0), speed) == apply_motion(BASE, NormalizedMotion(0, 0, 0, 0))
+        speed = (0.1, -0.2, 0.05, 0.01)
+        want = BoundingBox(*apply_motion_row(BASE, (0, 0, 0, 0)))
+        assert predicted_box((0, 0, 0, 0), speed) == want
 
     def test_unit_factor_identity(self):
-        speed = NormalizedMotion(0.1, -0.2, 0.05, 0.01)
-        assert predicted_box((1, 1, 1, 1), speed) == apply_motion(BASE, speed)
+        speed = (0.1, -0.2, 0.05, 0.01)
+        assert predicted_box((1, 1, 1, 1), speed) == BoundingBox(*apply_motion_row(BASE, speed))
 
     @given(st.floats(-5, 5), st.floats(-5, 5))
     def test_linear_in_factor(self, f1, f2):
-        speed = NormalizedMotion(0.25, -0.5, 0.125, 0.0625)
+        speed = (0.25, -0.5, 0.125, 0.0625)
 
         def motion(f):
-            return motion_tuple(encode_motion(BASE, predicted_box((f,) * 4, speed)))
+            return encode_motion(BASE, predicted_box((f,) * 4, speed))
 
         for x, y, z in zip(motion(f1), motion(f2), motion(f1 + f2)):
             assert x + y == pytest.approx(z, abs=1e-12)
@@ -148,8 +151,8 @@ class TestConstantVelocityExactness:
         # constant pixel velocity with fixed size: every step encodes identically
         track = [BoundingBox(3.0 * i, -1.5 * i, 12, 12) for i in range(6)]
         motions = tuple(encode_motion(a, b) for a, b in zip(track, track[1:]))
-        step = NormalizedMotion(*speed_of(motions, (1,) * len(motions)))
-        nxt = apply_motion(track[-1], step)
+        step = speed_of(motions, (1,) * len(motions))
+        nxt = BoundingBox(*apply_motion_row(track[-1], step))
         want = BoundingBox(3.0 * 6, -1.5 * 6, 12, 12)
         assert nxt.cx == pytest.approx(want.cx, abs=1e-12)
         assert nxt.cy == pytest.approx(want.cy, abs=1e-12)

@@ -43,7 +43,7 @@ def assert_matches_finite_differences(grads, scalar, params, label=""):
 
 def track_window(track):
     """The one-frame-gap window of a track: motions (k, 4), intervals (k,)."""
-    motions = np.array([encode_motion(a, b).as_tuple() for a, b in zip(track, track[1:])])
+    motions = np.array([encode_motion(a, b) for a, b in zip(track, track[1:])])
     return motions, np.ones(len(motions), dtype=np.int64)
 
 

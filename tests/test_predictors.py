@@ -6,7 +6,7 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import NormalizedMotion, apply_motion, encode_motion, encode_motion_rows
+from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
 from latetrack.network import init_weights, zero_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
@@ -297,7 +297,7 @@ class TestOnlinePredictors:
                               for b in [track[0]] * pad + [track[g] for g in recent]]])
             row = Windows(rows, np.array([[1] * pad + np.diff(recent).tolist()]),
                           encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, n, 4)))
-            want = [tuple(apply_motion(track[f], NormalizedMotion(*m)))
+            want = [tuple(BoundingBox(*apply_motion_row(track[f], m)))
                     for m in pm_motion_batch(w)(row)[0]]
             assert p.predict(n) == want, f"frame {f}, {len(seen) - 1} observations"
 
@@ -314,7 +314,7 @@ def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None,
         f += gap
         p.observe(f, box)
     anchor = BoundingBox.from_center(*windows.boxes[i, -1].tolist())
-    return [encode_motion(anchor, b).as_tuple() for b in p.predict(horizon)]
+    return [encode_motion(anchor, b) for b in p.predict(horizon)]
 
 
 def window(boxes):

@@ -137,7 +137,7 @@ class TestSampleWindows:
             assert row.boxes[0, -1].tolist() == [box.cx, box.cy, box.w, box.h]
             for n in range(1, 3):
                 want = encode_motion(traj[anchor], traj[anchor + n])
-                assert row.targets[0, n - 1, 0] == pytest.approx(want.dx_over_w)
+                assert row.targets[0, n - 1, 0] == pytest.approx(want[0])
 
     def test_strides_drawn_from_the_set(self):
         traj = linear_track(BoundingBox(0, 0, 10, 10), (1, 1), 30)
