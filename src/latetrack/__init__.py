@@ -25,8 +25,8 @@ from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
                          kf_predict, kf_update, load_kf_noise, make_kf_state,
                          save_kf_noise, zero_motion_predict)
 from .simulate import (PredictorAdapter, RunLog, TrackerAdapter, load_run_log, load_trace,
-                       next_frame, pick_horizon_n, predictor_for, run_log_from_trace,
-                       run_stream, save_run_log, save_trace)
+                       next_frame, pick_horizon_n, predictor_for, run_stream, save_run_log,
+                       save_trace)
 from .training import (AdamW, OptimizerConfig, SyntheticSpec, Windows, gen_synthetic,
                        linear_track, motion_l1_on_samples, pm_motion_batch, sample_windows,
                        train_pm, zero_motion_batch)

@@ -68,10 +68,11 @@ def _sequence_inputs(arg: str) -> dict:
     return {f"sequence:{f.name}": f for f in files}
 
 
-def _bind_tracker(tracker, seq_name: str):
+def _bind_trackers(tracker, sequences) -> list:
+    """One tracker per sequence; a replay config loads each trace here, once."""
     if isinstance(tracker, ReplayTrackerConfig):
-        return tracker.bind(seq_name)
-    return tracker
+        return [tracker.bind(seq.name) for seq in sequences]
+    return [tracker] * len(sequences)
 
 
 def cmd_gen(args) -> int:
@@ -106,12 +107,12 @@ def cmd_simulate(args) -> int:
         payload["predictor"] = pred_cfg.values
     timer = StageTimer()
     sequences = _load_sequences(args.sequences, framerate=args.framerate)
+    trackers = _bind_trackers(tracker, sequences)
     manifest = build_manifest("simulate", seed, payload, inputs)
     out = _out_dir(args)
     with timer.stage("simulate"):
-        logs = [run_stream(seq, _bind_tracker(tracker, seq.name), predictor,
-                           seed=derive_seed(seed, "simulate", seq.name))
-                for seq in sequences]
+        logs = [run_stream(seq, trk, predictor, seed=derive_seed(seed, "simulate", seq.name))
+                for seq, trk in zip(sequences, trackers)]
     with timer.stage("write"):
         for seq, log in zip(sequences, logs):
             save_run_log(log, out / f"{seq.name}.log.csv", manifest_ref=manifest.ref)
@@ -241,7 +242,7 @@ def cmd_compare(args) -> int:
     seed = _seed(args)
     sequences = _load_sequences(args.sequences, framerate=args.framerate)
     tracker_cfg = Config.load(args.tracker)
-    tracker = tracker_from_config(tracker_cfg)
+    trackers = _bind_trackers(tracker_from_config(tracker_cfg), sequences)
     names = [n.strip() for n in args.predictors.split(",") if n.strip()]
     if not names:
         raise ValidationError("--predictors must name at least one of none,zero,kf,kf_learned,pm")
@@ -250,8 +251,7 @@ def cmd_compare(args) -> int:
         horizon = args.horizon
     else:
         with timer.stage("pre_run"):
-            horizon = pick_horizon_n(sequences[0], _bind_tracker(tracker, sequences[0].name),
-                                     seed=derive_seed(seed, "horizon"))
+            horizon = pick_horizon_n(sequences[0], trackers[0], seed=derive_seed(seed, "horizon"))
     latency = LatencyProfile.constant(args.pred_latency)
     adapters = []
     inputs = {"tracker": args.tracker, **_sequence_inputs(args.sequences)}
@@ -272,9 +272,8 @@ def cmd_compare(args) -> int:
     curves_by_name = {}
     with timer.stage("simulate_and_score"):
         for name, adapter in adapters:
-            logs = [run_stream(seq, _bind_tracker(tracker, seq.name), adapter,
-                               seed=derive_seed(seed, "compare", name, seq.name))
-                    for seq in sequences]
+            logs = [run_stream(seq, trk, adapter, seed=derive_seed(seed, "compare", name, seq.name))
+                    for seq, trk in zip(sequences, trackers)]
             auc_curve, dp_curve = sweep(sequences, logs)
             curves_by_name[name] = auc_curve
             invocations = sum(log.predictor_invocations for log in logs)
@@ -305,16 +304,16 @@ def cmd_horizon(args) -> int:
     seed = _seed(args)
     sequences = _load_sequences(args.sequences, framerate=args.framerate)
     tracker_cfg = Config.load(args.tracker)
-    tracker = tracker_from_config(tracker_cfg)
+    trackers = _bind_trackers(tracker_from_config(tracker_cfg), sequences)
     timer = StageTimer()
     manifest = build_manifest("horizon", seed,
                               {"tracker": tracker_cfg.values, "trials": args.trials},
                               {"tracker": args.tracker, **_sequence_inputs(args.sequences)})
-    out = _out_dir(args)
     with timer.stage("pre_run"):
-        gaps = [pick_horizon_n(seq, _bind_tracker(tracker, seq.name), trials=args.trials,
+        gaps = [pick_horizon_n(seq, trk, trials=args.trials,
                                seed=derive_seed(seed, "horizon", seq.name))
-                for seq in sequences]
+                for seq, trk in zip(sequences, trackers)]
+    out = _out_dir(args)
     per_seq = {seq.name: gap for seq, gap in zip(sequences, gaps)}
     overall = max(gaps)
     with timer.stage("write"):

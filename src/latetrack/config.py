@@ -164,14 +164,10 @@ class ReplayTrackerConfig:
         self.latency = latency
 
     def bind(self, seq_name: str):
-        from .simulate import TrackerAdapter, load_trace, replay_adapter_from_trace
+        from .simulate import TrackerAdapter, load_trace
 
         path = self.trace / f"{seq_name}.trace.csv" if self.trace.is_dir() else self.trace
-        rows = load_trace(path)
-        if self.latency is None:
-            return replay_adapter_from_trace(rows)
-        boxes = {frame: box for frame, _, _, box in rows}
-        return TrackerAdapter.replay(boxes, self.latency)
+        return TrackerAdapter.replay(load_trace(path), self.latency)
 
 
 def predictor_from_config(cfg: Config, default_horizon: int = 2):

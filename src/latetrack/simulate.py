@@ -18,7 +18,9 @@ processed frame appends one (frame, t_start, t_finish) tuple and its
 outputs one (target_frame, available_at, kind, row) tuple each. A
 RunLog takes those tuples, holds them as columns and checks them once,
 as a whole, when it is built. The log and trace files are written
-straight from the columns.
+straight from the columns, and both load back as RunLogs: a trace is
+the schedule plus one raw output per frame, which is what a replay
+tracker re-emits.
 """
 
 from __future__ import annotations
@@ -168,8 +170,15 @@ class TrackerAdapter:
         return cls(ORACLE_NOISY, latency, sigma_pos=sigma_pos, sigma_scale=sigma_scale, seed=seed)
 
     @classmethod
-    def replay(cls, boxes_by_frame, latency: LatencyProfile) -> "TrackerAdapter":
-        return cls(REPLAY_LOG, latency, replay_boxes=tuple(sorted(boxes_by_frame.items())))
+    def replay(cls, trace: RunLog, latency: LatencyProfile = None) -> "TrackerAdapter":
+        """Tracker that re-emits a recorded run's raw boxes, by frame.
+        Without a latency profile it replays the recorded per-frame
+        durations, t_finish - t_start."""
+        if latency is None:
+            latency = LatencyProfile.replay((trace.t_finish - trace.t_start).tolist())
+        raw = trace.kind == RAW
+        return cls(REPLAY_LOG, latency, replay_boxes=tuple(zip(
+            trace.target_frame[raw].tolist(), map(tuple, trace.boxes[raw].tolist()))))
 
 
 @dataclass(frozen=True)
@@ -284,7 +293,7 @@ class _OracleBoxes:
 
 class _ReplayBoxes:
     def __init__(self, boxes):
-        self._rows = {f: tuple(box) for f, box in boxes}
+        self._rows = dict(boxes)
 
     def box_for(self, f: int) -> tuple:
         try:
@@ -409,6 +418,13 @@ def _read_csv_rows(path, expected_header):
     return rows
 
 
+def _checked_run_log(path, name, schedule, outputs) -> RunLog:
+    try:
+        return RunLog(name or Path(path).stem, schedule, outputs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def load_run_log(path, name: str = None) -> RunLog:
     outputs = []
     for row in _read_csv_rows(path, _LOG_COLUMNS):
@@ -418,10 +434,7 @@ def load_run_log(path, name: str = None) -> RunLog:
                             (float(x), float(y), float(w), float(h))))
         except ValueError as exc:
             raise ValidationError(f"{path}: bad log row {row}: {exc}") from None
-    try:
-        return RunLog(name or Path(path).stem, (), outputs)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _checked_run_log(path, name, (), outputs)
 
 
 def save_trace(log: RunLog, path, manifest_ref: str = None) -> None:
@@ -437,28 +450,17 @@ def save_trace(log: RunLog, path, manifest_ref: str = None) -> None:
             log.boxes[raw].tolist())], manifest_ref)
 
 
-def load_trace(path):
-    """Trace rows as (frame, t_start, t_finish, box) tuples."""
-    rows = []
+def load_trace(path, name: str = None) -> RunLog:
+    """A trace file as a RunLog: the schedule plus one raw output per
+    processed frame, available when that frame finished. Frames and
+    finish times must strictly increase."""
+    schedule, outputs = [], []
     for row in _read_csv_rows(path, _TRACE_COLUMNS):
         try:
             frame, t0, t1, x, y, w, h = row
-            rows.append((int(frame), float(t0), float(t1),
-                         BoundingBox(float(x), float(y), float(w), float(h))))
-        except (ValueError, ValidationError) as exc:
+            frame, t1 = int(frame), float(t1)
+            schedule.append((frame, float(t0), t1))
+            outputs.append((frame, t1, RAW, (float(x), float(y), float(w), float(h))))
+        except ValueError as exc:
             raise ValidationError(f"{path}: bad trace row {row}: {exc}") from None
-    return rows
-
-
-def run_log_from_trace(rows, name: str) -> RunLog:
-    """Turn a recorded tracker trace into a scorable RunLog."""
-    return RunLog(name, [(frame, t0, t1) for frame, t0, t1, _ in rows],
-                  [(frame, t1, RAW, tuple(box)) for frame, _, t1, box in rows])
-
-
-def replay_adapter_from_trace(rows) -> TrackerAdapter:
-    """Tracker that re-emits a recorded trace's boxes with its recorded
-    per-frame durations."""
-    boxes = {frame: box for frame, _, _, box in rows}
-    durations = [t1 - t0 for _, t0, t1, _ in rows]
-    return TrackerAdapter.replay(boxes, LatencyProfile.replay(durations))
+    return _checked_run_log(path, name, schedule, outputs)

@@ -414,6 +414,13 @@ class TestHorizon:
         assert set(doc["per_sequence"]) == {"constant_velocity-000",
                                             "constant_velocity-001"}
 
+    def test_zero_trials_exits_two_and_writes_nothing(self, tmp_path, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        out = tmp_path / "hz"
+        assert main(["horizon", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--trials", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_config_file_is_io(self, tmp_path):

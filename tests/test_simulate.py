@@ -10,8 +10,8 @@ from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights
 from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
                                 RunLog, TrackerAdapter, load_run_log, load_trace,
-                                next_frame, pick_horizon_n, replay_adapter_from_trace,
-                                run_log_from_trace, run_stream, save_run_log, save_trace)
+                                next_frame, pick_horizon_n, run_stream, save_run_log,
+                                save_trace)
 from latetrack.training import linear_track
 
 
@@ -315,15 +315,12 @@ class TestFiles:
         log = run_stream(seq, tracker(0.05, sigma_pos=0.4), seed=3)
         path = tmp_path / "cv.trace.csv"
         save_trace(log, path)
-        rows = load_trace(path)
-        assert [r[0] for r in rows] == log.frame.tolist()
-
-        rebuilt = run_log_from_trace(rows, "cv")
-        assert rebuilt.frame.tolist() == log.frame.tolist()
-        assert [o[3] for o in rebuilt.outputs] == [o[3] for o in log.outputs]
+        trace = load_trace(path)
+        assert trace.frame.tolist() == log.frame.tolist()
+        assert [o[3] for o in trace.outputs] == [o[3] for o in log.outputs]
 
         # replaying the trace through the simulator reproduces the schedule
-        replay_log = run_stream(seq, replay_adapter_from_trace(rows))
+        replay_log = run_stream(seq, TrackerAdapter.replay(trace))
         assert replay_log.frame.tolist() == log.frame.tolist()
         for a, b in zip(replay_log.t_finish, log.t_finish):
             assert a == pytest.approx(b, abs=1e-12)
@@ -333,8 +330,7 @@ class TestFiles:
                        tuple(BoundingBox(i, 0, 10, 10) for i in range(10)))
         log = run_stream(seq, tracker(np.float64(0.01)))
         save_trace(log, tmp_path / "s.trace.csv")
-        rows = load_trace(tmp_path / "s.trace.csv")
-        assert [(f, t0, t1) for f, t0, t1, _ in rows] == list(log.processed)
+        assert load_trace(tmp_path / "s.trace.csv", "s").processed == log.processed
 
     def test_trace_requires_full_schedule(self, tmp_path):
         log = run_stream(cv_sequence(10), tracker(0.05))
@@ -345,8 +341,8 @@ class TestFiles:
 
     def test_replay_tracker_exhaustion(self):
         seq = cv_sequence(10)
-        boxes = {f: seq.ground_truth[f] for f in range(10)}
-        adapter = TrackerAdapter.replay(boxes, LatencyProfile.replay((0.05, 0.05)))
+        trace = run_stream(seq, tracker(0.05))
+        adapter = TrackerAdapter.replay(trace, LatencyProfile.replay((0.05, 0.05)))
         with pytest.raises(ReplayExhaustedError):
             run_stream(seq, adapter)
 
