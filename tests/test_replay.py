@@ -9,13 +9,7 @@ import pytest
 from latetrack.cli import main
 from latetrack.errors import ValidationError
 from latetrack.simulate import load_trace
-
-GOLDEN = Path(__file__).parent / "data" / "golden"
-
-
-def body(path: Path) -> list:
-    return [ln for ln in path.read_bytes().splitlines(keepends=True)
-            if not ln.startswith(b"# manifest=")]
+from test_golden import GOLDEN, body
 
 
 def test_replaying_the_golden_trace_writes_the_committed_bytes(tmp_path):
