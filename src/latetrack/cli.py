@@ -17,8 +17,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .boxes import load_sequence, save_sequence
-from .config import (Config, ReplayTrackerConfig, predictor_from_config,
-                     synthetic_spec_from_config, tracker_from_config)
+from .config import (Config, predictor_from_config, synthetic_spec_from_config,
+                     tracker_from_config)
 from .errors import DivergenceError, ReplayExhaustedError, ValidationError
 from .evaluate import average_curves, sigma_grid, sweep
 from .latency import LatencyProfile
@@ -45,10 +45,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
-
-
 def _load_sequences(arg: str, framerate: float = 30.0) -> list:
     path = Path(arg)
     if path.is_dir():
@@ -68,11 +64,19 @@ def _sequence_inputs(arg: str) -> dict:
     return {f"sequence:{f.name}": f for f in files}
 
 
-def _bind_trackers(tracker, sequences) -> list:
-    """One tracker per sequence; a replay config loads each trace here, once."""
-    if isinstance(tracker, ReplayTrackerConfig):
-        return [tracker.bind(seq.name) for seq in sequences]
-    return [tracker] * len(sequences)
+def _config_inputs(label: str, cfg: Config) -> dict:
+    """A config file and every file its reader opened, for the manifest."""
+    return {label: cfg.source, **{f"{label}.{key}": p for key, p in cfg.files.items()}}
+
+
+def _sequences_and_trackers(args):
+    """The sequences, the tracker config, one tracker per sequence, and
+    the manifest inputs of all of them."""
+    sequences = _load_sequences(args.sequences, framerate=args.framerate)
+    cfg = Config.load(args.tracker)
+    trackers = tracker_from_config(cfg, sequences)
+    return sequences, cfg, trackers, {**_sequence_inputs(args.sequences),
+                                      **_config_inputs("tracker", cfg)}
 
 
 def cmd_gen(args) -> int:
@@ -94,20 +98,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = _seed(args)
-    tracker_cfg = Config.load(args.tracker)
-    tracker = tracker_from_config(tracker_cfg)
+    seed = args.seed or 0
+    sequences, tracker_cfg, trackers, inputs = _sequences_and_trackers(args)
     predictor = None
-    inputs = {"tracker": args.tracker, **_sequence_inputs(args.sequences)}
     payload = {"tracker": tracker_cfg.values}
     if args.predictor:
         pred_cfg = Config.load(args.predictor)
         predictor = predictor_from_config(pred_cfg)
-        inputs["predictor"] = args.predictor
+        inputs.update(_config_inputs("predictor", pred_cfg))
         payload["predictor"] = pred_cfg.values
     timer = StageTimer()
-    sequences = _load_sequences(args.sequences, framerate=args.framerate)
-    trackers = _bind_trackers(tracker, sequences)
     manifest = build_manifest("simulate", seed, payload, inputs)
     out = _out_dir(args)
     with timer.stage("simulate"):
@@ -148,7 +148,7 @@ def cmd_evaluate(args) -> int:
     inputs = {**_sequence_inputs(args.sequences),
               **{f"log:{seq.name}": (logs_path / f"{seq.name}.log.csv" if logs_path.is_dir()
                                      else logs_path) for seq, _ in pairs}}
-    manifest = build_manifest("evaluate", _seed(args), {"framerate": args.framerate}, inputs)
+    manifest = build_manifest("evaluate", args.seed or 0, {"framerate": args.framerate}, inputs)
     out = _out_dir(args)
     timer = StageTimer()
     with timer.stage("score"):
@@ -239,10 +239,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    seed = _seed(args)
-    sequences = _load_sequences(args.sequences, framerate=args.framerate)
-    tracker_cfg = Config.load(args.tracker)
-    trackers = _bind_trackers(tracker_from_config(tracker_cfg), sequences)
+    seed = args.seed or 0
+    sequences, tracker_cfg, trackers, inputs = _sequences_and_trackers(args)
     names = [n.strip() for n in args.predictors.split(",") if n.strip()]
     if not names:
         raise ValidationError("--predictors must name at least one of none,zero,kf,kf_learned,pm")
@@ -254,13 +252,12 @@ def cmd_compare(args) -> int:
             horizon = pick_horizon_n(sequences[0], trackers[0], seed=derive_seed(seed, "horizon"))
     latency = LatencyProfile.constant(args.pred_latency)
     adapters = []
-    inputs = {"tracker": args.tracker, **_sequence_inputs(args.sequences)}
     for name in names:
         kind, _, file = name.partition(":")
         adapters.append((name, predictor_for(kind, latency, file=file or None,
                                              default_horizon=horizon)))
         if file:
-            inputs[kind] = file
+            inputs[name] = file
     manifest = build_manifest(
         "compare", seed,
         {"tracker": tracker_cfg.values, "predictors": names, "horizon": horizon,
@@ -301,14 +298,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_horizon(args) -> int:
-    seed = _seed(args)
-    sequences = _load_sequences(args.sequences, framerate=args.framerate)
-    tracker_cfg = Config.load(args.tracker)
-    trackers = _bind_trackers(tracker_from_config(tracker_cfg), sequences)
+    seed = args.seed or 0
+    sequences, tracker_cfg, trackers, inputs = _sequences_and_trackers(args)
     timer = StageTimer()
     manifest = build_manifest("horizon", seed,
-                              {"tracker": tracker_cfg.values, "trials": args.trials},
-                              {"tracker": args.tracker, **_sequence_inputs(args.sequences)})
+                              {"tracker": tracker_cfg.values, "trials": args.trials}, inputs)
     with timer.stage("pre_run"):
         gaps = [pick_horizon_n(seq, trk, trials=args.trials,
                                seed=derive_seed(seed, "horizon", seq.name))

@@ -3,7 +3,8 @@
 Format: one `key = value` per line, `#` comments, blank lines ignored.
 Dotted keys group related settings (latency.kind, latency.mean). Values
 are plain strings until a typed getter parses them; comma-separated
-lists are allowed where a ranged or tuple value is expected.
+lists are allowed where a ranged or tuple value is expected. Each file
+a reader opens is noted in the config's `files`, for the manifest.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from .errors import ValidationError
 from .latency import LatencyProfile
 from .training import SyntheticSpec
 
+ORACLE_NOISY = "oracle_noisy"
+REPLAY_LOG = "replay_log"
+
 
 class Config:
     """Parsed key-value file with typed access; unknown keys are left
@@ -22,6 +26,7 @@ class Config:
     def __init__(self, values: dict, source: str = "<config>"):
         self.values = dict(values)
         self.source = source
+        self.files = {}
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "Config":
@@ -87,20 +92,22 @@ class Config:
     def get_ints(self, key: str, default=None) -> tuple:
         return self._get(key, default, int, many=True)
 
+    def get_path(self, key: str) -> str:
+        """The key's value, noted in `files` as a file the config names."""
+        self.files[key] = self.get_str(key)
+        return self.files[key]
+
 
 def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile:
     kind = cfg.get_str(prefix + "kind")
     if kind == "constant":
         return LatencyProfile.constant(cfg.get_float(prefix + "mean"))
     if kind in ("gaussian", "gaussian_truncated"):
-        return LatencyProfile.gaussian(
-            cfg.get_float(prefix + "mean"),
-            cfg.get_float(prefix + "stddev"),
-            floor=cfg.get_float(prefix + "floor", 0.001),
-            seed=cfg.get_int(prefix + "seed", 0),
-        )
+        return LatencyProfile.gaussian(cfg.get_float(prefix + "mean"),
+                                       cfg.get_float(prefix + "stddev"),
+                                       floor=cfg.get_float(prefix + "floor", 0.001))
     if kind == "replay":
-        path = Path(cfg.get_str(prefix + "file"))
+        path = Path(cfg.get_path(prefix + "file"))
         try:
             values = [float(ln) for ln in path.read_text().split()]
         except ValueError:
@@ -133,41 +140,28 @@ def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec
     )
 
 
-def tracker_from_config(cfg: Config):
-    """Tracker settings; replay trackers defer box/latency resolution to
-    the caller because traces are chosen per sequence."""
-    from .simulate import ORACLE_NOISY, REPLAY_LOG, TrackerAdapter
+def tracker_from_config(cfg: Config, sequences) -> list:
+    """One TrackerAdapter per sequence. A replay_log tracker reads each
+    sequence's trace here, once: `trace` is one trace file or a directory
+    of <name>.trace.csv files."""
+    from .simulate import TrackerAdapter, load_trace
 
     behavior = cfg.get_str("behavior", ORACLE_NOISY)
     if behavior == ORACLE_NOISY:
-        return TrackerAdapter.oracle_noisy(
-            latency_from_config(cfg),
-            sigma_pos=cfg.get_float("sigma_pos", 0.0),
-            sigma_scale=cfg.get_float("sigma_scale", 0.0),
-            seed=cfg.get_int("seed", 0),
-        )
+        tracker = TrackerAdapter(latency_from_config(cfg),
+                                 sigma_pos=cfg.get_float("sigma_pos", 0.0),
+                                 sigma_scale=cfg.get_float("sigma_scale", 0.0))
+        return [tracker] * len(sequences)
     if behavior == REPLAY_LOG:
-        return ReplayTrackerConfig(
-            trace=Path(cfg.get_str("trace")),
-            latency=latency_from_config(cfg) if cfg.has_group("latency.") else None,
-        )
+        latency = latency_from_config(cfg) if cfg.has_group("latency.") else None
+        trace = Path(cfg.get_str("trace"))
+        trackers = []
+        for seq in sequences:
+            path = trace / f"{seq.name}.trace.csv" if trace.is_dir() else trace
+            cfg.files[f"trace:{seq.name}"] = path
+            trackers.append(TrackerAdapter.replay(load_trace(path), latency))
+        return trackers
     raise ValidationError(f"{cfg.source}: unknown tracker behavior {behavior!r}")
-
-
-class ReplayTrackerConfig:
-    """Replay tracker before its trace is bound to a sequence. `trace`
-    is a trace CSV or a directory of <name>.trace.csv files; without an
-    explicit latency profile the recorded durations are replayed."""
-
-    def __init__(self, trace: Path, latency=None):
-        self.trace = trace
-        self.latency = latency
-
-    def bind(self, seq_name: str):
-        from .simulate import TrackerAdapter, load_trace
-
-        path = self.trace / f"{seq_name}.trace.csv" if self.trace.is_dir() else self.trace
-        return TrackerAdapter.replay(load_trace(path), self.latency)
 
 
 def predictor_from_config(cfg: Config, default_horizon: int = 2):
@@ -180,6 +174,6 @@ def predictor_from_config(cfg: Config, default_horizon: int = 2):
     latency = (latency_from_config(cfg) if cfg.has_group("latency.")
                else LatencyProfile.constant(0.005))
     return predictor_for(kind, latency,
-                         file=cfg.get_str(file_key) if file_key else None,
+                         file=cfg.get_path(file_key) if file_key else None,
                          horizon=cfg.get_int("horizon") if "horizon" in cfg else None,
                          default_horizon=default_horizon)

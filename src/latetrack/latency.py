@@ -16,7 +16,8 @@ REPLAY = "replay"
 
 @dataclass(frozen=True, slots=True)
 class LatencyProfile:
-    """Config for a latency source; per-run samplers are built from it.
+    """Config for a latency source; each run builds a sampler from it
+    with a seed of the run's own.
 
     Draws are clamped at `floor`, so sampled latency >= floor >= 0 always.
     The replay kind yields recorded values in order and errs when exhausted.
@@ -27,7 +28,6 @@ class LatencyProfile:
     stddev: float = 0.0
     floor: float = 0.0
     replay_values: tuple = ()
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in (CONSTANT, GAUSSIAN, REPLAY):
@@ -54,16 +54,16 @@ class LatencyProfile:
         return cls(CONSTANT, mean=mean)
 
     @classmethod
-    def gaussian(cls, mean: float, stddev: float, floor: float = 0.001, seed: int = 0) -> "LatencyProfile":
-        return cls(GAUSSIAN, mean=mean, stddev=stddev, floor=floor, seed=seed)
+    def gaussian(cls, mean: float, stddev: float, floor: float = 0.001) -> "LatencyProfile":
+        return cls(GAUSSIAN, mean=mean, stddev=stddev, floor=floor)
 
     @classmethod
     def replay(cls, values) -> "LatencyProfile":
         return cls(REPLAY, replay_values=tuple(values))
 
-    def sampler(self, seed: int | None = None) -> "LatencySampler":
-        """Fresh per-run sampler; `seed` overrides the profile's own."""
-        return LatencySampler(self, self.seed if seed is None else seed)
+    def sampler(self, seed: int) -> "LatencySampler":
+        """Fresh per-run sampler; only gaussian draws use the seed."""
+        return LatencySampler(self, seed)
 
 
 class LatencySampler:

@@ -40,9 +40,6 @@ from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredi
                          _check_noise, load_kf_noise)
 from .seeding import derive_seed, rng_for
 
-ORACLE_NOISY = "oracle_noisy"
-REPLAY_LOG = "replay_log"
-
 NONE = "none"
 ZERO_MOTION = "zero"
 KF = "kf"
@@ -67,8 +64,9 @@ class RunLog:
     output in emission order, and one latency per predictor invocation,
     and keeps the columns `frame`, `t_start`, `t_finish`, `target_frame`,
     `available_at`, `kind` and `boxes`, an (m, 4) array of rows. One
-    vectorized pass checks every output row and requires frames and
-    finish times to strictly increase. `processed` and `outputs` give
+    vectorized pass checks every output row, requires each start time
+    to be finite and within [0, its finish time], and requires frames
+    and finish times to strictly increase. `processed` and `outputs` give
     the tuples back.
     """
 
@@ -102,6 +100,11 @@ class RunLog:
             if not (math.isfinite(available) and available >= 0):
                 raise ValidationError(f"available_at must be >= 0, got {available}")
             raise ValidationError(f"kind must be {RAW!r} or {PREDICTED!r}, got {kind!r}")
+        started = np.isfinite(self.t_start) & (self.t_start >= 0) & (self.t_start <= self.t_finish)
+        if not started.all():
+            i = int(np.argmin(started))
+            raise ValidationError(f"frame {self.frame[i]}: t_start must be finite and within "
+                                  f"[0, t_finish], got {self.t_start[i]} and {self.t_finish[i]}")
         if np.any(self.frame[1:] <= self.frame[:-1]):
             raise ValidationError(f"processed frames must strictly increase, got {self.frame.tolist()}")
         if np.any(self.t_finish[1:] <= self.t_finish[:-1]):
@@ -143,31 +146,21 @@ class RunLog:
 
 @dataclass(frozen=True)
 class TrackerAdapter:
-    """Config for the simulated tracker; per-run state is built inside
-    run_stream so adapters can be shared across concurrent runs."""
+    """The simulated tracker: ground truth plus seeded position and
+    log-scale noise, or, given a trace, a recorded run's raw boxes
+    re-emitted by frame. Per-run state is built inside run_stream."""
 
-    behavior: str
     latency: LatencyProfile
     sigma_pos: float = 0.0
     sigma_scale: float = 0.0
-    seed: int = 0
-    replay_boxes: tuple = ()
+    trace: RunLog = None
 
     def __post_init__(self):
-        if self.behavior not in (ORACLE_NOISY, REPLAY_LOG):
-            raise ValidationError(f"unknown tracker behavior {self.behavior!r}")
         if not (0.0 <= self.sigma_pos < math.inf and 0.0 <= self.sigma_scale < math.inf):
             raise ValidationError(f"noise sigmas must be finite and >= 0, got "
                                   f"{self.sigma_pos} and {self.sigma_scale}")
-        if self.behavior == REPLAY_LOG:
-            object.__setattr__(self, "replay_boxes", tuple(self.replay_boxes))
-            if not self.replay_boxes:
-                raise ValidationError("replay tracker needs per-frame boxes")
-
-    @classmethod
-    def oracle_noisy(cls, latency: LatencyProfile, sigma_pos: float = 0.0,
-                     sigma_scale: float = 0.0, seed: int = 0) -> "TrackerAdapter":
-        return cls(ORACLE_NOISY, latency, sigma_pos=sigma_pos, sigma_scale=sigma_scale, seed=seed)
+        if self.trace is not None and not np.any(self.trace.kind == RAW):
+            raise ValidationError("replay tracker needs per-frame boxes")
 
     @classmethod
     def replay(cls, trace: RunLog, latency: LatencyProfile = None) -> "TrackerAdapter":
@@ -176,9 +169,7 @@ class TrackerAdapter:
         durations, t_finish - t_start."""
         if latency is None:
             latency = LatencyProfile.replay((trace.t_finish - trace.t_start).tolist())
-        raw = trace.kind == RAW
-        return cls(REPLAY_LOG, latency, replay_boxes=tuple(zip(
-            trace.target_frame[raw].tolist(), map(tuple, trace.boxes[raw].tolist()))))
+        return cls(latency, trace=trace)
 
 
 @dataclass(frozen=True)
@@ -292,45 +283,40 @@ class _OracleBoxes:
 
 
 class _ReplayBoxes:
-    def __init__(self, boxes):
-        self._rows = dict(boxes)
+    """A trace's raw rows, by the frame they answer."""
+
+    def __init__(self, trace: RunLog):
+        self._name = trace.sequence_name
+        raw = trace.kind == RAW
+        self._rows = dict(zip(trace.target_frame[raw].tolist(),
+                              map(tuple, trace.boxes[raw].tolist())))
 
     def box_for(self, f: int) -> tuple:
         try:
             return self._rows[f]
         except KeyError:
-            raise ValidationError(f"replay log has no box for frame {f}") from None
-
-
-def _tracker_runtime(adapter: TrackerAdapter, seq: Sequence, seed):
-    if seed is None:
-        noise_rng = rng_for(adapter.seed, "tracker-noise", seq.name)
-        lat_seed = None
-    else:
-        noise_rng = rng_for(seed, "tracker-noise")
-        lat_seed = derive_seed(seed, "tracker-latency")
-    if adapter.behavior == ORACLE_NOISY:
-        source = _OracleBoxes(seq, adapter.sigma_pos, adapter.sigma_scale, noise_rng)
-    else:
-        source = _ReplayBoxes(adapter.replay_boxes)
-    return source, adapter.latency.sampler(lat_seed)
+            raise ValidationError(f"replay trace {self._name!r} has no box for frame {f}") from None
 
 
 def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapter = None,
-               *, seed: int = None) -> RunLog:
+               *, seed: int = 0) -> RunLog:
     """Simulate one sequence; deterministic for a fixed seed.
 
-    `seed`, when given, overrides every stochastic component's own seed
-    through fixed-key derivation, which is what the CLI and multi-trial
-    helpers use.
+    Every stochastic component draws from its own stream, derived from
+    `seed` under a fixed key: tracker noise, tracker latency and
+    predictor latency.
     """
-    source, tracker_latency = _tracker_runtime(tracker, seq, seed)
+    if tracker.trace is not None:
+        source = _ReplayBoxes(tracker.trace)
+    else:
+        source = _OracleBoxes(seq, tracker.sigma_pos, tracker.sigma_scale,
+                              rng_for(seed, "tracker-noise"))
+    tracker_latency = tracker.latency.sampler(derive_seed(seed, "tracker-latency"))
     instance = None
     if predictor is not None:
         instance = predictor.make_instance()
         instance.reset(seq.b0)
-        pred_lat_seed = None if seed is None else derive_seed(seed, "predictor-latency")
-        predictor_latency = predictor.latency.sampler(pred_lat_seed)
+        predictor_latency = predictor.latency.sampler(derive_seed(seed, "predictor-latency"))
 
     outputs = []
     schedule = []

@@ -74,8 +74,7 @@ def test_real_time_slack_flips_to_the_current_frame_on_the_grid():
         grid = sigma_grid()
         for latency in (0.005, 0.010, 0.020, 0.025):
             seq = ten_frames()
-            log = run_stream(seq, TrackerAdapter.oracle_noisy(
-                LatencyProfile.constant(latency)))
+            log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(latency)))
             assert log.frame.tolist() == list(range(10))
             matcher = EstimateMatcher(seq, log)
             flip = next(i for i, s in enumerate(grid) if s >= latency * 30)
@@ -87,8 +86,7 @@ def test_real_time_slack_flips_to_the_current_frame_on_the_grid():
 
 def test_half_rate_tracker_schedule():
     with budget(1.0):
-        log = run_stream(ten_frames(), TrackerAdapter.oracle_noisy(
-            LatencyProfile.constant(0.05)))
+        log = run_stream(ten_frames(), TrackerAdapter(LatencyProfile.constant(0.05)))
         assert log.frame.tolist() == [0, 1, 3, 4, 6, 7, 9]
 
 

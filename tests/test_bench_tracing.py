@@ -59,7 +59,7 @@ def test_traced_run_and_sweep_give_layer_metrics():
     tracing = load_tracing()
     seq = Sequence("cv", FrameClock(30.0),
                    tuple(linear_track(BoundingBox(50, 50, 12, 12), (2.0, 0.5), 20)))
-    tracker = simulate.TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.05), sigma_pos=0.3)
+    tracker = simulate.TrackerAdapter(LatencyProfile.constant(0.05), sigma_pos=0.3)
     predictor = simulate.PredictorAdapter(simulate.KF, 2, LatencyProfile.constant(0.005))
 
     tracer = tracing.Tracer()

@@ -129,6 +129,56 @@ class TestSimulate:
         assert kinds == {"raw", "predicted"}
 
 
+def manifest_of(out: Path) -> dict:
+    return json.loads((out / "manifest.json").read_text())
+
+
+class TestManifestInputs:
+    """The manifest digests every file a config or a compare token names."""
+
+    def test_noise_file_changes_the_simulate_ref(self, tmp_path, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        noise = tmp_path / "noise.json"
+        pred = write_cfg(tmp_path / "pred.cfg", f"kind = kf_learned\nnoise = {noise}\n")
+        refs = []
+        for i, r in enumerate((1.5, 0.5)):
+            save_kf_noise(np.full(8, 0.02), np.full(4, r), noise)
+            out = tmp_path / f"runs{i}"
+            assert main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                         "--predictor", pred, "--out", str(out)]) == 0
+            refs.append(manifest_of(out)["ref"])
+        assert "predictor.noise" in manifest_of(out)["input_digests"]
+        assert refs[0] != refs[1]
+
+    def test_replay_traces_and_latency_file_are_digested(self, tmp_path, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        raw = tmp_path / "raw"
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--out", str(raw)]) == 0
+        durations = tmp_path / "durations.txt"
+        durations.write_text("0.05\n" * 30)
+        replay = write_cfg(tmp_path / "replay.cfg",
+                           f"behavior = replay_log\ntrace = {raw}\n"
+                           f"latency.kind = replay\nlatency.file = {durations}\n")
+        out = tmp_path / "hz"
+        assert main(["horizon", "--sequences", str(seqs), "--tracker", replay,
+                     "--out", str(out)]) == 0
+        assert {"tracker", "tracker.latency.file", "tracker.trace:constant_velocity-000",
+                "tracker.trace:constant_velocity-001"} <= set(manifest_of(out)["input_digests"])
+
+    def test_compare_keys_files_by_token(self, tmp_path, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        tokens = []
+        for name, seed in (("a.json", 1), ("b.json", 2)):
+            save_weights(init_weights(k=3, n_heads=2, c_enc=8, c_dec=6, seed=seed),
+                         tmp_path / name)
+            tokens.append(f"pm:{tmp_path / name}")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictors", ",".join(tokens), "--out", str(out)]) == 0
+        assert set(tokens) <= set(manifest_of(out)["input_digests"])
+
+
 class TestEvaluate:
     def run_eval(self, tmp_path, tracker_mean=0.02, fmt=None, noise=0.0):
         seqs = gen_corpus(tmp_path, noise=noise)

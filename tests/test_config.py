@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from latetrack.boxes import BoundingBox
-from latetrack.config import (Config, ReplayTrackerConfig, latency_from_config,
-                              predictor_from_config, synthetic_spec_from_config,
-                              tracker_from_config)
+from latetrack.config import (Config, latency_from_config, predictor_from_config,
+                              synthetic_spec_from_config, tracker_from_config)
 from latetrack.errors import ValidationError
 from latetrack.latency import CONSTANT, GAUSSIAN, REPLAY, LatencyProfile
 from latetrack.network import init_weights, save_weights
 from latetrack.predictors import save_kf_noise
-from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ORACLE_NOISY, REPLAY_LOG,
-                                TrackerAdapter, run_stream, save_trace)
+from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, TrackerAdapter, load_trace, run_stream,
+                                save_trace)
 from latetrack.training import CONSTANT_VELOCITY, linear_track
 from latetrack.boxes import FrameClock, Sequence
 
@@ -72,11 +71,10 @@ class TestLatencyFromConfig:
         for kind in ("gaussian", "gaussian_truncated"):
             cfg = Config.from_text(
                 f"latency.kind = {kind}\nlatency.mean = 0.04\nlatency.stddev = 0.01\n"
-                "latency.floor = 0.002\nlatency.seed = 5\n")
+                "latency.floor = 0.002\n")
             profile = latency_from_config(cfg)
             assert profile.kind == GAUSSIAN
-            assert (profile.mean, profile.stddev, profile.floor, profile.seed) == \
-                (0.04, 0.01, 0.002, 5)
+            assert (profile.mean, profile.stddev, profile.floor) == (0.04, 0.01, 0.002)
 
     def test_replay_file(self, tmp_path):
         path = tmp_path / "lat.txt"
@@ -132,43 +130,47 @@ class TestSyntheticFromConfig:
         assert synthetic_spec_from_config(cfg).amplitude_range == (5.0, 9.0)
 
 
+def cv_sequence(name="cv"):
+    return Sequence(name, FrameClock(30),
+                    tuple(linear_track(BoundingBox(10, 10, 12, 12), (2, 0), 10)))
+
+
 class TestTrackerFromConfig:
     def test_oracle_noisy_default_behavior(self):
         cfg = Config.from_text(
             "latency.kind = constant\nlatency.mean = 0.05\nsigma_pos = 1.5\n")
-        adapter = tracker_from_config(cfg)
-        assert isinstance(adapter, TrackerAdapter)
-        assert adapter.behavior == ORACLE_NOISY
-        assert adapter.sigma_pos == 1.5
+        adapters = tracker_from_config(cfg, [cv_sequence("a"), cv_sequence("b")])
+        assert len(adapters) == 2
+        for adapter in adapters:
+            assert isinstance(adapter, TrackerAdapter)
+            assert adapter.trace is None
+            assert adapter.sigma_pos == 1.5
 
     def test_unknown_behavior(self):
         cfg = Config.from_text("behavior = psychic\n")
         with pytest.raises(ValidationError):
-            tracker_from_config(cfg)
+            tracker_from_config(cfg, [cv_sequence()])
 
     def test_replay_binds_per_sequence_traces(self, tmp_path):
-        seq = Sequence("cv", FrameClock(30),
-                       tuple(linear_track(BoundingBox(10, 10, 12, 12), (2, 0), 10)))
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.05)))
+        seq = cv_sequence()
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05)))
         save_trace(log, tmp_path / "cv.trace.csv")
 
         cfg = Config.from_text(f"behavior = replay_log\ntrace = {tmp_path}\n")
-        pending = tracker_from_config(cfg)
-        assert isinstance(pending, ReplayTrackerConfig)
-        bound = pending.bind("cv")
-        assert bound.behavior == REPLAY_LOG
+        [bound] = tracker_from_config(cfg, [seq])
+        assert bound.trace == load_trace(tmp_path / "cv.trace.csv")
+        assert cfg.files == {"trace:cv": tmp_path / "cv.trace.csv"}
         replayed = run_stream(seq, bound)
         assert replayed.frame.tolist() == log.frame.tolist()
 
     def test_replay_with_explicit_latency_overrides_durations(self, tmp_path):
-        seq = Sequence("cv", FrameClock(30),
-                       tuple(linear_track(BoundingBox(10, 10, 12, 12), (2, 0), 10)))
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.05)))
+        seq = cv_sequence()
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05)))
         save_trace(log, tmp_path / "cv.trace.csv")
         cfg = Config.from_text(
             f"behavior = replay_log\ntrace = {tmp_path / 'cv.trace.csv'}\n"
             "latency.kind = constant\nlatency.mean = 0.02\n")
-        bound = tracker_from_config(cfg).bind("cv")
+        [bound] = tracker_from_config(cfg, [seq])
         assert bound.latency.mean == 0.02
 
 

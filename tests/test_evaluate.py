@@ -64,21 +64,21 @@ class TestMatchLAE:
     def test_slow_tracker_serves_stale_output(self):
         # 50 ms per frame at 30 fps: by frame 2's capture only frame 0 is out
         seq = cv_sequence(10)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.05)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05)))
         m = match_lae(seq, log, 2)
         assert m.source == "raw"
         assert m.estimate == seq.ground_truth[0]
 
     def test_frame_zero_has_only_the_initial_box(self):
         seq = cv_sequence(10)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.05)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05)))
         m = match_lae(seq, log, 0)
         assert m.source == INITIAL_B0
         assert m.estimate == seq.b0
 
     def test_realtime_tracker_is_one_frame_behind(self):
         seq = cv_sequence(10)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.02)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.02)))
         for f in range(1, 10):
             m = match_lae(seq, log, f)
             assert m.estimate == seq.ground_truth[f - 1]
@@ -87,13 +87,13 @@ class TestMatchLAE:
 class TestMatchELAE:
     def test_sigma_zero_is_the_online_match(self):
         seq = cv_sequence(10)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.037)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.037)))
         for f in range(10):
             assert match_elae(seq, log, f, 0.0) == match_lae(seq, log, f)
 
     def test_slack_flips_realtime_match_to_the_current_frame(self):
         seq = cv_sequence(10)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.02)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.02)))
         # 20 ms is 0.6 frame periods; just below the slack is too small
         assert match_elae(seq, log, 5, 0.58).estimate == seq.ground_truth[4]
         assert match_elae(seq, log, 5, 0.62).estimate == seq.ground_truth[5]
@@ -132,7 +132,7 @@ class TestMatchELAE:
 
     def test_matched_availability_is_monotone_in_sigma(self):
         seq = cv_sequence(12)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.041)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.041)))
         times = {BoundingBox(*row): available for _, available, _, row in log.outputs}
         for f in range(12):
             prev = -1.0
@@ -245,7 +245,7 @@ class TestSweep:
 
     def test_slack_never_hurts_a_realtime_run(self):
         seq = cv_sequence(20)
-        log = run_stream(seq, TrackerAdapter.oracle_noisy(LatencyProfile.constant(0.02)))
+        log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.02)))
         auc_curve, _ = sweep([seq], [log])
         assert all(b >= a - 1e-12 for a, b in zip(auc_curve.values, auc_curve.values[1:]))
         # the 0.6-frame latency flip shows up as a jump on the grid

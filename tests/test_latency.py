@@ -8,7 +8,7 @@ from latetrack.latency import CONSTANT, REPLAY, LatencyProfile
 
 class TestConstant:
     def test_draws_are_the_mean(self):
-        sampler = LatencyProfile.constant(0.05).sampler()
+        sampler = LatencyProfile.constant(0.05).sampler(9)
         assert [sampler.draw() for _ in range(5)] == [0.05] * 5
 
     def test_mean_below_floor_rejected(self):
@@ -27,23 +27,22 @@ class TestConstant:
 
 class TestGaussian:
     def test_floor_clamps_lower_tail(self):
-        profile = LatencyProfile.gaussian(0.002, 0.05, floor=0.001, seed=3)
-        sampler = profile.sampler()
+        profile = LatencyProfile.gaussian(0.002, 0.05, floor=0.001)
+        sampler = profile.sampler(3)
         draws = [sampler.draw() for _ in range(2000)]
         assert min(draws) >= 0.001
         # with stddev >> mean a fair share must actually hit the clamp
         assert sum(d == 0.001 for d in draws) > 100
 
     def test_seeded_reproducibility(self):
-        a = LatencyProfile.gaussian(0.03, 0.01, seed=9).sampler()
-        b = LatencyProfile.gaussian(0.03, 0.01, seed=9).sampler()
+        a = LatencyProfile.gaussian(0.03, 0.01).sampler(9)
+        b = LatencyProfile.gaussian(0.03, 0.01).sampler(9)
         assert [a.draw() for _ in range(50)] == [b.draw() for _ in range(50)]
 
-    def test_seed_override(self):
-        profile = LatencyProfile.gaussian(0.03, 0.01, seed=9)
-        base = [profile.sampler().draw() for _ in range(3)]
-        other = profile.sampler(seed=10)
-        assert [other.draw() for _ in range(3)] != base
+    def test_different_seeds_give_different_draws(self):
+        profile = LatencyProfile.gaussian(0.03, 0.01)
+        base, other = profile.sampler(9), profile.sampler(10)
+        assert [other.draw() for _ in range(3)] != [base.draw() for _ in range(3)]
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(ValidationError):
@@ -58,11 +57,11 @@ class TestGaussian:
 
 class TestReplay:
     def test_plays_values_in_order(self):
-        sampler = LatencyProfile.replay((0.01, 0.02, 0.04)).sampler()
+        sampler = LatencyProfile.replay((0.01, 0.02, 0.04)).sampler(9)
         assert [sampler.draw() for _ in range(3)] == [0.01, 0.02, 0.04]
 
     def test_exhaustion_raises(self):
-        sampler = LatencyProfile.replay((0.01,)).sampler()
+        sampler = LatencyProfile.replay((0.01,)).sampler(9)
         sampler.draw()
         with pytest.raises(ReplayExhaustedError):
             sampler.draw()

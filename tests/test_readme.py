@@ -2,6 +2,9 @@ import re
 from pathlib import Path
 
 from latetrack.cli import main
+from latetrack.config import (Config, predictor_from_config, synthetic_spec_from_config,
+                              tracker_from_config)
+from latetrack.training import gen_synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +18,17 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     exec(compile(blocks[0], str(README), "exec"), {})
     assert 0.0 <= float(capsys.readouterr().out.split()[0]) <= 1.0
+
+
+def test_config_examples_load_as_written():
+    """The spec, tracker and predictor blocks, copied verbatim, load
+    through their readers."""
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    spec, tracker, predictor = (Config.from_text(b, str(README)) for b in blocks)
+    synthetic = synthetic_spec_from_config(spec)
+    assert (synthetic.n_sequences, synthetic.length, synthetic.noise_sigma) == (20, 90, 0.45)
+    seq = gen_synthetic(synthetic)[0]
+    [adapter] = tracker_from_config(tracker, [seq])
+    assert (adapter.sigma_pos, adapter.latency.mean) == (0.45, 0.05)
+    adapter = predictor_from_config(predictor)
+    assert (adapter.kind, adapter.horizon_n, adapter.latency.mean) == ("kf", 2, 0.005)

@@ -42,12 +42,16 @@ def bad_trace(tmp_path, case: str) -> Path:
         rows[3] = ",".join(fields)
     elif case == "header":
         header = header.replace("frame,", "frames,")
+    elif case in ("nan_start", "late_start"):
+        fields = rows[3].split(",")
+        fields[1] = "nan" if case == "nan_start" else repr(float(fields[2]) + 0.01)
+        rows[3] = ",".join(fields)
     path = tmp_path / f"{case}.trace.csv"
     path.write_text(header + "".join(rows))
     return path
 
 
-CASES = ["swapped", "repeated", "zero_size", "header"]
+CASES = ["swapped", "repeated", "zero_size", "header", "nan_start", "late_start"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -86,4 +90,18 @@ def test_horizon_on_a_bad_trace_exits_two_and_writes_nothing(tmp_path):
     out = tmp_path / "out"
     assert main(["horizon", "--sequences", str(GOLDEN / "golden.txt"), "--tracker",
                  replay_cfg(tmp_path, bad_trace(tmp_path, "repeated")), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_simulate_without_one_sequences_trace_exits_three_and_writes_nothing(tmp_path, capsys):
+    seqs, traces = tmp_path / "seqs", tmp_path / "traces"
+    seqs.mkdir()
+    traces.mkdir()
+    for name in ("a", "b"):
+        (seqs / f"{name}.txt").write_bytes((GOLDEN / "golden.txt").read_bytes())
+    (traces / "a.trace.csv").write_bytes((GOLDEN / "none" / "golden.trace.csv").read_bytes())
+    out = tmp_path / "out"
+    assert main(["simulate", "--sequences", str(seqs), "--tracker",
+                 replay_cfg(tmp_path, traces), "--out", str(out)]) == 3
+    assert "b.trace.csv" in capsys.readouterr().err
     assert not out.exists()

@@ -21,7 +21,7 @@ def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):
 
 
 def tracker(mean, **kw):
-    return TrackerAdapter.oracle_noisy(LatencyProfile.constant(mean), **kw)
+    return TrackerAdapter(LatencyProfile.constant(mean), **kw)
 
 
 class TestNextFrame:
@@ -151,16 +151,14 @@ class TestPredictorInStream:
 class TestDeterminism:
     def test_same_seed_same_log(self):
         seq = cv_sequence(12)
-        trk = TrackerAdapter.oracle_noisy(LatencyProfile.gaussian(0.04, 0.01),
-                                          sigma_pos=1.0)
+        trk = TrackerAdapter(LatencyProfile.gaussian(0.04, 0.01), sigma_pos=1.0)
         a = run_stream(seq, trk, seed=5)
         b = run_stream(seq, trk, seed=5)
         assert a == b
 
     def test_different_seed_differs(self):
         seq = cv_sequence(12)
-        trk = TrackerAdapter.oracle_noisy(LatencyProfile.gaussian(0.04, 0.01),
-                                          sigma_pos=1.0)
+        trk = TrackerAdapter(LatencyProfile.gaussian(0.04, 0.01), sigma_pos=1.0)
         assert run_stream(seq, trk, seed=5) != run_stream(seq, trk, seed=6)
 
     def test_saved_bytes_identical(self, tmp_path):
@@ -345,6 +343,21 @@ class TestFiles:
         adapter = TrackerAdapter.replay(trace, LatencyProfile.replay((0.05, 0.05)))
         with pytest.raises(ReplayExhaustedError):
             run_stream(seq, adapter)
+
+    def test_missing_frame_names_the_trace(self, tmp_path):
+        seq = cv_sequence(10)
+        save_trace(run_stream(seq, tracker(0.05)), tmp_path / "cv.trace.csv")
+        adapter = TrackerAdapter.replay(load_trace(tmp_path / "cv.trace.csv"),
+                                        LatencyProfile.constant(0.01))
+        with pytest.raises(ValidationError, match="'cv.trace' has no box for frame 2"):
+            run_stream(seq, adapter)
+
+    def test_empty_trace_rejected_when_the_adapter_is_built(self):
+        empty = RunLog("cv", (), ())
+        with pytest.raises(ValidationError, match="per-frame boxes"):
+            TrackerAdapter(LatencyProfile.constant(0.05), trace=empty)
+        with pytest.raises(ValidationError):
+            TrackerAdapter.replay(empty)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "log.csv"
