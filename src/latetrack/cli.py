@@ -35,6 +35,8 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
+_TRAIN_KEYS = ("seed", "epochs", "milestones", "lr", "weight_decay", "batch_size", "k",
+               "horizon", "stride_set", "c_enc", "c_dec")
 _LOSS_HEADER = ["epoch", "train_l1", "val_l1"]
 _COMPARE_HEADER = ["predictor", "auc_la0", "dp_la0", "mauc", "mdp", "mean_extra_latency_s"]
 
@@ -134,20 +136,17 @@ def _curve_summary(auc_curve, dp_curve) -> dict:
 def cmd_evaluate(args) -> int:
     sequences = _load_sequences(args.sequences, framerate=args.framerate)
     logs_path = Path(args.logs)
+    logs_dir = logs_path.is_dir()
+    if not logs_dir and len(sequences) != 1:
+        raise ValidationError("--logs must be a directory when evaluating several sequences")
+    inputs = _sequence_inputs(args.sequences)
     pairs = []
     for seq in sequences:
-        if logs_path.is_dir():
-            log_file = logs_path / f"{seq.name}.log.csv"
-            if not log_file.exists():
-                raise ValidationError(f"no log for sequence {seq.name!r} in {logs_path}")
-        else:
-            if len(sequences) != 1:
-                raise ValidationError("--logs must be a directory when evaluating several sequences")
-            log_file = logs_path
+        log_file = logs_path / f"{seq.name}.log.csv" if logs_dir else logs_path
+        if logs_dir and not log_file.exists():
+            raise ValidationError(f"no log for sequence {seq.name!r} in {logs_path}")
+        inputs[f"log:{seq.name}"] = log_file
         pairs.append((seq, load_run_log(log_file, seq.name)))
-    inputs = {**_sequence_inputs(args.sequences),
-              **{f"log:{seq.name}": (logs_path / f"{seq.name}.log.csv" if logs_path.is_dir()
-                                     else logs_path) for seq, _ in pairs}}
     manifest = build_manifest("evaluate", args.seed or 0, {"framerate": args.framerate}, inputs)
     out = _out_dir(args)
     timer = StageTimer()
@@ -188,6 +187,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = Config.load(args.config) if args.config else Config({}, "<defaults>")
+    cfg.reject_unknown(_TRAIN_KEYS)
     seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     epochs = args.epochs if args.epochs is not None else cfg.get_int("epochs", 100)
     # an --epochs override may cut the run short of configured milestones

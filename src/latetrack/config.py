@@ -5,6 +5,8 @@ Dotted keys group related settings (latency.kind, latency.mean). Values
 are plain strings until a typed getter parses them; comma-separated
 lists are allowed where a ranged or tuple value is expected. Each file
 a reader opens is noted in the config's `files`, for the manifest.
+Each reader accepts only its own keys; any other key is an error that
+names the key and the file.
 """
 
 from __future__ import annotations
@@ -18,10 +20,17 @@ from .training import SyntheticSpec
 ORACLE_NOISY = "oracle_noisy"
 REPLAY_LOG = "replay_log"
 
+_LATENCY_KEYS = ("latency.kind", "latency.mean", "latency.stddev", "latency.floor",
+                "latency.file")
+_SPEC_KEYS = ("kind", "count", "length", "duration", "seed", "framerate", "center_range",
+             "size_range", "speed_range", "accel_range", "amplitude_range", "period_range",
+             "walk_step", "noise_sigma")
+_TRACKER_KEYS = ("behavior", "sigma_pos", "sigma_scale", "trace", *_LATENCY_KEYS)
+_PREDICTOR_KEYS = ("kind", "noise", "weights", "horizon", *_LATENCY_KEYS)
+
 
 class Config:
-    """Parsed key-value file with typed access; unknown keys are left
-    alone so callers can own their own namespaces."""
+    """Parsed key-value file with typed access."""
 
     def __init__(self, values: dict, source: str = "<config>"):
         self.values = dict(values)
@@ -54,6 +63,12 @@ class Config:
 
     def __contains__(self, key: str) -> bool:
         return key in self.values
+
+    def reject_unknown(self, known) -> None:
+        """A ValidationError naming the first key outside `known`."""
+        for key in self.values:
+            if key not in known:
+                raise ValidationError(f"{self.source}: unknown key {key!r}")
 
     def has_group(self, prefix: str) -> bool:
         return any(k.startswith(prefix) for k in self.values)
@@ -117,6 +132,7 @@ def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile
 
 
 def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec:
+    cfg.reject_unknown(_SPEC_KEYS)
     if "length" in cfg and "duration" in cfg:
         raise ValidationError(f"{cfg.source}: give either length or duration, not both")
     length = cfg.get_int("length", 0) or cfg.get_int("duration", 0)
@@ -146,6 +162,7 @@ def tracker_from_config(cfg: Config, sequences) -> list:
     of <name>.trace.csv files."""
     from .simulate import TrackerAdapter, load_trace
 
+    cfg.reject_unknown(_TRACKER_KEYS)
     behavior = cfg.get_str("behavior", ORACLE_NOISY)
     if behavior == ORACLE_NOISY:
         tracker = TrackerAdapter(latency_from_config(cfg),
@@ -169,6 +186,7 @@ def predictor_from_config(cfg: Config, default_horizon: int = 2):
     `weights =` for pm), `horizon`, and an optional `latency.` group."""
     from .simulate import KF_LEARNED, NEURAL_PM, predictor_for
 
+    cfg.reject_unknown(_PREDICTOR_KEYS)
     kind = cfg.get_str("kind")
     file_key = {KF_LEARNED: "noise", NEURAL_PM: "weights"}.get(kind)
     latency = (latency_from_config(cfg) if cfg.has_group("latency.")

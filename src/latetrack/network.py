@@ -9,16 +9,15 @@ future frame. No output nonlinearity: factors multiply a signed speed.
 Everything is float64 numpy and batched: a single window is a batch of
 one. Training, batch evaluation and the online predictor all reach
 forward_batch through window_inputs on (B, k, 4) motions and (B, k)
-frame intervals; online, pm_predict runs the predictor's rolling window
-as a batch of one. Gradients are written out by hand and checked
-against central finite differences in the tests.
+frame intervals. The parameters are one flat vector with a shaped view
+per layer; backward_batch writes hand-derived gradients (checked against
+central finite differences in the tests) into the same layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,76 +27,6 @@ from .motion import apply_motion_row
 
 CHECKPOINT_VERSION = 1
 
-# param-dict key -> checkpoint layer name
-_LAYER_NAMES = {
-    "enc_w": "enc_fc.weight",
-    "enc_b": "enc_fc.bias",
-    "conv_w": "temporal_conv.weight",
-    "conv_b": "temporal_conv.bias",
-    "dec_w": "dec_shared_fc.weight",
-    "dec_b": "dec_shared_fc.bias",
-    "head_w": "head_fc.weight",
-    "head_b": "head_fc.bias",
-    "out_w": "out_fc.weight",
-    "out_b": "out_fc.bias",
-}
-
-
-@dataclass
-class PMWeights:
-    """All parameters plus the (k, n_heads, c_enc, c_dec) geometry.
-
-    conv_w[d] is the kernel tap for time offset d-1, so the temporal
-    convolution sees the previous, current, and next row under zero
-    padding ("same" over the k axis).
-    """
-
-    k: int
-    n_heads: int
-    c_enc: int
-    c_dec: int
-    enc_w: np.ndarray
-    enc_b: np.ndarray
-    conv_w: np.ndarray
-    conv_b: np.ndarray
-    dec_w: np.ndarray
-    dec_b: np.ndarray
-    head_w: np.ndarray
-    head_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-
-    def __post_init__(self):
-        _check_geometry(self.k, self.n_heads, self.c_enc, self.c_dec)
-        expected = self._expected_shapes()
-        for name, shape in expected.items():
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite values")
-            setattr(self, name, arr)
-
-    def _expected_shapes(self) -> dict:
-        c, d, n = self.c_enc, self.c_dec, self.n_heads
-        return {
-            "enc_w": (c, 8), "enc_b": (c,),
-            "conv_w": (3, c, c), "conv_b": (c,),
-            "dec_w": (d, c), "dec_b": (d,),
-            "head_w": (n, d, d), "head_b": (n, d),
-            "out_w": (4, d), "out_b": (4,),
-        }
-
-    def params(self) -> dict:
-        """Live parameter arrays keyed by short name (not copies)."""
-        return {name: getattr(self, name) for name in _LAYER_NAMES}
-
-    def copy(self) -> "PMWeights":
-        return PMWeights(
-            self.k, self.n_heads, self.c_enc, self.c_dec,
-            **{name: getattr(self, name).copy() for name in _LAYER_NAMES},
-        )
-
 
 def _check_geometry(k: int, n_heads: int, c_enc: int, c_dec: int) -> None:
     if k < 1 or n_heads < 1:
@@ -106,36 +35,75 @@ def _check_geometry(k: int, n_heads: int, c_enc: int, c_dec: int) -> None:
         raise ValidationError(f"need c_enc >= 1 and c_dec >= 1, got c_enc={c_enc}, c_dec={c_dec}")
 
 
+def _layout(k: int, n_heads: int, c_enc: int, c_dec: int) -> dict:
+    """Parameter name -> (checkpoint layer name, shape), in checkpoint
+    order, for a checked geometry."""
+    _check_geometry(k, n_heads, c_enc, c_dec)
+    c, d, n = c_enc, c_dec, n_heads
+    return {
+        "enc_w": ("enc_fc.weight", (c, 8)), "enc_b": ("enc_fc.bias", (c,)),
+        "conv_w": ("temporal_conv.weight", (3, c, c)), "conv_b": ("temporal_conv.bias", (c,)),
+        "dec_w": ("dec_shared_fc.weight", (d, c)), "dec_b": ("dec_shared_fc.bias", (d,)),
+        "head_w": ("head_fc.weight", (n, d, d)), "head_b": ("head_fc.bias", (n, d)),
+        "out_w": ("out_fc.weight", (4, d)), "out_b": ("out_fc.bias", (4,)),
+    }
+
+
+class PMWeights:
+    """All parameters as one float64 vector, plus the (k, n_heads, c_enc,
+    c_dec) geometry.
+
+    `flat` holds every parameter in checkpoint order; enc_w ... out_b
+    are shaped views into it, so a write through either shows in the
+    other. Gradients use the same class and layout, and the optimizer
+    steps `flat` as one array. Without `flat` every parameter is zero.
+
+    conv_w[d] is the kernel tap for time offset d-1, so the temporal
+    convolution sees the previous, current, and next row under zero
+    padding ("same" over the k axis).
+    """
+
+    def __init__(self, k: int, n_heads: int, c_enc: int, c_dec: int, flat=None):
+        self._layout = _layout(k, n_heads, c_enc, c_dec)
+        self.k, self.n_heads, self.c_enc, self.c_dec = k, n_heads, c_enc, c_dec
+        size = sum(math.prod(shape) for _, shape in self._layout.values())
+        if flat is None:
+            flat = np.zeros(size)
+        else:
+            flat = np.ascontiguousarray(flat, dtype=np.float64)
+            if flat.shape != (size,):
+                raise ValidationError(f"flat must have shape {(size,)}, got {flat.shape}")
+            if not np.all(np.isfinite(flat)):
+                raise ValidationError("parameters contain non-finite values")
+        self.flat = flat
+        lo = 0
+        for name, (_, shape) in self._layout.items():
+            hi = lo + math.prod(shape)
+            setattr(self, name, flat[lo:hi].reshape(shape))
+            lo = hi
+
+    def params(self) -> dict:
+        """Live parameter views keyed by short name, in checkpoint order."""
+        return {name: getattr(self, name) for name in self._layout}
+
+    def copy(self) -> "PMWeights":
+        return PMWeights(self.k, self.n_heads, self.c_enc, self.c_dec, self.flat.copy())
+
+
 def init_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32,
                  seed: int = 0) -> PMWeights:
     """Fan-in-scaled uniform init (bound sqrt(6/fan_in)), zero biases."""
-    _check_geometry(k, n_heads, c_enc, c_dec)
+    w = PMWeights(k, n_heads, c_enc, c_dec)
     rng = np.random.default_rng(seed)
-
-    def u(shape, fan_in):
+    for view, fan_in in ((w.enc_w, 8), (w.conv_w, 3 * c_enc), (w.dec_w, c_enc),
+                         (w.head_w, c_dec), (w.out_w, c_dec)):
         bound = math.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return PMWeights(
-        k=k, n_heads=n_heads, c_enc=c_enc, c_dec=c_dec,
-        enc_w=u((c_enc, 8), 8), enc_b=np.zeros(c_enc),
-        conv_w=u((3, c_enc, c_enc), 3 * c_enc), conv_b=np.zeros(c_enc),
-        dec_w=u((c_dec, c_enc), c_enc), dec_b=np.zeros(c_dec),
-        head_w=u((n_heads, c_dec, c_dec), c_dec), head_b=np.zeros((n_heads, c_dec)),
-        out_w=u((4, c_dec), c_dec), out_b=np.zeros(4),
-    )
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
+    return w
 
 
 def zero_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32) -> PMWeights:
-    _check_geometry(k, n_heads, c_enc, c_dec)
-    return PMWeights(
-        k=k, n_heads=n_heads, c_enc=c_enc, c_dec=c_dec,
-        enc_w=np.zeros((c_enc, 8)), enc_b=np.zeros(c_enc),
-        conv_w=np.zeros((3, c_enc, c_enc)), conv_b=np.zeros(c_enc),
-        dec_w=np.zeros((c_dec, c_enc)), dec_b=np.zeros(c_dec),
-        head_w=np.zeros((n_heads, c_dec, c_dec)), head_b=np.zeros((n_heads, c_dec)),
-        out_w=np.zeros((4, c_dec)), out_b=np.zeros(4),
-    )
+    return PMWeights(k, n_heads, c_enc, c_dec)
 
 
 def constant_factor_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64,
@@ -194,8 +162,10 @@ def forward_batch(w: PMWeights, x: np.ndarray, keep_cache: bool = False):
     return out, cache
 
 
-def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> dict:
-    """Gradients of sum(out * grad_out) w.r.t. every parameter array."""
+def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> PMWeights:
+    """Gradients of sum(out * grad_out) w.r.t. every parameter, as a
+    PMWeights in the parameters' layout: grad.flat lines up with w.flat
+    and each view holds its layer's gradient."""
     x = cache["x"]
     b, k, _ = x.shape
     c, d, n = w.c_enc, w.c_dec, w.n_heads
@@ -203,39 +173,33 @@ def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> dict:
     if go.shape != (b, n, 4):
         raise ValidationError(f"grad_out must have shape {(b, n, 4)}, got {go.shape}")
 
+    grad = PMWeights(k, n, c, d)
     go = go.reshape(b * n, 4)
-    d_out_b = go.sum(axis=0)
-    d_out_w = go.T @ cache["h4"]
+    grad.out_b[...] = go.sum(axis=0)
+    grad.out_w[...] = go.T @ cache["h4"]
     d_pre4 = ((go @ w.out_w) * (cache["pre4"].reshape(b * n, d) > 0.0)).reshape(b, n * d)
-    d_head_b = d_pre4.sum(axis=0).reshape(n, d)
-    d_head_w = (d_pre4.T @ cache["h3"]).reshape(n, d, d)
+    grad.head_b[...] = d_pre4.sum(axis=0).reshape(n, d)
+    grad.head_w[...] = (d_pre4.T @ cache["h3"]).reshape(n, d, d)
     d_h3 = d_pre4 @ w.head_w.reshape(n * d, d)
     d_pre3 = d_h3 * (cache["pre3"] > 0.0)
-    d_dec_b = d_pre3.sum(axis=0)
-    d_dec_w = d_pre3.T @ cache["g"]
+    grad.dec_b[...] = d_pre3.sum(axis=0)
+    grad.dec_w[...] = d_pre3.T @ cache["g"]
     d_g = d_pre3 @ w.dec_w
     d_prec = d_g[:, None, :] / k * (cache["prec"] > 0.0)
-    d_conv_b = d_prec.sum(axis=(0, 1))
+    grad.conv_b[...] = d_prec.sum(axis=(0, 1))
     h1 = cache["h1"]
     h1_seq = h1.reshape(b, k, c)
-    d_conv_w = np.empty_like(w.conv_w)
-    d_conv_w[0] = d_prec[:, 1:].reshape(-1, c).T @ h1_seq[:, :-1].reshape(-1, c)
-    d_conv_w[1] = d_prec.reshape(b * k, c).T @ h1
-    d_conv_w[2] = d_prec[:, :-1].reshape(-1, c).T @ h1_seq[:, 1:].reshape(-1, c)
+    grad.conv_w[0] = d_prec[:, 1:].reshape(-1, c).T @ h1_seq[:, :-1].reshape(-1, c)
+    grad.conv_w[1] = d_prec.reshape(b * k, c).T @ h1
+    grad.conv_w[2] = d_prec[:, :-1].reshape(-1, c).T @ h1_seq[:, 1:].reshape(-1, c)
     d_prec = d_prec.reshape(b * k, c)
     d_h1 = (d_prec @ w.conv_w[1]).reshape(b, k, c)
     d_h1[:, :-1] += (d_prec @ w.conv_w[0]).reshape(b, k, c)[:, 1:]
     d_h1[:, 1:] += (d_prec @ w.conv_w[2]).reshape(b, k, c)[:, :-1]
     d_pre1 = d_h1.reshape(b * k, c) * (cache["pre1"] > 0.0)
-    d_enc_b = d_pre1.sum(axis=0)
-    d_enc_w = d_pre1.T @ x.reshape(b * k, 8)
-    return {
-        "enc_w": d_enc_w, "enc_b": d_enc_b,
-        "conv_w": d_conv_w, "conv_b": d_conv_b,
-        "dec_w": d_dec_w, "dec_b": d_dec_b,
-        "head_w": d_head_w, "head_b": d_head_b,
-        "out_w": d_out_w, "out_b": d_out_b,
-    }
+    grad.enc_b[...] = d_pre1.sum(axis=0)
+    grad.enc_w[...] = d_pre1.T @ x.reshape(b * k, 8)
+    return grad
 
 
 def window_inputs(motions: np.ndarray, intervals: np.ndarray):
@@ -293,10 +257,8 @@ def l1_loss(factors: np.ndarray, speeds: np.ndarray, targets: np.ndarray):
 
 
 def save_weights(w: PMWeights, path, manifest_ref: str = None) -> None:
-    layers = {}
-    for key, layer_name in _LAYER_NAMES.items():
-        arr = getattr(w, key)
-        layers[layer_name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    layers = {layer_name: {"shape": list(shape), "data": getattr(w, key).ravel().tolist()}
+              for key, (layer_name, shape) in w._layout.items()}
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "k": w.k, "n_heads": w.n_heads, "c_enc": w.c_enc, "c_dec": w.c_dec,
@@ -324,14 +286,17 @@ def load_weights(path) -> PMWeights:
             geometry[key] = int(doc[key])
         except (KeyError, TypeError, ValueError):
             raise ValidationError(f"{path}: missing or non-integer {key!r}") from None
-    arrays = {}
-    for key, layer_name in _LAYER_NAMES.items():
-        try:
-            entry = doc["layers"][layer_name]
-            arrays[key] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad layer {layer_name}: {exc}") from None
     try:
-        return PMWeights(**geometry, **arrays)
+        parts = []
+        for layer_name, shape in _layout(**geometry).values():
+            try:
+                entry = doc["layers"][layer_name]
+                arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValidationError(f"bad layer {layer_name}: {exc}") from None
+            if arr.shape != shape:
+                raise ValidationError(f"layer {layer_name} must have shape {shape}, got {arr.shape}")
+            parts.append(arr.ravel())
+        return PMWeights(**geometry, flat=np.concatenate(parts))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

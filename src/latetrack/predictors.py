@@ -374,7 +374,7 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
             grad[i] = (loss(theta + bump, train_w) - loss(theta - bump, train_w)) / (2 * h)
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(f"non-finite fitting gradient at step {step}")
-        opt.step({"theta": theta}, {"theta": grad}, epoch=step)
+        opt.step(theta, grad, epoch=step)
         val = loss(theta, val_w)
         if not np.isfinite(val):
             raise DivergenceError(f"non-finite validation loss at step {step}: {val}")

@@ -59,13 +59,14 @@ def write_markdown_table(path, header, rows, manifest_ref: str = None,
 
 
 def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
-                  manifest_ref: str = None, width: int = 640, height: int = 420,
-                  y_range=(0.0, 1.0)) -> None:
-    """Multi-series line plot as a standalone SVG file.
+                  manifest_ref: str = None) -> None:
+    """Multi-series line plot of scores as a standalone 640 x 420 SVG file.
 
     `series` is a list of (label, xs, ys) with equal-length coordinate
-    lists; axes are linear with five ticks per side.
+    lists; axes are linear with five ticks per side, x spanning the data
+    and y spanning [0, 1].
     """
+    width, height = 640, 420
     left, right, top, bottom = 58, 18, 40, 48
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -73,19 +74,12 @@ def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_range is None:
-        ys_all = [y for _, _, ys in series for y in ys]
-        y_lo, y_hi = min(ys_all), max(ys_all)
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
-    else:
-        y_lo, y_hi = y_range
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y):
-        return top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return top + plot_h - y * plot_h
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
              f'viewBox="0 0 {width} {height}" font-family="sans-serif">']
@@ -96,7 +90,7 @@ def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
                  f"{title}</text>")
     for i in range(5):
         tx = x_lo + (x_hi - x_lo) * i / 4
-        ty = y_lo + (y_hi - y_lo) * i / 4
+        ty = i / 4
         gx, gy = px(tx), py(ty)
         parts.append(f'<line x1="{gx:.1f}" y1="{top}" x2="{gx:.1f}" y2="{top + plot_h}" '
                      f'stroke="#dddddd"/>')

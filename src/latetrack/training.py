@@ -57,39 +57,32 @@ class OptimizerConfig:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over a dict of named arrays, updated
-    in place. One first/second moment pair per name; the step counter is
-    shared so bias correction matches a single-parameter-group run."""
+    """Decoupled-weight-decay Adam over one parameter array, updated in
+    place, with one first/second moment pair shaped like it. The motion
+    net steps its whole parameter vector (PMWeights.flat) as that one
+    array."""
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
         self.t = 0
-        self._m = {}
-        self._v = {}
+        self._m = self._v = None
 
-    def step(self, params: dict, grads: dict, epoch: int) -> None:
-        if set(params) != set(grads):
-            raise ValidationError("params and grads must share keys")
+    def step(self, p: np.ndarray, g: np.ndarray, epoch: int) -> None:
+        if g.shape != p.shape:
+            raise ValidationError(f"grad shape {g.shape} != param shape {p.shape}")
+        if self._m is None:
+            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1
         lr = self.config.lr_at(epoch)
         b1, b2 = self.config.betas
         wd = self.config.weight_decay
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ValidationError(f"grad shape {g.shape} != param shape {p.shape} for {name!r}")
-            if name not in self._m:
-                self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            m = self._m[name]
-            v = self._v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= lr * ((m / bc1) / (np.sqrt(v / bc2) + _EPS) + wd * p)
+        self._m *= b1
+        self._m += (1.0 - b1) * g
+        self._v *= b2
+        self._v += (1.0 - b2) * g * g
+        p -= lr * ((self._m / bc1) / (np.sqrt(self._v / bc2) + _EPS) + wd * p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +229,8 @@ def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
             loss, grad_fac = l1_loss(factors, speeds[idx], targets[idx])
             if not math.isfinite(loss):
                 raise DivergenceError(f"training loss became {loss} at epoch {epoch}")
-            grads = backward_batch(weights, cache, grad_fac)
-            opt.step(weights.params(), grads, epoch=epoch)
+            grad = backward_batch(weights, cache, grad_fac)
+            opt.step(weights.flat, grad.flat, epoch=epoch)
             epoch_loss += loss * len(idx)
         val = _mean_l1(weights, vxs, vtargets, vspeeds)
         if not math.isfinite(val):

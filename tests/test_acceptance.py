@@ -152,7 +152,7 @@ def test_analytic_gradients_match_finite_differences():
 
             factors, cache = forward_batch(w, x, keep_cache=True)
             _, grad_factor = l1_loss(factors, speeds, targets)
-            grads = backward_batch(w, cache, grad_factor)
+            grads = backward_batch(w, cache, grad_factor).params()
             fd = central_differences(scalar, w.params(), h=1e-6)
             for name in fd:
                 denom = max(np.max(np.abs(fd[name])), 1e-8)

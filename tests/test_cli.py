@@ -515,6 +515,33 @@ class TestExitCodes:
         assert main(["train", "--corpus", str(seqs), "--config", cfg, "--epochs", "2",
                      "--out", str(tmp_path / "model")]) == 2
 
+    @pytest.mark.parametrize("kind, line", [
+        ("spec", "nosie_sigma = 0.5"),
+        ("tracker", "sigma_pso = 3.0"),
+        ("predictor", "horizn = 5"),
+        ("train", "milestone = 1"),
+    ])
+    def test_unknown_config_key_is_validation(self, tmp_path, capsys, kind, line):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        known = {"spec": "kind = constant_velocity\ncount = 1\nlength = 30\n",
+                 "tracker": "latency.kind = constant\nlatency.mean = 0.05\n",
+                 "predictor": "kind = kf\n", "train": "epochs = 1\n"}
+        cfg = write_cfg(tmp_path / f"{kind}.cfg", known[kind] + line + "\n")
+        tracker = write_cfg(tmp_path / "known.cfg", known["tracker"])
+        argv = {
+            "spec": ["gen", cfg],
+            "tracker": ["simulate", "--sequences", str(seqs), "--tracker", cfg],
+            "predictor": ["simulate", "--sequences", str(seqs), "--tracker", tracker,
+                          "--predictor", cfg],
+            "train": ["train", "--corpus", str(seqs), "--config", cfg],
+        }[kind]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert cfg in err and repr(line.split(" = ")[0]) in err
+        assert not out.exists()
+
     def test_nan_latency_is_validation(self, tmp_path):
         seqs = gen_corpus(tmp_path, count=1, length=30)
         trk = write_cfg(tmp_path / "trk.cfg",

@@ -16,6 +16,8 @@ from latetrack.network import (PMWeights, backward_batch, constant_factor_weight
 from _oracles import central_differences, pm_forward_loops
 
 SMALL = dict(k=3, n_heads=2, c_enc=8, c_dec=6)
+CHECKPOINT_ORDER = ("enc_w", "enc_b", "conv_w", "conv_b", "dec_w", "dec_b",
+                    "head_w", "head_b", "out_w", "out_b")
 
 
 def random_input(k=3, seed=0):
@@ -29,12 +31,14 @@ def forward_one(w, x):
 
 
 def backward_one(w, x, grad_out):
-    """Parameter gradients of sum(forward_one(w, x) * grad_out)."""
+    """Parameter gradients of sum(forward_one(w, x) * grad_out), as a
+    PMWeights."""
     _, cache = forward_batch(w, x[None], keep_cache=True)
     return backward_batch(w, cache, grad_out[None])
 
 
-def assert_matches_finite_differences(grads, scalar, params, label=""):
+def assert_matches_finite_differences(grad, scalar, params, label=""):
+    grads = grad.params()
     fd = central_differences(scalar, params, h=1e-6)
     for name in fd:
         denom = max(np.max(np.abs(fd[name])), 1e-8)
@@ -127,17 +131,29 @@ class TestForward:
 class TestWeights:
     def test_shape_validation(self):
         good = zero_weights(**SMALL)
-        kwargs = {name: getattr(good, name) for name in good.params()}
-        kwargs["enc_w"] = np.zeros((3, 3))
-        with pytest.raises(ValidationError):
-            PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, **kwargs)
+        for flat in (np.zeros(good.flat.size - 1), good.flat.reshape(1, -1)):
+            with pytest.raises(ValidationError):
+                PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, flat=flat)
 
     def test_non_finite_rejected(self):
-        good = zero_weights(**SMALL)
-        kwargs = {name: getattr(good, name).copy() for name in good.params()}
-        kwargs["dec_b"][0] = float("inf")
+        bad = zero_weights(**SMALL)
+        bad.dec_b[0] = float("inf")
         with pytest.raises(ValidationError):
-            PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, **kwargs)
+            PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, flat=bad.flat)
+
+    def test_views_share_one_flat_layout(self):
+        w = init_weights(seed=15, **SMALL)
+        w.flat[1] = 5.0
+        assert w.enc_w[0, 1] == 5.0
+        w.enc_w[2, 3] = -3.0
+        assert w.flat[2 * 8 + 3] == -3.0
+        twin = w.copy()
+        assert not np.shares_memory(twin.flat, w.flat)
+        assert np.array_equal(twin.flat, w.flat)
+        grad = backward_one(w, random_input(seed=16), np.ones((2, 4)))
+        layers = grad.params()
+        assert np.array_equal(grad.flat,
+                              np.concatenate([layers[name].ravel() for name in CHECKPOINT_ORDER]))
 
     @pytest.mark.parametrize("make", [init_weights, zero_weights])
     @pytest.mark.parametrize("c_enc, c_dec", [(0, 6), (8, 0), (8, -3)])
@@ -196,14 +212,14 @@ class TestBackward:
     def test_zero_grad_out_gives_zero_grads(self):
         w = init_weights(seed=41, **SMALL)
         grads = backward_one(w, random_input(seed=42), np.zeros((2, 4)))
-        for arr in grads.values():
+        for arr in grads.params().values():
             assert np.all(arr == 0.0)
 
     def test_grad_shapes_mirror_params(self):
         w = init_weights(seed=43, **SMALL)
         grads = backward_one(w, random_input(seed=44), np.ones((2, 4)))
-        assert set(grads) == set(w.params())
-        for name, arr in grads.items():
+        assert set(grads.params()) == set(w.params())
+        for name, arr in grads.params().items():
             assert arr.shape == w.params()[name].shape
 
 
@@ -347,7 +363,12 @@ class TestCheckpoint:
         lambda doc: json.dumps([1, 2]).encode(),
         lambda doc: json.dumps(dict(doc, k="three")).encode(),
         lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
-    ], ids=["missing_geometry", "not_an_object", "k_not_integer", "not_utf8"])
+        lambda doc: json.dumps(dict(doc, layers=dict(
+            doc["layers"], **{"dec_shared_fc.bias": {"shape": [5], "data": [0.0] * 5}}))).encode(),
+        lambda doc: json.dumps(dict(doc, layers=dict(
+            doc["layers"], **{"enc_fc.bias": {"shape": [8], "data": [math.nan] * 8}}))).encode(),
+    ], ids=["missing_geometry", "not_an_object", "k_not_integer", "not_utf8",
+            "layer_shape_mismatch", "non_finite_layer"])
     def test_malformed_checkpoint_rejected_with_path(self, tmp_path, corrupt):
         path = tmp_path / "w.json"
         save_weights(init_weights(seed=66, **SMALL), path)
