@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .boxes import (BoundingBox, FrameClock, Sequence, center_error, iou, load_sequence,
                     save_sequence)
-from .errors import DivergenceError, ReplayExhaustedError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .evaluate import (EstimateMatcher, EvalCurve, MatchedEstimate, PermittedLatency,
                        match_elae, match_lae, score_run, sigma_grid, sweep)
 from .latency import LatencyProfile
@@ -23,7 +23,7 @@ from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,
 from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
                          ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                          kf_predict, kf_update, load_kf_noise, make_kf_state,
-                         save_kf_noise, zero_motion_predict)
+                         save_kf_noise)
 from .simulate import (PredictorAdapter, RunLog, TrackerAdapter, load_run_log, load_trace,
                        next_frame, pick_horizon_n, predictor_for, run_stream, save_run_log,
                        save_trace)

@@ -19,7 +19,7 @@ from pathlib import Path
 from .boxes import load_sequence, save_sequence
 from .config import (Config, predictor_from_config, synthetic_spec_from_config,
                      tracker_from_config)
-from .errors import DivergenceError, ReplayExhaustedError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .evaluate import average_curves, sigma_grid, sweep
 from .latency import LatencyProfile
 from .network import _check_geometry, save_weights
@@ -47,7 +47,9 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_sequences(arg: str, framerate: float = 30.0) -> list:
+def _load_sequences(arg: str, framerate: float = 30.0) -> tuple:
+    """The sequences a file or directory holds, and their manifest
+    inputs, `sequence:<file name>`."""
     path = Path(arg)
     if path.is_dir():
         files = sorted(path.glob("*.txt"))
@@ -57,13 +59,8 @@ def _load_sequences(arg: str, framerate: float = 30.0) -> list:
         files = [path]
     else:
         raise FileNotFoundError(f"no such sequence path: {path}")
-    return [load_sequence(f, framerate=framerate) for f in files]
-
-
-def _sequence_inputs(arg: str) -> dict:
-    path = Path(arg)
-    files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
-    return {f"sequence:{f.name}": f for f in files}
+    return ([load_sequence(f, framerate=framerate) for f in files],
+            {f"sequence:{f.name}": f for f in files})
 
 
 def _config_inputs(label: str, cfg: Config) -> dict:
@@ -74,11 +71,10 @@ def _config_inputs(label: str, cfg: Config) -> dict:
 def _sequences_and_trackers(args):
     """The sequences, the tracker config, one tracker per sequence, and
     the manifest inputs of all of them."""
-    sequences = _load_sequences(args.sequences, framerate=args.framerate)
+    sequences, inputs = _load_sequences(args.sequences, framerate=args.framerate)
     cfg = Config.load(args.tracker)
     trackers = tracker_from_config(cfg, sequences)
-    return sequences, cfg, trackers, {**_sequence_inputs(args.sequences),
-                                      **_config_inputs("tracker", cfg)}
+    return sequences, cfg, trackers, {**inputs, **_config_inputs("tracker", cfg)}
 
 
 def cmd_gen(args) -> int:
@@ -134,12 +130,11 @@ def _curve_summary(auc_curve, dp_curve) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    sequences = _load_sequences(args.sequences, framerate=args.framerate)
+    sequences, inputs = _load_sequences(args.sequences, framerate=args.framerate)
     logs_path = Path(args.logs)
     logs_dir = logs_path.is_dir()
     if not logs_dir and len(sequences) != 1:
         raise ValidationError("--logs must be a directory when evaluating several sequences")
-    inputs = _sequence_inputs(args.sequences)
     pairs = []
     for seq in sequences:
         log_file = logs_path / f"{seq.name}.log.csv" if logs_dir else logs_path
@@ -205,8 +200,7 @@ def cmd_train(args) -> int:
     stride_set = cfg.get_ints("stride_set", (1, 2))
     c_enc = cfg.get_int("c_enc", 64)
     c_dec = cfg.get_int("c_dec", 32)
-    sequences = _load_sequences(args.corpus, framerate=args.framerate)
-    inputs = {**_sequence_inputs(args.corpus)}
+    sequences, inputs = _load_sequences(args.corpus, framerate=args.framerate)
     if args.config:
         inputs["config"] = args.config
     manifest = build_manifest(
@@ -326,34 +320,36 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--format", choices=["csv", "json", "md", "svg"], default="csv",
-                        help="extra report format (CSV/JSON are always written)")
-    common.add_argument("--framerate", type=float, default=30.0,
-                        help="capture rate kappa in frames per second")
+    reads = argparse.ArgumentParser(add_help=False, parents=[common])
+    reads.add_argument("--framerate", type=float, default=30.0,
+                       help="capture rate kappa in frames per second")
+    reports = argparse.ArgumentParser(add_help=False, parents=[reads])
+    reports.add_argument("--format", choices=["csv", "json", "md", "svg"], default="csv",
+                         help="extra report format (CSV/JSON are always written)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate synthetic sequences")
     p.add_argument("spec", help="synthetic spec config file")
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("simulate", parents=[common], help="run the latency simulator")
+    p = sub.add_parser("simulate", parents=[reads], help="run the latency simulator")
     p.add_argument("--sequences", required=True, help="sequence file or directory")
     p.add_argument("--tracker", required=True, help="tracker config file")
     p.add_argument("--predictor", help="predictor config file")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score run logs over the sigma grid")
+    p = sub.add_parser("evaluate", parents=[reports], help="score run logs over the sigma grid")
     p.add_argument("--sequences", required=True)
     p.add_argument("--logs", required=True, help="log file or directory of <name>.log.csv")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("train", parents=[common], help="train the motion network")
+    p = sub.add_parser("train", parents=[reads], help="train the motion network")
     p.add_argument("--corpus", required=True, help="directory of training sequences")
     p.add_argument("--config", help="training config file")
     p.add_argument("--epochs", type=int, help="override the configured epoch count")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("compare", parents=[common], help="compare predictors end to end")
+    p = sub.add_parser("compare", parents=[reports], help="compare predictors end to end")
     p.add_argument("--sequences", required=True)
     p.add_argument("--tracker", required=True)
     p.add_argument("--predictors", required=True,
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="constant predictor latency in seconds")
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("horizon", parents=[common], help="pick the horizon from pre-runs")
+    p = sub.add_parser("horizon", parents=[reads], help="pick the horizon from pre-runs")
     p.add_argument("--sequences", required=True)
     p.add_argument("--tracker", required=True)
     p.add_argument("--trials", type=int, default=3)
@@ -375,7 +371,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ReplayExhaustedError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

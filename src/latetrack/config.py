@@ -181,9 +181,10 @@ def tracker_from_config(cfg: Config, sequences) -> list:
     raise ValidationError(f"{cfg.source}: unknown tracker behavior {behavior!r}")
 
 
-def predictor_from_config(cfg: Config, default_horizon: int = 2):
+def predictor_from_config(cfg: Config):
     """Predictor config: `kind`, its file (`noise =` for kf_learned,
-    `weights =` for pm), `horizon`, and an optional `latency.` group."""
+    `weights =` for pm), `horizon` (default 2; a pm horizon defaults to
+    its checkpoint's head count), and an optional `latency.` group."""
     from .simulate import KF_LEARNED, NEURAL_PM, predictor_for
 
     cfg.reject_unknown(_PREDICTOR_KEYS)
@@ -193,5 +194,4 @@ def predictor_from_config(cfg: Config, default_horizon: int = 2):
                else LatencyProfile.constant(0.005))
     return predictor_for(kind, latency,
                          file=cfg.get_path(file_key) if file_key else None,
-                         horizon=cfg.get_int("horizon") if "horizon" in cfg else None,
-                         default_horizon=default_horizon)
+                         horizon=cfg.get_int("horizon") if "horizon" in cfg else None)

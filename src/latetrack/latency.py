@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReplayExhaustedError, ValidationError
+from .errors import ValidationError
 
 CONSTANT = "constant"
 GAUSSIAN = "gaussian_truncated"
@@ -79,9 +79,7 @@ class LatencySampler:
         if p.kind == GAUSSIAN:
             return max(p.floor, float(self._rng.normal(p.mean, p.stddev)))
         if self._pos >= len(p.replay_values):
-            raise ReplayExhaustedError(
-                f"replay latency exhausted after {self._pos} draws"
-            )
+            raise ValidationError(f"replay latency exhausted after {self._pos} draws")
         value = p.replay_values[self._pos]
         self._pos += 1
         return value

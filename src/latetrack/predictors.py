@@ -159,14 +159,9 @@ def kf_predict(state: KalmanState, horizon: int) -> list:
     return rows
 
 
-def zero_motion_predict(last, horizon: int) -> list:
-    """Control baseline: the latest box or row carried forward."""
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    return [last] * horizon
-
-
 class ZeroMotionPredictor:
+    """Control baseline: the latest box or row carried forward."""
+
     def __init__(self):
         self._latest = None
 
@@ -177,7 +172,9 @@ class ZeroMotionPredictor:
         self._latest = tuple(row)
 
     def predict(self, horizon: int) -> list:
-        return zero_motion_predict(self._latest, horizon)
+        if horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        return [self._latest] * horizon
 
 
 class KalmanBoxPredictor:

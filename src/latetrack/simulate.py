@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +37,8 @@ import numpy as np
 from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence
 from .errors import ValidationError
 from .latency import LatencyProfile
-from .network import PMWeights, load_weights
-from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
-                         _check_noise, load_kf_noise)
+from .network import load_weights
+from .predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor, load_kf_noise
 from .seeding import derive_seed, rng_for
 
 NONE = "none"
@@ -174,44 +175,24 @@ class TrackerAdapter:
 
 @dataclass(frozen=True)
 class PredictorAdapter:
-    """Which predictor runs alongside the tracker, its horizon, and the
-    latency its invocations charge."""
+    """The predictor that runs alongside the tracker. `make()` builds a
+    fresh online predictor (reset, observe, predict) for one run, which
+    predicts `horizon_n` frames ahead; each invocation charges a draw
+    from `latency`. `predictor_for` builds one per predictor kind."""
 
-    kind: str
+    make: Callable
     horizon_n: int
     latency: LatencyProfile
-    q_diag: tuple = ()
-    r_diag: tuple = ()
-    weights: PMWeights = None
 
     def __post_init__(self):
-        if self.kind not in (ZERO_MOTION, KF, KF_LEARNED, NEURAL_PM):
-            raise ValidationError(f"unknown predictor kind {self.kind!r}")
         if self.horizon_n < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon_n}")
-        if self.kind == KF_LEARNED:
-            _check_noise(self.q_diag, self.r_diag)
-        if self.kind == NEURAL_PM:
-            if self.weights is None:
-                raise ValidationError("pm needs trained weights")
-            if self.weights.n_heads != self.horizon_n:
-                raise ValidationError(
-                    f"checkpoint predicts {self.weights.n_heads} frames but horizon is {self.horizon_n}"
-                )
-
-    def make_instance(self):
-        if self.kind == ZERO_MOTION:
-            return ZeroMotionPredictor()
-        if self.kind == KF:
-            return KalmanBoxPredictor()
-        if self.kind == KF_LEARNED:
-            return KalmanBoxPredictor(self.q_diag, self.r_diag)
-        return MotionNetPredictor(self.weights)
 
 
 def predictor_for(kind: str, latency: LatencyProfile, *, file=None, horizon: int = None,
                   default_horizon: int = 2):
-    """The predictor vocabulary: none | zero | kf | kf_learned | pm.
+    """The predictor vocabulary, and the one place that maps a kind to
+    its predictor: none | zero | kf | kf_learned | pm.
 
     `file` is the fitted-noise JSON of kf_learned or the checkpoint of
     pm; the other kinds take none. A pm horizon is the checkpoint's head
@@ -227,14 +208,19 @@ def predictor_for(kind: str, latency: LatencyProfile, *, file=None, horizon: int
         raise ValidationError(f"predictor {kind!r} {'needs' if needs_file else 'takes no'} file")
     if kind == NONE:
         return None
-    q_diag, r_diag, weights = (), (), None
-    if kind == KF_LEARNED:
-        q_diag, r_diag = load_kf_noise(file)
-    if kind == NEURAL_PM:
+    if kind == ZERO_MOTION:
+        make = ZeroMotionPredictor
+    elif kind == KF:
+        make = KalmanBoxPredictor
+    elif kind == KF_LEARNED:
+        make = partial(KalmanBoxPredictor, *load_kf_noise(file))
+    else:
         weights = load_weights(file)
-        default_horizon = weights.n_heads
-    return PredictorAdapter(kind, default_horizon if horizon is None else horizon, latency,
-                            q_diag=q_diag, r_diag=r_diag, weights=weights)
+        if horizon not in (None, weights.n_heads):
+            raise ValidationError(
+                f"checkpoint predicts {weights.n_heads} frames but horizon is {horizon}")
+        make, default_horizon = partial(MotionNetPredictor, weights), weights.n_heads
+    return PredictorAdapter(make, default_horizon if horizon is None else horizon, latency)
 
 
 def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,
@@ -314,7 +300,7 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
     tracker_latency = tracker.latency.sampler(derive_seed(seed, "tracker-latency"))
     instance = None
     if predictor is not None:
-        instance = predictor.make_instance()
+        instance = predictor.make()
         instance.reset(seq.b0)
         predictor_latency = predictor.latency.sampler(derive_seed(seed, "predictor-latency"))
 

@@ -60,7 +60,7 @@ def test_traced_run_and_sweep_give_layer_metrics():
     seq = Sequence("cv", FrameClock(30.0),
                    tuple(linear_track(BoundingBox(50, 50, 12, 12), (2.0, 0.5), 20)))
     tracker = simulate.TrackerAdapter(LatencyProfile.constant(0.05), sigma_pos=0.3)
-    predictor = simulate.PredictorAdapter(simulate.KF, 2, LatencyProfile.constant(0.005))
+    predictor = simulate.predictor_for(simulate.KF, LatencyProfile.constant(0.005))
 
     tracer = tracing.Tracer()
     tracer.install()

@@ -484,6 +484,21 @@ class TestExitCodes:
                      "--tracker", tracker_cfg,
                      "--out", str(tmp_path / "runs")]) == 3
 
+    @pytest.mark.parametrize("verb, flag", [
+        ("gen", "--format md"), ("gen", "--framerate 25"), ("simulate", "--format md"),
+        ("train", "--format md"), ("horizon", "--format md"),
+    ])
+    def test_flag_the_verb_ignores_is_rejected(self, tmp_path, capsys, verb, flag):
+        inputs = {"gen": ["spec.cfg"], "train": ["--corpus", "seqs"],
+                  "simulate": ["--sequences", "seqs", "--tracker", "tracker.cfg"],
+                  "horizon": ["--sequences", "seqs", "--tracker", "tracker.cfg"]}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, *inputs[verb], "--out", str(out), *flag.split()])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_value_is_validation(self, tmp_path):
         seqs = gen_corpus(tmp_path, count=1, length=30)
         trk = write_cfg(tmp_path / "trk.cfg",

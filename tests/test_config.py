@@ -7,9 +7,8 @@ from latetrack.config import (Config, latency_from_config, predictor_from_config
 from latetrack.errors import ValidationError
 from latetrack.latency import CONSTANT, GAUSSIAN, REPLAY, LatencyProfile
 from latetrack.network import init_weights, save_weights
-from latetrack.predictors import save_kf_noise
-from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, TrackerAdapter, load_trace, run_stream,
-                                save_trace)
+from latetrack.predictors import KalmanBoxPredictor, MotionNetPredictor, save_kf_noise
+from latetrack.simulate import TrackerAdapter, load_trace, run_stream, save_trace
 from latetrack.training import CONSTANT_VELOCITY, linear_track
 from latetrack.boxes import FrameClock, Sequence
 
@@ -178,13 +177,13 @@ class TestPredictorFromConfig:
     def test_kf(self):
         cfg = Config.from_text("kind = kf\nhorizon = 3\n")
         adapter = predictor_from_config(cfg)
-        assert adapter.kind == KF
+        assert adapter.make is KalmanBoxPredictor
         assert adapter.horizon_n == 3
         assert adapter.latency.mean == 0.005
 
     def test_default_horizon_used_when_absent(self):
         cfg = Config.from_text("kind = zero\n")
-        assert predictor_from_config(cfg, default_horizon=4).horizon_n == 4
+        assert predictor_from_config(cfg).horizon_n == 2
 
     def test_pm_alias_loads_checkpoint(self, tmp_path):
         w = init_weights(k=3, n_heads=2, c_enc=8, c_dec=6, seed=1)
@@ -192,7 +191,9 @@ class TestPredictorFromConfig:
         save_weights(w, path)
         cfg = Config.from_text(f"kind = pm\nweights = {path}\n")
         adapter = predictor_from_config(cfg)
-        assert adapter.kind == NEURAL_PM
+        predictor = adapter.make()
+        assert isinstance(predictor, MotionNetPredictor)
+        assert np.array_equal(predictor.weights.flat, w.flat)
         # horizon defaults to the checkpoint's head count
         assert adapter.horizon_n == 2
 
@@ -200,10 +201,10 @@ class TestPredictorFromConfig:
         path = tmp_path / "noise.json"
         save_kf_noise(np.full(8, 0.02), np.full(4, 1.5), path)
         cfg = Config.from_text(f"kind = kf_learned\nnoise = {path}\n")
-        adapter = predictor_from_config(cfg)
-        assert adapter.kind == KF_LEARNED
-        assert adapter.q_diag == (0.02,) * 8
-        assert adapter.r_diag == (1.5,) * 4
+        predictor = predictor_from_config(cfg).make()
+        assert isinstance(predictor, KalmanBoxPredictor)
+        assert predictor.q_diag.tolist() == [0.02] * 8
+        assert predictor.r_diag.tolist() == [1.5] * 4
 
     def test_explicit_predictor_latency(self):
         cfg = Config.from_text(

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from latetrack.errors import ReplayExhaustedError, ValidationError
+from latetrack.errors import ValidationError
 from latetrack.latency import CONSTANT, REPLAY, LatencyProfile
 
 
@@ -63,7 +63,7 @@ class TestReplay:
     def test_exhaustion_raises(self):
         sampler = LatencyProfile.replay((0.01,)).sampler(9)
         sampler.draw()
-        with pytest.raises(ReplayExhaustedError):
+        with pytest.raises(ValidationError, match="exhausted"):
             sampler.draw()
 
     def test_values_below_floor_rejected(self):

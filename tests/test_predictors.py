@@ -12,7 +12,7 @@ from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DI
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                                   kf_predict, kf_update, load_kf_noise, make_kf_state,
-                                  save_kf_noise, zero_motion_predict)
+                                  save_kf_noise)
 from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
 from latetrack.seeding import rng_for
 
@@ -210,11 +210,15 @@ class TestStateValidation:
 class TestZeroMotion:
     def test_repeats_last_box(self):
         b = BoundingBox(1, 2, 3, 4)
-        assert zero_motion_predict(b, 3) == [b, b, b]
+        p = ZeroMotionPredictor()
+        p.reset(b)
+        assert p.predict(3) == [tuple(b)] * 3
 
     def test_bad_horizon(self):
+        p = ZeroMotionPredictor()
+        p.reset(BoundingBox(0, 0, 1, 1))
         with pytest.raises(ValidationError):
-            zero_motion_predict(BoundingBox(0, 0, 1, 1), 0)
+            p.predict(0)
 
 
 class TestOnlinePredictors:

@@ -1,9 +1,11 @@
 import re
+import shlex
 from pathlib import Path
 
-from latetrack.cli import main
+from latetrack.cli import build_parser, main
 from latetrack.config import (Config, predictor_from_config, synthetic_spec_from_config,
                               tracker_from_config)
+from latetrack.predictors import KalmanBoxPredictor
 from latetrack.training import gen_synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,4 +33,16 @@ def test_config_examples_load_as_written():
     [adapter] = tracker_from_config(tracker, [seq])
     assert (adapter.sigma_pos, adapter.latency.mean) == (0.45, 0.05)
     adapter = predictor_from_config(predictor)
-    assert (adapter.kind, adapter.horizon_n, adapter.latency.mean) == ("kf", 2, 0.005)
+    assert (adapter.make, adapter.horizon_n, adapter.latency.mean) == (KalmanBoxPredictor, 2,
+                                                                       0.005)
+
+
+def test_shell_commands_parse():
+    """Every `latetrack` command in the README's shell blocks parses, so
+    the README advertises no flag the parser rejects."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("latetrack ")]
+    assert len(commands) == 7
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

@@ -1,17 +1,18 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, save_sequence
-from latetrack.errors import ReplayExhaustedError, ValidationError
+from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights
-from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
-                                RunLog, TrackerAdapter, load_run_log, load_trace,
-                                next_frame, pick_horizon_n, run_stream, save_run_log,
-                                save_trace)
+from latetrack.predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor
+from latetrack.simulate import (KF, NEURAL_PM, ZERO_MOTION, PredictorAdapter, RunLog,
+                                TrackerAdapter, load_run_log, load_trace, next_frame,
+                                pick_horizon_n, run_stream, save_run_log, save_trace)
 from latetrack.training import linear_track
 
 
@@ -80,7 +81,7 @@ class TestSchedule:
 
 class TestPredictorInStream:
     def test_emits_horizon_rows_per_arrival_after_first(self):
-        pred = PredictorAdapter(ZERO_MOTION, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
         raw = [o for o in log.outputs if o[2] == "raw"]
         predicted = [o for o in log.outputs if o[2] == "predicted"]
@@ -89,7 +90,7 @@ class TestPredictorInStream:
         assert log.predictor_invocations == len(log.processed) - 1
 
     def test_predictions_target_frames_after_the_previous_one(self):
-        pred = PredictorAdapter(ZERO_MOTION, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
         by_avail = {}
         for target, available, kind, _ in log.outputs:
@@ -100,7 +101,7 @@ class TestPredictorInStream:
             assert targets == [prev + 1, prev + 2]
 
     def test_predictor_latency_delays_tracking(self):
-        pred = PredictorAdapter(ZERO_MOTION, 1, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor, 1, LatencyProfile.constant(0.005))
         plain = run_stream(cv_sequence(10), tracker(0.05))
         with_pred = run_stream(cv_sequence(10), tracker(0.05), pred)
         # every frame after the first pays the predictor's 5 ms
@@ -108,7 +109,7 @@ class TestPredictorInStream:
         assert with_pred.mean_predictor_latency == pytest.approx(0.005)
 
     def test_kf_predictions_lead_the_track(self):
-        pred = PredictorAdapter(KF, 2, LatencyProfile.constant(0.001))
+        pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.001))
         seq = cv_sequence(30)
         log = run_stream(seq, tracker(0.05), pred)
         late = [(target, row) for target, _, kind, row in log.outputs
@@ -127,17 +128,17 @@ class TestPredictorInStream:
     ])
     def test_learned_noise_is_checked_when_the_adapter_is_built(self, q_diag, r_diag):
         with pytest.raises(ValidationError):
-            PredictorAdapter(KF_LEARNED, 2, LatencyProfile.constant(0.005),
-                             q_diag=q_diag, r_diag=r_diag)
+            KalmanBoxPredictor(q_diag, r_diag)
 
     def test_neural_predictor_checkpoint_must_match_horizon(self):
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        with pytest.raises(ValidationError):
-            PredictorAdapter(NEURAL_PM, 3, LatencyProfile.constant(0.005), weights=w)
+        pred = PredictorAdapter(partial(MotionNetPredictor, w), 3, LatencyProfile.constant(0.005))
+        with pytest.raises(ValidationError, match="network predicts exactly 2 frames"):
+            run_stream(cv_sequence(10), tracker(0.05), pred)
 
     def test_neural_predictor_runs_in_stream(self):
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        pred = PredictorAdapter(NEURAL_PM, 2, LatencyProfile.constant(0.005), weights=w)
+        pred = PredictorAdapter(partial(MotionNetPredictor, w), 2, LatencyProfile.constant(0.005))
         seq = cv_sequence(20)
         log = run_stream(seq, tracker(0.05), pred)
         predicted = [(target, row) for target, _, kind, row in log.outputs if kind == "predicted"]
@@ -231,7 +232,7 @@ class TestRunLogInvariants:
             RunLog("x", schedule, ())
 
     def test_its_own_rows_rebuild_an_equal_log(self):
-        pred = PredictorAdapter(KF, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
         rebuilt = RunLog(log.sequence_name, log.processed, log.outputs, log.predictor_latencies)
         assert rebuilt == log
@@ -268,9 +269,10 @@ class TestStreamBuildsNoObjects:
 
     @staticmethod
     def predictor(kind):
-        weights = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        return PredictorAdapter(kind, 2, LatencyProfile.constant(0.005),
-                                weights=weights if kind == NEURAL_PM else None)
+        make = {ZERO_MOTION: ZeroMotionPredictor, KF: KalmanBoxPredictor,
+                NEURAL_PM: partial(MotionNetPredictor,
+                                   constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6))}
+        return PredictorAdapter(make[kind], 2, LatencyProfile.constant(0.005))
 
     @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
     def test_no_per_frame_objects(self, kind, monkeypatch):
@@ -299,7 +301,7 @@ class TestStreamBuildsNoObjects:
 
 class TestFiles:
     def test_run_log_round_trip(self, tmp_path):
-        pred = PredictorAdapter(ZERO_MOTION, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
         path = tmp_path / "log.csv"
         save_run_log(log, path, manifest_ref="cafe01234567")
@@ -341,7 +343,7 @@ class TestFiles:
         seq = cv_sequence(10)
         trace = run_stream(seq, tracker(0.05))
         adapter = TrackerAdapter.replay(trace, LatencyProfile.replay((0.05, 0.05)))
-        with pytest.raises(ReplayExhaustedError):
+        with pytest.raises(ValidationError, match="exhausted"):
             run_stream(seq, adapter)
 
     def test_missing_frame_names_the_trace(self, tmp_path):
