@@ -20,10 +20,8 @@ from .latency import LatencyProfile
 from .motion import apply_motion_row, encode_motion, encode_motion_rows
 from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,
                       load_weights, pm_predict, save_weights)
-from .predictors import (KalmanBoxPredictor, KalmanState, MotionNetPredictor,
-                         ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
-                         kf_predict, kf_update, load_kf_noise, make_kf_state,
-                         save_kf_noise)
+from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
+                         kf_fit_noise, kf_motion_batch, load_kf_noise, save_kf_noise)
 from .simulate import (PredictorAdapter, RunLog, TrackerAdapter, load_run_log, load_trace,
                        next_frame, pick_horizon_n, predictor_for, run_stream, save_run_log,
                        save_trace)

@@ -22,6 +22,13 @@ frames: the transition is applied once per skipped frame, then a single
 measurement correction runs. The closed-form Joseph correction keeps
 each block symmetric by construction and PSD.
 
+KalmanBoxPredictor is the one online filter: its state is four (pos,
+vel, a, b, c) float tuples, which kf_update and kf_predict advance.
+kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
+kf_fit_noise reads Q, R and init_cov from the predictor it starts from.
+make_kf_state (a predictor reset at b0) is kept only for the
+benchmark's noise-fit step.
+
 The motion-net wrapper keeps its window as the (k, 4) motion and (k,)
 gap arrays a training window holds.
 """
@@ -29,7 +36,6 @@ gap arrays a training window holds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,21 +48,6 @@ from .seeding import rng_for
 DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
 DEFAULT_INIT_COV = 10.0
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """Per coordinate (cx, cy, w, h): position and velocity means and the
-    covariance [[a, b], [b, c]]; plus the Q (8) and R (4) diagonals.
-    make_kf_state builds and validates it; updates return new states."""
-
-    pos: np.ndarray
-    vel: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    q_diag: np.ndarray
-    r_diag: np.ndarray
 
 
 def _check_noise(q_diag, r_diag):
@@ -78,35 +69,19 @@ def _check_init_cov(init_cov: float) -> float:
     return init_cov
 
 
-def _measurement(box) -> np.ndarray:
-    x, y, w, h = box
-    return np.array((x + w / 2.0, y + h / 2.0, w, h))
+def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
+    """One gap-aware update of a (position, velocity) filter: `gap`
+    single-frame time updates, then one correction on the measurement z.
 
-
-def make_kf_state(b0, q_diag=None, r_diag=None,
-                  init_cov: float = DEFAULT_INIT_COV) -> KalmanState:
-    """Zero-velocity state centered on b0 (a box or row) with diagonal
-    initial covariance. The one place a state's noise and init_cov are
-    checked."""
-    q_diag, r_diag = _check_noise(q_diag, r_diag)
-    init_cov = _check_init_cov(init_cov)
-    return KalmanState(pos=_measurement(b0), vel=np.zeros(4),
-                       a=np.full(4, init_cov), b=np.zeros(4), c=np.full(4, init_cov),
-                       q_diag=q_diag, r_diag=r_diag)
-
-
-def _kf_step(pos, vel, a, b, c, q, r, z, gap: int):
-    """One gap-aware update of the four filters: `gap` single-frame time
-    updates, then one correction on the measurement z (cx, cy, w, h).
-
-    pos, vel and z are one state (4,) or a stack (n, 4) of states that
-    share the covariance blocks a, b, c (4,) each; q is the Q diagonal
-    (8,) and r the R diagonal (4,). The covariance and gain depend only
-    on (a, b, c, q, r, gap), never on z, so a stack of windows with one
-    gap pattern shares a single covariance recursion. With r > 0 and
-    a >= 0 the innovation variance s = a + r is positive.
+    Every argument but gap is a float for one coordinate's filter, or an
+    array for many: kf_motion_batch passes (n, 4) stacks of pos, vel and
+    z that share the (4,) covariance blocks a, b, c and noise q_pos,
+    q_vel, r. Python floats and numpy round each + - * / alike and fuse
+    none, so both forms give the same bits. The covariance and gain
+    depend only on (a, b, c, q, r, gap), never on z, so a stack of
+    windows with one gap pattern shares a single covariance recursion.
+    With r > 0 and a >= 0 the innovation variance s = a + r is positive.
     """
-    q_pos, q_vel = q[:4], q[4:]
     for _ in range(gap):
         pos = pos + vel
         bc = b + c
@@ -124,23 +99,21 @@ def _kf_step(pos, vel, a, b, c, q, r, z, gap: int):
             c - 2.0 * k2 * b + k2 * k2 * s)
 
 
-def kf_update(state: KalmanState, measured, gap: int = 1) -> KalmanState:
-    """Advance the filter `gap` frames, then correct on the measured box
-    or row.
+def kf_update(filters, q_diag, r_diag, row, gap: int) -> tuple:
+    """The four filters advanced `gap` frames, then corrected on the
+    measured (x, y, w, h) row.
 
     The gap update is literally `gap` single-frame time updates, so a
     gap-2 update equals two gap-1 time updates followed by one
-    correction, covariance included. The state was validated when
-    make_kf_state built it; only the gap is checked here.
+    correction, covariance included. KalmanBoxPredictor checked the
+    noise and the gap; nothing is checked here.
     """
-    if gap < 1:
-        raise ValidationError(f"gap must be >= 1, got {gap}")
-    pos, vel, a, b, c = _kf_step(state.pos, state.vel, state.a, state.b, state.c,
-                                 state.q_diag, state.r_diag, _measurement(measured), gap)
-    return KalmanState(pos, vel, a, b, c, state.q_diag, state.r_diag)
+    x, y, w, h = row
+    return tuple(_kf_step(*f, q_pos, q_vel, r, z, gap) for f, q_pos, q_vel, r, z in
+                 zip(filters, q_diag, q_diag[4:], r_diag, (x + w / 2.0, y + h / 2.0, w, h)))
 
 
-def kf_predict(state: KalmanState, horizon: int) -> list:
+def kf_predict(filters, horizon: int) -> list:
     """Roll the transition forward without corrections; one (x, y, w, h)
     row per step.
 
@@ -149,13 +122,12 @@ def kf_predict(state: KalmanState, horizon: int) -> list:
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    pos = state.pos
+    (cx, vx, *_), (cy, vy, *_), (w, vw, *_), (h, vh, *_) = filters
     rows = []
     for _ in range(horizon):
-        pos = pos + state.vel
-        cx, cy, w, h = pos.tolist()
-        w, h = max(w, 1.0), max(h, 1.0)
-        rows.append((cx - w / 2.0, cy - h / 2.0, w, h))
+        cx, cy, w, h = cx + vx, cy + vy, w + vw, h + vh
+        ew, eh = max(w, 1.0), max(h, 1.0)
+        rows.append((cx - ew / 2.0, cy - eh / 2.0, ew, eh))
     return rows
 
 
@@ -178,25 +150,41 @@ class ZeroMotionPredictor:
 
 
 class KalmanBoxPredictor:
+    """The online Kalman filter. Noise and init_cov are checked once,
+    here, and kept as float tuples. The state is `filters`: one (pos,
+    vel, a, b, c) float tuple per coordinate (cx, cy, w, h), which reset
+    fills from b0 with zero velocity and covariance diag(init_cov)."""
+
     def __init__(self, q_diag=None, r_diag=None, init_cov: float = DEFAULT_INIT_COV):
-        self.q_diag, self.r_diag = _check_noise(q_diag, r_diag)
+        q, r = _check_noise(q_diag, r_diag)
+        self.q_diag, self.r_diag = tuple(q.tolist()), tuple(r.tolist())
         self.init_cov = _check_init_cov(init_cov)
-        self._state = None
+        self.filters = None
         self._frame = 0
 
     def reset(self, b0) -> None:
-        self._state = make_kf_state(b0, self.q_diag, self.r_diag, self.init_cov)
+        x, y, w, h = b0
+        p = self.init_cov
+        self.filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
         self._frame = 0
 
     def observe(self, frame: int, row) -> None:
         gap = frame - self._frame
         if gap < 1:
             raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        self._state = kf_update(self._state, row, gap)
+        self.filters = kf_update(self.filters, self.q_diag, self.r_diag, row, gap)
         self._frame = frame
 
     def predict(self, horizon: int) -> list:
-        return kf_predict(self._state, horizon)
+        return kf_predict(self.filters, horizon)
+
+
+def make_kf_state(b0, q_diag=None, r_diag=None,
+                  init_cov: float = DEFAULT_INIT_COV) -> KalmanBoxPredictor:
+    """A KalmanBoxPredictor reset at b0."""
+    predictor = KalmanBoxPredictor(q_diag, r_diag, init_cov)
+    predictor.reset(b0)
+    return predictor
 
 
 class MotionNetPredictor:
@@ -275,7 +263,8 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
             pos, vel = boxes[:, 0], np.zeros((len(idx), 4))
             a, b, c = np.full(4, init_cov), np.zeros(4), np.full(4, init_cov)
             for j, gap in enumerate(gaps.tolist(), start=1):
-                pos, vel, a, b, c = _kf_step(pos, vel, a, b, c, q_diag, r_diag, boxes[:, j], gap)
+                pos, vel, a, b, c = _kf_step(pos, vel, a, b, c, q_diag[:4], q_diag[4:], r_diag,
+                                             boxes[:, j], gap)
             rollout = np.empty((len(idx), horizon_n, 4))
             for n in range(horizon_n):
                 pos = pos + vel
@@ -309,13 +298,15 @@ def load_kf_noise(path):
     return q, r
 
 
-def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
+def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, k: int = 3,
                  stride_set=(1, 2), max_windows: int = 400):
     """Fit the Q/R diagonals by gradient descent on their logs.
 
     Tracks are what sample_windows takes, and windows come from it; the
     objective is the filter's one-frame-step prediction error in motion
-    space after re-running it over each window's boxes. Gradients are
+    space after re-running it over each window's boxes. The fit starts
+    from init's Q and R diagonals and keeps its init_cov; nothing else of
+    init, such as the frames it has observed, is read. Gradients are
     central finite differences on the 12 log-parameters; steps reuse the
     trainer's AdamW. Tracks split 90/10 for validation; the returned
     diagonals are best-on-validation with the init always a candidate,
@@ -324,9 +315,7 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
     Each loss evaluation is one kf_motion_batch call, which runs the
     four filters' covariance recursion once per gap pattern rather than
     once per window. That is exact: the recursion depends on Q, R, the
-    initial covariance and the gaps, never on the measurements. The
-    initial covariance is init's (every block starts at a = c =
-    init_cov, b = 0).
+    initial covariance and the gaps, never on the measurements.
     """
     from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sample_windows
 
@@ -351,10 +340,9 @@ def kf_fit_noise(tracks, init: KalmanState, config=None, *, k: int = 3,
 
     train_w = windows([i for i in range(len(tracks)) if i not in val_idx], "train")
     val_w = windows(sorted(val_idx), "val") if val_idx else train_w
-    init_cov = float(init.a[0])
 
     def loss(theta, batch):
-        predict = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]), init_cov=init_cov)
+        predict = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]), init_cov=init.init_cov)
         return motion_l1_on_samples(batch, predict)
 
     theta = np.log(np.concatenate([init.q_diag, init.r_diag]))

@@ -18,8 +18,7 @@ from latetrack.latency import LatencyProfile
 from latetrack.motion import apply_motion_row, encode_motion
 from latetrack.network import (backward_batch, constant_factor_weights, forward_batch,
                                init_weights, l1_loss, save_weights)
-from latetrack.predictors import (kf_fit_noise, kf_motion_batch, kf_predict,
-                                  kf_update, make_kf_state)
+from latetrack.predictors import KalmanBoxPredictor, kf_fit_noise, kf_motion_batch
 from latetrack.seeding import rng_for
 from latetrack.simulate import RunLog, TrackerAdapter, run_stream
 from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, SINUSOIDAL,
@@ -130,10 +129,11 @@ def test_constant_velocity_is_exact_for_fixture_and_filter():
         assert motion_l1_on_samples(windows, pm_motion_batch(fixture)) < 1e-12
 
         track = linear_track(BoundingBox(40, 60, 16, 12), (1.0, -0.7), 26)
-        state = make_kf_state(track[0])
+        kf = KalmanBoxPredictor()
+        kf.reset(track[0])
         for f in range(1, 21):
-            state = kf_update(state, track[f])
-        for step, predicted in enumerate(kf_predict(state, 3), start=1):
+            kf.observe(f, track[f])
+        for step, predicted in enumerate(kf.predict(3), start=1):
             assert center_error(predicted, track[20 + step]) < 1e-3
 
 
@@ -261,7 +261,7 @@ def test_noise_fit_shifts_toward_measurement_dominated():
     with budget(60.0):
         tracks = gen_synthetic(SyntheticSpec(CONSTANT_VELOCITY, 12, 90, seed=55,
                                              noise_sigma=2.0))
-        init = make_kf_state(BoundingBox(0, 0, 10, 10))
+        init = KalmanBoxPredictor()
         q_fit, r_fit = kf_fit_noise([list(s.ground_truth) for s in tracks], init)
 
         before = np.mean(init.r_diag) / np.mean(init.q_diag)

@@ -1,5 +1,6 @@
 """The benchmark's span tracer must find every function it traces and
-every attribute its work counts read.
+every attribute its work counts read, and the library calls the
+benchmark's workloads make must keep working.
 
 bench/tracing.py swaps traced latetrack functions by name, so renaming
 or deleting one (say pm_predict or kf_update) would break only the
@@ -7,30 +8,40 @@ benchmark's traced run. Its work counts read `log.processed`,
 `log.predictor_invocations` and `seq.ground_truth`. Installing the
 tracer here, running one short traced simulation and sweep, and turning
 the spans into layer metrics catches either break in the ordinary test
-run.
+run. bench/workloads.py calls the noise fit as a library function
+(make_kf_state, kf_fit_noise, save_kf_noise), so its fit step runs here
+too, on tiny inputs.
 """
 
 import importlib
 import importlib.util
+import sys
+import time
 from pathlib import Path
 
 from latetrack import evaluate, simulate
 from latetrack.boxes import BoundingBox, FrameClock, Sequence
 from latetrack.latency import LatencyProfile
-from latetrack.training import linear_track
+from latetrack.predictors import load_kf_noise
+from latetrack.training import SINUSOIDAL, SyntheticSpec, gen_synthetic, linear_track
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # dataclasses look the defining module up while the module runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
 def test_install_wraps_every_traced_name_and_uninstall_restores_it():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     modules = {name: importlib.import_module(name) for name in tracing.MODULES}
     traced = ([(modules[home], attr) for home, attr, _, _ in tracing.SPANNED]
               + [(modules[home], attr) for home, attr, _ in tracing.COUNTED]
@@ -56,7 +67,7 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_it():
 
 
 def test_traced_run_and_sweep_give_layer_metrics():
-    tracing = load_tracing()
+    tracing = load_bench("tracing")
     seq = Sequence("cv", FrameClock(30.0),
                    tuple(linear_track(BoundingBox(50, 50, 12, 12), (2.0, 0.5), 20)))
     tracker = simulate.TrackerAdapter(LatencyProfile.constant(0.05), sigma_pos=0.3)
@@ -79,3 +90,14 @@ def test_traced_run_and_sweep_give_layer_metrics():
     assert m["evaluate.sweep.calls"] == 1
     assert m["evaluate.sweep.matches"] == len(seq) * len(evaluate.sigma_grid())
     assert m["evaluate.EstimateMatcher.build_s"] > 0
+
+
+def test_workload_noise_fit_runs_on_tiny_tracks(tmp_path):
+    workloads = load_bench("workloads")
+    tracks = gen_synthetic(SyntheticSpec(SINUSOIDAL, 2, 40, seed=3, noise_sigma=0.45))
+    out = tmp_path / "noise.json"
+    start = time.perf_counter()
+    assert workloads._fit_noise(tracks, 3, workloads.SIZES["tiny"]["fit"], out) == 0
+    assert time.perf_counter() - start < 0.5
+    q, r = load_kf_noise(out)
+    assert len(q) == 8 and len(r) == 4

@@ -203,8 +203,8 @@ class TestPredictorFromConfig:
         cfg = Config.from_text(f"kind = kf_learned\nnoise = {path}\n")
         predictor = predictor_from_config(cfg).make()
         assert isinstance(predictor, KalmanBoxPredictor)
-        assert predictor.q_diag.tolist() == [0.02] * 8
-        assert predictor.r_diag.tolist() == [1.5] * 4
+        assert predictor.q_diag == (0.02,) * 8
+        assert predictor.r_diag == (1.5,) * 4
 
     def test_explicit_predictor_latency(self):
         cfg = Config.from_text(

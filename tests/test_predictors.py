@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -11,8 +10,7 @@ from latetrack.network import init_weights, zero_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
-                                  kf_predict, kf_update, load_kf_noise, make_kf_state,
-                                  save_kf_noise)
+                                  load_kf_noise, make_kf_state, save_kf_noise)
 from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
 from latetrack.seeding import rng_for
 
@@ -28,21 +26,35 @@ def centers(rows):
     return [(x + w / 2.0, y + h / 2.0) for x, y, w, h in rows]
 
 
-def assert_matches_oracle(state, oracle, atol):
+def assert_matches_oracle(predictor, oracle, atol):
     """The four 2-state filters against the 8-state textbook filter: each
     coordinate i's (pos, vel) is entries i and i + 4 of oracle.x, and its
     (a, b, c) is the (i, i), (i, i + 4), (i + 4, i + 4) entries of
     oracle.P, which is exactly zero everywhere else."""
+    pos, vel, a, b, c = np.array(predictor.filters).T
     i = np.arange(4)
-    assert np.allclose(state.pos, oracle.x[:4], atol=atol)
-    assert np.allclose(state.vel, oracle.x[4:], atol=atol)
-    assert np.allclose(state.a, oracle.P[i, i], atol=atol)
-    assert np.allclose(state.b, oracle.P[i, i + 4], atol=atol)
-    assert np.allclose(state.b, oracle.P[i + 4, i], atol=atol)
-    assert np.allclose(state.c, oracle.P[i + 4, i + 4], atol=atol)
+    assert np.allclose(pos, oracle.x[:4], atol=atol)
+    assert np.allclose(vel, oracle.x[4:], atol=atol)
+    assert np.allclose(a, oracle.P[i, i], atol=atol)
+    assert np.allclose(b, oracle.P[i, i + 4], atol=atol)
+    assert np.allclose(b, oracle.P[i + 4, i], atol=atol)
+    assert np.allclose(c, oracle.P[i + 4, i + 4], atol=atol)
     blocks = np.zeros((8, 8), dtype=bool)
     blocks[i, i] = blocks[i, i + 4] = blocks[i + 4, i] = blocks[i + 4, i + 4] = True
     assert np.all(oracle.P[~blocks] == 0.0)
+
+
+def kalman(b0, *noise, **kw):
+    """A KalmanBoxPredictor reset at b0."""
+    p = KalmanBoxPredictor(*noise, **kw)
+    p.reset(b0)
+    return p
+
+
+def observe_track(p, track, frames):
+    for f in frames:
+        p.observe(f, track[f])
+    return p
 
 
 NOISES = [(DEFAULT_Q_DIAG, DEFAULT_R_DIAG, DEFAULT_INIT_COV),
@@ -56,7 +68,7 @@ class TestAgainstTextbookFilter:
         for q_diag, r_diag, init_cov in NOISES:
             rng = np.random.default_rng(77)
             b0 = BoundingBox(10, 10, 20, 15)
-            state = make_kf_state(b0, q_diag, r_diag, init_cov)
+            p = kalman(b0, q_diag, r_diag, init_cov)
             oracle = TextbookKalman(b0, q_diag, r_diag, init_cov)
             f = 0
             for _ in range(40):
@@ -64,10 +76,10 @@ class TestAgainstTextbookFilter:
                 f += gap
                 box = BoundingBox(10 + f + rng.normal(0, 2), 10 + rng.normal(0, 2),
                                   20 + abs(rng.normal(0, 1)), 15 + abs(rng.normal(0, 1)))
-                state = kf_update(state, box, gap)
+                p.observe(f, box)
                 oracle.update(box, gap)
-                assert_matches_oracle(state, oracle, atol=1e-8)
-            got = [BoundingBox(*row) for row in kf_predict(state, 3)]
+                assert_matches_oracle(p, oracle, atol=1e-8)
+            got = [BoundingBox(*row) for row in p.predict(3)]
             want = oracle.predict(3)
             for g, w in zip(got, want):
                 assert g.cx == pytest.approx(w.cx, abs=1e-8)
@@ -75,96 +87,95 @@ class TestAgainstTextbookFilter:
 
     def test_gap_two_equals_textbook_gap_two(self):
         b0 = BoundingBox(0, 0, 10, 10)
-        state = make_kf_state(b0)
+        p = kalman(b0)
         oracle = TextbookKalman(b0, DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
         meas = BoundingBox(4, 1, 10, 10)
-        state = kf_update(state, meas, gap=2)
+        p.observe(2, meas)
         oracle.update(meas, gap=2)
-        assert_matches_oracle(state, oracle, atol=1e-10)
+        assert_matches_oracle(p, oracle, atol=1e-10)
 
 
 class TestKalmanBehavior:
     def test_near_zero_q_converges_on_static_box(self):
         b = BoundingBox(30, 40, 12, 8)
-        state = make_kf_state(b, q_diag=np.full(8, 1e-15))
-        for _ in range(50):
-            state = kf_update(state, b)
-        pred = BoundingBox(*kf_predict(state, 1)[0])
+        p = observe_track(kalman(b, np.full(8, 1e-15)), [b] * 51, range(1, 51))
+        pred = BoundingBox(*p.predict(1)[0])
         assert pred.cx == pytest.approx(b.cx, abs=1e-6)
         assert pred.cy == pytest.approx(b.cy, abs=1e-6)
-        assert abs(state.vel[0]) < 1e-6 and abs(state.vel[1]) < 1e-6
+        (_, vx, *_), (_, vy, *_) = p.filters[:2]
+        assert abs(vx) < 1e-6 and abs(vy) < 1e-6
 
     def test_burn_in_tracks_constant_velocity(self):
         track = cv_track(1.0, -0.7, 22)
-        state = make_kf_state(track[0])
-        for f in range(1, 21):
-            state = kf_update(state, track[f])
-        pred = BoundingBox(*kf_predict(state, 1)[0])
+        p = observe_track(kalman(track[0]), track, range(1, 21))
+        pred = BoundingBox(*p.predict(1)[0])
         assert pred.cx == pytest.approx(track[21].cx, abs=1e-3)
         assert pred.cy == pytest.approx(track[21].cy, abs=1e-3)
 
     def test_covariance_blocks_stay_psd(self):
         rng = np.random.default_rng(5)
-        state = make_kf_state(BoundingBox(0, 0, 10, 10))
+        p = kalman(BoundingBox(0, 0, 10, 10))
+        f = 0
         for i in range(200):
             box = BoundingBox(rng.normal(0, 5), rng.normal(0, 5), 10, 10)
-            state = kf_update(state, box, gap=1 + i % 3)
-            assert np.all(state.a >= 0) and np.all(state.c >= 0)
-            assert np.all(state.a * state.c - state.b ** 2 >= -1e-9)
+            f += 1 + i % 3
+            p.observe(f, box)
+            for _, _, a, b, c in p.filters:
+                assert a >= 0 and c >= 0
+                assert a * c - b ** 2 >= -1e-9
 
     def test_huge_r_ignores_measurements(self):
         b0 = BoundingBox(0, 0, 10, 10)
-        sluggish = make_kf_state(b0, r_diag=np.full(4, 1e9))
-        eager = make_kf_state(b0, r_diag=np.full(4, 1e-9))
+        sluggish = kalman(b0, r_diag=np.full(4, 1e9))
+        eager = kalman(b0, r_diag=np.full(4, 1e-9))
         far = BoundingBox(100, 0, 10, 10)
-        sluggish = kf_update(sluggish, far)
-        eager = kf_update(eager, far)
-        assert abs(sluggish.pos[0] - b0.cx) < 1.0
-        assert eager.pos[0] == pytest.approx(far.cx, abs=1e-6)
+        sluggish.observe(1, far)
+        eager.observe(1, far)
+        assert abs(sluggish.filters[0][0] - b0.cx) < 1.0
+        assert eager.filters[0][0] == pytest.approx(far.cx, abs=1e-6)
 
     def test_noiseless_cv_prediction_is_near_optimal(self):
         track = cv_track(2.0, 1.0, 40)
-        state = make_kf_state(track[0])
-        for f in range(1, 31):
-            state = kf_update(state, track[f])
-        for n, row in enumerate(kf_predict(state, 3), start=31):
+        p = observe_track(kalman(track[0]), track, range(1, 31))
+        for n, row in enumerate(p.predict(3), start=31):
             pred = BoundingBox(*row)
             assert pred.cx == pytest.approx(track[n].cx, abs=1e-3)
             assert pred.cy == pytest.approx(track[n].cy, abs=1e-3)
 
 
-def moving_state(pos, vel):
+def moving_filter(pos, vel):
     """A fresh filter at box center/size pos, given per-frame velocities."""
-    return dataclasses.replace(make_kf_state(BoundingBox.from_center(*pos)),
-                               vel=np.array(vel, dtype=float))
+    p = kalman(BoundingBox.from_center(*pos))
+    p.filters = tuple((z, float(v), a, b, c) for (z, _, a, b, c), v in zip(p.filters, vel))
+    return p
 
 
 class TestKfPredict:
     def test_fresh_state_has_zero_velocity(self):
         b = BoundingBox(5, 5, 10, 10)
-        assert centers(kf_predict(make_kf_state(b), 3)) == [(b.cx, b.cy)] * 3
+        assert centers(kalman(b).predict(3)) == [(b.cx, b.cy)] * 3
 
     def test_unit_velocity_marches_right(self):
-        state = moving_state((6.0, 5.0, 10.0, 10.0), (1.0, 0.0, 0.0, 0.0))
-        assert centers(kf_predict(state, 3)) == [(7.0, 5.0), (8.0, 5.0), (9.0, 5.0)]
+        p = moving_filter((6.0, 5.0, 10.0, 10.0), (1.0, 0.0, 0.0, 0.0))
+        assert centers(p.predict(3)) == [(7.0, 5.0), (8.0, 5.0), (9.0, 5.0)]
 
     def test_horizon_composition(self):
-        state = moving_state((0.0, 0.0, 10.0, 10.0), (1.5, -0.5, 0.2, 0.1))
-        long = kf_predict(state, 4)
+        p = moving_filter((0.0, 0.0, 10.0, 10.0), (1.5, -0.5, 0.2, 0.1))
+        long = p.predict(4)
         for i in range(4):
-            assert centers(kf_predict(state, i + 1))[-1] == centers(long)[: i + 1][-1]
+            assert centers(p.predict(i + 1))[-1] == centers(long)[: i + 1][-1]
 
     def test_sizes_clamped_at_one_pixel(self):
-        state = moving_state((0.0, 0.0, 3.0, 3.0), (0.0, 0.0, -2.0, -2.0))
-        rows = kf_predict(state, 4)
+        p = moving_filter((0.0, 0.0, 3.0, 3.0), (0.0, 0.0, -2.0, -2.0))
+        rows = p.predict(4)
         assert [w for _, _, w, _ in rows] == [1.0, 1.0, 1.0, 1.0]
         # the rollout itself keeps shrinking past the clamp
         assert centers(rows) == [(0.0, 0.0)] * 4
 
     def test_bad_horizon(self):
-        state = make_kf_state(BoundingBox(0, 0, 10, 10))
+        p = kalman(BoundingBox(0, 0, 10, 10))
         with pytest.raises(ValidationError):
-            kf_predict(state, 0)
+            p.predict(0)
 
 
 BAD_NOISE = (0.0, -1.0, float("nan"), float("inf"))
@@ -175,15 +186,13 @@ class TestStateValidation:
         for bad in BAD_NOISE:
             for noise in ({"q_diag": np.full(8, bad)}, {"r_diag": np.full(4, bad)}):
                 with pytest.raises(ValidationError):
-                    make_kf_state(BoundingBox(0, 0, 1, 1), **noise)
-                with pytest.raises(ValidationError):
                     KalmanBoxPredictor(**noise)
 
     def test_wrong_shapes_rejected(self):
         with pytest.raises(ValidationError):
-            make_kf_state(BoundingBox(0, 0, 1, 1), q_diag=np.ones(4))
+            KalmanBoxPredictor(q_diag=np.ones(4))
         with pytest.raises(ValidationError):
-            make_kf_state(BoundingBox(0, 0, 1, 1), r_diag=np.ones(8))
+            KalmanBoxPredictor(r_diag=np.ones(8))
 
     @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
     def test_bad_init_cov_rejected_by_make_kf_state(self, init_cov):
@@ -202,9 +211,9 @@ class TestStateValidation:
             kf_motion_batch(1, init_cov=init_cov)
 
     def test_bad_gap_rejected(self):
-        state = make_kf_state(BoundingBox(0, 0, 10, 10))
+        p = kalman(BoundingBox(0, 0, 10, 10))
         with pytest.raises(ValidationError):
-            kf_update(state, BoundingBox(0, 0, 10, 10), gap=0)
+            p.observe(0, BoundingBox(0, 0, 10, 10))
 
 
 class TestZeroMotion:
@@ -229,17 +238,6 @@ class TestOnlinePredictors:
         p.observe(1, BoundingBox(3, 3, 10, 10))
         p.observe(2, latest)
         assert p.predict(2) == [tuple(latest), tuple(latest)]
-
-    def test_kalman_predictor_equals_bare_functions(self):
-        track = cv_track(1.0, 0.5, 12)
-        p = KalmanBoxPredictor()
-        p.reset(track[0])
-        state = make_kf_state(track[0])
-        for f in (1, 2, 4, 5):
-            p.observe(f, track[f])
-        for gap, f in zip((1, 1, 2, 1), (1, 2, 4, 5)):
-            state = kf_update(state, track[f], gap)
-        assert p.predict(2) == kf_predict(state, 2)
 
     def test_observations_must_advance(self):
         p = KalmanBoxPredictor()
@@ -389,30 +387,44 @@ class TestNoiseFiles:
             load_kf_noise(path)
 
 
+def noisy_tracks():
+    rng = np.random.default_rng(9)
+    return [[BoundingBox.from_center(60 + 1.5 * i + rng.normal(0, 1.0),
+                                     60 + rng.normal(0, 1.0), 14, 14)
+             for i in range(25)] for _ in range(3)]
+
+
 class TestFitNoise:
     def test_smoke_fit_returns_valid_diagonals(self):
-        rng = np.random.default_rng(9)
-        tracks = []
-        for t in range(3):
-            tracks.append([BoundingBox.from_center(60 + 1.5 * i + rng.normal(0, 1.0),
-                                                   60 + rng.normal(0, 1.0), 14, 14)
-                           for i in range(25)])
-        init = make_kf_state(BoundingBox(0, 0, 10, 10))
+        init = KalmanBoxPredictor()
         cfg = OptimizerConfig(epochs=2, milestones=(1,), seed=4)
-        q, r = kf_fit_noise(tracks, init, cfg, max_windows=30)
+        q, r = kf_fit_noise(noisy_tracks(), init, cfg, max_windows=30)
         assert q.shape == (8,) and r.shape == (4,)
         assert np.all(q > 0) and np.all(r > 0)
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
 
+    def test_fit_reads_only_the_init_noise_and_init_cov(self):
+        # an init that has observed frames has moved covariance blocks;
+        # the fit must start from its init_cov, not from its progress
+        tracks = noisy_tracks()
+        cfg = OptimizerConfig(epochs=2, milestones=(1,), seed=4)
+        fresh = kf_fit_noise(tracks, KalmanBoxPredictor(), cfg, max_windows=30)
+        moved = observe_track(kalman(tracks[0][0]), tracks[0], (1, 2))
+        assert moved.filters[0][2] != DEFAULT_INIT_COV
+        after = kf_fit_noise(tracks, moved, cfg, max_windows=30)
+        assert np.array_equal(fresh[0], after[0]) and np.array_equal(fresh[1], after[1])
+        wide = kf_fit_noise(tracks, KalmanBoxPredictor(init_cov=250.0), cfg, max_windows=30)
+        assert not (np.array_equal(fresh[0], wide[0]) and np.array_equal(fresh[1], wide[1]))
+
     def test_empty_tracks_rejected(self):
-        init = make_kf_state(BoundingBox(0, 0, 10, 10))
+        init = KalmanBoxPredictor()
         with pytest.raises(ValidationError):
             kf_fit_noise([], init)
 
     def test_track_with_missing_box_rejected(self):
         tracks = [cv_track(1.0, 0.5, 20), cv_track(-1.0, 0.2, 20)]
         tracks[1][9] = None
-        init = make_kf_state(BoundingBox(0, 0, 10, 10))
+        init = KalmanBoxPredictor()
         cfg = OptimizerConfig(epochs=1, milestones=(), seed=0)
         with pytest.raises(ValidationError, match="frame 9"):
             kf_fit_noise(tracks, init, cfg)
