@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 from .boxes import (BoundingBox, FrameClock, Sequence, center_error, iou, load_sequence,
                     save_sequence)
 from .errors import DivergenceError, ValidationError
-from .evaluate import (EstimateMatcher, EvalCurve, MatchedEstimate, PermittedLatency,
-                       match_elae, match_lae, score_run, sigma_grid, sweep)
+from .evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from .latency import LatencyProfile
 from .motion import apply_motion_row, encode_motion, encode_motion_rows
 from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,

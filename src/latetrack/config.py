@@ -117,7 +117,7 @@ def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile
     kind = cfg.get_str(prefix + "kind")
     if kind == "constant":
         return LatencyProfile.constant(cfg.get_float(prefix + "mean"))
-    if kind in ("gaussian", "gaussian_truncated"):
+    if kind == "gaussian":
         return LatencyProfile.gaussian(cfg.get_float(prefix + "mean"),
                                        cfg.get_float(prefix + "stddev"),
                                        floor=cfg.get_float(prefix + "floor", 0.001))

@@ -8,9 +8,10 @@ sigma = 0 scores the stream strictly online; sigma -> 1 approaches (but
 never reaches) a one-frame grace period.
 
 Scoring is array-native: an EstimateMatcher indexes one run log once,
-and the same index answers a single `match` and every (frame, sigma)
-pair of a sweep with two `searchsorted` calls. Center error, IoU, DP
-and AUC are then array reductions over (annotated frames x sigmas).
+and the same index answers every (frame, sigma) pair with two
+`searchsorted` calls: `serve` names the output that serves each pair,
+and `scores` reduces center error, IoU, DP and AUC over (annotated
+frames x sigmas).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import RAW, BoundingBox, Sequence
+from .boxes import RAW, Sequence
 from .errors import ValidationError
 from .simulate import RunLog
-
-INITIAL_B0 = "initial_b0"
 
 DP_THRESHOLD_PX = 20.0
 IOU_THRESHOLDS = tuple((np.arange(21) / 20.0).tolist())
@@ -38,34 +37,9 @@ def sigma_grid() -> tuple:
     return _GRID
 
 
-@dataclass(frozen=True, slots=True)
-class PermittedLatency:
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma < 1.0:
-            raise ValidationError(f"sigma must be in [0, 1), got {self.sigma}")
-
-    def slack_seconds(self, kappa: float) -> float:
-        return self.sigma / kappa
-
-
-@dataclass(frozen=True, slots=True)
-class MatchedEstimate:
-    frame: int
-    estimate: BoundingBox
-    source: str  # raw | predicted | initial_b0
-
-
-def _as_sigma(sigma) -> PermittedLatency:
-    if isinstance(sigma, PermittedLatency):
-        return sigma
-    return PermittedLatency(float(sigma))
-
-
 class EstimateMatcher:
-    """Deadline matcher over one run log, built once and queried per
-    (frame, sigma) pair or for a whole sigma grid at once.
+    """Deadline matcher over one run log, built once and queried with
+    arrays of (frame, sigma) pairs.
 
     The policy: take the newest availability instant not after the
     deadline, then within that instant the output with the largest
@@ -80,8 +54,7 @@ class EstimateMatcher:
     and a right `searchsorted` of group * span + f lands on the group's
     last entry with target <= f, or before the group's start when there
     is none. Row 0 of the served table is b0; sorted entry k is row k + 1.
-    The index reads the log's columns directly; `match` builds the one
-    BoundingBox it returns.
+    The index reads the log's columns directly and builds no BoundingBox.
     """
 
     def __init__(self, seq: Sequence, log: RunLog):
@@ -92,7 +65,6 @@ class EstimateMatcher:
                 f"log targets frame {target[np.argmax(beyond)]} beyond sequence end {seq.last_frame}"
             )
         self._seq = seq
-        self._kind = log.kind
         order = np.lexsort((np.arange(len(target)), target, log.available_at))
         avail = log.available_at[order]
         target = target[order]
@@ -119,24 +91,33 @@ class EstimateMatcher:
         pos = np.where(pos < self._first[group], self._last[group], pos)
         return np.where(gi < 0, 0, pos + 1)
 
-    def match(self, f: int, sigma) -> MatchedEstimate:
-        if not 0 <= f <= self._seq.last_frame:
-            raise ValidationError(f"frame {f} outside sequence 0..{self._seq.last_frame}")
-        deadline = self._seq.clock.capture_time(f) + _as_sigma(sigma).slack_seconds(
-            self._seq.clock.framerate_kappa)
-        row = int(self._pick(f, deadline))
-        if row == 0:
-            return MatchedEstimate(f, self._seq.b0, INITIAL_B0)
-        return MatchedEstimate(f, BoundingBox(*self._rows[row].tolist()),
-                               str(self._kind[self._order[row - 1]]))
+    def _deadlines(self, frames, sigmas):
+        """f / kappa + sigma / kappa for each (frame, sigma) pair, frames
+        broadcast against sigmas; a frame outside the sequence or a
+        sigma outside [0, 1) raises, naming the first."""
+        last = self._seq.last_frame
+        frames = np.asarray(frames)
+        sigmas = np.asarray(sigmas, dtype=float)
+        bad = (frames < 0) | (frames > last)
+        if bad.any():
+            raise ValidationError(f"frame {frames.flat[np.argmax(bad)]} outside sequence 0..{last}")
+        bad = ~((sigmas >= 0.0) & (sigmas < 1.0))
+        if bad.any():
+            raise ValidationError(f"sigma must be in [0, 1), got {sigmas.flat[np.argmax(bad)]}")
+        kappa = self._seq.clock.framerate_kappa
+        return frames / kappa + sigmas / kappa
 
-    def _scores(self, sigmas) -> tuple:
+    def serve(self, frames, sigmas) -> np.ndarray:
+        """Log index of the output that serves each (frame, sigma) pair,
+        frames broadcast against sigmas; -1 where b0 serves."""
+        rows = self._pick(frames, self._deadlines(frames, sigmas))
+        return np.append(-1, self._order)[rows]
+
+    def scores(self, sigmas) -> tuple:
         """(DP, AUC) arrays with one entry per sigma. Frames without an
         annotation are excluded from both."""
-        kappa = self._seq.clock.framerate_kappa
         frames = self._frames[:, None]
-        # f / kappa + sigma / kappa: the same IEEE operations as match
-        deadlines = frames / kappa + np.asarray(sigmas, dtype=float)[None, :] / kappa
+        deadlines = self._deadlines(frames, np.reshape(sigmas, (1, -1)))
         est = self._rows[self._pick(frames, deadlines)]
         gt = self._truth[:, None, :]
         gx, gy, gw, gh = (gt[..., i] for i in range(4))
@@ -169,41 +150,17 @@ class EstimateMatcher:
         return dp, auc
 
 
-def match_elae(seq: Sequence, log: RunLog, f: int, sigma) -> MatchedEstimate:
-    """Extended latency-aware match: slack of sigma frame periods."""
-    return EstimateMatcher(seq, log).match(f, sigma)
-
-
-def match_lae(seq: Sequence, log: RunLog, f: int) -> MatchedEstimate:
-    """Strictly online match: the newest output available by capture."""
-    return match_elae(seq, log, f, 0.0)
-
-
-def score_run(seq: Sequence, log: RunLog, sigma) -> tuple:
-    """(DP, AUC) of the log against the sequence at one permitted
-    latency. Frames without an annotation are excluded from both."""
-    dp, auc = EstimateMatcher(seq, log)._scores((_as_sigma(sigma).sigma,))
-    return float(dp[0]), float(auc[0])
-
-
 @dataclass(frozen=True)
 class EvalCurve:
-    sigma_grid: tuple
+    """One value in [0, 1] per sigma of the 50-point grid."""
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_grid", tuple(self.sigma_grid))
         object.__setattr__(self, "values", tuple(self.values))
-        if self.sigma_grid != _GRID:
-            raise ValidationError("curve must use the canonical 50-point sigma grid")
-        if len(self.values) != len(self.sigma_grid):
+        if len(self.values) != len(_GRID):
             raise ValidationError("one value per grid point required")
         if any(not 0.0 <= v <= 1.0 for v in self.values):
             raise ValidationError("curve values must lie in [0, 1]")
-
-    @classmethod
-    def from_values(cls, values) -> "EvalCurve":
-        return cls(_GRID, tuple(values))
 
     @property
     def aggregate(self) -> float:
@@ -219,7 +176,7 @@ def _uniform_mean(per_sequence) -> list:
 def average_curves(curves) -> EvalCurve:
     """Uniform mean of per-sequence curves; sweep over several
     sequences returns exactly this mean of their one-sequence sweeps."""
-    return EvalCurve.from_values(_uniform_mean([np.asarray(c.values) for c in curves]))
+    return EvalCurve(_uniform_mean([np.asarray(c.values) for c in curves]))
 
 
 def sweep(seq_set, logs) -> tuple:
@@ -231,6 +188,6 @@ def sweep(seq_set, logs) -> tuple:
         raise ValidationError("sweep needs at least one sequence")
     if len(seq_set) != len(logs):
         raise ValidationError(f"{len(seq_set)} sequences but {len(logs)} logs")
-    scores = [EstimateMatcher(seq, log)._scores(_GRID) for seq, log in zip(seq_set, logs)]
-    return (EvalCurve.from_values(_uniform_mean([auc for _, auc in scores])),
-            EvalCurve.from_values(_uniform_mean([dp for dp, _ in scores])))
+    scores = [EstimateMatcher(seq, log).scores(_GRID) for seq, log in zip(seq_set, logs)]
+    return (EvalCurve(_uniform_mean([auc for _, auc in scores])),
+            EvalCurve(_uniform_mean([dp for dp, _ in scores])))

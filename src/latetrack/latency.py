@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ValidationError
 
 CONSTANT = "constant"
-GAUSSIAN = "gaussian_truncated"
+GAUSSIAN = "gaussian"
 REPLAY = "replay"
 
 

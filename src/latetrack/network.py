@@ -102,10 +102,6 @@ def init_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32,
     return w
 
 
-def zero_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32) -> PMWeights:
-    return PMWeights(k, n_heads, c_enc, c_dec)
-
-
 def constant_factor_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64,
                             c_dec: int = 32) -> PMWeights:
     """Bias-only fixture: head n outputs the factor [n, n, n, n].
@@ -116,7 +112,7 @@ def constant_factor_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64,
     average speed of a constant-velocity history this reproduces the
     future boxes exactly.
     """
-    w = zero_weights(k, n_heads, c_enc, c_dec)
+    w = PMWeights(k, n_heads, c_enc, c_dec)
     for n in range(1, n_heads + 1):
         w.head_b[n - 1, 0] = float(n)
     w.out_w[:, 0] = 1.0

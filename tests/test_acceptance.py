@@ -13,7 +13,7 @@ from conftest import (CORPUS_ACCEL, PM_HORIZON, PM_K, PM_STRIDES, TRAIN_NOISE,
                       collect_windows)
 from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error, save_sequence
 from latetrack.cli import main
-from latetrack.evaluate import EstimateMatcher, score_run, sigma_grid
+from latetrack.evaluate import EstimateMatcher, sigma_grid
 from latetrack.latency import LatencyProfile
 from latetrack.motion import apply_motion_row, encode_motion
 from latetrack.network import (backward_batch, constant_factor_weights, forward_batch,
@@ -58,12 +58,14 @@ def test_deadline_matcher_agrees_with_exhaustive_scan_at_scale():
                 avail = round(float(rng.uniform(0, n / 30 * 1.2)), 4)
                 outputs.append((target, avail, kind, tuple(boxes[target])))
             log = RunLog(seq.name, (), tuple(outputs))
-            matcher = EstimateMatcher(seq, log)
+            index = EstimateMatcher(seq, log).serve(np.arange(n)[:, None], grid)
             rows = log.outputs
             for f in range(n):
-                for sigma in grid:
-                    got = matcher.match(f, sigma)
-                    assert (got.estimate, got.source) == elae_scan(seq, rows, f, sigma)
+                for j, sigma in enumerate(grid):
+                    i = index[f, j]
+                    got = ((seq.b0, "initial_b0") if i < 0
+                           else (BoundingBox(*log.boxes[i].tolist()), log.kind[i]))
+                    assert got == elae_scan(seq, rows, f, sigma)
 
 
 def test_real_time_slack_flips_to_the_current_frame_on_the_grid():
@@ -75,12 +77,12 @@ def test_real_time_slack_flips_to_the_current_frame_on_the_grid():
             seq = ten_frames()
             log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(latency)))
             assert log.frame.tolist() == list(range(10))
-            matcher = EstimateMatcher(seq, log)
+            index = EstimateMatcher(seq, log).serve(np.arange(1, 10)[:, None], grid)
             flip = next(i for i, s in enumerate(grid) if s >= latency * 30)
             for f in range(1, 10):
-                for i, sigma in enumerate(grid):
+                for i in range(len(grid)):
                     want = f if i >= flip else f - 1
-                    assert matcher.match(f, sigma).estimate == seq.ground_truth[want]
+                    assert np.array_equal(log.boxes[index[f - 1, i]], seq.boxes[want])
 
 
 def test_half_rate_tracker_schedule():
@@ -241,20 +243,18 @@ def test_prediction_recovers_latency_cost_end_to_end(trained_pm, tmp_path):
 def test_metric_fixtures_are_reproduced_exactly(toy_pair):
     with budget(1.0):
         seq, log = toy_pair
-        dp, auc = score_run(seq, log, 0.0)
-        assert dp == pytest.approx(0.6, abs=1e-12)
-        assert auc == pytest.approx(26 / 105, abs=1e-12)
-        dp, auc = score_run(seq, log, 0.5)
-        assert dp == pytest.approx(1.0, abs=1e-12)
-        assert auc == pytest.approx(1 / 3, abs=1e-12)
+        dp, auc = EstimateMatcher(seq, log).scores([0.0, 0.5])
+        assert dp[0] == pytest.approx(0.6, abs=1e-12)
+        assert auc[0] == pytest.approx(26 / 105, abs=1e-12)
+        assert dp[1] == pytest.approx(1.0, abs=1e-12)
+        assert auc[1] == pytest.approx(1 / 3, abs=1e-12)
 
         ideal = RunLog(seq.name, (), tuple(
             (f, seq.clock.capture_time(f), "raw", tuple(box))
             for f, box in enumerate(seq.ground_truth)))
-        for sigma in (0.0, 0.5, 0.98):
-            dp, auc = score_run(seq, ideal, sigma)
-            assert dp == 1.0
-            assert auc == pytest.approx(20 / 21, abs=1e-12)
+        dp, auc = EstimateMatcher(seq, ideal).scores([0.0, 0.5, 0.98])
+        assert dp.tolist() == [1.0] * 3
+        assert auc == pytest.approx([20 / 21] * 3, abs=1e-12)
 
 
 def test_noise_fit_shifts_toward_measurement_dominated():

@@ -7,7 +7,7 @@ import pytest
 
 from latetrack.boxes import load_sequence
 from latetrack.cli import main
-from latetrack.evaluate import score_run
+from latetrack.evaluate import EstimateMatcher
 from latetrack.network import constant_factor_weights, init_weights, load_weights, save_weights
 from latetrack.predictors import save_kf_noise
 from latetrack.seeding import derive_seed
@@ -226,9 +226,9 @@ class TestEvaluate:
         for f in sorted(seqs.glob("*.txt")):
             seq = load_sequence(f, framerate=30)
             log = load_run_log(runs / f"{seq.name}.log.csv", seq.name)
-            dp, auc = score_run(seq, log, 0.0)
-            dps.append(dp)
-            aucs.append(auc)
+            dp, auc = EstimateMatcher(seq, log).scores([0.0])
+            dps.append(dp[0])
+            aucs.append(auc[0])
         assert float(rows[0][1]) == pytest.approx(np.mean(aucs), abs=1e-12)
         assert float(rows[0][2]) == pytest.approx(np.mean(dps), abs=1e-12)
 

@@ -5,11 +5,10 @@ import pytest
 
 from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error
 from latetrack.errors import ValidationError
-from latetrack.evaluate import (INITIAL_B0, EstimateMatcher, EvalCurve,
-                                PermittedLatency, match_elae, match_lae, score_run,
-                                sigma_grid, sweep)
+from latetrack.evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from latetrack.latency import LatencyProfile
-from latetrack.simulate import RunLog, TrackerAdapter, run_stream
+from latetrack.predictors import KalmanBoxPredictor
+from latetrack.simulate import PredictorAdapter, RunLog, TrackerAdapter, run_stream
 from latetrack.training import linear_track
 
 from _oracles import elae_scan, score_scan
@@ -37,18 +36,46 @@ def perfect_log(seq):
                               for f, b in enumerate(seq.ground_truth)])
 
 
-class TestPermittedLatency:
-    def test_range(self):
-        PermittedLatency(0.0)
-        PermittedLatency(0.98)
-        with pytest.raises(ValidationError):
-            PermittedLatency(1.0)
-        with pytest.raises(ValidationError):
-            PermittedLatency(-0.01)
+def as_scanned(seq, log, i):
+    """(box, kind) of log index i as elae_scan words it; -1 is b0."""
+    if i < 0:
+        return seq.b0, "initial_b0"
+    return BoundingBox(*log.boxes[i].tolist()), str(log.kind[i])
 
-    def test_slack_is_sigma_frame_periods(self):
-        assert PermittedLatency(0.6).slack_seconds(30.0) == pytest.approx(0.02)
-        assert PermittedLatency(0.0).slack_seconds(30.0) == 0.0
+
+def served(seq, log, f, sigma):
+    return as_scanned(seq, log, EstimateMatcher(seq, log).serve(f, sigma))
+
+
+def score(seq, log, sigma):
+    """(DP, AUC) of the log at one permitted latency."""
+    dp, auc = EstimateMatcher(seq, log).scores([sigma])
+    return float(dp[0]), float(auc[0])
+
+
+class TestQueryRange:
+    def test_range(self):
+        seq = cv_sequence(5)
+        matcher = EstimateMatcher(seq, perfect_log(seq))
+        assert matcher.serve(4, [0.0, 0.98]).tolist() == [4, 4]
+        for sigmas, first_bad in ((1.0, "1.0"), ([0.5, -0.01, 1.0], "-0.01")):
+            with pytest.raises(ValidationError, match=rf"sigma must be in \[0, 1\), got {first_bad}"):
+                matcher.serve(0, sigmas)
+
+    def test_frames_outside_the_sequence_rejected(self):
+        seq = cv_sequence(5)
+        matcher = EstimateMatcher(seq, perfect_log(seq))
+        for frames, first_bad in ((-1, -1), ([0, 5, -1], 5)):
+            with pytest.raises(ValidationError, match=f"frame {first_bad} outside sequence 0..4"):
+                matcher.serve(frames, [[0.0], [0.5]])
+
+    def test_scores_rejects_sigma_outside_the_range(self):
+        seq = cv_sequence(5)
+        matcher = EstimateMatcher(seq, perfect_log(seq))
+        assert matcher.scores([0.0, 0.98])[0].tolist() == [1.0, 1.0]
+        for sigmas, first_bad in (([1.0], "1.0"), ([0.5, -0.01, 1.0], "-0.01")):
+            with pytest.raises(ValidationError, match=f"got {first_bad}"):
+                matcher.scores(sigmas)
 
 
 class TestSigmaGrid:
@@ -65,47 +92,49 @@ class TestMatchLAE:
         # 50 ms per frame at 30 fps: by frame 2's capture only frame 0 is out
         seq = cv_sequence(10)
         log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05)))
-        m = match_lae(seq, log, 2)
-        assert m.source == "raw"
-        assert m.estimate == seq.ground_truth[0]
+        assert served(seq, log, 2, 0.0) == (seq.ground_truth[0], "raw")
 
     def test_frame_zero_has_only_the_initial_box(self):
         seq = cv_sequence(10)
         log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05)))
-        m = match_lae(seq, log, 0)
-        assert m.source == INITIAL_B0
-        assert m.estimate == seq.b0
+        assert EstimateMatcher(seq, log).serve(0, 0.0) == -1
+        assert served(seq, log, 0, 0.0) == (seq.b0, "initial_b0")
 
     def test_realtime_tracker_is_one_frame_behind(self):
         seq = cv_sequence(10)
         log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.02)))
         for f in range(1, 10):
-            m = match_lae(seq, log, f)
-            assert m.estimate == seq.ground_truth[f - 1]
+            assert served(seq, log, f, 0.0)[0] == seq.ground_truth[f - 1]
 
 
 class TestMatchELAE:
     def test_sigma_zero_is_the_online_match(self):
+        # strictly online: the newest instant no later than the capture
         seq = cv_sequence(10)
         log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.037)))
-        for f in range(10):
-            assert match_elae(seq, log, f, 0.0) == match_lae(seq, log, f)
+        frames = np.arange(10)
+        got = EstimateMatcher(seq, log).serve(frames, 0.0)
+        for f, i in zip(frames.tolist(), got.tolist()):
+            ready = log.available_at[log.available_at <= seq.clock.capture_time(f)]
+            assert (i < 0) == (not len(ready))
+            if i >= 0:
+                assert log.available_at[i] == ready.max()
 
     def test_slack_flips_realtime_match_to_the_current_frame(self):
         seq = cv_sequence(10)
         log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.02)))
         # 20 ms is 0.6 frame periods; just below the slack is too small
-        assert match_elae(seq, log, 5, 0.58).estimate == seq.ground_truth[4]
-        assert match_elae(seq, log, 5, 0.62).estimate == seq.ground_truth[5]
+        assert served(seq, log, 5, 0.58)[0] == seq.ground_truth[4]
+        assert served(seq, log, 5, 0.62)[0] == seq.ground_truth[5]
 
     def test_prediction_targeting_the_frame_wins_the_tie(self):
         seq = cv_sequence(6)
         stale = raw(1, seq.ground_truth[1], 0.05)
         hit = output(3, seq.ground_truth[3], 0.05, "predicted")
         over = output(5, seq.ground_truth[5], 0.05, "predicted")
-        m = match_elae(seq, log_of("cv", stale, hit, over), 3, 0.9)
-        assert m.source == "predicted"
-        assert m.estimate == seq.ground_truth[3]
+        log = log_of("cv", stale, hit, over)
+        assert EstimateMatcher(seq, log).serve(3, 0.9) == 1
+        assert served(seq, log, 3, 0.9) == (seq.ground_truth[3], "predicted")
 
     def test_future_targets_only_fall_back_to_the_smallest_overshoot(self):
         # nothing at or before f: the matcher wants the largest target,
@@ -113,34 +142,26 @@ class TestMatchELAE:
         seq = cv_sequence(8)
         a = raw(4, seq.ground_truth[4], 0.05)
         b = raw(6, seq.ground_truth[6], 0.05)
-        m = match_elae(seq, log_of("cv", a, b), 1, 0.9)
-        assert m.estimate == seq.ground_truth[6]
+        assert served(seq, log_of("cv", a, b), 1, 0.9)[0] == seq.ground_truth[6]
 
     def test_equal_instant_equal_target_prefers_later_log_entry(self):
         seq = cv_sequence(6)
         first = raw(2, seq.ground_truth[2], 0.05)
         second = raw(2, BoundingBox(90, 90, 12, 12), 0.05)
-        m = match_elae(seq, log_of("cv", first, second), 2, 0.9)
-        assert m.estimate == BoundingBox(90, 90, 12, 12)
+        assert EstimateMatcher(seq, log_of("cv", first, second)).serve(2, 0.9) == 1
 
     def test_newer_instant_beats_better_target(self):
         seq = cv_sequence(8)
         exact = raw(5, seq.ground_truth[5], 0.05)
         newer = raw(2, seq.ground_truth[2], 0.06)
-        m = match_elae(seq, log_of("cv", exact, newer), 5, 0.9)
-        assert m.estimate == seq.ground_truth[2]
+        assert served(seq, log_of("cv", exact, newer), 5, 0.9)[0] == seq.ground_truth[2]
 
     def test_matched_availability_is_monotone_in_sigma(self):
         seq = cv_sequence(12)
         log = run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.041)))
-        times = {BoundingBox(*row): available for _, available, _, row in log.outputs}
-        for f in range(12):
-            prev = -1.0
-            for sigma in sigma_grid():
-                m = match_elae(seq, log, f, sigma)
-                avail = times.get(m.estimate, 0.0) if m.source != INITIAL_B0 else -1.0
-                assert avail >= prev
-                prev = avail
+        index = EstimateMatcher(seq, log).serve(np.arange(12)[:, None], sigma_grid())
+        avail = np.where(index < 0, -1.0, log.available_at[index])
+        assert np.all(np.diff(avail, axis=1) >= 0)
 
     def test_agrees_with_exhaustive_scan(self):
         rng = np.random.default_rng(123)
@@ -155,14 +176,30 @@ class TestMatchELAE:
             log = log_of("cv", *outputs)
             for f in range(8):
                 for sigma in (0.0, 0.24, 0.5, 0.98):
-                    want_box, want_kind = elae_scan(seq, log.outputs, f, sigma)
-                    got = match_elae(seq, log, f, sigma)
-                    assert got.estimate == want_box and got.source == want_kind
+                    assert served(seq, log, f, sigma) == elae_scan(seq, log.outputs, f, sigma)
+
+    def test_broadcast_serve_of_a_predicted_run_equals_the_scan(self):
+        seq = Sequence("sin", FrameClock(30.0), tuple(
+            BoundingBox(50 + 20 * np.sin(f / 5), 40 + f, 12 + np.cos(f / 7), 10)
+            for f in range(40)))
+        trk = TrackerAdapter(LatencyProfile.gaussian(0.05, 0.01), sigma_pos=0.5)
+        pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.005))
+        log = run_stream(seq, trk, pred, seed=4)
+        grid = np.asarray(sigma_grid())
+        index = EstimateMatcher(seq, log).serve(np.arange(len(seq))[:, None], grid[None, :])
+        assert index.shape == (len(seq), len(grid)) and index.dtype == np.intp
+        kinds = set()
+        for f in range(len(seq)):
+            for j, sigma in enumerate(grid.tolist()):
+                want = elae_scan(seq, log.outputs, f, sigma)
+                assert as_scanned(seq, log, index[f, j]) == want
+                kinds.add(want[1])
+        assert kinds == {"initial_b0", "raw", "predicted"}
 
     def test_out_of_range_frame_rejected(self):
         seq = cv_sequence(5)
         with pytest.raises(ValidationError):
-            match_elae(seq, perfect_log(seq), 5, 0.0)
+            EstimateMatcher(seq, perfect_log(seq)).serve(5, 0.0)
 
     def test_raw_target_beyond_sequence_rejected(self):
         seq = cv_sequence(5)
@@ -174,7 +211,7 @@ class TestMatchELAE:
 class TestScoreRun:
     def test_perfect_log_hits_the_ceiling(self):
         seq = cv_sequence(10)
-        dp, auc = score_run(seq, perfect_log(seq), 0.0)
+        dp, auc = score(seq, perfect_log(seq), 0.0)
         assert dp == 1.0
         assert auc == pytest.approx(20 / 21)
 
@@ -182,7 +219,7 @@ class TestScoreRun:
         # frame 1's only estimate is b0: disjoint but centers 12 px apart
         seq = Sequence("s", FrameClock(30), (BoundingBox(0, 0, 10, 10),
                                              BoundingBox(12, 0, 10, 10)))
-        dp, auc = score_run(seq, log_of("s"), 0.5)
+        dp, auc = score(seq, log_of("s"), 0.5)
         assert dp == 1.0
         assert auc == pytest.approx(10 / 21)
 
@@ -190,7 +227,7 @@ class TestScoreRun:
         seq = Sequence("s", FrameClock(30), (BoundingBox(0, 0, 10, 10),
                                              BoundingBox(100, 100, 10, 10)))
         far = raw(1, BoundingBox(200, 0, 10, 10), 0.0)
-        dp, auc = score_run(seq, log_of("s", far, far), 0.9)
+        dp, auc = score(seq, log_of("s", far, far), 0.9)
         assert dp == 0.0
         assert auc == 0.0
 
@@ -200,19 +237,19 @@ class TestScoreRun:
         log = log_of("g", raw(0, boxes[0], 0.0),
                      raw(1, BoundingBox(500, 500, 10, 10), 0.0333),
                      raw(2, boxes[2], 0.0667), raw(3, boxes[3], 0.1))
-        dp, auc = score_run(with_gap, log, 0.0)
+        dp, auc = score(with_gap, log, 0.0)
         # the poisoned frame-1 output never reaches a scored frame
         assert dp == pytest.approx(2 / 3)
 
     def test_toy_fixture_strict_online(self, toy_pair):
         seq, log = toy_pair
-        dp, auc = score_run(seq, log, 0.0)
+        dp, auc = score(seq, log, 0.0)
         assert dp == pytest.approx(0.6, abs=1e-12)
         assert auc == pytest.approx(float(Fraction(26, 105)), abs=1e-12)
 
     def test_toy_fixture_half_frame_slack(self, toy_pair):
         seq, log = toy_pair
-        dp, auc = score_run(seq, log, 0.5)
+        dp, auc = score(seq, log, 0.5)
         assert dp == pytest.approx(1.0, abs=1e-12)
         assert auc == pytest.approx(float(Fraction(1, 3)), abs=1e-12)
 
@@ -220,19 +257,15 @@ class TestScoreRun:
 class TestEvalCurve:
     def test_aggregate_is_the_mean(self):
         values = [0.5] * 25 + [1.0] * 25
-        assert EvalCurve.from_values(values).aggregate == pytest.approx(0.75)
-
-    def test_wrong_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            EvalCurve(tuple(np.linspace(0, 1, 50)), tuple([0.5] * 50))
+        assert EvalCurve(values).aggregate == pytest.approx(0.75)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValidationError):
-            EvalCurve.from_values([0.5] * 49)
+            EvalCurve([0.5] * 49)
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValidationError):
-            EvalCurve.from_values([1.5] * 50)
+            EvalCurve([1.5] * 50)
 
 
 class TestSweep:
@@ -295,9 +328,9 @@ def random_case(rng, name, n_outputs):
 
 
 class TestScoreOracle:
-    """sweep and score_run against the literal per-frame scan, exactly."""
+    """sweep and scores against the literal per-frame scan, exactly."""
 
-    def test_sweep_and_score_run_equal_the_scan(self):
+    def test_sweep_and_scores_equal_the_scan(self):
         rng = np.random.default_rng(2024)
         grid = sigma_grid()
         for trial in range(4):
@@ -312,8 +345,8 @@ class TestScoreOracle:
             assert auc_curve.values == tuple(float(np.mean([auc for _, auc in row]))
                                              for row in want)
             for i, (seq, log) in enumerate(cases):
-                for j in (0, 13, 31, 49):
-                    assert score_run(seq, log, grid[j]) == want[j][i]
+                dp, auc = EstimateMatcher(seq, log).scores(grid)
+                assert list(zip(dp.tolist(), auc.tolist())) == [row[i] for row in want]
 
     def test_center_error_ties_at_the_dp_threshold_follow_the_scalar_metric(self):
         # centers within an ulp of 20 px: np.hypot can round to the other
@@ -331,7 +364,7 @@ class TestScoreOracle:
                 continue
             straddling += 1
             log = log_of("ring", raw(1, est, 0.0))
-            assert score_run(seq, log, 0.0) == score_scan(seq, log, 0.0)
+            assert score(seq, log, 0.0) == score_scan(seq, log, 0.0)
         assert straddling > 0
 
     def test_iou_rounding_past_one_is_clamped(self):
@@ -346,14 +379,14 @@ class TestScoreOracle:
             past_one += inter / (gt.w * gt.h + est.w * est.h - inter) > 1.0
             seq = Sequence("nudge", FrameClock(30.0), (gt, gt))
             log = log_of("nudge", raw(1, est, 0.0))
-            assert score_run(seq, log, 0.0) == score_scan(seq, log, 0.0)
+            assert score(seq, log, 0.0) == score_scan(seq, log, 0.0)
         assert past_one > 0
 
     def test_empty_log_scores_the_initial_box(self):
         # b0 sits 0, 5, ..., 25 px from the frames' centers; 20 px still counts
         seq = cv_sequence(6, vx=5.0)
         dp, auc = score_scan(seq, log_of("cv"), 0.5)
-        assert score_run(seq, log_of("cv"), 0.5) == (dp, auc)
+        assert score(seq, log_of("cv"), 0.5) == (dp, auc)
         assert dp == 5 / 6
 
     def test_sweep_rejects_raw_target_past_the_end(self):
@@ -361,8 +394,3 @@ class TestScoreOracle:
         bad = raw(5, BoundingBox(0, 0, 10, 10), 0.1)
         with pytest.raises(ValidationError):
             sweep([seq, seq], [perfect_log(seq), log_of("cv", bad)])
-
-    def test_score_run_rejects_sigma_outside_the_range(self):
-        seq = cv_sequence(5)
-        with pytest.raises(ValidationError):
-            score_run(seq, perfect_log(seq), 1.0)

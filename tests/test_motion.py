@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
-from latetrack.network import pm_predict, window_inputs, zero_weights
+from latetrack.network import PMWeights, pm_predict, window_inputs
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.5, 1e3, allow_nan=False, allow_infinity=False)
@@ -112,7 +112,7 @@ BASE = BoundingBox(0, 0, 10, 10)
 def predicted_box(factor, speed):
     """pm_predict's row for a constant factor over a one-step, one-frame
     window moving at `speed`, as a checked box."""
-    w = zero_weights(k=1, n_heads=1, c_enc=2, c_dec=2)
+    w = PMWeights(k=1, n_heads=1, c_enc=2, c_dec=2)
     w.out_b[:] = factor
     return BoundingBox(*pm_predict(w, np.array([speed]), np.array([1]), BASE)[0])
 

@@ -10,8 +10,7 @@ from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import (PMWeights, backward_batch, constant_factor_weights,
                                forward_batch, init_weights, l1_loss,
-                               load_weights, pm_predict, save_weights, window_inputs,
-                               zero_weights)
+                               load_weights, pm_predict, save_weights, window_inputs)
 
 from _oracles import central_differences, pm_forward_loops
 
@@ -57,8 +56,8 @@ def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
 
 
 class TestForward:
-    def test_zero_weights_give_zero_factors(self):
-        w = zero_weights(**SMALL)
+    def test_zeroed_weights_give_zero_factors(self):
+        w = PMWeights(**SMALL)
         out = forward_one(w, random_input(seed=1))
         assert out.shape == (2, 4)
         assert np.all(out == 0.0)
@@ -70,7 +69,7 @@ class TestForward:
         assert np.all(np.isfinite(out))
 
     def test_output_bias_reaches_every_head(self):
-        w = zero_weights(**SMALL)
+        w = PMWeights(**SMALL)
         w.out_b[:] = [1.5, -0.5, 0.25, 0.0]
         out = forward_one(w, random_input(seed=4))
         for n in range(2):
@@ -83,7 +82,7 @@ class TestForward:
             assert out[n] == pytest.approx([n + 1] * 4)
 
     def test_head_relu_blocks_negative_bias(self):
-        w = zero_weights(**SMALL)
+        w = PMWeights(**SMALL)
         w.out_w[:, 0] = 1.0
         w.head_b[0, 0] = -2.0
         w.head_b[1, 0] = 2.0
@@ -130,13 +129,13 @@ class TestForward:
 
 class TestWeights:
     def test_shape_validation(self):
-        good = zero_weights(**SMALL)
+        good = PMWeights(**SMALL)
         for flat in (np.zeros(good.flat.size - 1), good.flat.reshape(1, -1)):
             with pytest.raises(ValidationError):
                 PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, flat=flat)
 
     def test_non_finite_rejected(self):
-        bad = zero_weights(**SMALL)
+        bad = PMWeights(**SMALL)
         bad.dec_b[0] = float("inf")
         with pytest.raises(ValidationError):
             PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6, flat=bad.flat)
@@ -155,7 +154,7 @@ class TestWeights:
         assert np.array_equal(grad.flat,
                               np.concatenate([layers[name].ravel() for name in CHECKPOINT_ORDER]))
 
-    @pytest.mark.parametrize("make", [init_weights, zero_weights])
+    @pytest.mark.parametrize("make", [init_weights, PMWeights])
     @pytest.mark.parametrize("c_enc, c_dec", [(0, 6), (8, 0), (8, -3)])
     def test_channel_counts_must_be_positive(self, make, c_enc, c_dec):
         with pytest.raises(ValidationError, match="need c_enc >= 1 and c_dec >= 1"):
@@ -256,7 +255,7 @@ class TestL1Loss:
 class TestPredict:
     def test_zero_factors_hold_the_box_still(self):
         track, (motions, intervals) = cv_history(k=3)
-        w = zero_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
+        w = PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6)
         rows = pm_predict(w, motions, intervals, track[-1])
         assert rows == [tuple(track[-1]), tuple(track[-1])]
 

@@ -6,7 +6,7 @@ import pytest
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
-from latetrack.network import init_weights, zero_weights
+from latetrack.network import PMWeights, init_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
@@ -254,7 +254,7 @@ class TestOnlinePredictors:
         assert p.predict(2) == [tuple(b0), tuple(b0)]
 
     def test_motion_net_horizon_is_fixed(self):
-        w = zero_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
+        w = PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6)
         p = MotionNetPredictor(w)
         p.reset(BoundingBox(0, 0, 10, 10))
         with pytest.raises(ValidationError):

@@ -295,8 +295,8 @@ class TestStreamBuildsNoObjects:
         log = run_stream(seq, trk, self.predictor(kind), seed=1)
         auc, dp = sweep([seq], [log])
         assert len(built) == 1 and auc.values[0] > 0
-        EstimateMatcher(seq, log).match(29, 0.0)
-        assert len(built) == 2
+        assert log.kind[EstimateMatcher(seq, log).serve(29, 0.0)] in ("raw", "predicted")
+        assert len(built) == 1
 
 
 class TestFiles:
