@@ -7,11 +7,13 @@ layers and a shared 4-wide output layer produce one motion factor per
 future frame. No output nonlinearity: factors multiply a signed speed.
 
 Everything is float64 numpy and batched: a single window is a batch of
-one. Training, batch evaluation and the online predictor all reach
-forward_batch through window_inputs on (B, k, 4) motions and (B, k)
-frame intervals. The parameters are one flat vector with a shaped view
-per layer; backward_batch writes hand-derived gradients (checked against
-central finite differences in the tests) into the same layout.
+one. pm_motions is the one inference path: (B, k, 4) motions and (B, k)
+frame intervals go through window_inputs and forward_batch to (B, N, 4)
+predicted motions, for batch evaluation, validation and the online
+predictor alike. l1_loss is the one motion-space objective, for training
+steps and every score. The parameters are one flat vector with a shaped
+view per layer; backward_batch writes hand-derived gradients (checked
+against central finite differences in the tests) into the same layout.
 """
 
 from __future__ import annotations
@@ -211,45 +213,45 @@ def window_inputs(motions: np.ndarray, intervals: np.ndarray):
     return np.concatenate([motions, rates], axis=-1), rates.sum(axis=1) / motions.shape[1]
 
 
+def pm_motions(w: PMWeights, motions: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """Predicted normalized motions, (B, N, 4), of a batch of windows.
+
+    motions (B, k, 4) and intervals (B, k) run through window_inputs and
+    forward_batch, whose input check is the one shape and finiteness
+    check; head n's factor then scales each window's mean per-frame
+    speed.
+    """
+    xs, speeds = window_inputs(motions, intervals)
+    factors, _ = forward_batch(w, xs)
+    return factors * speeds[:, None, :]
+
+
 def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray, latest) -> list:
     """Predict (x, y, w, h) rows for the N frames after the latest
     processed one.
 
     motions (k, 4) and intervals (k,) are one window, oldest first; it
-    runs through window_inputs and forward_batch as a batch of one, so
-    forward_batch's input check is the one shape and finiteness check.
-    Head n's factor is scaled by the window's average per-frame speed
-    and the resulting motion is applied to the latest box or row with
-    apply_motion_row, so predictions are normalized by the latest raw
-    box's scale. The rows are checked where the run log is built.
+    runs through pm_motions as a batch of one. Each predicted motion is
+    applied to the latest box or row with apply_motion_row, so
+    predictions are normalized by the latest raw box's scale. The rows
+    are checked where the run log is built.
     """
-    xs, speeds = window_inputs(motions[None], intervals[None])
-    factors, _ = forward_batch(w, xs)
-    return [apply_motion_row(latest, m) for m in (factors[0] * speeds).tolist()]
+    rows = pm_motions(w, motions[None], intervals[None])[0]
+    return [apply_motion_row(latest, m) for m in rows.tolist()]
 
 
-def l1_loss(factors: np.ndarray, speeds: np.ndarray, targets: np.ndarray):
-    """Mean absolute motion-space error of a batch, plus its factor gradient.
-
-    factors and targets are (B, N, 4), speeds (B, 4). Each window's
-    prediction is factor * speed, so the gradient w.r.t. the factors
-    carries the speed through the product; the subgradient at exact
-    ties is 0.
-    """
-    factors = np.asarray(factors, dtype=np.float64)
-    speeds = np.asarray(speeds, dtype=np.float64)
+def l1_loss(pred: np.ndarray, targets: np.ndarray):
+    """Mean absolute motion-space error of predictions against targets
+    of the same shape, and sign(pred - targets): the loss's subgradient
+    w.r.t. pred times the element count, 0 at exact ties."""
+    pred = np.asarray(pred, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if (factors.ndim != 3 or factors.shape[2] != 4 or targets.shape != factors.shape
-            or speeds.shape != (factors.shape[0], 4)):
+    if pred.shape != targets.shape:
         raise ValidationError(
-            f"need factors and targets shaped (B, N, 4) and speeds (B, 4), got "
-            f"{factors.shape}, {targets.shape} and {speeds.shape}"
+            f"predictions shaped {pred.shape} do not match targets {targets.shape}"
         )
-    speeds = speeds[:, None, :]
-    diff = factors * speeds - targets
-    loss = float(np.abs(diff).mean())
-    grad = np.sign(diff) * speeds / diff.size
-    return loss, grad
+    diff = pred - targets
+    return float(np.abs(diff).mean()), np.sign(diff)
 
 
 def save_weights(w: PMWeights, path, manifest_ref: str = None) -> None:

@@ -138,12 +138,6 @@ class RunLog:
     def predictor_invocations(self) -> int:
         return len(self.predictor_latencies)
 
-    @property
-    def mean_predictor_latency(self) -> float:
-        if not self.predictor_latencies:
-            return 0.0
-        return sum(self.predictor_latencies) / len(self.predictor_latencies)
-
 
 @dataclass(frozen=True)
 class TrackerAdapter:

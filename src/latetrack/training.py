@@ -12,7 +12,8 @@ import numpy as np
 from .boxes import BoundingBox, FrameClock, Sequence, box_column
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
-from .network import backward_batch, forward_batch, init_weights, l1_loss, window_inputs
+from .network import (backward_batch, forward_batch, init_weights, l1_loss, pm_motions,
+                      window_inputs)
 from .seeding import derive_seed, rng_for
 
 _EPS = 1e-8
@@ -179,17 +180,6 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
                    encode_motion_rows(boxes[:, -1:], future))
 
 
-def _mean_l1(weights, xs, targets, speeds, batch: int = 512) -> float:
-    if len(xs) == 0:
-        return 0.0
-    total = 0.0
-    for lo in range(0, len(xs), batch):
-        factors, _ = forward_batch(weights, xs[lo:lo + batch])
-        pred = factors * speeds[lo:lo + batch, None, :]
-        total += float(np.abs(pred - targets[lo:lo + batch]).sum())
-    return total / targets.size
-
-
 def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
              *, c_enc: int = 64, c_dec: int = 32):
     """Train the motion network on windows grouped per trajectory, one
@@ -198,7 +188,9 @@ def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
     Trajectories (not windows) are split 90/10 into train/validation so
     validation frames never leak into training. Returns the weights with
     the best validation L1 seen (initialization included) and the
-    per-epoch loss history as (epoch, train_l1, val_l1) rows.
+    per-epoch loss history as (epoch, train_l1, val_l1) rows; val_l1 is
+    motion_l1_on_samples over the validation windows. Windows of another
+    (k, N) fail before the first step.
     """
     groups = [Windows.concat(g) for g in windows_per_track if len(g)]
     if not groups:
@@ -210,14 +202,13 @@ def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
     _check_sizes(train_w, k, horizon_n)
 
     xs, speeds = window_inputs(train_w.motions, train_w.intervals)
-    vxs, vspeeds = window_inputs(val_w.motions, val_w.intervals)
-    targets, vtargets = train_w.targets, val_w.targets
+    speeds = speeds[:, None, :]
 
     weights = init_weights(k, horizon_n, c_enc=c_enc, c_dec=c_dec,
                            seed=derive_seed(config.seed, "pm-init"))
     opt = AdamW(config)
     best = weights.copy()
-    best_val = _mean_l1(weights, vxs, vtargets, vspeeds)
+    best_val = motion_l1_on_samples(val_w, pm_motion_batch(weights))
     history = []
     n = len(train_w)
     for epoch in range(1, config.epochs + 1):
@@ -225,14 +216,16 @@ def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo:lo + config.batch_size]
+            speed = speeds[idx]
             factors, cache = forward_batch(weights, xs[idx], keep_cache=True)
-            loss, grad_fac = l1_loss(factors, speeds[idx], targets[idx])
+            loss, sign = l1_loss(factors * speed, train_w.targets[idx])
             if not math.isfinite(loss):
                 raise DivergenceError(f"training loss became {loss} at epoch {epoch}")
-            grad = backward_batch(weights, cache, grad_fac)
+            # sign * speed, then / size: another order rounds the weights differently
+            grad = backward_batch(weights, cache, sign * speed / sign.size)
             opt.step(weights.flat, grad.flat, epoch=epoch)
             epoch_loss += loss * len(idx)
-        val = _mean_l1(weights, vxs, vtargets, vspeeds)
+        val = motion_l1_on_samples(val_w, pm_motion_batch(weights))
         if not math.isfinite(val):
             raise DivergenceError(f"validation loss became {val} at epoch {epoch}")
         history.append((epoch, epoch_loss / n, val))
@@ -336,21 +329,14 @@ def motion_l1_on_samples(windows, predict_batch) -> float:
     identical windows, boxes, and frame gaps.
     """
     windows = Windows.concat(windows)
-    pred = np.asarray(predict_batch(windows), dtype=float)
-    if pred.shape != windows.targets.shape:
-        raise ValidationError(
-            f"predictions shaped {pred.shape} do not match targets {windows.targets.shape}"
-        )
-    return float(np.abs(pred - windows.targets).mean())
+    return l1_loss(predict_batch(windows), windows.targets)[0]
 
 
 def pm_motion_batch(weights):
     """Window predictor wrapping trained motion-factor weights."""
     def predict(windows):
         _check_sizes(windows, weights.k, weights.n_heads)
-        xs, speeds = window_inputs(windows.motions, windows.intervals)
-        factors, _ = forward_batch(weights, xs)
-        return factors * speeds[:, None, :]
+        return pm_motions(weights, windows.motions, windows.intervals)
     return predict
 
 

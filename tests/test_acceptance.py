@@ -145,16 +145,16 @@ def test_analytic_gradients_match_finite_differences():
             w = init_weights(PM_K, PM_HORIZON, c_enc=8, c_dec=6, seed=seed)
             rng = np.random.default_rng(seed + 100)
             x = rng.normal(0, 0.3, size=(1, PM_K, 8))
-            speeds = rng.normal(0, 0.2, size=(1, 4))
+            speeds = rng.normal(0, 0.2, size=(1, 1, 4))
             targets = rng.normal(0, 0.3, size=(1, PM_HORIZON, 4))
 
             def scalar():
-                loss, _ = l1_loss(forward_batch(w, x)[0], speeds, targets)
+                loss, _ = l1_loss(forward_batch(w, x)[0] * speeds, targets)
                 return loss
 
             factors, cache = forward_batch(w, x, keep_cache=True)
-            _, grad_factor = l1_loss(factors, speeds, targets)
-            grads = backward_batch(w, cache, grad_factor).params()
+            _, sign = l1_loss(factors * speeds, targets)
+            grads = backward_batch(w, cache, sign * speeds / sign.size).params()
             fd = central_differences(scalar, w.params(), h=1e-6)
             for name in fd:
                 denom = max(np.max(np.abs(fd[name])), 1e-8)

@@ -196,16 +196,16 @@ class TestBackward:
         w = init_weights(seed=31, **SMALL)
         _, (motions, intervals) = cv_history(k=3)
         x, _ = window_inputs(motions[None], intervals[None])
-        speeds = np.array([[0.21, -0.07, 0.0, 0.0]])
+        speeds = np.array([[[0.21, -0.07, 0.0, 0.0]]])
         targets = np.array([[[0.3, -0.1, 0.0, 0.0], [0.6, -0.2, 0.0, 0.0]]])
 
         def scalar():
-            loss, _ = l1_loss(forward_batch(w, x)[0], speeds, targets)
+            loss, _ = l1_loss(forward_batch(w, x)[0] * speeds, targets)
             return loss
 
         factors, cache = forward_batch(w, x, keep_cache=True)
-        _, g_factor = l1_loss(factors, speeds, targets)
-        grads = backward_batch(w, cache, g_factor)
+        _, sign = l1_loss(factors * speeds, targets)
+        grads = backward_batch(w, cache, sign * speeds / sign.size)
         assert_matches_finite_differences(grads, scalar, w.params())
 
     def test_zero_grad_out_gives_zero_grads(self):
@@ -224,32 +224,26 @@ class TestBackward:
 
 class TestL1Loss:
     def test_exact_match_is_zero(self):
-        speeds = np.array([[0.1, 0.2, 0.0, 0.0]])
+        speeds = np.array([[[0.1, 0.2, 0.0, 0.0]]])
         factors = np.array([[[2.0, 0.5, 0.0, 0.0]]])
-        targets = factors * speeds[:, None, :]
-        loss, grad = l1_loss(factors, speeds, targets)
+        targets = factors * speeds
+        loss, sign = l1_loss(factors * speeds, targets)
         assert loss == 0.0
-        assert np.all(grad == 0.0)
+        assert np.all(sign == 0.0)
 
     def test_unit_diff_means_unit_loss(self):
-        loss, grad = l1_loss(np.full((1, 1, 4), 2.0), np.ones((1, 4)), np.ones((1, 1, 4)))
+        loss, sign = l1_loss(np.full((1, 1, 4), 2.0), np.ones((1, 1, 4)))
         assert loss == 1.0
-        assert grad == pytest.approx(np.full((1, 1, 4), 0.25))
-
-    def test_zero_speed_blocks_gradient(self):
-        loss, grad = l1_loss(np.ones((3, 2, 4)), np.zeros((3, 4)), np.full((3, 2, 4), 0.5))
-        assert loss == 0.5
-        assert np.all(grad == 0.0)
+        assert sign / sign.size == pytest.approx(np.full((1, 1, 4), 0.25))
 
     def test_shape_mismatch_rejected(self):
-        speeds = np.array([[0.1, 0.0, 0.0, 0.0]])
-        for factors, speeds_, targets in (
-            (np.ones((1, 1, 4)), speeds, np.ones((1, 2, 4))),
-            (np.ones((1, 1, 4)), np.ones((2, 4)), np.ones((1, 1, 4))),
-            (np.ones((1, 4)), speeds, np.ones((1, 4))),
+        for pred, targets in (
+            (np.ones((1, 1, 4)), np.ones((1, 2, 4))),
+            (np.ones((2, 1, 4)), np.ones((1, 1, 4))),
+            (np.ones((1, 4)), np.ones((1, 1, 4))),
         ):
-            with pytest.raises(ValidationError):
-                l1_loss(factors, speeds_, targets)
+            with pytest.raises(ValidationError, match="do not match targets"):
+                l1_loss(pred, targets)
 
 
 class TestPredict:

@@ -253,6 +253,29 @@ class TestTrainPM:
         with pytest.raises(ValidationError):
             train_pm([], 3, 2, OptimizerConfig(epochs=1, milestones=()))
 
+    def test_validation_group_of_another_horizon_rejected(self):
+        """One track sampled at N = 1 among N = 2 tracks: wherever the
+        split puts it, training refuses before its first step."""
+        tracks = gen_synthetic(SyntheticSpec(SINUSOIDAL, 10, 60, seed=3))
+        by_horizon = {n: [sample_windows(s, 3, n, (1, 2), rng_for(0, "w", i))
+                          for i, s in enumerate(tracks)] for n in (1, 2)}
+        cfg = OptimizerConfig(epochs=1, milestones=(), seed=0)
+        for odd in range(len(tracks)):
+            groups = [by_horizon[1 if i == odd else 2][i] for i in range(len(tracks))]
+            with pytest.raises(ValidationError, match=r"\(k, N\)"):
+                train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
+
+    def test_validation_loss_is_the_harness_l1(self):
+        """With one track validation reuses the training windows; more
+        than 512 of them, so a validation sum taken in chunks would show."""
+        track = gen_synthetic(SyntheticSpec(SINUSOIDAL, 1, 540, seed=4))[0]
+        windows = sample_windows(track, 3, 2, (1, 2), rng_for(0, "w"))
+        assert len(windows) > 512
+        cfg = OptimizerConfig(epochs=3, milestones=(), seed=5)
+        best, history = train_pm([windows], 3, 2, cfg, c_enc=8, c_dec=6)
+        assert min(row[2] for row in history) == motion_l1_on_samples(
+            windows, pm_motion_batch(best))
+
 
 class TestMotionL1Harness:
     def test_exact_predictions_score_zero(self):
