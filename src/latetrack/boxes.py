@@ -168,7 +168,7 @@ def _parse_line(line: str, lineno: int, path) -> BoundingBox | None:
     return BoundingBox(*vals)
 
 
-def load_sequence(path, framerate: float = 30.0, name: str | None = None) -> Sequence:
+def load_sequence(path, framerate: float = 30.0) -> Sequence:
     """Read a ground-truth file: one "x,y,w,h" line per frame.
 
     Blank lines and NaN,NaN,NaN,NaN lines mark frames with no
@@ -184,12 +184,12 @@ def load_sequence(path, framerate: float = 30.0, name: str | None = None) -> Seq
     if all(line.count(",") == 3 for line in body):
         try:
             column = np.array(",".join(body).split(","), dtype=np.float64).reshape(-1, 4)
-            return Sequence(name or path.stem, FrameClock(framerate), column)
+            return Sequence(path.stem, FrameClock(framerate), column)
         except ValueError:
             pass
     boxes = [_parse_line(line, lineno, path) if line else None
              for lineno, line in enumerate(lines, start=1) if not line.startswith("#")]
-    return Sequence(name or path.stem, FrameClock(framerate), boxes)
+    return Sequence(path.stem, FrameClock(framerate), boxes)
 
 
 def save_sequence(seq: Sequence, path, manifest_ref: str = None) -> None:

@@ -26,7 +26,7 @@ from .network import _check_geometry, save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
 from .seeding import derive_seed, rng_for
-from .simulate import (load_run_log, pick_horizon_n, predictor_for, run_stream,
+from .simulate import (load_run_log, pick_horizon_n, predictor_for, run_files, run_stream,
                        save_run_log, save_trace)
 from .training import OptimizerConfig, gen_synthetic, sample_windows, train_pm
 
@@ -131,15 +131,10 @@ def _curve_summary(auc_curve, dp_curve) -> dict:
 
 def cmd_evaluate(args) -> int:
     sequences, inputs = _load_sequences(args.sequences, framerate=args.framerate)
-    logs_path = Path(args.logs)
-    logs_dir = logs_path.is_dir()
-    if not logs_dir and len(sequences) != 1:
-        raise ValidationError("--logs must be a directory when evaluating several sequences")
     pairs = []
-    for seq in sequences:
-        log_file = logs_path / f"{seq.name}.log.csv" if logs_dir else logs_path
-        if logs_dir and not log_file.exists():
-            raise ValidationError(f"no log for sequence {seq.name!r} in {logs_path}")
+    for seq, log_file in zip(sequences, run_files(args.logs, sequences, ".log.csv")):
+        if not log_file.is_file():
+            raise ValidationError(f"no log for sequence {seq.name!r}: {log_file}")
         inputs[f"log:{seq.name}"] = log_file
         pairs.append((seq, load_run_log(log_file, seq.name)))
     manifest = build_manifest("evaluate", args.seed or 0, {"framerate": args.framerate}, inputs)
@@ -158,15 +153,14 @@ def cmd_evaluate(args) -> int:
                   manifest_ref=manifest.ref)
         write_json(out / "summary.json", {**overall, "per_sequence": per_seq},
                    manifest_ref=manifest.ref)
-        if args.format == "md":
-            rows = [(name, f"{v['auc_la0']:.4f}", f"{v['dp_la0']:.4f}",
-                     f"{v['mauc']:.4f}", f"{v['mdp']:.4f}")
-                    for name, v in sorted(per_seq.items())]
-            rows.append(("all", f"{overall['auc_la0']:.4f}", f"{overall['dp_la0']:.4f}",
-                         f"{overall['mauc']:.4f}", f"{overall['mdp']:.4f}"))
-            write_markdown_table(out / "summary.md",
-                                 ["sequence", "auc_la0", "dp_la0", "mauc", "mdp"], rows,
-                                 manifest_ref=manifest.ref, title="Latency-aware evaluation")
+        rows = [(name, f"{v['auc_la0']:.4f}", f"{v['dp_la0']:.4f}",
+                 f"{v['mauc']:.4f}", f"{v['mdp']:.4f}")
+                for name, v in sorted(per_seq.items())]
+        rows.append(("all", f"{overall['auc_la0']:.4f}", f"{overall['dp_la0']:.4f}",
+                     f"{overall['mauc']:.4f}", f"{overall['mdp']:.4f}"))
+        write_markdown_table(out / "summary.md",
+                             ["sequence", "auc_la0", "dp_la0", "mauc", "mdp"], rows,
+                             manifest_ref=manifest.ref, title="Latency-aware evaluation")
         if args.format == "svg":
             svg_line_plot(out / "curves.svg",
                           [("AUC@Laσ", grid, auc_curve.values),
@@ -200,7 +194,7 @@ def cmd_train(args) -> int:
     stride_set = cfg.get_ints("stride_set", (1, 2))
     c_enc = cfg.get_int("c_enc", 64)
     c_dec = cfg.get_int("c_dec", 32)
-    sequences, inputs = _load_sequences(args.corpus, framerate=args.framerate)
+    sequences, inputs = _load_sequences(args.corpus)
     if args.config:
         inputs["config"] = args.config
     manifest = build_manifest(
@@ -220,7 +214,7 @@ def cmd_train(args) -> int:
                    for seq in sequences]
     out = _out_dir(args)
     with timer.stage("train"):
-        weights, history = train_pm(grouped, k, horizon, opt, c_enc=c_enc, c_dec=c_dec)
+        weights, history = train_pm(grouped, opt, c_enc=c_enc, c_dec=c_dec)
     with timer.stage("write"):
         save_weights(weights, out / "pm_checkpoint.json", manifest_ref=manifest.ref)
         write_csv(out / "loss.csv", _LOSS_HEADER, history, manifest_ref=manifest.ref)
@@ -324,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     reads.add_argument("--framerate", type=float, default=30.0,
                        help="capture rate kappa in frames per second")
     reports = argparse.ArgumentParser(add_help=False, parents=[reads])
-    reports.add_argument("--format", choices=["csv", "json", "md", "svg"], default="csv",
-                         help="extra report format (CSV/JSON are always written)")
+    reports.add_argument("--format", choices=["svg"],
+                         help="also plot the curves as SVG (CSV, JSON and Markdown "
+                              "are always written)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate synthetic sequences")
@@ -343,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logs", required=True, help="log file or directory of <name>.log.csv")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("train", parents=[reads], help="train the motion network")
+    p = sub.add_parser("train", parents=[common], help="train the motion network")
     p.add_argument("--corpus", required=True, help="directory of training sequences")
     p.add_argument("--config", help="training config file")
     p.add_argument("--epochs", type=int, help="override the configured epoch count")

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .latency import LatencyProfile
+from .simulate import KF_LEARNED, NEURAL_PM, TrackerAdapter, load_trace, predictor_for, run_files
 from .training import SyntheticSpec
 
 ORACLE_NOISY = "oracle_noisy"
@@ -22,9 +23,8 @@ REPLAY_LOG = "replay_log"
 
 _LATENCY_KEYS = ("latency.kind", "latency.mean", "latency.stddev", "latency.floor",
                 "latency.file")
-_SPEC_KEYS = ("kind", "count", "length", "duration", "seed", "framerate", "center_range",
-             "size_range", "speed_range", "accel_range", "amplitude_range", "period_range",
-             "walk_step", "noise_sigma")
+_SPEC_KEYS = ("kind", "count", "length", "seed", "center_range", "size_range", "speed_range",
+             "accel_range", "amplitude_range", "period_range", "walk_step", "noise_sigma")
 _TRACKER_KEYS = ("behavior", "sigma_pos", "sigma_scale", "trace", *_LATENCY_KEYS)
 _PREDICTOR_KEYS = ("kind", "noise", "weights", "horizon", *_LATENCY_KEYS)
 
@@ -133,18 +133,12 @@ def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile
 
 def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec:
     cfg.reject_unknown(_SPEC_KEYS)
-    if "length" in cfg and "duration" in cfg:
-        raise ValidationError(f"{cfg.source}: give either length or duration, not both")
-    length = cfg.get_int("length", 0) or cfg.get_int("duration", 0)
-    if length == 0:
-        raise ValidationError(f"{cfg.source}: missing required key 'length'")
     seed = cfg.get_int("seed", 0) if seed_override is None else seed_override
     return SyntheticSpec(
         kind=cfg.get_str("kind"),
         n_sequences=cfg.get_int("count"),
-        length=length,
+        length=cfg.get_int("length"),
         seed=seed,
-        framerate_kappa=cfg.get_float("framerate", 30.0),
         center_range=cfg.get_floats("center_range", (120.0, 400.0)),
         size_range=cfg.get_floats("size_range", (40.0, 70.0)),
         speed_range=cfg.get_floats("speed_range", (1.0, 4.0)),
@@ -158,10 +152,8 @@ def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec
 
 def tracker_from_config(cfg: Config, sequences) -> list:
     """One TrackerAdapter per sequence. A replay_log tracker reads each
-    sequence's trace here, once: `trace` is one trace file or a directory
-    of <name>.trace.csv files."""
-    from .simulate import TrackerAdapter, load_trace
-
+    sequence's trace here, once: `trace` is a directory of
+    <name>.trace.csv files, or one trace file for a single sequence."""
     cfg.reject_unknown(_TRACKER_KEYS)
     behavior = cfg.get_str("behavior", ORACLE_NOISY)
     if behavior == ORACLE_NOISY:
@@ -171,12 +163,10 @@ def tracker_from_config(cfg: Config, sequences) -> list:
         return [tracker] * len(sequences)
     if behavior == REPLAY_LOG:
         latency = latency_from_config(cfg) if cfg.has_group("latency.") else None
-        trace = Path(cfg.get_str("trace"))
         trackers = []
-        for seq in sequences:
-            path = trace / f"{seq.name}.trace.csv" if trace.is_dir() else trace
+        for seq, path in zip(sequences, run_files(cfg.get_str("trace"), sequences, ".trace.csv")):
             cfg.files[f"trace:{seq.name}"] = path
-            trackers.append(TrackerAdapter.replay(load_trace(path), latency))
+            trackers.append(TrackerAdapter.replay(load_trace(path, seq.name), latency))
         return trackers
     raise ValidationError(f"{cfg.source}: unknown tracker behavior {behavior!r}")
 
@@ -185,8 +175,6 @@ def predictor_from_config(cfg: Config):
     """Predictor config: `kind`, its file (`noise =` for kf_learned,
     `weights =` for pm), `horizon` (default 2; a pm horizon defaults to
     its checkpoint's head count), and an optional `latency.` group."""
-    from .simulate import KF_LEARNED, NEURAL_PM, predictor_for
-
     cfg.reject_unknown(_PREDICTOR_KEYS)
     kind = cfg.get_str("kind")
     file_key = {KF_LEARNED: "noise", NEURAL_PM: "weights"}.get(kind)

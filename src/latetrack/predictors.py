@@ -14,7 +14,8 @@ when its RunLog is built.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
-measurement [I, 0] and diagonal Q, R and initial covariance never couple
+measurement [I, 0] and diagonal Q, R and initial covariance (a fixed
+DEFAULT_INIT_COV on each position and velocity) never couple
 coordinates, so the 8-state filter is exactly four independent 2-state
 filters, each with covariance [[a, b], [b, c]] and scalar innovation
 variance a + r. Updates are gap-aware because a slow tracker skips
@@ -25,7 +26,7 @@ each block symmetric by construction and PSD.
 KalmanBoxPredictor is the one online filter: its state is four (pos,
 vel, a, b, c) float tuples, which kf_update and kf_predict advance.
 kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
-kf_fit_noise reads Q, R and init_cov from the predictor it starts from.
+kf_fit_noise reads Q and R from the predictor it starts from.
 make_kf_state (a predictor reset at b0) is kept only for the
 benchmark's noise-fit step.
 
@@ -44,6 +45,7 @@ from .errors import DivergenceError, ValidationError
 from .motion import encode_motion, encode_motion_rows
 from .network import PMWeights, pm_predict
 from .seeding import rng_for
+from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sample_windows
 
 DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
@@ -60,13 +62,6 @@ def _check_noise(q_diag, r_diag):
     if not (np.all((0.0 < q) & (q < np.inf)) and np.all((0.0 < r) & (r < np.inf))):
         raise ValidationError("Q and R diagonals must be positive and finite")
     return q, r
-
-
-def _check_init_cov(init_cov: float) -> float:
-    init_cov = float(init_cov)
-    if not 0.0 < init_cov < np.inf:
-        raise ValidationError(f"initial covariance must be positive and finite, got {init_cov}")
-    return init_cov
 
 
 def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
@@ -150,21 +145,20 @@ class ZeroMotionPredictor:
 
 
 class KalmanBoxPredictor:
-    """The online Kalman filter. Noise and init_cov are checked once,
-    here, and kept as float tuples. The state is `filters`: one (pos,
-    vel, a, b, c) float tuple per coordinate (cx, cy, w, h), which reset
-    fills from b0 with zero velocity and covariance diag(init_cov)."""
+    """The online Kalman filter. Noise is checked once, here, and kept as
+    float tuples. The state is `filters`: one (pos, vel, a, b, c) float
+    tuple per coordinate (cx, cy, w, h), which reset fills from b0 with
+    zero velocity and covariance diag(DEFAULT_INIT_COV)."""
 
-    def __init__(self, q_diag=None, r_diag=None, init_cov: float = DEFAULT_INIT_COV):
+    def __init__(self, q_diag=None, r_diag=None):
         q, r = _check_noise(q_diag, r_diag)
         self.q_diag, self.r_diag = tuple(q.tolist()), tuple(r.tolist())
-        self.init_cov = _check_init_cov(init_cov)
         self.filters = None
         self._frame = 0
 
     def reset(self, b0) -> None:
         x, y, w, h = b0
-        p = self.init_cov
+        p = DEFAULT_INIT_COV
         self.filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
         self._frame = 0
 
@@ -179,10 +173,9 @@ class KalmanBoxPredictor:
         return kf_predict(self.filters, horizon)
 
 
-def make_kf_state(b0, q_diag=None, r_diag=None,
-                  init_cov: float = DEFAULT_INIT_COV) -> KalmanBoxPredictor:
+def make_kf_state(b0, q_diag=None, r_diag=None) -> KalmanBoxPredictor:
     """A KalmanBoxPredictor reset at b0."""
-    predictor = KalmanBoxPredictor(q_diag, r_diag, init_cov)
+    predictor = KalmanBoxPredictor(q_diag, r_diag)
     predictor.reset(b0)
     return predictor
 
@@ -229,8 +222,7 @@ class MotionNetPredictor:
         return pm_predict(self.weights, self._motions, self._intervals, self._latest)
 
 
-def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
-                    init_cov: float = DEFAULT_INIT_COV):
+def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):
     """Window predictor wrapping the Kalman filter.
 
     For each window the filter starts on the oldest of its boxes, runs
@@ -242,14 +234,13 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
     covariance blocks a, b, c run once per gap pattern (8 for k=3 and
     strides {1, 2}) while the means of all that pattern's windows move
     as one (n, 4) stack through the same _kf_step. This is exact, not an
-    approximation: the recursion depends only on (Q, R, init_cov, the
-    gaps), never on the measured boxes. Noise, horizon and gaps are
+    approximation: the recursion depends only on (Q, R, DEFAULT_INIT_COV,
+    the gaps), never on the measured boxes. Noise, horizon and gaps are
     validated once per call rather than once per window.
     """
     if horizon_n < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon_n}")
     q_diag, r_diag = _check_noise(q_diag, r_diag)
-    init_cov = _check_init_cov(init_cov)
 
     def predict(windows):
         if np.any(windows.intervals < 1):
@@ -261,7 +252,7 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None,
             idx = np.flatnonzero(which == g)
             boxes = windows.boxes[idx]
             pos, vel = boxes[:, 0], np.zeros((len(idx), 4))
-            a, b, c = np.full(4, init_cov), np.zeros(4), np.full(4, init_cov)
+            a, b, c = np.full(4, DEFAULT_INIT_COV), np.zeros(4), np.full(4, DEFAULT_INIT_COV)
             for j, gap in enumerate(gaps.tolist(), start=1):
                 pos, vel, a, b, c = _kf_step(pos, vel, a, b, c, q_diag[:4], q_diag[4:], r_diag,
                                              boxes[:, j], gap)
@@ -298,27 +289,25 @@ def load_kf_noise(path):
     return q, r
 
 
-def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, k: int = 3,
-                 stride_set=(1, 2), max_windows: int = 400):
+def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: int = 400):
     """Fit the Q/R diagonals by gradient descent on their logs.
 
-    Tracks are what sample_windows takes, and windows come from it; the
-    objective is the filter's one-frame-step prediction error in motion
-    space after re-running it over each window's boxes. The fit starts
-    from init's Q and R diagonals and keeps its init_cov; nothing else of
-    init, such as the frames it has observed, is read. Gradients are
-    central finite differences on the 12 log-parameters; steps reuse the
-    trainer's AdamW. Tracks split 90/10 for validation; the returned
-    diagonals are best-on-validation with the init always a candidate,
-    so the fit never leaves validation worse than the starting point.
+    Tracks are what sample_windows takes, and windows come from it, with
+    k = 3 history steps at strides {1, 2}; the objective is the filter's
+    one-frame-step prediction error in motion space after re-running it
+    over each window's boxes. The fit starts from init's Q and R
+    diagonals; nothing else of init, such as the frames it has observed,
+    is read. Gradients are central finite differences on the 12
+    log-parameters; steps reuse the trainer's AdamW. Tracks split 90/10
+    for validation; the returned diagonals are best-on-validation with
+    the init always a candidate, so the fit never leaves validation
+    worse than the starting point.
 
     Each loss evaluation is one kf_motion_batch call, which runs the
     four filters' covariance recursion once per gap pattern rather than
     once per window. That is exact: the recursion depends on Q, R, the
     initial covariance and the gaps, never on the measurements.
     """
-    from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sample_windows
-
     if config is None:
         config = OptimizerConfig(epochs=30, milestones=(20,))
     tracks = list(tracks)
@@ -329,7 +318,7 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, k: int = 3,
     val_idx = set(order[:n_val])
 
     def windows(indices, tag):
-        out = Windows.concat(sample_windows(tracks[i], k, 1, stride_set,
+        out = Windows.concat(sample_windows(tracks[i], 3, 1, (1, 2),
                                             rng_for(config.seed, "kf-fit-windows", tag, i))
                              for i in indices)
         if len(out) > max_windows:
@@ -342,8 +331,7 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, k: int = 3,
     val_w = windows(sorted(val_idx), "val") if val_idx else train_w
 
     def loss(theta, batch):
-        predict = kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:]), init_cov=init.init_cov)
-        return motion_l1_on_samples(batch, predict)
+        return motion_l1_on_samples(batch, kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:])))
 
     theta = np.log(np.concatenate([init.q_diag, init.r_diag]))
     best_theta = theta.copy()

@@ -142,7 +142,9 @@ class RunManifest:
 
 
 def build_manifest(command: str, seed: int, config_payload: dict,
-                   input_paths: dict = None, stage_seconds: dict = None) -> RunManifest:
+                   input_paths: dict = None) -> RunManifest:
+    """The manifest of one run, before any stage is timed; a verb adds
+    its `stage_seconds` with dataclasses.replace."""
     from . import __version__
 
     digests = {name: file_digest(p) for name, p in sorted((input_paths or {}).items())}
@@ -155,7 +157,6 @@ def build_manifest(command: str, seed: int, config_payload: dict,
         seeds=seeds,
         module_versions={"latetrack": __version__},
         input_digests=digests,
-        stage_seconds=dict(stage_seconds or {}),
     )
 
 

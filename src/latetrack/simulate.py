@@ -430,3 +430,16 @@ def load_trace(path, name: str = None) -> RunLog:
         except ValueError as exc:
             raise ValidationError(f"{path}: bad trace row {row}: {exc}") from None
     return _checked_run_log(path, name, schedule, outputs)
+
+
+def run_files(path, sequences, suffix: str) -> list:
+    """The run file of each sequence: `<name><suffix>` (".log.csv" or
+    ".trace.csv") in a directory, or the one file given, which serves a
+    single sequence only."""
+    path = Path(path)
+    if path.is_dir():
+        return [path / f"{seq.name}{suffix}" for seq in sequences]
+    if len(sequences) != 1:
+        raise ValidationError(f"{path} is one file for {len(sequences)} sequences; "
+                              f"give a directory of <name>{suffix} files")
+    return [path]

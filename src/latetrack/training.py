@@ -17,12 +17,12 @@ from .network import (backward_batch, forward_batch, init_weights, l1_loss, pm_m
 from .seeding import derive_seed, rng_for
 
 _EPS = 1e-8
+_BETAS = (0.9, 0.999)
 
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
     lr: float = 0.03
-    betas: tuple = (0.9, 0.999)
     weight_decay: float = 0.01
     epochs: int = 100
     milestones: tuple = (30, 80)
@@ -32,9 +32,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (0 < self.lr < math.inf):
             raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
-        b1, b2 = self.betas
-        if not (0 <= b1 < 1 and 0 <= b2 < 1):
-            raise ValidationError(f"betas must be in [0, 1), got {self.betas}")
         if not (0 <= self.weight_decay < math.inf):
             raise ValidationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 0:
@@ -75,7 +72,7 @@ class AdamW:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1
         lr = self.config.lr_at(epoch)
-        b1, b2 = self.config.betas
+        b1, b2 = _BETAS
         wd = self.config.weight_decay
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -180,17 +177,17 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
                    encode_motion_rows(boxes[:, -1:], future))
 
 
-def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
-             *, c_enc: int = 64, c_dec: int = 32):
+def train_pm(windows_per_track, config: OptimizerConfig, *, c_enc: int = 64, c_dec: int = 32):
     """Train the motion network on windows grouped per trajectory, one
     Windows (or iterable of them) per trajectory.
 
-    Trajectories (not windows) are split 90/10 into train/validation so
-    validation frames never leak into training. Returns the weights with
-    the best validation L1 seen (initialization included) and the
-    per-epoch loss history as (epoch, train_l1, val_l1) rows; val_l1 is
-    motion_l1_on_samples over the validation windows. Windows of another
-    (k, N) fail before the first step.
+    The network's k and N are the windows' own: every group must share
+    one (k, N). Trajectories (not windows) are split 90/10 into
+    train/validation so validation frames never leak into training.
+    Returns the weights with the best validation L1 seen (initialization
+    included) and the per-epoch loss history as (epoch, train_l1,
+    val_l1) rows; val_l1 is motion_l1_on_samples over the validation
+    windows. Groups of another (k, N) fail before the first step.
     """
     groups = [Windows.concat(g) for g in windows_per_track if len(g)]
     if not groups:
@@ -199,12 +196,12 @@ def train_pm(windows_per_track, k: int, horizon_n: int, config: OptimizerConfig,
     n_val = max(1, round(0.1 * len(groups))) if len(groups) >= 2 else 0
     train_w = Windows.concat(groups[i] for i in order[n_val:])
     val_w = Windows.concat(groups[i] for i in order[:n_val]) if n_val else train_w
-    _check_sizes(train_w, k, horizon_n)
 
     xs, speeds = window_inputs(train_w.motions, train_w.intervals)
     speeds = speeds[:, None, :]
 
-    weights = init_weights(k, horizon_n, c_enc=c_enc, c_dec=c_dec,
+    weights = init_weights(train_w.intervals.shape[1], train_w.targets.shape[1],
+                           c_enc=c_enc, c_dec=c_dec,
                            seed=derive_seed(config.seed, "pm-init"))
     opt = AdamW(config)
     best = weights.copy()
@@ -251,7 +248,6 @@ class SyntheticSpec:
     n_sequences: int
     length: int
     seed: int = 0
-    framerate_kappa: float = 30.0
     center_range: tuple = (120.0, 400.0)
     size_range: tuple = (40.0, 70.0)
     speed_range: tuple = (1.0, 4.0)
@@ -304,8 +300,9 @@ def _centers(spec: SyntheticSpec, rng):
 def gen_synthetic(spec: SyntheticSpec) -> list:
     """Deterministic family of synthetic sequences; each sequence's
     randomness is derived from (seed, kind, index) so regenerating any
-    subset reproduces the same tracks."""
-    clock = FrameClock(spec.framerate_kappa)
+    subset reproduces the same tracks. The files gen writes hold no
+    clock, so every sequence runs at 30 fps."""
+    clock = FrameClock(30.0)
     sequences = []
     for i in range(spec.n_sequences):
         rng = rng_for(spec.seed, "synthetic", spec.kind, i)

@@ -60,7 +60,6 @@ def trained_pm():
     because the run costs real time. Wall time is kept so the efficacy
     check can count training against its own budget."""
     t0 = time.monotonic()
-    weights, history = train_pm(window_groups(corpus_sequences(), seed=7),
-                                PM_K, PM_HORIZON, OptimizerConfig(seed=7))
+    weights, history = train_pm(window_groups(corpus_sequences(), seed=7), OptimizerConfig(seed=7))
     return {"weights": weights, "history": history,
             "seconds": time.monotonic() - t0}

@@ -74,8 +74,18 @@ class TestGen:
 
     def test_single_frame_spec_is_a_validation_error(self, tmp_path):
         spec = write_cfg(tmp_path / "bad.cfg",
-                         "kind = constant_velocity\ncount = 1\nduration = 1\n")
+                         "kind = constant_velocity\ncount = 1\nlength = 1\n")
         assert main(["gen", spec, "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("key", ["framerate", "duration"])
+    def test_removed_spec_key_is_rejected(self, tmp_path, capsys, key):
+        # gen writes no clock, and `length` is the one spelling of a length
+        spec = write_cfg(tmp_path / "spec.cfg",
+                         f"kind = constant_velocity\ncount = 1\nlength = 20\n{key} = 25\n")
+        out = tmp_path / "out"
+        assert main(["gen", spec, "--out", str(out)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_result_files_carry_the_manifest_ref(self, tmp_path, cv_spec):
         out = tmp_path / "out"
@@ -127,6 +137,33 @@ class TestSimulate:
         log = load_run_log(out / "constant_velocity-000.log.csv")
         kinds = {kind for _, _, kind, _ in log.outputs}
         assert kinds == {"raw", "predicted"}
+
+    def test_replay_binds_each_sequence_to_its_own_trace(self, tmp_path, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=3, length=60, kind="sinusoidal")
+        raw = tmp_path / "raw"
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--out", str(raw)]) == 0
+        replay = write_cfg(tmp_path / "dir.cfg", f"behavior = replay_log\ntrace = {raw}\n")
+        out = tmp_path / "replayed"
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", replay,
+                     "--out", str(out)]) == 0
+        for i in range(3):
+            name = f"sinusoidal-{i:03d}.log.csv"
+            assert np.array_equal(load_run_log(out / name).boxes, load_run_log(raw / name).boxes)
+
+    def test_one_trace_file_for_several_sequences_is_rejected(self, tmp_path, capsys,
+                                                              tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=3, length=60, kind="sinusoidal")
+        raw = tmp_path / "raw"
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--out", str(raw)]) == 0
+        trace = raw / "sinusoidal-000.trace.csv"
+        replay = write_cfg(tmp_path / "one.cfg", f"behavior = replay_log\ntrace = {trace}\n")
+        out = tmp_path / "replayed"
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", replay,
+                     "--out", str(out)]) == 2
+        assert f"{trace} is one file for 3 sequences" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def manifest_of(out: Path) -> dict:
@@ -239,7 +276,7 @@ class TestEvaluate:
         assert len(doc["per_sequence"]) == 3
 
     def test_markdown_format(self, tmp_path):
-        _, _, out = self.run_eval(tmp_path, fmt="md")
+        _, _, out = self.run_eval(tmp_path)
         text = (out / "summary.md").read_text()
         assert "| sequence |" in text
         assert "| all |" in text
@@ -486,7 +523,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("verb, flag", [
         ("gen", "--format md"), ("gen", "--framerate 25"), ("simulate", "--format md"),
-        ("train", "--format md"), ("horizon", "--format md"),
+        ("train", "--format md"), ("train", "--framerate 25"), ("horizon", "--format md"),
     ])
     def test_flag_the_verb_ignores_is_rejected(self, tmp_path, capsys, verb, flag):
         inputs = {"gen": ["spec.cfg"], "train": ["--corpus", "seqs"],
@@ -497,6 +534,19 @@ class TestExitCodes:
             main([verb, *inputs[verb], "--out", str(out), *flag.split()])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["evaluate", "compare"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+    def test_format_that_adds_no_file_is_rejected(self, tmp_path, capsys, verb, fmt):
+        inputs = {"evaluate": ["--sequences", "seqs", "--logs", "runs"],
+                  "compare": ["--sequences", "seqs", "--tracker", "tracker.cfg",
+                              "--predictors", "none"]}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, *inputs[verb], "--out", str(out), "--format", fmt])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: '{fmt}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_config_value_is_validation(self, tmp_path):

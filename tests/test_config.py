@@ -103,16 +103,6 @@ class TestSyntheticFromConfig:
         assert (spec.kind, spec.n_sequences, spec.length) == (CONSTANT_VELOCITY, 3, 40)
         assert spec.noise_sigma == 0.0
 
-    def test_duration_alias(self):
-        cfg = Config.from_text("kind = constant_velocity\ncount = 1\nduration = 25\n")
-        assert synthetic_spec_from_config(cfg).length == 25
-
-    def test_length_and_duration_together_rejected(self):
-        cfg = Config.from_text(
-            "kind = constant_velocity\ncount = 1\nlength = 25\nduration = 30\n")
-        with pytest.raises(ValidationError, match="not both"):
-            synthetic_spec_from_config(cfg)
-
     def test_neither_rejected(self):
         cfg = Config.from_text("kind = constant_velocity\ncount = 1\n")
         with pytest.raises(ValidationError):
@@ -157,10 +147,21 @@ class TestTrackerFromConfig:
 
         cfg = Config.from_text(f"behavior = replay_log\ntrace = {tmp_path}\n")
         [bound] = tracker_from_config(cfg, [seq])
-        assert bound.trace == load_trace(tmp_path / "cv.trace.csv")
+        assert bound.trace == load_trace(tmp_path / "cv.trace.csv", "cv")
         assert cfg.files == {"trace:cv": tmp_path / "cv.trace.csv"}
         replayed = run_stream(seq, bound)
         assert replayed.frame.tolist() == log.frame.tolist()
+
+    def test_replay_errors_name_the_sequence(self, tmp_path):
+        # a 50 ms run skips frame 2, which a 20 ms replay asks for
+        seq = cv_sequence()
+        save_trace(run_stream(seq, TrackerAdapter(LatencyProfile.constant(0.05))),
+                   tmp_path / "cv.trace.csv")
+        cfg = Config.from_text(f"behavior = replay_log\ntrace = {tmp_path}\n"
+                               "latency.kind = constant\nlatency.mean = 0.02\n")
+        [bound] = tracker_from_config(cfg, [seq])
+        with pytest.raises(ValidationError, match="replay trace 'cv' has no box for frame 2"):
+            run_stream(seq, bound)
 
     def test_replay_with_explicit_latency_overrides_durations(self, tmp_path):
         seq = cv_sequence()

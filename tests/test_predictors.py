@@ -10,7 +10,7 @@ from latetrack.network import PMWeights, init_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
-                                  load_kf_noise, make_kf_state, save_kf_noise)
+                                  load_kf_noise, save_kf_noise)
 from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
 from latetrack.seeding import rng_for
 
@@ -57,19 +57,19 @@ def observe_track(p, track, frames):
     return p
 
 
-NOISES = [(DEFAULT_Q_DIAG, DEFAULT_R_DIAG, DEFAULT_INIT_COV),
-          (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0]), 3.0),
+NOISES = [(DEFAULT_Q_DIAG, DEFAULT_R_DIAG),
+          (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0])),
           (np.array([0.5, 0.1, 0.02, 0.3, 0.04, 0.2, 0.001, 0.05]),
-           np.array([0.01, 4.0, 0.2, 30.0]), 250.0)]
+           np.array([0.01, 4.0, 0.2, 30.0]))]
 
 
 class TestAgainstTextbookFilter:
     def test_random_walk_agreement(self):
-        for q_diag, r_diag, init_cov in NOISES:
+        for q_diag, r_diag in NOISES:
             rng = np.random.default_rng(77)
             b0 = BoundingBox(10, 10, 20, 15)
-            p = kalman(b0, q_diag, r_diag, init_cov)
-            oracle = TextbookKalman(b0, q_diag, r_diag, init_cov)
+            p = kalman(b0, q_diag, r_diag)
+            oracle = TextbookKalman(b0, q_diag, r_diag, DEFAULT_INIT_COV)
             f = 0
             for _ in range(40):
                 gap = int(rng.integers(1, 4))
@@ -194,22 +194,6 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             KalmanBoxPredictor(r_diag=np.ones(8))
 
-    @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
-    def test_bad_init_cov_rejected_by_make_kf_state(self, init_cov):
-        with pytest.raises(ValidationError, match="initial covariance"):
-            make_kf_state(BoundingBox(0, 0, 10, 10), init_cov=init_cov)
-
-    @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
-    def test_bad_init_cov_rejected_by_kalman_predictor(self, init_cov):
-        with pytest.raises(ValidationError, match="initial covariance"):
-            KalmanBoxPredictor(init_cov=init_cov)
-
-    @pytest.mark.parametrize("init_cov", [0.0, -3.0, float("nan"), float("inf")])
-    def test_bad_init_cov_rejected_by_kf_motion_batch(self, init_cov):
-        # rejected when the predictor is built, before any window runs
-        with pytest.raises(ValidationError, match="initial covariance"):
-            kf_motion_batch(1, init_cov=init_cov)
-
     def test_bad_gap_rejected(self):
         p = kalman(BoundingBox(0, 0, 10, 10))
         with pytest.raises(ValidationError):
@@ -304,12 +288,11 @@ class TestOnlinePredictors:
             assert p.predict(n) == want, f"frame {f}, {len(seen) - 1} observations"
 
 
-def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None,
-                          init_cov=DEFAULT_INIT_COV):
+def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None):
     """Window i through a fresh online KalmanBoxPredictor, re-encoded as
     motions from the window's anchor."""
     boxes = [BoundingBox.from_center(*row) for row in windows.boxes[i].tolist()]
-    p = KalmanBoxPredictor(q_diag, r_diag, init_cov)
+    p = KalmanBoxPredictor(q_diag, r_diag)
     p.reset(boxes[0])
     f = 0
     for gap, box in zip(windows.intervals[i].tolist(), boxes[1:]):
@@ -332,18 +315,18 @@ class TestKfMotionBatch:
         rng = np.random.default_rng(11)
         traj = [BoundingBox.from_center(50 + 2 * i + rng.normal(0, 0.3),
                                         40 - i, 12 + 0.1 * i, 9) for i in range(60)]
-        noises = [(None, None, DEFAULT_INIT_COV),
-                  (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0]), 3.0)]
+        noises = [(None, None),
+                  (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0]))]
         for horizon in (1, 2):
             samples = sample_windows(traj, 3, horizon, (1, 2), rng_for(5, "w"))
             # every gap pattern, interleaved, so the per-pattern batches
             # must scatter back to the original window order
             assert len({tuple(gaps) for gaps in samples.intervals.tolist()}) == 8
-            for q_diag, r_diag, init_cov in noises:
-                out = kf_motion_batch(horizon, q_diag, r_diag, init_cov)(samples)
+            for q_diag, r_diag in noises:
+                out = kf_motion_batch(horizon, q_diag, r_diag)(samples)
                 assert out.shape == (len(samples), horizon, 4)
                 for i in range(len(samples)):
-                    want = manual_window_motions(samples, i, horizon, q_diag, r_diag, init_cov)
+                    want = manual_window_motions(samples, i, horizon, q_diag, r_diag)
                     assert out[i] == pytest.approx(np.array(want), abs=1e-9)
 
     def test_nonpositive_noise_rejected(self):
@@ -405,7 +388,7 @@ class TestFitNoise:
 
     def test_fit_reads_only_the_init_noise_and_init_cov(self):
         # an init that has observed frames has moved covariance blocks;
-        # the fit must start from its init_cov, not from its progress
+        # the fit must start from DEFAULT_INIT_COV, not from its progress
         tracks = noisy_tracks()
         cfg = OptimizerConfig(epochs=2, milestones=(1,), seed=4)
         fresh = kf_fit_noise(tracks, KalmanBoxPredictor(), cfg, max_windows=30)
@@ -413,8 +396,6 @@ class TestFitNoise:
         assert moved.filters[0][2] != DEFAULT_INIT_COV
         after = kf_fit_noise(tracks, moved, cfg, max_windows=30)
         assert np.array_equal(fresh[0], after[0]) and np.array_equal(fresh[1], after[1])
-        wide = kf_fit_noise(tracks, KalmanBoxPredictor(init_cov=250.0), cfg, max_windows=30)
-        assert not (np.array_equal(fresh[0], wide[0]) and np.array_equal(fresh[1], wide[1]))
 
     def test_empty_tracks_rejected(self):
         init = KalmanBoxPredictor()

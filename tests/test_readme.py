@@ -2,8 +2,9 @@ import re
 import shlex
 from pathlib import Path
 
-from latetrack.cli import build_parser, main
-from latetrack.config import (Config, predictor_from_config, synthetic_spec_from_config,
+from latetrack.cli import _TRAIN_KEYS, build_parser, main
+from latetrack.config import (_PREDICTOR_KEYS, _SPEC_KEYS, _TRACKER_KEYS, Config,
+                              predictor_from_config, synthetic_spec_from_config,
                               tracker_from_config)
 from latetrack.predictors import KalmanBoxPredictor
 from latetrack.training import gen_synthetic
@@ -46,3 +47,13 @@ def test_shell_commands_parse():
     assert len(commands) == 7
     for argv in commands:
         build_parser().parse_args(argv[1:])
+
+
+def test_every_config_key_is_named():
+    """Each key a config reader accepts appears in the README, in
+    backticks or on an ini line; a dotted key may be named by its last
+    part, as the `latency.` group is."""
+    text = README.read_text()
+    named = set(re.findall(r"`([\w.]+)", text)) | set(re.findall(r"^#? ?([\w.]+) = ", text, re.M))
+    for key in (*_SPEC_KEYS, *_TRACKER_KEYS, *_PREDICTOR_KEYS, *_TRAIN_KEYS):
+        assert key in named or key.rpartition(".")[2] in named, key

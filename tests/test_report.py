@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -82,8 +83,9 @@ class TestManifest:
         assert build_manifest("evaluate", 3, {"a": 1}, {"in": data}).ref != base.ref
 
     def test_wall_clock_does_not_move_the_ref(self):
-        fast = build_manifest("train", 0, {}, stage_seconds={"fit": 0.1})
-        slow = build_manifest("train", 0, {}, stage_seconds={"fit": 99.0})
+        base = build_manifest("train", 0, {})
+        fast = replace(base, stage_seconds={"fit": 0.1})
+        slow = replace(base, stage_seconds={"fit": 99.0})
         assert fast.ref == slow.ref
         assert fast.stage_seconds != slow.stage_seconds
 

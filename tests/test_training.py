@@ -54,8 +54,6 @@ class TestOptimizerConfig:
         with pytest.raises(ValidationError):
             OptimizerConfig(lr=0)
         with pytest.raises(ValidationError):
-            OptimizerConfig(betas=(0.9, 1.0))
-        with pytest.raises(ValidationError):
             OptimizerConfig(weight_decay=-0.1)
         with pytest.raises(ValidationError):
             OptimizerConfig(milestones=(0,))
@@ -220,7 +218,7 @@ class TestTrainPM:
         groups = [cv_samples(vx, vy, length=20, seed=i)
                   for i, (vx, vy) in enumerate([(2, 0), (0, 2), (-1, 1)])]
         cfg = OptimizerConfig(epochs=3, milestones=(2,), seed=1)
-        weights, history = train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
+        weights, history = train_pm(groups, cfg, c_enc=8, c_dec=6)
         assert weights.n_heads == 2
         assert [row[0] for row in history] == [1, 2, 3]
         assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in history)
@@ -228,8 +226,8 @@ class TestTrainPM:
     def test_deterministic(self):
         groups = [cv_samples(2, 1, length=16, seed=4)]
         cfg = OptimizerConfig(epochs=2, milestones=(), seed=6)
-        w1, h1 = train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
-        w2, h2 = train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
+        w1, h1 = train_pm(groups, cfg, c_enc=8, c_dec=6)
+        w2, h2 = train_pm(groups, cfg, c_enc=8, c_dec=6)
         assert h1 == h2
         for name, arr in w1.params().items():
             assert np.array_equal(arr, w2.params()[name])
@@ -237,7 +235,7 @@ class TestTrainPM:
     def test_zero_epochs_returns_initialization(self):
         groups = [cv_samples(1, 1, length=16, seed=2)]
         cfg = OptimizerConfig(epochs=0, milestones=(), seed=3)
-        weights, history = train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
+        weights, history = train_pm(groups, cfg, c_enc=8, c_dec=6)
         assert history == []
         fresh = init_weights(3, 2, c_enc=8, c_dec=6, seed=derive_seed(3, "pm-init"))
         for name, arr in weights.params().items():
@@ -247,11 +245,11 @@ class TestTrainPM:
         groups = [cv_samples(2, 0, length=20, seed=8)]
         cfg = OptimizerConfig(lr=1e8, weight_decay=1.0, epochs=40, milestones=(), seed=0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-            train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
+            train_pm(groups, cfg, c_enc=8, c_dec=6)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            train_pm([], 3, 2, OptimizerConfig(epochs=1, milestones=()))
+            train_pm([], OptimizerConfig(epochs=1, milestones=()))
 
     def test_validation_group_of_another_horizon_rejected(self):
         """One track sampled at N = 1 among N = 2 tracks: wherever the
@@ -263,7 +261,7 @@ class TestTrainPM:
         for odd in range(len(tracks)):
             groups = [by_horizon[1 if i == odd else 2][i] for i in range(len(tracks))]
             with pytest.raises(ValidationError, match=r"\(k, N\)"):
-                train_pm(groups, 3, 2, cfg, c_enc=8, c_dec=6)
+                train_pm(groups, cfg, c_enc=8, c_dec=6)
 
     def test_validation_loss_is_the_harness_l1(self):
         """With one track validation reuses the training windows; more
@@ -272,7 +270,7 @@ class TestTrainPM:
         windows = sample_windows(track, 3, 2, (1, 2), rng_for(0, "w"))
         assert len(windows) > 512
         cfg = OptimizerConfig(epochs=3, milestones=(), seed=5)
-        best, history = train_pm([windows], 3, 2, cfg, c_enc=8, c_dec=6)
+        best, history = train_pm([windows], cfg, c_enc=8, c_dec=6)
         assert min(row[2] for row in history) == motion_l1_on_samples(
             windows, pm_motion_batch(best))
 
