@@ -133,8 +133,6 @@ def cmd_evaluate(args) -> int:
     sequences, inputs = _load_sequences(args.sequences, framerate=args.framerate)
     pairs = []
     for seq, log_file in zip(sequences, run_files(args.logs, sequences, ".log.csv")):
-        if not log_file.is_file():
-            raise ValidationError(f"no log for sequence {seq.name!r}: {log_file}")
         inputs[f"log:{seq.name}"] = log_file
         pairs.append((seq, load_run_log(log_file, seq.name)))
     manifest = build_manifest("evaluate", args.seed or 0, {"framerate": args.framerate}, inputs)

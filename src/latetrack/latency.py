@@ -16,8 +16,8 @@ REPLAY = "replay"
 
 @dataclass(frozen=True, slots=True)
 class LatencyProfile:
-    """Config for a latency source; each run builds a sampler from it
-    with a seed of the run's own.
+    """Config for a latency source; each run takes one block of draws
+    from it with a seed of the run's own.
 
     Draws are clamped at `floor`, so sampled latency >= floor >= 0 always.
     The replay kind yields recorded values in order and errs when exhausted.
@@ -61,25 +61,23 @@ class LatencyProfile:
     def replay(cls, values) -> "LatencyProfile":
         return cls(REPLAY, replay_values=tuple(values))
 
-    def sampler(self, seed: int) -> "LatencySampler":
-        """Fresh per-run sampler; only gaussian draws use the seed."""
-        return LatencySampler(self, seed)
+    def draws(self, seed: int, n: int) -> list:
+        """A run's first n draws as floats, taken as one block: the mean
+        n times, n normal draws clamped at the floor, or the recorded
+        values in order. One size-n normal call gives the numbers of n
+        scalar calls on a generator seeded `seed`; only gaussian draws
+        use the seed. A replay profile gives at most its values, and a
+        run that needs more raises `exhausted`."""
+        if self.kind == CONSTANT:
+            return [self.mean] * n
+        if self.kind == GAUSSIAN:
+            block = np.random.default_rng(seed).normal(self.mean, self.stddev, size=n)
+            # where(x > floor, x, floor) is max(floor, x), signed zeros included
+            return np.where(block > self.floor, block, self.floor).tolist()
+        return list(self.replay_values[:n])
 
 
-class LatencySampler:
-    def __init__(self, profile: LatencyProfile, seed: int):
-        self._profile = profile
-        self._rng = np.random.default_rng(seed) if profile.kind == GAUSSIAN else None
-        self._pos = 0
-
-    def draw(self) -> float:
-        p = self._profile
-        if p.kind == CONSTANT:
-            return p.mean
-        if p.kind == GAUSSIAN:
-            return max(p.floor, float(self._rng.normal(p.mean, p.stddev)))
-        if self._pos >= len(p.replay_values):
-            raise ValidationError(f"replay latency exhausted after {self._pos} draws")
-        value = p.replay_values[self._pos]
-        self._pos += 1
-        return value
+def exhausted(draws) -> ValidationError:
+    """The error of a run that needs one latency draw more than `draws`
+    holds, which only a replay block can run out of."""
+    return ValidationError(f"replay latency exhausted after {len(draws)} draws")

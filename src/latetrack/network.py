@@ -6,12 +6,20 @@ axis, pools, decodes through a shared layer, then N independent head
 layers and a shared 4-wide output layer produce one motion factor per
 future frame. No output nonlinearity: factors multiply a signed speed.
 
-Everything is float64 numpy and batched: a single window is a batch of
-one. pm_motions is the one inference path: (B, k, 4) motions and (B, k)
-frame intervals go through window_inputs and forward_batch to (B, N, 4)
-predicted motions, for batch evaluation, validation and the online
-predictor alike. l1_loss is the one motion-space objective, for training
-steps and every score. The parameters are one flat vector with a shaped
+Everything is float64 numpy and batched. pm_motions is the one
+inference path: (B, k, 4) motions and (B, k) frame intervals go through
+window_inputs and forward_batch to (B, N, 4) predicted motions, for
+batch evaluation, validation and the online predictor alike. l1_loss is
+the one motion-space objective, for training steps and every score.
+
+The stacking rule: window_inputs, forward_batch and pm_motions also take
+leading stack axes, (..., B, k, ·). Every layer reshapes to
+(..., rows, ·) and reduces over axis -2, and numpy's matmul runs one
+BLAS call per stack, so each (B, k, ·) stack gets exactly the bits of
+its own call. pm_predict runs all m windows of a run as an (m, 1, k, ·)
+stack, which equals m batches of one bit for bit. One (m, k, ·) batch
+may not: BLAS can take another kernel, and so another summation order,
+for an m-row product. The parameters are one flat vector with a shaped
 view per layer; backward_batch writes hand-derived gradients (checked
 against central finite differences in the tests) into the same layout.
 """
@@ -123,36 +131,38 @@ def constant_factor_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64,
 
 def _check_input(w: PMWeights, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1:] != (w.k, 8):
-        raise ValidationError(f"input must have shape (B, {w.k}, 8), got {x.shape}")
+    if x.ndim < 3 or x.shape[-2:] != (w.k, 8):
+        raise ValidationError(f"input must have shape (..., B, {w.k}, 8), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("network input contains non-finite values")
     return x
 
 
 def forward_batch(w: PMWeights, x: np.ndarray, keep_cache: bool = False):
-    """Evaluate a (B, k, 8) batch -> (B, N, 4) factors, optional cache.
+    """Evaluate a (..., B, k, 8) batch -> (..., B, N, 4) factors,
+    optional cache; training passes (B, k, 8) and backward_batch takes
+    only that.
 
-    Every layer is one 2-D matmul over stacked rows. The temporal conv
+    Every layer is one matmul over each stack's rows. The temporal conv
     multiplies all B·k rows by each tap and adds the products shifted
     by one step; the rows a shift pushes past either end are dropped,
     which is the zero padding.
     """
     x = _check_input(w, x)
-    b, k, _ = x.shape
+    *lead, b, k, _ = x.shape
     c, d, n = w.c_enc, w.c_dec, w.n_heads
-    pre1 = x.reshape(b * k, 8) @ w.enc_w.T + w.enc_b
+    pre1 = x.reshape(*lead, b * k, 8) @ w.enc_w.T + w.enc_b
     h1 = np.maximum(pre1, 0.0)
-    prec = (h1 @ w.conv_w[1].T).reshape(b, k, c)
-    prec[:, 1:] += (h1 @ w.conv_w[0].T).reshape(b, k, c)[:, :-1]
-    prec[:, :-1] += (h1 @ w.conv_w[2].T).reshape(b, k, c)[:, 1:]
+    prec = (h1 @ w.conv_w[1].T).reshape(*lead, b, k, c)
+    prec[..., 1:, :] += (h1 @ w.conv_w[0].T).reshape(*lead, b, k, c)[..., :-1, :]
+    prec[..., :-1, :] += (h1 @ w.conv_w[2].T).reshape(*lead, b, k, c)[..., 1:, :]
     prec += w.conv_b
-    g = np.maximum(prec, 0.0).mean(axis=1)
+    g = np.maximum(prec, 0.0).mean(axis=-2)
     pre3 = g @ w.dec_w.T + w.dec_b
     h3 = np.maximum(pre3, 0.0)
-    pre4 = (h3 @ w.head_w.reshape(n * d, d).T).reshape(b, n, d) + w.head_b
-    h4 = np.maximum(pre4, 0.0).reshape(b * n, d)
-    out = (h4 @ w.out_w.T + w.out_b).reshape(b, n, 4)
+    pre4 = (h3 @ w.head_w.reshape(n * d, d).T).reshape(*lead, b, n, d) + w.head_b
+    h4 = np.maximum(pre4, 0.0).reshape(*lead, b * n, d)
+    out = (h4 @ w.out_w.T + w.out_b).reshape(*lead, b, n, 4)
     if not keep_cache:
         return out, None
     cache = {"x": x, "pre1": pre1, "h1": h1, "prec": prec, "g": g,
@@ -203,41 +213,45 @@ def backward_batch(w: PMWeights, cache: dict, grad_out: np.ndarray) -> PMWeights
 def window_inputs(motions: np.ndarray, intervals: np.ndarray):
     """Network inputs and mean speeds of a batch of motion windows.
 
-    motions (B, k, 4) and their frame intervals (B, k) give the input
-    rows [motion, motion / interval], shaped (B, k, 8), and each
-    window's mean per-frame speed, the mean of motion / interval over
-    its k steps, shaped (B, 4). The speed is what predicted motion
-    factors multiply.
+    motions (..., B, k, 4) and their frame intervals (..., B, k) give
+    the input rows [motion, motion / interval], shaped (..., B, k, 8),
+    and each window's mean per-frame speed, the mean of motion /
+    interval over its k steps, shaped (..., B, 4). The speed is what
+    predicted motion factors multiply.
     """
     rates = motions / intervals[..., None]
-    return np.concatenate([motions, rates], axis=-1), rates.sum(axis=1) / motions.shape[1]
+    return np.concatenate([motions, rates], axis=-1), rates.sum(axis=-2) / motions.shape[-2]
 
 
 def pm_motions(w: PMWeights, motions: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    """Predicted normalized motions, (B, N, 4), of a batch of windows.
+    """Predicted normalized motions, (..., B, N, 4), of a batch of
+    windows.
 
-    motions (B, k, 4) and intervals (B, k) run through window_inputs and
-    forward_batch, whose input check is the one shape and finiteness
-    check; head n's factor then scales each window's mean per-frame
-    speed.
+    motions (..., B, k, 4) and intervals (..., B, k) run through
+    window_inputs and forward_batch, whose input check is the one shape
+    and finiteness check; head n's factor then scales each window's mean
+    per-frame speed.
     """
     xs, speeds = window_inputs(motions, intervals)
     factors, _ = forward_batch(w, xs)
-    return factors * speeds[:, None, :]
+    return factors * speeds[..., None, :]
 
 
 def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray, latest) -> list:
-    """Predict (x, y, w, h) rows for the N frames after the latest
-    processed one.
+    """Predict (x, y, w, h) rows for the N frames after each of m
+    windows' latest processed frame.
 
-    motions (k, 4) and intervals (k,) are one window, oldest first; it
-    runs through pm_motions as a batch of one. Each predicted motion is
-    applied to the latest box or row with apply_motion_row, so
-    predictions are normalized by the latest raw box's scale. The rows
-    are checked where the run log is built.
+    motions (m, k, 4) and intervals (m, k) are m windows, oldest step
+    first, and `latest` holds each window's latest box or row. The
+    windows run through pm_motions as an (m, 1, k, ·) stack, which gives
+    each the bits of its own batch of one. Each predicted motion is
+    applied to its window's latest row with apply_motion_row, so
+    predictions are normalized by the latest raw box's scale. Returns m
+    lists of N rows, checked where the run log is built.
     """
-    rows = pm_motions(w, motions[None], intervals[None])[0]
-    return [apply_motion_row(latest, m) for m in rows.tolist()]
+    rows = pm_motions(w, motions[:, None], intervals[:, None])[:, 0]
+    return [[apply_motion_row(base, m) for m in heads]
+            for base, heads in zip(latest, rows.tolist())]
 
 
 def l1_loss(pred: np.ndarray, targets: np.ndarray):

@@ -12,6 +12,12 @@ A BoundingBox unpacks as its row, so b0 and observations may be either.
 Rows are not checked here: run_stream checks every emitted row once,
 when its RunLog is built.
 
+run_stream asks for a whole run at once: predictions(b0, frames, rows,
+horizon) gives, for each observed frame, the rows predict returned just
+before that frame was observed. The Kalman filter and the zero-motion
+control loop their reset, observe and predict; the motion net builds
+every window of the run at once and runs them in one pm_predict call.
+
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
 measurement [I, 0] and diagonal Q, R and initial covariance (a fixed
@@ -31,7 +37,9 @@ make_kf_state (a predictor reset at b0) is kept only for the
 benchmark's noise-fit step.
 
 The motion-net wrapper keeps its window as the (k, 4) motion and (k,)
-gap arrays a training window holds.
+gap arrays a training window holds. A run's windows are those arrays
+at each invocation, stacked: the run's motions and gaps, left-padded
+with k zero motions at gap 1, read k rows at a time.
 """
 
 from __future__ import annotations
@@ -126,7 +134,22 @@ def kf_predict(filters, horizon: int) -> list:
     return rows
 
 
-class ZeroMotionPredictor:
+class OnlinePredictor:
+    """A run's predictions from the online protocol of a subclass."""
+
+    def predictions(self, b0, frames, rows, horizon: int) -> list:
+        """After reset(b0), for each of `frames` (strictly increasing,
+        >= 1) the rows predict(horizon) returns before observe(frame,
+        row) runs; every row is observed, the last included."""
+        self.reset(b0)
+        out = []
+        for frame, row in zip(frames, rows):
+            out.append(self.predict(horizon))
+            self.observe(frame, row)
+        return out
+
+
+class ZeroMotionPredictor(OnlinePredictor):
     """Control baseline: the latest box or row carried forward."""
 
     def __init__(self):
@@ -144,7 +167,7 @@ class ZeroMotionPredictor:
         return [self._latest] * horizon
 
 
-class KalmanBoxPredictor:
+class KalmanBoxPredictor(OnlinePredictor):
     """The online Kalman filter. Noise is checked once, here, and kept as
     float tuples. The state is `filters`: one (pos, vel, a, b, c) float
     tuple per coordinate (cx, cy, w, h), which reset fills from b0 with
@@ -214,12 +237,35 @@ class MotionNetPredictor:
         self._latest = tuple(row)
         self._frame = frame
 
-    def predict(self, horizon: int) -> list:
+    def _check_horizon(self, horizon: int) -> None:
         if horizon != self.weights.n_heads:
             raise ValidationError(
                 f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}"
             )
-        return pm_predict(self.weights, self._motions, self._intervals, self._latest)
+
+    def predict(self, horizon: int) -> list:
+        self._check_horizon(horizon)
+        return pm_predict(self.weights, self._motions[None], self._intervals[None],
+                          [self._latest])[0]
+
+    def predictions(self, b0, frames, rows, horizon: int) -> list:
+        """predict before each observation, as OnlinePredictor defines
+        it, for the whole run in one pm_predict call. The invocation
+        before observation i (from 0) reads rows i .. i+k-1 of the
+        padded motions and gaps, the last k before it. The motions are
+        encode_motion's numbers, all encoded and checked at once; the
+        frames are not checked, as run_stream's schedule strictly
+        increases."""
+        self._check_horizon(horizon)
+        if not len(frames):
+            return []
+        k = self.weights.k
+        boxes = np.array([tuple(b0), *map(tuple, rows)])
+        centers = np.concatenate([boxes[:, :2] + boxes[:, 2:] / 2.0, boxes[:, 2:]], axis=1)
+        motions = np.concatenate([np.zeros((k, 4)), encode_motion_rows(centers[:-1], centers[1:])])
+        gaps = np.concatenate([np.ones(k), np.diff(frames, prepend=0)])
+        window = np.arange(len(frames))[:, None] + np.arange(k)
+        return pm_predict(self.weights, motions[window], gaps[window], boxes[:-1].tolist())
 
 
 def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):

@@ -12,15 +12,20 @@ prediction batch covering the previous frame + 1 .. + N (available after
 the predictor's own latency), and only then does tracking of the arrived
 frame start; both latencies land on the raw output's finish time.
 
-The loop runs on plain numbers: boxes are (x, y, w, h) rows of floats,
-the predictors observe and predict rows (see `predictors`), and each
-processed frame appends one (frame, t_start, t_finish) tuple and its
-outputs one (target_frame, available_at, kind, row) tuple each. A
-RunLog takes those tuples, holds them as columns and checks them once,
-as a whole, when it is built. The log and trace files are written
-straight from the columns, and both load back as RunLogs: a trace is
-the schedule plus one raw output per frame, which is what a replay
-tracker re-emits.
+Neither the schedule nor the tracker's boxes depend on a prediction,
+so run_stream simulates a run schedule-first, in three passes. The
+float schedule takes each latency stream as one block of draws and
+gives the processed frames, their arrivals and finish times, and each
+predictor invocation's availability. The tracker's rows for those
+frames follow, then every prediction of the run from one
+`predictions` call (see `predictors`). Boxes are (x, y, w, h) rows of
+floats. Each processed frame gives one (frame, t_start, t_finish)
+tuple and its outputs one (target_frame, available_at, kind, row)
+tuple each, in emission order. A RunLog takes those tuples, holds them
+as columns and checks them once, as a whole, when it is built. The log
+and trace files are written straight from the columns, and both load
+back as RunLogs: a trace is the schedule plus one raw output per
+frame, which is what a replay tracker re-emits.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 
 from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence
 from .errors import ValidationError
-from .latency import LatencyProfile
+from .latency import LatencyProfile, exhausted
 from .network import load_weights
 from .predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor, load_kf_noise
 from .seeding import derive_seed, rng_for
@@ -241,41 +246,60 @@ def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,
     return min(cand, last_frame)
 
 
-class _OracleBoxes:
-    """Ground truth rows (the last annotated box on an unannotated frame)
-    plus seeded noise. Frame 0 is exact; each later processed frame takes
-    the next row of one (n, 4) standard normal block, which is the stream
-    of one normal(size=4) draw per frame."""
-
-    def __init__(self, seq: Sequence, sigma_pos: float, sigma_scale: float, rng):
-        last = np.maximum.accumulate(np.where(seq.annotated, np.arange(len(seq)), 0))
-        self._filled = list(map(tuple, seq.boxes[last].tolist()))
-        sigmas = (sigma_pos, sigma_pos, sigma_scale, sigma_scale)
-        self._noise = iter((rng.normal(size=(len(self._filled) - 1, 4)) * sigmas).tolist())
-
-    def box_for(self, f: int) -> tuple:
-        row = self._filled[f]
-        if f == 0:
-            return row
-        x, y, w, h = row
-        dx, dy, dw, dh = next(self._noise)
-        return (x + dx, y + dy, w * math.exp(dw), h * math.exp(dh))
+def _oracle_rows(seq: Sequence, sigma_pos: float, sigma_scale: float, rng, frames) -> list:
+    """The tracker's rows for the processed frames: ground truth (the
+    last annotated box on an unannotated frame) plus seeded noise. Frame
+    0 is exact; the i-th processed frame after it takes the i-th row of
+    one (n - 1, 4) standard normal block. Sizes scale by math.exp, which
+    np.exp differs from by an ulp on some inputs."""
+    last = np.maximum.accumulate(np.where(seq.annotated, np.arange(len(seq)), 0))
+    rows = seq.boxes[last[frames]]
+    sigmas = (sigma_pos, sigma_pos, sigma_scale, sigma_scale)
+    noise = (rng.normal(size=(len(seq) - 1, 4)) * sigmas)[:len(frames) - 1]
+    rows[1:, :2] += noise[:, :2]
+    rows[1:, 2:] *= np.array([math.exp(v) for v in noise[:, 2:].ravel().tolist()]).reshape(-1, 2)
+    return list(map(tuple, rows.tolist()))
 
 
-class _ReplayBoxes:
-    """A trace's raw rows, by the frame they answer."""
+def _replay_rows(trace: RunLog, frames) -> list:
+    """A trace's raw rows for the processed frames, by the frame they
+    answer; the first frame the trace lacks raises."""
+    raw = trace.kind == RAW
+    recorded = dict(zip(trace.target_frame[raw].tolist(), map(tuple, trace.boxes[raw].tolist())))
+    try:
+        return [recorded[f] for f in frames]
+    except KeyError as exc:
+        raise ValidationError(f"replay trace {trace.sequence_name!r} has no box "
+                              f"for frame {exc.args[0]}") from None
 
-    def __init__(self, trace: RunLog):
-        self._name = trace.sequence_name
-        raw = trace.kind == RAW
-        self._rows = dict(zip(trace.target_frame[raw].tolist(),
-                              map(tuple, trace.boxes[raw].tolist())))
 
-    def box_for(self, f: int) -> tuple:
-        try:
-            return self._rows[f]
-        except KeyError:
-            raise ValidationError(f"replay trace {self._name!r} has no box for frame {f}") from None
+def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_lat):
+    """The float schedule of a run from its latency blocks: processed
+    frames, arrivals, finish times, and each predictor invocation's
+    availability, plus the exhausted block if a replay one ran out
+    (the schedule then ends at the last frame that got its draws).
+
+    Frame 0 arrives at 0. After frame 0, a predictor draw runs from each
+    arrival before the tracker's draw does."""
+    frames, arrivals, finishes, available = [], [], [], []
+    f, finish = 0, 0.0
+    while f is not None:
+        j = len(frames)
+        arrival = start = max(finish, clock.capture_time(f))
+        if predictor_lat is not None and j:
+            if j > len(predictor_lat):
+                return frames, arrivals, finishes, available, predictor_lat
+            start = arrival + predictor_lat[j - 1]
+        if j == len(tracker_lat):
+            return frames, arrivals, finishes, available, tracker_lat
+        finish = start + tracker_lat[j]
+        frames.append(f)
+        arrivals.append(arrival)
+        finishes.append(finish)
+        if predictor_lat is not None and j:
+            available.append(start)
+        f = next_frame(clock, finish, f, last_frame)
+    return frames, arrivals, finishes, available, None
 
 
 def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapter = None,
@@ -284,50 +308,42 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
 
     Every stochastic component draws from its own stream, derived from
     `seed` under a fixed key: tracker noise, tracker latency and
-    predictor latency.
-    """
-    if tracker.trace is not None:
-        source = _ReplayBoxes(tracker.trace)
-    else:
-        source = _OracleBoxes(seq, tracker.sigma_pos, tracker.sigma_scale,
-                              rng_for(seed, "tracker-noise"))
-    tracker_latency = tracker.latency.sampler(derive_seed(seed, "tracker-latency"))
-    instance = None
-    if predictor is not None:
-        instance = predictor.make()
-        instance.reset(seq.b0)
-        predictor_latency = predictor.latency.sampler(derive_seed(seed, "predictor-latency"))
+    predictor latency. Each latency stream is one block of len(seq)
+    draws; a run uses one tracker draw per processed frame and one
+    predictor draw per later frame, and never sees the rest.
 
-    outputs = []
-    schedule = []
-    pred_lats = []
-    prev_frame = None
-    prev_finish = 0.0
-    while True:
-        if prev_frame is None:
-            f = 0
-        else:
-            f = next_frame(seq.clock, prev_finish, prev_frame, seq.last_frame)
-            if f is None:
-                break
-        arrival = max(prev_finish, seq.clock.capture_time(f))
-        track_start = arrival
-        if instance is not None and prev_frame is not None:
-            lat_p = predictor_latency.draw()
-            available = arrival + lat_p
-            for target, row in enumerate(instance.predict(predictor.horizon_n),
-                                         start=prev_frame + 1):
-                outputs.append((target, available, PREDICTED, row))
-            pred_lats.append(lat_p)
-            track_start = available
-        finish = track_start + tracker_latency.draw()
-        row = source.box_for(f)
-        outputs.append((f, finish, RAW, row))
-        schedule.append((f, arrival, finish))
-        if instance is not None and f >= 1:
-            instance.observe(f, row)
-        prev_frame, prev_finish = f, finish
-    return RunLog(seq.name, schedule, outputs, pred_lats)
+    Three passes: the float schedule, the tracker's rows for the
+    processed frames, then every prediction of the run in one
+    `predictions` call on a fresh predictor. A replay block that runs
+    out raises after the rows and predictions of the frames before it.
+    """
+    n = len(seq)
+    tracker_lat = tracker.latency.draws(derive_seed(seed, "tracker-latency"), n)
+    predictor_lat = None
+    if predictor is not None:
+        predictor_lat = predictor.latency.draws(derive_seed(seed, "predictor-latency"), n)
+    frames, arrivals, finishes, available, short = _schedule(seq.clock, seq.last_frame,
+                                                             tracker_lat, predictor_lat)
+    if tracker.trace is not None:
+        rows = _replay_rows(tracker.trace, frames)
+    else:
+        rows = _oracle_rows(seq, tracker.sigma_pos, tracker.sigma_scale,
+                            rng_for(seed, "tracker-noise"), frames)
+    raw = list(zip(frames, finishes, [RAW] * len(frames), rows))
+    if predictor is None:
+        outputs = raw
+    else:
+        predicted = predictor.make().predictions(seq.b0, frames[1:], rows[1:],
+                                                 predictor.horizon_n)
+        outputs = [raw[0]]
+        for prev, avail, batch, out in zip(frames, available, predicted, raw[1:]):
+            outputs.extend((target, avail, PREDICTED, row)
+                           for target, row in enumerate(batch, start=prev + 1))
+            outputs.append(out)
+    if short is not None:
+        raise exhausted(short)
+    return RunLog(seq.name, list(zip(frames, arrivals, finishes)), outputs,
+                  predictor_lat[:len(available)] if predictor else ())
 
 
 def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
@@ -435,11 +451,17 @@ def load_trace(path, name: str = None) -> RunLog:
 def run_files(path, sequences, suffix: str) -> list:
     """The run file of each sequence: `<name><suffix>` (".log.csv" or
     ".trace.csv") in a directory, or the one file given, which serves a
-    single sequence only."""
+    single sequence only. A missing file is a FileNotFoundError, the
+    I/O error (exit 3) of every input file the CLI cannot open."""
     path = Path(path)
     if path.is_dir():
-        return [path / f"{seq.name}{suffix}" for seq in sequences]
-    if len(sequences) != 1:
+        files = [path / f"{seq.name}{suffix}" for seq in sequences]
+    elif len(sequences) != 1:
         raise ValidationError(f"{path} is one file for {len(sequences)} sequences; "
                               f"give a directory of <name>{suffix} files")
-    return [path]
+    else:
+        files = [path]
+    for seq, file in zip(sequences, files):
+        if not file.is_file():
+            raise FileNotFoundError(f"no {suffix} file for sequence {seq.name!r}: {file}")
+    return files

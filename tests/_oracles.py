@@ -1,15 +1,18 @@
 """Independent reference implementations the real code is checked
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
-package beyond the domain dataclasses and the scalar box metrics."""
+package beyond the domain dataclasses, the scalar box metrics, the run
+log and the seed derivation."""
 
 import math
 from pathlib import Path
 
 import numpy as np
 
-from latetrack.boxes import BoundingBox, center_error, iou
+from latetrack.boxes import PREDICTED, RAW, BoundingBox, center_error, iou
 from latetrack.errors import ValidationError
+from latetrack.seeding import derive_seed, rng_for
+from latetrack.simulate import RunLog
 
 
 def elae_scan(seq, outputs, f, sigma):
@@ -264,3 +267,102 @@ def central_differences(fn, arrays: dict, h: float = 1e-6) -> dict:
             gflat[i] = (up - down) / (2.0 * h)
         grads[name] = g
     return grads
+
+
+def latency_draws_loop(profile, seed):
+    """Literal per-draw latency source, one value per next(): the
+    constant, one scalar normal draw clamped at the floor, or the
+    recorded values in order until they run out."""
+    rng = np.random.default_rng(seed)
+    used = 0
+    while True:
+        if profile.kind == "constant":
+            yield profile.mean
+        elif profile.kind == "gaussian":
+            yield max(profile.floor, float(rng.normal(profile.mean, profile.stddev)))
+        else:
+            if used >= len(profile.replay_values):
+                raise ValidationError(f"replay latency exhausted after {used} draws")
+            yield profile.replay_values[used]
+            used += 1
+
+
+def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
+    """Literal frame-by-frame simulation of one run, as a RunLog.
+
+    Frame 0 starts at time 0; after each frame the tracker takes the
+    latest frame captured by its finish time, or waits for the next
+    capture. With a predictor, every arrival after frame 0 first charges
+    one predictor draw and emits predict(N) for the frames after the
+    previous one, then the tracker draw runs. The tracker's row is the
+    last annotated box plus, after frame 0, the next row of one
+    standard-normal block scaled by the sigmas (sizes through math.exp),
+    or a replay trace's raw row for the frame. Each row after frame 0 is
+    observed online."""
+    clock = seq.clock
+    if tracker.trace is not None:
+        trace = tracker.trace
+        recorded = {}
+        for target, kind, row in zip(trace.target_frame.tolist(), trace.kind.tolist(),
+                                     trace.boxes.tolist()):
+            if kind == RAW:
+                recorded[target] = tuple(row)
+
+        def box_for(f):
+            if f not in recorded:
+                raise ValidationError(
+                    f"replay trace {trace.sequence_name!r} has no box for frame {f}")
+            return recorded[f]
+    else:
+        filled = []
+        for f in range(len(seq)):
+            if seq.annotated[f]:
+                filled.append(tuple(seq.boxes[f].tolist()))
+            else:
+                filled.append(filled[-1])
+        sigmas = (tracker.sigma_pos, tracker.sigma_pos, tracker.sigma_scale, tracker.sigma_scale)
+        noise = iter((rng_for(seed, "tracker-noise").normal(size=(len(seq) - 1, 4))
+                      * sigmas).tolist())
+
+        def box_for(f):
+            if f == 0:
+                return filled[0]
+            x, y, w, h = filled[f]
+            dx, dy, dw, dh = next(noise)
+            return (x + dx, y + dy, w * math.exp(dw), h * math.exp(dh))
+
+    tracker_latency = latency_draws_loop(tracker.latency, derive_seed(seed, "tracker-latency"))
+    instance = None
+    if predictor is not None:
+        instance = predictor.make()
+        instance.reset(seq.b0)
+        predictor_latency = latency_draws_loop(predictor.latency,
+                                               derive_seed(seed, "predictor-latency"))
+    schedule, outputs, pred_lats = [], [], []
+    prev_frame, prev_finish = None, 0.0
+    while True:
+        if prev_frame is None:
+            f = 0
+        elif prev_frame >= seq.last_frame:
+            break
+        else:
+            f = prev_frame + 1
+            while f < seq.last_frame and clock.capture_time(f + 1) <= prev_finish:
+                f += 1
+        arrival = max(prev_finish, clock.capture_time(f))
+        track_start = arrival
+        if instance is not None and prev_frame is not None:
+            lat_p = next(predictor_latency)
+            available = arrival + lat_p
+            for n, row in enumerate(instance.predict(predictor.horizon_n), start=1):
+                outputs.append((prev_frame + n, available, PREDICTED, row))
+            pred_lats.append(lat_p)
+            track_start = available
+        finish = track_start + next(tracker_latency)
+        row = box_for(f)
+        outputs.append((f, finish, RAW, row))
+        schedule.append((f, arrival, finish))
+        if instance is not None and f >= 1:
+            instance.observe(f, row)
+        prev_frame, prev_finish = f, finish
+    return RunLog(seq.name, schedule, outputs, pred_lats)

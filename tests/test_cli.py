@@ -285,11 +285,13 @@ class TestEvaluate:
         _, _, out = self.run_eval(tmp_path, fmt="svg")
         assert (out / "curves.svg").read_text().startswith("<svg ")
 
-    def test_missing_log_is_a_validation_error(self, tmp_path, tracker_cfg):
+    def test_missing_log_is_an_io_error(self, tmp_path, tracker_cfg):
         seqs = gen_corpus(tmp_path)
         runs = tmp_path / "runs"
         runs.mkdir()
         assert main(["evaluate", "--sequences", str(seqs), "--logs", str(runs),
+                     "--out", str(tmp_path / "eval")]) == 3
+        assert main(["evaluate", "--sequences", str(seqs), "--logs", str(runs / "one.log.csv"),
                      "--out", str(tmp_path / "eval")]) == 2
 
 

@@ -4,10 +4,22 @@ written `.log.csv` and `.trace.csv` with the committed copies in
 tests/data/golden, `# manifest=` lines aside.
 
 The inputs are committed too: the sequence (frame 7 unannotated), a
-noise file with fixed diagonals for kf_learned, and a
-constant_factor_weights checkpoint for pm. The tracker adds position
-and scale noise under gaussian latency, so the run skips 1-3 frames at
-a time and the predictor runs on a moving, resizing box."""
+noise file with fixed diagonals for kf_learned, a
+constant_factor_weights checkpoint for pm and an
+init_weights(k=3, n_heads=2, seed=2) checkpoint for pm_init. The
+tracker adds position and scale noise under gaussian latency, so the
+run skips 1-3 frames at a time and the predictor runs on a moving,
+resizing box.
+
+The constant-factor net's zero matrices make every product exact, so
+only pm_init can see the order in which the network sums. It sees some
+such changes, not all: a motion that moves by 1e-18 mostly rounds away
+once applied to a box. Seed 2 is one whose log moves when a run's
+windows go through the net as one (m, k, 8) batch instead of an
+(m, 1, k, 8) stack, or when the temporal conv adds its taps in another
+order. tests/test_simulate.py compares every prediction, bit for bit,
+with the online predictor of the frame-by-frame loop, which runs the
+same net."""
 
 from pathlib import Path
 
@@ -30,6 +42,7 @@ PREDICTORS = {
     "kf": "kind = kf\nhorizon = 3\n",
     "kf_learned": f"kind = kf_learned\nhorizon = 2\nnoise = {GOLDEN / 'noise.json'}\n",
     "pm": f"kind = pm\nweights = {GOLDEN / 'pm.json'}\n",
+    "pm_init": f"kind = pm\nweights = {GOLDEN / 'pm_init.json'}\n",
 }
 
 

@@ -2,14 +2,15 @@ import math
 
 import pytest
 
+from latetrack.boxes import FrameClock, Sequence
 from latetrack.errors import ValidationError
 from latetrack.latency import CONSTANT, REPLAY, LatencyProfile
+from latetrack.simulate import TrackerAdapter, run_stream
 
 
 class TestConstant:
     def test_draws_are_the_mean(self):
-        sampler = LatencyProfile.constant(0.05).sampler(9)
-        assert [sampler.draw() for _ in range(5)] == [0.05] * 5
+        assert LatencyProfile.constant(0.05).draws(9, 5) == [0.05] * 5
 
     def test_mean_below_floor_rejected(self):
         with pytest.raises(ValidationError):
@@ -28,21 +29,20 @@ class TestConstant:
 class TestGaussian:
     def test_floor_clamps_lower_tail(self):
         profile = LatencyProfile.gaussian(0.002, 0.05, floor=0.001)
-        sampler = profile.sampler(3)
-        draws = [sampler.draw() for _ in range(2000)]
+        draws = profile.draws(3, 2000)
         assert min(draws) >= 0.001
         # with stddev >> mean a fair share must actually hit the clamp
         assert sum(d == 0.001 for d in draws) > 100
 
     def test_seeded_reproducibility(self):
-        a = LatencyProfile.gaussian(0.03, 0.01).sampler(9)
-        b = LatencyProfile.gaussian(0.03, 0.01).sampler(9)
-        assert [a.draw() for _ in range(50)] == [b.draw() for _ in range(50)]
+        a = LatencyProfile.gaussian(0.03, 0.01).draws(9, 50)
+        assert a == LatencyProfile.gaussian(0.03, 0.01).draws(9, 50)
+        # a block is the first draws of any longer one
+        assert a == LatencyProfile.gaussian(0.03, 0.01).draws(9, 80)[:50]
 
     def test_different_seeds_give_different_draws(self):
         profile = LatencyProfile.gaussian(0.03, 0.01)
-        base, other = profile.sampler(9), profile.sampler(10)
-        assert [other.draw() for _ in range(3)] != [base.draw() for _ in range(3)]
+        assert profile.draws(10, 3) != profile.draws(9, 3)
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(ValidationError):
@@ -57,14 +57,16 @@ class TestGaussian:
 
 class TestReplay:
     def test_plays_values_in_order(self):
-        sampler = LatencyProfile.replay((0.01, 0.02, 0.04)).sampler(9)
-        assert [sampler.draw() for _ in range(3)] == [0.01, 0.02, 0.04]
+        profile = LatencyProfile.replay((0.01, 0.02, 0.04))
+        assert profile.draws(9, 3) == [0.01, 0.02, 0.04]
+        assert profile.draws(9, 2) == [0.01, 0.02]
 
     def test_exhaustion_raises(self):
-        sampler = LatencyProfile.replay((0.01,)).sampler(9)
-        sampler.draw()
-        with pytest.raises(ValidationError, match="exhausted"):
-            sampler.draw()
+        profile = LatencyProfile.replay((0.01,))
+        assert profile.draws(9, 5) == [0.01]
+        seq = Sequence("two", FrameClock(30), [(0, 0, 4, 4), (1, 0, 4, 4)])
+        with pytest.raises(ValidationError, match="replay latency exhausted after 1 draws"):
+            run_stream(seq, TrackerAdapter(profile))
 
     def test_values_below_floor_rejected(self):
         with pytest.raises(ValidationError):

@@ -114,7 +114,7 @@ def predicted_box(factor, speed):
     window moving at `speed`, as a checked box."""
     w = PMWeights(k=1, n_heads=1, c_enc=2, c_dec=2)
     w.out_b[:] = factor
-    return BoundingBox(*pm_predict(w, np.array([speed]), np.array([1]), BASE)[0])
+    return BoundingBox(*pm_predict(w, np.array([[speed]]), np.array([[1]]), [BASE])[0][0])
 
 
 class TestApplyFactor:

@@ -7,10 +7,10 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import encode_motion
+from latetrack.motion import apply_motion_row, encode_motion
 from latetrack.network import (PMWeights, backward_batch, constant_factor_weights,
-                               forward_batch, init_weights, l1_loss,
-                               load_weights, pm_predict, save_weights, window_inputs)
+                               forward_batch, init_weights, l1_loss, load_weights,
+                               pm_motions, pm_predict, save_weights, window_inputs)
 
 from _oracles import central_differences, pm_forward_loops
 
@@ -53,6 +53,11 @@ def track_window(track):
 def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
     track = [BoundingBox(vx * i, vy * i, size, size) for i in range(k + 1)]
     return track, track_window(track)
+
+
+def predict_one(w, motions, intervals, latest):
+    """pm_predict's N rows for one window, run as a stack of one."""
+    return pm_predict(w, motions[None], intervals[None], [latest])[0]
 
 
 class TestForward:
@@ -250,13 +255,13 @@ class TestPredict:
     def test_zero_factors_hold_the_box_still(self):
         track, (motions, intervals) = cv_history(k=3)
         w = PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        rows = pm_predict(w, motions, intervals, track[-1])
+        rows = predict_one(w, motions, intervals, track[-1])
         assert rows == [tuple(track[-1]), tuple(track[-1])]
 
     def test_bias_n_heads_continue_constant_velocity(self):
         track, (motions, intervals) = cv_history(vx=3.0, vy=1.5, k=3)
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        boxes = [BoundingBox(*row) for row in pm_predict(w, motions, intervals, track[-1])]
+        boxes = [BoundingBox(*row) for row in predict_one(w, motions, intervals, track[-1])]
         for n, box in enumerate(boxes, start=1):
             assert box.cx == pytest.approx(track[-1].cx + 3.0 * n, abs=1e-9)
             assert box.cy == pytest.approx(track[-1].cy + 1.5 * n, abs=1e-9)
@@ -265,22 +270,22 @@ class TestPredict:
     def test_static_history_predicts_static(self):
         b = BoundingBox(5, 5, 12, 8)
         w = init_weights(seed=51, k=3, n_heads=2, c_enc=8, c_dec=6)
-        assert pm_predict(w, np.zeros((3, 4)), np.ones(3, dtype=np.int64), b) == [tuple(b)] * 2
+        assert predict_one(w, np.zeros((3, 4)), np.ones(3, dtype=np.int64), b) == [tuple(b)] * 2
 
     def test_history_length_mismatch_rejected(self):
         track, (motions, intervals) = cv_history(k=4)
         w = init_weights(seed=52, k=3, n_heads=2, c_enc=8, c_dec=6)
         with pytest.raises(ValidationError):
-            pm_predict(w, motions, intervals, track[-1])
+            predict_one(w, motions, intervals, track[-1])
 
     def test_scale_invariance(self):
         track, (motions, intervals) = cv_history(vx=2.5, vy=-0.5, k=3)
         w = init_weights(seed=53, k=3, n_heads=2, c_enc=8, c_dec=6)
-        base = [BoundingBox(*row) for row in pm_predict(w, motions, intervals, track[-1])]
+        base = [BoundingBox(*row) for row in predict_one(w, motions, intervals, track[-1])]
         for s in (0.1, 10.0):
             scaled_track = [BoundingBox(b.x * s, b.y * s, b.w * s, b.h * s) for b in track]
             scaled = [BoundingBox(*row) for row in
-                      pm_predict(w, *track_window(scaled_track), scaled_track[-1])]
+                      predict_one(w, *track_window(scaled_track), scaled_track[-1])]
             for got, want in zip(scaled, base):
                 assert got.cx == pytest.approx(want.cx * s, abs=1e-9 * max(1, abs(want.cx * s)))
                 assert got.w == pytest.approx(want.w * s, abs=1e-9 * max(1, want.w * s))
@@ -368,3 +373,53 @@ class TestCheckpoint:
         path.write_bytes(corrupt(json.loads(path.read_text())))
         with pytest.raises(ValidationError, match=re.escape(str(path))):
             load_weights(path)
+
+
+class TestStackingRule:
+    """Leading stack axes change no bit: an (m, 1, k, ·) stack equals m
+    batches of one, and (1, B, k, ·) equals (B, k, ·). Checked with
+    np.array_equal, since a summation-order change moves only the last
+    bits."""
+
+    GEOMETRIES = (SMALL, dict(k=3, n_heads=2, c_enc=64, c_dec=32), dict(k=5, n_heads=1))
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["small", "default", "k5"])
+    def test_stack_of_windows_equals_batches_of_one(self, geometry):
+        w = init_weights(seed=71, **geometry)
+        k = geometry["k"]
+        rng = np.random.default_rng(72)
+        for m in (1, 2, 17):
+            xs = rng.normal(0, 0.3, size=(m, 1, k, 8))
+            stacked, _ = forward_batch(w, xs)
+            assert stacked.shape == (m, 1, w.n_heads, 4)
+            for i in range(m):
+                assert np.array_equal(stacked[i], forward_batch(w, xs[i])[0]), f"m={m} i={i}"
+            motions = rng.normal(0, 0.3, size=(m, 1, k, 4))
+            intervals = rng.integers(1, 4, size=(m, 1, k)).astype(np.float64)
+            stacked = pm_motions(w, motions, intervals)
+            for i in range(m):
+                assert np.array_equal(stacked[i], pm_motions(w, motions[i], intervals[i]))
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=["small", "default", "k5"])
+    def test_one_stack_equals_the_batch(self, geometry):
+        w = init_weights(seed=73, **geometry)
+        k = geometry["k"]
+        rng = np.random.default_rng(74)
+        for b in (1, 5, 64):
+            xs = rng.normal(0, 0.3, size=(b, k, 8))
+            assert np.array_equal(forward_batch(w, xs[None])[0][0], forward_batch(w, xs)[0])
+            motions = rng.normal(0, 0.3, size=(b, k, 4))
+            intervals = rng.integers(1, 4, size=(b, k)).astype(np.float64)
+            assert np.array_equal(pm_motions(w, motions[None], intervals[None])[0],
+                                  pm_motions(w, motions, intervals))
+
+    def test_pm_predict_equals_one_window_at_a_time(self):
+        w = init_weights(seed=75, k=3, n_heads=2)
+        rng = np.random.default_rng(76)
+        motions = rng.normal(0, 0.1, size=(9, 3, 4))
+        intervals = rng.integers(1, 3, size=(9, 3)).astype(np.float64)
+        latest = [tuple(v) for v in rng.uniform(20, 40, size=(9, 4)).tolist()]
+        want = [[apply_motion_row(latest[i], m) for m in
+                 pm_motions(w, motions[i][None], intervals[i][None])[0].tolist()]
+                for i in range(9)]
+        assert pm_predict(w, motions, intervals, latest) == want

@@ -8,12 +8,14 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, sa
 from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
-from latetrack.network import constant_factor_weights
+from latetrack.network import constant_factor_weights, init_weights
 from latetrack.predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor
 from latetrack.simulate import (KF, NEURAL_PM, ZERO_MOTION, PredictorAdapter, RunLog,
                                 TrackerAdapter, load_run_log, load_trace, next_frame,
                                 pick_horizon_n, run_stream, save_run_log, save_trace)
 from latetrack.training import linear_track
+
+from _oracles import run_stream_loop
 
 
 def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):
@@ -248,6 +250,96 @@ class TestRunLogInvariants:
         path.write_text("kind,target_frame,available_at,x,y,w,h\nraw,0,0.1,1,2,-3,4\n")
         with pytest.raises(ValidationError, match="log.csv: box sizes must be positive"):
             load_run_log(path)
+
+
+class TestAgreesWithTheLoop:
+    """run_stream's three passes against run_stream_loop, the literal
+    frame-by-frame simulation with scalar draws, per-frame rows and the
+    online predictor protocol: equal RunLogs, every column and the
+    predictor latencies included."""
+
+    PREDICTORS = {
+        "none": None,
+        "zero": (ZeroMotionPredictor, 2),
+        "kf": (KalmanBoxPredictor, 3),
+        "kf_learned": (partial(KalmanBoxPredictor, (0.5, 0.5, 0.2, 0.2, 0.05, 0.05, 0.01, 0.01),
+                               (2.0, 2.0, 0.5, 0.5)), 2),
+        "pm": (partial(MotionNetPredictor, init_weights(k=3, n_heads=2, seed=81)), 2),
+        "pm_k5": (partial(MotionNetPredictor, init_weights(k=5, n_heads=3, c_enc=16, c_dec=8,
+                                                           seed=82)), 3),
+    }
+
+    @staticmethod
+    def sequences():
+        truth = list(linear_track(BoundingBox(40, 30, 20, 14), (1.5, -0.7), 70))
+        for f in (3, 4, 5, 17, 40, 69):
+            truth[f] = None
+        return [Sequence("gaps", FrameClock(30), truth),
+                Sequence("two", FrameClock(30), truth[:2]),
+                cv_sequence(25, kappa=24.0)]
+
+    @staticmethod
+    def adapter(kind):
+        spec = TestAgreesWithTheLoop.PREDICTORS[kind]
+        if spec is None:
+            return None
+        return PredictorAdapter(spec[0], spec[1], LatencyProfile.gaussian(0.006, 0.003))
+
+    def outcome(self, run, seq, trk, kind, seed, adapter=None):
+        """The run's log, or the message of the error it raised."""
+        try:
+            return run(seq, trk, adapter or self.adapter(kind), seed=seed)
+        except ValidationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("kind", sorted(PREDICTORS))
+    def test_noisy_oracle_tracker(self, kind):
+        trk = TrackerAdapter(LatencyProfile.gaussian(0.05, 0.03), sigma_pos=0.6,
+                             sigma_scale=0.04)
+        for seq in self.sequences():
+            for seed in (0, 1, 7, 123):
+                want = run_stream_loop(seq, trk, self.adapter(kind), seed=seed)
+                got = run_stream(seq, trk, self.adapter(kind), seed=seed)
+                assert got == want, f"{kind} {seq.name} seed={seed}"
+                assert got.outputs == want.outputs
+
+    @pytest.mark.parametrize("kind", sorted(PREDICTORS))
+    def test_replay_tracker(self, kind):
+        """A real-time recording holds every frame, so its replays run
+        to the end; a slow one's replays mostly reach a frame it lacks."""
+        logs = 0
+        for seq in self.sequences():
+            trackers = []
+            for mean in (0.01, 0.04):
+                recorded = run_stream(seq, TrackerAdapter(LatencyProfile.gaussian(mean, 0.003),
+                                                          sigma_pos=0.5, sigma_scale=0.03), seed=5)
+                trackers += [TrackerAdapter.replay(recorded),
+                             TrackerAdapter.replay(recorded, LatencyProfile.gaussian(0.045, 0.02))]
+            for trk in trackers:
+                for seed in (2, 3):
+                    want = self.outcome(run_stream_loop, seq, trk, kind, seed)
+                    assert self.outcome(run_stream, seq, trk, kind, seed) == want, \
+                        f"{kind} {seq.name} seed={seed}"
+                    logs += isinstance(want, RunLog)
+        assert logs >= 12
+
+    @pytest.mark.parametrize("kind", ["none", "kf", "pm"])
+    def test_the_same_errors(self, kind):
+        """A replay latency that runs out, a replay trace that lacks a
+        frame, a predictor latency that runs out."""
+        seq = cv_sequence(30)
+        log = run_stream(seq, tracker(0.05))
+        short = TrackerAdapter.replay(log, LatencyProfile.replay((0.05,) * 5))
+        missing = TrackerAdapter.replay(log, LatencyProfile.constant(0.01))
+        cases = [(short, None), (missing, None)]
+        if kind != "none":
+            spec = self.PREDICTORS[kind]
+            cases.append((tracker(0.05), PredictorAdapter(spec[0], spec[1],
+                                                          LatencyProfile.replay((0.005,) * 4))))
+        for trk, adapter in cases:
+            want = self.outcome(run_stream_loop, seq, trk, kind, 0, adapter)
+            assert isinstance(want, str)
+            assert self.outcome(run_stream, seq, trk, kind, 0, adapter) == want
 
 
 class TestStreamBuildsNoObjects:
