@@ -4,8 +4,8 @@ Boxes are axis-aligned, anchored at the top-left corner, sized in pixels.
 Centers are derived as (x + w/2, y + h/2). All timestamps are seconds in
 double precision; frame indices are non-negative ints.
 
-A BoundingBox is the checked type at the library boundary. Inside the
-simulation loop, and in a run log's outputs, a box is a plain
+A BoundingBox is the checked type at the library boundary. Inside a
+simulated run, and in a run log's `boxes` column, a box is an
 (x, y, w, h) row of floats; a BoundingBox unpacks as its row, so the
 metrics and the predictors take either. A Sequence's ground truth is
 one (n, 4) column of rows, NaN where a frame has no annotation.

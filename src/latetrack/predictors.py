@@ -1,8 +1,8 @@
 """Box predictors: constant-velocity Kalman filter, learned-noise variant,
 zero-motion control, and the trained motion-network wrapper.
 
-All predictors speak one online protocol on plain (x, y, w, h) rows of
-floats, the form boxes take inside the simulation loop:
+The Kalman filter and the zero-motion control speak one online
+protocol on plain (x, y, w, h) rows of floats:
 
     reset(b0)            initialize at frame 0 with the ground-truth box
     observe(frame, row)  feed a raw tracker output (frames strictly increase)
@@ -12,11 +12,11 @@ A BoundingBox unpacks as its row, so b0 and observations may be either.
 Rows are not checked here: run_stream checks every emitted row once,
 when its RunLog is built.
 
-run_stream asks for a whole run at once: predictions(b0, frames, rows,
-horizon) gives, for each observed frame, the rows predict returned just
-before that frame was observed. The Kalman filter and the zero-motion
-control loop their reset, observe and predict; the motion net builds
-every window of the run at once and runs them in one pm_predict call.
+run_stream asks every predictor for a whole run at once:
+predictions(b0, frames, rows, horizon) gives, for each observed frame,
+the rows predict would return just before that frame is observed.
+OnlinePredictor.predictions loops the protocol; the motion net has
+none, and runs every window of the run in one pm_predict call.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
@@ -35,11 +35,6 @@ kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
 kf_fit_noise reads Q and R from the predictor it starts from.
 make_kf_state (a predictor reset at b0) is kept only for the
 benchmark's noise-fit step.
-
-The motion-net wrapper keeps its window as the (k, 4) motion and (k,)
-gap arrays a training window holds. A run's windows are those arrays
-at each invocation, stacked: the run's motions and gaps, left-padded
-with k zero motions at gap 1, read k rows at a time.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .motion import encode_motion, encode_motion_rows
+from .motion import encode_motion_rows
 from .network import PMWeights, pm_predict
 from .seeding import rng_for
 from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sample_windows
@@ -204,49 +199,17 @@ def make_kf_state(b0, q_diag=None, r_diag=None) -> KalmanBoxPredictor:
 
 
 class MotionNetPredictor:
-    """Online wrapper around trained motion-factor weights.
+    """Trained motion-factor weights as a run's predictor.
 
-    The window is a (k, 4) motion array and a (k,) frame-gap array,
-    oldest first. A reset fills them with zero motions of gap 1, and
-    each observation shifts them one row and writes the newest last, so
-    until k real motions have been observed the window is left-padded
-    with zero motion, which pulls early predictions toward plain
-    zero-motion.
+    It has no online protocol: predictions builds every window of the
+    run at once. A window is the (k, 4) motions and (k,) frame gaps a
+    training window holds, oldest first; before k real motions have
+    been observed it is left-padded with zero motions at gap 1, which
+    pulls early predictions toward plain zero-motion.
     """
 
     def __init__(self, weights: PMWeights):
         self.weights = weights
-        self._latest = None
-        self._frame = 0
-
-    def reset(self, b0) -> None:
-        self._motions = np.zeros((self.weights.k, 4))
-        self._intervals = np.ones(self.weights.k)
-        self._latest = tuple(b0)
-        self._frame = 0
-
-    def observe(self, frame: int, row) -> None:
-        gap = frame - self._frame
-        if gap < 1:
-            raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        motion = encode_motion(self._latest, row)
-        self._motions[:-1] = self._motions[1:]
-        self._intervals[:-1] = self._intervals[1:]
-        self._motions[-1] = motion
-        self._intervals[-1] = gap
-        self._latest = tuple(row)
-        self._frame = frame
-
-    def _check_horizon(self, horizon: int) -> None:
-        if horizon != self.weights.n_heads:
-            raise ValidationError(
-                f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}"
-            )
-
-    def predict(self, horizon: int) -> list:
-        self._check_horizon(horizon)
-        return pm_predict(self.weights, self._motions[None], self._intervals[None],
-                          [self._latest])[0]
 
     def predictions(self, b0, frames, rows, horizon: int) -> list:
         """predict before each observation, as OnlinePredictor defines
@@ -256,7 +219,9 @@ class MotionNetPredictor:
         encode_motion's numbers, all encoded and checked at once; the
         frames are not checked, as run_stream's schedule strictly
         increases."""
-        self._check_horizon(horizon)
+        if horizon != self.weights.n_heads:
+            raise ValidationError(
+                f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}")
         if not len(frames):
             return []
         k = self.weights.k

@@ -17,15 +17,13 @@ so run_stream simulates a run schedule-first, in three passes. The
 float schedule takes each latency stream as one block of draws and
 gives the processed frames, their arrivals and finish times, and each
 predictor invocation's availability. The tracker's rows for those
-frames follow, then every prediction of the run from one
-`predictions` call (see `predictors`). Boxes are (x, y, w, h) rows of
-floats. Each processed frame gives one (frame, t_start, t_finish)
-tuple and its outputs one (target_frame, available_at, kind, row)
-tuple each, in emission order. A RunLog takes those tuples, holds them
-as columns and checks them once, as a whole, when it is built. The log
-and trace files are written straight from the columns, and both load
-back as RunLogs: a trace is the schedule plus one raw output per
-frame, which is what a replay tracker re-emits.
+frames follow as one (n, 4) array of (x, y, w, h) rows, then every
+prediction of the run from one `predictions` call (see `predictors`),
+and index arithmetic lays the outputs out as RunLog columns.
+pick_horizon_n's pre-runs stop at the schedule. The log and trace
+files are written straight from the columns and parse straight back
+into them: a trace is the schedule plus one raw output per frame, which
+is what a replay tracker re-emits.
 """
 
 from __future__ import annotations
@@ -65,29 +63,34 @@ def _column(values, dtype) -> np.ndarray:
 class RunLog:
     """One run as read-only numpy columns.
 
-    It takes one (frame, t_start, t_finish) tuple per processed frame,
-    one (target_frame, available_at, kind, (x, y, w, h)) tuple per
-    output in emission order, and one latency per predictor invocation,
-    and keeps the columns `frame`, `t_start`, `t_finish`, `target_frame`,
-    `available_at`, `kind` and `boxes`, an (m, 4) array of rows. One
-    vectorized pass checks every output row, requires each start time
-    to be finite and within [0, its finish time], and requires frames
-    and finish times to strictly increase. `processed` and `outputs` give
-    the tuples back.
+    The schedule columns `frame`, `t_start` and `t_finish` hold one
+    entry per processed frame, the output columns `target_frame`,
+    `available_at`, `kind` and `boxes` (an (m, 4) array of rows) one per
+    output in emission order, plus one latency per predictor invocation.
+    The constructor checks that `boxes` is (m, 4) and that each group's
+    columns share one length. Then one vectorized pass checks every
+    output row, requires each start time to be finite and within [0, its
+    finish time], and requires frames and finish times to strictly
+    increase.
     """
 
-    def __init__(self, sequence_name: str, schedule, outputs, predictor_latencies=()):
-        frame, t_start, t_finish = zip(*schedule) if schedule else ((), (), ())
-        target, available, kind, boxes = zip(*outputs) if outputs else ((), (), (), ())
+    def __init__(self, sequence_name: str, frame, t_start, t_finish, target_frame,
+                 available_at, kind, boxes, predictor_latencies=()):
         self.sequence_name = sequence_name
         self.frame = _column(frame, np.int64)
         self.t_start = _column(t_start, np.float64)
         self.t_finish = _column(t_finish, np.float64)
-        self.target_frame = _column(target, np.int64)
-        self.available_at = _column(available, np.float64)
+        self.target_frame = _column(target_frame, np.int64)
+        self.available_at = _column(available_at, np.float64)
         self.kind = _column(kind, str)
-        self.boxes = _column(boxes, np.float64).reshape(-1, 4)
+        self.boxes = _column(boxes, np.float64)
         self.predictor_latencies = tuple(predictor_latencies)
+        if self.boxes.ndim != 2 or self.boxes.shape[1] != 4:
+            raise ValidationError(f"boxes must be (m, 4), got shape {self.boxes.shape}")
+        for group, names in (("schedule", _RUN_COLUMNS[:3]), ("output", _RUN_COLUMNS[3:])):
+            lengths = [len(getattr(self, name)) for name in names]
+            if len(set(lengths)) > 1:
+                raise ValidationError(f"{group} columns must have one length, got {lengths}")
         self._check()
 
     def _check(self):
@@ -130,14 +133,9 @@ class RunLog:
 
     @property
     def processed(self) -> tuple:
-        """The schedule as (frame, t_start, t_finish) tuples."""
+        """The schedule as (frame, t_start, t_finish) tuples; only the
+        benchmark's tracer reads it."""
         return tuple(zip(self.frame.tolist(), self.t_start.tolist(), self.t_finish.tolist()))
-
-    @property
-    def outputs(self) -> tuple:
-        """The outputs as (target_frame, available_at, kind, (x, y, w, h)) tuples."""
-        return tuple(zip(self.target_frame.tolist(), self.available_at.tolist(),
-                         self.kind.tolist(), map(tuple, self.boxes.tolist())))
 
     @property
     def predictor_invocations(self) -> int:
@@ -246,28 +244,29 @@ def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,
     return min(cand, last_frame)
 
 
-def _oracle_rows(seq: Sequence, sigma_pos: float, sigma_scale: float, rng, frames) -> list:
-    """The tracker's rows for the processed frames: ground truth (the
-    last annotated box on an unannotated frame) plus seeded noise. Frame
-    0 is exact; the i-th processed frame after it takes the i-th row of
-    one (n - 1, 4) standard normal block. Sizes scale by math.exp, which
-    np.exp differs from by an ulp on some inputs."""
+def _oracle_rows(seq: Sequence, sigma_pos: float, sigma_scale: float, rng,
+                 frames) -> np.ndarray:
+    """The tracker's (n, 4) rows for the processed frames: ground truth
+    (the last annotated box on an unannotated frame) plus seeded noise.
+    Frame 0 is exact; the i-th processed frame after it takes the i-th
+    row of one (n - 1, 4) standard normal block. Sizes scale by
+    math.exp, which np.exp differs from by an ulp on some inputs."""
     last = np.maximum.accumulate(np.where(seq.annotated, np.arange(len(seq)), 0))
     rows = seq.boxes[last[frames]]
     sigmas = (sigma_pos, sigma_pos, sigma_scale, sigma_scale)
     noise = (rng.normal(size=(len(seq) - 1, 4)) * sigmas)[:len(frames) - 1]
     rows[1:, :2] += noise[:, :2]
     rows[1:, 2:] *= np.array([math.exp(v) for v in noise[:, 2:].ravel().tolist()]).reshape(-1, 2)
-    return list(map(tuple, rows.tolist()))
+    return rows
 
 
-def _replay_rows(trace: RunLog, frames) -> list:
+def _replay_rows(trace: RunLog, frames) -> np.ndarray:
     """A trace's raw rows for the processed frames, by the frame they
-    answer; the first frame the trace lacks raises."""
-    raw = trace.kind == RAW
-    recorded = dict(zip(trace.target_frame[raw].tolist(), map(tuple, trace.boxes[raw].tolist())))
+    answer, as an (n, 4) array; the first frame the trace lacks raises."""
+    raw = np.flatnonzero(trace.kind == RAW)
+    recorded = dict(zip(trace.target_frame[raw].tolist(), raw.tolist()))
     try:
-        return [recorded[f] for f in frames]
+        return trace.boxes[[recorded[f] for f in frames]]
     except KeyError as exc:
         raise ValidationError(f"replay trace {trace.sequence_name!r} has no box "
                               f"for frame {exc.args[0]}") from None
@@ -302,6 +301,18 @@ def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_l
     return frames, arrivals, finishes, available, None
 
 
+def _run_schedule(seq: Sequence, tracker: TrackerAdapter, predictor, seed: int):
+    """_schedule over the latency blocks of one run, each stream keyed
+    from `seed` and len(seq) draws long, plus the predictor draws the
+    schedule used."""
+    n = len(seq)
+    tracker_lat = tracker.latency.draws(derive_seed(seed, "tracker-latency"), n)
+    predictor_lat = (None if predictor is None
+                     else predictor.latency.draws(derive_seed(seed, "predictor-latency"), n))
+    schedule = _schedule(seq.clock, seq.last_frame, tracker_lat, predictor_lat)
+    return schedule, () if predictor is None else predictor_lat[:len(schedule[3])]
+
+
 def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapter = None,
                *, seed: int = 0) -> RunLog:
     """Simulate one sequence; deterministic for a fixed seed.
@@ -316,34 +327,37 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
     processed frames, then every prediction of the run in one
     `predictions` call on a fresh predictor. A replay block that runs
     out raises after the rows and predictions of the frames before it.
+
+    Output 0 is frame 0's raw row. Each later frame adds the N rows
+    predicted at its arrival (N = 0 without a predictor), then its own
+    raw row, so after output 0 each column is an (n - 1, N + 1) block.
     """
-    n = len(seq)
-    tracker_lat = tracker.latency.draws(derive_seed(seed, "tracker-latency"), n)
-    predictor_lat = None
-    if predictor is not None:
-        predictor_lat = predictor.latency.draws(derive_seed(seed, "predictor-latency"), n)
-    frames, arrivals, finishes, available, short = _schedule(seq.clock, seq.last_frame,
-                                                             tracker_lat, predictor_lat)
+    (frames, arrivals, finishes, available, short), predictor_lat = _run_schedule(
+        seq, tracker, predictor, seed)
     if tracker.trace is not None:
         rows = _replay_rows(tracker.trace, frames)
     else:
         rows = _oracle_rows(seq, tracker.sigma_pos, tracker.sigma_scale,
                             rng_for(seed, "tracker-noise"), frames)
-    raw = list(zip(frames, finishes, [RAW] * len(frames), rows))
-    if predictor is None:
-        outputs = raw
-    else:
-        predicted = predictor.make().predictions(seq.b0, frames[1:], rows[1:],
-                                                 predictor.horizon_n)
-        outputs = [raw[0]]
-        for prev, avail, batch, out in zip(frames, available, predicted, raw[1:]):
-            outputs.extend((target, avail, PREDICTED, row)
-                           for target, row in enumerate(batch, start=prev + 1))
-            outputs.append(out)
+    horizon, predicted = 0, []
+    if predictor is not None:
+        horizon = predictor.horizon_n
+        predicted = predictor.make().predictions(seq.b0, frames[1:], rows[1:].tolist(), horizon)
+    # the raw outputs sit at the multiples of N + 1, the predicted ones between
+    raw = np.arange(len(frames) + (len(frames) - 1) * horizon) % (horizon + 1) == 0
+    target = np.empty(len(raw), dtype=np.int64)
+    target[raw] = frames
+    target[~raw] = np.add.outer(frames[:-1], np.arange(1, horizon + 1)).ravel()
+    available_at = np.empty(len(raw))
+    available_at[raw] = finishes
+    available_at[~raw] = np.repeat(available, horizon)
+    boxes = np.empty((len(raw), 4))
+    boxes[raw] = rows
+    boxes[~raw] = np.reshape(predicted, (-1, 4))
     if short is not None:
         raise exhausted(short)
-    return RunLog(seq.name, list(zip(frames, arrivals, finishes)), outputs,
-                  predictor_lat[:len(available)] if predictor else ())
+    return RunLog(seq.name, frames, arrivals, finishes, target, available_at,
+                  np.where(raw, RAW, PREDICTED), boxes, predictor_lat)
 
 
 def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
@@ -351,12 +365,20 @@ def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
     """Maximum frame gap observed over `trials` seeded pre-runs.
 
     This is how the prediction horizon N is chosen: the predictor must
-    cover the worst frame skip the tracker exhibits.
+    cover the worst frame skip the tracker exhibits. A pre-run stops at
+    the schedule of run_stream without a predictor; a replay tracker's
+    rows are read only for the error of a frame the trace lacks.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    gaps = (np.diff(run_stream(seq, tracker, seed=derive_seed(seed, "prerun", t)).frame).max()
-            for t in range(trials))
+    gaps = []
+    for t in range(trials):
+        (frames, *_, short), _ = _run_schedule(seq, tracker, None, derive_seed(seed, "prerun", t))
+        if tracker.trace is not None:
+            _replay_rows(tracker.trace, frames)
+        if short is not None:
+            raise exhausted(short)
+        gaps.append(np.diff(frames).max())
     return int(max(gaps))
 
 
@@ -400,23 +422,27 @@ def _read_csv_rows(path, expected_header):
     return rows
 
 
-def _checked_run_log(path, name, schedule, outputs) -> RunLog:
+def _checked_run_log(path, name, *columns) -> RunLog:
     try:
-        return RunLog(name or Path(path).stem, schedule, outputs)
+        return RunLog(name or Path(path).stem, *columns)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_run_log(path, name: str = None) -> RunLog:
-    outputs = []
+    """A log file as a RunLog of outputs, with an empty schedule."""
+    targets, available, kinds, boxes = [], [], [], []
     for row in _read_csv_rows(path, _LOG_COLUMNS):
         try:
             kind, target, avail, x, y, w, h = row
-            outputs.append((int(target), float(avail), kind,
-                            (float(x), float(y), float(w), float(h))))
+            targets.append(int(target))
+            available.append(float(avail))
+            boxes.append((float(x), float(y), float(w), float(h)))
         except ValueError as exc:
             raise ValidationError(f"{path}: bad log row {row}: {exc}") from None
-    return _checked_run_log(path, name, (), outputs)
+        kinds.append(kind)
+    return _checked_run_log(path, name, (), (), (), targets, available, kinds,
+                            np.reshape(boxes, (-1, 4)))
 
 
 def save_trace(log: RunLog, path, manifest_ref: str = None) -> None:
@@ -436,16 +462,19 @@ def load_trace(path, name: str = None) -> RunLog:
     """A trace file as a RunLog: the schedule plus one raw output per
     processed frame, available when that frame finished. Frames and
     finish times must strictly increase."""
-    schedule, outputs = [], []
+    frames, starts, finishes, boxes = [], [], [], []
     for row in _read_csv_rows(path, _TRACE_COLUMNS):
         try:
             frame, t0, t1, x, y, w, h = row
             frame, t1 = int(frame), float(t1)
-            schedule.append((frame, float(t0), t1))
-            outputs.append((frame, t1, RAW, (float(x), float(y), float(w), float(h))))
+            starts.append(float(t0))
+            boxes.append((float(x), float(y), float(w), float(h)))
         except ValueError as exc:
             raise ValidationError(f"{path}: bad trace row {row}: {exc}") from None
-    return _checked_run_log(path, name, schedule, outputs)
+        frames.append(frame)
+        finishes.append(t1)
+    return _checked_run_log(path, name, frames, starts, finishes, frames, finishes,
+                            [RAW] * len(frames), np.reshape(boxes, (-1, 4)))
 
 
 def run_files(path, sequences, suffix: str) -> list:

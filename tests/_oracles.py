@@ -1,8 +1,9 @@
 """Independent reference implementations the real code is checked
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
-package beyond the domain dataclasses, the scalar box metrics, the run
-log and the seed derivation."""
+package beyond the domain dataclasses, the scalar box metrics, the motion
+codec and the network's batch prediction, the run log and the seed
+derivation."""
 
 import math
 from pathlib import Path
@@ -11,8 +12,28 @@ import numpy as np
 
 from latetrack.boxes import PREDICTED, RAW, BoundingBox, center_error, iou
 from latetrack.errors import ValidationError
+from latetrack.motion import encode_motion
+from latetrack.network import pm_predict
+from latetrack.predictors import MotionNetPredictor
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.simulate import RunLog
+
+
+def run_log(name, schedule=(), outputs=(), predictor_latencies=()):
+    """A RunLog from (frame, t_start, t_finish) tuples and
+    (target_frame, available_at, kind, (x, y, w, h)) tuples, one per
+    processed frame and per output."""
+    frame, t_start, t_finish = zip(*schedule) if schedule else ((), (), ())
+    target, available, kind, boxes = zip(*outputs) if outputs else ((), (), (), ())
+    return RunLog(name, frame, t_start, t_finish, target, available, kind,
+                  np.array(boxes, dtype=np.float64).reshape(-1, 4), predictor_latencies)
+
+
+def output_rows(log):
+    """A log's outputs as (target_frame, available_at, kind, (x, y, w, h))
+    tuples, in emission order."""
+    return list(zip(log.target_frame.tolist(), log.available_at.tolist(), log.kind.tolist(),
+                    map(tuple, log.boxes.tolist())))
 
 
 def elae_scan(seq, outputs, f, sigma):
@@ -45,7 +66,7 @@ def score_scan(seq, log, sigma):
     the threshold (np.mean, as the package averages)."""
     hits = 0
     ious = []
-    outputs = log.outputs
+    outputs = output_rows(log)
     for f, gt in enumerate(seq.ground_truth):
         if gt is None:
             continue
@@ -287,6 +308,45 @@ def latency_draws_loop(profile, seed):
             used += 1
 
 
+class OnlineMotionNet:
+    """The motion net one window at a time, through the online protocol
+    (reset, observe, predict).
+
+    The window is a (k, 4) motion array and a (k,) frame-gap array,
+    oldest first. A reset fills them with zero motions of gap 1, and
+    each observation shifts them one row and writes the newest last,
+    the motion from the previous row through the scalar codec. Each
+    prediction is one batch-of-one pm_predict call."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def reset(self, b0):
+        self.motions = np.zeros((self.weights.k, 4))
+        self.intervals = np.ones(self.weights.k)
+        self.latest = tuple(b0)
+        self.frame = 0
+
+    def observe(self, frame, row):
+        gap = frame - self.frame
+        if gap < 1:
+            raise ValidationError(f"observations must advance frames, got {self.frame} -> {frame}")
+        motion = encode_motion(self.latest, row)
+        self.motions[:-1] = self.motions[1:]
+        self.intervals[:-1] = self.intervals[1:]
+        self.motions[-1] = motion
+        self.intervals[-1] = gap
+        self.latest = tuple(row)
+        self.frame = frame
+
+    def predict(self, horizon):
+        if horizon != self.weights.n_heads:
+            raise ValidationError(
+                f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}")
+        return pm_predict(self.weights, self.motions[None], self.intervals[None],
+                          [self.latest])[0]
+
+
 def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
     """Literal frame-by-frame simulation of one run, as a RunLog.
 
@@ -298,7 +358,7 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
     last annotated box plus, after frame 0, the next row of one
     standard-normal block scaled by the sigmas (sizes through math.exp),
     or a replay trace's raw row for the frame. Each row after frame 0 is
-    observed online."""
+    observed online; a motion net runs as OnlineMotionNet."""
     clock = seq.clock
     if tracker.trace is not None:
         trace = tracker.trace
@@ -335,6 +395,8 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
     instance = None
     if predictor is not None:
         instance = predictor.make()
+        if isinstance(instance, MotionNetPredictor):
+            instance = OnlineMotionNet(instance.weights)
         instance.reset(seq.b0)
         predictor_latency = latency_draws_loop(predictor.latency,
                                                derive_seed(seed, "predictor-latency"))
@@ -365,4 +427,17 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
         if instance is not None and f >= 1:
             instance.observe(f, row)
         prev_frame, prev_finish = f, finish
-    return RunLog(seq.name, schedule, outputs, pred_lats)
+    return run_log(seq.name, schedule, outputs, pred_lats)
+
+
+def pick_horizon_n_loop(seq, tracker, trials=3, *, seed=0):
+    """The largest gap between consecutive processed frames over
+    `trials` full run_stream_loop runs without a predictor, trial t
+    seeded derive_seed(seed, "prerun", t)."""
+    worst = 0
+    for t in range(trials):
+        log = run_stream_loop(seq, tracker, seed=derive_seed(seed, "prerun", t))
+        frames = log.frame.tolist()
+        for prev, cur in zip(frames, frames[1:]):
+            worst = max(worst, cur - prev)
+    return worst

@@ -20,13 +20,13 @@ from latetrack.network import (backward_batch, constant_factor_weights, forward_
                                init_weights, l1_loss, save_weights)
 from latetrack.predictors import KalmanBoxPredictor, kf_fit_noise, kf_motion_batch
 from latetrack.seeding import rng_for
-from latetrack.simulate import RunLog, TrackerAdapter, run_stream
+from latetrack.simulate import TrackerAdapter, run_stream
 from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, SINUSOIDAL,
                                 SyntheticSpec, gen_synthetic, linear_track,
                                 motion_l1_on_samples, pm_motion_batch,
                                 sample_windows, zero_motion_batch)
 
-from _oracles import central_differences, elae_scan
+from _oracles import central_differences, elae_scan, output_rows, run_log
 
 
 @contextmanager
@@ -57,9 +57,9 @@ def test_deadline_matcher_agrees_with_exhaustive_scan_at_scale():
                 target = int(rng.integers(0, n + 2 if kind == "predicted" else n))
                 avail = round(float(rng.uniform(0, n / 30 * 1.2)), 4)
                 outputs.append((target, avail, kind, tuple(boxes[target])))
-            log = RunLog(seq.name, (), tuple(outputs))
+            log = run_log(seq.name, outputs=outputs)
             index = EstimateMatcher(seq, log).serve(np.arange(n)[:, None], grid)
-            rows = log.outputs
+            rows = output_rows(log)
             for f in range(n):
                 for j, sigma in enumerate(grid):
                     i = index[f, j]
@@ -249,9 +249,9 @@ def test_metric_fixtures_are_reproduced_exactly(toy_pair):
         assert dp[1] == pytest.approx(1.0, abs=1e-12)
         assert auc[1] == pytest.approx(1 / 3, abs=1e-12)
 
-        ideal = RunLog(seq.name, (), tuple(
+        ideal = run_log(seq.name, outputs=[
             (f, seq.clock.capture_time(f), "raw", tuple(box))
-            for f, box in enumerate(seq.ground_truth)))
+            for f, box in enumerate(seq.ground_truth)])
         dp, auc = EstimateMatcher(seq, ideal).scores([0.0, 0.5, 0.98])
         assert dp.tolist() == [1.0] * 3
         assert auc == pytest.approx([20 / 21] * 3, abs=1e-12)

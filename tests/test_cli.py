@@ -105,7 +105,7 @@ class TestSimulate:
             assert (out / f"constant_velocity-{i:03d}.log.csv").exists()
             assert (out / f"constant_velocity-{i:03d}.trace.csv").exists()
         log = load_run_log(out / "constant_velocity-000.log.csv")
-        assert all(kind == "raw" for _, _, kind, _ in log.outputs)
+        assert set(log.kind.tolist()) == {"raw"}
 
     def test_fifty_ms_schedule(self, tmp_path, tracker_cfg):
         seqs = gen_corpus(tmp_path, length=10, count=1)
@@ -135,7 +135,7 @@ class TestSimulate:
         main(["simulate", "--sequences", str(seqs), "--tracker", tracker_cfg,
               "--predictor", pred, "--out", str(out)])
         log = load_run_log(out / "constant_velocity-000.log.csv")
-        kinds = {kind for _, _, kind, _ in log.outputs}
+        kinds = set(log.kind.tolist())
         assert kinds == {"raw", "predicted"}
 
     def test_replay_binds_each_sequence_to_its_own_trace(self, tmp_path, tracker_cfg):
@@ -434,7 +434,7 @@ class TestPredictorVocabulary:
         text = f"kind = {kind}\n" + files.get(kind, "")
         assert self.simulate(tmp_path, tracker_cfg, text) == 0
         log = load_run_log(tmp_path / "runs" / "constant_velocity-000.log.csv")
-        kinds = {kind for _, _, kind, _ in log.outputs}
+        kinds = set(log.kind.tolist())
         assert kinds == ({"raw"} if kind == "none" else {"raw", "predicted"})
 
     def test_every_readme_kind_compares(self, tmp_path, tracker_cfg, files):

@@ -8,10 +8,10 @@ from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.predictors import KalmanBoxPredictor
-from latetrack.simulate import PredictorAdapter, RunLog, TrackerAdapter, run_stream
+from latetrack.simulate import PredictorAdapter, TrackerAdapter, run_stream
 from latetrack.training import linear_track
 
-from _oracles import elae_scan, score_scan
+from _oracles import elae_scan, output_rows, run_log, score_scan
 
 
 def cv_sequence(n=10, vx=2.0, kappa=30.0, name="cv"):
@@ -28,7 +28,7 @@ def raw(target, box, avail):
 
 
 def log_of(name, *outputs):
-    return RunLog(name, (), tuple(outputs))
+    return run_log(name, outputs=outputs)
 
 
 def perfect_log(seq):
@@ -174,9 +174,10 @@ class TestMatchELAE:
                 kind = "raw" if rng.random() < 0.5 else "predicted"
                 outputs.append(output(target, seq.ground_truth[target], avail, kind))
             log = log_of("cv", *outputs)
+            rows = output_rows(log)
             for f in range(8):
                 for sigma in (0.0, 0.24, 0.5, 0.98):
-                    assert served(seq, log, f, sigma) == elae_scan(seq, log.outputs, f, sigma)
+                    assert served(seq, log, f, sigma) == elae_scan(seq, rows, f, sigma)
 
     def test_broadcast_serve_of_a_predicted_run_equals_the_scan(self):
         seq = Sequence("sin", FrameClock(30.0), tuple(
@@ -188,10 +189,10 @@ class TestMatchELAE:
         grid = np.asarray(sigma_grid())
         index = EstimateMatcher(seq, log).serve(np.arange(len(seq))[:, None], grid[None, :])
         assert index.shape == (len(seq), len(grid)) and index.dtype == np.intp
-        kinds = set()
+        kinds, rows = set(), output_rows(log)
         for f in range(len(seq)):
             for j, sigma in enumerate(grid.tolist()):
-                want = elae_scan(seq, log.outputs, f, sigma)
+                want = elae_scan(seq, rows, f, sigma)
                 assert as_scanned(seq, log, index[f, j]) == want
                 kinds.add(want[1])
         assert kinds == {"initial_b0", "raw", "predicted"}

@@ -232,17 +232,15 @@ class TestOnlinePredictors:
 
     def test_motion_net_cold_start_is_zero_motion(self):
         w = init_weights(seed=3, k=3, n_heads=2, c_enc=8, c_dec=6)
-        p = MotionNetPredictor(w)
         b0 = BoundingBox(5, 5, 10, 10)
-        p.reset(b0)
-        assert p.predict(2) == [tuple(b0), tuple(b0)]
+        first, _ = MotionNetPredictor(w).predictions(b0, [1, 2], [BoundingBox(9, 5, 10, 10)] * 2, 2)
+        assert first == [tuple(b0), tuple(b0)]
 
     def test_motion_net_horizon_is_fixed(self):
         w = PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        p = MotionNetPredictor(w)
-        p.reset(BoundingBox(0, 0, 10, 10))
-        with pytest.raises(ValidationError):
-            p.predict(3)
+        b0 = BoundingBox(0, 0, 10, 10)
+        with pytest.raises(ValidationError, match="network predicts exactly 2 frames"):
+            MotionNetPredictor(w).predictions(b0, [1], [b0], 3)
 
     def test_motion_net_window_slides(self):
         # constant velocity, bias-1 head: after k observations the window is
@@ -251,15 +249,12 @@ class TestOnlinePredictors:
 
         w = constant_factor_weights(k=2, n_heads=1, c_enc=8, c_dec=6)
         track = cv_track(2.0, 0.0, 6)
-        p = MotionNetPredictor(w)
-        p.reset(track[0])
-        for f in range(1, 4):
-            p.observe(f, track[f])
-        pred = BoundingBox(*p.predict(1)[0])
-        assert pred.cx == pytest.approx(track[4].cx, abs=1e-9)
+        # the prediction made before frame 4 is observed follows frames 1..3
+        [row] = MotionNetPredictor(w).predictions(track[0], [1, 2, 3, 4], track[1:5], 1)[-1]
+        assert BoundingBox(*row).cx == pytest.approx(track[4].cx, abs=1e-9)
 
     def test_motion_net_equals_the_window_path(self):
-        # Each online prediction must equal pm_motion_batch on the one-row
+        # Each prediction must equal pm_motion_batch on the one-row
         # Windows of the last k+1 observed boxes, bit for bit. A cold
         # start pads the front with b0 at gap 1, i.e. zero motion.
         rng = np.random.default_rng(23)
@@ -270,22 +265,20 @@ class TestOnlinePredictors:
         walk = rng.normal(0.0, 2.0, size=(frames[-1] + 1, 4)).cumsum(axis=0)
         track = [BoundingBox(100 + x, 80 + y, 20 * np.exp(0.02 * sw), 15 * np.exp(0.02 * sh))
                  for x, y, sw, sh in walk.tolist()]
-        p = MotionNetPredictor(w)
-        p.reset(track[0])
-        seen = [0]
-        for f in frames:
-            if f > 0:
-                p.observe(f, track[f])
-                seen.append(f)
-            recent = seen[-(k + 1):]
+        predicted = MotionNetPredictor(w).predictions(track[0], frames[1:],
+                                                      [track[f] for f in frames[1:]], n)
+        assert len(predicted) == len(frames) - 1
+        for i, got in enumerate(predicted):
+            # made before frames[i + 1] is observed, after frames[:i + 1]
+            recent = frames[max(0, i - k):i + 1]
             pad = k + 1 - len(recent)
             rows = np.array([[(b.cx, b.cy, b.w, b.h)
                               for b in [track[0]] * pad + [track[g] for g in recent]]])
             row = Windows(rows, np.array([[1] * pad + np.diff(recent).tolist()]),
                           encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, n, 4)))
-            want = [tuple(BoundingBox(*apply_motion_row(track[f], m)))
+            want = [tuple(BoundingBox(*apply_motion_row(track[frames[i]], m)))
                     for m in pm_motion_batch(w)(row)[0]]
-            assert p.predict(n) == want, f"frame {f}, {len(seen) - 1} observations"
+            assert got == want, f"before frame {frames[i + 1]}, {i} observations"
 
 
 def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None):

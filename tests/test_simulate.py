@@ -15,7 +15,7 @@ from latetrack.simulate import (KF, NEURAL_PM, ZERO_MOTION, PredictorAdapter, Ru
                                 pick_horizon_n, run_stream, save_run_log, save_trace)
 from latetrack.training import linear_track
 
-from _oracles import run_stream_loop
+from _oracles import pick_horizon_n_loop, run_log, run_stream_loop
 
 
 def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):
@@ -59,45 +59,44 @@ class TestSchedule:
     def test_realtime_tracker_is_consecutive(self):
         log = run_stream(cv_sequence(10), tracker(0.02))
         assert log.frame.tolist() == list(range(10))
-        for frame, _, t_finish in log.processed:
+        for frame, t_finish in zip(log.frame.tolist(), log.t_finish.tolist()):
             assert t_finish == pytest.approx(frame / 30.0 + 0.02)
 
     def test_first_frame_starts_at_zero(self):
         log = run_stream(cv_sequence(5), tracker(0.05))
-        assert log.processed[0] == (0, 0.0, 0.05)
+        assert (log.frame[0], log.t_start[0], log.t_finish[0]) == (0, 0.0, 0.05)
 
     def test_zero_noise_oracle_reproduces_ground_truth(self):
         seq = cv_sequence(8)
         log = run_stream(seq, tracker(0.05))
-        for target, _, kind, row in log.outputs:
-            assert kind == "raw"
-            assert row == tuple(seq.ground_truth[target])
+        assert set(log.kind.tolist()) == {"raw"}
+        assert np.array_equal(log.boxes, seq.boxes[log.target_frame])
 
     def test_noisy_oracle_perturbs_boxes_only_after_frame_zero(self):
         seq = cv_sequence(8)
         log = run_stream(seq, tracker(0.05, sigma_pos=1.0, sigma_scale=0.02))
-        assert log.outputs[0][3] == tuple(seq.b0)
-        assert any(row != tuple(seq.ground_truth[target])
-                   for target, _, _, row in log.outputs[1:])
+        assert tuple(log.boxes[0].tolist()) == tuple(seq.b0)
+        assert np.any(log.boxes[1:] != seq.boxes[log.target_frame[1:]])
 
 
 class TestPredictorInStream:
     def test_emits_horizon_rows_per_arrival_after_first(self):
         pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
-        raw = [o for o in log.outputs if o[2] == "raw"]
-        predicted = [o for o in log.outputs if o[2] == "predicted"]
-        assert len(raw) == len(log.processed)
-        assert len(predicted) == 2 * (len(log.processed) - 1)
-        assert log.predictor_invocations == len(log.processed) - 1
+        raw = np.count_nonzero(log.kind == "raw")
+        predicted = np.count_nonzero(log.kind == "predicted")
+        assert raw == len(log.frame)
+        assert predicted == 2 * (len(log.frame) - 1)
+        assert log.predictor_invocations == len(log.frame) - 1
 
     def test_predictions_target_frames_after_the_previous_one(self):
         pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
         by_avail = {}
-        for target, available, kind, _ in log.outputs:
-            if kind == "predicted":
-                by_avail.setdefault(available, []).append(target)
+        predicted = log.kind == "predicted"
+        for target, available in zip(log.target_frame[predicted].tolist(),
+                                     log.available_at[predicted].tolist()):
+            by_avail.setdefault(available, []).append(target)
         prev_frames = log.frame[:-1].tolist()
         for (avail, targets), prev in zip(sorted(by_avail.items()), prev_frames):
             assert targets == [prev + 1, prev + 2]
@@ -114,7 +113,8 @@ class TestPredictorInStream:
         pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.001))
         seq = cv_sequence(30)
         log = run_stream(seq, tracker(0.05), pred)
-        late = [(target, row) for target, _, kind, row in log.outputs
+        late = [(target, row) for target, kind, row in zip(log.target_frame.tolist(),
+                                                           log.kind.tolist(), log.boxes.tolist())
                 if kind == "predicted" and target >= 20 and target <= seq.last_frame]
         assert late, "expected warmed-up predictions"
         for target, row in late:
@@ -143,7 +143,9 @@ class TestPredictorInStream:
         pred = PredictorAdapter(partial(MotionNetPredictor, w), 2, LatencyProfile.constant(0.005))
         seq = cv_sequence(20)
         log = run_stream(seq, tracker(0.05), pred)
-        predicted = [(target, row) for target, _, kind, row in log.outputs if kind == "predicted"]
+        is_predicted = log.kind == "predicted"
+        predicted = list(zip(log.target_frame[is_predicted].tolist(),
+                             log.boxes[is_predicted].tolist()))
         assert predicted
         warmed = [(target, row) for target, row in predicted if 10 <= target <= seq.last_frame]
         for target, row in warmed:
@@ -183,6 +185,53 @@ class TestPickHorizon:
         with pytest.raises(ValidationError):
             pick_horizon_n(cv_sequence(10), tracker(0.05), trials=0)
 
+    @staticmethod
+    def outcome(pick, seq, trk, trials, seed):
+        """The horizon, or the message of the error the pre-runs raised."""
+        try:
+            return pick(seq, trk, trials, seed=seed)
+        except ValidationError as exc:
+            return str(exc)
+
+    def test_agrees_with_the_loop(self):
+        """Schedule-only pre-runs against the largest frame gap of full
+        run_stream_loop runs: a noisy oracle tracker and replays of a
+        real-time recording, which holds every frame, at 30 and 24 fps."""
+        truth = list(linear_track(BoundingBox(40, 30, 20, 14), (1.5, -0.7), 60))
+        truth[5] = truth[6] = None
+        horizons = []
+        for seq in (Sequence("gaps", FrameClock(30), truth), cv_sequence(45, kappa=24.0)):
+            recorded = run_stream(seq, TrackerAdapter(LatencyProfile.gaussian(0.01, 0.003),
+                                                      sigma_pos=0.5), seed=5)
+            assert recorded.frame.tolist() == list(range(len(seq)))
+            trackers = [TrackerAdapter(LatencyProfile.gaussian(0.05, 0.03), sigma_pos=0.6,
+                                       sigma_scale=0.04),
+                        TrackerAdapter.replay(recorded),
+                        TrackerAdapter.replay(recorded, LatencyProfile.gaussian(0.06, 0.04))]
+            for trk in trackers:
+                for trials in (1, 3):
+                    for seed in (0, 1, 7, 123):
+                        want = pick_horizon_n_loop(seq, trk, trials, seed=seed)
+                        assert pick_horizon_n(seq, trk, trials, seed=seed) == want, \
+                            f"{seq.name} {trk.latency.kind} trials={trials} seed={seed}"
+                        horizons.append(want)
+        assert min(horizons) == 1 and max(horizons) >= 3
+
+    @pytest.mark.parametrize("latency, message", [
+        (LatencyProfile.replay((0.05,) * 5), "replay latency exhausted after 5 draws"),
+        (LatencyProfile.constant(0.01), "replay trace 'cv' has no box for frame 2"),
+        (LatencyProfile.replay((0.01,) * 3), "replay trace 'cv' has no box for frame 2"),
+        (LatencyProfile.replay((0.01,) * 2), "replay latency exhausted after 2 draws"),
+    ])
+    def test_the_same_errors_as_the_loop(self, latency, message):
+        """A replay trace that lacks a frame and a replay latency block
+        that runs out raise, and whichever comes first raises first."""
+        seq = cv_sequence(30)
+        trk = TrackerAdapter.replay(run_stream(seq, tracker(0.05)), latency)
+        for trials in (1, 3):
+            assert self.outcome(pick_horizon_n_loop, seq, trk, trials, 4) == message
+            assert self.outcome(pick_horizon_n, seq, trk, trials, 4) == message
+
 
 NAN, INF = float("nan"), float("inf")
 GOOD_OUTPUT = (0, 0.1, "raw", (1.0, 2.0, 3.0, 4.0))
@@ -202,25 +251,30 @@ BAD_OUTPUTS = [
 ]
 
 
+def columns(log):
+    return [getattr(log, column) for column in ("frame", "t_start", "t_finish", "target_frame",
+                                                 "available_at", "kind", "boxes")]
+
+
 class TestRunLogInvariants:
     def test_frames_must_increase(self):
         with pytest.raises(ValidationError):
-            RunLog("x", ((0, 0.0, 0.1), (0, 0.1, 0.2)), ())
+            run_log("x", ((0, 0.0, 0.1), (0, 0.1, 0.2)))
 
     def test_finishes_must_increase(self):
         with pytest.raises(ValidationError):
-            RunLog("x", ((0, 0.0, 0.2), (1, 0.1, 0.2)), ())
+            run_log("x", ((0, 0.0, 0.2), (1, 0.1, 0.2)))
 
     @pytest.mark.parametrize("bad, message", BAD_OUTPUTS)
     def test_bad_output_row_gets_the_scalar_message(self, bad, message):
         with pytest.raises(ValidationError) as columns:
-            RunLog("x", (), [GOOD_OUTPUT, bad, GOOD_OUTPUT])
+            run_log("x", outputs=[GOOD_OUTPUT, bad, GOOD_OUTPUT])
         assert str(columns.value) == message
 
     def test_first_bad_row_is_reported(self):
         (late, _), (early, message) = BAD_OUTPUTS[0], BAD_OUTPUTS[-1]
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            RunLog("x", (), [GOOD_OUTPUT, early, late])
+            run_log("x", outputs=[GOOD_OUTPUT, early, late])
 
     @pytest.mark.parametrize("schedule, message", [
         ([(0, 0.0, 0.1), (0, 0.1, 0.2)], "processed frames must strictly increase, got [0, 0]"),
@@ -231,19 +285,50 @@ class TestRunLogInvariants:
     ])
     def test_schedule_must_increase(self, schedule, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            RunLog("x", schedule, ())
+            run_log("x", schedule)
+
+    @pytest.mark.parametrize("which, message", [
+        (0, "schedule columns must have one length, got [2, 3, 3]"),
+        (2, "schedule columns must have one length, got [3, 3, 2]"),
+        (3, "output columns must have one length, got [2, 3, 3, 3]"),
+        (4, "output columns must have one length, got [3, 2, 3, 3]"),
+        (5, "output columns must have one length, got [3, 3, 2, 3]"),
+        (6, "output columns must have one length, got [3, 3, 3, 2]"),
+    ])
+    def test_columns_of_a_group_need_one_length(self, which, message):
+        log = run_stream(cv_sequence(4), tracker(0.05))
+        cols = columns(log)
+        assert [len(c) for c in cols] == [3, 3, 3, 3, 3, 3, 3]
+        cols[which] = cols[which][:-1]
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunLog("x", *cols)
+
+    @pytest.mark.parametrize("boxes, shape", [
+        (np.ones(12), "(12,)"), (np.ones((3, 3)), "(3, 3)"), (np.ones((3, 4, 1)), "(3, 4, 1)"),
+        ((), "(0,)"),
+    ])
+    def test_boxes_must_be_rows_of_four(self, boxes, shape):
+        """Even when the output columns are empty too."""
+        cols = columns(run_stream(cv_sequence(4), tracker(0.05)))[:6]
+        if not len(boxes):
+            cols[3:] = (), (), ()
+        message = f"boxes must be (m, 4), got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            RunLog("x", *cols, boxes)
 
     def test_its_own_rows_rebuild_an_equal_log(self):
         pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
-        rebuilt = RunLog(log.sequence_name, log.processed, log.outputs, log.predictor_latencies)
+        rebuilt = RunLog(log.sequence_name, *columns(log), log.predictor_latencies)
         assert rebuilt == log
-        assert rebuilt.outputs == log.outputs and rebuilt.processed == log.processed
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(columns(rebuilt), columns(log)))
+        assert not any(c.flags.writeable for c in columns(log))
+
+    def test_processed_gives_the_schedule_back_as_tuples(self):
+        log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3))
+        assert len(log.processed) == len(log.frame)
         assert log.processed[1] == (log.frame[1], log.t_start[1], log.t_finish[1])
-        target, available, kind, row = log.outputs[-1]
-        assert (target, available, kind) == (log.target_frame[-1], log.available_at[-1],
-                                             log.kind[-1])
-        assert row == tuple(log.boxes[-1])
+        assert all(type(v) in (int, float) for row in log.processed for v in row)
 
     def test_loaded_bad_row_names_the_file(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -301,7 +386,7 @@ class TestAgreesWithTheLoop:
                 want = run_stream_loop(seq, trk, self.adapter(kind), seed=seed)
                 got = run_stream(seq, trk, self.adapter(kind), seed=seed)
                 assert got == want, f"{kind} {seq.name} seed={seed}"
-                assert got.outputs == want.outputs
+                assert got.boxes.tobytes() == want.boxes.tobytes()
 
     @pytest.mark.parametrize("kind", sorted(PREDICTORS))
     def test_replay_tracker(self, kind):
@@ -372,7 +457,7 @@ class TestStreamBuildsNoObjects:
         trk = tracker(0.05, sigma_pos=0.3, sigma_scale=0.02)
         built = self.count_boxes(monkeypatch)
         log = run_stream(seq, trk, self.predictor(kind), seed=1)
-        assert len(log.outputs) == len(log.kind) and len(log.processed) == len(log.frame)
+        assert len(log.processed) == len(log.frame)
         assert built == []
 
     @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
@@ -399,8 +484,9 @@ class TestFiles:
         save_run_log(log, path, manifest_ref="cafe01234567")
         back = load_run_log(path)
         assert back.sequence_name == "log"
-        assert back.processed == ()
-        assert back.outputs == log.outputs
+        assert len(back.frame) == len(back.t_start) == len(back.t_finish) == 0
+        for column in ("target_frame", "available_at", "kind", "boxes"):
+            assert np.array_equal(getattr(back, column), getattr(log, column)), column
 
     def test_trace_round_trip_and_replay(self, tmp_path):
         seq = cv_sequence(10)
@@ -409,7 +495,7 @@ class TestFiles:
         save_trace(log, path)
         trace = load_trace(path)
         assert trace.frame.tolist() == log.frame.tolist()
-        assert [o[3] for o in trace.outputs] == [o[3] for o in log.outputs]
+        assert np.array_equal(trace.boxes, log.boxes)
 
         # replaying the trace through the simulator reproduces the schedule
         replay_log = run_stream(seq, TrackerAdapter.replay(trace))
@@ -422,7 +508,9 @@ class TestFiles:
                        tuple(BoundingBox(i, 0, 10, 10) for i in range(10)))
         log = run_stream(seq, tracker(np.float64(0.01)))
         save_trace(log, tmp_path / "s.trace.csv")
-        assert load_trace(tmp_path / "s.trace.csv", "s").processed == log.processed
+        back = load_trace(tmp_path / "s.trace.csv", "s")
+        for column in ("frame", "t_start", "t_finish"):
+            assert np.array_equal(getattr(back, column), getattr(log, column)), column
 
     def test_trace_requires_full_schedule(self, tmp_path):
         log = run_stream(cv_sequence(10), tracker(0.05))
@@ -447,7 +535,7 @@ class TestFiles:
             run_stream(seq, adapter)
 
     def test_empty_trace_rejected_when_the_adapter_is_built(self):
-        empty = RunLog("cv", (), ())
+        empty = run_log("cv")
         with pytest.raises(ValidationError, match="per-frame boxes"):
             TrackerAdapter(LatencyProfile.constant(0.05), trace=empty)
         with pytest.raises(ValidationError):
@@ -472,6 +560,6 @@ class TestThroughput:
         seq = cv_sequence(60)
         log = run_stream(seq, tracker(0.04))
         span = log.t_finish[-1] - log.t_start[0]
-        rate = len(log.processed) / span
+        rate = len(log.frame) / span
         assert rate == pytest.approx(25.0, rel=0.05)
-        assert len(log.processed) < 60
+        assert len(log.frame) < 60

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -421,3 +423,14 @@ class TestLinearTrack:
         assert [b.x for b in track] == [0, 2, 4, 6]
         assert [b.y for b in track] == [0, -1, -2, -3]
         assert all(b.w == 10 and b.h == 20 for b in track)
+
+
+def test_the_trained_fixture_is_pinned(trained_pm):
+    """The session's trained network, bit for bit: the sha256 of its
+    parameter vector (checkpoint order) and its final validation L1. A
+    change to training's arithmetic, summation order included, shows
+    here even where every tolerance still holds. The bytes are those of
+    the BLAS build the suite runs on."""
+    digest = hashlib.sha256(trained_pm["weights"].flat.tobytes()).hexdigest()
+    assert digest.startswith("26ff51707b47251d"), digest
+    assert trained_pm["history"][-1][2] == 0.013906280153786399
