@@ -23,7 +23,9 @@ and index arithmetic lays the outputs out as RunLog columns.
 pick_horizon_n's pre-runs stop at the schedule. The log and trace
 files are written straight from the columns and parse straight back
 into them: a trace is the schedule plus one raw output per frame, which
-is what a replay tracker re-emits.
+is what a replay tracker re-emits. Each float is written as its repr,
+and a run's log and trace share one formatting pass that calls repr
+once per distinct float64 bit pattern of the run.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ class RunLog:
     finish time], and requires frames and finish times to strictly
     increase.
     """
+
+    # the float strings save_run_log formatted, kept for save_trace of
+    # the same run, which drops them
+    _text = None
 
     def __init__(self, sequence_name: str, frame, t_start, t_finish, target_frame,
                  available_at, kind, boxes, predictor_latencies=()):
@@ -390,9 +396,10 @@ _TRACE_COLUMNS = ["frame", "t_start", "t_finish", "x", "y", "w", "h"]
 
 
 def _write_rows(path, header, lines, manifest_ref) -> None:
-    """Write a header and pre-formatted lines. The fields are ints, float
-    reprs and the two kind names, none of which csv would quote, so the
-    bytes are csv.writer's, "\r\n" line endings included."""
+    """Write a header and a run file's pre-formatted rows. The fields are
+    ints, the float reprs of _run_text and the two kind names, none of
+    which csv would quote, so the bytes are csv.writer's, "\r\n" row
+    endings included."""
     with open(path, "w", newline="") as fh:
         if manifest_ref:
             fh.write(f"# manifest={manifest_ref}\n")
@@ -400,12 +407,34 @@ def _write_rows(path, header, lines, manifest_ref) -> None:
         fh.write("".join(lines))
 
 
+def _run_text(log: RunLog) -> tuple:
+    """The repr of every float of a run: the t_start, t_finish and
+    available_at columns and the (m, 4) boxes, as object arrays of
+    strings. repr runs once per distinct float64 bit pattern, so a
+    value the run repeats (a trace's finish time is its raw output's
+    availability, N predictions share one) is formatted once, and -0.0
+    stays apart from 0.0."""
+    columns = (log.t_start, log.t_finish, log.available_at, log.boxes.ravel())
+    bits, inverse = np.unique(np.concatenate(columns).view(np.uint64), return_inverse=True)
+    strings = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse]
+    t_start, t_finish, available_at, boxes = np.split(
+        strings, np.cumsum([len(c) for c in columns[:3]]))
+    return t_start, t_finish, available_at, boxes.reshape(-1, 4)
+
+
 def save_run_log(log: RunLog, path, manifest_ref: str = None) -> None:
+    """Write a run's outputs, one row each: kind, target frame,
+    availability and box. A log with a schedule keeps its strings for
+    save_trace of the same run."""
+    text = _run_text(log)
+    _, _, available_at, boxes = text
     _write_rows(path, _LOG_COLUMNS, [
-        f"{kind},{target},{available!r},{x!r},{y!r},{w!r},{h!r}\r\n"
+        f"{kind},{target},{available},{x},{y},{w},{h}\r\n"
         for kind, target, available, (x, y, w, h) in zip(
-            log.kind.tolist(), log.target_frame.tolist(), log.available_at.tolist(),
-            log.boxes.tolist())], manifest_ref)
+            log.kind.tolist(), log.target_frame.tolist(), available_at.tolist(),
+            boxes.tolist())], manifest_ref)
+    if len(log.frame):
+        log._text = text
 
 
 def _read_csv_rows(path, expected_header):
@@ -447,15 +476,25 @@ def load_run_log(path, name: str = None) -> RunLog:
 
 def save_trace(log: RunLog, path, manifest_ref: str = None) -> None:
     """Write the processed-frame schedule with its raw boxes; the file
-    doubles as a replay source for scoring recorded runs."""
-    raw = log.kind == RAW
-    if np.count_nonzero(raw) != len(log.frame):
+    doubles as a replay source for scoring recorded runs. The log must
+    have a full schedule whose raw outputs answer its frames in order.
+    The strings save_run_log kept are used and dropped here, so they do
+    not outlive the run's trace write."""
+    text, log._text = log._text, None
+    raw = np.flatnonzero(log.kind == RAW)
+    if len(raw) != len(log.frame):
         raise ValidationError("log has no full schedule; cannot write a trace")
+    wrong = np.flatnonzero(log.target_frame[raw] != log.frame)
+    if len(wrong):
+        i = wrong[0]
+        raise ValidationError(f"frame {log.frame[i]}: its raw output answers frame "
+                              f"{log.target_frame[raw[i]]}; cannot write a trace")
+    t_start, t_finish, _, boxes = _run_text(log) if text is None else text
     _write_rows(path, _TRACE_COLUMNS, [
-        f"{frame},{t0!r},{t1!r},{x!r},{y!r},{w!r},{h!r}\r\n"
+        f"{frame},{t0},{t1},{x},{y},{w},{h}\r\n"
         for frame, t0, t1, (x, y, w, h) in zip(
-            log.frame.tolist(), log.t_start.tolist(), log.t_finish.tolist(),
-            log.boxes[raw].tolist())], manifest_ref)
+            log.frame.tolist(), t_start.tolist(), t_finish.tolist(),
+            boxes[raw].tolist())], manifest_ref)
 
 
 def load_trace(path, name: str = None) -> RunLog:

@@ -36,6 +36,24 @@ def output_rows(log):
                     map(tuple, log.boxes.tolist())))
 
 
+def log_lines(log):
+    """The rows of a run's .log.csv, each float written by its own repr
+    call."""
+    return [f"{kind},{target},{available!r},{x!r},{y!r},{w!r},{h!r}\r\n"
+            for kind, target, available, (x, y, w, h) in zip(
+                log.kind.tolist(), log.target_frame.tolist(), log.available_at.tolist(),
+                log.boxes.tolist())]
+
+
+def trace_lines(log):
+    """The rows of a run's .trace.csv: each processed frame with the
+    raw outputs in emission order, each float by its own repr call."""
+    return [f"{frame},{t0!r},{t1!r},{x!r},{y!r},{w!r},{h!r}\r\n"
+            for frame, t0, t1, (x, y, w, h) in zip(
+                log.frame.tolist(), log.t_start.tolist(), log.t_finish.tolist(),
+                log.boxes[log.kind == RAW].tolist())]
+
+
 def elae_scan(seq, outputs, f, sigma):
     """Literal exhaustive scan of the deadline-matching policy over a
     log's `outputs` rows, (target_frame, available_at, kind, row) each.

@@ -8,14 +8,17 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, sa
 from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
-from latetrack.network import constant_factor_weights, init_weights
-from latetrack.predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor
+from latetrack.network import constant_factor_weights, init_weights, save_weights
+from latetrack.predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
+                                  save_kf_noise)
 from latetrack.simulate import (KF, NEURAL_PM, ZERO_MOTION, PredictorAdapter, RunLog,
                                 TrackerAdapter, load_run_log, load_trace, next_frame,
-                                pick_horizon_n, run_stream, save_run_log, save_trace)
+                                pick_horizon_n, predictor_for, run_stream, save_run_log,
+                                save_trace)
 from latetrack.training import linear_track
 
-from _oracles import pick_horizon_n_loop, run_log, run_stream_loop
+from _oracles import (log_lines, pick_horizon_n_loop, run_log, run_stream_loop,
+                      trace_lines)
 
 
 def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):
@@ -552,6 +555,131 @@ class TestFiles:
         path.write_text("kind,target_frame,available_at,x,y,w,h\nraw,0,0.1,1,2,bad,4\n")
         with pytest.raises(ValidationError):
             load_run_log(path)
+
+
+LOG_HEADER = "kind,target_frame,available_at,x,y,w,h\r\n"
+TRACE_HEADER = "frame,t_start,t_finish,x,y,w,h\r\n"
+
+
+def log_bytes(log, manifest_ref=None):
+    head = f"# manifest={manifest_ref}\n" if manifest_ref else ""
+    return (head + LOG_HEADER + "".join(log_lines(log))).encode()
+
+
+def trace_bytes(log, manifest_ref=None):
+    head = f"# manifest={manifest_ref}\n" if manifest_ref else ""
+    return (head + TRACE_HEADER + "".join(trace_lines(log))).encode()
+
+
+class TestWritersMatchTheOracle:
+    """save_run_log and save_trace format each distinct float of a run
+    once and share the strings; their bytes must equal the oracle's,
+    which calls repr on every field of every row."""
+
+    @staticmethod
+    def predictor(kind, tmp_path):
+        latency = LatencyProfile.gaussian(0.006, 0.002)
+        if kind == "kf_learned":
+            noise = tmp_path / "noise.json"
+            save_kf_noise((0.5, 0.5, 0.2, 0.2, 0.05, 0.05, 0.01, 0.01), (2.0, 2.0, 0.5, 0.5),
+                          noise)
+            return predictor_for(kind, latency, file=noise)
+        if kind == "pm":
+            ckpt = tmp_path / "pm.json"
+            save_weights(constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6), ckpt)
+            return predictor_for(kind, latency, file=ckpt)
+        return predictor_for(kind, latency, horizon=3)
+
+    @staticmethod
+    def noisy_tracker():
+        return TrackerAdapter(LatencyProfile.gaussian(0.05, 0.02), sigma_pos=0.5,
+                              sigma_scale=0.03)
+
+    @staticmethod
+    def sequence():
+        truth = list(linear_track(BoundingBox(40.25, 30.5, 20, 14), (1.5, -0.7), 60))
+        truth[7] = None
+        return Sequence("s", FrameClock(30), truth)
+
+    @staticmethod
+    def check(log, tmp_path, manifest_ref=None):
+        save_run_log(log, tmp_path / "s.log.csv", manifest_ref)
+        save_trace(log, tmp_path / "s.trace.csv", manifest_ref)
+        assert (tmp_path / "s.log.csv").read_bytes() == log_bytes(log, manifest_ref)
+        assert (tmp_path / "s.trace.csv").read_bytes() == trace_bytes(log, manifest_ref)
+
+    @pytest.mark.parametrize("kind", ["none", "zero", "kf", "kf_learned", "pm"])
+    def test_seeded_runs(self, kind, tmp_path):
+        for seed in (0, 4):
+            log = run_stream(self.sequence(), self.noisy_tracker(),
+                             self.predictor(kind, tmp_path), seed=seed)
+            self.check(log, tmp_path, manifest_ref="cafe01234567" if seed else None)
+
+    def test_replay_run(self, tmp_path):
+        """A real-time recording holds every frame, so a replay with a
+        predictor runs to the end."""
+        seq = self.sequence()
+        fast = TrackerAdapter(LatencyProfile.gaussian(0.01, 0.003), sigma_pos=0.5)
+        save_trace(run_stream(seq, fast, seed=2), tmp_path / "rec.trace.csv")
+        trk = TrackerAdapter.replay(load_trace(tmp_path / "rec.trace.csv"))
+        self.check(run_stream(seq, trk, self.predictor("kf", tmp_path), seed=3), tmp_path)
+
+    def test_a_loaded_log_has_no_schedule(self, tmp_path):
+        log = run_stream(self.sequence(), self.noisy_tracker(), self.predictor("kf", tmp_path))
+        save_run_log(log, tmp_path / "a.log.csv")
+        loaded = load_run_log(tmp_path / "a.log.csv")
+        save_run_log(loaded, tmp_path / "b.log.csv")
+        assert (tmp_path / "b.log.csv").read_bytes() == log_bytes(loaded) == log_bytes(log)
+        with pytest.raises(ValidationError, match="no full schedule"):
+            save_trace(loaded, tmp_path / "b.trace.csv")
+
+    @pytest.mark.parametrize("values", [
+        (0.0, -0.0, 0.0, -0.0),
+        (1e-05, 1e+16, -0.0, 1e-05),
+        (0.1, 0.30000000000000004, 2.5e-07, 123456789.0),
+    ])
+    def test_signed_zeros_repeats_and_exponent_forms(self, values, tmp_path):
+        """-0.0 and 0.0 share no string, and repr's exponent forms
+        (1e-05, 1e+16) come out as repr writes them."""
+        a, b, c, d = values
+        size = abs(d) or 1.0
+        log = run_log("s", [(0, a, 1.0), (1, 1.0, 1e+16)],
+                      [(0, 1.0, "raw", (a, b, size, size)),
+                       (2, 1.0, "predicted", (b, a, 1e+16, 1e-05)),
+                       (3, 1.0, "predicted", (c, d, size, size)),
+                       (1, 1e+16, "raw", (d, c, 1e-05, size))])
+        self.check(log, tmp_path)
+        text = (tmp_path / "s.log.csv").read_text() + (tmp_path / "s.trace.csv").read_text()
+        for v in values:
+            assert repr(v) in text
+
+    def test_the_shared_strings_follow_their_run(self, tmp_path):
+        """Interleaved writes of two runs, a trace written twice, and a
+        trace with no log written before it."""
+        seq = self.sequence()
+        a = run_stream(seq, self.noisy_tracker(), self.predictor("kf", tmp_path), seed=1)
+        b = run_stream(seq, self.noisy_tracker(), self.predictor("zero", tmp_path), seed=2)
+        fresh = run_stream(seq, self.noisy_tracker(), seed=3)
+        save_run_log(a, tmp_path / "a.log.csv")
+        save_run_log(b, tmp_path / "b.log.csv")
+        save_trace(a, tmp_path / "a.trace.csv")
+        save_trace(b, tmp_path / "b.trace.csv")
+        save_trace(a, tmp_path / "a2.trace.csv")
+        save_trace(fresh, tmp_path / "fresh.trace.csv")
+        for log, name in ((a, "a"), (b, "b")):
+            assert (tmp_path / f"{name}.log.csv").read_bytes() == log_bytes(log)
+            assert (tmp_path / f"{name}.trace.csv").read_bytes() == trace_bytes(log)
+        assert (tmp_path / "a2.trace.csv").read_bytes() == trace_bytes(a)
+        assert (tmp_path / "fresh.trace.csv").read_bytes() == trace_bytes(fresh)
+        # no run keeps its strings past its trace write
+        assert a._text is None and b._text is None and fresh._text is None
+
+    def test_a_trace_pairs_each_frame_with_its_own_raw_output(self, tmp_path):
+        log = RunLog("s", [0, 1], [0.0, 0.04], [0.03, 0.07], [1, 0], [0.03, 0.07],
+                     ["raw", "raw"], [[1.0, 1.0, 2.0, 2.0], [5.0, 5.0, 2.0, 2.0]])
+        with pytest.raises(ValidationError, match="frame 0: its raw output answers frame 1"):
+            save_trace(log, tmp_path / "s.trace.csv")
+        assert not (tmp_path / "s.trace.csv").exists()
 
 
 class TestThroughput:
