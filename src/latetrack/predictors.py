@@ -1,22 +1,17 @@
 """Box predictors: constant-velocity Kalman filter, learned-noise variant,
 zero-motion control, and the trained motion-network wrapper.
 
-The Kalman filter and the zero-motion control speak one online
-protocol on plain (x, y, w, h) rows of floats:
-
-    reset(b0)            initialize at frame 0 with the ground-truth box
-    observe(frame, row)  feed a raw tracker output (frames strictly increase)
-    predict(horizon)     rows for the `horizon` frames after the last observed
+Every predictor answers a whole run through one method,
+predictions(b0, frames, rows, horizon): for each observed frame, the
+`horizon` (x, y, w, h) rows that follow the last frame observed before
+it, from b0 (frame 0's ground-truth box) and the rows observed so far.
+Every row is observed, the last included. A predictor is built once and
+keeps nothing between runs. Each run is checked once: the horizon, and
+that the frames are >= 1 and strictly increase.
 
 A BoundingBox unpacks as its row, so b0 and observations may be either.
 Rows are not checked here: run_stream checks every emitted row once,
 when its RunLog is built.
-
-run_stream asks every predictor for a whole run at once:
-predictions(b0, frames, rows, horizon) gives, for each observed frame,
-the rows predict would return just before that frame is observed.
-OnlinePredictor.predictions loops the protocol; the motion net has
-none, and runs every window of the run in one pm_predict call.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
@@ -29,12 +24,11 @@ frames: the transition is applied once per skipped frame, then a single
 measurement correction runs. The closed-form Joseph correction keeps
 each block symmetric by construction and PSD.
 
-KalmanBoxPredictor is the one online filter: its state is four (pos,
+KalmanBoxPredictor runs the filter over a run: its state is four (pos,
 vel, a, b, c) float tuples, which kf_update and kf_predict advance.
 kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
 kf_fit_noise reads Q and R from the predictor it starts from.
-make_kf_state (a predictor reset at b0) is kept only for the
-benchmark's noise-fit step.
+make_kf_state is kept only for the benchmark's noise-fit step.
 """
 
 from __future__ import annotations
@@ -53,6 +47,19 @@ from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sam
 DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
 DEFAULT_INIT_COV = 10.0
+
+
+def _frame_gaps(frames, horizon: int) -> np.ndarray:
+    """The frame gaps of a run, observation by observation, from frame
+    0; the one check of a run's horizon and frames."""
+    if horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {horizon}")
+    gaps = np.diff(frames, prepend=0)
+    if np.any(gaps < 1):
+        i = int(np.argmax(gaps < 1))
+        raise ValidationError(f"observations must advance frames, got "
+                              f"{frames[i - 1] if i else 0} -> {frames[i]}")
+    return gaps
 
 
 def _check_noise(q_diag, r_diag):
@@ -117,9 +124,8 @@ def kf_predict(filters, horizon: int) -> list:
 
     Emitted sizes are clamped at 1 px; the internal rollout is not, so
     the N-step prediction composes exactly from single steps.
+    KalmanBoxPredictor checked the horizon.
     """
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
     (cx, vx, *_), (cy, vy, *_), (w, vw, *_), (h, vh, *_) = filters
     rows = []
     for _ in range(horizon):
@@ -129,106 +135,74 @@ def kf_predict(filters, horizon: int) -> list:
     return rows
 
 
-class OnlinePredictor:
-    """A run's predictions from the online protocol of a subclass."""
-
-    def predictions(self, b0, frames, rows, horizon: int) -> list:
-        """After reset(b0), for each of `frames` (strictly increasing,
-        >= 1) the rows predict(horizon) returns before observe(frame,
-        row) runs; every row is observed, the last included."""
-        self.reset(b0)
-        out = []
-        for frame, row in zip(frames, rows):
-            out.append(self.predict(horizon))
-            self.observe(frame, row)
-        return out
-
-
-class ZeroMotionPredictor(OnlinePredictor):
+class ZeroMotionPredictor:
     """Control baseline: the latest box or row carried forward."""
 
-    def __init__(self):
-        self._latest = None
-
-    def reset(self, b0) -> None:
-        self._latest = tuple(b0)
-
-    def observe(self, frame: int, row) -> None:
-        self._latest = tuple(row)
-
-    def predict(self, horizon: int) -> list:
-        if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
-        return [self._latest] * horizon
+    def predictions(self, b0, frames, rows, horizon: int) -> list:
+        """b0 `horizon` times before the first observation, then each
+        observed row `horizon` times."""
+        _frame_gaps(frames, horizon)
+        return [[tuple(row)] * horizon for row in [b0, *rows][:len(frames)]]
 
 
-class KalmanBoxPredictor(OnlinePredictor):
-    """The online Kalman filter. Noise is checked once, here, and kept as
-    float tuples. The state is `filters`: one (pos, vel, a, b, c) float
-    tuple per coordinate (cx, cy, w, h), which reset fills from b0 with
-    zero velocity and covariance diag(DEFAULT_INIT_COV)."""
+class KalmanBoxPredictor:
+    """The Kalman filter with its noise, checked once, here, and kept as
+    float tuples."""
 
     def __init__(self, q_diag=None, r_diag=None):
         q, r = _check_noise(q_diag, r_diag)
         self.q_diag, self.r_diag = tuple(q.tolist()), tuple(r.tolist())
-        self.filters = None
-        self._frame = 0
 
-    def reset(self, b0) -> None:
+    def predictions(self, b0, frames, rows, horizon: int) -> list:
+        """The four filters start at b0 with zero velocity and
+        covariance diag(DEFAULT_INIT_COV); before each observation
+        kf_predict rolls them out, then kf_update corrects them on the
+        observed row at its frame gap."""
+        gaps = _frame_gaps(frames, horizon).tolist()
         x, y, w, h = b0
         p = DEFAULT_INIT_COV
-        self.filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
-        self._frame = 0
-
-    def observe(self, frame: int, row) -> None:
-        gap = frame - self._frame
-        if gap < 1:
-            raise ValidationError(f"observations must advance frames, got {self._frame} -> {frame}")
-        self.filters = kf_update(self.filters, self.q_diag, self.r_diag, row, gap)
-        self._frame = frame
-
-    def predict(self, horizon: int) -> list:
-        return kf_predict(self.filters, horizon)
+        filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
+        out = []
+        for gap, row in zip(gaps, rows):
+            out.append(kf_predict(filters, horizon))
+            filters = kf_update(filters, self.q_diag, self.r_diag, row, gap)
+        return out
 
 
 def make_kf_state(b0, q_diag=None, r_diag=None) -> KalmanBoxPredictor:
-    """A KalmanBoxPredictor reset at b0."""
-    predictor = KalmanBoxPredictor(q_diag, r_diag)
-    predictor.reset(b0)
-    return predictor
+    """A KalmanBoxPredictor with this noise; b0 is not read."""
+    return KalmanBoxPredictor(q_diag, r_diag)
 
 
 class MotionNetPredictor:
     """Trained motion-factor weights as a run's predictor.
 
-    It has no online protocol: predictions builds every window of the
-    run at once. A window is the (k, 4) motions and (k,) frame gaps a
-    training window holds, oldest first; before k real motions have
-    been observed it is left-padded with zero motions at gap 1, which
-    pulls early predictions toward plain zero-motion.
+    predictions builds every window of the run at once. A window is the
+    (k, 4) motions and (k,) frame gaps a training window holds, oldest
+    first; before k real motions have been observed it is left-padded
+    with zero motions at gap 1, which pulls early predictions toward
+    plain zero-motion.
     """
 
     def __init__(self, weights: PMWeights):
         self.weights = weights
 
     def predictions(self, b0, frames, rows, horizon: int) -> list:
-        """predict before each observation, as OnlinePredictor defines
-        it, for the whole run in one pm_predict call. The invocation
-        before observation i (from 0) reads rows i .. i+k-1 of the
-        padded motions and gaps, the last k before it. The motions are
-        encode_motion's numbers, all encoded and checked at once; the
-        frames are not checked, as run_stream's schedule strictly
-        increases."""
+        """The whole run in one pm_predict call. The invocation before
+        observation i (from 0) reads rows i .. i+k-1 of the padded
+        motions and gaps, the last k before it. The motions are
+        encode_motion's numbers, all encoded and checked at once."""
         if horizon != self.weights.n_heads:
             raise ValidationError(
                 f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}")
+        gaps = _frame_gaps(frames, horizon)
         if not len(frames):
             return []
         k = self.weights.k
         boxes = np.array([tuple(b0), *map(tuple, rows)])
         centers = np.concatenate([boxes[:, :2] + boxes[:, 2:] / 2.0, boxes[:, 2:]], axis=1)
         motions = np.concatenate([np.zeros((k, 4)), encode_motion_rows(centers[:-1], centers[1:])])
-        gaps = np.concatenate([np.ones(k), np.diff(frames, prepend=0)])
+        gaps = np.concatenate([np.ones(k), gaps])
         window = np.arange(len(frames))[:, None] + np.arange(k)
         return pm_predict(self.weights, motions[window], gaps[window], boxes[:-1].tolist())
 

@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -178,12 +176,13 @@ class TrackerAdapter:
 
 @dataclass(frozen=True)
 class PredictorAdapter:
-    """The predictor that runs alongside the tracker. `make()` builds a
-    fresh online predictor (reset, observe, predict) for one run, which
-    predicts `horizon_n` frames ahead; each invocation charges a draw
-    from `latency`. `predictor_for` builds one per predictor kind."""
+    """The predictor that runs alongside the tracker. `model`, built
+    once, answers each run in one predictions call (see `predictors`)
+    and keeps nothing between runs; it predicts `horizon_n` frames
+    ahead, and each invocation charges a draw from `latency`.
+    `predictor_for` builds one per predictor kind."""
 
-    make: Callable
+    model: object
     horizon_n: int
     latency: LatencyProfile
 
@@ -212,18 +211,18 @@ def predictor_for(kind: str, latency: LatencyProfile, *, file=None, horizon: int
     if kind == NONE:
         return None
     if kind == ZERO_MOTION:
-        make = ZeroMotionPredictor
+        model = ZeroMotionPredictor()
     elif kind == KF:
-        make = KalmanBoxPredictor
+        model = KalmanBoxPredictor()
     elif kind == KF_LEARNED:
-        make = partial(KalmanBoxPredictor, *load_kf_noise(file))
+        model = KalmanBoxPredictor(*load_kf_noise(file))
     else:
         weights = load_weights(file)
         if horizon not in (None, weights.n_heads):
             raise ValidationError(
                 f"checkpoint predicts {weights.n_heads} frames but horizon is {horizon}")
-        make, default_horizon = partial(MotionNetPredictor, weights), weights.n_heads
-    return PredictorAdapter(make, default_horizon if horizon is None else horizon, latency)
+        model, default_horizon = MotionNetPredictor(weights), weights.n_heads
+    return PredictorAdapter(model, default_horizon if horizon is None else horizon, latency)
 
 
 def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,
@@ -331,8 +330,8 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
 
     Three passes: the float schedule, the tracker's rows for the
     processed frames, then every prediction of the run in one
-    `predictions` call on a fresh predictor. A replay block that runs
-    out raises after the rows and predictions of the frames before it.
+    `predictions` call. A replay block that runs out raises after the
+    rows and predictions of the frames before it.
 
     Output 0 is frame 0's raw row. Each later frame adds the N rows
     predicted at its arrival (N = 0 without a predictor), then its own
@@ -348,7 +347,7 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
     horizon, predicted = 0, []
     if predictor is not None:
         horizon = predictor.horizon_n
-        predicted = predictor.make().predictions(seq.b0, frames[1:], rows[1:].tolist(), horizon)
+        predicted = predictor.model.predictions(seq.b0, frames[1:], rows[1:].tolist(), horizon)
     # the raw outputs sit at the multiples of N + 1, the predicted ones between
     raw = np.arange(len(frames) + (len(frames) - 1) * horizon) % (horizon + 1) == 0
     target = np.empty(len(raw), dtype=np.int64)

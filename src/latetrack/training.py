@@ -58,7 +58,15 @@ class AdamW:
     """Decoupled-weight-decay Adam over one parameter array, updated in
     place, with one first/second moment pair shaped like it. The motion
     net steps its whole parameter vector (PMWeights.flat) as that one
-    array."""
+    array.
+
+    A first moment below the smallest normal float64 is flushed to 0
+    after its update. A dead unit's zero gradient would otherwise decay
+    it by b1 each step into the subnormal range, where every operation
+    takes the slow path. The weights do not move: a flushed entry's
+    update is below lr * tiny / eps, which rounds away against wd * p
+    for any parameter above about 1e-280 in magnitude. The second
+    moment decays by only b2 per step and stays normal."""
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
@@ -78,6 +86,7 @@ class AdamW:
         bc2 = 1.0 - b2 ** self.t
         self._m *= b1
         self._m += (1.0 - b1) * g
+        self._m[np.abs(self._m) < np.finfo(np.float64).tiny] = 0.0
         self._v *= b2
         self._v += (1.0 - b2) * g * g
         p -= lr * ((self._m / bc1) / (np.sqrt(self._v / bc2) + _EPS) + wd * p)

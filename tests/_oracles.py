@@ -2,8 +2,8 @@
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
 package beyond the domain dataclasses, the scalar box metrics, the motion
-codec and the network's batch prediction, the run log and the seed
-derivation."""
+codec, the Kalman filter's update and rollout, the network's batch
+prediction, the run log and the seed derivation."""
 
 import math
 from pathlib import Path
@@ -14,7 +14,8 @@ from latetrack.boxes import PREDICTED, RAW, BoundingBox, center_error, iou
 from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import pm_predict
-from latetrack.predictors import MotionNetPredictor
+from latetrack.predictors import (DEFAULT_INIT_COV, KalmanBoxPredictor, MotionNetPredictor,
+                                  ZeroMotionPredictor, kf_predict, kf_update)
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.simulate import RunLog
 
@@ -326,6 +327,56 @@ def latency_draws_loop(profile, seed):
             used += 1
 
 
+class OnlineZeroMotion:
+    """The latest box or row carried forward, through the online
+    protocol: reset(b0), observe(frame, row) and predict(horizon)."""
+
+    def reset(self, b0):
+        self.latest = tuple(b0)
+
+    def observe(self, frame, row):
+        self.latest = tuple(row)
+
+    def predict(self, horizon):
+        return [self.latest] * horizon
+
+
+class OnlineKalman:
+    """The Kalman filter one observation at a time, through the online
+    protocol, on the library's kf_update and kf_predict. The state is
+    `filters`: one (pos, vel, a, b, c) float tuple per coordinate (cx,
+    cy, w, h), which a reset fills from b0 with zero velocity and
+    covariance diag(DEFAULT_INIT_COV)."""
+
+    def __init__(self, q_diag, r_diag):
+        self.q_diag, self.r_diag = q_diag, r_diag
+
+    def reset(self, b0):
+        x, y, w, h = b0
+        p = DEFAULT_INIT_COV
+        self.filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
+        self.frame = 0
+
+    def observe(self, frame, row):
+        gap = frame - self.frame
+        if gap < 1:
+            raise ValidationError(f"observations must advance frames, got {self.frame} -> {frame}")
+        self.filters = kf_update(self.filters, self.q_diag, self.r_diag, row, gap)
+        self.frame = frame
+
+    def predict(self, horizon):
+        return kf_predict(self.filters, horizon)
+
+
+def online_kalman(b0, q_diag=None, r_diag=None):
+    """An OnlineKalman with a KalmanBoxPredictor's checked noise (the
+    defaults for None), reset at b0."""
+    model = KalmanBoxPredictor(q_diag, r_diag)
+    online = OnlineKalman(model.q_diag, model.r_diag)
+    online.reset(b0)
+    return online
+
+
 class OnlineMotionNet:
     """The motion net one window at a time, through the online protocol
     (reset, observe, predict).
@@ -365,6 +416,17 @@ class OnlineMotionNet:
                           [self.latest])[0]
 
 
+def online_predictor(model):
+    """The online oracle of a built predictor."""
+    if isinstance(model, ZeroMotionPredictor):
+        return OnlineZeroMotion()
+    if isinstance(model, KalmanBoxPredictor):
+        return OnlineKalman(model.q_diag, model.r_diag)
+    if isinstance(model, MotionNetPredictor):
+        return OnlineMotionNet(model.weights)
+    raise TypeError(f"no online oracle for {type(model).__name__}")
+
+
 def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
     """Literal frame-by-frame simulation of one run, as a RunLog.
 
@@ -376,7 +438,8 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
     last annotated box plus, after frame 0, the next row of one
     standard-normal block scaled by the sigmas (sizes through math.exp),
     or a replay trace's raw row for the frame. Each row after frame 0 is
-    observed online; a motion net runs as OnlineMotionNet."""
+    observed online, by the adapter's model as online_predictor maps
+    it."""
     clock = seq.clock
     if tracker.trace is not None:
         trace = tracker.trace
@@ -412,9 +475,7 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
     tracker_latency = latency_draws_loop(tracker.latency, derive_seed(seed, "tracker-latency"))
     instance = None
     if predictor is not None:
-        instance = predictor.make()
-        if isinstance(instance, MotionNetPredictor):
-            instance = OnlineMotionNet(instance.weights)
+        instance = online_predictor(predictor.model)
         instance.reset(seq.b0)
         predictor_latency = latency_draws_loop(predictor.latency,
                                                derive_seed(seed, "predictor-latency"))

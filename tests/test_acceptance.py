@@ -131,11 +131,9 @@ def test_constant_velocity_is_exact_for_fixture_and_filter():
         assert motion_l1_on_samples(windows, pm_motion_batch(fixture)) < 1e-12
 
         track = linear_track(BoundingBox(40, 60, 16, 12), (1.0, -0.7), 26)
-        kf = KalmanBoxPredictor()
-        kf.reset(track[0])
-        for f in range(1, 21):
-            kf.observe(f, track[f])
-        for step, predicted in enumerate(kf.predict(3), start=1):
+        # made before frame 21 is observed, after frames 1 .. 20
+        ahead = KalmanBoxPredictor().predictions(track[0], range(1, 22), track[1:22], 3)[-1]
+        for step, predicted in enumerate(ahead, start=1):
             assert center_error(predicted, track[20 + step]) < 1e-3
 
 

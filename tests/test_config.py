@@ -7,7 +7,8 @@ from latetrack.config import (Config, latency_from_config, predictor_from_config
 from latetrack.errors import ValidationError
 from latetrack.latency import CONSTANT, GAUSSIAN, REPLAY, LatencyProfile
 from latetrack.network import init_weights, save_weights
-from latetrack.predictors import KalmanBoxPredictor, MotionNetPredictor, save_kf_noise
+from latetrack.predictors import (DEFAULT_Q_DIAG, DEFAULT_R_DIAG, KalmanBoxPredictor,
+                                  MotionNetPredictor, save_kf_noise)
 from latetrack.simulate import TrackerAdapter, load_trace, run_stream, save_trace
 from latetrack.training import CONSTANT_VELOCITY, linear_track
 from latetrack.boxes import FrameClock, Sequence
@@ -178,7 +179,8 @@ class TestPredictorFromConfig:
     def test_kf(self):
         cfg = Config.from_text("kind = kf\nhorizon = 3\n")
         adapter = predictor_from_config(cfg)
-        assert adapter.make is KalmanBoxPredictor
+        assert type(adapter.model) is KalmanBoxPredictor
+        assert (adapter.model.q_diag, adapter.model.r_diag) == (DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
         assert adapter.horizon_n == 3
         assert adapter.latency.mean == 0.005
 
@@ -192,7 +194,7 @@ class TestPredictorFromConfig:
         save_weights(w, path)
         cfg = Config.from_text(f"kind = pm\nweights = {path}\n")
         adapter = predictor_from_config(cfg)
-        predictor = adapter.make()
+        predictor = adapter.model
         assert isinstance(predictor, MotionNetPredictor)
         assert np.array_equal(predictor.weights.flat, w.flat)
         # horizon defaults to the checkpoint's head count
@@ -202,7 +204,7 @@ class TestPredictorFromConfig:
         path = tmp_path / "noise.json"
         save_kf_noise(np.full(8, 0.02), np.full(4, 1.5), path)
         cfg = Config.from_text(f"kind = kf_learned\nnoise = {path}\n")
-        predictor = predictor_from_config(cfg).make()
+        predictor = predictor_from_config(cfg).model
         assert isinstance(predictor, KalmanBoxPredictor)
         assert predictor.q_diag == (0.02,) * 8
         assert predictor.r_diag == (1.5,) * 4

@@ -184,7 +184,7 @@ class TestMatchELAE:
             BoundingBox(50 + 20 * np.sin(f / 5), 40 + f, 12 + np.cos(f / 7), 10)
             for f in range(40)))
         trk = TrackerAdapter(LatencyProfile.gaussian(0.05, 0.01), sigma_pos=0.5)
-        pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(KalmanBoxPredictor(), 2, LatencyProfile.constant(0.005))
         log = run_stream(seq, trk, pred, seed=4)
         grid = np.asarray(sigma_grid())
         index = EstimateMatcher(seq, log).serve(np.arange(len(seq))[:, None], grid[None, :])

@@ -6,15 +6,15 @@ import pytest
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
-from latetrack.network import PMWeights, init_weights
+from latetrack.network import PMWeights, constant_factor_weights, init_weights
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
-                                  load_kf_noise, save_kf_noise)
+                                  load_kf_noise, make_kf_state, save_kf_noise)
 from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
 from latetrack.seeding import rng_for
 
-from _oracles import TextbookKalman
+from _oracles import TextbookKalman, online_kalman
 
 
 def cv_track(vx, vy, n, size=10.0, start=(50.0, 50.0)):
@@ -44,13 +44,6 @@ def assert_matches_oracle(predictor, oracle, atol):
     assert np.all(oracle.P[~blocks] == 0.0)
 
 
-def kalman(b0, *noise, **kw):
-    """A KalmanBoxPredictor reset at b0."""
-    p = KalmanBoxPredictor(*noise, **kw)
-    p.reset(b0)
-    return p
-
-
 def observe_track(p, track, frames):
     for f in frames:
         p.observe(f, track[f])
@@ -65,29 +58,37 @@ NOISES = [(DEFAULT_Q_DIAG, DEFAULT_R_DIAG),
 
 class TestAgainstTextbookFilter:
     def test_random_walk_agreement(self):
+        # kf_update and kf_predict, one observation at a time, against
+        # the textbook filter; KalmanBoxPredictor.predictions over the
+        # same run must give the online predictions bit for bit
         for q_diag, r_diag in NOISES:
             rng = np.random.default_rng(77)
             b0 = BoundingBox(10, 10, 20, 15)
-            p = kalman(b0, q_diag, r_diag)
+            p = online_kalman(b0, q_diag, r_diag)
             oracle = TextbookKalman(b0, q_diag, r_diag, DEFAULT_INIT_COV)
             f = 0
+            frames, boxes, online = [], [], []
             for _ in range(40):
                 gap = int(rng.integers(1, 4))
                 f += gap
                 box = BoundingBox(10 + f + rng.normal(0, 2), 10 + rng.normal(0, 2),
                                   20 + abs(rng.normal(0, 1)), 15 + abs(rng.normal(0, 1)))
+                online.append(p.predict(3))
                 p.observe(f, box)
                 oracle.update(box, gap)
                 assert_matches_oracle(p, oracle, atol=1e-8)
+                frames.append(f)
+                boxes.append(box)
             got = [BoundingBox(*row) for row in p.predict(3)]
             want = oracle.predict(3)
             for g, w in zip(got, want):
                 assert g.cx == pytest.approx(w.cx, abs=1e-8)
                 assert g.w == pytest.approx(w.w, abs=1e-8)
+            assert KalmanBoxPredictor(q_diag, r_diag).predictions(b0, frames, boxes, 3) == online
 
     def test_gap_two_equals_textbook_gap_two(self):
         b0 = BoundingBox(0, 0, 10, 10)
-        p = kalman(b0)
+        p = online_kalman(b0)
         oracle = TextbookKalman(b0, DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
         meas = BoundingBox(4, 1, 10, 10)
         p.observe(2, meas)
@@ -98,7 +99,7 @@ class TestAgainstTextbookFilter:
 class TestKalmanBehavior:
     def test_near_zero_q_converges_on_static_box(self):
         b = BoundingBox(30, 40, 12, 8)
-        p = observe_track(kalman(b, np.full(8, 1e-15)), [b] * 51, range(1, 51))
+        p = observe_track(online_kalman(b, np.full(8, 1e-15)), [b] * 51, range(1, 51))
         pred = BoundingBox(*p.predict(1)[0])
         assert pred.cx == pytest.approx(b.cx, abs=1e-6)
         assert pred.cy == pytest.approx(b.cy, abs=1e-6)
@@ -107,14 +108,14 @@ class TestKalmanBehavior:
 
     def test_burn_in_tracks_constant_velocity(self):
         track = cv_track(1.0, -0.7, 22)
-        p = observe_track(kalman(track[0]), track, range(1, 21))
+        p = observe_track(online_kalman(track[0]), track, range(1, 21))
         pred = BoundingBox(*p.predict(1)[0])
         assert pred.cx == pytest.approx(track[21].cx, abs=1e-3)
         assert pred.cy == pytest.approx(track[21].cy, abs=1e-3)
 
     def test_covariance_blocks_stay_psd(self):
         rng = np.random.default_rng(5)
-        p = kalman(BoundingBox(0, 0, 10, 10))
+        p = online_kalman(BoundingBox(0, 0, 10, 10))
         f = 0
         for i in range(200):
             box = BoundingBox(rng.normal(0, 5), rng.normal(0, 5), 10, 10)
@@ -126,8 +127,8 @@ class TestKalmanBehavior:
 
     def test_huge_r_ignores_measurements(self):
         b0 = BoundingBox(0, 0, 10, 10)
-        sluggish = kalman(b0, r_diag=np.full(4, 1e9))
-        eager = kalman(b0, r_diag=np.full(4, 1e-9))
+        sluggish = online_kalman(b0, r_diag=np.full(4, 1e9))
+        eager = online_kalman(b0, r_diag=np.full(4, 1e-9))
         far = BoundingBox(100, 0, 10, 10)
         sluggish.observe(1, far)
         eager.observe(1, far)
@@ -136,7 +137,7 @@ class TestKalmanBehavior:
 
     def test_noiseless_cv_prediction_is_near_optimal(self):
         track = cv_track(2.0, 1.0, 40)
-        p = observe_track(kalman(track[0]), track, range(1, 31))
+        p = observe_track(online_kalman(track[0]), track, range(1, 31))
         for n, row in enumerate(p.predict(3), start=31):
             pred = BoundingBox(*row)
             assert pred.cx == pytest.approx(track[n].cx, abs=1e-3)
@@ -145,7 +146,7 @@ class TestKalmanBehavior:
 
 def moving_filter(pos, vel):
     """A fresh filter at box center/size pos, given per-frame velocities."""
-    p = kalman(BoundingBox.from_center(*pos))
+    p = online_kalman(BoundingBox.from_center(*pos))
     p.filters = tuple((z, float(v), a, b, c) for (z, _, a, b, c), v in zip(p.filters, vel))
     return p
 
@@ -153,7 +154,7 @@ def moving_filter(pos, vel):
 class TestKfPredict:
     def test_fresh_state_has_zero_velocity(self):
         b = BoundingBox(5, 5, 10, 10)
-        assert centers(kalman(b).predict(3)) == [(b.cx, b.cy)] * 3
+        assert centers(online_kalman(b).predict(3)) == [(b.cx, b.cy)] * 3
 
     def test_unit_velocity_marches_right(self):
         p = moving_filter((6.0, 5.0, 10.0, 10.0), (1.0, 0.0, 0.0, 0.0))
@@ -173,9 +174,11 @@ class TestKfPredict:
         assert centers(rows) == [(0.0, 0.0)] * 4
 
     def test_bad_horizon(self):
-        p = kalman(BoundingBox(0, 0, 10, 10))
-        with pytest.raises(ValidationError):
-            p.predict(0)
+        # checked once per run, so a run with no observations fails too
+        b0 = BoundingBox(0, 0, 10, 10)
+        for frames in ([], [1]):
+            with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
+                KalmanBoxPredictor().predictions(b0, frames, [b0] * len(frames), 0)
 
 
 BAD_NOISE = (0.0, -1.0, float("nan"), float("inf"))
@@ -195,40 +198,37 @@ class TestStateValidation:
             KalmanBoxPredictor(r_diag=np.ones(8))
 
     def test_bad_gap_rejected(self):
-        p = kalman(BoundingBox(0, 0, 10, 10))
-        with pytest.raises(ValidationError):
-            p.observe(0, BoundingBox(0, 0, 10, 10))
+        b0 = BoundingBox(0, 0, 10, 10)
+        with pytest.raises(ValidationError, match="got 0 -> 0"):
+            KalmanBoxPredictor().predictions(b0, [0], [b0], 2)
 
 
 class TestZeroMotion:
     def test_repeats_last_box(self):
         b = BoundingBox(1, 2, 3, 4)
-        p = ZeroMotionPredictor()
-        p.reset(b)
-        assert p.predict(3) == [tuple(b)] * 3
+        assert ZeroMotionPredictor().predictions(b, [1], [BoundingBox(5, 6, 7, 8)], 3) == [
+            [tuple(b)] * 3]
 
     def test_bad_horizon(self):
-        p = ZeroMotionPredictor()
-        p.reset(BoundingBox(0, 0, 1, 1))
-        with pytest.raises(ValidationError):
-            p.predict(0)
+        # checked once per run, so a run with no observations fails too
+        b0 = BoundingBox(0, 0, 1, 1)
+        for frames in ([], [1]):
+            with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
+                ZeroMotionPredictor().predictions(b0, frames, [b0] * len(frames), 0)
 
 
 class TestOnlinePredictors:
     def test_zero_motion_predictor_follows_latest(self):
-        p = ZeroMotionPredictor()
-        p.reset(BoundingBox(0, 0, 10, 10))
-        latest = BoundingBox(7, 7, 10, 10)
-        p.observe(1, BoundingBox(3, 3, 10, 10))
-        p.observe(2, latest)
-        assert p.predict(2) == [tuple(latest), tuple(latest)]
+        b0, latest = BoundingBox(0, 0, 10, 10), BoundingBox(7, 7, 10, 10)
+        rows = [BoundingBox(3, 3, 10, 10), latest, BoundingBox(9, 9, 10, 10)]
+        assert ZeroMotionPredictor().predictions(b0, [1, 2, 3], rows, 2)[-1] == [
+            tuple(latest), tuple(latest)]
 
     def test_observations_must_advance(self):
-        p = KalmanBoxPredictor()
-        p.reset(BoundingBox(0, 0, 10, 10))
-        p.observe(2, BoundingBox(1, 0, 10, 10))
-        with pytest.raises(ValidationError):
-            p.observe(2, BoundingBox(2, 0, 10, 10))
+        b0 = BoundingBox(0, 0, 10, 10)
+        rows = [BoundingBox(1, 0, 10, 10), BoundingBox(2, 0, 10, 10)]
+        with pytest.raises(ValidationError, match="got 2 -> 2"):
+            KalmanBoxPredictor().predictions(b0, [2, 2], rows, 2)
 
     def test_motion_net_cold_start_is_zero_motion(self):
         w = init_weights(seed=3, k=3, n_heads=2, c_enc=8, c_dec=6)
@@ -281,12 +281,31 @@ class TestOnlinePredictors:
             assert got == want, f"before frame {frames[i + 1]}, {i} observations"
 
 
+MODELS = {"zero": ZeroMotionPredictor(), "kf": KalmanBoxPredictor(),
+          "pm": MotionNetPredictor(constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6))}
+
+
+class TestRunChecks:
+    """Every predictor checks a run once: frames >= 1 that strictly
+    increase, with one message for all three kinds."""
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("frames, message", [
+        ([3, 1], "got 3 -> 1"), ([2, 2], "got 2 -> 2"), ([0, 1], "got 0 -> 0"),
+        ([1, 2, 4, 4, 5], "got 4 -> 4")])
+    def test_frames_must_advance(self, kind, frames, message):
+        b0 = BoundingBox(10, 10, 20, 15)
+        rows = [BoundingBox(10 + f, 10, 20, 15) for f in frames]
+        with pytest.raises(ValidationError,
+                           match=f"^observations must advance frames, {message}$"):
+            MODELS[kind].predictions(b0, frames, rows, 2)
+
+
 def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None):
-    """Window i through a fresh online KalmanBoxPredictor, re-encoded as
+    """Window i through a fresh online Kalman filter, re-encoded as
     motions from the window's anchor."""
     boxes = [BoundingBox.from_center(*row) for row in windows.boxes[i].tolist()]
-    p = KalmanBoxPredictor(q_diag, r_diag)
-    p.reset(boxes[0])
+    p = online_kalman(boxes[0], q_diag, r_diag)
     f = 0
     for gap, box in zip(windows.intervals[i].tolist(), boxes[1:]):
         f += gap
@@ -380,15 +399,14 @@ class TestFitNoise:
         assert np.all(np.isfinite(q)) and np.all(np.isfinite(r))
 
     def test_fit_reads_only_the_init_noise_and_init_cov(self):
-        # an init that has observed frames has moved covariance blocks;
-        # the fit must start from DEFAULT_INIT_COV, not from its progress
+        # the benchmark's make_kf_state(b0) starts the fit where a bare
+        # KalmanBoxPredictor with the same noise does: from its Q and R
+        # and DEFAULT_INIT_COV, with b0 unread
         tracks = noisy_tracks()
         cfg = OptimizerConfig(epochs=2, milestones=(1,), seed=4)
         fresh = kf_fit_noise(tracks, KalmanBoxPredictor(), cfg, max_windows=30)
-        moved = observe_track(kalman(tracks[0][0]), tracks[0], (1, 2))
-        assert moved.filters[0][2] != DEFAULT_INIT_COV
-        after = kf_fit_noise(tracks, moved, cfg, max_windows=30)
-        assert np.array_equal(fresh[0], after[0]) and np.array_equal(fresh[1], after[1])
+        shim = kf_fit_noise(tracks, make_kf_state(tracks[0][5]), cfg, max_windows=30)
+        assert np.array_equal(fresh[0], shim[0]) and np.array_equal(fresh[1], shim[1])
 
     def test_empty_tracks_rejected(self):
         init = KalmanBoxPredictor()

@@ -6,7 +6,7 @@ from latetrack.cli import _TRAIN_KEYS, build_parser, main
 from latetrack.config import (_PREDICTOR_KEYS, _SPEC_KEYS, _TRACKER_KEYS, Config,
                               predictor_from_config, synthetic_spec_from_config,
                               tracker_from_config)
-from latetrack.predictors import KalmanBoxPredictor
+from latetrack.predictors import DEFAULT_Q_DIAG, DEFAULT_R_DIAG, KalmanBoxPredictor
 from latetrack.training import gen_synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,8 +34,9 @@ def test_config_examples_load_as_written():
     [adapter] = tracker_from_config(tracker, [seq])
     assert (adapter.sigma_pos, adapter.latency.mean) == (0.45, 0.05)
     adapter = predictor_from_config(predictor)
-    assert (adapter.make, adapter.horizon_n, adapter.latency.mean) == (KalmanBoxPredictor, 2,
-                                                                       0.005)
+    assert (type(adapter.model), adapter.horizon_n, adapter.latency.mean) == (
+        KalmanBoxPredictor, 2, 0.005)
+    assert (adapter.model.q_diag, adapter.model.r_diag) == (DEFAULT_Q_DIAG, DEFAULT_R_DIAG)
 
 
 def test_shell_commands_parse():

@@ -1,5 +1,4 @@
 import re
-from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights, init_weights, save_weights
 from latetrack.predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
                                   save_kf_noise)
-from latetrack.simulate import (KF, NEURAL_PM, ZERO_MOTION, PredictorAdapter, RunLog,
-                                TrackerAdapter, load_run_log, load_trace, next_frame,
+from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
+                                RunLog, TrackerAdapter, load_run_log, load_trace, next_frame,
                                 pick_horizon_n, predictor_for, run_stream, save_run_log,
                                 save_trace)
 from latetrack.training import linear_track
@@ -84,7 +83,7 @@ class TestSchedule:
 
 class TestPredictorInStream:
     def test_emits_horizon_rows_per_arrival_after_first(self):
-        pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor(), 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
         raw = np.count_nonzero(log.kind == "raw")
         predicted = np.count_nonzero(log.kind == "predicted")
@@ -93,7 +92,7 @@ class TestPredictorInStream:
         assert log.predictor_invocations == len(log.frame) - 1
 
     def test_predictions_target_frames_after_the_previous_one(self):
-        pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor(), 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05), pred)
         by_avail = {}
         predicted = log.kind == "predicted"
@@ -105,7 +104,7 @@ class TestPredictorInStream:
             assert targets == [prev + 1, prev + 2]
 
     def test_predictor_latency_delays_tracking(self):
-        pred = PredictorAdapter(ZeroMotionPredictor, 1, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor(), 1, LatencyProfile.constant(0.005))
         plain = run_stream(cv_sequence(10), tracker(0.05))
         with_pred = run_stream(cv_sequence(10), tracker(0.05), pred)
         # every frame after the first pays the predictor's 5 ms
@@ -113,7 +112,7 @@ class TestPredictorInStream:
         assert set(with_pred.predictor_latencies) == {0.005}
 
     def test_kf_predictions_lead_the_track(self):
-        pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.001))
+        pred = PredictorAdapter(KalmanBoxPredictor(), 2, LatencyProfile.constant(0.001))
         seq = cv_sequence(30)
         log = run_stream(seq, tracker(0.05), pred)
         late = [(target, row) for target, kind, row in zip(log.target_frame.tolist(),
@@ -137,13 +136,13 @@ class TestPredictorInStream:
 
     def test_neural_predictor_checkpoint_must_match_horizon(self):
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        pred = PredictorAdapter(partial(MotionNetPredictor, w), 3, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(MotionNetPredictor(w), 3, LatencyProfile.constant(0.005))
         with pytest.raises(ValidationError, match="network predicts exactly 2 frames"):
             run_stream(cv_sequence(10), tracker(0.05), pred)
 
     def test_neural_predictor_runs_in_stream(self):
         w = constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6)
-        pred = PredictorAdapter(partial(MotionNetPredictor, w), 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(MotionNetPredictor(w), 2, LatencyProfile.constant(0.005))
         seq = cv_sequence(20)
         log = run_stream(seq, tracker(0.05), pred)
         is_predicted = log.kind == "predicted"
@@ -320,7 +319,7 @@ class TestRunLogInvariants:
             RunLog("x", *cols, boxes)
 
     def test_its_own_rows_rebuild_an_equal_log(self):
-        pred = PredictorAdapter(KalmanBoxPredictor, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(KalmanBoxPredictor(), 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
         rebuilt = RunLog(log.sequence_name, *columns(log), log.predictor_latencies)
         assert rebuilt == log
@@ -342,19 +341,19 @@ class TestRunLogInvariants:
 
 class TestAgreesWithTheLoop:
     """run_stream's three passes against run_stream_loop, the literal
-    frame-by-frame simulation with scalar draws, per-frame rows and the
-    online predictor protocol: equal RunLogs, every column and the
+    frame-by-frame simulation with scalar draws, per-frame rows and each
+    predictor's online oracle: equal RunLogs, every column and the
     predictor latencies included."""
 
     PREDICTORS = {
         "none": None,
-        "zero": (ZeroMotionPredictor, 2),
-        "kf": (KalmanBoxPredictor, 3),
-        "kf_learned": (partial(KalmanBoxPredictor, (0.5, 0.5, 0.2, 0.2, 0.05, 0.05, 0.01, 0.01),
-                               (2.0, 2.0, 0.5, 0.5)), 2),
-        "pm": (partial(MotionNetPredictor, init_weights(k=3, n_heads=2, seed=81)), 2),
-        "pm_k5": (partial(MotionNetPredictor, init_weights(k=5, n_heads=3, c_enc=16, c_dec=8,
-                                                           seed=82)), 3),
+        "zero": (ZeroMotionPredictor(), 2),
+        "kf": (KalmanBoxPredictor(), 3),
+        "kf_learned": (KalmanBoxPredictor((0.5, 0.5, 0.2, 0.2, 0.05, 0.05, 0.01, 0.01),
+                                          (2.0, 2.0, 0.5, 0.5)), 2),
+        "pm": (MotionNetPredictor(init_weights(k=3, n_heads=2, seed=81)), 2),
+        "pm_k5": (MotionNetPredictor(init_weights(k=5, n_heads=3, c_enc=16, c_dec=8, seed=82)),
+                  3),
     }
 
     @staticmethod
@@ -430,6 +429,36 @@ class TestAgreesWithTheLoop:
             assert self.outcome(run_stream, seq, trk, kind, 0, adapter) == want
 
 
+class TestOneModelServesManyRuns:
+    """A predictor is built once per verb and carries nothing from one
+    run into the next: runs on one adapter, interleaved over two
+    sequences and repeated, equal runs on a freshly built one."""
+
+    @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, KF_LEARNED, NEURAL_PM])
+    def test_each_run_equals_a_fresh_model(self, kind, tmp_path):
+        file = None
+        if kind == KF_LEARNED:
+            file = tmp_path / "noise.json"
+            save_kf_noise((0.5, 0.5, 0.2, 0.2, 0.05, 0.05, 0.01, 0.01), (2.0, 2.0, 0.5, 0.5), file)
+        elif kind == NEURAL_PM:
+            file = tmp_path / "pm.json"
+            save_weights(init_weights(k=3, n_heads=2, seed=81), file)
+
+        def build():
+            return predictor_for(kind, LatencyProfile.gaussian(0.006, 0.003), file=file)
+
+        shared = build()
+        trk = TrackerAdapter(LatencyProfile.gaussian(0.05, 0.03), sigma_pos=0.6,
+                             sigma_scale=0.04)
+        seqs = [cv_sequence(40, vx=1.5, vy=-0.5, name="a"), cv_sequence(25, kappa=24.0, name="b")]
+        for seed in (3, 4):
+            for seq in seqs * 2:
+                got = run_stream(seq, trk, shared, seed=seed)
+                want = run_stream(seq, trk, build(), seed=seed)
+                assert got == want, f"{kind} {seq.name} seed={seed}"
+                assert got.boxes.tobytes() == want.boxes.tobytes()
+
+
 class TestStreamBuildsNoObjects:
     """The loop appends rows and the log keeps columns: no BoundingBox
     is built per frame, nor by reading the log back as rows, nor by
@@ -449,10 +478,10 @@ class TestStreamBuildsNoObjects:
 
     @staticmethod
     def predictor(kind):
-        make = {ZERO_MOTION: ZeroMotionPredictor, KF: KalmanBoxPredictor,
-                NEURAL_PM: partial(MotionNetPredictor,
-                                   constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6))}
-        return PredictorAdapter(make[kind], 2, LatencyProfile.constant(0.005))
+        model = {ZERO_MOTION: ZeroMotionPredictor(), KF: KalmanBoxPredictor(),
+                 NEURAL_PM: MotionNetPredictor(
+                     constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6))}
+        return PredictorAdapter(model[kind], 2, LatencyProfile.constant(0.005))
 
     @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
     def test_no_per_frame_objects(self, kind, monkeypatch):
@@ -481,7 +510,7 @@ class TestStreamBuildsNoObjects:
 
 class TestFiles:
     def test_run_log_round_trip(self, tmp_path):
-        pred = PredictorAdapter(ZeroMotionPredictor, 2, LatencyProfile.constant(0.005))
+        pred = PredictorAdapter(ZeroMotionPredictor(), 2, LatencyProfile.constant(0.005))
         log = run_stream(cv_sequence(10), tracker(0.05, sigma_pos=0.3), pred)
         path = tmp_path / "log.csv"
         save_run_log(log, path, manifest_ref="cafe01234567")
