@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .boxes import load_sequence, save_sequence
@@ -22,12 +22,12 @@ from .config import (Config, predictor_from_config, synthetic_spec_from_config,
 from .errors import DivergenceError, ValidationError
 from .evaluate import average_curves, sigma_grid, sweep
 from .latency import LatencyProfile
-from .network import _check_geometry, save_weights
+from .network import save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
 from .seeding import derive_seed, rng_for
-from .simulate import (load_run_log, pick_horizon_n, predictor_for, run_files, run_stream,
-                       save_run_log, save_trace)
+from .simulate import (HORIZON_TRIALS, PREDICTOR_LATENCY, load_run_log, pick_horizon_n,
+                       predictor_for, run_files, run_stream, save_run_log, save_trace)
 from .training import OptimizerConfig, gen_synthetic, sample_windows, train_pm
 
 EXIT_OK = 0
@@ -35,8 +35,11 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 
-_TRAIN_KEYS = ("seed", "epochs", "milestones", "lr", "weight_decay", "batch_size", "k",
-               "horizon", "stride_set", "c_enc", "c_dec")
+# the optional values a train config sets, and how each parses
+_OPTIMIZER_VALUES = {"seed": int, "epochs": int, "milestones": (int,), "lr": float,
+                     "weight_decay": float, "batch_size": int}
+_WIDTHS = {"c_enc": int, "c_dec": int}
+_TRAIN_KEYS = (*_OPTIMIZER_VALUES, "k", "horizon", "stride_set", *_WIDTHS)
 _LOSS_HEADER = ["epoch", "train_l1", "val_l1"]
 _COMPARE_HEADER = ["predictor", "auc_la0", "dp_la0", "mauc", "mdp", "mean_extra_latency_s"]
 
@@ -175,50 +178,42 @@ def cmd_evaluate(args) -> int:
 def cmd_train(args) -> int:
     cfg = Config.load(args.config) if args.config else Config({}, "<defaults>")
     cfg.reject_unknown(_TRAIN_KEYS)
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-    epochs = args.epochs if args.epochs is not None else cfg.get_int("epochs", 100)
+    flags = {"seed": args.seed, "epochs": args.epochs}
+    values = {**asdict(OptimizerConfig()), **cfg.set_values(_OPTIMIZER_VALUES),
+              **{key: flag for key, flag in flags.items() if flag is not None}}
     # an --epochs override may cut the run short of configured milestones
-    milestones = tuple(m for m in cfg.get_ints("milestones", (30, 80)) if m < epochs)
-    opt = OptimizerConfig(
-        lr=cfg.get_float("lr", 0.03),
-        weight_decay=cfg.get_float("weight_decay", 0.01),
-        epochs=epochs,
-        milestones=milestones,
-        batch_size=cfg.get_int("batch_size", 64),
-        seed=seed,
-    )
+    values["milestones"] = tuple(m for m in values["milestones"] if m < values["epochs"])
+    opt = OptimizerConfig(**values)
     k = cfg.get_int("k", 3)
     horizon = cfg.get_int("horizon", 2)
     stride_set = cfg.get_ints("stride_set", (1, 2))
-    c_enc = cfg.get_int("c_enc", 64)
-    c_dec = cfg.get_int("c_dec", 32)
     sequences, inputs = _load_sequences(args.corpus)
     if args.config:
         inputs["config"] = args.config
-    manifest = build_manifest(
-        "train", seed,
-        {"optimizer": {"lr": opt.lr, "weight_decay": opt.weight_decay, "epochs": opt.epochs,
-                       "milestones": list(opt.milestones), "batch_size": opt.batch_size},
-         "window": {"k": k, "horizon": horizon, "stride_set": list(stride_set)},
-         "model": {"c_enc": c_enc, "c_dec": c_dec}},
-        inputs)
-    _check_geometry(k, horizon, c_enc, c_dec)
     for seq in sequences:
         if not seq.annotated.all():
             raise ValidationError(f"training sequence {seq.name!r} has missing annotations")
     timer = StageTimer()
     with timer.stage("windows"):
-        grouped = [sample_windows(seq, k, horizon, stride_set, rng_for(seed, "windows", seq.name))
+        grouped = [sample_windows(seq, k, horizon, stride_set,
+                                  rng_for(opt.seed, "windows", seq.name))
                    for seq in sequences]
-    out = _out_dir(args)
     with timer.stage("train"):
-        weights, history = train_pm(grouped, opt, c_enc=c_enc, c_dec=c_dec)
+        weights, history = train_pm(grouped, opt, **cfg.set_values(_WIDTHS))
+    manifest = build_manifest(
+        "train", opt.seed,
+        {"optimizer": {"lr": opt.lr, "weight_decay": opt.weight_decay, "epochs": opt.epochs,
+                       "milestones": list(opt.milestones), "batch_size": opt.batch_size},
+         "window": {"k": k, "horizon": horizon, "stride_set": list(stride_set)},
+         "model": {"c_enc": weights.c_enc, "c_dec": weights.c_dec}},
+        inputs)
+    out = _out_dir(args)
     with timer.stage("write"):
         save_weights(weights, out / "pm_checkpoint.json", manifest_ref=manifest.ref)
         write_csv(out / "loss.csv", _LOSS_HEADER, history, manifest_ref=manifest.ref)
     write_manifest(replace(manifest, stage_seconds=timer.stages), out)
     if history:
-        print(f"trained {epochs} epochs; final val L1 {history[-1][2]:.6f}")
+        print(f"trained {opt.epochs} epochs; final val L1 {history[-1][2]:.6f}")
     else:
         print("wrote initialized checkpoint (no training epochs)")
     return EXIT_OK
@@ -348,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictors", required=True,
                    help="comma list: none,zero,kf,kf_learned:<file>,pm:<checkpoint>")
     p.add_argument("--horizon", type=int, help="prediction horizon (default: from pre-runs)")
-    p.add_argument("--pred-latency", type=float, default=0.005,
+    p.add_argument("--pred-latency", type=float, default=PREDICTOR_LATENCY,
                    help="constant predictor latency in seconds")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("horizon", parents=[reads], help="pick the horizon from pre-runs")
     p.add_argument("--sequences", required=True)
     p.add_argument("--tracker", required=True)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=HORIZON_TRIALS)
     p.set_defaults(fn=cmd_horizon)
     return parser
 

@@ -49,7 +49,9 @@ ZERO_MOTION = "zero"
 KF = "kf"
 KF_LEARNED = "kf_learned"
 NEURAL_PM = "pm"
-
+# a predictor invocation's latency (s) where none is set; pick_horizon_n's pre-runs
+PREDICTOR_LATENCY = 0.005
+HORIZON_TRIALS = 3
 
 _RUN_COLUMNS = ("frame", "t_start", "t_finish", "target_frame", "available_at", "kind", "boxes")
 
@@ -365,7 +367,7 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
                   np.where(raw, RAW, PREDICTED), boxes, predictor_lat)
 
 
-def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = 3,
+def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = HORIZON_TRIALS,
                    *, seed: int = 0) -> int:
     """Maximum frame gap observed over `trials` seeded pre-runs.
 

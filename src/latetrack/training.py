@@ -273,6 +273,16 @@ class SyntheticSpec:
             raise ValidationError("need n_sequences >= 1 and length >= 2")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.walk_step < math.inf:
+            raise ValidationError(f"walk_step must be finite and >= 0, got {self.walk_step}")
+        for name in ("center_range", "size_range", "speed_range", "accel_range",
+                     "amplitude_range", "period_range"):
+            bounds = getattr(self, name)
+            positive = name in ("size_range", "period_range")
+            if not (len(bounds) == 2 and -math.inf < bounds[0] <= bounds[1] < math.inf
+                    and (bounds[0] > 0 or not positive)):
+                raise ValidationError(f"{name} must be two finite numbers lo <= hi"
+                                      f"{', lo > 0' if positive else ''}, got {bounds!r}")
 
 
 def linear_track(b0: BoundingBox, velocity, length: int) -> list:

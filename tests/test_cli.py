@@ -1,17 +1,22 @@
 import csv
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latetrack.boxes import load_sequence
-from latetrack.cli import main
+from latetrack.boxes import load_sequence, save_sequence
+from latetrack.cli import build_parser, main
+from latetrack.config import Config, latency_from_config, predictor_from_config
 from latetrack.evaluate import EstimateMatcher
+from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights, init_weights, load_weights, save_weights
 from latetrack.predictors import save_kf_noise
 from latetrack.seeding import derive_seed
-from latetrack.simulate import load_run_log
+from latetrack.report import build_manifest
+from latetrack.simulate import load_run_log, pick_horizon_n
+from latetrack.training import OptimizerConfig, SyntheticSpec, gen_synthetic, train_pm
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -615,3 +620,119 @@ class TestExitCodes:
                         "latency.kind = gaussian\nlatency.mean = nan\nlatency.stddev = 0.01\n")
         assert main(["simulate", "--sequences", str(seqs), "--tracker", trk,
                      "--out", str(tmp_path / "runs")]) == 2
+
+
+class TestKeysTheKindDoesNotRead:
+    TRACKER = "latency.kind = constant\nlatency.mean = 0.05\n"
+
+    @pytest.mark.parametrize("role, text, key, kind", [
+        ("predictor", "kind = kf\nnoise = nothere.json\n", "noise", "kf"),
+        ("predictor", "kind = zero\nweights = nothere.json\n", "weights", "zero"),
+        ("predictor", "kind = kf_learned\nnoise = n.json\nweights = w.json\n", "weights",
+         "kf_learned"),
+        ("predictor", "kind = pm\nweights = w.json\nnoise = n.json\n", "noise", "pm"),
+        ("predictor", "kind = none\nhorizon = 2\n", "horizon", "none"),
+        ("predictor", "kind = none\nlatency.kind = constant\nlatency.mean = 0.01\n",
+         "latency.kind", "none"),
+        ("tracker", "sigma_pos = 1.0\ntrace = nowhere\n" + TRACKER, "trace", "oracle_noisy"),
+        ("tracker", "behavior = replay_log\ntrace = nowhere\nsigma_pos = 1.0\n", "sigma_pos",
+         "replay_log"),
+        ("tracker", "behavior = replay_log\ntrace = nowhere\nsigma_scale = 0.1\n",
+         "sigma_scale", "replay_log"),
+        ("tracker", TRACKER + "latency.stddev = 0.01\n", "latency.stddev", "constant"),
+        ("tracker", TRACKER + "latency.floor = 0.01\n", "latency.floor", "constant"),
+        ("tracker", TRACKER + "latency.file = lat.txt\n", "latency.file", "constant"),
+        ("tracker", "latency.kind = gaussian\nlatency.mean = 0.05\nlatency.stddev = 0.01\n"
+                    "latency.file = lat.txt\n", "latency.file", "gaussian"),
+        ("tracker", "latency.kind = replay\nlatency.file = lat.txt\nlatency.mean = 0.05\n",
+         "latency.mean", "replay"),
+        ("tracker", "latency.kind = replay\nlatency.file = lat.txt\nlatency.floor = 0.0\n",
+         "latency.floor", "replay"),
+        ("predictor", "kind = kf\nlatency.kind = constant\nlatency.mean = 0.01\n"
+                      "latency.stddev = 0.002\n", "latency.stddev", "constant"),
+    ])
+    def test_exits_two_naming_key_kind_and_file(self, tmp_path, capsys, role, text, key, kind):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        (tmp_path / "lat.txt").write_text("0.04\n" * 30)
+        cfg = write_cfg(tmp_path / f"{role}.cfg", text)
+        tracker = cfg if role == "tracker" else write_cfg(tmp_path / "trk.cfg", self.TRACKER)
+        argv = ["simulate", "--sequences", str(seqs), "--tracker", tracker]
+        if role == "predictor":
+            argv += ["--predictor", cfg]
+        out = tmp_path / "runs"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: unknown key {key!r}" in err and repr(kind) in err
+        assert not out.exists()
+
+
+class TestBadSpecValues:
+    @pytest.mark.parametrize("kind, line, key", [
+        ("constant_velocity", "center_range = 1, 2, 3", "center_range"),
+        ("constant_velocity", "speed_range = 5", "speed_range"),
+        ("constant_velocity", "size_range = 70, 40", "size_range"),
+        ("constant_velocity", "size_range = 0, 40", "size_range"),
+        ("constant_velocity", "accel_range = nan, 1", "accel_range"),
+        ("constant_velocity", "amplitude_range = 1, inf", "amplitude_range"),
+        ("sinusoidal", "period_range = 0, 0", "period_range"),
+        ("random_walk", "walk_step = -1", "walk_step"),
+        ("random_walk", "walk_step = nan", "walk_step"),
+    ])
+    def test_exits_two_naming_the_key_and_writes_nothing(self, tmp_path, capsys, kind, line,
+                                                          key):
+        spec = write_cfg(tmp_path / "spec.cfg", f"kind = {kind}\ncount = 2\nlength = 20\n"
+                                                f"{line}\n")
+        out = tmp_path / "seqs"
+        assert main(["gen", spec, "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDefaultsAreTheLibrarys:
+    """A key or flag left out takes the default of the library object
+    it configures, so the CLI and the library train, generate and time
+    alike."""
+
+    def test_train_without_config(self, tmp_path):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        out = tmp_path / "model"
+        assert main(["train", "--corpus", str(seqs), "--out", str(out)]) == 0
+        opt = OptimizerConfig()
+        widths = {name: p.default for name, p in inspect.signature(train_pm).parameters.items()
+                  if name in ("c_enc", "c_dec")}
+        payload = {"optimizer": {"lr": opt.lr, "weight_decay": opt.weight_decay,
+                                 "epochs": opt.epochs, "milestones": list(opt.milestones),
+                                 "batch_size": opt.batch_size},
+                   "window": {"k": 3, "horizon": 2, "stride_set": [1, 2]},
+                   "model": widths}
+        inputs = {f"sequence:{f.name}": f for f in sorted(seqs.glob("*.txt"))}
+        want = build_manifest("train", opt.seed, payload, inputs)
+        assert manifest_of(out)["config_hash"] == want.config_hash
+        weights = load_weights(out / "pm_checkpoint.json")
+        assert {"c_enc": weights.c_enc, "c_dec": weights.c_dec} == widths
+        _, rows = read_csv_rows(out / "loss.csv")
+        assert len(rows) == opt.epochs
+
+    def test_gen_minimal_spec(self, tmp_path, cv_spec):
+        out = tmp_path / "out"
+        assert main(["gen", cv_spec, "--out", str(out)]) == 0
+        ref = manifest_of(out)["ref"]
+        for seq in gen_synthetic(SyntheticSpec("constant_velocity", 3, 40)):
+            want = tmp_path / "want.txt"
+            save_sequence(seq, want, manifest_ref=ref)
+            assert (out / f"{seq.name}.txt").read_bytes() == want.read_bytes()
+
+    def test_gaussian_latency_without_floor(self):
+        cfg = Config.from_text("latency.kind = gaussian\nlatency.mean = 0.04\n"
+                               "latency.stddev = 0.01\n")
+        assert latency_from_config(cfg) == LatencyProfile.gaussian(0.04, 0.01)
+
+    def test_verb_flags(self):
+        flags = build_parser().parse_args(
+            ["horizon", "--sequences", "s", "--tracker", "t", "--out", "o"])
+        assert flags.trials == inspect.signature(pick_horizon_n).parameters["trials"].default
+        flags = build_parser().parse_args(
+            ["compare", "--sequences", "s", "--tracker", "t", "--predictors", "kf", "--out", "o"])
+        kf = predictor_from_config(Config.from_text("kind = kf\n"))
+        assert kf.latency == LatencyProfile.constant(flags.pred_latency)

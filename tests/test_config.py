@@ -44,8 +44,23 @@ class TestParsing:
         assert cfg.get_float("x") == 2.5
         assert cfg.get_float("absent", 7.0) == 7.0
         assert cfg.get_ints("list") == (1, 2, 3)
-        assert cfg.get_floats("list") == (1.0, 2.0, 3.0)
         assert cfg.get_ints("absent", (4,)) == (4,)
+
+    def test_set_values_holds_only_the_keys_the_file_sets(self):
+        cfg = Config.from_text("x = 2.5\nlist = 1, 2, 3\nn = 4\ng.y = 7\n")
+        kinds = {"x": float, "list": (float,), "n": int, "absent": float, "also": (int,)}
+        assert cfg.set_values(kinds) == {"x": 2.5, "list": (1.0, 2.0, 3.0), "n": 4}
+        assert cfg.set_values({"list": (int,)}) == {"list": (1, 2, 3)}
+        assert cfg.set_values({"y": int, "x": float}, "g.") == {"y": 7}
+        assert cfg.set_values({}) == {}
+
+    @pytest.mark.parametrize("text, kind", [("n = 2.5", int), ("n = 1, x", (float,)),
+                                            ("n = ", float)])
+    def test_set_values_names_a_bad_key(self, tmp_path, text, kind):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(ValidationError, match=r"bad\.cfg: key 'n' needs a (int|float)"):
+            Config.load(path).set_values({"n": kind})
 
     def test_wrong_type_rejected(self):
         cfg = Config.from_text("x = hello\n")

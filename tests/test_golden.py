@@ -51,7 +51,8 @@ def simulate_kind(kind: str, work: Path) -> Path:
     tracker = work / "tracker.cfg"
     tracker.write_text(TRACKER)
     predictor = work / f"{kind}.cfg"
-    predictor.write_text(PREDICTORS[kind] + PREDICTOR_LATENCY)
+    # `none` runs no predictor, so its config takes no latency group
+    predictor.write_text(PREDICTORS[kind] + (PREDICTOR_LATENCY if kind != "none" else ""))
     out = work / kind
     code = main(["simulate", "--sequences", str(GOLDEN / "golden.txt"), "--tracker",
                  str(tracker), "--predictor", str(predictor), "--out", str(out),

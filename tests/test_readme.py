@@ -56,5 +56,6 @@ def test_every_config_key_is_named():
     part, as the `latency.` group is."""
     text = README.read_text()
     named = set(re.findall(r"`([\w.]+)", text)) | set(re.findall(r"^#? ?([\w.]+) = ", text, re.M))
-    for key in (*_SPEC_KEYS, *_TRACKER_KEYS, *_PREDICTOR_KEYS, *_TRAIN_KEYS):
+    per_kind = (("behavior",), *_TRACKER_KEYS.values(), *_PREDICTOR_KEYS.values())
+    for key in (*_SPEC_KEYS, *(key for keys in per_kind for key in keys), *_TRAIN_KEYS):
         assert key in named or key.rpartition(".")[2] in named, key
