@@ -22,13 +22,14 @@ from .config import (Config, predictor_from_config, synthetic_spec_from_config,
 from .errors import DivergenceError, ValidationError
 from .evaluate import average_curves, sigma_grid, sweep
 from .latency import LatencyProfile
-from .network import save_weights
+from .network import DEFAULT_K, save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
 from .seeding import derive_seed, rng_for
 from .simulate import (HORIZON_TRIALS, PREDICTOR_LATENCY, load_run_log, pick_horizon_n,
                        predictor_for, run_files, run_stream, save_run_log, save_trace)
-from .training import OptimizerConfig, gen_synthetic, sample_windows, train_pm
+from .training import (DEFAULT_STRIDE_SET, OptimizerConfig, gen_synthetic, sample_windows,
+                       train_pm)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -184,9 +185,9 @@ def cmd_train(args) -> int:
     # an --epochs override may cut the run short of configured milestones
     values["milestones"] = tuple(m for m in values["milestones"] if m < values["epochs"])
     opt = OptimizerConfig(**values)
-    k = cfg.get_int("k", 3)
+    k = cfg.get_int("k", DEFAULT_K)
     horizon = cfg.get_int("horizon", 2)
-    stride_set = cfg.get_ints("stride_set", (1, 2))
+    stride_set = cfg.get_ints("stride_set", DEFAULT_STRIDE_SET)
     sequences, inputs = _load_sequences(args.corpus)
     if args.config:
         inputs["config"] = args.config

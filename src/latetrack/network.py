@@ -36,6 +36,9 @@ from .errors import ValidationError
 from .motion import apply_motion_row
 
 CHECKPOINT_VERSION = 1
+# The default geometry: history length k, which the window recipe
+# shares, and the encoder and decoder widths.
+DEFAULT_K, DEFAULT_C_ENC, DEFAULT_C_DEC = 3, 64, 32
 
 
 def _check_geometry(k: int, n_heads: int, c_enc: int, c_dec: int) -> None:
@@ -100,8 +103,8 @@ class PMWeights:
         return PMWeights(self.k, self.n_heads, self.c_enc, self.c_dec, self.flat.copy())
 
 
-def init_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32,
-                 seed: int = 0) -> PMWeights:
+def init_weights(k: int = DEFAULT_K, n_heads: int = 1, c_enc: int = DEFAULT_C_ENC,
+                 c_dec: int = DEFAULT_C_DEC, seed: int = 0) -> PMWeights:
     """Fan-in-scaled uniform init (bound sqrt(6/fan_in)), zero biases."""
     w = PMWeights(k, n_heads, c_enc, c_dec)
     rng = np.random.default_rng(seed)
@@ -112,8 +115,8 @@ def init_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64, c_dec: int = 32,
     return w
 
 
-def constant_factor_weights(k: int = 3, n_heads: int = 1, c_enc: int = 64,
-                            c_dec: int = 32) -> PMWeights:
+def constant_factor_weights(k: int = DEFAULT_K, n_heads: int = 1, c_enc: int = DEFAULT_C_ENC,
+                            c_dec: int = DEFAULT_C_DEC) -> PMWeights:
     """Bias-only fixture: head n outputs the factor [n, n, n, n].
 
     With every weight matrix zeroed, head n's bias is the only signal;

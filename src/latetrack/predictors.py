@@ -27,8 +27,10 @@ each block symmetric by construction and PSD.
 KalmanBoxPredictor runs the filter over a run: its state is four (pos,
 vel, a, b, c) float tuples, which kf_update and kf_predict advance.
 kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
-kf_fit_noise reads Q and R from the predictor it starts from.
-make_kf_state is kept only for the benchmark's noise-fit step.
+kf_fit_noise reads Q and R from the predictor it starts from. The fit's
+gradient is exact: the same per-gap-pattern window loop carries the
+forward-mode tangents of _kf_step_tangent beside the filter, one pass
+per step. make_kf_state is kept only for the benchmark's noise-fit step.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
-from .network import PMWeights, pm_predict
+from .network import DEFAULT_K, PMWeights, l1_loss, pm_predict
 from .seeding import rng_for
-from .training import AdamW, OptimizerConfig, Windows, motion_l1_on_samples, sample_windows
+from .training import (DEFAULT_STRIDE_SET, AdamW, OptimizerConfig, Windows, motion_l1_on_samples,
+                       sample_windows)
 
 DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
@@ -102,6 +105,34 @@ def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
     j = 1.0 - k1
     return (pos, vel, j * j * a + k1 * k1 * r, j * (b - k2 * a) + k1 * k2 * r,
             c - 2.0 * k2 * b + k2 * k2 * s)
+
+
+def _kf_step_tangent(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int, d, d_noise):
+    """Forward-mode derivative of _kf_step: the tangents of its five
+    outputs, from its inputs, the tangents d = (dpos, dvel, da, db, dc)
+    of its state and d_noise = (dq_pos, dq_vel, dr).
+
+    Row t of each tangent is the derivative with respect to the t-th of
+    a coordinate's (log q_pos, log q_vel, log r), which reach only that
+    coordinate: (3, n, 4) for (n, 4) means, (3, 4) for the (4,) blocks
+    and noise. The means are linear in the innovation z - pos."""
+    dpos, dvel, da, db, dc = d
+    dq_pos, dq_vel, dr = d_noise
+    for _ in range(gap):
+        pos = pos + vel
+        dpos = dpos + dvel
+        a, b, c = a + b + b + c + q_pos, b + c, c + q_vel
+        da, db, dc = da + db + db + dc + dq_pos, db + dc, dc + dq_vel
+    s, ds = a + r, da + dr
+    k1, k2 = a / s, b / s
+    dk1, dk2 = (da - k1 * ds) / s, (db - k2 * ds) / s
+    innov = z - pos
+    j = 1.0 - k1
+    # The Joseph form is stationary in the gain at the optimal gain, so
+    # the blocks' tangents are _kf_step's correction with the gain held.
+    return (j * dpos + dk1[:, None] * innov, dvel - k2 * dpos + dk2[:, None] * innov,
+            j * j * da + k1 * k1 * dr, j * (db - k2 * da) + k1 * k2 * dr,
+            dc - 2.0 * k2 * db + k2 * k2 * ds)
 
 
 def kf_update(filters, q_diag, r_diag, row, gap: int) -> tuple:
@@ -228,27 +259,60 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):
     q_diag, r_diag = _check_noise(q_diag, r_diag)
 
     def predict(windows):
-        if np.any(windows.intervals < 1):
-            raise ValidationError("observations must advance frames; window gaps must be >= 1")
-        patterns, which = np.unique(windows.intervals, axis=0, return_inverse=True)
-        which = which.reshape(-1)  # not 1-D in every numpy release
-        out = np.empty((len(windows), horizon_n, 4))
-        for g, gaps in enumerate(patterns):
-            idx = np.flatnonzero(which == g)
-            boxes = windows.boxes[idx]
-            pos, vel = boxes[:, 0], np.zeros((len(idx), 4))
-            a, b, c = np.full(4, DEFAULT_INIT_COV), np.zeros(4), np.full(4, DEFAULT_INIT_COV)
-            for j, gap in enumerate(gaps.tolist(), start=1):
-                pos, vel, a, b, c = _kf_step(pos, vel, a, b, c, q_diag[:4], q_diag[4:], r_diag,
-                                             boxes[:, j], gap)
-            rollout = np.empty((len(idx), horizon_n, 4))
-            for n in range(horizon_n):
-                pos = pos + vel
-                rollout[:, n] = pos
-            rollout[..., 2:] = np.maximum(rollout[..., 2:], 1.0)
-            out[idx] = encode_motion_rows(boxes[:, -1:], rollout)
-        return out
+        return _kf_windows(windows, horizon_n, q_diag, r_diag)
     return predict
+
+
+def _kf_windows(windows, horizon_n: int, q, r, tangents: bool = False):
+    """kf_motion_batch's (n, N, 4) motions for checked noise q, r and
+    horizon, one gap pattern at a time. With tangents, also their
+    (3, n, N, 4) derivatives with respect to each coordinate's
+    (log q_pos, log q_vel, log r), carried by _kf_step_tangent beside
+    the filter. A size clamped at 1 px has derivative 0; the codec
+    divides center tangents by the anchor's size and size tangents by
+    the rolled-out size (d log)."""
+    if np.any(windows.intervals < 1):
+        raise ValidationError("observations must advance frames; window gaps must be >= 1")
+    patterns, which = np.unique(windows.intervals, axis=0, return_inverse=True)
+    which = which.reshape(-1)  # not 1-D in every numpy release
+    out = np.empty((len(windows), horizon_n, 4))
+    if tangents:
+        d_out = np.empty((3, *out.shape))
+        # q_pos, q_vel and r against their logs: row t is d/d(t-th log)
+        d_noise = np.eye(3)[:, :, None] * np.stack([q[:4], q[4:], r])
+    for g, gaps in enumerate(patterns):
+        idx = np.flatnonzero(which == g)
+        boxes = windows.boxes[idx]
+        pos, vel = boxes[:, 0], np.zeros((len(idx), 4))
+        a, b, c = np.full(4, DEFAULT_INIT_COV), np.zeros(4), np.full(4, DEFAULT_INIT_COV)
+        d = (np.zeros((3, len(idx), 4)),) * 2 + (np.zeros((3, 4)),) * 3
+        for j, gap in enumerate(gaps.tolist(), start=1):
+            step = (pos, vel, a, b, c, q[:4], q[4:], r, boxes[:, j], gap)
+            if tangents:
+                d = _kf_step_tangent(*step, d, d_noise)
+            pos, vel, a, b, c = _kf_step(*step)
+        rollout = np.empty((len(idx), horizon_n, 4))
+        for n in range(horizon_n):
+            pos = pos + vel
+            rollout[:, n] = pos
+        rollout[..., 2:] = np.maximum(rollout[..., 2:], 1.0)
+        out[idx] = encode_motion_rows(boxes[:, -1:], rollout)
+        if tangents:
+            d_roll = d[0][:, :, None] + np.arange(1, horizon_n + 1)[:, None] * d[1][:, :, None]
+            sizes = rollout[..., 2:]
+            d_out[:, idx] = np.concatenate([d_roll[..., :2] / boxes[:, -1:, 2:],
+                                            d_roll[..., 2:] * (sizes > 1.0) / sizes], axis=-1)
+    return (out, d_out) if tangents else out
+
+
+def _kf_noise_gradient(theta, windows):
+    """The exact gradient of kf_fit_noise's objective, the one-step
+    motion L1 of kf_motion_batch(1, exp theta[:8], exp theta[8:]) over
+    windows, from one tangent pass; the L1's subgradient is 0 at ties."""
+    noise = np.exp(theta)
+    pred, d_pred = _kf_windows(windows, 1, noise[:8], noise[8:], tangents=True)
+    sign = l1_loss(pred, windows.targets)[1]
+    return (d_pred * sign).sum(axis=(1, 2)).ravel() / sign.size
 
 
 def save_kf_noise(q_diag, r_diag, path, manifest_ref=None) -> None:
@@ -278,21 +342,26 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     """Fit the Q/R diagonals by gradient descent on their logs.
 
     Tracks are what sample_windows takes, and windows come from it, with
-    k = 3 history steps at strides {1, 2}; the objective is the filter's
-    one-frame-step prediction error in motion space after re-running it
-    over each window's boxes. The fit starts from init's Q and R
-    diagonals; nothing else of init, such as the frames it has observed,
-    is read. Gradients are central finite differences on the 12
-    log-parameters; steps reuse the trainer's AdamW. Tracks split 90/10
-    for validation; the returned diagonals are best-on-validation with
-    the init always a candidate, so the fit never leaves validation
-    worse than the starting point.
+    the window recipe's DEFAULT_K history steps at DEFAULT_STRIDE_SET;
+    the objective is the filter's one-frame-step prediction error in
+    motion space after re-running it over each window's boxes, on at
+    most max_windows (>= 1) windows per split. The fit starts from
+    init's Q and R diagonals; nothing else of init, such as the frames
+    it has observed, is read. Each step's gradient over the 12
+    log-parameters is exact: one pass of the filter carries their
+    forward-mode tangents beside it (_kf_step_tangent). Steps reuse the
+    trainer's AdamW. Tracks split 90/10 for validation; the returned
+    diagonals are best-on-validation with the init always a candidate,
+    so the fit never leaves validation worse than the starting point.
 
-    Each loss evaluation is one kf_motion_batch call, which runs the
-    four filters' covariance recursion once per gap pattern rather than
-    once per window. That is exact: the recursion depends on Q, R, the
+    Each validation loss is one kf_motion_batch call, one per step and
+    one for the init. Both it and the gradient pass run the four
+    filters' covariance recursion once per gap pattern rather than once
+    per window. That is exact: the recursion depends on Q, R, the
     initial covariance and the gaps, never on the measurements.
     """
+    if max_windows < 1:
+        raise ValidationError(f"max_windows must be >= 1, got {max_windows}")
     if config is None:
         config = OptimizerConfig(epochs=30, milestones=(20,))
     tracks = list(tracks)
@@ -303,7 +372,7 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     val_idx = set(order[:n_val])
 
     def windows(indices, tag):
-        out = Windows.concat(sample_windows(tracks[i], 3, 1, (1, 2),
+        out = Windows.concat(sample_windows(tracks[i], DEFAULT_K, 1, DEFAULT_STRIDE_SET,
                                             rng_for(config.seed, "kf-fit-windows", tag, i))
                              for i in indices)
         if len(out) > max_windows:
@@ -315,25 +384,20 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     train_w = windows([i for i in range(len(tracks)) if i not in val_idx], "train")
     val_w = windows(sorted(val_idx), "val") if val_idx else train_w
 
-    def loss(theta, batch):
-        return motion_l1_on_samples(batch, kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:])))
+    def val_loss(theta):
+        return motion_l1_on_samples(val_w, kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:])))
 
     theta = np.log(np.concatenate([init.q_diag, init.r_diag]))
     best_theta = theta.copy()
-    best_val = loss(theta, val_w)
+    best_val = val_loss(theta)
 
     opt = AdamW(config)
-    h = 1e-4
     for step in range(1, config.epochs + 1):
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            bump = np.zeros_like(theta)
-            bump[i] = h
-            grad[i] = (loss(theta + bump, train_w) - loss(theta - bump, train_w)) / (2 * h)
+        grad = _kf_noise_gradient(theta, train_w)
         if not np.all(np.isfinite(grad)):
             raise DivergenceError(f"non-finite fitting gradient at step {step}")
         opt.step(theta, grad, epoch=step)
-        val = loss(theta, val_w)
+        val = val_loss(theta)
         if not np.isfinite(val):
             raise DivergenceError(f"non-finite validation loss at step {step}: {val}")
         if val < best_val:

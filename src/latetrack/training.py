@@ -12,12 +12,14 @@ import numpy as np
 from .boxes import BoundingBox, FrameClock, Sequence, box_column
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
-from .network import (backward_batch, forward_batch, init_weights, l1_loss, pm_motions,
-                      window_inputs)
+from .network import (DEFAULT_C_DEC, DEFAULT_C_ENC, backward_batch, forward_batch, init_weights,
+                      l1_loss, pm_motions, window_inputs)
 from .seeding import derive_seed, rng_for
 
 _EPS = 1e-8
 _BETAS = (0.9, 0.999)
+# The window recipe's history strides; its k is network.DEFAULT_K.
+DEFAULT_STRIDE_SET = (1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,7 +188,8 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
                    encode_motion_rows(boxes[:, -1:], future))
 
 
-def train_pm(windows_per_track, config: OptimizerConfig, *, c_enc: int = 64, c_dec: int = 32):
+def train_pm(windows_per_track, config: OptimizerConfig, *, c_enc: int = DEFAULT_C_ENC,
+             c_dec: int = DEFAULT_C_DEC):
     """Train the motion network on windows grouped per trajectory, one
     Windows (or iterable of them) per trajectory.
 

@@ -2,8 +2,9 @@
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
 package beyond the domain dataclasses, the scalar box metrics, the motion
-codec, the Kalman filter's update and rollout, the network's batch
-prediction, the run log and the seed derivation."""
+codec, the Kalman filter's update and rollout, the Kalman window
+predictor and motion L1 harness, the network's batch prediction, the
+run log and the seed derivation."""
 
 import math
 from pathlib import Path
@@ -15,9 +16,10 @@ from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import pm_predict
 from latetrack.predictors import (DEFAULT_INIT_COV, KalmanBoxPredictor, MotionNetPredictor,
-                                  ZeroMotionPredictor, kf_predict, kf_update)
+                                  ZeroMotionPredictor, kf_motion_batch, kf_predict, kf_update)
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.simulate import RunLog
+from latetrack.training import motion_l1_on_samples
 
 
 def run_log(name, schedule=(), outputs=(), predictor_latencies=()):
@@ -307,6 +309,22 @@ def central_differences(fn, arrays: dict, h: float = 1e-6) -> dict:
             gflat[i] = (up - down) / (2.0 * h)
         grads[name] = g
     return grads
+
+
+def kf_noise_gradient_fd(theta, windows, h: float = 1e-4) -> np.ndarray:
+    """The noise fit's objective differentiated by central differences:
+    d/dtheta of the one-step motion L1 of
+    kf_motion_batch(1, exp theta[:8], exp theta[8:]) over windows, two
+    loss evaluations per log-parameter, each a step of h to one side."""
+    def loss(t):
+        return motion_l1_on_samples(windows, kf_motion_batch(1, np.exp(t[:8]), np.exp(t[8:])))
+
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        bump = np.zeros_like(theta)
+        bump[i] = h
+        grad[i] = (loss(theta + bump) - loss(theta - bump)) / (2 * h)
+    return grad
 
 
 def latency_draws_loop(profile, seed):

@@ -93,11 +93,22 @@ def test_traced_run_and_sweep_give_layer_metrics():
 
 
 def test_workload_noise_fit_runs_on_tiny_tracks(tmp_path):
+    # traced, so the fit's loss_evals keeps its meaning: kf_motion_batch
+    # runs once for the init's validation loss and once per step
     workloads = load_bench("workloads")
+    tracing = load_bench("tracing")
     tracks = gen_synthetic(SyntheticSpec(SINUSOIDAL, 2, 40, seed=3, noise_sigma=0.45))
     out = tmp_path / "noise.json"
+    size = workloads.SIZES["tiny"]["fit"]
+    tracer = tracing.Tracer()
+    tracer.install()
     start = time.perf_counter()
-    assert workloads._fit_noise(tracks, 3, workloads.SIZES["tiny"]["fit"], out) == 0
+    try:
+        assert workloads._fit_noise(tracks, 3, size, out) == 0
+    finally:
+        tracer.uninstall()
     assert time.perf_counter() - start < 0.5
+    m = tracing.layer_metrics(tracer.spans, tracer.counts, {}, [])
+    assert m["predictors.kf_fit_noise.loss_evals"] == size["fit_steps"] + 1
     q, r = load_kf_noise(out)
     assert len(q) == 8 and len(r) == 4

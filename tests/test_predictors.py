@@ -7,6 +7,7 @@ from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
 from latetrack.network import PMWeights, constant_factor_weights, init_weights
+from latetrack import predictors
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
@@ -14,7 +15,7 @@ from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DI
 from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
 from latetrack.seeding import rng_for
 
-from _oracles import TextbookKalman, online_kalman
+from _oracles import TextbookKalman, kf_noise_gradient_fd, online_kalman
 
 
 def cv_track(vx, vy, n, size=10.0, start=(50.0, 50.0)):
@@ -420,3 +421,71 @@ class TestFitNoise:
         cfg = OptimizerConfig(epochs=1, milestones=(), seed=0)
         with pytest.raises(ValidationError, match="frame 9"):
             kf_fit_noise(tracks, init, cfg)
+
+    @pytest.mark.parametrize("max_windows", [0, -5])
+    def test_max_windows_below_one_rejected(self, max_windows):
+        with pytest.raises(ValidationError, match=f"max_windows must be >= 1, got {max_windows}"):
+            kf_fit_noise(noisy_tracks(), KalmanBoxPredictor(), max_windows=max_windows)
+
+
+def sized_tracks():
+    """Tracks whose boxes change size: one grows, one shrinks in a
+    sawtooth toward 1 px, so some one-step rollouts fall below the 1 px
+    clamp, and three drift slowly in size."""
+    rng = np.random.default_rng(25)
+
+    def track(center, size, n=40):
+        return [BoundingBox.from_center(*(np.array(center(i)) + rng.normal(0, 0.5, 2)),
+                                        *(np.array(size(i)) + rng.normal(0, 0.05, 2)))
+                for i in range(n)]
+    return [track(lambda i: (50 + 2 * i, 40 - i), lambda i: (20 * 1.03 ** i, 12 + 0.5 * i)),
+            track(lambda i: (80 - 1.5 * i, 60), lambda i: (6.1 - i % 6, 5.3 - 0.9 * (i % 5))),
+            *(track(lambda i: (30 + 1.2 * i, 30 + 0.3 * i), lambda i: (15 - 0.2 * i, 10 + 0.15 * i))
+              for _ in range(3))]
+
+
+class TestNoiseGradient:
+    """The fit's exact gradient against the central differences it
+    replaced. FD's error is its truncation, far below rtol at h = 1e-4,
+    and its roundoff, about eps * loss / h, which ATOL bounds."""
+
+    ATOL = 1e-12
+    THETA0 = np.log(np.concatenate([DEFAULT_Q_DIAG, DEFAULT_R_DIAG]))
+
+    @pytest.mark.parametrize("theta",
+                             [THETA0, THETA0 + np.random.default_rng(3).normal(0, 0.5, 12)])
+    def test_matches_central_differences_away_from_kinks(self, theta):
+        w = Windows.concat(sample_windows(t, 3, 1, (1, 2), rng_for(7, "grad", i))
+                           for i, t in enumerate(sized_tracks()))
+        noise = np.exp(theta)
+        pred = kf_motion_batch(1, noise[:8], noise[8:])(w)
+        # FD's steps move a prediction by far less than 1e-4: no target
+        # lies within FD's reach of a kept window's prediction
+        w = w[np.abs(pred - w.targets).min(axis=(1, 2)) > 1e-4]
+        pred = kf_motion_batch(1, noise[:8], noise[8:])(w)
+        assert {tuple(gaps) for gaps in w.intervals.tolist()} == {
+            (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)}
+        clamped = np.isclose(w.boxes[:, -1:, 2:] * np.exp(pred[..., 2:]), 1.0, rtol=1e-12, atol=0)
+        assert clamped.sum() >= 3
+
+        exact = predictors._kf_noise_gradient(theta, w)
+        assert np.all(exact != 0.0)
+        np.testing.assert_allclose(exact, kf_noise_gradient_fd(theta, w), rtol=1e-6, atol=self.ATOL)
+
+    def test_tangent_pass_predicts_kf_motion_batch_bits(self):
+        w = Windows.concat(sample_windows(t, 3, 2, (1, 2), rng_for(8, "grad", i))
+                           for i, t in enumerate(sized_tracks()))
+        q, r = np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0])
+        pred, d_pred = predictors._kf_windows(w, 2, q, r, tangents=True)
+        assert np.array_equal(pred, kf_motion_batch(2, q, r)(w))
+        assert d_pred.shape == (3, *pred.shape)
+
+    def test_fit_matches_a_central_difference_fit(self, monkeypatch):
+        # only the gradient differs between the two fits; in log space
+        # FD's error moves AdamW's steps by orders less than 1e-6
+        cfg = OptimizerConfig(epochs=8, milestones=(), seed=2)
+        exact = np.log(np.concatenate(kf_fit_noise(sized_tracks(), KalmanBoxPredictor(), cfg)))
+        monkeypatch.setattr(predictors, "_kf_noise_gradient", kf_noise_gradient_fd)
+        fd = np.log(np.concatenate(kf_fit_noise(sized_tracks(), KalmanBoxPredictor(), cfg)))
+        assert np.abs(exact - self.THETA0).min() > 1e-2
+        np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-6)
