@@ -27,8 +27,8 @@ each block symmetric by construction and PSD.
 KalmanBoxPredictor runs the filter over a run: its state is four (pos,
 vel, a, b, c) float tuples, which kf_update and kf_predict advance.
 kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
-kf_fit_noise reads Q and R from the predictor it starts from. The fit's
-gradient is exact: the same per-gap-pattern window loop carries the
+kf_fit_noise fits Q and R, from a predictor's, in training's fit loop.
+Its gradient is exact: the same per-gap-pattern window loop carries the
 forward-mode tangents of _kf_step_tangent beside the filter, one pass
 per step. make_kf_state is kept only for the benchmark's noise-fit step.
 """
@@ -44,8 +44,8 @@ from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
 from .network import DEFAULT_K, PMWeights, l1_loss, pm_predict
 from .seeding import rng_for
-from .training import (DEFAULT_STRIDE_SET, AdamW, OptimizerConfig, Windows, motion_l1_on_samples,
-                       sample_windows)
+from .training import (DEFAULT_STRIDE_SET, OptimizerConfig, Windows, fit_best_on_validation,
+                       motion_l1_on_samples, sample_windows, split_tracks)
 
 DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
@@ -306,13 +306,13 @@ def _kf_windows(windows, horizon_n: int, q, r, tangents: bool = False):
 
 
 def _kf_noise_gradient(theta, windows):
-    """The exact gradient of kf_fit_noise's objective, the one-step
-    motion L1 of kf_motion_batch(1, exp theta[:8], exp theta[8:]) over
-    windows, from one tangent pass; the L1's subgradient is 0 at ties."""
+    """kf_fit_noise's objective, the one-step motion L1 of kf_motion_batch(1,
+    exp theta[:8], exp theta[8:]) over windows, and its exact gradient from
+    one tangent pass; the L1's subgradient is 0 at ties."""
     noise = np.exp(theta)
     pred, d_pred = _kf_windows(windows, 1, noise[:8], noise[8:], tangents=True)
-    sign = l1_loss(pred, windows.targets)[1]
-    return (d_pred * sign).sum(axis=(1, 2)).ravel() / sign.size
+    loss, sign = l1_loss(pred, windows.targets)
+    return loss, (d_pred * sign).sum(axis=(1, 2)).ravel() / sign.size
 
 
 def save_kf_noise(q_diag, r_diag, path, manifest_ref=None) -> None:
@@ -347,18 +347,11 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     motion space after re-running it over each window's boxes, on at
     most max_windows (>= 1) windows per split. The fit starts from
     init's Q and R diagonals; nothing else of init, such as the frames
-    it has observed, is read. Each step's gradient over the 12
-    log-parameters is exact: one pass of the filter carries their
-    forward-mode tangents beside it (_kf_step_tangent). Steps reuse the
-    trainer's AdamW. Tracks split 90/10 for validation; the returned
-    diagonals are best-on-validation with the init always a candidate,
-    so the fit never leaves validation worse than the starting point.
-
-    Each validation loss is one kf_motion_batch call, one per step and
-    one for the init. Both it and the gradient pass run the four
-    filters' covariance recursion once per gap pattern rather than once
-    per window. That is exact: the recursion depends on Q, R, the
-    initial covariance and the gaps, never on the measurements.
+    it has observed, is read. Tracks split by split_tracks under key
+    kf-fit-split; each step takes _kf_noise_gradient's exact gradient in
+    fit_best_on_validation, whose best diagonals are returned, and a step
+    that leaves a diagonal outside (0, inf) diverges. Each validation loss
+    is one kf_motion_batch call, one per step and one for the init.
     """
     if max_windows < 1:
         raise ValidationError(f"max_windows must be >= 1, got {max_windows}")
@@ -367,40 +360,34 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     tracks = list(tracks)
     if not tracks:
         raise ValidationError("need at least one trajectory")
-    order = list(rng_for(config.seed, "kf-fit-split").permutation(len(tracks)))
-    n_val = max(1, len(tracks) // 10) if len(tracks) > 1 else 0
-    val_idx = set(order[:n_val])
+    train_idx, val_idx = split_tracks(len(tracks), config.seed, "kf-fit-split")
 
     def windows(indices, tag):
         out = Windows.concat(sample_windows(tracks[i], DEFAULT_K, 1, DEFAULT_STRIDE_SET,
                                             rng_for(config.seed, "kf-fit-windows", tag, i))
-                             for i in indices)
+                             for i in np.sort(indices))
         if len(out) > max_windows:
             keep = rng_for(config.seed, "kf-fit-thin", tag).choice(
                 len(out), size=max_windows, replace=False)
             out = out[np.sort(keep)]
         return out
 
-    train_w = windows([i for i in range(len(tracks)) if i not in val_idx], "train")
-    val_w = windows(sorted(val_idx), "val") if val_idx else train_w
+    train_w = windows(train_idx, "train")
+    val_w = windows(val_idx, "val") if len(val_idx) else train_w
+    start = np.concatenate([init.q_diag, init.r_diag])
+    theta = np.log(start)
 
-    def val_loss(theta):
-        return motion_l1_on_samples(val_w, kf_motion_batch(1, np.exp(theta[:8]), np.exp(theta[8:])))
-
-    theta = np.log(np.concatenate([init.q_diag, init.r_diag]))
-    best_theta = theta.copy()
-    best_val = val_loss(theta)
-
-    opt = AdamW(config)
-    for step in range(1, config.epochs + 1):
-        grad = _kf_noise_gradient(theta, train_w)
+    def epoch_step(opt, epoch):
+        loss, grad = _kf_noise_gradient(theta, train_w)
         if not np.all(np.isfinite(grad)):
-            raise DivergenceError(f"non-finite fitting gradient at step {step}")
-        opt.step(theta, grad, epoch=step)
-        val = val_loss(theta)
-        if not np.isfinite(val):
-            raise DivergenceError(f"non-finite validation loss at step {step}: {val}")
-        if val < best_val:
-            best_val = val
-            best_theta = theta.copy()
-    return np.exp(best_theta[:8]), np.exp(best_theta[8:])
+            raise DivergenceError(f"non-finite fitting gradient at step {epoch}")
+        opt.step(theta, grad, epoch=epoch)
+        if not np.all((0.0 < np.exp(theta)) & (np.exp(theta) < np.inf)):
+            raise DivergenceError(f"a noise diagonal left (0, inf) at step {epoch}")
+        return loss
+
+    best = fit_best_on_validation(theta, config, epoch_step, lambda t: motion_l1_on_samples(
+        val_w, kf_motion_batch(1, np.exp(t[:8]), np.exp(t[8:]))))[0]
+    # exp(log x) can miss x by an ulp: a diagonal left at its start comes back as given
+    noise = np.where(best == np.log(start), start, np.exp(best))
+    return noise[:8], noise[8:]

@@ -1,6 +1,6 @@
-"""Training for the motion network: AdamW, window sampling over
-trajectories, the epoch loop, synthetic trajectory generation, and a
-motion-space L1 harness for comparing predictors."""
+"""Training: AdamW, window sampling over trajectories, the one track
+split and fit loop that the motion network and the Kalman noise fit share,
+synthetic trajectories, and a motion-space L1 harness for predictors."""
 
 from __future__ import annotations
 
@@ -188,39 +188,61 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
                    encode_motion_rows(boxes[:, -1:], future))
 
 
+def split_tracks(n: int, seed: int, key: str):
+    """Train and validation indices of n tracks, in the order of a permutation
+    seeded by (seed, key): validation takes its first max(1, round(0.1 n)),
+    none of a single track, whose fit then validates on its training windows."""
+    order = rng_for(seed, key).permutation(n)
+    n_val = max(1, round(0.1 * n)) if n >= 2 else 0
+    return order[n_val:], order[:n_val]
+
+
+def fit_best_on_validation(params, config: OptimizerConfig, epoch_steps, val_loss):
+    """The one fit loop. Each epoch, epoch_steps(opt, epoch) steps params in
+    place through opt, an AdamW, and returns its train L1; then
+    val_loss(params) scores them, and a non-finite score diverges. Returns
+    a copy of the best params on validation, the start included, so a fit
+    never leaves validation worse, and the (epoch, train_l1, val_l1) rows."""
+    opt = AdamW(config)
+    best, best_val, history = params.copy(), val_loss(params), []
+    for epoch in range(1, config.epochs + 1):
+        train_l1 = epoch_steps(opt, epoch)
+        val = val_loss(params)
+        if not math.isfinite(val):
+            raise DivergenceError(f"validation loss became {val} at epoch {epoch}")
+        history.append((epoch, train_l1, val))
+        if val < best_val:
+            best, best_val = params.copy(), val
+    return best, history
+
+
 def train_pm(windows_per_track, config: OptimizerConfig, *, c_enc: int = DEFAULT_C_ENC,
              c_dec: int = DEFAULT_C_DEC):
     """Train the motion network on windows grouped per trajectory, one
     Windows (or iterable of them) per trajectory.
 
     The network's k and N are the windows' own: every group must share
-    one (k, N). Trajectories (not windows) are split 90/10 into
-    train/validation so validation frames never leak into training.
-    Returns the weights with the best validation L1 seen (initialization
-    included) and the per-epoch loss history as (epoch, train_l1,
-    val_l1) rows; val_l1 is motion_l1_on_samples over the validation
-    windows. Groups of another (k, N) fail before the first step.
+    one (k, N). Trajectories (not windows) are split by split_tracks
+    under key pm-split, so validation frames never leak into training.
+    Returns fit_best_on_validation's weights and history, with val_l1
+    the validation windows' motion_l1_on_samples. Groups of another (k,
+    N) fail before the first step.
     """
     groups = [Windows.concat(g) for g in windows_per_track if len(g)]
     if not groups:
         raise ValidationError("no training windows")
-    order = rng_for(config.seed, "pm-split").permutation(len(groups))
-    n_val = max(1, round(0.1 * len(groups))) if len(groups) >= 2 else 0
-    train_w = Windows.concat(groups[i] for i in order[n_val:])
-    val_w = Windows.concat(groups[i] for i in order[:n_val]) if n_val else train_w
+    train_idx, val_idx = split_tracks(len(groups), config.seed, "pm-split")
+    train_w = Windows.concat(groups[i] for i in train_idx)
+    val_w = Windows.concat(groups[i] for i in val_idx) if len(val_idx) else train_w
 
     xs, speeds = window_inputs(train_w.motions, train_w.intervals)
     speeds = speeds[:, None, :]
-
+    n = len(train_w)
     weights = init_weights(train_w.intervals.shape[1], train_w.targets.shape[1],
                            c_enc=c_enc, c_dec=c_dec,
                            seed=derive_seed(config.seed, "pm-init"))
-    opt = AdamW(config)
-    best = weights.copy()
-    best_val = motion_l1_on_samples(val_w, pm_motion_batch(weights))
-    history = []
-    n = len(train_w)
-    for epoch in range(1, config.epochs + 1):
+
+    def epoch_steps(opt, epoch):
         perm = rng_for(config.seed, "pm-epoch", epoch).permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
@@ -234,14 +256,10 @@ def train_pm(windows_per_track, config: OptimizerConfig, *, c_enc: int = DEFAULT
             grad = backward_batch(weights, cache, sign * speed / sign.size)
             opt.step(weights.flat, grad.flat, epoch=epoch)
             epoch_loss += loss * len(idx)
-        val = motion_l1_on_samples(val_w, pm_motion_batch(weights))
-        if not math.isfinite(val):
-            raise DivergenceError(f"validation loss became {val} at epoch {epoch}")
-        history.append((epoch, epoch_loss / n, val))
-        if val < best_val:
-            best_val = val
-            best = weights.copy()
-    return best, history
+        return epoch_loss / n
+
+    return fit_best_on_validation(weights, config, epoch_steps,
+                                  lambda w: motion_l1_on_samples(val_w, pm_motion_batch(w)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DI
                                   KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_fit_noise, kf_motion_batch,
                                   load_kf_noise, make_kf_state, save_kf_noise)
-from latetrack.training import OptimizerConfig, Windows, pm_motion_batch, sample_windows
+from latetrack.training import (OptimizerConfig, Windows, motion_l1_on_samples, pm_motion_batch,
+                                sample_windows)
 from latetrack.seeding import rng_for
 
 from _oracles import TextbookKalman, kf_noise_gradient_fd, online_kalman
@@ -468,7 +469,8 @@ class TestNoiseGradient:
         clamped = np.isclose(w.boxes[:, -1:, 2:] * np.exp(pred[..., 2:]), 1.0, rtol=1e-12, atol=0)
         assert clamped.sum() >= 3
 
-        exact = predictors._kf_noise_gradient(theta, w)
+        loss, exact = predictors._kf_noise_gradient(theta, w)
+        assert loss == motion_l1_on_samples(w, kf_motion_batch(1, noise[:8], noise[8:]))
         assert np.all(exact != 0.0)
         np.testing.assert_allclose(exact, kf_noise_gradient_fd(theta, w), rtol=1e-6, atol=self.ATOL)
 
@@ -485,7 +487,8 @@ class TestNoiseGradient:
         # FD's error moves AdamW's steps by orders less than 1e-6
         cfg = OptimizerConfig(epochs=8, milestones=(), seed=2)
         exact = np.log(np.concatenate(kf_fit_noise(sized_tracks(), KalmanBoxPredictor(), cfg)))
-        monkeypatch.setattr(predictors, "_kf_noise_gradient", kf_noise_gradient_fd)
+        monkeypatch.setattr(predictors, "_kf_noise_gradient",
+                            lambda t, w: (None, kf_noise_gradient_fd(t, w)))
         fd = np.log(np.concatenate(kf_fit_noise(sized_tracks(), KalmanBoxPredictor(), cfg)))
         assert np.abs(exact - self.THETA0).min() > 1e-2
         np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-6)

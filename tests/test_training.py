@@ -7,13 +7,13 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, sa
 from latetrack.errors import DivergenceError, ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import forward_batch, init_weights
-from latetrack.predictors import kf_motion_batch
+from latetrack.predictors import DEFAULT_K, KalmanBoxPredictor, kf_fit_noise, kf_motion_batch
 from latetrack.seeding import derive_seed, rng_for
-from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, RANDOM_WALK,
-                                SINUSOIDAL, AdamW, OptimizerConfig, SyntheticSpec,
+from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, DEFAULT_STRIDE_SET,
+                                RANDOM_WALK, SINUSOIDAL, AdamW, OptimizerConfig, SyntheticSpec,
                                 Windows, gen_synthetic, linear_track,
                                 motion_l1_on_samples, pm_motion_batch, sample_windows,
-                                train_pm, zero_motion_batch)
+                                split_tracks, train_pm, zero_motion_batch)
 
 from _oracles import ReferenceAdamW, sample_windows_loop
 
@@ -275,6 +275,66 @@ class TestTrainPM:
         best, history = train_pm([windows], cfg, c_enc=8, c_dec=6)
         assert min(row[2] for row in history) == motion_l1_on_samples(
             windows, pm_motion_batch(best))
+
+
+class TestFitLoop:
+    """What train_pm and kf_fit_noise share: split_tracks and
+    fit_best_on_validation."""
+
+    def test_absurd_lr_noise_fit_raises_divergence(self):
+        # the first step sends a log-diagonal past exp's range
+        tracks = gen_synthetic(SyntheticSpec(SINUSOIDAL, 4, 60, seed=3, noise_sigma=1.0))
+        cfg = OptimizerConfig(lr=1e3, epochs=30, milestones=(), seed=0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="at step 1"):
+            kf_fit_noise(tracks, KalmanBoxPredictor(), cfg, max_windows=50)
+
+    @pytest.mark.parametrize("n, n_val", [(1, 0), (2, 1), (5, 1), (14, 1), (15, 2), (25, 2),
+                                          (35, 4)])
+    def test_split_holds_out_a_rounded_tenth(self, n, n_val):
+        train, val = split_tracks(n, 7, "pm-split")
+        assert len(val) == n_val
+        assert sorted([*train, *val]) == list(range(n))
+        assert np.array_equal(np.concatenate([val, train]),
+                              rng_for(7, "pm-split").permutation(n))
+
+    @pytest.mark.parametrize("q, r", [(None, None),
+                                      (np.linspace(0.002, 0.05, 8), (0.3, 0.7, 2.0, 5.0))])
+    def test_zero_step_noise_fit_returns_the_init(self, q, r):
+        init = KalmanBoxPredictor(q, r)
+        tracks = gen_synthetic(SyntheticSpec(SINUSOIDAL, 3, 40, seed=2, noise_sigma=0.5))
+        fit_q, fit_r = kf_fit_noise(tracks, init, OptimizerConfig(epochs=0, milestones=()))
+        assert fit_q.tolist() == list(init.q_diag) and fit_r.tolist() == list(init.r_diag)
+
+    # at lr 100, and for the noise fit at lr 3 on these tracks, every
+    # epoch ends worse on validation than the start, so the start is kept
+    @pytest.mark.parametrize("lr, keeps_start", [(0.03, False), (100.0, True)])
+    def test_train_pm_never_leaves_validation_worse(self, lr, keeps_start):
+        tracks = gen_synthetic(SyntheticSpec(SINUSOIDAL, 5, 60, seed=3, noise_sigma=1.0))
+        groups = [sample_windows(t, 3, 2, (1, 2), rng_for(0, "w", i)) for i, t in enumerate(tracks)]
+        cfg = OptimizerConfig(lr=lr, epochs=4, milestones=(), seed=1)
+        val_w = Windows.concat(groups[i] for i in split_tracks(5, cfg.seed, "pm-split")[1])
+        start = init_weights(3, 2, c_enc=8, c_dec=6, seed=derive_seed(cfg.seed, "pm-init"))
+        best, history = train_pm(groups, cfg, c_enc=8, c_dec=6)
+        start_l1 = motion_l1_on_samples(val_w, pm_motion_batch(start))
+        assert motion_l1_on_samples(val_w, pm_motion_batch(best)) <= start_l1
+        assert (min(row[2] for row in history) > start_l1) == keeps_start
+        assert np.array_equal(best.flat, start.flat) == keeps_start
+
+    @pytest.mark.parametrize("kind, lr, keeps_start",
+                             [(SINUSOIDAL, 0.03, False), (CONSTANT_ACCELERATION, 3.0, True)])
+    def test_noise_fit_never_leaves_validation_worse(self, kind, lr, keeps_start):
+        tracks = gen_synthetic(SyntheticSpec(kind, 5, 60, seed=3, noise_sigma=0.45))
+        cfg = OptimizerConfig(lr=lr, epochs=4, milestones=(), seed=1)
+        val_w = Windows.concat(
+            sample_windows(tracks[i], DEFAULT_K, 1, DEFAULT_STRIDE_SET,
+                           rng_for(cfg.seed, "kf-fit-windows", "val", i))
+            for i in np.sort(split_tracks(5, cfg.seed, "kf-fit-split")[1]))
+        init = KalmanBoxPredictor()
+        q, r = kf_fit_noise(tracks, init, cfg, max_windows=len(val_w))
+        start_l1 = motion_l1_on_samples(val_w, kf_motion_batch(1, init.q_diag, init.r_diag))
+        assert motion_l1_on_samples(val_w, kf_motion_batch(1, q, r)) <= start_l1
+        assert (q.tolist() == list(init.q_diag) and r.tolist() == list(init.r_diag)) == keeps_start
 
 
 class TestMotionL1Harness:
