@@ -22,8 +22,8 @@ from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,
 from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
                          kf_fit_noise, kf_motion_batch, load_kf_noise, save_kf_noise)
 from .simulate import (PredictorAdapter, RunLog, TrackerAdapter, load_run_log, load_trace,
-                       next_frame, pick_horizon_n, predictor_for, run_stream, save_run_log,
-                       save_trace)
+                       next_frame, pick_horizon_n, predictor_for, run_stream, run_streams,
+                       save_run_log, save_trace)
 from .training import (AdamW, OptimizerConfig, SyntheticSpec, Windows, gen_synthetic,
                        linear_track, motion_l1_on_samples, pm_motion_batch, sample_windows,
                        train_pm, zero_motion_batch)

@@ -27,7 +27,7 @@ from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
 from .seeding import derive_seed, rng_for
 from .simulate import (HORIZON_TRIALS, PREDICTOR_LATENCY, load_run_log, pick_horizon_n,
-                       predictor_for, run_files, run_stream, save_run_log, save_trace)
+                       predictor_for, run_files, run_streams, save_run_log, save_trace)
 from .training import (DEFAULT_STRIDE_SET, OptimizerConfig, gen_synthetic, sample_windows,
                        train_pm)
 
@@ -113,8 +113,8 @@ def cmd_simulate(args) -> int:
     manifest = build_manifest("simulate", seed, payload, inputs)
     out = _out_dir(args)
     with timer.stage("simulate"):
-        logs = [run_stream(seq, trk, predictor, seed=derive_seed(seed, "simulate", seq.name))
-                for seq, trk in zip(sequences, trackers)]
+        logs = run_streams(sequences, trackers, predictor,
+                           [derive_seed(seed, "simulate", seq.name) for seq in sequences])
     with timer.stage("write"):
         for seq, log in zip(sequences, logs):
             save_run_log(log, out / f"{seq.name}.log.csv", manifest_ref=manifest.ref)
@@ -251,8 +251,8 @@ def cmd_compare(args) -> int:
     curves_by_name = {}
     with timer.stage("simulate_and_score"):
         for name, adapter in adapters:
-            logs = [run_stream(seq, trk, adapter, seed=derive_seed(seed, "compare", name, seq.name))
-                    for seq, trk in zip(sequences, trackers)]
+            logs = run_streams(sequences, trackers, adapter,
+                               [derive_seed(seed, "compare", name, seq.name) for seq in sequences])
             auc_curve, dp_curve = sweep(sequences, logs)
             curves_by_name[name] = auc_curve
             invocations = sum(log.predictor_invocations for log in logs)

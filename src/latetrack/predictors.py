@@ -1,17 +1,19 @@
 """Box predictors: constant-velocity Kalman filter, learned-noise variant,
 zero-motion control, and the trained motion-network wrapper.
 
-Every predictor answers a whole run through one method,
-predictions(b0, frames, rows, horizon): for each observed frame, the
-`horizon` (x, y, w, h) rows that follow the last frame observed before
-it, from b0 (frame 0's ground-truth box) and the rows observed so far.
-Every row is observed, the last included. A predictor is built once and
-keeps nothing between runs. Each run is checked once: the horizon, and
-that the frames are >= 1 and strictly increase.
+Every predictor answers a batch of runs through one method,
+predictions(b0s, frames, rows, horizon), which returns one entry per
+run: an (n, horizon, 4) array whose i-th block holds the `horizon`
+(x, y, w, h) rows that follow the last frame observed before the run's
+i-th observation, from its b0 (frame 0's ground-truth box) and the rows
+observed so far. Every row is observed, the last included. A predictor
+is built once and keeps nothing between calls; no run reads another's
+numbers. Each run is checked once, in order: the horizon, and that its
+frames are >= 1 and strictly increase.
 
-A BoundingBox unpacks as its row, so b0 and observations may be either.
-Rows are not checked here: run_stream checks every emitted row once,
-when its RunLog is built.
+b0s and rows may hold BoundingBoxes, row tuples or (n, 4) arrays. Rows
+are not checked here: run_streams checks every emitted row once, when
+each run's RunLog is built.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
@@ -24,13 +26,15 @@ frames: the transition is applied once per skipped frame, then a single
 measurement correction runs. The closed-form Joseph correction keeps
 each block symmetric by construction and PSD.
 
-KalmanBoxPredictor runs the filter over a run: its state is four (pos,
-vel, a, b, c) float tuples, which kf_update and kf_predict advance.
-kf_motion_batch runs the same _kf_step on (n, 4) stacks of windows, and
-kf_fit_noise fits Q and R, from a predictor's, in training's fit loop.
-Its gradient is exact: the same per-gap-pattern window loop carries the
-forward-mode tangents of _kf_step_tangent beside the filter, one pass
-per step. make_kf_state is kept only for the benchmark's noise-fit step.
+KalmanBoxPredictor runs the filter over all runs of a batch at once:
+its state is (R, 4) stacks of pos, vel, a, b and c, which kf_update
+advances one observation of every run per call, and kf_predict rolls
+the whole (R, T, 4) history out once. kf_motion_batch runs the same
+_kf_step on (n, 4) stacks of windows, and kf_fit_noise fits Q and R,
+from a predictor's, in training's fit loop. Its gradient is exact: the
+same per-gap-pattern window loop carries the forward-mode tangents of
+_kf_step_tangent beside the filter, one pass per step. make_kf_state is
+kept only for the benchmark's noise-fit step.
 """
 
 from __future__ import annotations
@@ -77,6 +81,12 @@ def _check_noise(q_diag, r_diag):
     return q, r
 
 
+def _kf_time_update(pos, vel, a, b, c, q_pos, q_vel) -> tuple:
+    """One single-frame time update of (position, velocity) filters."""
+    bc = b + c
+    return pos + vel, vel, a + b + bc + q_pos, bc, c + q_vel
+
+
 def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
     """One gap-aware update of a (position, velocity) filter: `gap`
     single-frame time updates, then one correction on the measurement z.
@@ -84,18 +94,16 @@ def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
     Every argument but gap is a float for one coordinate's filter, or an
     array for many: kf_motion_batch passes (n, 4) stacks of pos, vel and
     z that share the (4,) covariance blocks a, b, c and noise q_pos,
-    q_vel, r. Python floats and numpy round each + - * / alike and fuse
-    none, so both forms give the same bits. The covariance and gain
-    depend only on (a, b, c, q, r, gap), never on z, so a stack of
-    windows with one gap pattern shares a single covariance recursion.
-    With r > 0 and a >= 0 the innovation variance s = a + r is positive.
+    q_vel, r, and kf_update passes (R, 4) stacks of everything but the
+    noise, with gap 0 after its own time updates. Python floats and
+    numpy round each + - * / alike and fuse none, so every form gives
+    the same bits. The covariance and gain depend only on (a, b, c, q,
+    r, gap), never on z, so a stack of windows with one gap pattern
+    shares a single covariance recursion. With r > 0 and a >= 0 the
+    innovation variance s = a + r is positive.
     """
     for _ in range(gap):
-        pos = pos + vel
-        bc = b + c
-        a = a + b + bc + q_pos
-        b = bc
-        c = c + q_vel
+        pos, vel, a, b, c = _kf_time_update(pos, vel, a, b, c, q_pos, q_vel)
     s = a + r
     k1, k2 = a / s, b / s
     innov = z - pos
@@ -135,69 +143,111 @@ def _kf_step_tangent(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int, d, d_noise
             dc - 2.0 * k2 * db + k2 * k2 * ds)
 
 
-def kf_update(filters, q_diag, r_diag, row, gap: int) -> tuple:
-    """The four filters advanced `gap` frames, then corrected on the
-    measured (x, y, w, h) row.
+def _rows(rows) -> np.ndarray:
+    """Boxes, row tuples or an (n, 4) array as an (n, 4) float array."""
+    if not isinstance(rows, np.ndarray):
+        rows = [tuple(row) for row in rows]
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
-    The gap update is literally `gap` single-frame time updates, so a
-    gap-2 update equals two gap-1 time updates followed by one
-    correction, covariance included. KalmanBoxPredictor checked the
-    noise and the gap; nothing is checked here.
+
+def _centers(rows: np.ndarray) -> np.ndarray:
+    """(x, y, w, h) rows as (cx, cy, w, h): the filters' measurements."""
+    return np.concatenate([rows[:, :2] + rows[:, 2:] / 2.0, rows[:, 2:]], axis=1)
+
+
+def kf_update(state, noise, z, masks) -> tuple:
+    """One observation of R stacked runs: each run's filters, (R, 4)
+    stacks of (pos, vel, a, b, c), advanced by its frame gap, then
+    corrected on its (R, 4) measured centers z.
+
+    Every gap is >= 1, so the first time update runs on every run; the
+    s-th after it runs under np.where(gap > s, ...), with masks[s - 1]
+    the (R, 4) mask gap > s. The caller passes masks only while some
+    run's gap exceeds s. So each run takes literally `gap` single-frame
+    time updates, then _kf_step's correction. The noise is
+    KalmanBoxPredictor's checked (q_pos, q_vel, r), each an (R, 4)
+    stack; nothing is checked here.
     """
-    x, y, w, h = row
-    return tuple(_kf_step(*f, q_pos, q_vel, r, z, gap) for f, q_pos, q_vel, r, z in
-                 zip(filters, q_diag, q_diag[4:], r_diag, (x + w / 2.0, y + h / 2.0, w, h)))
+    q_pos, q_vel, r = noise
+    pos, vel, a, b, c = _kf_time_update(*state, q_pos, q_vel)
+    for more in masks:
+        # a time update keeps vel as it is, so vel needs no mask
+        pos2, _, a2, b2, c2 = _kf_time_update(pos, vel, a, b, c, q_pos, q_vel)
+        pos, a, b, c = (np.where(more, pos2, pos), np.where(more, a2, a),
+                        np.where(more, b2, b), np.where(more, c2, c))
+    return _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, 0)
 
 
-def kf_predict(filters, horizon: int) -> list:
-    """Roll the transition forward without corrections; one (x, y, w, h)
-    row per step.
+def kf_predict(pos, vel, horizon: int) -> np.ndarray:
+    """Roll (..., 4) means forward without corrections: (..., horizon, 4)
+    (x, y, w, h) rows, one per step.
 
     Emitted sizes are clamped at 1 px; the internal rollout is not, so
     the N-step prediction composes exactly from single steps.
     KalmanBoxPredictor checked the horizon.
     """
-    (cx, vx, *_), (cy, vy, *_), (w, vw, *_), (h, vh, *_) = filters
-    rows = []
-    for _ in range(horizon):
-        cx, cy, w, h = cx + vx, cy + vy, w + vw, h + vh
-        ew, eh = max(w, 1.0), max(h, 1.0)
-        rows.append((cx - ew / 2.0, cy - eh / 2.0, ew, eh))
-    return rows
+    out = np.empty((*pos.shape[:-1], horizon, 4))
+    for n in range(horizon):
+        pos = pos + vel
+        sizes = np.maximum(pos[..., 2:], 1.0)
+        out[..., n, :2] = pos[..., :2] - sizes / 2.0
+        out[..., n, 2:] = sizes
+    return out
 
 
 class ZeroMotionPredictor:
     """Control baseline: the latest box or row carried forward."""
 
-    def predictions(self, b0, frames, rows, horizon: int) -> list:
-        """b0 `horizon` times before the first observation, then each
-        observed row `horizon` times."""
-        _frame_gaps(frames, horizon)
-        return [[tuple(row)] * horizon for row in [b0, *rows][:len(frames)]]
+    def predictions(self, b0s, frames, rows, horizon: int) -> list:
+        """Per run, b0 `horizon` times before the first observation,
+        then each observed row `horizon` times."""
+        out = []
+        for b0, run_frames, run_rows in zip(b0s, frames, rows):
+            n = len(_frame_gaps(run_frames, horizon))
+            seen = np.concatenate([_rows([b0]), _rows(run_rows)])[:n]
+            out.append(np.repeat(seen[:, None], horizon, axis=1))
+        return out
 
 
 class KalmanBoxPredictor:
-    """The Kalman filter with its noise, checked once, here, and kept as
-    float tuples."""
+    """The Kalman filter with its noise, checked once, here."""
 
     def __init__(self, q_diag=None, r_diag=None):
         q, r = _check_noise(q_diag, r_diag)
         self.q_diag, self.r_diag = tuple(q.tolist()), tuple(r.tolist())
+        self._noise = (q[:4], q[4:], r)
 
-    def predictions(self, b0, frames, rows, horizon: int) -> list:
-        """The four filters start at b0 with zero velocity and
-        covariance diag(DEFAULT_INIT_COV); before each observation
-        kf_predict rolls them out, then kf_update corrects them on the
-        observed row at its frame gap."""
-        gaps = _frame_gaps(frames, horizon).tolist()
-        x, y, w, h = b0
-        p = DEFAULT_INIT_COV
-        filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
-        out = []
-        for gap, row in zip(gaps, rows):
-            out.append(kf_predict(filters, horizon))
-            filters = kf_update(filters, self.q_diag, self.r_diag, row, gap)
-        return out
+    def predictions(self, b0s, frames, rows, horizon: int) -> list:
+        """Every run's filters start at its b0 with zero velocity and
+        covariance diag(DEFAULT_INIT_COV). All runs advance together:
+        step t records each run's means, then kf_update corrects every
+        run on its t-th observed row at its frame gap. A run shorter
+        than the longest is padded with its b0 at gap 1, and its padded
+        steps are sliced off; no run's numbers reach another's. The
+        recorded (R, T, 4) history is rolled out by one kf_predict."""
+        gaps = [_frame_gaps(run_frames, horizon) for run_frames in frames]
+        lengths = [len(g) for g in gaps]
+        start = _centers(_rows(b0s))
+        steps = max(lengths, default=0)
+        z = np.repeat(start[None], steps, axis=0)
+        gap = np.ones(z.shape, dtype=np.int64)
+        for i, (run_gaps, run_rows) in enumerate(zip(gaps, rows)):
+            z[:len(run_gaps), i] = _centers(_rows(run_rows))
+            gap[:len(run_gaps), i] = run_gaps[:, None]
+        masks = [gap > s for s in range(1, gap.max(initial=1))]
+        tops = gap.max(axis=(1, 2), initial=1).tolist()
+        # every operand (R, 4), so no ufunc broadcasts inside the loop
+        noise = tuple(np.repeat(x[None], len(start), axis=0) for x in self._noise)
+        p = np.full_like(start, DEFAULT_INIT_COV)
+        state = (start, np.zeros_like(start), p, np.zeros_like(start), p)
+        means = [state[:2]]
+        for t in range(steps):
+            state = kf_update(state, noise, z[t], [m[t] for m in masks[:tops[t] - 1]])
+            means.append(state[:2])
+        # the (pos, vel) each run held before each of its observations, (2, R, T, 4)
+        pos, vel = np.array(means)[:steps].transpose(1, 2, 0, 3)
+        out = kf_predict(pos, vel, horizon)
+        return [out[i, :n] for i, n in enumerate(lengths)]
 
 
 def make_kf_state(b0, q_diag=None, r_diag=None) -> KalmanBoxPredictor:
@@ -208,34 +258,39 @@ def make_kf_state(b0, q_diag=None, r_diag=None) -> KalmanBoxPredictor:
 class MotionNetPredictor:
     """Trained motion-factor weights as a run's predictor.
 
-    predictions builds every window of the run at once. A window is the
-    (k, 4) motions and (k,) frame gaps a training window holds, oldest
-    first; before k real motions have been observed it is left-padded
-    with zero motions at gap 1, which pulls early predictions toward
-    plain zero-motion.
+    predictions builds every window of a run at once, one pm_predict
+    call per run. A window is the (k, 4) motions and (k,) frame gaps a
+    training window holds, oldest first; before k real motions have
+    been observed it is left-padded with zero motions at gap 1, which
+    pulls early predictions toward plain zero-motion.
     """
 
     def __init__(self, weights: PMWeights):
         self.weights = weights
 
-    def predictions(self, b0, frames, rows, horizon: int) -> list:
-        """The whole run in one pm_predict call. The invocation before
-        observation i (from 0) reads rows i .. i+k-1 of the padded
-        motions and gaps, the last k before it. The motions are
-        encode_motion's numbers, all encoded and checked at once."""
+    def predictions(self, b0s, frames, rows, horizon: int) -> list:
         if horizon != self.weights.n_heads:
             raise ValidationError(
                 f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}")
+        return [self._run(b0, run_frames, run_rows, horizon)
+                for b0, run_frames, run_rows in zip(b0s, frames, rows)]
+
+    def _run(self, b0, frames, rows, horizon: int) -> np.ndarray:
+        """One run in one pm_predict call. The invocation before
+        observation i (from 0) reads rows i .. i+k-1 of the padded
+        motions and gaps, the last k before it. The motions are
+        encode_motion's numbers, all encoded and checked at once."""
         gaps = _frame_gaps(frames, horizon)
         if not len(frames):
-            return []
+            return np.empty((0, horizon, 4))
         k = self.weights.k
-        boxes = np.array([tuple(b0), *map(tuple, rows)])
-        centers = np.concatenate([boxes[:, :2] + boxes[:, 2:] / 2.0, boxes[:, 2:]], axis=1)
+        boxes = np.concatenate([_rows([b0]), _rows(rows)])
+        centers = _centers(boxes)
         motions = np.concatenate([np.zeros((k, 4)), encode_motion_rows(centers[:-1], centers[1:])])
         gaps = np.concatenate([np.ones(k), gaps])
         window = np.arange(len(frames))[:, None] + np.arange(k)
-        return pm_predict(self.weights, motions[window], gaps[window], boxes[:-1].tolist())
+        return np.array(pm_predict(self.weights, motions[window], gaps[window],
+                                   boxes[:-1].tolist()))
 
 
 def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):

@@ -13,19 +13,21 @@ the predictor's own latency), and only then does tracking of the arrived
 frame start; both latencies land on the raw output's finish time.
 
 Neither the schedule nor the tracker's boxes depend on a prediction,
-so run_stream simulates a run schedule-first, in three passes. The
-float schedule takes each latency stream as one block of draws and
-gives the processed frames, their arrivals and finish times, and each
-predictor invocation's availability. The tracker's rows for those
-frames follow as one (n, 4) array of (x, y, w, h) rows, then every
-prediction of the run from one `predictions` call (see `predictors`),
-and index arithmetic lays the outputs out as RunLog columns.
-pick_horizon_n's pre-runs stop at the schedule. The log and trace
-files are written straight from the columns and parse straight back
-into them: a trace is the schedule plus one raw output per frame, which
-is what a replay tracker re-emits. Each float is written as its repr,
-and a run's log and trace share one formatting pass that calls repr
-once per distinct float64 bit pattern of the run.
+and runs do not depend on each other, so run_streams simulates a
+verb's runs schedule-first, in three passes. For each run, the float
+schedule takes each latency stream as one block of draws and gives the
+processed frames, their arrivals and finish times, and each predictor
+invocation's availability, and the tracker's rows for those frames
+follow as one (n, 4) array of (x, y, w, h) rows. Then every prediction
+of every run comes from one `predictions` call (see `predictors`), and
+index arithmetic lays each run's outputs out as RunLog columns.
+run_stream is the batch of one. pick_horizon_n's pre-runs stop at the
+schedule. The log and trace files are written straight from the
+columns and parse straight back into them: a trace is the schedule
+plus one raw output per frame, which is what a replay tracker
+re-emits. Each float is written as its repr, and a run's log and trace
+share one formatting pass that calls repr once per distinct float64
+bit pattern of the run.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ class RunLog:
 class TrackerAdapter:
     """The simulated tracker: ground truth plus seeded position and
     log-scale noise, or, given a trace, a recorded run's raw boxes
-    re-emitted by frame. Per-run state is built inside run_stream."""
+    re-emitted by frame. Per-run state is built inside run_streams."""
 
     latency: LatencyProfile
     sigma_pos: float = 0.0
@@ -322,34 +324,32 @@ def _run_schedule(seq: Sequence, tracker: TrackerAdapter, predictor, seed: int):
 
 def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapter = None,
                *, seed: int = 0) -> RunLog:
-    """Simulate one sequence; deterministic for a fixed seed.
+    """Simulate one sequence: run_streams' batch of one."""
+    return run_streams([seq], [tracker], predictor, [seed])[0]
 
-    Every stochastic component draws from its own stream, derived from
-    `seed` under a fixed key: tracker noise, tracker latency and
-    predictor latency. Each latency stream is one block of len(seq)
-    draws; a run uses one tracker draw per processed frame and one
-    predictor draw per later frame, and never sees the rest.
 
-    Three passes: the float schedule, the tracker's rows for the
-    processed frames, then every prediction of the run in one
-    `predictions` call. A replay block that runs out raises after the
-    rows and predictions of the frames before it.
-
-    Output 0 is frame 0's raw row. Each later frame adds the N rows
-    predicted at its arrival (N = 0 without a predictor), then its own
-    raw row, so after output 0 each column is an (n - 1, N + 1) block.
-    """
-    (frames, arrivals, finishes, available, short), predictor_lat = _run_schedule(
-        seq, tracker, predictor, seed)
+def _schedule_and_rows(seq: Sequence, tracker: TrackerAdapter, predictor, seed: int) -> tuple:
+    """A run's first pass: its float schedule, the predictor draws it
+    used, and the tracker's (n, 4) rows for its processed frames."""
+    schedule, predictor_lat = _run_schedule(seq, tracker, predictor, seed)
+    frames = schedule[0]
     if tracker.trace is not None:
         rows = _replay_rows(tracker.trace, frames)
     else:
         rows = _oracle_rows(seq, tracker.sigma_pos, tracker.sigma_scale,
                             rng_for(seed, "tracker-noise"), frames)
-    horizon, predicted = 0, []
-    if predictor is not None:
-        horizon = predictor.horizon_n
-        predicted = predictor.model.predictions(seq.b0, frames[1:], rows[1:].tolist(), horizon)
+    return schedule, predictor_lat, rows
+
+
+def _run_log(seq: Sequence, schedule, predictor_lat, rows, horizon: int, predicted) -> RunLog:
+    """A run's third pass: its outputs laid out as RunLog columns.
+
+    Output 0 is frame 0's raw row. Each later frame adds the N rows
+    predicted at its arrival (N = 0 without a predictor), then its own
+    raw row, so after output 0 each column is an (n - 1, N + 1) block.
+    A replay block that ran out raises here, after the rows and
+    predictions of the frames before it."""
+    frames, arrivals, finishes, available, short = schedule
     # the raw outputs sit at the multiples of N + 1, the predicted ones between
     raw = np.arange(len(frames) + (len(frames) - 1) * horizon) % (horizon + 1) == 0
     target = np.empty(len(raw), dtype=np.int64)
@@ -365,6 +365,56 @@ def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapt
         raise exhausted(short)
     return RunLog(seq.name, frames, arrivals, finishes, target, available_at,
                   np.where(raw, RAW, PREDICTED), boxes, predictor_lat)
+
+
+def run_streams(sequences, trackers, predictor: PredictorAdapter, seeds) -> list:
+    """Simulate each sequence with its tracker and seed; one RunLog per
+    sequence, each deterministic for its seed and equal to that
+    sequence simulated alone.
+
+    Every stochastic component draws from its own stream, derived from
+    the run's seed under a fixed key: tracker noise, tracker latency and
+    predictor latency. Each latency stream is one block of len(seq)
+    draws; a run uses one tracker draw per processed frame and one
+    predictor draw per later frame, and never sees the rest.
+
+    Three passes: each run's schedule and tracker rows in sequence
+    order, then every prediction of every run in one `predictions`
+    call, then each run's columns. A batch raises what running the
+    sequences one by one would: the first failing run's error, after
+    every earlier run has been laid out and checked. A run whose
+    replay block runs out ends the first pass, so no later run's rows
+    are read.
+    """
+    runs, failure = [], None
+    for seq, tracker, seed in zip(sequences, trackers, seeds):
+        try:
+            schedule, predictor_lat, rows = _schedule_and_rows(seq, tracker, predictor, seed)
+        except ValidationError as exc:  # raised once the runs before it are laid out
+            failure = exc
+            break
+        runs.append((seq, schedule, predictor_lat, rows))
+        if schedule[-1] is not None:  # its replay block ran out: no later run is read
+            break
+    horizon, predicted = 0, [()] * len(runs)
+    if predictor is not None:
+        horizon = predictor.horizon_n
+        try:
+            predicted = predictor.model.predictions(
+                [seq.b0 for seq, *_ in runs], [schedule[0][1:] for _, schedule, *_ in runs],
+                [rows[1:] for *_, rows in runs], horizon)
+        except ValidationError:
+            # each run predicts alone below, so the first failing one raises in its turn
+            predicted = [None] * len(runs)
+    logs = []
+    for (seq, schedule, predictor_lat, rows), run_predicted in zip(runs, predicted):
+        if run_predicted is None:
+            [run_predicted] = predictor.model.predictions(
+                [seq.b0], [schedule[0][1:]], [rows[1:]], horizon)
+        logs.append(_run_log(seq, schedule, predictor_lat, rows, horizon, run_predicted))
+    if failure is not None:
+        raise failure
+    return logs
 
 
 def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = HORIZON_TRIALS,

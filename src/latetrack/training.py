@@ -68,7 +68,11 @@ class AdamW:
     takes the slow path. The weights do not move: a flushed entry's
     update is below lr * tiny / eps, which rounds away against wd * p
     for any parameter above about 1e-280 in magnitude. The second
-    moment decays by only b2 per step and stays normal."""
+    moment decays by only b2 per step and stays normal.
+
+    A step runs in place on two scratch buffers shaped like the
+    parameters, with out= ufuncs in the order of the textbook update,
+    so the flush's boolean mask is its one temporary array."""
 
     def __init__(self, config: OptimizerConfig):
         self.config = config
@@ -80,18 +84,29 @@ class AdamW:
             raise ValidationError(f"grad shape {g.shape} != param shape {p.shape}")
         if self._m is None:
             self._m, self._v = np.zeros_like(p), np.zeros_like(p)
+            self._s, self._u = np.empty_like(p), np.empty_like(p)
         self.t += 1
         lr = self.config.lr_at(epoch)
         b1, b2 = _BETAS
         wd = self.config.weight_decay
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        self._m *= b1
-        self._m += (1.0 - b1) * g
-        self._m[np.abs(self._m) < np.finfo(np.float64).tiny] = 0.0
-        self._v *= b2
-        self._v += (1.0 - b2) * g * g
-        p -= lr * ((self._m / bc1) / (np.sqrt(self._v / bc2) + _EPS) + wd * p)
+        m, v, s, u = self._m, self._v, self._s, self._u
+        # m = b1 m + (1 - b1) g, flushed below the smallest normal
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=s)
+        np.copyto(m, 0.0, where=np.abs(m, out=s) < np.finfo(np.float64).tiny)
+        # v = b2 v + (1 - b2) g g
+        v *= b2
+        np.multiply(1.0 - b2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p)
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += _EPS
+        np.divide(np.divide(m, bc1, out=u), s, out=u)
+        u += np.multiply(wd, p, out=s)
+        u *= lr
+        p -= u
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,8 @@
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
 package beyond the domain dataclasses, the scalar box metrics, the motion
-codec, the Kalman filter's update and rollout, the Kalman window
-predictor and motion L1 harness, the network's batch prediction, the
-run log and the seed derivation."""
+codec, the Kalman window predictor and motion L1 harness, the network's
+batch prediction, the run log and the seed derivation."""
 
 import math
 from pathlib import Path
@@ -16,7 +15,7 @@ from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import pm_predict
 from latetrack.predictors import (DEFAULT_INIT_COV, KalmanBoxPredictor, MotionNetPredictor,
-                                  ZeroMotionPredictor, kf_motion_batch, kf_predict, kf_update)
+                                  ZeroMotionPredictor, kf_motion_batch)
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.simulate import RunLog
 from latetrack.training import motion_l1_on_samples
@@ -361,10 +360,13 @@ class OnlineZeroMotion:
 
 class OnlineKalman:
     """The Kalman filter one observation at a time, through the online
-    protocol, on the library's kf_update and kf_predict. The state is
+    protocol, in Python floats and on its own code. The state is
     `filters`: one (pos, vel, a, b, c) float tuple per coordinate (cx,
     cy, w, h), which a reset fills from b0 with zero velocity and
-    covariance diag(DEFAULT_INIT_COV)."""
+    covariance diag(DEFAULT_INIT_COV). An observation at frame gap g
+    applies g single-frame time updates, then one Joseph-form
+    correction; a prediction rolls the means out, clamping emitted
+    sizes at 1 px."""
 
     def __init__(self, q_diag, r_diag):
         self.q_diag, self.r_diag = q_diag, r_diag
@@ -375,15 +377,40 @@ class OnlineKalman:
         self.filters = tuple((z, 0.0, p, 0.0, p) for z in (x + w / 2.0, y + h / 2.0, w, h))
         self.frame = 0
 
+    @staticmethod
+    def step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap):
+        for _ in range(gap):
+            pos = pos + vel
+            bc = b + c
+            a = a + b + bc + q_pos
+            b = bc
+            c = c + q_vel
+        s = a + r
+        k1, k2 = a / s, b / s
+        innov = z - pos
+        j = 1.0 - k1
+        return (pos + k1 * innov, vel + k2 * innov, j * j * a + k1 * k1 * r,
+                j * (b - k2 * a) + k1 * k2 * r, c - 2.0 * k2 * b + k2 * k2 * s)
+
     def observe(self, frame, row):
         gap = frame - self.frame
         if gap < 1:
             raise ValidationError(f"observations must advance frames, got {self.frame} -> {frame}")
-        self.filters = kf_update(self.filters, self.q_diag, self.r_diag, row, gap)
+        x, y, w, h = row
+        self.filters = tuple(
+            self.step(*f, q_pos, q_vel, r, z, gap) for f, q_pos, q_vel, r, z in
+            zip(self.filters, self.q_diag, self.q_diag[4:], self.r_diag,
+                (x + w / 2.0, y + h / 2.0, w, h)))
         self.frame = frame
 
     def predict(self, horizon):
-        return kf_predict(self.filters, horizon)
+        (cx, vx, *_), (cy, vy, *_), (w, vw, *_), (h, vh, *_) = self.filters
+        rows = []
+        for _ in range(horizon):
+            cx, cy, w, h = cx + vx, cy + vy, w + vw, h + vh
+            ew, eh = max(w, 1.0), max(h, 1.0)
+            rows.append((cx - ew / 2.0, cy - eh / 2.0, ew, eh))
+        return rows
 
 
 def online_kalman(b0, q_diag=None, r_diag=None):

@@ -132,7 +132,8 @@ def test_constant_velocity_is_exact_for_fixture_and_filter():
 
         track = linear_track(BoundingBox(40, 60, 16, 12), (1.0, -0.7), 26)
         # made before frame 21 is observed, after frames 1 .. 20
-        ahead = KalmanBoxPredictor().predictions(track[0], range(1, 22), track[1:22], 3)[-1]
+        [run] = KalmanBoxPredictor().predictions([track[0]], [range(1, 22)], [track[1:22]], 3)
+        ahead = run[-1]
         for step, predicted in enumerate(ahead, start=1):
             assert center_error(predicted, track[20 + step]) < 1e-3
 

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from latetrack.boxes import load_sequence, save_sequence
+from latetrack import cli
 from latetrack.cli import build_parser, main
 from latetrack.config import Config, latency_from_config, predictor_from_config
-from latetrack.evaluate import EstimateMatcher
+from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.network import constant_factor_weights, init_weights, load_weights, save_weights
 from latetrack.predictors import save_kf_noise
 from latetrack.seeding import derive_seed
 from latetrack.report import build_manifest
-from latetrack.simulate import load_run_log, pick_horizon_n
+from latetrack.simulate import load_run_log, pick_horizon_n, run_streams
 from latetrack.training import OptimizerConfig, SyntheticSpec, gen_synthetic, train_pm
 
 
@@ -495,6 +496,79 @@ class TestPredictorVocabulary:
         assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
                      "--predictors", token, "--horizon", "2",
                      "--out", str(tmp_path / "cmp")]) == 2
+
+
+def without_manifest(path) -> bytes:
+    """A result file's bytes after its `# manifest=` line."""
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+    assert head.startswith(b"# manifest=")
+    return body
+
+
+class TestRunsBatchAcrossSequences:
+    """simulate and compare simulate a verb's runs, per predictor, as one
+    batch; each run must be the run of its sequence alone at the same
+    seed. The corpus mixes lengths, and the tracker's jittery latency
+    gives each run its own gaps."""
+
+    KINDS = ["zero", "kf", "kf_learned", "pm"]
+
+    @pytest.fixture()
+    def corpus(self, tmp_path):
+        gen_corpus(tmp_path, count=2, length=45, noise=0.5)
+        seqs = gen_corpus(tmp_path, count=1, length=25, kind="sinusoidal")
+        trk = write_cfg(tmp_path / "jitter.cfg", "latency.kind = gaussian\nlatency.mean = 0.05\n"
+                        "latency.stddev = 0.02\nsigma_pos = 0.5\nsigma_scale = 0.03\n")
+        noise = tmp_path / "noise.json"
+        save_kf_noise(np.full(8, 0.02), np.full(4, 1.5), noise)
+        ckpt = tmp_path / "pm.json"
+        save_weights(init_weights(k=3, n_heads=2, c_enc=8, c_dec=6, seed=1), ckpt)
+        return seqs, trk, {"kf_learned": noise, "pm": ckpt}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_simulate_files_equal_each_sequence_alone(self, tmp_path, corpus, kind):
+        seqs, trk, files = corpus
+        text = f"kind = {kind}\n" + {"kf_learned": f"noise = {files['kf_learned']}\n",
+                                      "pm": f"weights = {files['pm']}\n"}.get(kind, "")
+        pred = write_cfg(tmp_path / "pred.cfg", text)
+        names = sorted(f.stem for f in seqs.glob("*.txt"))
+        assert len(names) == 3
+        runs = [("all", seqs)] + [(name, seqs / f"{name}.txt") for name in names]
+        for out, source in runs:
+            assert main(["simulate", "--sequences", str(source), "--tracker", trk,
+                         "--predictor", pred, "--seed", "4", "--out", str(tmp_path / out)]) == 0
+        for name in names:
+            for suffix in (".log.csv", ".trace.csv"):
+                assert (without_manifest(tmp_path / "all" / f"{name}{suffix}")
+                        == without_manifest(tmp_path / name / f"{name}{suffix}")), name + suffix
+
+    def test_compare_rows_equal_each_sequence_alone(self, tmp_path, corpus, monkeypatch):
+        seqs, trk, files = corpus
+        batches = []
+
+        def spy(sequences, trackers, predictor, seeds):
+            logs = run_streams(sequences, trackers, predictor, seeds)
+            batches.append(logs)
+            return logs
+        monkeypatch.setattr(cli, "run_streams", spy)
+        tokens = ["none", "zero", "kf", f"kf_learned:{files['kf_learned']}", f"pm:{files['pm']}"]
+        names = sorted(f.stem for f in seqs.glob("*.txt"))
+        for out, source in [("all", seqs)] + [(name, seqs / f"{name}.txt") for name in names]:
+            assert main(["compare", "--sequences", str(source), "--tracker", trk,
+                         "--predictors", ",".join(tokens), "--horizon", "2", "--seed", "4",
+                         "--out", str(tmp_path / out)]) == 0
+        together, alone = batches[:len(tokens)], batches[len(tokens):]
+        _, rows = read_csv_rows(tmp_path / "all" / "comparison.csv")
+        sequences = [load_sequence(seqs / f"{name}.txt") for name in names]
+        for j, (token, row) in enumerate(zip(tokens, rows)):
+            logs = [alone[len(tokens) * i + j][0] for i in range(len(names))]
+            for log, want in zip(together[j], logs):
+                assert log == want and log.boxes.tobytes() == want.boxes.tobytes(), token
+            auc, dp = sweep(sequences, logs)
+            invocations = sum(log.predictor_invocations for log in logs)
+            extra = sum(sum(log.predictor_latencies) for log in logs) / max(invocations, 1)
+            assert row == [token, *map(repr, (auc.values[0], dp.values[0], auc.aggregate,
+                                              dp.aggregate, extra))]
 
 
 class TestHorizon:

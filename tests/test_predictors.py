@@ -60,7 +60,7 @@ NOISES = [(DEFAULT_Q_DIAG, DEFAULT_R_DIAG),
 
 class TestAgainstTextbookFilter:
     def test_random_walk_agreement(self):
-        # kf_update and kf_predict, one observation at a time, against
+        # the online float filter, one observation at a time, against
         # the textbook filter; KalmanBoxPredictor.predictions over the
         # same run must give the online predictions bit for bit
         for q_diag, r_diag in NOISES:
@@ -86,7 +86,8 @@ class TestAgainstTextbookFilter:
             for g, w in zip(got, want):
                 assert g.cx == pytest.approx(w.cx, abs=1e-8)
                 assert g.w == pytest.approx(w.w, abs=1e-8)
-            assert KalmanBoxPredictor(q_diag, r_diag).predictions(b0, frames, boxes, 3) == online
+            [got] = KalmanBoxPredictor(q_diag, r_diag).predictions([b0], [frames], [boxes], 3)
+            assert got.tobytes() == np.array(online).tobytes()
 
     def test_gap_two_equals_textbook_gap_two(self):
         b0 = BoundingBox(0, 0, 10, 10)
@@ -96,6 +97,48 @@ class TestAgainstTextbookFilter:
         p.observe(2, meas)
         oracle.update(meas, gap=2)
         assert_matches_oracle(p, oracle, atol=1e-10)
+
+
+class TestStackedRuns:
+    """KalmanBoxPredictor filters a batch of runs as (R, 4) stacks; each
+    run's predictions must be OnlineKalman's for that run alone, bit for
+    bit, whatever the batch's size, lengths and gaps."""
+
+    @staticmethod
+    def runs(count, seed):
+        """`count` random-walk runs of 0-30 observations at gaps 1-4."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for length in rng.integers(0, 31, size=count).tolist():
+            b0 = BoundingBox(*rng.uniform(0, 100, 2), *rng.uniform(5, 40, 2))
+            frames = np.cumsum(rng.integers(1, 5, size=length)).tolist()
+            rows = [(b0.x + rng.normal(0, 3) + f, b0.y + rng.normal(0, 3),
+                     b0.w * np.exp(rng.normal(0, 0.05)), b0.h * np.exp(rng.normal(0, 0.05)))
+                    for f in frames]
+            out.append((b0, frames, rows))
+        return out
+
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    @pytest.mark.parametrize("noise", range(len(NOISES)))
+    def test_each_run_equals_the_online_filter(self, count, noise):
+        q_diag, r_diag = NOISES[noise]
+        for seed in range(4):
+            runs = self.runs(count, seed=100 * count + seed)
+            lengths = [len(frames) for _, frames, _ in runs]
+            gaps = {g for _, frames, _ in runs for g in np.diff([0, *frames]).tolist()}
+            got = KalmanBoxPredictor(q_diag, r_diag).predictions(*zip(*runs), horizon=3)
+            assert [len(g) for g in got] == lengths
+            for (b0, frames, rows), run in zip(runs, got):
+                p = online_kalman(b0, q_diag, r_diag)
+                want = []
+                for f, row in zip(frames, rows):
+                    want.append(p.predict(3))
+                    p.observe(f, row)
+                assert run.shape == (len(frames), 3, 4)
+                assert run.tobytes() == np.array(want).tobytes()
+        if count == 7:
+            # the last batch mixes lengths and holds every gap 1-4
+            assert len(set(lengths)) > 1 and gaps == {1, 2, 3, 4}
 
 
 class TestKalmanBehavior:
@@ -180,7 +223,7 @@ class TestKfPredict:
         b0 = BoundingBox(0, 0, 10, 10)
         for frames in ([], [1]):
             with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
-                KalmanBoxPredictor().predictions(b0, frames, [b0] * len(frames), 0)
+                KalmanBoxPredictor().predictions([b0], [frames], [[b0] * len(frames)], 0)
 
 
 BAD_NOISE = (0.0, -1.0, float("nan"), float("inf"))
@@ -202,47 +245,48 @@ class TestStateValidation:
     def test_bad_gap_rejected(self):
         b0 = BoundingBox(0, 0, 10, 10)
         with pytest.raises(ValidationError, match="got 0 -> 0"):
-            KalmanBoxPredictor().predictions(b0, [0], [b0], 2)
+            KalmanBoxPredictor().predictions([b0], [[0]], [[b0]], 2)
 
 
 class TestZeroMotion:
     def test_repeats_last_box(self):
         b = BoundingBox(1, 2, 3, 4)
-        assert ZeroMotionPredictor().predictions(b, [1], [BoundingBox(5, 6, 7, 8)], 3) == [
-            [tuple(b)] * 3]
+        [got] = ZeroMotionPredictor().predictions([b], [[1]], [[BoundingBox(5, 6, 7, 8)]], 3)
+        assert got.tolist() == [[list(b)] * 3]
 
     def test_bad_horizon(self):
         # checked once per run, so a run with no observations fails too
         b0 = BoundingBox(0, 0, 1, 1)
         for frames in ([], [1]):
             with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
-                ZeroMotionPredictor().predictions(b0, frames, [b0] * len(frames), 0)
+                ZeroMotionPredictor().predictions([b0], [frames], [[b0] * len(frames)], 0)
 
 
 class TestOnlinePredictors:
     def test_zero_motion_predictor_follows_latest(self):
         b0, latest = BoundingBox(0, 0, 10, 10), BoundingBox(7, 7, 10, 10)
         rows = [BoundingBox(3, 3, 10, 10), latest, BoundingBox(9, 9, 10, 10)]
-        assert ZeroMotionPredictor().predictions(b0, [1, 2, 3], rows, 2)[-1] == [
-            tuple(latest), tuple(latest)]
+        [got] = ZeroMotionPredictor().predictions([b0], [[1, 2, 3]], [rows], 2)
+        assert got[-1].tolist() == [list(latest), list(latest)]
 
     def test_observations_must_advance(self):
         b0 = BoundingBox(0, 0, 10, 10)
         rows = [BoundingBox(1, 0, 10, 10), BoundingBox(2, 0, 10, 10)]
         with pytest.raises(ValidationError, match="got 2 -> 2"):
-            KalmanBoxPredictor().predictions(b0, [2, 2], rows, 2)
+            KalmanBoxPredictor().predictions([b0], [[2, 2]], [rows], 2)
 
     def test_motion_net_cold_start_is_zero_motion(self):
         w = init_weights(seed=3, k=3, n_heads=2, c_enc=8, c_dec=6)
         b0 = BoundingBox(5, 5, 10, 10)
-        first, _ = MotionNetPredictor(w).predictions(b0, [1, 2], [BoundingBox(9, 5, 10, 10)] * 2, 2)
-        assert first == [tuple(b0), tuple(b0)]
+        [(first, _)] = MotionNetPredictor(w).predictions(
+            [b0], [[1, 2]], [[BoundingBox(9, 5, 10, 10)] * 2], 2)
+        assert first.tolist() == [list(b0), list(b0)]
 
     def test_motion_net_horizon_is_fixed(self):
         w = PMWeights(k=3, n_heads=2, c_enc=8, c_dec=6)
         b0 = BoundingBox(0, 0, 10, 10)
         with pytest.raises(ValidationError, match="network predicts exactly 2 frames"):
-            MotionNetPredictor(w).predictions(b0, [1], [b0], 3)
+            MotionNetPredictor(w).predictions([b0], [[1]], [[b0]], 3)
 
     def test_motion_net_window_slides(self):
         # constant velocity, bias-1 head: after k observations the window is
@@ -252,7 +296,8 @@ class TestOnlinePredictors:
         w = constant_factor_weights(k=2, n_heads=1, c_enc=8, c_dec=6)
         track = cv_track(2.0, 0.0, 6)
         # the prediction made before frame 4 is observed follows frames 1..3
-        [row] = MotionNetPredictor(w).predictions(track[0], [1, 2, 3, 4], track[1:5], 1)[-1]
+        [run] = MotionNetPredictor(w).predictions([track[0]], [[1, 2, 3, 4]], [track[1:5]], 1)
+        [row] = run[-1]
         assert BoundingBox(*row).cx == pytest.approx(track[4].cx, abs=1e-9)
 
     def test_motion_net_equals_the_window_path(self):
@@ -267,8 +312,8 @@ class TestOnlinePredictors:
         walk = rng.normal(0.0, 2.0, size=(frames[-1] + 1, 4)).cumsum(axis=0)
         track = [BoundingBox(100 + x, 80 + y, 20 * np.exp(0.02 * sw), 15 * np.exp(0.02 * sh))
                  for x, y, sw, sh in walk.tolist()]
-        predicted = MotionNetPredictor(w).predictions(track[0], frames[1:],
-                                                      [track[f] for f in frames[1:]], n)
+        [predicted] = MotionNetPredictor(w).predictions([track[0]], [frames[1:]],
+                                                        [[track[f] for f in frames[1:]]], n)
         assert len(predicted) == len(frames) - 1
         for i, got in enumerate(predicted):
             # made before frames[i + 1] is observed, after frames[:i + 1]
@@ -280,7 +325,8 @@ class TestOnlinePredictors:
                           encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, n, 4)))
             want = [tuple(BoundingBox(*apply_motion_row(track[frames[i]], m)))
                     for m in pm_motion_batch(w)(row)[0]]
-            assert got == want, f"before frame {frames[i + 1]}, {i} observations"
+            assert got.tolist() == [list(r) for r in want], \
+                f"before frame {frames[i + 1]}, {i} observations"
 
 
 MODELS = {"zero": ZeroMotionPredictor(), "kf": KalmanBoxPredictor(),
@@ -300,7 +346,7 @@ class TestRunChecks:
         rows = [BoundingBox(10 + f, 10, 20, 15) for f in frames]
         with pytest.raises(ValidationError,
                            match=f"^observations must advance frames, {message}$"):
-            MODELS[kind].predictions(b0, frames, rows, 2)
+            MODELS[kind].predictions([b0], [frames], [rows], 2)
 
 
 def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None):

@@ -12,8 +12,8 @@ from latetrack.predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMo
                                   save_kf_noise)
 from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
                                 RunLog, TrackerAdapter, load_run_log, load_trace, next_frame,
-                                pick_horizon_n, predictor_for, run_stream, save_run_log,
-                                save_trace)
+                                pick_horizon_n, predictor_for, run_stream, run_streams,
+                                save_run_log, save_trace)
 from latetrack.training import linear_track
 
 from _oracles import (log_lines, pick_horizon_n_loop, run_log, run_stream_loop,
@@ -427,6 +427,83 @@ class TestAgreesWithTheLoop:
             want = self.outcome(run_stream_loop, seq, trk, kind, 0, adapter)
             assert isinstance(want, str)
             assert self.outcome(run_stream, seq, trk, kind, 0, adapter) == want
+
+
+class OddRuns(ZeroMotionPredictor):
+    """Zero motion, except that a batch holding a run from b0 `fails`
+    raises, and a run from b0 `nan` predicts NaN rows."""
+
+    def __init__(self, fails, nan):
+        self.fails, self.nan = tuple(fails), tuple(nan)
+
+    def predictions(self, b0s, frames, rows, horizon):
+        if self.fails in map(tuple, b0s):
+            raise ValidationError(f"no prediction from {self.fails}")
+        return [np.full_like(run, np.nan) if tuple(b0) == self.nan else run
+                for b0, run in zip(b0s, super().predictions(b0s, frames, rows, horizon))]
+
+
+class TestBatchOfRuns:
+    """run_streams simulates a verb's runs as one batch: each run equals
+    that sequence simulated alone, and a batch raises what running the
+    sequences one by one raises, the first failing run's error."""
+
+    @pytest.mark.parametrize("kind", sorted(TestAgreesWithTheLoop.PREDICTORS))
+    def test_each_run_equals_the_loop(self, kind):
+        trk = TrackerAdapter(LatencyProfile.gaussian(0.05, 0.03), sigma_pos=0.6,
+                             sigma_scale=0.04)
+        seqs = TestAgreesWithTheLoop.sequences()
+        seeds = [0, 7, 123]
+        adapter = TestAgreesWithTheLoop.adapter(kind)
+        logs = run_streams(seqs, [trk] * len(seqs), adapter, seeds)
+        assert len({len(log.frame) for log in logs}) == len(seqs)
+        for seq, seed, log in zip(seqs, seeds, logs):
+            want = run_stream_loop(seq, trk, adapter, seed=seed)
+            assert log == want, f"{kind} {seq.name}"
+            assert log.boxes.tobytes() == want.boxes.tobytes()
+
+    @staticmethod
+    def one_by_one(seqs, trackers, adapter):
+        try:
+            return [run_stream(seq, trk, adapter) for seq, trk in zip(seqs, trackers)]
+        except ValidationError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("kind", ["none", "kf", "pm"])
+    def test_the_first_failing_run_raises(self, kind):
+        """An exhausted replay run raises after its own rows and
+        predictions, before a later run's rows are read; a run that
+        lacks a frame raises before a later exhausted run."""
+        seq = cv_sequence(30)
+        # a real-time recording of 10 frames: its 10 durations run out
+        # before the 30-frame stream ends, at a frame it holds
+        short = TrackerAdapter.replay(run_stream(cv_sequence(10), tracker(0.01)))
+        missing = TrackerAdapter.replay(run_stream(seq, tracker(0.05)),
+                                        LatencyProfile.constant(0.01))
+        adapter = TestAgreesWithTheLoop.adapter(kind)
+        for trackers, message in (((short, missing), "replay latency exhausted after 10 draws"),
+                                  ((missing, short), "'cv' has no box for frame 2")):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                run_streams([seq, seq], trackers, adapter, [0, 0])
+            assert self.one_by_one([seq, seq], trackers, adapter).endswith(message)
+
+    def test_a_failing_prediction_raises_in_its_turn(self):
+        """A batch whose predictions fail raises the error of the first
+        failing run: an earlier run's bad output or missing frame, or
+        the failing run's own."""
+        ok, fails, nan = (Sequence(name, FrameClock(30), tuple(linear_track(
+            BoundingBox(x0, 50, 12, 12), (1.0, 0.0), 20))) for name, x0 in
+            (("ok", 10.0), ("fails", 30.0), ("nan", 50.0)))
+        trk = tracker(0.05)
+        missing = TrackerAdapter.replay(run_stream(ok, trk), LatencyProfile.constant(0.01))
+        adapter = PredictorAdapter(OddRuns(fails.b0, nan.b0), 2, LatencyProfile.constant(0.005))
+        for seqs, trackers, message in (
+                ((ok, fails, ok), (trk, trk, missing), "no prediction from"),
+                ((nan, fails), (trk, trk), "box fields must be finite"),
+                ((ok, fails), (missing, trk), "has no box for frame 2")):
+            assert message in self.one_by_one(seqs, trackers, adapter)
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                run_streams(seqs, trackers, adapter, [0] * len(seqs))
 
 
 class TestOneModelServesManyRuns:
