@@ -8,8 +8,9 @@ run: an (n, horizon, 4) array whose i-th block holds the `horizon`
 i-th observation, from its b0 (frame 0's ground-truth box) and the rows
 observed so far. Every row is observed, the last included. A predictor
 is built once and keeps nothing between calls; no run reads another's
-numbers. Each run is checked once, in order: the horizon, and that its
-frames are >= 1 and strictly increase.
+numbers. Each run is checked once, in order: the horizon, that its
+frames are >= 1 and strictly increase, and that it has one row per
+frame.
 
 b0s and rows may hold BoundingBoxes, row tuples or (n, 4) arrays. Rows
 are not checked here: run_streams checks every emitted row once, when
@@ -26,15 +27,15 @@ frames: the transition is applied once per skipped frame, then a single
 measurement correction runs. The closed-form Joseph correction keeps
 each block symmetric by construction and PSD.
 
-KalmanBoxPredictor runs the filter over all runs of a batch at once:
-its state is (R, 4) stacks of pos, vel, a, b and c, which kf_update
-advances one observation of every run per call, and kf_predict rolls
-the whole (R, T, 4) history out once. kf_motion_batch runs the same
-_kf_step on (n, 4) stacks of windows, and kf_fit_noise fits Q and R,
-from a predictor's, in training's fit loop. Its gradient is exact: the
-same per-gap-pattern window loop carries the forward-mode tangents of
-_kf_step_tangent beside the filter, one pass per step. make_kf_state is
-kept only for the benchmark's noise-fit step.
+The filter has one step, kf_update, which advances (R, 4) stacks of
+(pos, vel, a, b, c) by one observation each, and one loop, _kf_run.
+KalmanBoxPredictor runs a batch of runs through it, one stack row per
+run, and kf_predict rolls the whole (R, T, 4) history out once.
+kf_motion_batch runs all n windows through it as one (n, 4) stack.
+kf_fit_noise fits Q and R, from a predictor's, in training's fit loop;
+its gradient is exact, from forward-mode tangents that _kf_run carries
+beside the filter, one pass per step. make_kf_state is kept only for
+the benchmark's noise-fit step.
 """
 
 from __future__ import annotations
@@ -56,9 +57,9 @@ DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
 DEFAULT_INIT_COV = 10.0
 
 
-def _frame_gaps(frames, horizon: int) -> np.ndarray:
+def _frame_gaps(frames, rows, horizon: int) -> np.ndarray:
     """The frame gaps of a run, observation by observation, from frame
-    0; the one check of a run's horizon and frames."""
+    0; the one check of a run's horizon, frames and row count."""
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon}")
     gaps = np.diff(frames, prepend=0)
@@ -66,6 +67,9 @@ def _frame_gaps(frames, horizon: int) -> np.ndarray:
         i = int(np.argmax(gaps < 1))
         raise ValidationError(f"observations must advance frames, got "
                               f"{frames[i - 1] if i else 0} -> {frames[i]}")
+    if len(rows) != len(frames):
+        raise ValidationError(f"a run needs one row per frame, got {len(rows)} rows "
+                              f"for {len(frames)} frames")
     return gaps
 
 
@@ -87,23 +91,25 @@ def _kf_time_update(pos, vel, a, b, c, q_pos, q_vel) -> tuple:
     return pos + vel, vel, a + b + bc + q_pos, bc, c + q_vel
 
 
-def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
-    """One gap-aware update of a (position, velocity) filter: `gap`
-    single-frame time updates, then one correction on the measurement z.
+def _kf_prior(state, q_pos, q_vel, masks) -> tuple:
+    """The gap-aware time update of stacked filters: the first
+    single-frame update on every filter, then the s-th after it under
+    np.where(gap > s, ...), with masks[s - 1] the mask gap > s. So each
+    filter takes literally `gap` single-frame updates. The map is
+    affine, so on tangents (dpos, dvel, da, db, dc) with (dq_pos,
+    dq_vel) it gives their tangents."""
+    pos, vel, a, b, c = _kf_time_update(*state, q_pos, q_vel)
+    for more in masks:
+        # a time update keeps vel as it is, so vel needs no mask
+        pos2, _, a2, b2, c2 = _kf_time_update(pos, vel, a, b, c, q_pos, q_vel)
+        pos, a, b, c = (np.where(more, pos2, pos), np.where(more, a2, a),
+                        np.where(more, b2, b), np.where(more, c2, c))
+    return pos, vel, a, b, c
 
-    Every argument but gap is a float for one coordinate's filter, or an
-    array for many: kf_motion_batch passes (n, 4) stacks of pos, vel and
-    z that share the (4,) covariance blocks a, b, c and noise q_pos,
-    q_vel, r, and kf_update passes (R, 4) stacks of everything but the
-    noise, with gap 0 after its own time updates. Python floats and
-    numpy round each + - * / alike and fuse none, so every form gives
-    the same bits. The covariance and gain depend only on (a, b, c, q,
-    r, gap), never on z, so a stack of windows with one gap pattern
-    shares a single covariance recursion. With r > 0 and a >= 0 the
-    innovation variance s = a + r is positive.
-    """
-    for _ in range(gap):
-        pos, vel, a, b, c = _kf_time_update(pos, vel, a, b, c, q_pos, q_vel)
+
+def _kf_correct(pos, vel, a, b, c, r, z) -> tuple:
+    """The measurement correction of a prior on measurements z. With
+    r > 0 and a >= 0 the innovation variance s = a + r is positive."""
     s = a + r
     k1, k2 = a / s, b / s
     innov = z - pos
@@ -115,32 +121,88 @@ def _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int):
             c - 2.0 * k2 * b + k2 * k2 * s)
 
 
-def _kf_step_tangent(pos, vel, a, b, c, q_pos, q_vel, r, z, gap: int, d, d_noise):
-    """Forward-mode derivative of _kf_step: the tangents of its five
-    outputs, from its inputs, the tangents d = (dpos, dvel, da, db, dc)
-    of its state and d_noise = (dq_pos, dq_vel, dr).
+def kf_update(state, noise, z, masks) -> tuple:
+    """One observation of R stacked filters: (R, 4) stacks of (pos, vel,
+    a, b, c), each advanced by its frame gap (_kf_prior, whose masks
+    the caller passes only while some gap exceeds s), then corrected on
+    its (R, 4) measured centers z. The noise is checked (q_pos, q_vel,
+    r), each an (R, 4) stack; nothing is checked here."""
+    q_pos, q_vel, r = noise
+    return _kf_correct(*_kf_prior(state, q_pos, q_vel, masks), r, z)
+
+
+def _kf_tangent(state, d, noise, d_noise, z, masks) -> tuple:
+    """Forward-mode derivative of kf_update: the (3, R, 4) tangents of
+    its five outputs, from its inputs, the tangents d = (dpos, dvel,
+    da, db, dc) of its state and d_noise = (dq_pos, dq_vel, dr).
 
     Row t of each tangent is the derivative with respect to the t-th of
     a coordinate's (log q_pos, log q_vel, log r), which reach only that
-    coordinate: (3, n, 4) for (n, 4) means, (3, 4) for the (4,) blocks
-    and noise. The means are linear in the innovation z - pos."""
-    dpos, dvel, da, db, dc = d
+    coordinate. The means are linear in the innovation z - pos."""
+    q_pos, q_vel, r = noise
     dq_pos, dq_vel, dr = d_noise
-    for _ in range(gap):
-        pos = pos + vel
-        dpos = dpos + dvel
-        a, b, c = a + b + b + c + q_pos, b + c, c + q_vel
-        da, db, dc = da + db + db + dc + dq_pos, db + dc, dc + dq_vel
+    pos, _, a, b, _ = _kf_prior(state, q_pos, q_vel, masks)
+    dpos, dvel, da, db, dc = _kf_prior(d, dq_pos, dq_vel, masks)
     s, ds = a + r, da + dr
     k1, k2 = a / s, b / s
     dk1, dk2 = (da - k1 * ds) / s, (db - k2 * ds) / s
     innov = z - pos
     j = 1.0 - k1
     # The Joseph form is stationary in the gain at the optimal gain, so
-    # the blocks' tangents are _kf_step's correction with the gain held.
-    return (j * dpos + dk1[:, None] * innov, dvel - k2 * dpos + dk2[:, None] * innov,
+    # the blocks' tangents are _kf_correct with the gain held.
+    return (j * dpos + dk1 * innov, dvel - k2 * dpos + dk2 * innov,
             j * j * da + k1 * k1 * dr, j * (db - k2 * da) + k1 * k2 * dr,
             dc - 2.0 * k2 * db + k2 * k2 * ds)
+
+
+def _kf_run(start, z, gap, noise, d_noise=None):
+    """The filter's one loop. R stacked filters start at the (R, 4)
+    centers start, with zero velocity and covariance
+    diag(DEFAULT_INIT_COV), and take their (T, R, 4) measurements z at
+    (T, R, 4) frame gaps >= 1 through kf_update, one step per t. Returns
+    the (T + 1, 2, R, 4) means (pos, vel) held before each step and
+    after the last. With d_noise, the (3, 3, 1, 4) tangents of (q_pos,
+    q_vel, r), it also returns the final (3, R, 4) tangents of (pos,
+    vel), which _kf_tangent carries beside the filter from zero. numpy
+    rounds each + - * / as Python floats do and fuses none, so each row
+    of a stack gets the bits of its filter run alone."""
+    masks = [gap > s for s in range(1, gap.max(initial=1))]
+    tops = gap.max(axis=(1, 2), initial=1).tolist()
+    # every operand (R, 4), so no ufunc broadcasts inside kf_update
+    noise = tuple(np.repeat(x[None], len(start), axis=0) for x in noise)
+    p = np.full_like(start, DEFAULT_INIT_COV)
+    state = (start, np.zeros_like(start), p, np.zeros_like(start), p)
+    d = (np.zeros((3, *start.shape)),) * 5
+    means = [state[:2]]
+    for t in range(len(z)):
+        step_masks = [m[t] for m in masks[:tops[t] - 1]]
+        if d_noise is not None:
+            d = _kf_tangent(state, d, noise, d_noise, z[t], step_masks)
+        state = kf_update(state, noise, z[t], step_masks)
+        means.append(state[:2])
+    means = np.array(means)
+    return means if d_noise is None else (means, d[:2])
+
+
+def _kf_rollout(pos, vel, horizon: int) -> np.ndarray:
+    """Roll (..., 4) means forward without corrections: (..., horizon,
+    4) centers (cx, cy, w, h), one per step. Sizes are clamped at 1 px;
+    the internal rollout is not, so the N-step prediction composes
+    exactly from single steps."""
+    out = np.empty((*pos.shape[:-1], horizon, 4))
+    for n in range(horizon):
+        pos = pos + vel
+        out[..., n, :] = pos
+    out[..., 2:] = np.maximum(out[..., 2:], 1.0)
+    return out
+
+
+def kf_predict(pos, vel, horizon: int) -> np.ndarray:
+    """_kf_rollout's clamped centers as (..., horizon, 4) (x, y, w, h)
+    rows. KalmanBoxPredictor checked the horizon."""
+    out = _kf_rollout(pos, vel, horizon)
+    out[..., :2] -= out[..., 2:] / 2.0
+    return out
 
 
 def _rows(rows) -> np.ndarray:
@@ -155,46 +217,6 @@ def _centers(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows[:, :2] + rows[:, 2:] / 2.0, rows[:, 2:]], axis=1)
 
 
-def kf_update(state, noise, z, masks) -> tuple:
-    """One observation of R stacked runs: each run's filters, (R, 4)
-    stacks of (pos, vel, a, b, c), advanced by its frame gap, then
-    corrected on its (R, 4) measured centers z.
-
-    Every gap is >= 1, so the first time update runs on every run; the
-    s-th after it runs under np.where(gap > s, ...), with masks[s - 1]
-    the (R, 4) mask gap > s. The caller passes masks only while some
-    run's gap exceeds s. So each run takes literally `gap` single-frame
-    time updates, then _kf_step's correction. The noise is
-    KalmanBoxPredictor's checked (q_pos, q_vel, r), each an (R, 4)
-    stack; nothing is checked here.
-    """
-    q_pos, q_vel, r = noise
-    pos, vel, a, b, c = _kf_time_update(*state, q_pos, q_vel)
-    for more in masks:
-        # a time update keeps vel as it is, so vel needs no mask
-        pos2, _, a2, b2, c2 = _kf_time_update(pos, vel, a, b, c, q_pos, q_vel)
-        pos, a, b, c = (np.where(more, pos2, pos), np.where(more, a2, a),
-                        np.where(more, b2, b), np.where(more, c2, c))
-    return _kf_step(pos, vel, a, b, c, q_pos, q_vel, r, z, 0)
-
-
-def kf_predict(pos, vel, horizon: int) -> np.ndarray:
-    """Roll (..., 4) means forward without corrections: (..., horizon, 4)
-    (x, y, w, h) rows, one per step.
-
-    Emitted sizes are clamped at 1 px; the internal rollout is not, so
-    the N-step prediction composes exactly from single steps.
-    KalmanBoxPredictor checked the horizon.
-    """
-    out = np.empty((*pos.shape[:-1], horizon, 4))
-    for n in range(horizon):
-        pos = pos + vel
-        sizes = np.maximum(pos[..., 2:], 1.0)
-        out[..., n, :2] = pos[..., :2] - sizes / 2.0
-        out[..., n, 2:] = sizes
-    return out
-
-
 class ZeroMotionPredictor:
     """Control baseline: the latest box or row carried forward."""
 
@@ -203,7 +225,7 @@ class ZeroMotionPredictor:
         then each observed row `horizon` times."""
         out = []
         for b0, run_frames, run_rows in zip(b0s, frames, rows):
-            n = len(_frame_gaps(run_frames, horizon))
+            n = len(_frame_gaps(run_frames, run_rows, horizon))
             seen = np.concatenate([_rows([b0]), _rows(run_rows)])[:n]
             out.append(np.repeat(seen[:, None], horizon, axis=1))
         return out
@@ -218,14 +240,13 @@ class KalmanBoxPredictor:
         self._noise = (q[:4], q[4:], r)
 
     def predictions(self, b0s, frames, rows, horizon: int) -> list:
-        """Every run's filters start at its b0 with zero velocity and
-        covariance diag(DEFAULT_INIT_COV). All runs advance together:
-        step t records each run's means, then kf_update corrects every
-        run on its t-th observed row at its frame gap. A run shorter
-        than the longest is padded with its b0 at gap 1, and its padded
-        steps are sliced off; no run's numbers reach another's. The
-        recorded (R, T, 4) history is rolled out by one kf_predict."""
-        gaps = [_frame_gaps(run_frames, horizon) for run_frames in frames]
+        """Every run is one filter of a _kf_run stack, started at its
+        b0. A run shorter than the longest is padded with its b0 at gap
+        1, and its padded steps are sliced off; no run's numbers reach
+        another's. The means each run held before each of its
+        observations, an (R, T, 4) history, are rolled out by one
+        kf_predict."""
+        gaps = [_frame_gaps(*run, horizon) for run in zip(frames, rows)]
         lengths = [len(g) for g in gaps]
         start = _centers(_rows(b0s))
         steps = max(lengths, default=0)
@@ -234,18 +255,7 @@ class KalmanBoxPredictor:
         for i, (run_gaps, run_rows) in enumerate(zip(gaps, rows)):
             z[:len(run_gaps), i] = _centers(_rows(run_rows))
             gap[:len(run_gaps), i] = run_gaps[:, None]
-        masks = [gap > s for s in range(1, gap.max(initial=1))]
-        tops = gap.max(axis=(1, 2), initial=1).tolist()
-        # every operand (R, 4), so no ufunc broadcasts inside the loop
-        noise = tuple(np.repeat(x[None], len(start), axis=0) for x in self._noise)
-        p = np.full_like(start, DEFAULT_INIT_COV)
-        state = (start, np.zeros_like(start), p, np.zeros_like(start), p)
-        means = [state[:2]]
-        for t in range(steps):
-            state = kf_update(state, noise, z[t], [m[t] for m in masks[:tops[t] - 1]])
-            means.append(state[:2])
-        # the (pos, vel) each run held before each of its observations, (2, R, T, 4)
-        pos, vel = np.array(means)[:steps].transpose(1, 2, 0, 3)
+        pos, vel = _kf_run(start, z, gap, self._noise)[:steps].transpose(1, 2, 0, 3)
         out = kf_predict(pos, vel, horizon)
         return [out[i, :n] for i, n in enumerate(lengths)]
 
@@ -280,7 +290,7 @@ class MotionNetPredictor:
         observation i (from 0) reads rows i .. i+k-1 of the padded
         motions and gaps, the last k before it. The motions are
         encode_motion's numbers, all encoded and checked at once."""
-        gaps = _frame_gaps(frames, horizon)
+        gaps = _frame_gaps(frames, rows, horizon)
         if not len(frames):
             return np.empty((0, horizon, 4))
         k = self.weights.k
@@ -299,15 +309,10 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):
     For each window the filter starts on the oldest of its boxes, runs
     over the remaining k boxes at their recorded frame gaps, then rolls
     N frames out. Predictions are re-encoded as motions from the
-    window's anchor box.
-
-    The result equals a fresh KalmanBoxPredictor per window, but the
-    covariance blocks a, b, c run once per gap pattern (8 for k=3 and
-    strides {1, 2}) while the means of all that pattern's windows move
-    as one (n, 4) stack through the same _kf_step. This is exact, not an
-    approximation: the recursion depends only on (Q, R, DEFAULT_INIT_COV,
-    the gaps), never on the measured boxes. Noise, horizon and gaps are
-    validated once per call rather than once per window.
+    window's anchor box. All n windows are one (n, 4) stack of _kf_run,
+    so each equals a fresh KalmanBoxPredictor's run over it, bit for
+    bit. Noise, horizon and gaps are validated once per call rather than
+    once per window.
     """
     if horizon_n < 1:
         raise ValidationError(f"horizon must be >= 1, got {horizon_n}")
@@ -320,44 +325,31 @@ def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):
 
 def _kf_windows(windows, horizon_n: int, q, r, tangents: bool = False):
     """kf_motion_batch's (n, N, 4) motions for checked noise q, r and
-    horizon, one gap pattern at a time. With tangents, also their
-    (3, n, N, 4) derivatives with respect to each coordinate's
-    (log q_pos, log q_vel, log r), carried by _kf_step_tangent beside
-    the filter. A size clamped at 1 px has derivative 0; the codec
-    divides center tangents by the anchor's size and size tangents by
-    the rolled-out size (d log)."""
+    horizon. With tangents, also their (3, n, N, 4) derivatives with
+    respect to each coordinate's (log q_pos, log q_vel, log r), which
+    _kf_run carries beside the filter. A size clamped at 1 px has
+    derivative 0; the codec divides center tangents by the anchor's
+    size and size tangents by the rolled-out size (d log)."""
     if np.any(windows.intervals < 1):
         raise ValidationError("observations must advance frames; window gaps must be >= 1")
-    patterns, which = np.unique(windows.intervals, axis=0, return_inverse=True)
-    which = which.reshape(-1)  # not 1-D in every numpy release
-    out = np.empty((len(windows), horizon_n, 4))
+    boxes = windows.boxes
+    z = boxes[:, 1:].transpose(1, 0, 2)
+    gap = np.broadcast_to(windows.intervals.T[:, :, None], z.shape)
+    noise = (q[:4], q[4:], r)
     if tangents:
-        d_out = np.empty((3, *out.shape))
         # q_pos, q_vel and r against their logs: row t is d/d(t-th log)
-        d_noise = np.eye(3)[:, :, None] * np.stack([q[:4], q[4:], r])
-    for g, gaps in enumerate(patterns):
-        idx = np.flatnonzero(which == g)
-        boxes = windows.boxes[idx]
-        pos, vel = boxes[:, 0], np.zeros((len(idx), 4))
-        a, b, c = np.full(4, DEFAULT_INIT_COV), np.zeros(4), np.full(4, DEFAULT_INIT_COV)
-        d = (np.zeros((3, len(idx), 4)),) * 2 + (np.zeros((3, 4)),) * 3
-        for j, gap in enumerate(gaps.tolist(), start=1):
-            step = (pos, vel, a, b, c, q[:4], q[4:], r, boxes[:, j], gap)
-            if tangents:
-                d = _kf_step_tangent(*step, d, d_noise)
-            pos, vel, a, b, c = _kf_step(*step)
-        rollout = np.empty((len(idx), horizon_n, 4))
-        for n in range(horizon_n):
-            pos = pos + vel
-            rollout[:, n] = pos
-        rollout[..., 2:] = np.maximum(rollout[..., 2:], 1.0)
-        out[idx] = encode_motion_rows(boxes[:, -1:], rollout)
-        if tangents:
-            d_roll = d[0][:, :, None] + np.arange(1, horizon_n + 1)[:, None] * d[1][:, :, None]
-            sizes = rollout[..., 2:]
-            d_out[:, idx] = np.concatenate([d_roll[..., :2] / boxes[:, -1:, 2:],
-                                            d_roll[..., 2:] * (sizes > 1.0) / sizes], axis=-1)
-    return (out, d_out) if tangents else out
+        d_noise = (np.eye(3)[:, :, None] * np.stack(noise))[:, :, None]
+        means, (dpos, dvel) = _kf_run(boxes[:, 0], z, gap, noise, d_noise)
+    else:
+        means = _kf_run(boxes[:, 0], z, gap, noise)
+    rollout = _kf_rollout(*means[-1], horizon_n)
+    out = encode_motion_rows(boxes[:, -1:], rollout)
+    if not tangents:
+        return out
+    d_roll = dpos[:, :, None] + np.arange(1, horizon_n + 1)[:, None] * dvel[:, :, None]
+    sizes = rollout[..., 2:]
+    return out, np.concatenate([d_roll[..., :2] / boxes[:, -1:, 2:],
+                                d_roll[..., 2:] * (sizes > 1.0) / sizes], axis=-1)
 
 
 def _kf_noise_gradient(theta, windows):

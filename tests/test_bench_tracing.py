@@ -22,6 +22,7 @@ from pathlib import Path
 from latetrack import evaluate, simulate
 from latetrack.boxes import BoundingBox, FrameClock, Sequence
 from latetrack.latency import LatencyProfile
+from latetrack.network import DEFAULT_K
 from latetrack.predictors import load_kf_noise
 from latetrack.training import SINUSOIDAL, SyntheticSpec, gen_synthetic, linear_track
 
@@ -111,6 +112,9 @@ def test_workload_noise_fit_runs_on_tiny_tracks(tmp_path):
     assert time.perf_counter() - start < 0.5
     m = tracing.layer_metrics(tracer.spans, tracer.counts, {}, [])
     assert m["predictors.kf_fit_noise.loss_evals"] == size["fit_steps"] + 1
+    # every window pass, a step's gradient or a validation loss, is
+    # DEFAULT_K kf_update steps of one stack
+    assert m["predictors.kf_update.calls"] == DEFAULT_K * (2 * size["fit_steps"] + 1)
     assert m["training.AdamW.step.calls"] == size["fit_steps"]
     q, r = load_kf_noise(out)
     assert len(q) == 8 and len(r) == 4

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -335,7 +336,8 @@ MODELS = {"zero": ZeroMotionPredictor(), "kf": KalmanBoxPredictor(),
 
 class TestRunChecks:
     """Every predictor checks a run once: frames >= 1 that strictly
-    increase, with one message for all three kinds."""
+    increase and one row per frame, with one message for all three
+    kinds."""
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     @pytest.mark.parametrize("frames, message", [
@@ -347,6 +349,15 @@ class TestRunChecks:
         with pytest.raises(ValidationError,
                            match=f"^observations must advance frames, {message}$"):
             MODELS[kind].predictions([b0], [frames], [rows], 2)
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("count", [3, 7])
+    def test_one_row_per_frame(self, kind, count):
+        b0 = BoundingBox(10, 10, 20, 15)
+        rows = [BoundingBox(10 + i, 10, 20, 15) for i in range(count)]
+        with pytest.raises(ValidationError,
+                           match=f"^a run needs one row per frame, got {count} rows for 5 frames$"):
+            MODELS[kind].predictions([b0], [[1, 2, 3, 4, 5]], [rows], 2)
 
 
 def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None):
@@ -370,18 +381,25 @@ def window(boxes):
                    encode_motion_rows(rows[:, :-1], rows[:, 1:]), np.zeros((1, 1, 4)))
 
 
+def gap_patterns(strides, k=3):
+    """Every k-step gap pattern over strides."""
+    return set(itertools.product(strides, repeat=k))
+
+
 class TestKfMotionBatch:
-    def test_matches_manual_predictor_run(self):
+    # long enough a track that its windows hold every gap pattern
+    @pytest.mark.parametrize("strides, length", [((1, 2), 60), ((1, 2, 3), 100)])
+    def test_matches_manual_predictor_run(self, strides, length):
         rng = np.random.default_rng(11)
         traj = [BoundingBox.from_center(50 + 2 * i + rng.normal(0, 0.3),
-                                        40 - i, 12 + 0.1 * i, 9) for i in range(60)]
+                                        40 - i, 12 + 0.1 * i, 9) for i in range(length)]
         noises = [(None, None),
                   (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0]))]
         for horizon in (1, 2):
-            samples = sample_windows(traj, 3, horizon, (1, 2), rng_for(5, "w"))
-            # every gap pattern, interleaved, so the per-pattern batches
-            # must scatter back to the original window order
-            assert len({tuple(gaps) for gaps in samples.intervals.tolist()}) == 8
+            samples = sample_windows(traj, 3, horizon, strides, rng_for(5, "w"))
+            # every gap pattern, interleaved in one stack, so each
+            # masked time update runs on some windows and not on others
+            assert {tuple(gaps) for gaps in samples.intervals.tolist()} == gap_patterns(strides)
             for q_diag, r_diag in noises:
                 out = kf_motion_batch(horizon, q_diag, r_diag)(samples)
                 assert out.shape == (len(samples), horizon, 4)
@@ -499,10 +517,11 @@ class TestNoiseGradient:
     ATOL = 1e-12
     THETA0 = np.log(np.concatenate([DEFAULT_Q_DIAG, DEFAULT_R_DIAG]))
 
+    @pytest.mark.parametrize("strides", [(1, 2), (1, 2, 3)])
     @pytest.mark.parametrize("theta",
                              [THETA0, THETA0 + np.random.default_rng(3).normal(0, 0.5, 12)])
-    def test_matches_central_differences_away_from_kinks(self, theta):
-        w = Windows.concat(sample_windows(t, 3, 1, (1, 2), rng_for(7, "grad", i))
+    def test_matches_central_differences_away_from_kinks(self, theta, strides):
+        w = Windows.concat(sample_windows(t, 3, 1, strides, rng_for(7, "grad", i))
                            for i, t in enumerate(sized_tracks()))
         noise = np.exp(theta)
         pred = kf_motion_batch(1, noise[:8], noise[8:])(w)
@@ -510,8 +529,7 @@ class TestNoiseGradient:
         # lies within FD's reach of a kept window's prediction
         w = w[np.abs(pred - w.targets).min(axis=(1, 2)) > 1e-4]
         pred = kf_motion_batch(1, noise[:8], noise[8:])(w)
-        assert {tuple(gaps) for gaps in w.intervals.tolist()} == {
-            (a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)}
+        assert {tuple(gaps) for gaps in w.intervals.tolist()} == gap_patterns(strides)
         clamped = np.isclose(w.boxes[:, -1:, 2:] * np.exp(pred[..., 2:]), 1.0, rtol=1e-12, atol=0)
         assert clamped.sum() >= 3
 
