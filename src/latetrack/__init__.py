@@ -16,14 +16,12 @@ from .boxes import (BoundingBox, FrameClock, Sequence, center_error, iou, load_s
 from .errors import DivergenceError, ValidationError
 from .evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from .latency import LatencyProfile
-from .motion import apply_motion_row, encode_motion, encode_motion_rows
-from .network import (PMWeights, constant_factor_weights, init_weights, l1_loss,
-                      load_weights, pm_predict, save_weights)
+from .motion import apply_motion_rows, encode_motion, encode_motion_rows
+from .network import PMWeights, init_weights, l1_loss, load_weights, pm_predict, save_weights
 from .predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
                          kf_fit_noise, kf_motion_batch, load_kf_noise, save_kf_noise)
 from .simulate import (PredictorAdapter, RunLog, TrackerAdapter, load_run_log, load_trace,
                        next_frame, pick_horizon_n, predictor_for, run_stream, run_streams,
                        save_run_log, save_trace)
 from .training import (AdamW, OptimizerConfig, SyntheticSpec, Windows, gen_synthetic,
-                       linear_track, motion_l1_on_samples, pm_motion_batch, sample_windows,
-                       train_pm, zero_motion_batch)
+                       motion_l1_on_samples, pm_motion_batch, sample_windows, train_pm)

@@ -1,14 +1,15 @@
 """Core domain types: boxes, frame clocks, sequences.
 
 Boxes are axis-aligned, anchored at the top-left corner, sized in pixels.
-Centers are derived as (x + w/2, y + h/2). All timestamps are seconds in
-double precision; frame indices are non-negative ints.
+centers and corners are the one conversion between (x, y, w, h) rows
+and (cx, cy, w, h) rows, cx = x + w/2 and cy = y + h/2. All timestamps
+are seconds in double precision; frame indices are non-negative ints.
 
 A BoundingBox is the checked type at the library boundary. Inside a
 simulated run, and in a run log's `boxes` column, a box is an
-(x, y, w, h) row of floats; a BoundingBox unpacks as its row, so the
-metrics and the predictors take either. A Sequence's ground truth is
-one (n, 4) column of rows, NaN where a frame has no annotation.
+(x, y, w, h) row of floats; a BoundingBox unpacks as its row, and
+box_column makes an (n, 4) array of either. A Sequence's ground truth
+is one (n, 4) column of rows, NaN where a frame has no annotation.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class BoundingBox:
     def cy(self) -> float:
         return self.y + self.h / 2.0
 
-    @classmethod
-    def from_center(cls, cx: float, cy: float, w: float, h: float) -> "BoundingBox":
-        return cls(cx - w / 2.0, cy - h / 2.0, w, h)
-
 
 @dataclass(frozen=True, slots=True)
 class FrameClock:
@@ -91,6 +88,16 @@ def box_column(boxes) -> np.ndarray:
     if col.size and (col.ndim != 2 or col.shape[1] != 4):
         raise ValidationError(f"boxes must be (n, 4) rows, got shape {col.shape}")
     return col.reshape(-1, 4)
+
+
+def centers(rows: np.ndarray) -> np.ndarray:
+    """(..., 4) (x, y, w, h) rows as (cx, cy, w, h) rows."""
+    return np.concatenate([rows[..., :2] + rows[..., 2:] / 2.0, rows[..., 2:]], axis=-1)
+
+
+def corners(rows: np.ndarray) -> np.ndarray:
+    """(..., 4) (cx, cy, w, h) rows as (x, y, w, h) rows."""
+    return np.concatenate([rows[..., :2] - rows[..., 2:] / 2.0, rows[..., 2:]], axis=-1)
 
 
 class Sequence:
@@ -124,7 +131,8 @@ class Sequence:
 
     @cached_property
     def ground_truth(self) -> tuple:
-        """One BoundingBox per annotated frame, None elsewhere; built on first use."""
+        """One BoundingBox per annotated frame, None elsewhere; built on
+        first use. Kept for bench/ until ROADMAP item 1."""
         return tuple(BoundingBox(*row) if a else None
                      for row, a in zip(self.boxes.tolist(), self.annotated.tolist()))
 
@@ -134,7 +142,8 @@ class Sequence:
 
 
 def iou(a, b) -> float:
-    """Intersection over union of two boxes or rows; 0 for disjoint boxes."""
+    """Intersection over union of two boxes or rows; 0 for disjoint
+    boxes. Kept for bench/ (its calls are counted) until ROADMAP item 4."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     ix = min(ax + aw, bx + bw) - max(ax, bx)
@@ -147,7 +156,8 @@ def iou(a, b) -> float:
 
 
 def center_error(a, b) -> float:
-    """Euclidean distance between the centers of two boxes or rows, pixels."""
+    """Euclidean distance between the centers of two boxes or rows,
+    pixels. Kept for bench/ (its calls are counted) until ROADMAP item 4."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     return math.hypot((ax + aw / 2.0) - (bx + bw / 2.0), (ay + ah / 2.0) - (by + bh / 2.0))
@@ -165,7 +175,10 @@ def _parse_line(line: str, lineno: int, path) -> BoundingBox | None:
         return None
     if any(math.isnan(v) for v in vals):
         raise ValidationError(f"{path}:{lineno}: partial NaN annotation {line!r}")
-    return BoundingBox(*vals)
+    try:
+        return BoundingBox(*vals)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}") from None
 
 
 def load_sequence(path, framerate: float = 30.0) -> Sequence:

@@ -1,4 +1,4 @@
-"""Normalized box-motion codec on (x, y, w, h) rows.
+"""Normalized box-motion codec.
 
 A motion between two boxes is the 4-vector
 [d_center_x / prev.w, d_center_y / prev.h, ln(cur.w / prev.w), ln(cur.h / prev.h)]:
@@ -6,9 +6,10 @@ center displacement in units of the previous box size plus log size
 ratios. The representation is scale-free, so a predictor trained on one
 motion scale transfers to another.
 
-encode_motion takes two rows (a BoundingBox unpacks as one) and returns
-the motion as a plain 4-tuple; encode_motion_rows is the same codec over
-arrays of rows, and apply_motion_row is the one decoder.
+encode_motion_rows encodes and apply_motion_rows decodes, both on arrays
+of (cx, cy, w, h) center rows (boxes.centers makes them). encode_motion
+is the scalar encoder on two (x, y, w, h) rows (a BoundingBox unpacks as
+one), returning a plain 4-tuple; the library no longer calls it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ _SIZE_EPS = 1e-12
 
 
 def encode_motion(prev, cur) -> tuple:
-    """Motion from prev to cur, normalized by prev's scale."""
+    """Motion from the (x, y, w, h) row prev to cur, normalized by prev's
+    scale. Kept for bench/ (it is traced) until ROADMAP item 4."""
     px, py, pw, ph = prev
     cx, cy, cw, ch = cur
     if min(pw, ph, cw, ch) <= _SIZE_EPS:
@@ -52,15 +54,16 @@ def encode_motion_rows(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return motions
 
 
-def apply_motion_row(base, m) -> tuple:
-    """Inverse of encode_motion: apply the 4 motion components m to the
-    box or row base, normalized by base's scale; returns the (x, y, w, h)
-    row, unchecked. The sizes go through math.exp, and a log size ratio
-    beyond its range is a ValidationError."""
-    x, y, w, h = base
-    dx, dy, lw, lh = m
+def apply_motion_rows(base: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Inverse of encode_motion_rows: the (cx, cy, w, h) rows base, moved
+    by the motions m that broadcast against them, unchecked. The size
+    ratios go through math.exp, as the encoder's through math.log; a log
+    size ratio beyond exp's range is a ValidationError."""
+    logs = m[..., 2:]
     try:
-        nw, nh = w * math.exp(lw), h * math.exp(lh)
+        ratios = np.array([math.exp(v) for v in logs.ravel().tolist()]).reshape(logs.shape)
     except OverflowError:
-        raise ValidationError(f"decoded box size overflows: log size ratios {lw}, {lh}") from None
-    return ((x + w / 2.0) + dx * w - nw / 2.0, (y + h / 2.0) + dy * h - nh / 2.0, nw, nh)
+        raise ValidationError(f"decoded box size overflows: log size ratios up to "
+                              f"{logs.max()}") from None
+    sizes = base[..., 2:]
+    return np.concatenate([base[..., :2] + m[..., :2] * sizes, sizes * ratios], axis=-1)

@@ -32,8 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .boxes import centers, corners
 from .errors import ValidationError
-from .motion import apply_motion_row
+from .motion import apply_motion_rows
 
 CHECKPOINT_VERSION = 1
 # The default geometry: history length k, which the window recipe
@@ -112,23 +113,6 @@ def init_weights(k: int = DEFAULT_K, n_heads: int = 1, c_enc: int = DEFAULT_C_EN
                          (w.head_w, c_dec), (w.out_w, c_dec)):
         bound = math.sqrt(6.0 / fan_in)
         view[...] = rng.uniform(-bound, bound, size=view.shape)
-    return w
-
-
-def constant_factor_weights(k: int = DEFAULT_K, n_heads: int = 1, c_enc: int = DEFAULT_C_ENC,
-                            c_dec: int = DEFAULT_C_DEC) -> PMWeights:
-    """Bias-only fixture: head n outputs the factor [n, n, n, n].
-
-    With every weight matrix zeroed, head n's bias is the only signal;
-    routing it through one channel of the shared output layer gives each
-    head a constant factor equal to its horizon index. Applied to the
-    average speed of a constant-velocity history this reproduces the
-    future boxes exactly.
-    """
-    w = PMWeights(k, n_heads, c_enc, c_dec)
-    for n in range(1, n_heads + 1):
-        w.head_b[n - 1, 0] = float(n)
-    w.out_w[:, 0] = 1.0
     return w
 
 
@@ -240,21 +224,25 @@ def pm_motions(w: PMWeights, motions: np.ndarray, intervals: np.ndarray) -> np.n
     return factors * speeds[..., None, :]
 
 
-def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray, latest) -> list:
+def pm_predict(w: PMWeights, motions: np.ndarray, intervals: np.ndarray,
+               latest: np.ndarray) -> np.ndarray:
     """Predict (x, y, w, h) rows for the N frames after each of m
     windows' latest processed frame.
 
     motions (m, k, 4) and intervals (m, k) are m windows, oldest step
-    first, and `latest` holds each window's latest box or row. The
-    windows run through pm_motions as an (m, 1, k, ·) stack, which gives
-    each the bits of its own batch of one. Each predicted motion is
-    applied to its window's latest row with apply_motion_row, so
-    predictions are normalized by the latest raw box's scale. Returns m
-    lists of N rows, checked where the run log is built.
+    first, and the (m, 4) array `latest` holds each window's latest
+    (x, y, w, h) row. The windows run through pm_motions as an
+    (m, 1, k, ·) stack, which gives each the bits of its own batch of
+    one. Each predicted motion is applied to its window's latest row by
+    apply_motion_rows, so predictions are normalized by the latest raw
+    box's scale. Returns (m, N, 4) rows, checked where the run log is
+    built.
     """
-    rows = pm_motions(w, motions[:, None], intervals[:, None])[:, 0]
-    return [[apply_motion_row(base, m) for m in heads]
-            for base, heads in zip(latest, rows.tolist())]
+    if latest.shape != (len(motions), 4):
+        raise ValidationError(f"need one latest row per window, got shape {latest.shape} "
+                              f"for {len(motions)} windows")
+    pred = pm_motions(w, motions[:, None], intervals[:, None])[:, 0]
+    return corners(apply_motion_rows(centers(latest)[:, None], pred))
 
 
 def l1_loss(pred: np.ndarray, targets: np.ndarray):

@@ -8,13 +8,14 @@ run: an (n, horizon, 4) array whose i-th block holds the `horizon`
 i-th observation, from its b0 (frame 0's ground-truth box) and the rows
 observed so far. Every row is observed, the last included. A predictor
 is built once and keeps nothing between calls; no run reads another's
-numbers. Each run is checked once, in order: the horizon, that its
+numbers. A batch must hold one b0, one frames list and one rows list per
+run. Each run is then checked once, in order: the horizon, that its
 frames are >= 1 and strictly increase, and that it has one row per
 frame.
 
-b0s and rows may hold BoundingBoxes, row tuples or (n, 4) arrays. Rows
-are not checked here: run_streams checks every emitted row once, when
-each run's RunLog is built.
+b0s and each run's rows are what boxes.box_column takes: (x, y, w, h)
+rows or BoundingBoxes, or an (n, 4) array. Rows are not checked here:
+run_streams checks every emitted row once, when each run's RunLog is built.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over
 (position, per-frame velocity). The transition [[I, I], [0, I]], the
@@ -34,8 +35,7 @@ run, and kf_predict rolls the whole (R, T, 4) history out once.
 kf_motion_batch runs all n windows through it as one (n, 4) stack.
 kf_fit_noise fits Q and R, from a predictor's, in training's fit loop;
 its gradient is exact, from forward-mode tangents that _kf_run carries
-beside the filter, one pass per step. make_kf_state is kept only for
-the benchmark's noise-fit step.
+beside the filter, one pass per step.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .boxes import box_column, centers, corners
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
 from .network import DEFAULT_K, PMWeights, l1_loss, pm_predict
@@ -55,6 +56,15 @@ from .training import (DEFAULT_STRIDE_SET, OptimizerConfig, Windows, fit_best_on
 DEFAULT_Q_DIAG = (1e-2, 1e-2, 1e-2, 1e-2, 1e-3, 1e-3, 1e-3, 1e-3)
 DEFAULT_R_DIAG = (1.0, 1.0, 1.0, 1.0)
 DEFAULT_INIT_COV = 10.0
+
+
+def _runs(b0s, frames, rows):
+    """The (b0, frames, rows) runs of a batch; the one check that it
+    holds as many of each."""
+    if not len(b0s) == len(frames) == len(rows):
+        raise ValidationError(f"a batch needs one b0, frames list and rows list per run, got "
+                              f"{len(b0s)}, {len(frames)} and {len(rows)}")
+    return zip(b0s, frames, rows)
 
 
 def _frame_gaps(frames, rows, horizon: int) -> np.ndarray:
@@ -200,21 +210,7 @@ def _kf_rollout(pos, vel, horizon: int) -> np.ndarray:
 def kf_predict(pos, vel, horizon: int) -> np.ndarray:
     """_kf_rollout's clamped centers as (..., horizon, 4) (x, y, w, h)
     rows. KalmanBoxPredictor checked the horizon."""
-    out = _kf_rollout(pos, vel, horizon)
-    out[..., :2] -= out[..., 2:] / 2.0
-    return out
-
-
-def _rows(rows) -> np.ndarray:
-    """Boxes, row tuples or an (n, 4) array as an (n, 4) float array."""
-    if not isinstance(rows, np.ndarray):
-        rows = [tuple(row) for row in rows]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
-
-
-def _centers(rows: np.ndarray) -> np.ndarray:
-    """(x, y, w, h) rows as (cx, cy, w, h): the filters' measurements."""
-    return np.concatenate([rows[:, :2] + rows[:, 2:] / 2.0, rows[:, 2:]], axis=1)
+    return corners(_kf_rollout(pos, vel, horizon))
 
 
 class ZeroMotionPredictor:
@@ -224,9 +220,9 @@ class ZeroMotionPredictor:
         """Per run, b0 `horizon` times before the first observation,
         then each observed row `horizon` times."""
         out = []
-        for b0, run_frames, run_rows in zip(b0s, frames, rows):
+        for b0, run_frames, run_rows in _runs(b0s, frames, rows):
             n = len(_frame_gaps(run_frames, run_rows, horizon))
-            seen = np.concatenate([_rows([b0]), _rows(run_rows)])[:n]
+            seen = np.concatenate([box_column([b0]), box_column(run_rows)])[:n]
             out.append(np.repeat(seen[:, None], horizon, axis=1))
         return out
 
@@ -246,14 +242,15 @@ class KalmanBoxPredictor:
         another's. The means each run held before each of its
         observations, an (R, T, 4) history, are rolled out by one
         kf_predict."""
-        gaps = [_frame_gaps(*run, horizon) for run in zip(frames, rows)]
+        gaps = [_frame_gaps(run_frames, run_rows, horizon)
+                for _, run_frames, run_rows in _runs(b0s, frames, rows)]
         lengths = [len(g) for g in gaps]
-        start = _centers(_rows(b0s))
+        start = centers(box_column(b0s))
         steps = max(lengths, default=0)
         z = np.repeat(start[None], steps, axis=0)
         gap = np.ones(z.shape, dtype=np.int64)
         for i, (run_gaps, run_rows) in enumerate(zip(gaps, rows)):
-            z[:len(run_gaps), i] = _centers(_rows(run_rows))
+            z[:len(run_gaps), i] = centers(box_column(run_rows))
             gap[:len(run_gaps), i] = run_gaps[:, None]
         pos, vel = _kf_run(start, z, gap, self._noise)[:steps].transpose(1, 2, 0, 3)
         out = kf_predict(pos, vel, horizon)
@@ -261,7 +258,8 @@ class KalmanBoxPredictor:
 
 
 def make_kf_state(b0, q_diag=None, r_diag=None) -> KalmanBoxPredictor:
-    """A KalmanBoxPredictor with this noise; b0 is not read."""
+    """A KalmanBoxPredictor with this noise; b0 is not read. Kept for
+    bench/'s noise-fit step until ROADMAP item 1."""
     return KalmanBoxPredictor(q_diag, r_diag)
 
 
@@ -283,7 +281,7 @@ class MotionNetPredictor:
             raise ValidationError(
                 f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}")
         return [self._run(b0, run_frames, run_rows, horizon)
-                for b0, run_frames, run_rows in zip(b0s, frames, rows)]
+                for b0, run_frames, run_rows in _runs(b0s, frames, rows)]
 
     def _run(self, b0, frames, rows, horizon: int) -> np.ndarray:
         """One run in one pm_predict call. The invocation before
@@ -291,16 +289,13 @@ class MotionNetPredictor:
         motions and gaps, the last k before it. The motions are
         encode_motion's numbers, all encoded and checked at once."""
         gaps = _frame_gaps(frames, rows, horizon)
-        if not len(frames):
-            return np.empty((0, horizon, 4))
         k = self.weights.k
-        boxes = np.concatenate([_rows([b0]), _rows(rows)])
-        centers = _centers(boxes)
-        motions = np.concatenate([np.zeros((k, 4)), encode_motion_rows(centers[:-1], centers[1:])])
+        boxes = np.concatenate([box_column([b0]), box_column(rows)])
+        seen = centers(boxes)
+        motions = np.concatenate([np.zeros((k, 4)), encode_motion_rows(seen[:-1], seen[1:])])
         gaps = np.concatenate([np.ones(k), gaps])
         window = np.arange(len(frames))[:, None] + np.arange(k)
-        return np.array(pm_predict(self.weights, motions[window], gaps[window],
-                                   boxes[:-1].tolist()))
+        return pm_predict(self.weights, motions[window], gaps[window], boxes[:-1])
 
 
 def kf_motion_batch(horizon_n: int, q_diag=None, r_diag=None):

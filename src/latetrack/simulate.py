@@ -141,8 +141,8 @@ class RunLog:
 
     @property
     def processed(self) -> tuple:
-        """The schedule as (frame, t_start, t_finish) tuples; only the
-        benchmark's tracer reads it."""
+        """The schedule as (frame, t_start, t_finish) tuples. Kept for
+        bench/'s tracer until ROADMAP item 1."""
         return tuple(zip(self.frame.tolist(), self.t_start.tolist(), self.t_finish.tolist()))
 
     @property

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import BoundingBox, FrameClock, Sequence, box_column
+from .boxes import FrameClock, Sequence, box_column, centers, corners
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
 from .network import (DEFAULT_C_DEC, DEFAULT_C_ENC, backward_batch, forward_batch, init_weights,
@@ -190,7 +190,7 @@ def sample_windows(traj, k: int, horizon_n: int, stride_set, rng) -> Windows:
     missing = np.flatnonzero(np.isnan(traj).any(axis=1))
     if missing.size:
         raise ValidationError(f"windows need a box on every frame; frame {missing[0]} has none")
-    rows = np.hstack([traj[:, :2] + traj[:, 2:] / 2.0, traj[:, 2:]])
+    rows = centers(traj)
     anchors = np.arange(k * strides[-1], len(traj) - horizon_n)
     steps = np.array(strides)[rng.integers(0, len(strides), size=(len(anchors), k))]
     # draw j is the gap that ends j steps before the anchor; frames run oldest first
@@ -321,18 +321,11 @@ class SyntheticSpec:
                                       f"{', lo > 0' if positive else ''}, got {bounds!r}")
 
 
-def linear_track(b0: BoundingBox, velocity, length: int) -> list:
-    """Constant-velocity trajectory: the box translates by `velocity`
-    pixels per frame at fixed size."""
-    vx, vy = velocity
-    return [BoundingBox(b0.x + vx * t, b0.y + vy * t, b0.w, b0.h) for t in range(length)]
-
-
 def _signed_uniform(rng, lo, hi):
     return (1 if rng.random() < 0.5 else -1) * rng.uniform(lo, hi)
 
 
-def _centers(spec: SyntheticSpec, rng):
+def _center_path(spec: SyntheticSpec, rng):
     t = np.arange(spec.length, dtype=float)
     c0 = rng.uniform(*spec.center_range, size=2)
     if spec.kind == CONSTANT_VELOCITY:
@@ -361,12 +354,11 @@ def gen_synthetic(spec: SyntheticSpec) -> list:
     sequences = []
     for i in range(spec.n_sequences):
         rng = rng_for(spec.seed, "synthetic", spec.kind, i)
-        centers = _centers(spec, rng)
+        path = _center_path(spec, rng)
         w, h = rng.uniform(*spec.size_range, size=2)
         if spec.noise_sigma > 0:
-            centers = centers + rng.normal(0.0, spec.noise_sigma, size=centers.shape)
-        # BoundingBox.from_center's arithmetic, on the whole column
-        boxes = np.hstack([centers - np.array([w, h]) / 2.0, np.tile([w, h], (len(centers), 1))])
+            path = path + rng.normal(0.0, spec.noise_sigma, size=path.shape)
+        boxes = corners(np.hstack([path, np.tile([w, h], (len(path), 1))]))
         sequences.append(Sequence(f"{spec.kind}-{i:03d}", clock, boxes))
     return sequences
 
@@ -389,11 +381,4 @@ def pm_motion_batch(weights):
     def predict(windows):
         _check_sizes(windows, weights.k, weights.n_heads)
         return pm_motions(weights, windows.motions, windows.intervals)
-    return predict
-
-
-def zero_motion_batch(horizon_n: int):
-    """Window predictor for the stay-put baseline: all-zero motions."""
-    def predict(windows):
-        return np.zeros((len(windows), horizon_n, 4))
     return predict

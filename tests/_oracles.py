@@ -1,9 +1,15 @@
 """Independent reference implementations the real code is checked
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
-package beyond the domain dataclasses, the scalar box metrics, the motion
-codec, the Kalman window predictor and motion L1 harness, the network's
-batch prediction, the run log and the seed derivation."""
+package beyond the domain dataclasses, the scalar box metrics, the
+scalar motion encoder, the Kalman window predictor and motion L1
+harness, the network's batch motions, the run log and the seed
+derivation.
+
+The scalar helpers that only tests use live here too: the motion
+decoder apply_motion_row (the oracle of motion.apply_motion_rows),
+box_from_center, linear_track, zero_motion_batch and the
+constant_factor_weights fixture."""
 
 import math
 from pathlib import Path
@@ -13,12 +19,61 @@ import numpy as np
 from latetrack.boxes import PREDICTED, RAW, BoundingBox, center_error, iou
 from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
-from latetrack.network import pm_predict
+from latetrack.network import DEFAULT_C_DEC, DEFAULT_C_ENC, DEFAULT_K, PMWeights, pm_motions
 from latetrack.predictors import (DEFAULT_INIT_COV, KalmanBoxPredictor, MotionNetPredictor,
                                   ZeroMotionPredictor, kf_motion_batch)
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.simulate import RunLog
 from latetrack.training import motion_l1_on_samples
+
+
+def box_from_center(cx, cy, w, h):
+    """The BoundingBox with center (cx, cy) and size (w, h)."""
+    return BoundingBox(cx - w / 2.0, cy - h / 2.0, w, h)
+
+
+def apply_motion_row(base, m):
+    """Inverse of encode_motion: apply the 4 motion components m to the
+    box or row base, normalized by base's scale; returns the (x, y, w, h)
+    row, unchecked. The sizes go through math.exp, and a log size ratio
+    beyond its range is a ValidationError."""
+    x, y, w, h = base
+    dx, dy, lw, lh = m
+    try:
+        nw, nh = w * math.exp(lw), h * math.exp(lh)
+    except OverflowError:
+        raise ValidationError(f"decoded box size overflows: log size ratios {lw}, {lh}") from None
+    return ((x + w / 2.0) + dx * w - nw / 2.0, (y + h / 2.0) + dy * h - nh / 2.0, nw, nh)
+
+
+def linear_track(b0, velocity, length):
+    """Constant-velocity trajectory: the box translates by `velocity`
+    pixels per frame at fixed size."""
+    vx, vy = velocity
+    return [BoundingBox(b0.x + vx * t, b0.y + vy * t, b0.w, b0.h) for t in range(length)]
+
+
+def zero_motion_batch(horizon_n):
+    """Window predictor for the stay-put baseline: all-zero motions."""
+    def predict(windows):
+        return np.zeros((len(windows), horizon_n, 4))
+    return predict
+
+
+def constant_factor_weights(k=DEFAULT_K, n_heads=1, c_enc=DEFAULT_C_ENC, c_dec=DEFAULT_C_DEC):
+    """Bias-only fixture: head n outputs the factor [n, n, n, n].
+
+    With every weight matrix zeroed, head n's bias is the only signal;
+    routing it through one channel of the shared output layer gives each
+    head a constant factor equal to its horizon index. Applied to the
+    average speed of a constant-velocity history this reproduces the
+    future boxes exactly.
+    """
+    w = PMWeights(k, n_heads, c_enc, c_dec)
+    for n in range(1, n_heads + 1):
+        w.head_b[n - 1, 0] = float(n)
+    w.out_w[:, 0] = 1.0
+    return w
 
 
 def run_log(name, schedule=(), outputs=(), predictor_latencies=()):
@@ -136,7 +191,7 @@ class TextbookKalman:
         for _ in range(horizon):
             x = self.F @ x
             cx, cy, w, h = x[:4]
-            boxes.append(BoundingBox.from_center(cx, cy, max(w, 1.0), max(h, 1.0)))
+            boxes.append(box_from_center(cx, cy, max(w, 1.0), max(h, 1.0)))
         return boxes
 
 
@@ -255,7 +310,8 @@ def load_sequence_lines(path):
     on commas, float() each stripped field and check the values through
     BoundingBox. Returns the (n, 4) column (the parsed values on an
     all-NaN line, float("nan") on a blank one) and the annotated mask;
-    a bad line raises the first error with the reader's message."""
+    a bad line raises the first error with the reader's message, which
+    starts with `path:line: `."""
     path = Path(path)
     rows, mask = [], []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -280,7 +336,10 @@ def load_sequence_lines(path):
             continue
         if any(nans):
             raise ValidationError(f"{path}:{lineno}: partial NaN annotation {line!r}")
-        box = BoundingBox(*vals)
+        try:
+            box = BoundingBox(*vals)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
         rows.append([box.x, box.y, box.w, box.h])
         mask.append(True)
     if len(rows) < 2:
@@ -430,7 +489,8 @@ class OnlineMotionNet:
     oldest first. A reset fills them with zero motions of gap 1, and
     each observation shifts them one row and writes the newest last,
     the motion from the previous row through the scalar codec. Each
-    prediction is one batch-of-one pm_predict call."""
+    prediction is one batch-of-one pm_motions call, decoded row by row
+    by apply_motion_row."""
 
     def __init__(self, weights):
         self.weights = weights
@@ -457,8 +517,8 @@ class OnlineMotionNet:
         if horizon != self.weights.n_heads:
             raise ValidationError(
                 f"network predicts exactly {self.weights.n_heads} frames, asked for {horizon}")
-        return pm_predict(self.weights, self.motions[None], self.intervals[None],
-                          [self.latest])[0]
+        motions = pm_motions(self.weights, self.motions[None], self.intervals[None])[0]
+        return [apply_motion_row(self.latest, m) for m in motions.tolist()]
 
 
 def online_predictor(model):

@@ -15,18 +15,17 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error, sav
 from latetrack.cli import main
 from latetrack.evaluate import EstimateMatcher, sigma_grid
 from latetrack.latency import LatencyProfile
-from latetrack.motion import apply_motion_row, encode_motion
-from latetrack.network import (backward_batch, constant_factor_weights, forward_batch,
-                               init_weights, l1_loss, save_weights)
+from latetrack.motion import encode_motion
+from latetrack.network import backward_batch, forward_batch, init_weights, l1_loss, save_weights
 from latetrack.predictors import KalmanBoxPredictor, kf_fit_noise, kf_motion_batch
 from latetrack.seeding import rng_for
 from latetrack.simulate import TrackerAdapter, run_stream
 from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, SINUSOIDAL,
-                                SyntheticSpec, gen_synthetic, linear_track,
-                                motion_l1_on_samples, pm_motion_batch,
-                                sample_windows, zero_motion_batch)
+                                SyntheticSpec, gen_synthetic, motion_l1_on_samples,
+                                pm_motion_batch, sample_windows)
 
-from _oracles import central_differences, elae_scan, output_rows, run_log
+from _oracles import (apply_motion_row, central_differences, constant_factor_weights,
+                      elae_scan, linear_track, output_rows, run_log, zero_motion_batch)
 
 
 @contextmanager

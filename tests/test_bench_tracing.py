@@ -10,7 +10,8 @@ tracer here, running one short traced simulation and sweep, and turning
 the spans into layer metrics catches either break in the ordinary test
 run. bench/workloads.py calls the noise fit as a library function
 (make_kf_state, kf_fit_noise, save_kf_noise), so its fit step runs here
-too, on tiny inputs.
+too, on tiny inputs, and so does the whole fit workload: its steps, then
+its quality metrics, which sample windows from a list of BoundingBoxes.
 """
 
 import importlib
@@ -20,11 +21,15 @@ import time
 from pathlib import Path
 
 from latetrack import evaluate, simulate
-from latetrack.boxes import BoundingBox, FrameClock, Sequence
+from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence
 from latetrack.latency import LatencyProfile
 from latetrack.network import DEFAULT_K
-from latetrack.predictors import load_kf_noise
-from latetrack.training import SINUSOIDAL, SyntheticSpec, gen_synthetic, linear_track
+from latetrack.predictors import kf_motion_batch, load_kf_noise
+from latetrack.seeding import rng_for
+from latetrack.training import (SINUSOIDAL, SyntheticSpec, Windows, gen_synthetic,
+                                motion_l1_on_samples, sample_windows)
+
+from _oracles import linear_track
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -118,3 +123,23 @@ def test_workload_noise_fit_runs_on_tiny_tracks(tmp_path):
     assert m["training.AdamW.step.calls"] == size["fit_steps"]
     q, r = load_kf_noise(out)
     assert len(q) == 8 and len(r) == 4
+
+
+def test_fit_workload_runs_its_steps_and_quality_on_tiny_inputs(tmp_path):
+    workloads = load_bench("workloads")
+    seed = 1
+    workload = workloads.setup_fit(tmp_path, seed, workloads.SIZES["tiny"])
+    for step in workload.steps:
+        assert step.run() == 0, step.verb
+        assert all(path.is_file() for path in step.outputs), step.verb
+    quality = workload.quality()
+    assert set(quality) == set(workloads.QUALITY["fit"])
+    # the workload samples from a list of BoundingBoxes and scores one-row
+    # Windows; the column path gives the same bits
+    q, r = load_kf_noise(tmp_path / "noise.json")
+    holdout = sorted((tmp_path / "holdout").glob("*.txt"))
+    assert holdout
+    windows = Windows.concat(sample_windows(load_sequence(path), 3, 1, (1, 2),
+                                            rng_for(seed, "holdout", path.stem))
+                             for path in holdout)
+    assert quality["kf_fit_l1"] == motion_l1_on_samples(windows, kf_motion_batch(1, q, r))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from _oracles import load_sequence_lines
-from latetrack.boxes import (BoundingBox, FrameClock, Sequence, center_error, iou,
-                             load_sequence, save_sequence)
+from latetrack.boxes import (BoundingBox, FrameClock, Sequence, center_error, centers, corners,
+                             iou, load_sequence, save_sequence)
 from latetrack.errors import ValidationError
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -33,9 +33,11 @@ class TestBoundingBox:
         b = BoundingBox(0, 0, 10, 30)
         assert (b.cx, b.cy) == (5.0, 15.0)
 
-    def test_from_center_round_trip(self):
-        b = BoundingBox.from_center(5, 15, 10, 30)
-        assert b == BoundingBox(0, 0, 10, 30)
+    def test_centers_and_corners_round_trip(self):
+        rows = np.array([[0.0, 0.0, 10.0, 30.0], [-3.0, 7.5, 4.0, 1.0]])
+        assert centers(rows).tolist() == [[5.0, 15.0, 10.0, 30.0], [-1.0, 8.0, 4.0, 1.0]]
+        assert np.array_equal(corners(centers(rows)), rows)
+        assert centers(rows[None]).shape == (1, 2, 4)
 
     def test_fields_coerced_to_plain_floats(self):
         import numpy as np
@@ -209,6 +211,17 @@ class TestSequenceFiles:
         path.write_text("0,0,10\n")
         with pytest.raises(ValidationError):
             load_sequence(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1,2,-3,4", "box sizes must be positive, got w=-3.0, h=4.0"),
+        ("1,2,inf,4", "box fields must be finite"),
+    ])
+    def test_bad_box_values_name_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0,0,10,10\n{line}\n")
+        with pytest.raises(ValidationError) as got:
+            load_sequence(path)
+        assert str(got.value).startswith(f"{path}:2: {message}")
 
 
 def _random_token(rng: random.Random) -> str:

@@ -12,12 +12,14 @@ from latetrack.cli import build_parser, main
 from latetrack.config import Config, latency_from_config, predictor_from_config
 from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
-from latetrack.network import constant_factor_weights, init_weights, load_weights, save_weights
+from latetrack.network import init_weights, load_weights, save_weights
 from latetrack.predictors import save_kf_noise
 from latetrack.seeding import derive_seed
 from latetrack.report import build_manifest
 from latetrack.simulate import load_run_log, pick_horizon_n, run_streams
 from latetrack.training import OptimizerConfig, SyntheticSpec, gen_synthetic, train_pm
+
+from _oracles import constant_factor_weights
 
 
 def write_cfg(path: Path, text: str) -> str:

@@ -10,8 +10,10 @@ from latetrack.network import init_weights, save_weights
 from latetrack.predictors import (DEFAULT_Q_DIAG, DEFAULT_R_DIAG, KalmanBoxPredictor,
                                   MotionNetPredictor, save_kf_noise)
 from latetrack.simulate import TrackerAdapter, load_trace, run_stream, save_trace
-from latetrack.training import CONSTANT_VELOCITY, linear_track
+from latetrack.training import CONSTANT_VELOCITY
 from latetrack.boxes import FrameClock, Sequence
+
+from _oracles import linear_track
 
 
 class TestParsing:

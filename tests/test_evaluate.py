@@ -9,9 +9,9 @@ from latetrack.evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.predictors import KalmanBoxPredictor
 from latetrack.simulate import PredictorAdapter, TrackerAdapter, run_stream
-from latetrack.training import linear_track
 
-from _oracles import elae_scan, output_rows, run_log, score_scan
+from _oracles import (box_from_center, elae_scan, linear_track, output_rows, run_log,
+                      score_scan)
 
 
 def cv_sequence(n=10, vx=2.0, kappa=30.0, name="cv"):
@@ -359,7 +359,7 @@ class TestScoreOracle:
         for _ in range(3000):
             t = rng.uniform(0, 2 * np.pi)
             r = 20.0 * (1.0 + rng.normal(0.0, 3e-16))
-            est = BoundingBox.from_center(gt.cx + r * np.cos(t), gt.cy + r * np.sin(t), 20, 20)
+            est = box_from_center(gt.cx + r * np.cos(t), gt.cy + r * np.sin(t), 20, 20)
             vector = np.hypot(gt.cx - est.cx, gt.cy - est.cy) <= 20.0
             if vector == (center_error(gt, est) <= 20.0):
                 continue

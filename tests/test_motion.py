@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latetrack.boxes import BoundingBox
+from latetrack.boxes import BoundingBox, centers, corners
 from latetrack.errors import ValidationError
-from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
+from latetrack.motion import apply_motion_rows, encode_motion, encode_motion_rows
 from latetrack.network import PMWeights, pm_predict, window_inputs
+
+from _oracles import apply_motion_row, box_from_center
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.5, 1e3, allow_nan=False, allow_infinity=False)
 gt_boxes = st.builds(BoundingBox, coords, coords, sizes, sizes)
+
+
+def decode(base, m):
+    """apply_motion_rows on one box, through its center row, as a box."""
+    return BoundingBox(*corners(apply_motion_rows(centers(np.array([tuple(base)])),
+                                                  np.array([m], dtype=float)))[0])
 
 
 class TestEncode:
@@ -26,7 +34,7 @@ class TestEncode:
 
     def test_growth_example(self):
         prev = BoundingBox(0, 0, 10, 10)
-        cur = BoundingBox.from_center(10, 10, 20, 20)
+        cur = box_from_center(10, 10, 20, 20)
         dx, dy, lw, lh = encode_motion(prev, cur)
         assert dx == pytest.approx(0.5)
         assert dy == pytest.approx(0.5)
@@ -42,16 +50,15 @@ class TestEncode:
 class TestApply:
     def test_identity(self):
         b = BoundingBox(4, 5, 8, 9)
-        assert BoundingBox(*apply_motion_row(b, (0, 0, 0, 0))) == b
+        assert decode(b, (0, 0, 0, 0)) == b
 
     def test_doubling_example(self):
-        out = BoundingBox(*apply_motion_row(BoundingBox(0, 0, 10, 10),
-                                            (0.5, 0.5, math.log(2), math.log(2))))
+        out = decode(BoundingBox(0, 0, 10, 10), (0.5, 0.5, math.log(2), math.log(2)))
         assert out == BoundingBox(0, 0, 20, 20)
 
     @given(gt_boxes, gt_boxes)
     def test_round_trip(self, prev, cur):
-        back = BoundingBox(*apply_motion_row(prev, encode_motion(prev, cur)))
+        back = decode(prev, encode_motion(prev, cur))
         for a, b in zip((back.x, back.y, back.w, back.h), (cur.x, cur.y, cur.w, cur.h)):
             assert a == pytest.approx(b, abs=1e-9 * max(1.0, abs(b)))
 
@@ -67,7 +74,40 @@ class TestApply:
 
     def test_degenerate_result_rejected(self):
         with pytest.raises(ValidationError):
-            BoundingBox(*apply_motion_row(BoundingBox(0, 0, 1, 1), (0, 0, -800.0, 0)))
+            decode(BoundingBox(0, 0, 1, 1), (0, 0, -800.0, 0))
+
+
+class TestApplyRows:
+    """apply_motion_rows against the scalar oracle, byte for byte."""
+
+    @staticmethod
+    def random_rows(rng, shape):
+        corner = rng.uniform(-50, 50, (*shape, 2))
+        return np.concatenate([corner, rng.uniform(0.5, 80, (*shape, 2))], axis=-1)
+
+    def test_matches_the_scalar_decoder(self):
+        # np.exp would differ from math.exp in a few of these size ratios
+        rng = np.random.default_rng(5)
+        base, m = self.random_rows(rng, (500,)), rng.normal(0, 0.5, size=(500, 4))
+        got = corners(apply_motion_rows(centers(base), m))
+        want = np.array([apply_motion_row(b, v) for b, v in zip(base.tolist(), m.tolist())])
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_base_row_against_n_motions(self):
+        # pm_predict's broadcast: (m, 1, 4) latest rows against (m, N, 4) motions
+        rng = np.random.default_rng(6)
+        base, m = self.random_rows(rng, (60,)), rng.normal(0, 0.5, size=(60, 3, 4))
+        got = corners(apply_motion_rows(centers(base)[:, None], m))
+        want = np.array([[apply_motion_row(b, v) for v in heads]
+                         for b, heads in zip(base.tolist(), m.tolist())])
+        assert got.shape == (60, 3, 4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_log_size_ratio_rejected(self):
+        m = np.zeros((2, 4))
+        m[1, 3] = 800.0
+        with pytest.raises(ValidationError, match="^decoded box size overflows"):
+            apply_motion_rows(np.array([[5.0, 5.0, 10.0, 10.0]]), m)
 
 
 class TestEncodeRows:
@@ -114,7 +154,8 @@ def predicted_box(factor, speed):
     window moving at `speed`, as a checked box."""
     w = PMWeights(k=1, n_heads=1, c_enc=2, c_dec=2)
     w.out_b[:] = factor
-    return BoundingBox(*pm_predict(w, np.array([[speed]]), np.array([[1]]), [BASE])[0][0])
+    return BoundingBox(*pm_predict(w, np.array([[speed]]), np.array([[1]]),
+                                   np.array([tuple(BASE)]))[0, 0])
 
 
 class TestApplyFactor:
@@ -152,7 +193,7 @@ class TestConstantVelocityExactness:
         track = [BoundingBox(3.0 * i, -1.5 * i, 12, 12) for i in range(6)]
         motions = tuple(encode_motion(a, b) for a, b in zip(track, track[1:]))
         step = speed_of(motions, (1,) * len(motions))
-        nxt = BoundingBox(*apply_motion_row(track[-1], step))
+        nxt = decode(track[-1], step)
         want = BoundingBox(3.0 * 6, -1.5 * 6, 12, 12)
         assert nxt.cx == pytest.approx(want.cx, abs=1e-12)
         assert nxt.cy == pytest.approx(want.cy, abs=1e-12)

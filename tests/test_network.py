@@ -7,12 +7,13 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import apply_motion_row, encode_motion
-from latetrack.network import (PMWeights, backward_batch, constant_factor_weights,
-                               forward_batch, init_weights, l1_loss, load_weights,
-                               pm_motions, pm_predict, save_weights, window_inputs)
+from latetrack.motion import encode_motion
+from latetrack.network import (PMWeights, backward_batch, forward_batch, init_weights, l1_loss,
+                               load_weights, pm_motions, pm_predict, save_weights,
+                               window_inputs)
 
-from _oracles import central_differences, pm_forward_loops
+from _oracles import (apply_motion_row, central_differences, constant_factor_weights,
+                      pm_forward_loops)
 
 SMALL = dict(k=3, n_heads=2, c_enc=8, c_dec=6)
 CHECKPOINT_ORDER = ("enc_w", "enc_b", "conv_w", "conv_b", "dec_w", "dec_b",
@@ -56,8 +57,10 @@ def cv_history(vx=2.0, vy=-1.0, k=4, size=10.0):
 
 
 def predict_one(w, motions, intervals, latest):
-    """pm_predict's N rows for one window, run as a stack of one."""
-    return pm_predict(w, motions[None], intervals[None], [latest])[0]
+    """pm_predict's N rows for one window, run as a stack of one, as
+    tuples."""
+    rows = pm_predict(w, motions[None], intervals[None], np.array([tuple(latest)]))[0]
+    return [tuple(row) for row in rows.tolist()]
 
 
 class TestForward:
@@ -418,8 +421,15 @@ class TestStackingRule:
         rng = np.random.default_rng(76)
         motions = rng.normal(0, 0.1, size=(9, 3, 4))
         intervals = rng.integers(1, 3, size=(9, 3)).astype(np.float64)
-        latest = [tuple(v) for v in rng.uniform(20, 40, size=(9, 4)).tolist()]
-        want = [[apply_motion_row(latest[i], m) for m in
-                 pm_motions(w, motions[i][None], intervals[i][None])[0].tolist()]
-                for i in range(9)]
-        assert pm_predict(w, motions, intervals, latest) == want
+        latest = rng.uniform(20, 40, size=(9, 4))
+        want = np.array([[apply_motion_row(latest[i].tolist(), m) for m in
+                          pm_motions(w, motions[i][None], intervals[i][None])[0].tolist()]
+                         for i in range(9)])
+        got = pm_predict(w, motions, intervals, latest)
+        assert got.shape == (9, 2, 4)
+        assert got.tobytes() == want.tobytes()
+
+    def test_pm_predict_needs_one_latest_row_per_window(self):
+        w = init_weights(seed=77, k=3, n_heads=2)
+        with pytest.raises(ValidationError, match="one latest row per window"):
+            pm_predict(w, np.zeros((4, 3, 4)), np.ones((4, 3)), np.full((1, 4), 10.0))

@@ -6,8 +6,8 @@ import pytest
 
 from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
-from latetrack.motion import apply_motion_row, encode_motion, encode_motion_rows
-from latetrack.network import PMWeights, constant_factor_weights, init_weights
+from latetrack.motion import encode_motion, encode_motion_rows
+from latetrack.network import PMWeights, init_weights
 from latetrack import predictors
 from latetrack.predictors import (DEFAULT_INIT_COV, DEFAULT_Q_DIAG, DEFAULT_R_DIAG,
                                   KalmanBoxPredictor, MotionNetPredictor,
@@ -17,11 +17,12 @@ from latetrack.training import (OptimizerConfig, Windows, motion_l1_on_samples, 
                                 sample_windows)
 from latetrack.seeding import rng_for
 
-from _oracles import TextbookKalman, kf_noise_gradient_fd, online_kalman
+from _oracles import (TextbookKalman, apply_motion_row, box_from_center,
+                      constant_factor_weights, kf_noise_gradient_fd, online_kalman)
 
 
 def cv_track(vx, vy, n, size=10.0, start=(50.0, 50.0)):
-    return [BoundingBox.from_center(start[0] + vx * i, start[1] + vy * i, size, size)
+    return [box_from_center(start[0] + vx * i, start[1] + vy * i, size, size)
             for i in range(n)]
 
 
@@ -192,7 +193,7 @@ class TestKalmanBehavior:
 
 def moving_filter(pos, vel):
     """A fresh filter at box center/size pos, given per-frame velocities."""
-    p = online_kalman(BoundingBox.from_center(*pos))
+    p = online_kalman(box_from_center(*pos))
     p.filters = tuple((z, float(v), a, b, c) for (z, _, a, b, c), v in zip(p.filters, vel))
     return p
 
@@ -292,8 +293,6 @@ class TestOnlinePredictors:
     def test_motion_net_window_slides(self):
         # constant velocity, bias-1 head: after k observations the window is
         # saturated and the prediction continues the track
-        from latetrack.network import constant_factor_weights
-
         w = constant_factor_weights(k=2, n_heads=1, c_enc=8, c_dec=6)
         track = cv_track(2.0, 0.0, 6)
         # the prediction made before frame 4 is observed follows frames 1..3
@@ -359,17 +358,34 @@ class TestRunChecks:
                            match=f"^a run needs one row per frame, got {count} rows for 5 frames$"):
             MODELS[kind].predictions([b0], [[1, 2, 3, 4, 5]], [rows], 2)
 
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    def test_a_run_without_observations_predicts_nothing(self, kind):
+        b0 = BoundingBox(10, 10, 20, 15)
+        out = MODELS[kind].predictions([b0, b0], [[], [1]], [[], [(11, 10, 20, 15)]], 2)
+        assert [run.shape for run in out] == [(0, 2, 4), (1, 2, 4)]
+
+    @pytest.mark.parametrize("kind", sorted(MODELS))
+    @pytest.mark.parametrize("runs, counts", [
+        ((2, 1, 1), "2, 1 and 1"), ((1, 2, 1), "1, 2 and 1"), ((1, 1, 0), "1, 1 and 0")])
+    def test_one_b0_frames_and_rows_per_run(self, kind, runs, counts):
+        # a batch is never cut to its shortest list
+        b0 = BoundingBox(10, 10, 20, 15)
+        n_b0s, n_frames, n_rows = runs
+        with pytest.raises(ValidationError, match=f"per run, got {counts}$"):
+            MODELS[kind].predictions([b0] * n_b0s, [[1]] * n_frames,
+                                     [[BoundingBox(11, 10, 20, 15)]] * n_rows, 2)
+
 
 def manual_window_motions(windows, i, horizon, q_diag=None, r_diag=None):
     """Window i through a fresh online Kalman filter, re-encoded as
     motions from the window's anchor."""
-    boxes = [BoundingBox.from_center(*row) for row in windows.boxes[i].tolist()]
+    boxes = [box_from_center(*row) for row in windows.boxes[i].tolist()]
     p = online_kalman(boxes[0], q_diag, r_diag)
     f = 0
     for gap, box in zip(windows.intervals[i].tolist(), boxes[1:]):
         f += gap
         p.observe(f, box)
-    anchor = BoundingBox.from_center(*windows.boxes[i, -1].tolist())
+    anchor = box_from_center(*windows.boxes[i, -1].tolist())
     return [encode_motion(anchor, b) for b in p.predict(horizon)]
 
 
@@ -391,7 +407,7 @@ class TestKfMotionBatch:
     @pytest.mark.parametrize("strides, length", [((1, 2), 60), ((1, 2, 3), 100)])
     def test_matches_manual_predictor_run(self, strides, length):
         rng = np.random.default_rng(11)
-        traj = [BoundingBox.from_center(50 + 2 * i + rng.normal(0, 0.3),
+        traj = [box_from_center(50 + 2 * i + rng.normal(0, 0.3),
                                         40 - i, 12 + 0.1 * i, 9) for i in range(length)]
         noises = [(None, None),
                   (np.linspace(0.002, 0.05, 8), np.array([0.3, 0.7, 2.0, 5.0]))]
@@ -418,7 +434,7 @@ class TestKfMotionBatch:
     def test_non_finite_prediction_rejected(self):
         # centers 1e308 apart are representable, but one more step of
         # the same velocity overflows
-        boxes = [BoundingBox.from_center(c * 1e308, 0.0, 10, 10) for c in (-1.5, -0.5, 0.5, 1.5)]
+        boxes = [box_from_center(c * 1e308, 0.0, 10, 10) for c in (-1.5, -0.5, 0.5, 1.5)]
         with np.errstate(over="ignore"), pytest.raises(ValidationError, match="finite"):
             kf_motion_batch(1)(window(boxes))
 
@@ -450,7 +466,7 @@ class TestNoiseFiles:
 
 def noisy_tracks():
     rng = np.random.default_rng(9)
-    return [[BoundingBox.from_center(60 + 1.5 * i + rng.normal(0, 1.0),
+    return [[box_from_center(60 + 1.5 * i + rng.normal(0, 1.0),
                                      60 + rng.normal(0, 1.0), 14, 14)
              for i in range(25)] for _ in range(3)]
 
@@ -500,7 +516,7 @@ def sized_tracks():
     rng = np.random.default_rng(25)
 
     def track(center, size, n=40):
-        return [BoundingBox.from_center(*(np.array(center(i)) + rng.normal(0, 0.5, 2)),
+        return [box_from_center(*(np.array(center(i)) + rng.normal(0, 0.5, 2)),
                                         *(np.array(size(i)) + rng.normal(0, 0.05, 2)))
                 for i in range(n)]
     return [track(lambda i: (50 + 2 * i, 40 - i), lambda i: (20 * 1.03 ** i, 12 + 0.5 * i)),

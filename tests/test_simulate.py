@@ -7,17 +7,16 @@ from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, sa
 from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
-from latetrack.network import constant_factor_weights, init_weights, save_weights
+from latetrack.network import init_weights, save_weights
 from latetrack.predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
                                   save_kf_noise)
 from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
                                 RunLog, TrackerAdapter, load_run_log, load_trace, next_frame,
                                 pick_horizon_n, predictor_for, run_stream, run_streams,
                                 save_run_log, save_trace)
-from latetrack.training import linear_track
 
-from _oracles import (log_lines, pick_horizon_n_loop, run_log, run_stream_loop,
-                      trace_lines)
+from _oracles import (constant_factor_weights, linear_track, log_lines, pick_horizon_n_loop,
+                      run_log, run_stream_loop, trace_lines)
 
 
 def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):

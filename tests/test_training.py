@@ -11,11 +11,11 @@ from latetrack.predictors import DEFAULT_K, KalmanBoxPredictor, kf_fit_noise, kf
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, DEFAULT_STRIDE_SET,
                                 RANDOM_WALK, SINUSOIDAL, AdamW, OptimizerConfig, SyntheticSpec,
-                                Windows, gen_synthetic, linear_track,
-                                motion_l1_on_samples, pm_motion_batch, sample_windows,
-                                split_tracks, train_pm, zero_motion_batch)
+                                Windows, gen_synthetic, motion_l1_on_samples, pm_motion_batch,
+                                sample_windows, split_tracks, train_pm)
 
-from _oracles import ReferenceAdamW, sample_windows_loop
+from _oracles import (ReferenceAdamW, box_from_center, linear_track, sample_windows_loop,
+                      zero_motion_batch)
 
 FIELDS = ("boxes", "intervals", "motions", "targets")
 
@@ -111,7 +111,7 @@ def varied_track(seed, length=40):
     cy = 150 + np.cumsum(rng.normal(0, 2.0, length))
     w = 40 * np.exp(np.cumsum(rng.normal(0, 0.03, length)))
     h = 30 * np.exp(np.cumsum(rng.normal(0, 0.03, length)))
-    return [BoundingBox.from_center(*row) for row in zip(cx, cy, w, h)]
+    return [box_from_center(*row) for row in zip(cx, cy, w, h)]
 
 
 class TestSampleWindows:
