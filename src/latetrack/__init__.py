@@ -11,8 +11,7 @@ processing finishes.
 
 __version__ = "0.1.0"
 
-from .boxes import (BoundingBox, FrameClock, Sequence, center_error, iou, load_sequence,
-                    save_sequence)
+from .boxes import FrameClock, Sequence, center_error, iou, load_sequence, save_sequence
 from .errors import DivergenceError, ValidationError
 from .evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from .latency import LatencyProfile

@@ -5,11 +5,13 @@ centers and corners are the one conversion between (x, y, w, h) rows
 and (cx, cy, w, h) rows, cx = x + w/2 and cy = y + h/2. All timestamps
 are seconds in double precision; frame indices are non-negative ints.
 
-A BoundingBox is the checked type at the library boundary. Inside a
-simulated run, and in a run log's `boxes` column, a box is an
-(x, y, w, h) row of floats; a BoundingBox unpacks as its row, and
-box_column makes an (n, 4) array of either. A Sequence's ground truth
-is one (n, 4) column of rows, NaN where a frame has no annotation.
+A box is an (x, y, w, h) row of floats everywhere: in a Sequence's
+ground truth, in a simulated run and in a run log's `boxes` column.
+box_column makes an (n, 4) array of rows. valid_boxes is the one rule
+for a valid box (finite fields, positive sizes), and check_rows the one
+place that words a bad row; Sequence, RunLog and the ground-truth
+reader check their rows through it. A Sequence's ground truth is one
+(n, 4) column of rows, NaN where a frame has no annotation.
 """
 
 from __future__ import annotations
@@ -25,41 +27,6 @@ from .errors import ValidationError
 
 RAW = "raw"
 PREDICTED = "predicted"
-
-_store = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class BoundingBox:
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def __init__(self, x: float, y: float, w: float, h: float):
-        # one coercion and one store per field: the generated __init__
-        # plus a __post_init__ would store each field twice
-        x, y, w, h = float(x), float(y), float(w), float(h)
-        _store(self, "x", x)
-        _store(self, "y", y)
-        _store(self, "w", w)
-        _store(self, "h", h)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h)):
-            raise ValidationError(f"box fields must be finite, got {self!r}")
-        if w <= 0 or h <= 0:
-            raise ValidationError(f"box sizes must be positive, got w={w}, h={h}")
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.w, self.h))
-
-    @property
-    def cx(self) -> float:
-        return self.x + self.w / 2.0
-
-    @property
-    def cy(self) -> float:
-        return self.y + self.h / 2.0
-
 
 @dataclass(frozen=True, slots=True)
 class FrameClock:
@@ -79,7 +46,7 @@ class FrameClock:
 
 def box_column(boxes) -> np.ndarray:
     """(n, 4) float64 (x, y, w, h) rows, NaN where a frame has no box,
-    from a Sequence, an array, or one BoundingBox, row or None per frame."""
+    from a Sequence, an array, or one row or None per frame."""
     if isinstance(boxes, Sequence):
         return boxes.boxes
     if not isinstance(boxes, np.ndarray):
@@ -88,6 +55,26 @@ def box_column(boxes) -> np.ndarray:
     if col.size and (col.ndim != 2 or col.shape[1] != 4):
         raise ValidationError(f"boxes must be (n, 4) rows, got shape {col.shape}")
     return col.reshape(-1, 4)
+
+
+def valid_boxes(rows: np.ndarray) -> np.ndarray:
+    """The (n,) mask of the (n, 4) rows that are boxes: every field
+    finite, and positive sizes."""
+    return np.isfinite(rows).all(axis=1) & (rows[:, 2] > 0) & (rows[:, 3] > 0)
+
+
+def check_rows(rows) -> None:
+    """Raise a ValidationError naming the first of the (n, 4) rows that
+    is not a box: non-finite fields first, then non-positive sizes."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+    ok = valid_boxes(rows)
+    if ok.all():
+        return
+    x, y, w, h = rows[int(np.argmin(ok))].tolist()
+    if not all(map(math.isfinite, (x, y, w, h))):
+        raise ValidationError(f"box fields must be finite, got "
+                              f"BoundingBox(x={x!r}, y={y!r}, w={w!r}, h={h!r})")
+    raise ValidationError(f"box sizes must be positive, got w={w}, h={h}")
 
 
 def centers(rows: np.ndarray) -> np.ndarray:
@@ -105,10 +92,11 @@ class Sequence:
 
     `boxes` is a read-only (n, 4) float64 column of (x, y, w, h) rows,
     NaN on a frame with no annotation, and `annotated` its read-only
-    mask. The constructor takes the column or one BoundingBox, row or
-    None per frame, and checks all rows in one vectorized pass. Frame 0
-    must be annotated: it is the init box b0 handed to tracker and
-    predictors. `ground_truth` derives one BoundingBox or None per frame.
+    mask. The constructor takes the column or one row or None per frame,
+    and checks every annotated row (a partial NaN one included) in one
+    check_rows pass. Frame 0 must be annotated: its row is the init box
+    b0, a 4-tuple of floats, handed to tracker and predictors.
+    `ground_truth` derives one row tuple or None per frame.
     """
 
     def __init__(self, name: str, clock: FrameClock, truth):
@@ -116,24 +104,21 @@ class Sequence:
         if len(boxes) < 2:
             raise ValidationError(f"sequence {name!r} needs >= 2 frames, got {len(boxes)}")
         annotated = ~np.isnan(boxes).all(axis=1)
-        ok = ~annotated | (np.isfinite(boxes).all(axis=1) & (boxes[:, 2] > 0) & (boxes[:, 3] > 0))
-        if not ok.all():
-            # the first bad row (a partial NaN one included) raises as BoundingBox words it
-            BoundingBox(*boxes[int(np.argmin(ok))].tolist())
+        check_rows(boxes[annotated])
         if not annotated[0]:
             raise ValidationError(f"sequence {name!r} is missing the frame-0 init box")
         boxes.flags.writeable = annotated.flags.writeable = False
         self.name, self.clock, self.boxes, self.annotated = name, clock, boxes, annotated
-        self.b0 = BoundingBox(*boxes[0].tolist())
+        self.b0 = tuple(boxes[0].tolist())
 
     def __len__(self) -> int:
         return len(self.boxes)
 
     @cached_property
     def ground_truth(self) -> tuple:
-        """One BoundingBox per annotated frame, None elsewhere; built on
-        first use. Kept for bench/ until ROADMAP item 1."""
-        return tuple(BoundingBox(*row) if a else None
+        """One (x, y, w, h) tuple per annotated frame, None elsewhere;
+        built on first use. Kept for bench/ until ROADMAP item 1."""
+        return tuple(tuple(row) if a else None
                      for row, a in zip(self.boxes.tolist(), self.annotated.tolist()))
 
     @property
@@ -163,7 +148,7 @@ def center_error(a, b) -> float:
     return math.hypot((ax + aw / 2.0) - (bx + bw / 2.0), (ay + ah / 2.0) - (by + bh / 2.0))
 
 
-def _parse_line(line: str, lineno: int, path) -> BoundingBox | None:
+def _parse_line(line: str, lineno: int, path) -> tuple | None:
     parts = [p.strip() for p in line.split(",")]
     if len(parts) != 4:
         raise ValidationError(f"{path}:{lineno}: expected 4 comma-separated values, got {line!r}")
@@ -176,9 +161,10 @@ def _parse_line(line: str, lineno: int, path) -> BoundingBox | None:
     if any(math.isnan(v) for v in vals):
         raise ValidationError(f"{path}:{lineno}: partial NaN annotation {line!r}")
     try:
-        return BoundingBox(*vals)
+        check_rows(vals)
     except ValidationError as exc:
         raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return tuple(vals)
 
 
 def load_sequence(path, framerate: float = 30.0) -> Sequence:

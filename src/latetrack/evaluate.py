@@ -54,7 +54,7 @@ class EstimateMatcher:
     and a right `searchsorted` of group * span + f lands on the group's
     last entry with target <= f, or before the group's start when there
     is none. Row 0 of the served table is b0; sorted entry k is row k + 1.
-    The index reads the log's columns directly and builds no BoundingBox.
+    The index reads the log's columns directly, as rows.
     """
 
     def __init__(self, seq: Sequence, log: RunLog):

@@ -8,8 +8,8 @@ motion scale transfers to another.
 
 encode_motion_rows encodes and apply_motion_rows decodes, both on arrays
 of (cx, cy, w, h) center rows (boxes.centers makes them). encode_motion
-is the scalar encoder on two (x, y, w, h) rows (a BoundingBox unpacks as
-one), returning a plain 4-tuple; the library no longer calls it.
+is the scalar encoder on two (x, y, w, h) rows, returning a plain
+4-tuple; the library no longer calls it.
 """
 
 from __future__ import annotations

@@ -283,12 +283,11 @@ def load_weights(path) -> PMWeights:
         raise ValidationError(f"{path}: checkpoint must be a JSON object")
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('format_version')!r}")
-    geometry = {}
-    for key in ("k", "n_heads", "c_enc", "c_dec"):
-        try:
-            geometry[key] = int(doc[key])
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError(f"{path}: missing or non-integer {key!r}") from None
+    geometry = {key: doc.get(key) for key in ("k", "n_heads", "c_enc", "c_dec")}
+    for key, value in geometry.items():
+        # a JSON integer only: int() would take 3.9, "3" and true
+        if type(value) is not int:
+            raise ValidationError(f"{path}: missing or non-integer {key!r}")
     try:
         parts = []
         for layer_name, shape in _layout(**geometry).values():

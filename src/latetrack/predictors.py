@@ -14,7 +14,7 @@ frames are >= 1 and strictly increase, and that it has one row per
 frame.
 
 b0s and each run's rows are what boxes.box_column takes: (x, y, w, h)
-rows or BoundingBoxes, or an (n, 4) array. Rows are not checked here:
+rows, or an (n, 4) array. Rows are not checked here:
 run_streams checks every emitted row once, when each run's RunLog is built.
 
 Each of (cx, cy, w, h) has its own constant-velocity filter over

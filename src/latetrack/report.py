@@ -58,13 +58,21 @@ def write_markdown_table(path, header, rows, manifest_ref: str = None,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _xml_text(text: str) -> str:
+    """text as XML character data: &, < and > escaped, as
+    xml.sax.saxutils.escape does; importing that module would load
+    urllib.request, http.client and ssl into every verb."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
                   manifest_ref: str = None) -> None:
     """Multi-series line plot of scores as a standalone 640 x 420 SVG file.
 
     `series` is a list of (label, xs, ys) with equal-length coordinate
     lists; axes are linear with five ticks per side, x spanning the data
-    and y spanning [0, 1].
+    and y spanning [0, 1]. The title, axis labels and series labels are
+    XML-escaped text.
     """
     width, height = 640, 420
     left, right, top, bottom = 58, 18, 40, 48
@@ -87,7 +95,7 @@ def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
         parts.append(f"<!-- manifest={manifest_ref} -->")
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" font-size="14">'
-                 f"{title}</text>")
+                 f"{_xml_text(title)}</text>")
     for i in range(5):
         tx = x_lo + (x_hi - x_lo) * i / 4
         ty = i / 4
@@ -103,9 +111,9 @@ def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
     parts.append(f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="#333333"/>')
     parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
-                 f'font-size="12">{x_label}</text>')
+                 f'font-size="12">{_xml_text(x_label)}</text>')
     parts.append(f'<text x="16" y="{top + plot_h / 2:.1f}" text-anchor="middle" font-size="12" '
-                 f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{y_label}</text>')
+                 f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">{_xml_text(y_label)}</text>')
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
@@ -114,7 +122,8 @@ def svg_line_plot(path, series, *, title: str, x_label: str, y_label: str,
         ly = top + 14 + 16 * i
         parts.append(f'<line x1="{left + plot_w - 130}" y1="{ly - 4}" x2="{left + plot_w - 106}" '
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{left + plot_w - 100}" y="{ly}" font-size="11">{label}</text>')
+        parts.append(f'<text x="{left + plot_w - 100}" y="{ly}" font-size="11">'
+                     f"{_xml_text(label)}</text>")
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 

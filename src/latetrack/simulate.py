@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .boxes import PREDICTED, RAW, BoundingBox, FrameClock, Sequence
+from .boxes import PREDICTED, RAW, FrameClock, Sequence, check_rows, valid_boxes
 from .errors import ValidationError
 from .latency import LatencyProfile, exhausted
 from .network import load_weights
@@ -103,14 +103,13 @@ class RunLog:
 
     def _check(self):
         b, avail = self.boxes, self.available_at
-        ok = (np.isfinite(b).all(axis=1) & (b[:, 2] > 0) & (b[:, 3] > 0)
-              & (self.target_frame >= 0) & np.isfinite(avail) & (avail >= 0)
+        ok = (valid_boxes(b) & (self.target_frame >= 0) & np.isfinite(avail) & (avail >= 0)
               & ((self.kind == RAW) | (self.kind == PREDICTED)))
         if not ok.all():
             # the first bad row raises its first failing check: the box
-            # as BoundingBox words it, then target, availability and kind
+            # as check_rows words it, then target, availability and kind
             i = int(np.argmin(ok))
-            BoundingBox(*b[i].tolist())
+            check_rows(b[i])
             target, available, kind = int(self.target_frame[i]), float(avail[i]), str(self.kind[i])
             if target < 0:
                 raise ValidationError(f"target_frame must be >= 0, got {target}")

@@ -1,22 +1,23 @@
 """Independent reference implementations the real code is checked
 against. These are deliberately written in the most literal style
 possible (explicit loops, textbook formulas) and share no code with the
-package beyond the domain dataclasses, the scalar box metrics, the
-scalar motion encoder, the Kalman window predictor and motion L1
-harness, the network's batch motions, the run log and the seed
-derivation.
+package beyond the scalar box metrics, the scalar motion encoder, the
+Kalman window predictor and motion L1 harness, the network's batch
+motions, the run log and the seed derivation.
 
-The scalar helpers that only tests use live here too: the motion
-decoder apply_motion_row (the oracle of motion.apply_motion_rows),
-box_from_center, linear_track, zero_motion_batch and the
-constant_factor_weights fixture."""
+The scalar helpers that only tests use live here too: BoundingBox (the
+checked scalar box, and the reference for the messages of
+boxes.check_rows), the motion decoder apply_motion_row (the oracle of
+motion.apply_motion_rows), box_from_center, linear_track,
+zero_motion_batch and the constant_factor_weights fixture."""
 
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from latetrack.boxes import PREDICTED, RAW, BoundingBox, center_error, iou
+from latetrack.boxes import PREDICTED, RAW, center_error, iou
 from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import DEFAULT_C_DEC, DEFAULT_C_ENC, DEFAULT_K, PMWeights, pm_motions
@@ -25,6 +26,38 @@ from latetrack.predictors import (DEFAULT_INIT_COV, KalmanBoxPredictor, MotionNe
 from latetrack.seeding import derive_seed, rng_for
 from latetrack.simulate import RunLog
 from latetrack.training import motion_l1_on_samples
+
+
+class _Box(NamedTuple):
+    x: float
+    y: float
+    w: float
+    h: float
+
+
+class BoundingBox(_Box):
+    """A checked (x, y, w, h) box in plain Python floats: a tuple, so it
+    equals the library's rows, with the center as cx and cy. Non-finite
+    fields and non-positive sizes raise the messages that
+    boxes.check_rows must give."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, w, h):
+        box = super().__new__(cls, float(x), float(y), float(w), float(h))
+        if not all(math.isfinite(v) for v in box):
+            raise ValidationError(f"box fields must be finite, got {box!r}")
+        if box.w <= 0 or box.h <= 0:
+            raise ValidationError(f"box sizes must be positive, got w={box.w}, h={box.h}")
+        return box
+
+    @property
+    def cx(self) -> float:
+        return self.x + self.w / 2.0
+
+    @property
+    def cy(self) -> float:
+        return self.y + self.h / 2.0
 
 
 def box_from_center(cx, cy, w, h):

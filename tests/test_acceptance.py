@@ -11,7 +11,7 @@ import pytest
 
 from conftest import (CORPUS_ACCEL, PM_HORIZON, PM_K, PM_STRIDES, TRAIN_NOISE,
                       collect_windows)
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error, save_sequence
+from latetrack.boxes import FrameClock, Sequence, center_error, save_sequence
 from latetrack.cli import main
 from latetrack.evaluate import EstimateMatcher, sigma_grid
 from latetrack.latency import LatencyProfile
@@ -24,8 +24,9 @@ from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, SINUSO
                                 SyntheticSpec, gen_synthetic, motion_l1_on_samples,
                                 pm_motion_batch, sample_windows)
 
-from _oracles import (apply_motion_row, central_differences, constant_factor_weights,
-                      elae_scan, linear_track, output_rows, run_log, zero_motion_batch)
+from _oracles import (BoundingBox, apply_motion_row, central_differences,
+                      constant_factor_weights, elae_scan, linear_track, output_rows, run_log,
+                      zero_motion_batch)
 
 
 @contextmanager

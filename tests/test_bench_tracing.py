@@ -11,7 +11,8 @@ the spans into layer metrics catches either break in the ordinary test
 run. bench/workloads.py calls the noise fit as a library function
 (make_kf_state, kf_fit_noise, save_kf_noise), so its fit step runs here
 too, on tiny inputs, and so does the whole fit workload: its steps, then
-its quality metrics, which sample windows from a list of BoundingBoxes.
+its quality metrics, which sample windows from a list of ground-truth
+rows.
 """
 
 import importlib
@@ -21,7 +22,7 @@ import time
 from pathlib import Path
 
 from latetrack import evaluate, simulate
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence
+from latetrack.boxes import FrameClock, Sequence, load_sequence
 from latetrack.latency import LatencyProfile
 from latetrack.network import DEFAULT_K
 from latetrack.predictors import kf_motion_batch, load_kf_noise
@@ -29,7 +30,7 @@ from latetrack.seeding import rng_for
 from latetrack.training import (SINUSOIDAL, SyntheticSpec, Windows, gen_synthetic,
                                 motion_l1_on_samples, sample_windows)
 
-from _oracles import linear_track
+from _oracles import BoundingBox, linear_track
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -134,7 +135,7 @@ def test_fit_workload_runs_its_steps_and_quality_on_tiny_inputs(tmp_path):
         assert all(path.is_file() for path in step.outputs), step.verb
     quality = workload.quality()
     assert set(quality) == set(workloads.QUALITY["fit"])
-    # the workload samples from a list of BoundingBoxes and scores one-row
+    # the workload samples from a list of ground-truth rows and scores one-row
     # Windows; the column path gives the same bits
     q, r = load_kf_noise(tmp_path / "noise.json")
     holdout = sorted((tmp_path / "holdout").glob("*.txt"))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from _oracles import load_sequence_lines
-from latetrack.boxes import (BoundingBox, FrameClock, Sequence, center_error, centers, corners,
-                             iou, load_sequence, save_sequence)
+from _oracles import BoundingBox, load_sequence_lines
+from latetrack.boxes import (RAW, FrameClock, Sequence, center_error, centers, check_rows,
+                             corners, iou, load_sequence, save_sequence, valid_boxes)
 from latetrack.errors import ValidationError
+from latetrack.simulate import RunLog, load_run_log, load_trace
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 positive = st.floats(0.1, 1e4, allow_nan=False, allow_infinity=False)
@@ -17,21 +18,26 @@ boxes = st.builds(BoundingBox, finite, finite, positive, positive)
 
 
 class TestBoundingBox:
+    """A box is an (x, y, w, h) row: valid_boxes and check_rows are the
+    one row check, and the oracle BoundingBox words what they must say."""
+
     def test_rejects_nonpositive_sizes(self):
         with pytest.raises(ValidationError):
-            BoundingBox(0, 0, 0, 10)
+            check_rows([(0, 0, 0, 10)])
         with pytest.raises(ValidationError):
-            BoundingBox(0, 0, 10, -1)
+            check_rows([(0, 0, 10, 10), (0, 0, 10, -1)])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            BoundingBox(float("nan"), 0, 10, 10)
+            check_rows([(float("nan"), 0, 10, 10)])
         with pytest.raises(ValidationError):
-            BoundingBox(0, float("inf"), 10, 10)
+            check_rows(np.array([[0, float("inf"), 10, 10]]))
 
     def test_center(self):
-        b = BoundingBox(0, 0, 10, 30)
-        assert (b.cx, b.cy) == (5.0, 15.0)
+        rng = np.random.default_rng(4)
+        rows = np.hstack([rng.uniform(-50, 50, (20, 2)), rng.uniform(0.5, 80, (20, 2))])
+        boxes = [BoundingBox(*row) for row in rows.tolist()]
+        assert centers(rows).tolist() == [[b.cx, b.cy, b.w, b.h] for b in boxes]
 
     def test_centers_and_corners_round_trip(self):
         rows = np.array([[0.0, 0.0, 10.0, 30.0], [-3.0, 7.5, 4.0, 1.0]])
@@ -40,18 +46,31 @@ class TestBoundingBox:
         assert centers(rows[None]).shape == (1, 2, 4)
 
     def test_fields_coerced_to_plain_floats(self):
-        import numpy as np
+        row = (np.float64(1.5), np.int64(2), np.float32(10.0), 20)
+        seq = Sequence("s", FrameClock(30), (row, None, row))
+        assert seq.b0 == (1.5, 2.0, 10.0, 20.0) and type(seq.b0) is tuple
+        assert all(type(v) is float for gt in (seq.b0, seq.ground_truth[2]) for v in gt)
 
-        b = BoundingBox(np.float64(1.5), np.int64(2), np.float32(10.0), 20)
-        assert all(type(v) is float for v in (b.x, b.y, b.w, b.h))
-
-    def test_keywords_and_replace(self):
-        import dataclasses
-
-        b = BoundingBox(x=1, y=2, w=3, h=4)
-        assert dataclasses.replace(b, w=5) == BoundingBox(1.0, 2.0, 5.0, 4.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            b.x = 0.0
+    def test_mask_and_messages_match_the_oracle(self):
+        rng = np.random.default_rng(11)
+        special = np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-300, 5.0])
+        rows = rng.uniform(-20, 20, (400, 4))
+        rows[:, 2:] = np.abs(rows[:, 2:])
+        hit = rng.random((400, 4)) < 0.15
+        rows[hit] = rng.choice(special, size=int(hit.sum()))
+        mask = valid_boxes(rows)
+        assert 50 < mask.sum() < 350
+        for row, ok in zip(rows.tolist(), mask.tolist()):
+            try:
+                BoundingBox(*row)
+            except ValidationError as exc:
+                assert not ok, row
+                with pytest.raises(ValidationError) as got:
+                    check_rows([(0, 0, 1, 1), row])
+                assert str(got.value) == str(exc)
+            else:
+                assert ok, row
+                check_rows([row])
 
 
 class TestFrameClock:
@@ -222,6 +241,60 @@ class TestSequenceFiles:
         with pytest.raises(ValidationError) as got:
             load_sequence(path)
         assert str(got.value).startswith(f"{path}:2: {message}")
+
+
+NAN, INF = math.nan, math.inf
+LOG_HEADER = "kind,target_frame,available_at,x,y,w,h\r\n"
+TRACE_HEADER = "frame,t_start,t_finish,x,y,w,h\r\n"
+
+
+def _read_bad_box(entry, row, path):
+    """Give `row` as the second box to one entry point, through `path`
+    for the file readers."""
+    good = (1.0, 2.0, 3.0, 4.0)
+    line = ",".join(map(repr, row))
+    if entry == "Sequence":
+        Sequence("s", FrameClock(30), [good, row, good])
+    elif entry == "RunLog":
+        RunLog("s", [0, 1], [0.0, 0.1], [0.1, 0.2], [0, 1], [0.1, 0.2], [RAW, RAW],
+               np.array([good, row]))
+    elif entry == "load_sequence, one cast":
+        path.write_text(f"1,2,3,4\n{line}\n1,2,3,4\n")
+        load_sequence(path)
+    elif entry == "load_sequence, per line":
+        # the 3-field line sends the whole file to the per-line parser
+        path.write_text(f"1,2,3,4\n{line}\n1,2,3\n")
+        load_sequence(path)
+    elif entry == "load_run_log":
+        path.write_text(f"{LOG_HEADER}raw,0,0.1,1,2,3,4\r\nraw,1,0.2,{line}\r\n")
+        load_run_log(path)
+    else:
+        path.write_text(f"{TRACE_HEADER}0,0.0,0.1,1,2,3,4\r\n1,0.1,0.2,{line}\r\n")
+        load_trace(path)
+
+
+@pytest.mark.parametrize("row", [(NAN, 2.0, 3.0, 4.0), (1.0, INF, 3.0, 4.0), (1.0, 2.0, 0.0, 4.0),
+                                 (1.0, 2.0, 3.0, -4.0), (1.0, NAN, NAN, 4.0)],
+                         ids=["nan_x", "inf_y", "zero_w", "negative_h", "partial_nan"])
+@pytest.mark.parametrize("entry", ["Sequence", "RunLog", "load_sequence, one cast",
+                                   "load_sequence, per line", "load_run_log", "load_trace"])
+def test_one_message_for_a_bad_box_from_every_entry_point(entry, row, tmp_path):
+    """Every reader of boxes words a bad one as the oracle BoundingBox
+    does, behind its own prefix. The ground-truth reader names the line,
+    and names a partial NaN line before checking its values."""
+    with pytest.raises(ValidationError) as oracle:
+        BoundingBox(*row)
+    message = str(oracle.value)
+    path = tmp_path / "bad.txt"
+    if entry.startswith("load_sequence"):
+        line = ",".join(map(repr, row))
+        nan = any(map(math.isnan, row))
+        message = f"{path}:2: " + (f"partial NaN annotation {line!r}" if nan else message)
+    elif entry.startswith("load_"):
+        message = f"{path}: {message}"
+    with pytest.raises(ValidationError) as got:
+        _read_bad_box(entry, row, path)
+    assert str(got.value) == message
 
 
 def _random_token(rng: random.Random) -> str:

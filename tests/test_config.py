@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox
 from latetrack.config import (Config, latency_from_config, predictor_from_config,
                               synthetic_spec_from_config, tracker_from_config)
 from latetrack.errors import ValidationError
@@ -13,7 +12,7 @@ from latetrack.simulate import TrackerAdapter, load_trace, run_stream, save_trac
 from latetrack.training import CONSTANT_VELOCITY
 from latetrack.boxes import FrameClock, Sequence
 
-from _oracles import linear_track
+from _oracles import BoundingBox, linear_track
 
 
 class TestParsing:

@@ -3,14 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, center_error
+from latetrack.boxes import FrameClock, Sequence, center_error
 from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.predictors import KalmanBoxPredictor
 from latetrack.simulate import PredictorAdapter, TrackerAdapter, run_stream
 
-from _oracles import (box_from_center, elae_scan, linear_track, output_rows, run_log,
+from _oracles import (BoundingBox, box_from_center, elae_scan, linear_track, output_rows, run_log,
                       score_scan)
 
 

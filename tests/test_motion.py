@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from latetrack.boxes import BoundingBox, centers, corners
+from latetrack.boxes import centers, corners
 from latetrack.errors import ValidationError
 from latetrack.motion import apply_motion_rows, encode_motion, encode_motion_rows
 from latetrack.network import PMWeights, pm_predict, window_inputs
 
-from _oracles import apply_motion_row, box_from_center
+from _oracles import BoundingBox, apply_motion_row, box_from_center
 
 coords = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
 sizes = st.floats(0.5, 1e3, allow_nan=False, allow_infinity=False)

@@ -5,15 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import (PMWeights, backward_batch, forward_batch, init_weights, l1_loss,
                                load_weights, pm_motions, pm_predict, save_weights,
                                window_inputs)
 
-from _oracles import (apply_motion_row, central_differences, constant_factor_weights,
-                      pm_forward_loops)
+from _oracles import (BoundingBox, apply_motion_row, central_differences,
+                      constant_factor_weights, pm_forward_loops)
 
 SMALL = dict(k=3, n_heads=2, c_enc=8, c_dec=6)
 CHECKPOINT_ORDER = ("enc_w", "enc_b", "conv_w", "conv_b", "dec_w", "dec_b",
@@ -363,13 +362,17 @@ class TestCheckpoint:
         lambda doc: json.dumps({key: v for key, v in doc.items() if key != "c_dec"}).encode(),
         lambda doc: json.dumps([1, 2]).encode(),
         lambda doc: json.dumps(dict(doc, k="three")).encode(),
+        lambda doc: json.dumps(dict(doc, k=3.9)).encode(),
+        lambda doc: json.dumps(dict(doc, k="3")).encode(),
+        lambda doc: json.dumps(dict(doc, k=True)).encode(),
+        lambda doc: json.dumps(dict(doc, k=float(doc["k"]))).encode(),
         lambda doc: b"\xff\xfe" + json.dumps(doc).encode(),
         lambda doc: json.dumps(dict(doc, layers=dict(
             doc["layers"], **{"dec_shared_fc.bias": {"shape": [5], "data": [0.0] * 5}}))).encode(),
         lambda doc: json.dumps(dict(doc, layers=dict(
             doc["layers"], **{"enc_fc.bias": {"shape": [8], "data": [math.nan] * 8}}))).encode(),
-    ], ids=["missing_geometry", "not_an_object", "k_not_integer", "not_utf8",
-            "layer_shape_mismatch", "non_finite_layer"])
+    ], ids=["missing_geometry", "not_an_object", "k_not_integer", "k_fraction", "k_string",
+            "k_bool", "k_integral_float", "not_utf8", "layer_shape_mismatch", "non_finite_layer"])
     def test_malformed_checkpoint_rejected_with_path(self, tmp_path, corrupt):
         path = tmp_path / "w.json"
         save_weights(init_weights(seed=66, **SMALL), path)

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox
 from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion, encode_motion_rows
 from latetrack.network import PMWeights, init_weights
@@ -17,7 +16,7 @@ from latetrack.training import (OptimizerConfig, Windows, motion_l1_on_samples, 
                                 sample_windows)
 from latetrack.seeding import rng_for
 
-from _oracles import (TextbookKalman, apply_motion_row, box_from_center,
+from _oracles import (BoundingBox, TextbookKalman, apply_motion_row, box_from_center,
                       constant_factor_weights, kf_noise_gradient_fd, online_kalman)
 
 

@@ -1,5 +1,7 @@
 import json
 import time
+import xml.dom.minidom
+import xml.sax.saxutils
 from dataclasses import replace
 
 import pytest
@@ -56,6 +58,16 @@ class TestSvg:
         assert text.count("<polyline") == 2
         assert "manifest=abc123" in text
         assert ">kf<" in text and ">none<" in text
+
+    def test_markup_in_text_is_escaped(self, tmp_path):
+        path = tmp_path / "p.svg"
+        label = "kf_learned:a&b<c/noise.json"
+        svg_line_plot(path, [(label, [0.0, 1.0], [0.1, 0.9])],
+                      title="AUC <&>", x_label="sigma", y_label="auc")
+        texts = [node.firstChild.data for node in
+                 xml.dom.minidom.parse(str(path)).getElementsByTagName("text")]
+        assert label in texts and "AUC <&>" in texts
+        assert f">{xml.sax.saxutils.escape(label)}<" in path.read_text()
 
     def test_degenerate_x_span_survives(self, tmp_path):
         path = tmp_path / "p.svg"

@@ -3,9 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, save_sequence
+from latetrack.boxes import FrameClock, Sequence
 from latetrack.errors import ValidationError
-from latetrack.evaluate import EstimateMatcher, sweep
 from latetrack.latency import LatencyProfile
 from latetrack.network import init_weights, save_weights
 from latetrack.predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
@@ -15,8 +14,8 @@ from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, Predicto
                                 pick_horizon_n, predictor_for, run_stream, run_streams,
                                 save_run_log, save_trace)
 
-from _oracles import (constant_factor_weights, linear_track, log_lines, pick_horizon_n_loop,
-                      run_log, run_stream_loop, trace_lines)
+from _oracles import (BoundingBox, constant_factor_weights, linear_track, log_lines,
+                      pick_horizon_n_loop, run_log, run_stream_loop, trace_lines)
 
 
 def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):
@@ -119,7 +118,7 @@ class TestPredictorInStream:
                 if kind == "predicted" and target >= 20 and target <= seq.last_frame]
         assert late, "expected warmed-up predictions"
         for target, row in late:
-            truth = seq.ground_truth[target]
+            truth = BoundingBox(*seq.ground_truth[target])
             assert abs(BoundingBox(*row).cx - truth.cx) < 0.5
 
     @pytest.mark.parametrize("q_diag, r_diag", [
@@ -150,7 +149,7 @@ class TestPredictorInStream:
         assert predicted
         warmed = [(target, row) for target, row in predicted if 10 <= target <= seq.last_frame]
         for target, row in warmed:
-            truth = seq.ground_truth[target]
+            truth = BoundingBox(*seq.ground_truth[target])
             assert BoundingBox(*row).cx == pytest.approx(truth.cx, abs=1e-6)
 
 
@@ -236,7 +235,7 @@ class TestPickHorizon:
 
 NAN, INF = float("nan"), float("inf")
 GOOD_OUTPUT = (0, 0.1, "raw", (1.0, 2.0, 3.0, 4.0))
-# (output row, the message RunLog gives for it; the box ones are BoundingBox's)
+# (output row, the message RunLog gives for it; the box ones are the oracle BoundingBox's)
 BAD_OUTPUTS = [
     ((0, 0.1, "raw", (NAN, 2.0, 3.0, 4.0)),
      "box fields must be finite, got BoundingBox(x=nan, y=2.0, w=3.0, h=4.0)"),
@@ -533,55 +532,6 @@ class TestOneModelServesManyRuns:
                 want = run_stream(seq, trk, build(), seed=seed)
                 assert got == want, f"{kind} {seq.name} seed={seed}"
                 assert got.boxes.tobytes() == want.boxes.tobytes()
-
-
-class TestStreamBuildsNoObjects:
-    """The loop appends rows and the log keeps columns: no BoundingBox
-    is built per frame, nor by reading the log back as rows, nor by
-    reading ground truth."""
-
-    @staticmethod
-    def count_boxes(monkeypatch) -> list:
-        built = []
-        init = BoundingBox.__init__
-
-        def wrapper(self, *args):
-            built.append(BoundingBox)
-            init(self, *args)
-
-        monkeypatch.setattr(BoundingBox, "__init__", wrapper)
-        return built
-
-    @staticmethod
-    def predictor(kind):
-        model = {ZERO_MOTION: ZeroMotionPredictor(), KF: KalmanBoxPredictor(),
-                 NEURAL_PM: MotionNetPredictor(
-                     constant_factor_weights(k=3, n_heads=2, c_enc=8, c_dec=6))}
-        return PredictorAdapter(model[kind], 2, LatencyProfile.constant(0.005))
-
-    @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
-    def test_no_per_frame_objects(self, kind, monkeypatch):
-        seq = cv_sequence(30)
-        trk = tracker(0.05, sigma_pos=0.3, sigma_scale=0.02)
-        built = self.count_boxes(monkeypatch)
-        log = run_stream(seq, trk, self.predictor(kind), seed=1)
-        assert len(log.processed) == len(log.frame)
-        assert built == []
-
-    @pytest.mark.parametrize("kind", [ZERO_MOTION, KF, NEURAL_PM])
-    def test_load_run_and_score_build_only_b0(self, kind, monkeypatch, tmp_path):
-        path = tmp_path / "gaps.txt"
-        truth = list(cv_sequence(30).ground_truth)
-        truth[3] = truth[4] = truth[9] = None
-        save_sequence(Sequence("gaps", FrameClock(30), truth), path)
-        trk = tracker(0.05, sigma_pos=0.3, sigma_scale=0.02)
-        built = self.count_boxes(monkeypatch)
-        seq = load_sequence(path)
-        log = run_stream(seq, trk, self.predictor(kind), seed=1)
-        auc, dp = sweep([seq], [log])
-        assert len(built) == 1 and auc.values[0] > 0
-        assert log.kind[EstimateMatcher(seq, log).serve(29, 0.0)] in ("raw", "predicted")
-        assert len(built) == 1
 
 
 class TestFiles:

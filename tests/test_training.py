@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from latetrack.boxes import BoundingBox, FrameClock, Sequence, load_sequence, save_sequence
+from latetrack.boxes import FrameClock, Sequence, load_sequence, save_sequence
 from latetrack.errors import DivergenceError, ValidationError
 from latetrack.motion import encode_motion
 from latetrack.network import forward_batch, init_weights
@@ -14,8 +14,8 @@ from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, DEFAUL
                                 Windows, gen_synthetic, motion_l1_on_samples, pm_motion_batch,
                                 sample_windows, split_tracks, train_pm)
 
-from _oracles import (ReferenceAdamW, box_from_center, linear_track, sample_windows_loop,
-                      zero_motion_batch)
+from _oracles import (BoundingBox, ReferenceAdamW, box_from_center, linear_track,
+                      sample_windows_loop, zero_motion_batch)
 
 FIELDS = ("boxes", "intervals", "motions", "targets")
 
@@ -444,19 +444,19 @@ class TestSynthetic:
 
     def test_constant_velocity_has_constant_steps(self):
         for seq in gen_synthetic(SyntheticSpec(CONSTANT_VELOCITY, 3, 20, seed=9)):
-            cxs = [b.cx for b in seq.ground_truth]
+            cxs = [BoundingBox(*b).cx for b in seq.ground_truth]
             diffs = np.diff(cxs)
             assert np.allclose(diffs, diffs[0], atol=1e-9)
 
     def test_constant_acceleration_has_constant_curvature(self):
         for seq in gen_synthetic(SyntheticSpec(CONSTANT_ACCELERATION, 3, 20, seed=9)):
-            cys = [b.cy for b in seq.ground_truth]
+            cys = [BoundingBox(*b).cy for b in seq.ground_truth]
             second = np.diff(cys, n=2)
             assert np.allclose(second, second[0], atol=1e-9)
 
     def test_sizes_fixed_along_each_track(self):
         for seq in gen_synthetic(SyntheticSpec(SINUSOIDAL, 2, 15, seed=3)):
-            ws = {b.w for b in seq.ground_truth}
+            ws = {BoundingBox(*b).w for b in seq.ground_truth}
             assert len(ws) == 1
 
     def test_noise_perturbs_centers_not_sizes(self):
@@ -464,7 +464,7 @@ class TestSynthetic:
         noisy = gen_synthetic(SyntheticSpec(CONSTANT_VELOCITY, 1, 15, seed=4,
                                             noise_sigma=0.5))[0]
         assert clean.ground_truth != noisy.ground_truth
-        assert clean.ground_truth[0].w == noisy.ground_truth[0].w
+        assert BoundingBox(*clean.ground_truth[0]).w == BoundingBox(*noisy.ground_truth[0]).w
 
     def test_validation(self):
         with pytest.raises(ValidationError):
