@@ -9,9 +9,12 @@ never reaches) a one-frame grace period.
 
 Scoring is array-native: an EstimateMatcher indexes one run log once,
 and the same index answers every (frame, sigma) pair with two
-`searchsorted` calls: `serve` names the output that serves each pair,
-and `scores` reduces center error, IoU, DP and AUC over (annotated
-frames x sigmas).
+`searchsorted` calls. `serve` names the output that serves each pair.
+`scores` scores by runs: along each annotated frame's row of sigmas the
+served output changes only where the deadline crosses an availability
+instant, so it matches and scores each run of one served output once
+(center error, IoU) and counts the run for every sigma it spans, which
+gives DP and AUC per sigma exactly as scoring every pair would.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ class EstimateMatcher:
     last entry with target <= f, or before the group's start when there
     is none. Row 0 of the served table is b0; sorted entry k is row k + 1.
     The index reads the log's columns directly, as rows.
+
+    `scores` asks the index once per run: a maximal stretch of a frame's
+    sigmas whose deadlines fall in one instant group, and so share one
+    served output.
     """
 
     def __init__(self, seq: Sequence, log: RunLog):
@@ -115,13 +122,23 @@ class EstimateMatcher:
 
     def scores(self, sigmas) -> tuple:
         """(DP, AUC) arrays with one entry per sigma. Frames without an
-        annotation are excluded from both."""
-        frames = self._frames[:, None]
-        deadlines = self._deadlines(frames, np.reshape(sigmas, (1, -1)))
-        est = self._rows[self._pick(frames, deadlines)]
-        gt = self._truth[:, None, :]
-        gx, gy, gw, gh = (gt[..., i] for i in range(4))
-        ex, ey, ew, eh = (est[..., i] for i in range(4))
+        annotation are excluded from both. Sigmas may come in any order
+        and repeat: runs follow the given order, and the integer counts
+        per sigma equal those of scoring every pair."""
+        deadlines = self._deadlines(self._frames[:, None], np.reshape(sigmas, (1, -1)))
+        n, n_sigma = deadlines.shape
+        group = np.searchsorted(self._avail, deadlines, side="right")
+        opens = np.ones(deadlines.shape, dtype=bool)
+        opens[:, 1:] = group[:, 1:] != group[:, :-1]
+        # run r covers sigmas start[r]:end[r] of annotated frame at[r];
+        # the run after a row's last starts the next row at 0
+        runs = np.flatnonzero(opens)
+        at, start = np.divmod(runs, n_sigma)
+        end = np.concatenate((start[1:], start[:1]))
+        end[end == 0] = n_sigma
+        est = self._rows[self._pick(self._frames[at], deadlines.ravel()[runs])]
+        gx, gy, gw, gh = self._truth[at].T
+        ex, ey, ew, eh = est.T
         # boxes.center_error and boxes.iou, elementwise
         dx = (gx + gw / 2.0) - (ex + ew / 2.0)
         dy = (gy + gh / 2.0) - (ey + eh / 2.0)
@@ -130,24 +147,31 @@ class EstimateMatcher:
         # np.hypot and math.hypot may round an ulp apart; settle the
         # threshold near 20 px with the scalar center_error's math.hypot
         for i in np.flatnonzero(np.abs(cle - DP_THRESHOLD_PX) < 1e-9).tolist():
-            hits.flat[i] = math.hypot(dx.flat[i], dy.flat[i]) <= DP_THRESHOLD_PX
+            hits[i] = math.hypot(dx[i], dy[i]) <= DP_THRESHOLD_PX
         ix = np.minimum(gx + gw, ex + ew) - np.maximum(gx, ex)
         iy = np.minimum(gy + gh, ey + eh) - np.maximum(gy, ey)
         inter = ix * iy
         overlap = np.zeros_like(inter)
         np.divide(inter, gw * gh + ew * eh - inter, out=overlap, where=(ix > 0) & (iy > 0))
         np.minimum(overlap, 1.0, out=overlap)
-        n, n_sigma = hits.shape
-        dp = hits.sum(axis=0) / n
+        dp = _run_counts(start[hits], end[hits], 1, n_sigma)[:, 0] / n
         # above[j, k] = #(iou > tau_k) at sigma j, from the number of
         # thresholds below each IoU, binned per sigma
         below = np.searchsorted(_TAU, overlap, side="left")
         bins = len(_TAU) + 1
-        hist = np.bincount((below + bins * np.arange(n_sigma)).ravel(),
-                           minlength=bins * n_sigma).reshape(n_sigma, bins)
+        hist = _run_counts(below + bins * start, below + bins * end, bins, n_sigma)
         above = n - np.cumsum(hist, axis=1)[:, :-1]
         auc = (above / n).mean(axis=1)
         return dp, auc
+
+
+def _run_counts(first, end, bins, n_sigma) -> np.ndarray:
+    """(n_sigma, bins) integer counts of runs spanning each sigma, from
+    each run's cell at its first sigma and at its end (bin + bins * sigma):
+    +1 at the first, -1 at the end, summed along sigma."""
+    cells = bins * (n_sigma + 1)
+    steps = np.bincount(first, minlength=cells) - np.bincount(end, minlength=cells)
+    return np.cumsum(steps.reshape(n_sigma + 1, bins), axis=0)[:-1]
 
 
 @dataclass(frozen=True)

@@ -272,6 +272,21 @@ def save_weights(w: PMWeights, path, manifest_ref: str = None) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def json_numbers(values) -> np.ndarray:
+    """A JSON list of numbers as a float64 array: every entry an int or
+    a float (never a bool, a string or an object) and finite, else a
+    ValidationError. The types are checked in one pass over the list."""
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ValidationError("expected a JSON list of numbers")
+    try:
+        arr = np.array(values, dtype=np.float64)
+        if np.isfinite(arr).all():
+            return arr
+    except OverflowError:  # an int past float's range
+        pass
+    raise ValidationError("expected finite numbers")
+
+
 def load_weights(path) -> PMWeights:
     """Read a checkpoint; any malformed content is a ValidationError
     naming the file."""
@@ -293,7 +308,7 @@ def load_weights(path) -> PMWeights:
         for layer_name, shape in _layout(**geometry).values():
             try:
                 entry = doc["layers"][layer_name]
-                arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+                arr = json_numbers(entry["data"]).reshape(entry["shape"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(f"bad layer {layer_name}: {exc}") from None
             if arr.shape != shape:

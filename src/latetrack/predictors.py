@@ -48,7 +48,7 @@ import numpy as np
 from .boxes import box_column, centers, corners
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
-from .network import DEFAULT_K, PMWeights, l1_loss, pm_predict
+from .network import DEFAULT_K, PMWeights, json_numbers, l1_loss, pm_predict
 from .seeding import rng_for
 from .training import (DEFAULT_STRIDE_SET, OptimizerConfig, Windows, fit_best_on_validation,
                        motion_l1_on_samples, sample_windows, split_tracks)
@@ -367,17 +367,20 @@ def save_kf_noise(q_diag, r_diag, path, manifest_ref=None) -> None:
 
 
 def load_kf_noise(path):
+    """Q and R diagonals from a fitted-noise file, as tuples: q and r are
+    each a JSON list of numbers under network.json_numbers' rule, 8 and
+    4 of them, all positive; anything else is a ValidationError naming
+    the file."""
     try:
         doc = json.loads(Path(path).read_text())
-        q = tuple(float(v) for v in doc["q"])
-        r = tuple(float(v) for v in doc["r"])
+        q, r = json_numbers(doc["q"]), json_numbers(doc["r"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         raise ValidationError(f"{path}: not a fitted-noise file (JSON with q and r lists)") from None
     try:
         _check_noise(q, r)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    return q, r
+    return tuple(q.tolist()), tuple(r.tolist())
 
 
 def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: int = 400):
@@ -393,12 +396,14 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     kf-fit-split; each step takes _kf_noise_gradient's exact gradient in
     fit_best_on_validation, whose best diagonals are returned, and a step
     that leaves a diagonal outside (0, inf) diverges. Each validation loss
-    is one kf_motion_batch call, one per step and one for the init.
+    is one kf_motion_batch call, one per step and one for the init. The
+    default config (30 steps, lr drop at 20) takes no weight decay, which
+    would pull each log toward 0 even where the data give no gradient.
     """
     if max_windows < 1:
         raise ValidationError(f"max_windows must be >= 1, got {max_windows}")
     if config is None:
-        config = OptimizerConfig(epochs=30, milestones=(20,))
+        config = OptimizerConfig(weight_decay=0.0, epochs=30, milestones=(20,))
     tracks = list(tracks)
     if not tracks:
         raise ValidationError("need at least one trajectory")

@@ -9,7 +9,9 @@ The scalar helpers that only tests use live here too: BoundingBox (the
 checked scalar box, and the reference for the messages of
 boxes.check_rows), the motion decoder apply_motion_row (the oracle of
 motion.apply_motion_rows), box_from_center, linear_track,
-zero_motion_batch and the constant_factor_weights fixture."""
+zero_motion_batch and the constant_factor_weights fixture. So does
+dense_scores, the per-pair deadline score that the run-length
+EstimateMatcher.scores replaced, kept as its byte-for-byte reference."""
 
 import math
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 
 from latetrack.boxes import PREDICTED, RAW, center_error, iou
 from latetrack.errors import ValidationError
+from latetrack.evaluate import DP_THRESHOLD_PX, IOU_THRESHOLDS
 from latetrack.motion import encode_motion
 from latetrack.network import DEFAULT_C_DEC, DEFAULT_C_ENC, DEFAULT_K, PMWeights, pm_motions
 from latetrack.predictors import (DEFAULT_INIT_COV, KalmanBoxPredictor, MotionNetPredictor,
@@ -190,6 +193,41 @@ def score_scan(seq, log, sigma):
                 above += 1
         shares.append(above / len(ious))
     return hits / len(ious), float(np.mean(shares))
+
+
+def dense_scores(matcher, sigmas):
+    """matcher.scores before run-length matching: every (annotated
+    frame, sigma) pair matched through the matcher's own _pick and scored
+    on its own, then counted per sigma. The reference that the run
+    counts of EstimateMatcher.scores must equal byte for byte."""
+    frames = matcher._frames[:, None]
+    deadlines = matcher._deadlines(frames, np.reshape(sigmas, (1, -1)))
+    est = matcher._rows[matcher._pick(frames, deadlines)]
+    gt = matcher._truth[:, None, :]
+    gx, gy, gw, gh = (gt[..., i] for i in range(4))
+    ex, ey, ew, eh = (est[..., i] for i in range(4))
+    dx = (gx + gw / 2.0) - (ex + ew / 2.0)
+    dy = (gy + gh / 2.0) - (ey + eh / 2.0)
+    cle = np.hypot(dx, dy)
+    hits = cle <= DP_THRESHOLD_PX
+    for i in np.flatnonzero(np.abs(cle - DP_THRESHOLD_PX) < 1e-9).tolist():
+        hits.flat[i] = math.hypot(dx.flat[i], dy.flat[i]) <= DP_THRESHOLD_PX
+    ix = np.minimum(gx + gw, ex + ew) - np.maximum(gx, ex)
+    iy = np.minimum(gy + gh, ey + eh) - np.maximum(gy, ey)
+    inter = ix * iy
+    overlap = np.zeros_like(inter)
+    np.divide(inter, gw * gh + ew * eh - inter, out=overlap, where=(ix > 0) & (iy > 0))
+    np.minimum(overlap, 1.0, out=overlap)
+    n, n_sigma = hits.shape
+    dp = hits.sum(axis=0) / n
+    tau = np.asarray(IOU_THRESHOLDS)
+    below = np.searchsorted(tau, overlap, side="left")
+    bins = len(tau) + 1
+    hist = np.bincount((below + bins * np.arange(n_sigma)).ravel(),
+                       minlength=bins * n_sigma).reshape(n_sigma, bins)
+    above = n - np.cumsum(hist, axis=1)[:, :-1]
+    auc = (above / n).mean(axis=1)
+    return dp, auc
 
 
 class TextbookKalman:

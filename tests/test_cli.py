@@ -468,6 +468,27 @@ class TestPredictorVocabulary:
         assert self.simulate(tmp_path, tracker_cfg, "kind = kf_learned\n" + files["kf_learned"]) == 2
         assert str(files["noise"]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q, r", [
+        ("12345678", "1234"), (["0.02"] * 8, [1.5] * 4), ([True] * 8, [1.5] * 4),
+        ({str(i): 0.02 for i in range(8)}, [1.5] * 4), ([0.02] * 8, [1.5] * 3 + [False])],
+        ids=["digit_strings", "numeric_strings", "booleans", "object", "bool_in_r"])
+    def test_noise_lists_of_non_numbers_are_validation_errors(self, tmp_path, tracker_cfg, files,
+                                                              capsys, q, r):
+        files["noise"].write_text(json.dumps({"q": q, "r": r}))
+        assert self.simulate(tmp_path, tracker_cfg, "kind = kf_learned\n" + files["kf_learned"]) == 2
+        assert f"{files['noise']}: not a fitted-noise file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head", [["1", True, 0.5, "2e0"], [True] * 4],
+                             ids=["strings_and_bools", "booleans"])
+    def test_layer_data_of_non_numbers_is_a_validation_error(self, tmp_path, tracker_cfg, files,
+                                                             capsys, head):
+        doc = json.loads(files["ckpt"].read_text())
+        layer = doc["layers"]["enc_fc.bias"]
+        layer["data"][:4] = head
+        files["ckpt"].write_text(json.dumps(doc))
+        assert self.simulate(tmp_path, tracker_cfg, "kind = pm\n" + files["pm"]) == 2
+        assert f"{files['ckpt']}: bad layer enc_fc.bias" in capsys.readouterr().err
+
     def test_pm_horizon_must_match_checkpoint(self, tmp_path, tracker_cfg, files):
         text = "kind = pm\nhorizon = 3\n" + files["pm"]
         assert self.simulate(tmp_path, tracker_cfg, text) == 2

@@ -7,11 +7,12 @@ from latetrack.boxes import FrameClock, Sequence, center_error
 from latetrack.errors import ValidationError
 from latetrack.evaluate import EstimateMatcher, EvalCurve, sigma_grid, sweep
 from latetrack.latency import LatencyProfile
-from latetrack.predictors import KalmanBoxPredictor
-from latetrack.simulate import PredictorAdapter, TrackerAdapter, run_stream
+from latetrack.predictors import KalmanBoxPredictor, MotionNetPredictor
+from latetrack.simulate import PredictorAdapter, TrackerAdapter, run_stream, run_streams
+from latetrack.training import RANDOM_WALK, SINUSOIDAL, SyntheticSpec, gen_synthetic
 
-from _oracles import (BoundingBox, box_from_center, elae_scan, linear_track, output_rows, run_log,
-                      score_scan)
+from _oracles import (BoundingBox, box_from_center, constant_factor_weights, dense_scores,
+                      elae_scan, linear_track, output_rows, run_log, score_scan)
 
 
 def cv_sequence(n=10, vx=2.0, kappa=30.0, name="cv"):
@@ -348,6 +349,7 @@ class TestScoreOracle:
             for i, (seq, log) in enumerate(cases):
                 dp, auc = EstimateMatcher(seq, log).scores(grid)
                 assert list(zip(dp.tolist(), auc.tolist())) == [row[i] for row in want]
+                assert_dense(EstimateMatcher(seq, log), grid)
 
     def test_center_error_ties_at_the_dp_threshold_follow_the_scalar_metric(self):
         # centers within an ulp of 20 px: np.hypot can round to the other
@@ -395,3 +397,56 @@ class TestScoreOracle:
         bad = raw(5, BoundingBox(0, 0, 10, 10), 0.1)
         with pytest.raises(ValidationError):
             sweep([seq, seq], [perfect_log(seq), log_of("cv", bad)])
+
+
+def assert_dense(matcher, sigmas):
+    """scores equals the per-pair dense reference byte for byte."""
+    got, want = matcher.scores(sigmas), dense_scores(matcher, sigmas)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+SIGMA_SETS = {
+    "grid": sigma_grid(),
+    "unsorted": (0.9, 0.1, 0.5, 0.0, 0.98, 0.3, 0.7, 0.02),
+    "repeated": (0.5, 0.5, 0.1, 0.5, 0.1, 0.1, 0.9, 0.5),
+    "single": (0.4,),
+    "empty": (),
+}
+
+
+class TestRunLengthScores:
+    """scores matches each run of one served output once; its counts
+    must equal the dense per-pair score exactly, whatever the sigmas."""
+
+    @pytest.mark.parametrize("name", list(SIGMA_SETS))
+    def test_random_cases_equal_the_dense_score(self, name):
+        rng = np.random.default_rng(2024)
+        for trial in range(8):
+            seq, log = random_case(rng, f"r{trial}", int(rng.integers(0, 60)))
+            assert_dense(EstimateMatcher(seq, log), SIGMA_SETS[name])
+
+    def test_random_sigma_draws_equal_the_dense_score(self):
+        rng = np.random.default_rng(7)
+        seq, log = random_case(rng, "draws", 50)
+        matcher = EstimateMatcher(seq, log)
+        for size in (1, 2, 17, 120):
+            assert_dense(matcher, rng.uniform(0.0, 1.0, size))
+            assert_dense(matcher, rng.choice(sigma_grid(), size))
+
+    @pytest.mark.parametrize("kind", ["kf", "pm"])
+    def test_predicted_runs_equal_the_dense_score(self, kind):
+        seqs = (gen_synthetic(SyntheticSpec(SINUSOIDAL, 2, 80, seed=3, noise_sigma=0.5))
+                + gen_synthetic(SyntheticSpec(RANDOM_WALK, 2, 80, seed=4)))
+        model = (KalmanBoxPredictor() if kind == "kf"
+                 else MotionNetPredictor(constant_factor_weights(k=3, n_heads=3)))
+        trackers = [TrackerAdapter(LatencyProfile.gaussian(0.05, 0.01), sigma_pos=0.5)] * len(seqs)
+        for latency in (0.0, 0.01, 0.03):
+            pred = PredictorAdapter(model, 3, LatencyProfile.constant(latency))
+            logs = run_streams(seqs, trackers, pred, range(len(seqs)))
+            assert all((log.kind == "predicted").any() for log in logs)
+            for seq, log in zip(seqs, logs):
+                matcher = EstimateMatcher(seq, log)
+                for sigmas in SIGMA_SETS.values():
+                    assert_dense(matcher, sigmas)

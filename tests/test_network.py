@@ -7,9 +7,9 @@ import pytest
 
 from latetrack.errors import ValidationError
 from latetrack.motion import encode_motion
-from latetrack.network import (PMWeights, backward_batch, forward_batch, init_weights, l1_loss,
-                               load_weights, pm_motions, pm_predict, save_weights,
-                               window_inputs)
+from latetrack.network import (PMWeights, backward_batch, forward_batch, init_weights,
+                               json_numbers, l1_loss, load_weights, pm_motions, pm_predict,
+                               save_weights, window_inputs)
 
 from _oracles import (BoundingBox, apply_motion_row, central_differences,
                       constant_factor_weights, pm_forward_loops)
@@ -371,14 +371,45 @@ class TestCheckpoint:
             doc["layers"], **{"dec_shared_fc.bias": {"shape": [5], "data": [0.0] * 5}}))).encode(),
         lambda doc: json.dumps(dict(doc, layers=dict(
             doc["layers"], **{"enc_fc.bias": {"shape": [8], "data": [math.nan] * 8}}))).encode(),
+        lambda doc: json.dumps(dict(doc, layers=dict(doc["layers"], **{"enc_fc.bias": {
+            "shape": [8], "data": ["1", True, 0.5, "2e0"] + [0.0] * 4}}))).encode(),
+        lambda doc: json.dumps(dict(doc, layers=dict(doc["layers"], **{"enc_fc.bias": {
+            "shape": [8], "data": [True] * 8}}))).encode(),
+        lambda doc: json.dumps(dict(doc, layers=dict(doc["layers"], **{"enc_fc.bias": {
+            "shape": [8], "data": [[0.0] * 4] * 2}}))).encode(),
     ], ids=["missing_geometry", "not_an_object", "k_not_integer", "k_fraction", "k_string",
-            "k_bool", "k_integral_float", "not_utf8", "layer_shape_mismatch", "non_finite_layer"])
+            "k_bool", "k_integral_float", "not_utf8", "layer_shape_mismatch", "non_finite_layer",
+            "layer_strings_and_bools", "layer_bools", "layer_nested_lists"])
     def test_malformed_checkpoint_rejected_with_path(self, tmp_path, corrupt):
         path = tmp_path / "w.json"
         save_weights(init_weights(seed=66, **SMALL), path)
         path.write_bytes(corrupt(json.loads(path.read_text())))
         with pytest.raises(ValidationError, match=re.escape(str(path))):
             load_weights(path)
+
+
+class TestJsonNumbers:
+    """The one rule for a JSON list of numbers, behind both the
+    checkpoint and the fitted-noise readers."""
+
+    def test_ints_and_floats_become_a_float_array(self):
+        arr = json_numbers([1, 0.5, -2, 1e300, 2 ** 70])
+        assert arr.dtype == np.float64 and arr.tolist() == [1.0, 0.5, -2.0, 1e300, 2.0 ** 70]
+        assert json_numbers([]).shape == (0,)
+
+    @pytest.mark.parametrize("values", [
+        ["1"], [True], [False, 1.0], [None], [{"a": 1}], [[1.0]], {"a": 1.0}, "1234", 1.0,
+        (1.0, 2.0)], ids=["string", "true", "false", "null", "object", "nested", "dict",
+                          "str", "scalar", "tuple"])
+    def test_anything_but_a_list_of_numbers_is_rejected(self, values):
+        with pytest.raises(ValidationError, match="expected a JSON list of numbers"):
+            json_numbers(values)
+
+    @pytest.mark.parametrize("values", [[math.nan], [1.0, math.inf], [-math.inf], [10 ** 400]],
+                             ids=["nan", "inf", "-inf", "int_past_float"])
+    def test_non_finite_numbers_are_rejected(self, values):
+        with pytest.raises(ValidationError, match="expected finite numbers"):
+            json_numbers(values)
 
 
 class TestStackingRule:

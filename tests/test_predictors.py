@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -438,6 +439,20 @@ class TestKfMotionBatch:
             kf_motion_batch(1)(window(boxes))
 
 
+# noise files that are not lists of finite numbers, as JSON text
+MALFORMED_NOISE = {
+    "digit_strings": '{"q": "12345678", "r": "1234"}',
+    "numeric_strings": json.dumps({"q": ["0.02"] * 8, "r": [1.0] * 4}),
+    "booleans": json.dumps({"q": [True] * 8, "r": [1.0] * 4}),
+    "object": json.dumps({"q": {str(i): 0.02 for i in range(8)}, "r": [1.0] * 4}),
+    "nested": json.dumps({"q": [[0.02]] * 8, "r": [1.0] * 4}),
+    "null": json.dumps({"q": [0.02] * 7 + [None], "r": [1.0] * 4}),
+    "nan": json.dumps({"q": [float("nan")] + [0.02] * 7, "r": [1.0] * 4}),
+    "infinite": '{"q": [1e400, 0.02, 0.02, 0.02, 0.02, 0.02, 0.02, 0.02], "r": [1, 1, 1, 1]}',
+    "int_past_float": json.dumps({"q": [10 ** 400] + [0.02] * 7, "r": [1.0] * 4}),
+}
+
+
 class TestNoiseFiles:
     def test_round_trip(self, tmp_path):
         q = np.linspace(0.001, 0.08, 8)
@@ -461,6 +476,21 @@ class TestNoiseFiles:
         path.write_text("{not json")
         with pytest.raises(ValidationError):
             load_kf_noise(path)
+
+    @pytest.mark.parametrize("text", MALFORMED_NOISE.values(), ids=MALFORMED_NOISE.keys())
+    def test_only_lists_of_finite_numbers_load(self, tmp_path, text):
+        path = tmp_path / "noise.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: not a fitted-noise file (JSON with q and r lists)")):
+            load_kf_noise(path)
+
+    def test_integers_load_as_floats(self, tmp_path):
+        path = tmp_path / "noise.json"
+        path.write_text(json.dumps({"q": [1, 2, 3, 4, 5, 6, 7, 8], "r": [1, 0.5, 2, 3]}))
+        q, r = load_kf_noise(path)
+        assert q == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0) and r == (1.0, 0.5, 2.0, 3.0)
+        assert {type(v) for v in q + r} == {float}
 
 
 def noisy_tracks():
@@ -488,6 +518,19 @@ class TestFitNoise:
         fresh = kf_fit_noise(tracks, KalmanBoxPredictor(), cfg, max_windows=30)
         shim = kf_fit_noise(tracks, make_kf_state(tracks[0][5]), cfg, max_windows=30)
         assert np.array_equal(fresh[0], shim[0]) and np.array_equal(fresh[1], shim[1])
+
+    def test_default_fit_leaves_constant_sizes_at_their_start(self):
+        # constant-size tracks give no gradient on the w/h diagonals; with
+        # weight decay the default fit would still pull each toward 1
+        tracks = [[box_from_center(60 + 1.5 * i + rng.normal(0, 1.0), 60 + rng.normal(0, 1.0),
+                                   14, 9) for i in range(40)]
+                  for rng in map(np.random.default_rng, range(6))]
+        init = KalmanBoxPredictor(np.linspace(0.002, 0.05, 8), (0.3, 0.7, 2.0, 5.0))
+        q, r = kf_fit_noise(tracks, init, max_windows=100)
+        sizes = [2, 3, 6, 7]
+        assert q[sizes].tolist() == [init.q_diag[i] for i in sizes]
+        assert r[2:].tolist() == list(init.r_diag[2:])
+        assert q[:2].tolist() != list(init.q_diag[:2])
 
     def test_empty_tracks_rejected(self):
         init = KalmanBoxPredictor()
