@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, naming
 
 RAW = "raw"
 PREDICTED = "predicted"
@@ -128,7 +128,7 @@ class Sequence:
 
 def iou(a, b) -> float:
     """Intersection over union of two boxes or rows; 0 for disjoint
-    boxes. Kept for bench/ (its calls are counted) until ROADMAP item 4."""
+    boxes. Kept for bench/ (its calls are counted) until ROADMAP item 1."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     ix = min(ax + aw, bx + bw) - max(ax, bx)
@@ -142,7 +142,7 @@ def iou(a, b) -> float:
 
 def center_error(a, b) -> float:
     """Euclidean distance between the centers of two boxes or rows,
-    pixels. Kept for bench/ (its calls are counted) until ROADMAP item 4."""
+    pixels. Kept for bench/ (its calls are counted) until ROADMAP item 1."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
     return math.hypot((ax + aw / 2.0) - (bx + bw / 2.0), (ay + ah / 2.0) - (by + bh / 2.0))
@@ -160,10 +160,8 @@ def _parse_line(line: str, lineno: int, path) -> tuple | None:
         return None
     if any(math.isnan(v) for v in vals):
         raise ValidationError(f"{path}:{lineno}: partial NaN annotation {line!r}")
-    try:
+    with naming(f"{path}:{lineno}"):
         check_rows(vals)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return tuple(vals)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -184,7 +185,8 @@ def cmd_train(args) -> int:
               **{key: flag for key, flag in flags.items() if flag is not None}}
     # an --epochs override may cut the run short of configured milestones
     values["milestones"] = tuple(m for m in values["milestones"] if m < values["epochs"])
-    opt = OptimizerConfig(**values)
+    with cfg.naming() if args.config else nullcontext():
+        opt = OptimizerConfig(**values)
     k = cfg.get_int("k", DEFAULT_K)
     horizon = cfg.get_int("horizon", 2)
     stride_set = cfg.get_ints("stride_set", DEFAULT_STRIDE_SET)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .latency import LatencyProfile
 from .simulate import (KF, KF_LEARNED, NEURAL_PM, NONE, PREDICTOR_LATENCY, ZERO_MOTION,
                        TrackerAdapter, load_trace, predictor_for, run_files)
@@ -128,9 +128,18 @@ class Config:
                 for key, kind in kinds.items() if prefix + key in self.values}
 
     def get_path(self, key: str) -> str:
-        """The key's value, noted in `files` as a file the config names."""
-        self.files[key] = self.get_str(key)
-        return self.files[key]
+        """The key's value, noted in `files` as a file the config names;
+        an empty value names no file."""
+        path = self.get_str(key)
+        if not path:
+            raise ValidationError(f"{self.source}: key {key!r} needs a file name, got ''")
+        self.files[key] = path
+        return path
+
+    def naming(self):
+        """errors.naming for this file: an error raised inside names it,
+        or a file it has named so far."""
+        return naming(self.source, *self.files.values())
 
 
 def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile:
@@ -139,17 +148,20 @@ def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile
         raise ValidationError(f"{cfg.source}: unknown latency kind {kind!r}")
     cfg.reject_unknown(("kind", *_LATENCY_KEYS[kind]), f"latency kind {kind!r}", prefix)
     if kind == "constant":
-        return LatencyProfile.constant(cfg.get_float(prefix + "mean"))
+        with cfg.naming():
+            return LatencyProfile.constant(cfg.get_float(prefix + "mean"))
     if kind == "gaussian":
-        return LatencyProfile.gaussian(cfg.get_float(prefix + "mean"),
-                                       cfg.get_float(prefix + "stddev"),
-                                       **cfg.set_values({"floor": float}, prefix))
+        with cfg.naming():
+            return LatencyProfile.gaussian(cfg.get_float(prefix + "mean"),
+                                           cfg.get_float(prefix + "stddev"),
+                                           **cfg.set_values({"floor": float}, prefix))
     path = Path(cfg.get_path(prefix + "file"))
     try:
-        values = [float(ln) for ln in path.read_text().split()]
+        values = [float(ln) for ln in path.read_text().splitlines()]
     except ValueError:
         raise ValidationError(f"{path}: replay latency file must hold one number per line") from None
-    return LatencyProfile.replay(values)
+    with naming(path):
+        return LatencyProfile.replay(values)
 
 
 def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec:
@@ -158,26 +170,32 @@ def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec
     values = cfg.set_values(_SPEC_VALUES)
     if seed_override is not None:
         values["seed"] = seed_override
-    return SyntheticSpec(kind, count, length, **values)
+    with cfg.naming():
+        return SyntheticSpec(kind, count, length, **values)
 
 
 def tracker_from_config(cfg: Config, sequences) -> list:
     """One TrackerAdapter per sequence. A replay_log tracker reads each
-    sequence's trace here, once: `trace` is a directory of
-    <name>.trace.csv files, or one trace file for a single sequence."""
+    sequence's trace here, once, before a verb creates its --out:
+    `trace` is a directory of <name>.trace.csv files, or one trace file
+    for a single sequence."""
     behavior = cfg.get_str("behavior", ORACLE_NOISY)
     if behavior not in _TRACKER_KEYS:
         raise ValidationError(f"{cfg.source}: unknown tracker behavior {behavior!r}")
     cfg.reject_unknown(("behavior", *_TRACKER_KEYS[behavior]),
                        f"tracker behavior {behavior!r}")
     if behavior == ORACLE_NOISY:
-        tracker = TrackerAdapter(latency_from_config(cfg), **cfg.set_values(_TRACKER_NOISE))
+        latency = latency_from_config(cfg)
+        with cfg.naming():
+            tracker = TrackerAdapter(latency, **cfg.set_values(_TRACKER_NOISE))
         return [tracker] * len(sequences)
     latency = latency_from_config(cfg) if cfg.has_group("latency.") else None
     trackers = []
     for seq, path in zip(sequences, run_files(cfg.get_str("trace"), sequences, ".trace.csv")):
         cfg.files[f"trace:{seq.name}"] = path
-        trackers.append(TrackerAdapter.replay(load_trace(path, seq.name), latency))
+        trace = load_trace(path, seq.name)
+        with naming(path):
+            trackers.append(TrackerAdapter.replay(trace, latency))
     return trackers
 
 
@@ -192,6 +210,7 @@ def predictor_from_config(cfg: Config):
     file_key = {KF_LEARNED: "noise", NEURAL_PM: "weights"}.get(kind)
     latency = (latency_from_config(cfg) if cfg.has_group("latency.")
                else LatencyProfile.constant(PREDICTOR_LATENCY))
-    return predictor_for(kind, latency,
-                         file=cfg.get_path(file_key) if file_key else None,
-                         horizon=cfg.get_int("horizon") if "horizon" in cfg else None)
+    file = cfg.get_path(file_key) if file_key else None
+    horizon = cfg.get_int("horizon") if "horizon" in cfg else None
+    with cfg.naming():
+        return predictor_for(kind, latency, file=file, horizon=horizon)

@@ -25,7 +25,7 @@ _SIZE_EPS = 1e-12
 
 def encode_motion(prev, cur) -> tuple:
     """Motion from the (x, y, w, h) row prev to cur, normalized by prev's
-    scale. Kept for bench/ (it is traced) until ROADMAP item 4."""
+    scale. Kept for bench/ (it is traced) until ROADMAP item 1."""
     px, py, pw, ph = prev
     cx, cy, cw, ch = cur
     if min(pw, ph, cw, ch) <= _SIZE_EPS:

@@ -2,15 +2,17 @@
 
 Input is a k x 8 window: per past step, the normalized motion (4) next to
 its per-frame speed (4). The net encodes rows, convolves over the time
-axis, pools, decodes through a shared layer, then N independent head
+axis, mean-pools, decodes through a shared layer, then N independent head
 layers and a shared 4-wide output layer produce one motion factor per
 future frame. No output nonlinearity: factors multiply a signed speed.
 
 Everything is float64 numpy and batched. pm_motions is the one
 inference path: (B, k, 4) motions and (B, k) frame intervals go through
 window_inputs and forward_batch to (B, N, 4) predicted motions, for
-batch evaluation, validation and the online predictor alike. l1_loss is
-the one motion-space objective, for training steps and every score.
+batch evaluation, validation and the online predictor alike. Training
+steps call window_inputs and forward_batch themselves, because they
+keep the cache for the backward pass. l1_loss is the one motion-space
+objective, for training steps and every score.
 
 The stacking rule: window_inputs, forward_batch and pm_motions also take
 leading stack axes, (..., B, k, ·). Every layer reshapes to
@@ -33,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import centers, corners
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .motion import apply_motion_rows
 
 CHECKPOINT_VERSION = 1
@@ -296,14 +298,16 @@ def load_weights(path) -> PMWeights:
         raise ValidationError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: checkpoint must be a JSON object")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    # the JSON integer only: true and 1.0 compare equal to 1
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValidationError(f"{path}: unsupported checkpoint version {version!r}")
     geometry = {key: doc.get(key) for key in ("k", "n_heads", "c_enc", "c_dec")}
     for key, value in geometry.items():
         # a JSON integer only: int() would take 3.9, "3" and true
         if type(value) is not int:
             raise ValidationError(f"{path}: missing or non-integer {key!r}")
-    try:
+    with naming(path):
         parts = []
         for layer_name, shape in _layout(**geometry).values():
             try:
@@ -315,5 +319,3 @@ def load_weights(path) -> PMWeights:
                 raise ValidationError(f"layer {layer_name} must have shape {shape}, got {arr.shape}")
             parts.append(arr.ravel())
         return PMWeights(**geometry, flat=np.concatenate(parts))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None

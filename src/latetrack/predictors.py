@@ -46,9 +46,10 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import box_column, centers, corners
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, naming
 from .motion import encode_motion_rows
 from .network import DEFAULT_K, PMWeights, json_numbers, l1_loss, pm_predict
+from .report import write_json
 from .seeding import rng_for
 from .training import (DEFAULT_STRIDE_SET, OptimizerConfig, Windows, fit_best_on_validation,
                        motion_l1_on_samples, sample_windows, split_tracks)
@@ -360,10 +361,7 @@ def _kf_noise_gradient(theta, windows):
 def save_kf_noise(q_diag, r_diag, path, manifest_ref=None) -> None:
     """Fitted noise diagonals as a JSON document {q: [8], r: [4]}."""
     q, r = _check_noise(q_diag, r_diag)
-    doc = {"q": q.tolist(), "r": r.tolist()}
-    if manifest_ref is not None:
-        doc["manifest"] = manifest_ref
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, {"q": q.tolist(), "r": r.tolist()}, manifest_ref)
 
 
 def load_kf_noise(path):
@@ -376,10 +374,8 @@ def load_kf_noise(path):
         q, r = json_numbers(doc["q"]), json_numbers(doc["r"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError):
         raise ValidationError(f"{path}: not a fitted-noise file (JSON with q and r lists)") from None
-    try:
+    with naming(path):
         _check_noise(q, r)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     return tuple(q.tolist()), tuple(r.tolist())
 
 
@@ -398,7 +394,11 @@ def kf_fit_noise(tracks, init: KalmanBoxPredictor, config=None, *, max_windows: 
     that leaves a diagonal outside (0, inf) diverges. Each validation loss
     is one kf_motion_batch call, one per step and one for the init. The
     default config (30 steps, lr drop at 20) takes no weight decay, which
-    would pull each log toward 0 even where the data give no gradient.
+    would pull each log toward 0 even where the data give no gradient,
+    so such a diagonal (w and h on tracks of constant size, say) stays
+    where it starts. A diagonal the fit leaves at its start comes back
+    as given. The gradient is over the 12 log-diagonals, and the tests
+    check it against central differences.
     """
     if max_windows < 1:
         raise ValidationError(f"max_windows must be >= 1, got {max_windows}")

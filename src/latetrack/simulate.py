@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .boxes import PREDICTED, RAW, FrameClock, Sequence, check_rows, valid_boxes
-from .errors import ValidationError
+from .errors import ValidationError, naming
 from .latency import LatencyProfile, exhausted
 from .network import load_weights
 from .predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor, load_kf_noise
@@ -377,9 +377,10 @@ def run_streams(sequences, trackers, predictor: PredictorAdapter, seeds) -> list
     draws; a run uses one tracker draw per processed frame and one
     predictor draw per later frame, and never sees the rest.
 
-    Three passes: each run's schedule and tracker rows in sequence
-    order, then every prediction of every run in one `predictions`
-    call, then each run's columns. A batch raises what running the
+    `simulate` calls it once, and `compare` once per predictor. Three
+    passes: each run's schedule and tracker rows in sequence order,
+    then every prediction of every run in one `predictions` call, then
+    each run's columns. A batch raises what running the
     sequences one by one would: the first failing run's error, after
     every earlier run has been laid out and checked. A run whose
     replay block runs out ends the first pass, so no later run's rows
@@ -502,10 +503,8 @@ def _read_csv_rows(path, expected_header):
 
 
 def _checked_run_log(path, name, *columns) -> RunLog:
-    try:
+    with naming(path):
         return RunLog(name or Path(path).stem, *columns)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_run_log(path, name: str = None) -> RunLog:

@@ -339,6 +339,35 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             load_weights(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_equal_to_one_but_not_the_integer_is_rejected(self, tmp_path, capsys,
+                                                                  version):
+        """true == 1.0 == 1 in Python, so the check is on the JSON type:
+        the library names the file, and both the compare token and a
+        `kind = pm` predictor config exit 2 naming it."""
+        from latetrack.cli import main
+
+        path = tmp_path / "w.json"
+        save_weights(init_weights(k=2, n_heads=2, c_enc=2, c_dec=2), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: unsupported checkpoint version {version!r}")):
+            load_weights(path)
+        seqs = tmp_path / "seqs"
+        seqs.mkdir()
+        (seqs / "a.txt").write_text("".join(f"{10 + f},20,30,40\n" for f in range(8)))
+        (tmp_path / "t.cfg").write_text("latency.kind = constant\nlatency.mean = 0.05\n")
+        (tmp_path / "p.cfg").write_text(f"kind = pm\nweights = {path}\n")
+        common = ["--sequences", str(seqs), "--tracker", str(tmp_path / "t.cfg")]
+        for argv in (["compare", *common, "--predictors", f"pm:{path}"],
+                     ["simulate", *common, "--predictor", str(tmp_path / "p.cfg")]):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+            assert f"{path}: unsupported checkpoint version" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_extra_keys_tolerated(self, tmp_path):
         w = init_weights(seed=64, **SMALL)
         path = tmp_path / "w.json"

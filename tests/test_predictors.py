@@ -463,6 +463,18 @@ class TestNoiseFiles:
         assert np.array_equal(q, q2)
         assert np.array_equal(r, r2)
 
+    @pytest.mark.parametrize("ref", [None, "0123456789ab"])
+    def test_file_bytes_are_pinned(self, tmp_path, ref):
+        """Sorted keys, two-space indent, floats as repr, the manifest ref
+        as a key and one trailing newline."""
+        path = tmp_path / "noise.json"
+        save_kf_noise((0.02, 1e-2, 3, 4, 5, 6, 7, 8.5), (1, 2, 3, 4e-5), path, manifest_ref=ref)
+        q = "".join(f"\n    {v}," for v in ("0.02", "0.01", "3.0", "4.0", "5.0", "6.0", "7.0"))
+        head = f'\n  "manifest": "{ref}",' if ref else ""
+        assert path.read_text() == (
+            f'{{{head}\n  "q": [{q}\n    8.5\n  ],\n'
+            '  "r": [\n    1.0,\n    2.0,\n    3.0,\n    4e-05\n  ]\n}\n')
+
     def test_wrong_lengths_rejected(self, tmp_path):
         path = tmp_path / "noise.json"
         with pytest.raises(ValidationError):
