@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from .config import (Config, predictor_from_config, synthetic_spec_from_config,
                      tracker_from_config)
 from .errors import DivergenceError, ValidationError
 from .evaluate import average_curves, sigma_grid, sweep
-from .latency import LatencyProfile
+from .latency import Exhausted, LatencyProfile
 from .network import DEFAULT_K, save_weights
 from .report import (StageTimer, build_manifest, svg_line_plot, write_csv,
                      write_json, write_manifest, write_markdown_table)
@@ -82,6 +82,19 @@ def _sequences_and_trackers(args):
     return sequences, cfg, trackers, {**inputs, **_config_inputs("tracker", cfg)}
 
 
+@contextmanager
+def _naming_replay_files(tracker_cfg: Config, predictor_cfg: Config = None):
+    """Let a replay latency block that runs out name the file it came
+    from: its config's `latency.file`, else the sequence's trace, whose
+    recorded durations a replay tracker replays."""
+    try:
+        yield
+    except Exhausted as exc:
+        files = (predictor_cfg if exc.role == "predictor" else tracker_cfg).files
+        source = files.get("latency.file", files.get(f"trace:{exc.sequence}"))
+        raise ValidationError(f"{source}: {exc}") from None
+
+
 def cmd_gen(args) -> int:
     cfg = Config.load(args.spec)
     spec = synthetic_spec_from_config(cfg, seed_override=args.seed)
@@ -103,7 +116,7 @@ def cmd_gen(args) -> int:
 def cmd_simulate(args) -> int:
     seed = args.seed or 0
     sequences, tracker_cfg, trackers, inputs = _sequences_and_trackers(args)
-    predictor = None
+    predictor = pred_cfg = None
     payload = {"tracker": tracker_cfg.values}
     if args.predictor:
         pred_cfg = Config.load(args.predictor)
@@ -112,10 +125,10 @@ def cmd_simulate(args) -> int:
         payload["predictor"] = pred_cfg.values
     timer = StageTimer()
     manifest = build_manifest("simulate", seed, payload, inputs)
-    out = _out_dir(args)
-    with timer.stage("simulate"):
+    with timer.stage("simulate"), _naming_replay_files(tracker_cfg, pred_cfg):
         logs = run_streams(sequences, trackers, predictor,
                            [derive_seed(seed, "simulate", seq.name) for seq in sequences])
+    out = _out_dir(args)
     with timer.stage("write"):
         for seq, log in zip(sequences, logs):
             save_run_log(log, out / f"{seq.name}.log.csv", manifest_ref=manifest.ref)
@@ -232,7 +245,7 @@ def cmd_compare(args) -> int:
     if args.horizon is not None:
         horizon = args.horizon
     else:
-        with timer.stage("pre_run"):
+        with timer.stage("pre_run"), _naming_replay_files(tracker_cfg):
             horizon = pick_horizon_n(sequences[0], trackers[0], seed=derive_seed(seed, "horizon"))
     latency = LatencyProfile.constant(args.pred_latency)
     adapters = []
@@ -247,11 +260,9 @@ def cmd_compare(args) -> int:
         {"tracker": tracker_cfg.values, "predictors": names, "horizon": horizon,
          "pred_latency": args.pred_latency},
         inputs)
-    out = _out_dir(args)
-
     rows = []
     curves_by_name = {}
-    with timer.stage("simulate_and_score"):
+    with timer.stage("simulate_and_score"), _naming_replay_files(tracker_cfg):
         for name, adapter in adapters:
             logs = run_streams(sequences, trackers, adapter,
                                [derive_seed(seed, "compare", name, seq.name) for seq in sequences])
@@ -262,6 +273,7 @@ def cmd_compare(args) -> int:
             extra = total_latency / invocations if invocations else 0.0
             rows.append((name, auc_curve.values[0], dp_curve.values[0],
                          auc_curve.aggregate, dp_curve.aggregate, extra))
+    out = _out_dir(args)
     with timer.stage("write"):
         write_csv(out / "comparison.csv", _COMPARE_HEADER, rows, manifest_ref=manifest.ref)
         md_rows = [(r[0], *(f"{v:.4f}" for v in r[1:])) for r in rows]
@@ -287,7 +299,7 @@ def cmd_horizon(args) -> int:
     timer = StageTimer()
     manifest = build_manifest("horizon", seed,
                               {"tracker": tracker_cfg.values, "trials": args.trials}, inputs)
-    with timer.stage("pre_run"):
+    with timer.stage("pre_run"), _naming_replay_files(tracker_cfg):
         gaps = [pick_horizon_n(seq, trk, trials=args.trials,
                                seed=derive_seed(seed, "horizon", seq.name))
                 for seq, trk in zip(sequences, trackers)]

@@ -127,12 +127,17 @@ class Config:
         return {key: self._get(prefix + key, None, kind)
                 for key, kind in kinds.items() if prefix + key in self.values}
 
-    def get_path(self, key: str) -> str:
-        """The key's value, noted in `files` as a file the config names;
-        an empty value names no file."""
-        path = self.get_str(key)
-        if not path:
+    def get_name(self, key: str) -> str:
+        """The key's value as a file or directory name; an empty value
+        names none."""
+        name = self.get_str(key)
+        if not name:
             raise ValidationError(f"{self.source}: key {key!r} needs a file name, got ''")
+        return name
+
+    def get_path(self, key: str) -> str:
+        """get_name's file, noted in `files` as a file the config names."""
+        path = self.get_name(key)
         self.files[key] = path
         return path
 
@@ -191,7 +196,7 @@ def tracker_from_config(cfg: Config, sequences) -> list:
         return [tracker] * len(sequences)
     latency = latency_from_config(cfg) if cfg.has_group("latency.") else None
     trackers = []
-    for seq, path in zip(sequences, run_files(cfg.get_str("trace"), sequences, ".trace.csv")):
+    for seq, path in zip(sequences, run_files(cfg.get_name("trace"), sequences, ".trace.csv")):
         cfg.files[f"trace:{seq.name}"] = path
         trace = load_trace(path, seq.name)
         with naming(path):

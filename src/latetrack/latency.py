@@ -67,7 +67,7 @@ class LatencyProfile:
         values in order. One size-n normal call gives the numbers of n
         scalar calls on a generator seeded `seed`; only gaussian draws
         use the seed. A replay profile gives at most its values, and a
-        run that needs more raises `exhausted`."""
+        run that needs more raises `Exhausted`."""
         if self.kind == CONSTANT:
             return [self.mean] * n
         if self.kind == GAUSSIAN:
@@ -77,7 +77,13 @@ class LatencyProfile:
         return list(self.replay_values[:n])
 
 
-def exhausted(draws) -> ValidationError:
+class Exhausted(ValidationError):
     """The error of a run that needs one latency draw more than `draws`
-    holds, which only a replay block can run out of."""
-    return ValidationError(f"replay latency exhausted after {len(draws)} draws")
+    holds, which only a replay block can run out of. `role` ("tracker"
+    or "predictor") and `sequence` say whose block it was, so a reader
+    of the block's file can name it."""
+
+    def __init__(self, draws, role: str, sequence: str):
+        super().__init__(f"{role} replay latency exhausted after {len(draws)} draws "
+                         f"in sequence {sequence!r}")
+        self.role, self.sequence = role, sequence

@@ -7,6 +7,15 @@ A real-time tracker, having finished before the next capture, idles and
 processes the next frame at its capture instant. Frame indices strictly
 increase; no frame is processed twice.
 
+The schedule is computed a stretch at a time. A stretch is the steps
+between two idles: it starts at a capture instant, and each later step
+starts when the one before finishes, so its times are one running sum
+of the capture instant and the draws the steps charge, taken by
+np.add.accumulate. Accumulate adds strictly left to right, as stepping
+frame by frame does, so every time keeps the bits of that loop. A
+stretch ends at an idle, at the last frame, or where a replay block of
+draws runs out.
+
 When a predictor rides along, each new-frame arrival first triggers a
 prediction batch covering the previous frame + 1 .. + N (available after
 the predictor's own latency), and only then does tracking of the arrived
@@ -41,7 +50,7 @@ import numpy as np
 
 from .boxes import PREDICTED, RAW, FrameClock, Sequence, check_rows, valid_boxes
 from .errors import ValidationError, naming
-from .latency import LatencyProfile, exhausted
+from .latency import Exhausted, LatencyProfile
 from .network import load_weights
 from .predictors import KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor, load_kf_noise
 from .seeding import derive_seed, rng_for
@@ -54,6 +63,8 @@ NEURAL_PM = "pm"
 # a predictor invocation's latency (s) where none is set; pick_horizon_n's pre-runs
 PREDICTOR_LATENCY = 0.005
 HORIZON_TRIALS = 3
+# steps one pass of _schedule computes ahead
+_LOOKAHEAD = 128
 
 _RUN_COLUMNS = ("frame", "t_start", "t_finish", "target_frame", "available_at", "kind", "boxes")
 
@@ -228,30 +239,6 @@ def predictor_for(kind: str, latency: LatencyProfile, *, file=None, horizon: int
     return PredictorAdapter(model, default_horizon if horizon is None else horizon, latency)
 
 
-def next_frame(clock: FrameClock, prev_finish: float, prev_frame: int,
-               last_frame: int):
-    """Frame the tracker processes after finishing prev_frame at
-    prev_finish; None once the stream is exhausted.
-
-    Picks the largest f with capture_time(f) <= prev_finish. If even the
-    next frame is not captured yet (real-time tracker), the next frame
-    is chosen and processing waits for its capture.
-    """
-    if prev_finish < 0:
-        raise ValidationError(f"finish time must be >= 0, got {prev_finish}")
-    if prev_frame >= last_frame:
-        return None
-    cand = int(math.floor(prev_finish * clock.framerate_kappa))
-    # Align the floor estimate with capture_time comparisons exactly.
-    while clock.capture_time(cand + 1) <= prev_finish:
-        cand += 1
-    while cand > 0 and clock.capture_time(cand) > prev_finish:
-        cand -= 1
-    if cand <= prev_frame:
-        return prev_frame + 1
-    return min(cand, last_frame)
-
-
 def _oracle_rows(seq: Sequence, sigma_pos: float, sigma_scale: float, rng,
                  frames) -> np.ndarray:
     """The tracker's (n, 4) rows for the processed frames: ground truth
@@ -274,51 +261,100 @@ def _replay_rows(trace: RunLog, frames) -> np.ndarray:
     raw = np.flatnonzero(trace.kind == RAW)
     recorded = dict(zip(trace.target_frame[raw].tolist(), raw.tolist()))
     try:
-        return trace.boxes[[recorded[f] for f in frames]]
+        return trace.boxes[[recorded[f] for f in frames.tolist()]]
     except KeyError as exc:
         raise ValidationError(f"replay trace {trace.sequence_name!r} has no box "
                               f"for frame {exc.args[0]}") from None
 
 
 def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_lat):
-    """The float schedule of a run from its latency blocks: processed
-    frames, arrivals, finish times, and each predictor invocation's
-    availability, plus the exhausted block if a replay one ran out
-    (the schedule then ends at the last frame that got its draws).
+    """The float schedule of a run from its latency blocks, as arrays:
+    processed frames, arrivals, finish times, and each predictor
+    invocation's availability, plus the exhausted block if a replay one
+    ran out (the schedule then ends at the last step that got its
+    draws; the predictor block is checked before the tracker's).
 
     Frame 0 arrives at 0. After frame 0, a predictor draw runs from each
-    arrival before the tracker's draw does."""
-    frames, arrivals, finishes, available = [], [], [], []
-    f, finish = 0, 0.0
-    while f is not None:
-        j = len(frames)
-        arrival = start = max(finish, clock.capture_time(f))
-        if predictor_lat is not None and j:
-            if j > len(predictor_lat):
-                return frames, arrivals, finishes, available, predictor_lat
-            start = arrival + predictor_lat[j - 1]
-        if j == len(tracker_lat):
-            return frames, arrivals, finishes, available, tracker_lat
-        finish = start + tracker_lat[j]
-        frames.append(f)
-        arrivals.append(arrival)
-        finishes.append(finish)
-        if predictor_lat is not None and j:
-            available.append(start)
-        f = next_frame(clock, finish, f, last_frame)
-    return frames, arrivals, finishes, available, None
+    arrival before the tracker's draw does. A stretch (see the module
+    docstring) is one accumulate over its first arrival and its steps'
+    draws, interleaved. The frame after each finish is one searchsorted
+    among the capture instants, so it makes the f/κ comparisons that
+    stepping makes. A stretch ends at its first idle, at the last frame,
+    or at the last step the blocks have draws for. After a stretch whose
+    first step idles comes a run of idles, also taken at once: each of
+    its steps starts at its own capture instant. A pass looks at most
+    _LOOKAHEAD steps ahead, and a longer stretch goes on from its last
+    finish, which continues the same sum."""
+    captures = np.arange(last_frame + 1) / clock.framerate_kappa
+    later = captures[1:]
+    if predictor_lat is None:
+        steps, width, short = len(tracker_lat), 1, tracker_lat
+    else:
+        steps, width = min(len(tracker_lat), len(predictor_lat) + 1), 2
+        short = predictor_lat if steps > len(predictor_lat) else tracker_lat
+    # step j's draws sit at 1 + width·j onward (step 0's predictor slot
+    # is 0.0); slot width·j takes the time a stretch resumes from
+    draws = np.zeros(1 + width * steps)
+    draws[width::width] = tracker_lat[:steps]
+    if predictor_lat is not None:
+        draws[3::2] = predictor_lat[:steps - 1]
+    frames = np.empty(steps, dtype=np.int64)
+    times = np.empty((steps, width + 1))  # arrival, [predictor done,] finish
+    j, f, resume, idling = 0, 0, 0.0, False
+    while j < steps:
+        if idling:
+            # each step idles at frame f, f + 1, ...: it ends before the next capture
+            m = min(steps - j, last_frame - f, _LOOKAHEAD)
+            block = times[j:j + m]
+            block[:, 0] = captures[f:f + m]
+            block[:, 1:] = draws[1 + width * j:1 + width * (j + m)].reshape(m, width)
+            np.add.accumulate(block, axis=1, out=block)
+            idle = block[:, width] < later[f:f + m]
+            n = m if idle.all() else int(idle.argmin())
+            frames[j:j + n] = np.arange(f, f + n)
+            j, f = j + n, f + n
+            resume, idling = captures[f], 0 < n == m
+            continue
+        m = min(steps - j, _LOOKAHEAD)
+        draws[width * j] = resume
+        sums = np.add.accumulate(draws[width * j:width * (j + m) + 1])
+        block = times[j:j + m]
+        block[:, :width] = sums[:-1].reshape(m, width)
+        block[:, width] = sums[width::width]
+        # the latest frame captured by each finish, at most the last
+        captured = later.searchsorted(block[:, width], "right")
+        frames[j] = f
+        frames[j + 1:j + m] = captured[:-1]
+        # a step ends its stretch when no frame after its own is captured
+        # by its finish (it idles) or when its frame is the last
+        ends = captured <= frames[j:j + m]
+        k = int(ends.argmax())
+        if not ends[k]:
+            j, f, resume = j + m, int(captured[-1]), sums[-1]
+            continue
+        j, f = j + k + 1, int(frames[j + k])
+        if f == last_frame:
+            short = None
+            break
+        f += 1
+        resume, idling = captures[f], k == 0
+    return (frames[:j], times[:j, 0], times[:j, width],
+            times[1:j, 1] if predictor_lat is not None else np.empty(0), short)
 
 
 def _run_schedule(seq: Sequence, tracker: TrackerAdapter, predictor, seed: int):
     """_schedule over the latency blocks of one run, each stream keyed
     from `seed` and len(seq) draws long, plus the predictor draws the
-    schedule used."""
+    schedule used. A block that ran out comes back as the Exhausted
+    error the run raises."""
     n = len(seq)
     tracker_lat = tracker.latency.draws(derive_seed(seed, "tracker-latency"), n)
     predictor_lat = (None if predictor is None
                      else predictor.latency.draws(derive_seed(seed, "predictor-latency"), n))
-    schedule = _schedule(seq.clock, seq.last_frame, tracker_lat, predictor_lat)
-    return schedule, () if predictor is None else predictor_lat[:len(schedule[3])]
+    *schedule, short = _schedule(seq.clock, seq.last_frame, tracker_lat, predictor_lat)
+    if short is not None:
+        short = Exhausted(short, "tracker" if short is tracker_lat else "predictor", seq.name)
+    return (*schedule, short), () if predictor is None else predictor_lat[:len(schedule[3])]
 
 
 def run_stream(seq: Sequence, tracker: TrackerAdapter, predictor: PredictorAdapter = None,
@@ -348,7 +384,7 @@ def _run_log(seq: Sequence, schedule, predictor_lat, rows, horizon: int, predict
     raw row, so after output 0 each column is an (n - 1, N + 1) block.
     A replay block that ran out raises here, after the rows and
     predictions of the frames before it."""
-    frames, arrivals, finishes, available, short = schedule
+    frames, arrivals, finishes, available, exhausted = schedule
     # the raw outputs sit at the multiples of N + 1, the predicted ones between
     raw = np.arange(len(frames) + (len(frames) - 1) * horizon) % (horizon + 1) == 0
     target = np.empty(len(raw), dtype=np.int64)
@@ -360,8 +396,8 @@ def _run_log(seq: Sequence, schedule, predictor_lat, rows, horizon: int, predict
     boxes = np.empty((len(raw), 4))
     boxes[raw] = rows
     boxes[~raw] = np.reshape(predicted, (-1, 4))
-    if short is not None:
-        raise exhausted(short)
+    if exhausted is not None:
+        raise exhausted
     return RunLog(seq.name, frames, arrivals, finishes, target, available_at,
                   np.where(raw, RAW, PREDICTED), boxes, predictor_lat)
 
@@ -430,11 +466,12 @@ def pick_horizon_n(seq: Sequence, tracker: TrackerAdapter, trials: int = HORIZON
         raise ValidationError(f"trials must be >= 1, got {trials}")
     gaps = []
     for t in range(trials):
-        (frames, *_, short), _ = _run_schedule(seq, tracker, None, derive_seed(seed, "prerun", t))
+        (frames, *_, exhausted), _ = _run_schedule(seq, tracker, None,
+                                                   derive_seed(seed, "prerun", t))
         if tracker.trace is not None:
             _replay_rows(tracker.trace, frames)
-        if short is not None:
-            raise exhausted(short)
+        if exhausted is not None:
+            raise exhausted
         gaps.append(np.diff(frames).max())
     return int(max(gaps))
 

@@ -11,7 +11,9 @@ boxes.check_rows), the motion decoder apply_motion_row (the oracle of
 motion.apply_motion_rows), box_from_center, linear_track,
 zero_motion_batch and the constant_factor_weights fixture. So does
 dense_scores, the per-pair deadline score that the run-length
-EstimateMatcher.scores replaced, kept as its byte-for-byte reference."""
+EstimateMatcher.scores replaced, kept as its byte-for-byte reference,
+and schedule_loop with its next_frame, the step-by-step schedule that
+simulate._schedule's stretches replaced."""
 
 import math
 from pathlib import Path
@@ -456,10 +458,11 @@ def kf_noise_gradient_fd(theta, windows, h: float = 1e-4) -> np.ndarray:
     return grad
 
 
-def latency_draws_loop(profile, seed):
+def latency_draws_loop(profile, seed, role, sequence):
     """Literal per-draw latency source, one value per next(): the
     constant, one scalar normal draw clamped at the floor, or the
-    recorded values in order until they run out."""
+    recorded values in order until they run out, naming the `role`
+    ("tracker" or "predictor") and sequence whose block ran out."""
     rng = np.random.default_rng(seed)
     used = 0
     while True:
@@ -469,9 +472,60 @@ def latency_draws_loop(profile, seed):
             yield max(profile.floor, float(rng.normal(profile.mean, profile.stddev)))
         else:
             if used >= len(profile.replay_values):
-                raise ValidationError(f"replay latency exhausted after {used} draws")
+                raise ValidationError(f"{role} replay latency exhausted after {used} draws "
+                                      f"in sequence {sequence!r}")
             yield profile.replay_values[used]
             used += 1
+
+
+def next_frame(clock, prev_finish, prev_frame, last_frame):
+    """Frame the tracker processes after finishing prev_frame at
+    prev_finish; None once the stream is exhausted.
+
+    Picks the largest f with capture_time(f) <= prev_finish. If even the
+    next frame is not captured yet (real-time tracker), the next frame
+    is chosen and processing waits for its capture.
+    """
+    if prev_frame >= last_frame:
+        return None
+    cand = int(math.floor(prev_finish * clock.framerate_kappa))
+    # Align the floor estimate with capture_time comparisons exactly.
+    while clock.capture_time(cand + 1) <= prev_finish:
+        cand += 1
+    while cand > 0 and clock.capture_time(cand) > prev_finish:
+        cand -= 1
+    if cand <= prev_frame:
+        return prev_frame + 1
+    return min(cand, last_frame)
+
+
+def schedule_loop(clock, last_frame, tracker_lat, predictor_lat):
+    """simulate._schedule one step at a time, with Python lists: the
+    processed frames, arrivals, finish times and each predictor
+    invocation's availability, plus the block that ran out (or None).
+
+    Frame 0 arrives at 0. After frame 0, a predictor draw runs from each
+    arrival before the tracker's draw does, and the predictor block is
+    checked before the tracker's."""
+    frames, arrivals, finishes, available = [], [], [], []
+    f, finish = 0, 0.0
+    while f is not None:
+        j = len(frames)
+        arrival = start = max(finish, clock.capture_time(f))
+        if predictor_lat is not None and j:
+            if j > len(predictor_lat):
+                return frames, arrivals, finishes, available, predictor_lat
+            start = arrival + predictor_lat[j - 1]
+        if j == len(tracker_lat):
+            return frames, arrivals, finishes, available, tracker_lat
+        finish = start + tracker_lat[j]
+        frames.append(f)
+        arrivals.append(arrival)
+        finishes.append(finish)
+        if predictor_lat is not None and j:
+            available.append(start)
+        f = next_frame(clock, finish, f, last_frame)
+    return frames, arrivals, finishes, available, None
 
 
 class OnlineZeroMotion:
@@ -648,13 +702,15 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
             dx, dy, dw, dh = next(noise)
             return (x + dx, y + dy, w * math.exp(dw), h * math.exp(dh))
 
-    tracker_latency = latency_draws_loop(tracker.latency, derive_seed(seed, "tracker-latency"))
+    tracker_latency = latency_draws_loop(tracker.latency, derive_seed(seed, "tracker-latency"),
+                                         "tracker", seq.name)
     instance = None
     if predictor is not None:
         instance = online_predictor(predictor.model)
         instance.reset(seq.b0)
         predictor_latency = latency_draws_loop(predictor.latency,
-                                               derive_seed(seed, "predictor-latency"))
+                                               derive_seed(seed, "predictor-latency"),
+                                               "predictor", seq.name)
     schedule, outputs, pred_lats = [], [], []
     prev_frame, prev_finish = None, 0.0
     while True:

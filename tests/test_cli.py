@@ -719,6 +719,59 @@ class TestExitCodes:
                      "--out", str(tmp_path / "runs")]) == 2
 
 
+class TestExhaustedReplayLatency:
+    """A replay latency block that runs out exits 2 naming the file it
+    came from and the sequence, and leaves no --out."""
+
+    SEQUENCE = "in sequence 'constant_velocity-000'"
+
+    def run(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb, flags", [
+        ("simulate", []), ("horizon", []), ("compare", ["--predictors", "none,kf"]),
+        ("compare", ["--predictors", "none,kf", "--horizon", "2"]),
+    ])
+    def test_a_tracker_latency_file(self, tmp_path, capsys, verb, flags):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        durations = tmp_path / "durations.txt"
+        durations.write_text("0.05\n" * 3)
+        tracker = write_cfg(tmp_path / "replay.cfg",
+                            f"latency.kind = replay\nlatency.file = {durations}\n")
+        err = self.run(tmp_path, capsys, [verb, "--sequences", str(seqs), "--tracker", tracker,
+                                          *flags])
+        assert (f"error: {durations}: tracker replay latency exhausted after 3 draws "
+                f"{self.SEQUENCE}") in err
+
+    def test_a_predictor_latency_file(self, tmp_path, capsys, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        durations = tmp_path / "durations.txt"
+        durations.write_text("0.005\n" * 4)
+        pred = write_cfg(tmp_path / "pred.cfg",
+                         f"kind = kf\nlatency.kind = replay\nlatency.file = {durations}\n")
+        err = self.run(tmp_path, capsys, ["simulate", "--sequences", str(seqs), "--tracker",
+                                          tracker_cfg, "--predictor", pred])
+        assert (f"error: {durations}: predictor replay latency exhausted after 4 draws "
+                f"{self.SEQUENCE}") in err
+
+    def test_a_replayed_trace(self, tmp_path, capsys):
+        """A real-time recording of 10 frames replays its 10 durations
+        onto a 30-frame sequence of the same name."""
+        realtime = write_cfg(tmp_path / "realtime.cfg",
+                             "latency.kind = constant\nlatency.mean = 0.01\n")
+        raw = tmp_path / "raw"
+        assert main(["simulate", "--sequences", str(gen_corpus(tmp_path, "short", length=10)),
+                     "--tracker", realtime, "--out", str(raw)]) == 0
+        replay = write_cfg(tmp_path / "replay.cfg", f"behavior = replay_log\ntrace = {raw}\n")
+        err = self.run(tmp_path, capsys, ["simulate", "--sequences", str(gen_corpus(tmp_path)),
+                                          "--tracker", replay])
+        assert (f"error: {raw / 'constant_velocity-000.trace.csv'}: tracker replay latency "
+                f"exhausted after 10 draws {self.SEQUENCE}") in err
+
+
 class TestKeysTheKindDoesNotRead:
     TRACKER = "latency.kind = constant\nlatency.mean = 0.05\n"
 

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latetrack.boxes import FrameClock, Sequence
 from latetrack.errors import ValidationError
@@ -10,12 +11,12 @@ from latetrack.network import init_weights, save_weights
 from latetrack.predictors import (KalmanBoxPredictor, MotionNetPredictor, ZeroMotionPredictor,
                                   save_kf_noise)
 from latetrack.simulate import (KF, KF_LEARNED, NEURAL_PM, ZERO_MOTION, PredictorAdapter,
-                                RunLog, TrackerAdapter, load_run_log, load_trace, next_frame,
+                                RunLog, TrackerAdapter, _schedule, load_run_log, load_trace,
                                 pick_horizon_n, predictor_for, run_stream, run_streams,
                                 save_run_log, save_trace)
 
 from _oracles import (BoundingBox, constant_factor_weights, linear_track, log_lines,
-                      pick_horizon_n_loop, run_log, run_stream_loop, trace_lines)
+                      pick_horizon_n_loop, run_log, run_stream_loop, schedule_loop, trace_lines)
 
 
 def cv_sequence(n=10, vx=2.0, vy=0.0, kappa=30.0, name="cv"):
@@ -27,28 +28,97 @@ def tracker(mean, **kw):
     return TrackerAdapter(LatencyProfile.constant(mean), **kw)
 
 
+def schedule(kappa, last_frame, tracker_lat, predictor_lat=None):
+    """_schedule's result, checked against schedule_loop's: the same
+    frames, and the same bits of every time, and the same block run out."""
+    got = _schedule(FrameClock(kappa), last_frame, tracker_lat, predictor_lat)
+    want = schedule_loop(FrameClock(kappa), last_frame, tracker_lat, predictor_lat)
+    assert got[0].tolist() == want[0]
+    for column, values in zip(got[1:4], want[1:4]):
+        assert column.tobytes() == np.array(values, dtype=np.float64).tobytes()
+    assert got[4] is want[4]
+    return got
+
+
 class TestNextFrame:
+    """Which frame follows a finish, in schedules checked against the
+    step-by-step loop."""
+
     def test_spec_examples(self):
-        clock = FrameClock(30)
-        assert next_frame(clock, 0.05, 0, 9) == 1
-        assert next_frame(clock, 0.10, 1, 9) == 3
+        # frame 0 ends at 0.05, after frame 1's capture only; frame 1
+        # ends at 0.10, the capture instant of frame 3
+        frames, arrivals, finishes, _, short = schedule(30, 9, [0.05] * 10)
+        assert frames.tolist() == [0, 1, 3, 4, 6, 7, 9]
+        assert arrivals[1:3].tolist() == finishes[:2].tolist() == [0.05, 0.1]
+        assert short is None
 
     def test_idle_tracker_waits_for_the_next_capture(self):
-        # finished before frame 2 is even captured: pick it and wait
-        assert next_frame(FrameClock(30), 0.04, 1, 9) == 2
+        # frame 2 finishes at 0.09, before frame 3 is captured: pick it and wait
+        frames, arrivals, finishes, _, _ = schedule(30, 9, [0.04, 0.04, 0.01, 0.01] + [0.04] * 6)
+        assert frames[:5].tolist() == [0, 1, 2, 3, 4]
+        assert finishes[2] < 3 / 30
+        assert arrivals[3] == 3 / 30
+        assert arrivals[4] == 4 / 30
 
     def test_stream_end(self):
-        assert next_frame(FrameClock(30), 1.0, 9, 9) is None
+        # the last frame is processed and the schedule stops with draws to spare
+        frames, _, _, _, short = schedule(30, 9, [0.01] * 20)
+        assert frames.tolist() == list(range(10))
+        assert short is None
 
     def test_capture_instant_counts_as_available(self):
-        assert next_frame(FrameClock(30), 0.1, 0, 9) == 3
+        # a constant 1/κ finishes each step at a capture instant or next to one
+        for kappa in (24, 25, 29.97, 30, 60):
+            frames, arrivals, finishes, _, _ = schedule(kappa, 99, [1 / kappa] * 100)
+            assert frames[:2].tolist() == [0, 1]
+            assert finishes[0] == 1 / kappa
+            assert arrivals[1] == finishes[0]
 
     def test_clamped_to_last_frame(self):
-        assert next_frame(FrameClock(30), 5.0, 3, 9) == 9
+        frames, _, finishes, _, _ = schedule(30, 9, [0.05, 0.05, 0.05, 5.0, 0.05])
+        assert frames.tolist() == [0, 1, 3, 4, 9]
+        assert finishes[3] > 9 / 30
 
-    def test_negative_finish_rejected(self):
-        with pytest.raises(ValidationError):
-            next_frame(FrameClock(30), -0.1, 0, 9)
+
+class TestScheduleAgreesWithTheLoop:
+    """_schedule's stretches against schedule_loop, step by step."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kappa=st.sampled_from([24, 25, 29.97, 30, 60]), n=st.integers(2, 300),
+           latency=st.sampled_from(["one_period", "below", "around", "above"]),
+           predictor=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           tracker_cut=st.floats(0.0, 1.0), predictor_cut=st.floats(0.0, 1.0))
+    def test_random_schedules(self, kappa, n, latency, predictor, seed, tracker_cut,
+                              predictor_cut):
+        """A constant 1/κ ties at capture instants; gaussian latencies
+        sit below, around and above 1/κ. A cut of 1 keeps a block whole,
+        and any other cut makes it a replay block that runs out there."""
+        rng = np.random.default_rng(seed)
+        if latency == "one_period":
+            tracker_lat = [1 / kappa] * n
+        else:
+            mean = {"below": 0.6, "around": 1.0, "above": 1.6}[latency] / kappa
+            tracker_lat = np.maximum(rng.normal(mean, 0.4 * mean, n), 0.001).tolist()
+        tracker_lat = tracker_lat[:max(1, round(tracker_cut * n))]
+        predictor_lat = None
+        if predictor:
+            predictor_lat = np.maximum(rng.normal(0.005, 0.003, n), 0.0).tolist()
+            predictor_lat = predictor_lat[:round(predictor_cut * n)]
+        schedule(kappa, n - 1, tracker_lat, predictor_lat)
+
+    @pytest.mark.parametrize("predictor", [False, True])
+    def test_blocks_run_out_at_every_step(self, predictor):
+        rng = np.random.default_rng(11)
+        n = 60
+        tracker_lat = np.maximum(rng.normal(1 / 30, 0.012, n), 0.001).tolist()
+        predictor_lat = np.maximum(rng.normal(0.005, 0.003, n), 0.0).tolist()
+        steps = len(schedule(30, n - 1, tracker_lat, predictor_lat if predictor else None)[0])
+        for cut in range(1, steps + 1):
+            if predictor:
+                schedule(30, n - 1, tracker_lat, predictor_lat[:cut - 1])
+                schedule(30, n - 1, tracker_lat[:cut], predictor_lat)
+            else:
+                schedule(30, n - 1, tracker_lat[:cut])
 
 
 class TestSchedule:
@@ -218,10 +288,12 @@ class TestPickHorizon:
         assert min(horizons) == 1 and max(horizons) >= 3
 
     @pytest.mark.parametrize("latency, message", [
-        (LatencyProfile.replay((0.05,) * 5), "replay latency exhausted after 5 draws"),
+        (LatencyProfile.replay((0.05,) * 5),
+         "tracker replay latency exhausted after 5 draws in sequence 'cv'"),
         (LatencyProfile.constant(0.01), "replay trace 'cv' has no box for frame 2"),
         (LatencyProfile.replay((0.01,) * 3), "replay trace 'cv' has no box for frame 2"),
-        (LatencyProfile.replay((0.01,) * 2), "replay latency exhausted after 2 draws"),
+        (LatencyProfile.replay((0.01,) * 2),
+         "tracker replay latency exhausted after 2 draws in sequence 'cv'"),
     ])
     def test_the_same_errors_as_the_loop(self, latency, message):
         """A replay trace that lacks a frame and a replay latency block
@@ -479,7 +551,8 @@ class TestBatchOfRuns:
         missing = TrackerAdapter.replay(run_stream(seq, tracker(0.05)),
                                         LatencyProfile.constant(0.01))
         adapter = TestAgreesWithTheLoop.adapter(kind)
-        for trackers, message in (((short, missing), "replay latency exhausted after 10 draws"),
+        for trackers, message in (((short, missing),
+                                   "tracker replay latency exhausted after 10 draws in sequence 'cv'"),
                                   ((missing, short), "'cv' has no box for frame 2")):
             with pytest.raises(ValidationError, match=re.escape(message)):
                 run_streams([seq, seq], trackers, adapter, [0, 0])

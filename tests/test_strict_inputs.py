@@ -172,8 +172,10 @@ def test_a_field_of_the_wrong_type_exits_two_naming_the_file(valid, tmp_path, mo
     capsys.readouterr()
     code = main([*argv(str(changed), valid), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if field in PATH_KEYS and (value or field == "trace"):  # "" is the working directory
+    if field in PATH_KEYS and value:
         assert (code, err.startswith("i/o error")) == (3, True), err
     else:
         assert (code, str(changed) in err) == (2, True), err
+    if field in PATH_KEYS and not value:
+        assert f"key {field!r} needs a file name, got ''" in err
     assert not (tmp_path / "out").exists()
