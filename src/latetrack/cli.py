@@ -85,14 +85,12 @@ def _sequences_and_trackers(args):
 @contextmanager
 def _naming_replay_files(tracker_cfg: Config, predictor_cfg: Config = None):
     """Let a replay latency block that runs out name the file it came
-    from: its config's `latency.file`, else the sequence's trace, whose
-    recorded durations a replay tracker replays."""
+    from (Config.latency_source)."""
     try:
         yield
     except Exhausted as exc:
-        files = (predictor_cfg if exc.role == "predictor" else tracker_cfg).files
-        source = files.get("latency.file", files.get(f"trace:{exc.sequence}"))
-        raise ValidationError(f"{source}: {exc}") from None
+        cfg = predictor_cfg if exc.role == "predictor" else tracker_cfg
+        raise ValidationError(f"{cfg.latency_source(exc.sequence)}: {exc}") from None
 
 
 def cmd_gen(args) -> int:

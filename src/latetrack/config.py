@@ -141,6 +141,13 @@ class Config:
         self.files[key] = path
         return path
 
+    def latency_source(self, sequence: str) -> str:
+        """The file a replay latency block of `sequence` came from: this
+        config's `latency.file`, else the trace tracker_from_config read
+        for the sequence, whose recorded durations a replay tracker
+        replays."""
+        return self.files.get("latency.file", self.files.get(_trace_key(sequence)))
+
     def naming(self):
         """errors.naming for this file: an error raised inside names it,
         or a file it has named so far."""
@@ -179,6 +186,11 @@ def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec
         return SyntheticSpec(kind, count, length, **values)
 
 
+def _trace_key(sequence: str) -> str:
+    """The `files` key of the trace a replay tracker reads for `sequence`."""
+    return f"trace:{sequence}"
+
+
 def tracker_from_config(cfg: Config, sequences) -> list:
     """One TrackerAdapter per sequence. A replay_log tracker reads each
     sequence's trace here, once, before a verb creates its --out:
@@ -197,7 +209,7 @@ def tracker_from_config(cfg: Config, sequences) -> list:
     latency = latency_from_config(cfg) if cfg.has_group("latency.") else None
     trackers = []
     for seq, path in zip(sequences, run_files(cfg.get_name("trace"), sequences, ".trace.csv")):
-        cfg.files[f"trace:{seq.name}"] = path
+        cfg.files[_trace_key(seq.name)] = path
         trace = load_trace(path, seq.name)
         with naming(path):
             trackers.append(TrackerAdapter.replay(trace, latency))

@@ -10,11 +10,14 @@ increase; no frame is processed twice.
 The schedule is computed a stretch at a time. A stretch is the steps
 between two idles: it starts at a capture instant, and each later step
 starts when the one before finishes, so its times are one running sum
-of the capture instant and the draws the steps charge, taken by
-np.add.accumulate. Accumulate adds strictly left to right, as stepping
-frame by frame does, so every time keeps the bits of that loop. A
-stretch ends at an idle, at the last frame, or where a replay block of
-draws runs out.
+of the capture instant and the draws the steps charge. A stretch's
+first steps are taken one at a time, and the rest of a long one in
+passes of many steps, each one np.add.accumulate. Accumulate adds
+strictly left to right, as stepping does, so every time keeps the bits
+of a step-by-step loop. Stepping spares the short stretches a tracker
+near the frame interval makes a pass's fixed cost each. A stretch ends
+at an idle, at the last frame, or where a replay block of draws runs
+out.
 
 When a predictor rides along, each new-frame arrival first triggers a
 prediction batch covering the previous frame + 1 .. + N (available after
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,8 +67,10 @@ NEURAL_PM = "pm"
 # a predictor invocation's latency (s) where none is set; pick_horizon_n's pre-runs
 PREDICTOR_LATENCY = 0.005
 HORIZON_TRIALS = 3
-# steps one pass of _schedule computes ahead
-_LOOKAHEAD = 128
+# _schedule steps a stretch's first _STEPPED steps and sums the rest
+# _SUMMED steps a pass (CHANGES.md records the values timed)
+_STEPPED = 16
+_SUMMED = 128
 
 _RUN_COLUMNS = ("frame", "t_start", "t_finish", "target_frame", "available_at", "kind", "boxes")
 
@@ -274,72 +280,64 @@ def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_l
     ran out (the schedule then ends at the last step that got its
     draws; the predictor block is checked before the tracker's).
 
-    Frame 0 arrives at 0. After frame 0, a predictor draw runs from each
-    arrival before the tracker's draw does. A stretch (see the module
-    docstring) is one accumulate over its first arrival and its steps'
-    draws, interleaved. The frame after each finish is one searchsorted
-    among the capture instants, so it makes the f/κ comparisons that
-    stepping makes. A stretch ends at its first idle, at the last frame,
-    or at the last step the blocks have draws for. After a stretch whose
-    first step idles comes a run of idles, also taken at once: each of
-    its steps starts at its own capture instant. A pass looks at most
-    _LOOKAHEAD steps ahead, and a longer stretch goes on from its last
-    finish, which continues the same sum."""
+    Frame 0 arrives at 0. A step arrives at the later of the previous
+    finish and its frame's capture; after frame 0, a predictor draw
+    runs from each arrival before the tracker's draw does. The frame
+    after a finish is the latest one captured by then, found among the
+    capture instants so that it makes the f/κ comparisons of stepping,
+    or the next frame if that one is not yet captured (an idle). A
+    stretch's first _STEPPED steps go one at a time; from then on a
+    pass sums the next _SUMMED steps with one accumulate over the time
+    it resumes from and their draws, interleaved, and keeps them up to
+    the first idle or the last frame."""
     captures = np.arange(last_frame + 1) / clock.framerate_kappa
-    later = captures[1:]
+    capture_list = captures.tolist()
     if predictor_lat is None:
-        steps, width, short = len(tracker_lat), 1, tracker_lat
+        steps, short = len(tracker_lat), tracker_lat
     else:
-        steps, width = min(len(tracker_lat), len(predictor_lat) + 1), 2
+        steps = min(len(tracker_lat), len(predictor_lat) + 1)
         short = predictor_lat if steps > len(predictor_lat) else tracker_lat
-    # step j's draws sit at 1 + width·j onward (step 0's predictor slot
-    # is 0.0); slot width·j takes the time a stretch resumes from
-    draws = np.zeros(1 + width * steps)
-    draws[width::width] = tracker_lat[:steps]
+    # step j's predictor draw sits at 2j (0.0 for step 0 or no predictor), its tracker draw at 2j + 1
+    draws = np.zeros(2 * steps)
+    draws[1::2] = tracker_lat[:steps]
     if predictor_lat is not None:
-        draws[3::2] = predictor_lat[:steps - 1]
-    frames = np.empty(steps, dtype=np.int64)
-    times = np.empty((steps, width + 1))  # arrival, [predictor done,] finish
-    j, f, resume, idling = 0, 0, 0.0, False
+        draws[2::2] = predictor_lat[:steps - 1]
+    before = draws[::2].tolist()
+    frames, finishes = np.empty(steps, dtype=np.int64), np.empty(steps)
+    j = begun = f = 0  # step j takes frame f; its stretch began at step `begun`
+    finish = 0.0
     while j < steps:
-        if idling:
-            # each step idles at frame f, f + 1, ...: it ends before the next capture
-            m = min(steps - j, last_frame - f, _LOOKAHEAD)
-            block = times[j:j + m]
-            block[:, 0] = captures[f:f + m]
-            block[:, 1:] = draws[1 + width * j:1 + width * (j + m)].reshape(m, width)
-            np.add.accumulate(block, axis=1, out=block)
-            idle = block[:, width] < later[f:f + m]
-            n = m if idle.all() else int(idle.argmin())
-            frames[j:j + n] = np.arange(f, f + n)
-            j, f = j + n, f + n
-            resume, idling = captures[f], 0 < n == m
-            continue
-        m = min(steps - j, _LOOKAHEAD)
-        draws[width * j] = resume
-        sums = np.add.accumulate(draws[width * j:width * (j + m) + 1])
-        block = times[j:j + m]
-        block[:, :width] = sums[:-1].reshape(m, width)
-        block[:, width] = sums[width::width]
-        # the latest frame captured by each finish, at most the last
-        captured = later.searchsorted(block[:, width], "right")
-        frames[j] = f
-        frames[j + 1:j + m] = captured[:-1]
-        # a step ends its stretch when no frame after its own is captured
-        # by its finish (it idles) or when its frame is the last
-        ends = captured <= frames[j:j + m]
-        k = int(ends.argmax())
-        if not ends[k]:
-            j, f, resume = j + m, int(captured[-1]), sums[-1]
-            continue
-        j, f = j + k + 1, int(frames[j + k])
+        capture = capture_list[f]
+        start = finish if finish > capture else capture
+        if j - begun < _STEPPED:
+            finish = start + before[j] + tracker_lat[j]
+            frames[j], finishes[j] = f, finish
+            j += 1
+            captured = bisect_right(capture_list, finish) - 1
+        else:
+            m = min(_SUMMED, steps - j)
+            sums = np.add.accumulate(np.concatenate(([start], draws[2 * j:2 * (j + m)])))[2::2]
+            after = captures.searchsorted(sums, "right") - 1
+            block = frames[j:j + m]
+            block[0] = f
+            block[1:] = after[:-1]
+            finishes[j:j + m] = sums
+            ends = after <= block
+            k = int(ends.argmax())
+            n = k + 1 if ends[k] else m
+            j += n
+            f, finish, captured = int(block[n - 1]), float(sums[n - 1]), int(after[n - 1])
         if f == last_frame:
             short = None
             break
-        f += 1
-        resume, idling = captures[f], k == 0
-    return (frames[:j], times[:j, 0], times[:j, width],
-            times[1:j, 1] if predictor_lat is not None else np.empty(0), short)
+        if captured > f:
+            f = captured
+        else:
+            f, begun = f + 1, j
+    frames, finishes = frames[:j], finishes[:j]
+    arrivals = np.maximum(np.concatenate(([0.0], finishes[:-1])), captures[frames])
+    available = arrivals[1:] + draws[2:2 * j:2] if predictor_lat is not None else np.empty(0)
+    return frames, arrivals, finishes, available, short
 
 
 def _run_schedule(seq: Sequence, tracker: TrackerAdapter, predictor, seed: int):

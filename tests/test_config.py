@@ -99,6 +99,7 @@ class TestLatencyFromConfig:
         profile = latency_from_config(cfg)
         assert profile.kind == REPLAY
         assert profile.replay_values == (0.01, 0.02, 0.03)
+        assert cfg.latency_source("cv") == str(path)
 
     def test_bad_replay_file(self, tmp_path):
         path = tmp_path / "lat.txt"
@@ -166,6 +167,7 @@ class TestTrackerFromConfig:
         [bound] = tracker_from_config(cfg, [seq])
         assert bound.trace == load_trace(tmp_path / "cv.trace.csv", "cv")
         assert cfg.files == {"trace:cv": tmp_path / "cv.trace.csv"}
+        assert cfg.latency_source("cv") == tmp_path / "cv.trace.csv"
         replayed = run_stream(seq, bound)
         assert replayed.frame.tolist() == log.frame.tolist()
 

@@ -74,6 +74,13 @@ class TestNextFrame:
             assert finishes[0] == 1 / kappa
             assert arrivals[1] == finishes[0]
 
+    def test_capture_instant_counts_as_available_in_a_long_stretch(self):
+        # at 32 fps, sums of 1.5 frame intervals are exact, so every other
+        # finish is a capture instant, in the stepped and the summed steps
+        frames, _, finishes, _, _ = schedule(32, 299, [1.5 / 32] * 300)
+        assert frames.tolist() == [k * 3 // 2 for k in range(200)] + [299]
+        assert finishes[199] == 300 / 32
+
     def test_clamped_to_last_frame(self):
         frames, _, finishes, _, _ = schedule(30, 9, [0.05, 0.05, 0.05, 5.0, 0.05])
         assert frames.tolist() == [0, 1, 3, 4, 9]
@@ -107,10 +114,13 @@ class TestScheduleAgreesWithTheLoop:
         schedule(kappa, n - 1, tracker_lat, predictor_lat)
 
     @pytest.mark.parametrize("predictor", [False, True])
-    def test_blocks_run_out_at_every_step(self, predictor):
+    @pytest.mark.parametrize("n, mean, stddev", [
+        (60, 1 / 30, 0.012),  # short stretches, stepped
+        (300, 0.05, 0.005),  # one stretch, stepped and then summed over two passes
+    ])
+    def test_blocks_run_out_at_every_step(self, predictor, n, mean, stddev):
         rng = np.random.default_rng(11)
-        n = 60
-        tracker_lat = np.maximum(rng.normal(1 / 30, 0.012, n), 0.001).tolist()
+        tracker_lat = np.maximum(rng.normal(mean, stddev, n), 0.001).tolist()
         predictor_lat = np.maximum(rng.normal(0.005, 0.003, n), 0.0).tolist()
         steps = len(schedule(30, n - 1, tracker_lat, predictor_lat if predictor else None)[0])
         for cut in range(1, steps + 1):
