@@ -114,21 +114,19 @@ class TestScheduleAgreesWithTheLoop:
         schedule(kappa, n - 1, tracker_lat, predictor_lat)
 
     @pytest.mark.parametrize("predictor", [False, True])
-    @pytest.mark.parametrize("n, mean, stddev", [
-        (60, 1 / 30, 0.012),  # short stretches, stepped
-        (300, 0.05, 0.005),  # one stretch, stepped and then summed over two passes
-    ])
-    def test_blocks_run_out_at_every_step(self, predictor, n, mean, stddev):
-        rng = np.random.default_rng(11)
-        tracker_lat = np.maximum(rng.normal(mean, stddev, n), 0.001).tolist()
-        predictor_lat = np.maximum(rng.normal(0.005, 0.003, n), 0.0).tolist()
-        steps = len(schedule(30, n - 1, tracker_lat, predictor_lat if predictor else None)[0])
-        for cut in range(1, steps + 1):
-            if predictor:
-                schedule(30, n - 1, tracker_lat, predictor_lat[:cut - 1])
-                schedule(30, n - 1, tracker_lat[:cut], predictor_lat)
-            else:
-                schedule(30, n - 1, tracker_lat[:cut])
+    def test_blocks_run_out_at_every_step(self, predictor):
+        # short stretches, stepped; then one stretch, stepped and summed over two passes
+        for n, mean, stddev in ((60, 1 / 30, 0.012), (300, 0.05, 0.005)):
+            rng = np.random.default_rng(11)
+            tracker_lat = np.maximum(rng.normal(mean, stddev, n), 0.001).tolist()
+            predictor_lat = np.maximum(rng.normal(0.005, 0.003, n), 0.0).tolist()
+            steps = len(schedule(30, n - 1, tracker_lat, predictor_lat if predictor else None)[0])
+            for cut in range(1, steps + 1):
+                if predictor:
+                    schedule(30, n - 1, tracker_lat, predictor_lat[:cut - 1])
+                    schedule(30, n - 1, tracker_lat[:cut], predictor_lat)
+                else:
+                    schedule(30, n - 1, tracker_lat[:cut])
 
 
 class TestSchedule:
