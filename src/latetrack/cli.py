@@ -239,6 +239,11 @@ def cmd_compare(args) -> int:
     names = [n.strip() for n in args.predictors.split(",") if n.strip()]
     if not names:
         raise ValidationError("--predictors must name at least one of none,zero,kf,kf_learned,pm")
+    for name in names:
+        if names.count(name) > 1:
+            raise ValidationError(f"--predictors names {name!r} twice")
+    if args.horizon is not None and args.horizon < 1:
+        raise ValidationError(f"horizon must be >= 1, got {args.horizon}")
     timer = StageTimer()
     if args.horizon is not None:
         horizon = args.horizon

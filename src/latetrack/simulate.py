@@ -7,17 +7,13 @@ A real-time tracker, having finished before the next capture, idles and
 processes the next frame at its capture instant. Frame indices strictly
 increase; no frame is processed twice.
 
-The schedule is computed a stretch at a time. A stretch is the steps
-between two idles: it starts at a capture instant, and each later step
-starts when the one before finishes, so its times are one running sum
-of the capture instant and the draws the steps charge. A stretch's
-first steps are taken one at a time, and the rest of a long one in
-passes of many steps, each one np.add.accumulate. Accumulate adds
-strictly left to right, as stepping does, so every time keeps the bits
-of a step-by-step loop. Stepping spares the short stretches a tracker
-near the frame interval makes a pass's fixed cost each. A stretch ends
-at an idle, at the last frame, or where a replay block of draws runs
-out.
+The schedule is one loop with a step per processed frame, over the
+latency blocks as Python lists. A step finishes at its start plus the
+draws it charges. If that is before the next frame's capture, the
+tracker idles and the next step starts at that capture; otherwise the
+next step takes the latest frame captured by the finish and starts
+there. The loop ends at the last frame, or where a replay block of
+draws runs out.
 
 When a predictor rides along, each new-frame arrival first triggers a
 prediction batch covering the previous frame + 1 .. + N (available after
@@ -67,10 +63,6 @@ NEURAL_PM = "pm"
 # a predictor invocation's latency (s) where none is set; pick_horizon_n's pre-runs
 PREDICTOR_LATENCY = 0.005
 HORIZON_TRIALS = 3
-# _schedule steps a stretch's first _STEPPED steps and sums the rest
-# _SUMMED steps a pass (CHANGES.md records the values timed)
-_STEPPED = 16
-_SUMMED = 128
 
 _RUN_COLUMNS = ("frame", "t_start", "t_finish", "target_frame", "available_at", "kind", "boxes")
 
@@ -282,61 +274,37 @@ def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_l
 
     Frame 0 arrives at 0. A step arrives at the later of the previous
     finish and its frame's capture; after frame 0, a predictor draw
-    runs from each arrival before the tracker's draw does. The frame
-    after a finish is the latest one captured by then, found among the
-    capture instants so that it makes the f/κ comparisons of stepping,
-    or the next frame if that one is not yet captured (an idle). A
-    stretch's first _STEPPED steps go one at a time; from then on a
-    pass sums the next _SUMMED steps with one accumulate over the time
-    it resumes from and their draws, interleaved, and keeps them up to
-    the first idle or the last frame."""
-    captures = np.arange(last_frame + 1) / clock.framerate_kappa
-    capture_list = captures.tolist()
+    runs from each arrival before the tracker's draw does. One loop
+    takes a step per processed frame over the two blocks as Python
+    lists. A step that finishes before the next frame's capture idles,
+    and that frame arrives at its capture; otherwise the latest frame
+    captured by the finish, found by bisection among the capture
+    instants so that it makes the f/κ comparisons, arrives at the
+    finish."""
+    captures = (np.arange(last_frame + 1) / clock.framerate_kappa).tolist()
     if predictor_lat is None:
-        steps, short = len(tracker_lat), tracker_lat
+        before, short = [0.0] * len(tracker_lat), tracker_lat
     else:
-        steps = min(len(tracker_lat), len(predictor_lat) + 1)
-        short = predictor_lat if steps > len(predictor_lat) else tracker_lat
-    # step j's predictor draw sits at 2j (0.0 for step 0 or no predictor), its tracker draw at 2j + 1
-    draws = np.zeros(2 * steps)
-    draws[1::2] = tracker_lat[:steps]
-    if predictor_lat is not None:
-        draws[2::2] = predictor_lat[:steps - 1]
-    before = draws[::2].tolist()
-    frames, finishes = np.empty(steps, dtype=np.int64), np.empty(steps)
-    j = begun = f = 0  # step j takes frame f; its stretch began at step `begun`
-    finish = 0.0
-    while j < steps:
-        capture = capture_list[f]
-        start = finish if finish > capture else capture
-        if j - begun < _STEPPED:
-            finish = start + before[j] + tracker_lat[j]
-            frames[j], finishes[j] = f, finish
-            j += 1
-            captured = bisect_right(capture_list, finish) - 1
-        else:
-            m = min(_SUMMED, steps - j)
-            sums = np.add.accumulate(np.concatenate(([start], draws[2 * j:2 * (j + m)])))[2::2]
-            after = captures.searchsorted(sums, "right") - 1
-            block = frames[j:j + m]
-            block[0] = f
-            block[1:] = after[:-1]
-            finishes[j:j + m] = sums
-            ends = after <= block
-            k = int(ends.argmax())
-            n = k + 1 if ends[k] else m
-            j += n
-            f, finish, captured = int(block[n - 1]), float(sums[n - 1]), int(after[n - 1])
+        before = [0.0, *predictor_lat]
+        short = predictor_lat if len(tracker_lat) > len(predictor_lat) else tracker_lat
+    frames, finishes = [], []
+    f, start = 0, 0.0
+    for wait, latency in zip(before, tracker_lat):
+        finish = start + wait + latency
+        frames.append(f)
+        finishes.append(finish)
         if f == last_frame:
             short = None
             break
-        if captured > f:
-            f = captured
+        if finish < captures[f + 1]:
+            f += 1
+            start = captures[f]
         else:
-            f, begun = f + 1, j
-    frames, finishes = frames[:j], finishes[:j]
-    arrivals = np.maximum(np.concatenate(([0.0], finishes[:-1])), captures[frames])
-    available = arrivals[1:] + draws[2:2 * j:2] if predictor_lat is not None else np.empty(0)
+            f = bisect_right(captures, finish, f + 1) - 1
+            start = finish
+    frames, finishes = np.array(frames, dtype=np.int64), np.array(finishes)
+    arrivals = np.maximum(np.concatenate(([0.0], finishes[:-1])), frames / clock.framerate_kappa)
+    available = arrivals[1:] + before[1:len(frames)] if predictor_lat is not None else np.empty(0)
     return frames, arrivals, finishes, available, short
 
 

@@ -12,8 +12,8 @@ motion.apply_motion_rows), box_from_center, linear_track,
 zero_motion_batch and the constant_factor_weights fixture. So does
 dense_scores, the per-pair deadline score that the run-length
 EstimateMatcher.scores replaced, kept as its byte-for-byte reference,
-and schedule_loop with its next_frame, the step-by-step schedule that
-simulate._schedule's stretches replaced."""
+and schedule_loop with its next_frame, the step-by-step schedule whose
+bits simulate._schedule must keep."""
 
 import math
 from pathlib import Path

@@ -411,6 +411,24 @@ class TestCompare:
                      "--predictors", "psychic", "--horizon", "2",
                      "--out", str(tmp_path / "cmp")]) == 2
 
+    def test_token_given_twice(self, tmp_path, tracker_cfg, capsys):
+        # both runs would be seeded from the one token and write the same row
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictors", "kf,kf,none", "--out", str(out)]) == 2
+        assert "'kf' twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("predictors", ["none", "none,kf"])
+    def test_horizon_below_one(self, tmp_path, tracker_cfg, capsys, predictors):
+        seqs = gen_corpus(tmp_path, count=1, length=30)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictors", predictors, "--horizon", "-5", "--out", str(out)]) == 2
+        assert "horizon must be >= 1, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def body_lines(path):
     """File lines without the `# manifest=` comment, which hashes the

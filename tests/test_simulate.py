@@ -76,7 +76,7 @@ class TestNextFrame:
 
     def test_capture_instant_counts_as_available_in_a_long_stretch(self):
         # at 32 fps, sums of 1.5 frame intervals are exact, so every other
-        # finish is a capture instant, in the stepped and the summed steps
+        # finish of a 300-step run without an idle is a capture instant
         frames, _, finishes, _, _ = schedule(32, 299, [1.5 / 32] * 300)
         assert frames.tolist() == [k * 3 // 2 for k in range(200)] + [299]
         assert finishes[199] == 300 / 32
@@ -88,7 +88,7 @@ class TestNextFrame:
 
 
 class TestScheduleAgreesWithTheLoop:
-    """_schedule's stretches against schedule_loop, step by step."""
+    """_schedule against schedule_loop, step by step."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(kappa=st.sampled_from([24, 25, 29.97, 30, 60]), n=st.integers(2, 300),
@@ -115,7 +115,7 @@ class TestScheduleAgreesWithTheLoop:
 
     @pytest.mark.parametrize("predictor", [False, True])
     def test_blocks_run_out_at_every_step(self, predictor):
-        # short stretches, stepped; then one stretch, stepped and summed over two passes
+        # runs of a few steps between idles; then one run of 300 steps without an idle
         for n, mean, stddev in ((60, 1 / 30, 0.012), (300, 0.05, 0.005)):
             rng = np.random.default_rng(11)
             tracker_lat = np.maximum(rng.normal(mean, stddev, n), 0.001).tolist()
@@ -127,6 +127,16 @@ class TestScheduleAgreesWithTheLoop:
                     schedule(30, n - 1, tracker_lat[:cut], predictor_lat)
                 else:
                     schedule(30, n - 1, tracker_lat[:cut])
+
+    @pytest.mark.parametrize("predictor", [False, True])
+    @pytest.mark.parametrize("mean_ms, stddev_ms",
+                             [(10, 3), (25, 10), (33, 10), (40, 10), (50, 10), (200, 50)])
+    def test_long_streams(self, mean_ms, stddev_ms, predictor):
+        # 3,000 frames, past the random schedules' 300
+        rng = np.random.default_rng(mean_ms)
+        tracker_lat = np.maximum(rng.normal(mean_ms / 1e3, stddev_ms / 1e3, 3000), 0.001).tolist()
+        predictor_lat = np.maximum(rng.normal(0.005, 0.003, 3000), 0.0).tolist()
+        schedule(30, 2999, tracker_lat, predictor_lat if predictor else None)
 
 
 class TestSchedule:
