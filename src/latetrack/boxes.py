@@ -4,6 +4,8 @@ Boxes are axis-aligned, anchored at the top-left corner, sized in pixels.
 centers and corners are the one conversion between (x, y, w, h) rows
 and (cx, cy, w, h) rows, cx = x + w/2 and cy = y + h/2. All timestamps
 are seconds in double precision; frame indices are non-negative ints.
+FrameClock.capture_times is the one rule for when a frame is captured,
+f / kappa seconds; the schedule and the deadlines both read it.
 
 A box is an (x, y, w, h) row of floats everywhere: in a Sequence's
 ground truth, in a simulated run and in a run log's `boxes` column.
@@ -37,11 +39,11 @@ class FrameClock:
         if not (math.isfinite(self.framerate_kappa) and self.framerate_kappa > 0):
             raise ValidationError(f"framerate must be positive and finite, got {self.framerate_kappa}")
 
-    def capture_time(self, f: int) -> float:
-        """Wall-clock capture time of frame f: f / kappa seconds."""
-        if f < 0:
-            raise ValidationError(f"frame index must be >= 0, got {f}")
-        return f / self.framerate_kappa
+    def capture_times(self, frames) -> np.ndarray:
+        """Wall-clock capture instants of frame indices: f / kappa
+        seconds each, the one such rule. Unchecked: callers check frames
+        at their boundary."""
+        return np.asarray(frames) / self.framerate_kappa
 
 
 def box_column(boxes) -> np.ndarray:

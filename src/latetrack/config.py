@@ -24,12 +24,14 @@ from .training import SyntheticSpec
 ORACLE_NOISY = "oracle_noisy"
 REPLAY_LOG = "replay_log"
 
+# The group prefix of a tracker's or predictor's latency keys.
+_LATENCY = "latency."
 # The keys each kind reads besides the one that names it (a latency kind's
 # after the group prefix), and how optional values parse: int, float, or
 # (int,)/(float,) for a comma-separated tuple.
 _LATENCY_KEYS = {"constant": ("mean",), "gaussian": ("mean", "stddev", "floor"),
                  "replay": ("file",)}
-_LATENCY_GROUP = tuple(f"latency.{key}" for key in ("kind", "mean", "stddev", "floor", "file"))
+_LATENCY_GROUP = tuple(_LATENCY + key for key in ("kind", "mean", "stddev", "floor", "file"))
 _SPEC_VALUES = {"seed": int, "center_range": (float,), "size_range": (float,),
                 "speed_range": (float,), "accel_range": (float,), "amplitude_range": (float,),
                 "period_range": (float,), "walk_step": float, "noise_sigma": float}
@@ -146,7 +148,7 @@ class Config:
         config's `latency.file`, else the trace tracker_from_config read
         for the sequence, whose recorded durations a replay tracker
         replays."""
-        return self.files.get("latency.file", self.files.get(_trace_key(sequence)))
+        return self.files.get(_LATENCY + "file", self.files.get(_trace_key(sequence)))
 
     def naming(self):
         """errors.naming for this file: an error raised inside names it,
@@ -154,20 +156,20 @@ class Config:
         return naming(self.source, *self.files.values())
 
 
-def latency_from_config(cfg: Config, prefix: str = "latency.") -> LatencyProfile:
-    kind = cfg.get_str(prefix + "kind")
+def latency_from_config(cfg: Config) -> LatencyProfile:
+    kind = cfg.get_str(_LATENCY + "kind")
     if kind not in _LATENCY_KEYS:
         raise ValidationError(f"{cfg.source}: unknown latency kind {kind!r}")
-    cfg.reject_unknown(("kind", *_LATENCY_KEYS[kind]), f"latency kind {kind!r}", prefix)
+    cfg.reject_unknown(("kind", *_LATENCY_KEYS[kind]), f"latency kind {kind!r}", _LATENCY)
     if kind == "constant":
         with cfg.naming():
-            return LatencyProfile.constant(cfg.get_float(prefix + "mean"))
+            return LatencyProfile.constant(cfg.get_float(_LATENCY + "mean"))
     if kind == "gaussian":
         with cfg.naming():
-            return LatencyProfile.gaussian(cfg.get_float(prefix + "mean"),
-                                           cfg.get_float(prefix + "stddev"),
-                                           **cfg.set_values({"floor": float}, prefix))
-    path = Path(cfg.get_path(prefix + "file"))
+            return LatencyProfile.gaussian(cfg.get_float(_LATENCY + "mean"),
+                                           cfg.get_float(_LATENCY + "stddev"),
+                                           **cfg.set_values({"floor": float}, _LATENCY))
+    path = Path(cfg.get_path(_LATENCY + "file"))
     try:
         values = [float(ln) for ln in path.read_text().splitlines()]
     except ValueError:
@@ -206,7 +208,7 @@ def tracker_from_config(cfg: Config, sequences) -> list:
         with cfg.naming():
             tracker = TrackerAdapter(latency, **cfg.set_values(_TRACKER_NOISE))
         return [tracker] * len(sequences)
-    latency = latency_from_config(cfg) if cfg.has_group("latency.") else None
+    latency = latency_from_config(cfg) if cfg.has_group(_LATENCY) else None
     trackers = []
     for seq, path in zip(sequences, run_files(cfg.get_name("trace"), sequences, ".trace.csv")):
         cfg.files[_trace_key(seq.name)] = path
@@ -225,7 +227,7 @@ def predictor_from_config(cfg: Config):
     if kind in _PREDICTOR_KEYS:  # predictor_for names an unknown kind
         cfg.reject_unknown(("kind", *_PREDICTOR_KEYS[kind]), f"predictor kind {kind!r}")
     file_key = {KF_LEARNED: "noise", NEURAL_PM: "weights"}.get(kind)
-    latency = (latency_from_config(cfg) if cfg.has_group("latency.")
+    latency = (latency_from_config(cfg) if cfg.has_group(_LATENCY)
                else LatencyProfile.constant(PREDICTOR_LATENCY))
     file = cfg.get_path(file_key) if file_key else None
     horizon = cfg.get_int("horizon") if "horizon" in cfg else None

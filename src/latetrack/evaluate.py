@@ -111,8 +111,8 @@ class EstimateMatcher:
         bad = ~((sigmas >= 0.0) & (sigmas < 1.0))
         if bad.any():
             raise ValidationError(f"sigma must be in [0, 1), got {sigmas.flat[np.argmax(bad)]}")
-        kappa = self._seq.clock.framerate_kappa
-        return frames / kappa + sigmas / kappa
+        clock = self._seq.clock
+        return clock.capture_times(frames) + sigmas / clock.framerate_kappa
 
     def serve(self, frames, sigmas) -> np.ndarray:
         """Log index of the output that serves each (frame, sigma) pair,

@@ -98,10 +98,6 @@ class PMWeights:
             setattr(self, name, flat[lo:hi].reshape(shape))
             lo = hi
 
-    def params(self) -> dict:
-        """Live parameter views keyed by short name, in checkpoint order."""
-        return {name: getattr(self, name) for name in self._layout}
-
     def copy(self) -> "PMWeights":
         return PMWeights(self.k, self.n_heads, self.c_enc, self.c_dec, self.flat.copy())
 

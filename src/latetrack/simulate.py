@@ -2,10 +2,11 @@
 consuming a fixed-rate frame stream under processing latency.
 
 The scheduling rule: after finishing a frame, the tracker grabs the
-latest frame already captured (largest f with capture_time(f) <= finish).
-A real-time tracker, having finished before the next capture, idles and
-processes the next frame at its capture instant. Frame indices strictly
-increase; no frame is processed twice.
+latest frame already captured (largest f whose capture instant,
+FrameClock.capture_times, is <= finish). A real-time tracker, having
+finished before the next capture, idles and processes the next frame at
+its capture instant. Frame indices strictly increase; no frame is
+processed twice.
 
 The schedule is one loop with a step per processed frame, over the
 latency blocks as Python lists. A step finishes at its start plus the
@@ -143,10 +144,6 @@ class RunLog:
                 and all(np.array_equal(getattr(self, c), getattr(other, c))
                         for c in _RUN_COLUMNS))
 
-    def __repr__(self) -> str:
-        return (f"RunLog({self.sequence_name!r}, {len(self.frame)} processed frames, "
-                f"{len(self.kind)} outputs)")
-
     @property
     def processed(self) -> tuple:
         """The schedule as (frame, t_start, t_finish) tuples. Kept for
@@ -281,7 +278,7 @@ def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_l
     captured by the finish, found by bisection among the capture
     instants so that it makes the f/κ comparisons, arrives at the
     finish."""
-    captures = (np.arange(last_frame + 1) / clock.framerate_kappa).tolist()
+    captures = clock.capture_times(np.arange(last_frame + 1)).tolist()
     if predictor_lat is None:
         before, short = [0.0] * len(tracker_lat), tracker_lat
     else:
@@ -303,7 +300,7 @@ def _schedule(clock: FrameClock, last_frame: int, tracker_lat: list, predictor_l
             f = bisect_right(captures, finish, f + 1) - 1
             start = finish
     frames, finishes = np.array(frames, dtype=np.int64), np.array(finishes)
-    arrivals = np.maximum(np.concatenate(([0.0], finishes[:-1])), frames / clock.framerate_kappa)
+    arrivals = np.maximum(np.concatenate(([0.0], finishes[:-1])), clock.capture_times(frames))
     available = arrivals[1:] + before[1:len(frames)] if predictor_lat is not None else np.empty(0)
     return frames, arrivals, finishes, available, short
 

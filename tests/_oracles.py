@@ -9,7 +9,8 @@ The scalar helpers that only tests use live here too: BoundingBox (the
 checked scalar box, and the reference for the messages of
 boxes.check_rows), the motion decoder apply_motion_row (the oracle of
 motion.apply_motion_rows), box_from_center, linear_track,
-zero_motion_batch and the constant_factor_weights fixture. So does
+zero_motion_batch, the constant_factor_weights fixture and
+weight_views, a net's parameter views by name. So does
 dense_scores, the per-pair deadline score that the run-length
 EstimateMatcher.scores replaced, kept as its byte-for-byte reference,
 and schedule_loop with its next_frame, the step-by-step schedule whose
@@ -114,6 +115,16 @@ def constant_factor_weights(k=DEFAULT_K, n_heads=1, c_enc=DEFAULT_C_ENC, c_dec=D
     return w
 
 
+CHECKPOINT_ORDER = ("enc_w", "enc_b", "conv_w", "conv_b", "dec_w", "dec_b",
+                    "head_w", "head_b", "out_w", "out_b")
+
+
+def weight_views(w):
+    """The shaped parameter views of a PMWeights, or of its gradients,
+    keyed by short name in checkpoint order."""
+    return {name: getattr(w, name) for name in CHECKPOINT_ORDER}
+
+
 def run_log(name, schedule=(), outputs=(), predictor_latencies=()):
     """A RunLog from (frame, t_start, t_finish) tuples and
     (target_frame, available_at, kind, (x, y, w, h)) tuples, one per
@@ -158,7 +169,7 @@ def elae_scan(seq, outputs, f, sigma):
     breaks remaining ties toward the latest log entry.
     Returns (box, source_kind).
     """
-    deadline = seq.clock.capture_time(f) + sigma / seq.clock.framerate_kappa
+    deadline = f / seq.clock.framerate_kappa + sigma / seq.clock.framerate_kappa
     candidates = [(out, i) for i, out in enumerate(outputs) if out[1] <= deadline]
     if not candidates:
         return seq.b0, "initial_b0"
@@ -482,17 +493,18 @@ def next_frame(clock, prev_finish, prev_frame, last_frame):
     """Frame the tracker processes after finishing prev_frame at
     prev_finish; None once the stream is exhausted.
 
-    Picks the largest f with capture_time(f) <= prev_finish. If even the
-    next frame is not captured yet (real-time tracker), the next frame
-    is chosen and processing waits for its capture.
+    Picks the largest f whose capture instant f / kappa is <=
+    prev_finish. If even the next frame is not captured yet (real-time
+    tracker), the next frame is chosen and processing waits for its
+    capture.
     """
     if prev_frame >= last_frame:
         return None
     cand = int(math.floor(prev_finish * clock.framerate_kappa))
-    # Align the floor estimate with capture_time comparisons exactly.
-    while clock.capture_time(cand + 1) <= prev_finish:
+    # Align the floor estimate with the f / kappa comparisons exactly.
+    while (cand + 1) / clock.framerate_kappa <= prev_finish:
         cand += 1
-    while cand > 0 and clock.capture_time(cand) > prev_finish:
+    while cand > 0 and cand / clock.framerate_kappa > prev_finish:
         cand -= 1
     if cand <= prev_frame:
         return prev_frame + 1
@@ -511,7 +523,7 @@ def schedule_loop(clock, last_frame, tracker_lat, predictor_lat):
     f, finish = 0, 0.0
     while f is not None:
         j = len(frames)
-        arrival = start = max(finish, clock.capture_time(f))
+        arrival = start = max(finish, f / clock.framerate_kappa)
         if predictor_lat is not None and j:
             if j > len(predictor_lat):
                 return frames, arrivals, finishes, available, predictor_lat
@@ -720,9 +732,9 @@ def run_stream_loop(seq, tracker, predictor=None, *, seed=0):
             break
         else:
             f = prev_frame + 1
-            while f < seq.last_frame and clock.capture_time(f + 1) <= prev_finish:
+            while f < seq.last_frame and (f + 1) / clock.framerate_kappa <= prev_finish:
                 f += 1
-        arrival = max(prev_finish, clock.capture_time(f))
+        arrival = max(prev_finish, f / clock.framerate_kappa)
         track_start = arrival
         if instance is not None and prev_frame is not None:
             lat_p = next(predictor_latency)

@@ -26,7 +26,7 @@ from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, SINUSO
 
 from _oracles import (BoundingBox, apply_motion_row, central_differences,
                       constant_factor_weights, elae_scan, linear_track, output_rows, run_log,
-                      zero_motion_batch)
+                      weight_views, zero_motion_batch)
 
 
 @contextmanager
@@ -153,8 +153,8 @@ def test_analytic_gradients_match_finite_differences():
 
             factors, cache = forward_batch(w, x, keep_cache=True)
             _, sign = l1_loss(factors * speeds, targets)
-            grads = backward_batch(w, cache, sign * speeds / sign.size).params()
-            fd = central_differences(scalar, w.params(), h=1e-6)
+            grads = weight_views(backward_batch(w, cache, sign * speeds / sign.size))
+            fd = central_differences(scalar, weight_views(w), h=1e-6)
             for name in fd:
                 denom = max(np.max(np.abs(fd[name])), 1e-8)
                 assert np.max(np.abs(grads[name] - fd[name])) / denom < 1e-4, \
@@ -249,7 +249,7 @@ def test_metric_fixtures_are_reproduced_exactly(toy_pair):
         assert auc[1] == pytest.approx(1 / 3, abs=1e-12)
 
         ideal = run_log(seq.name, outputs=[
-            (f, seq.clock.capture_time(f), "raw", tuple(box))
+            (f, f / seq.clock.framerate_kappa, "raw", tuple(box))
             for f, box in enumerate(seq.ground_truth)])
         dp, auc = EstimateMatcher(seq, ideal).scores([0.0, 0.5, 0.98])
         assert dp.tolist() == [1.0] * 3

@@ -19,7 +19,7 @@ from latetrack.report import build_manifest
 from latetrack.simulate import load_run_log, pick_horizon_n, run_streams
 from latetrack.training import OptimizerConfig, SyntheticSpec, gen_synthetic, train_pm
 
-from _oracles import constant_factor_weights
+from _oracles import constant_factor_weights, weight_views
 
 
 def write_cfg(path: Path, text: str) -> str:
@@ -335,8 +335,8 @@ class TestTrain:
         assert rows == []
         got = load_weights(out / "pm_checkpoint.json")
         fresh = init_weights(3, 2, seed=derive_seed(4, "pm-init"))
-        for name, arr in got.params().items():
-            assert np.array_equal(arr, fresh.params()[name])
+        for name, arr in weight_views(got).items():
+            assert np.array_equal(arr, weight_views(fresh)[name])
 
     def test_divergent_config_exits_four(self, tmp_path):
         seqs = gen_corpus(tmp_path, count=2, length=30)

@@ -33,7 +33,7 @@ def log_of(name, *outputs):
 
 
 def perfect_log(seq):
-    return log_of(seq.name, *[raw(f, b, seq.clock.capture_time(f))
+    return log_of(seq.name, *[raw(f, b, f / seq.clock.framerate_kappa)
                               for f, b in enumerate(seq.ground_truth)])
 
 
@@ -116,7 +116,7 @@ class TestMatchELAE:
         frames = np.arange(10)
         got = EstimateMatcher(seq, log).serve(frames, 0.0)
         for f, i in zip(frames.tolist(), got.tolist()):
-            ready = log.available_at[log.available_at <= seq.clock.capture_time(f)]
+            ready = log.available_at[log.available_at <= f / seq.clock.framerate_kappa]
             assert (i < 0) == (not len(ready))
             if i >= 0:
                 assert log.available_at[i] == ready.max()

@@ -11,12 +11,10 @@ from latetrack.network import (PMWeights, backward_batch, forward_batch, init_we
                                json_numbers, l1_loss, load_weights, pm_motions, pm_predict,
                                save_weights, window_inputs)
 
-from _oracles import (BoundingBox, apply_motion_row, central_differences,
-                      constant_factor_weights, pm_forward_loops)
+from _oracles import (CHECKPOINT_ORDER, BoundingBox, apply_motion_row, central_differences,
+                      constant_factor_weights, pm_forward_loops, weight_views)
 
 SMALL = dict(k=3, n_heads=2, c_enc=8, c_dec=6)
-CHECKPOINT_ORDER = ("enc_w", "enc_b", "conv_w", "conv_b", "dec_w", "dec_b",
-                    "head_w", "head_b", "out_w", "out_b")
 
 
 def random_input(k=3, seed=0):
@@ -37,7 +35,7 @@ def backward_one(w, x, grad_out):
 
 
 def assert_matches_finite_differences(grad, scalar, params, label=""):
-    grads = grad.params()
+    grads = weight_views(grad)
     fd = central_differences(scalar, params, h=1e-6)
     for name in fd:
         denom = max(np.max(np.abs(fd[name])), 1e-8)
@@ -157,7 +155,7 @@ class TestWeights:
         assert not np.shares_memory(twin.flat, w.flat)
         assert np.array_equal(twin.flat, w.flat)
         grad = backward_one(w, random_input(seed=16), np.ones((2, 4)))
-        layers = grad.params()
+        layers = weight_views(grad)
         assert np.array_equal(grad.flat,
                               np.concatenate([layers[name].ravel() for name in CHECKPOINT_ORDER]))
 
@@ -170,8 +168,8 @@ class TestWeights:
     def test_init_is_deterministic_and_bounded(self):
         a = init_weights(seed=13, **SMALL)
         b = init_weights(seed=13, **SMALL)
-        for name, arr in a.params().items():
-            assert np.array_equal(arr, b.params()[name])
+        for name, arr in weight_views(a).items():
+            assert np.array_equal(arr, weight_views(b)[name])
         assert np.max(np.abs(a.enc_w)) <= math.sqrt(6.0 / 8)
         assert np.all(a.enc_b == 0.0)
 
@@ -197,7 +195,7 @@ class TestBackward:
                 def scalar():
                     return float(np.sum(forward_batch(w, x)[0] * g_out))
 
-                assert_matches_finite_differences(grads, scalar, w.params(), f"B={b} k={k}")
+                assert_matches_finite_differences(grads, scalar, weight_views(w), f"B={b} k={k}")
 
     def test_l1_pipeline_gradient(self):
         w = init_weights(seed=31, **SMALL)
@@ -213,20 +211,20 @@ class TestBackward:
         factors, cache = forward_batch(w, x, keep_cache=True)
         _, sign = l1_loss(factors * speeds, targets)
         grads = backward_batch(w, cache, sign * speeds / sign.size)
-        assert_matches_finite_differences(grads, scalar, w.params())
+        assert_matches_finite_differences(grads, scalar, weight_views(w))
 
     def test_zero_grad_out_gives_zero_grads(self):
         w = init_weights(seed=41, **SMALL)
         grads = backward_one(w, random_input(seed=42), np.zeros((2, 4)))
-        for arr in grads.params().values():
+        for arr in weight_views(grads).values():
             assert np.all(arr == 0.0)
 
     def test_grad_shapes_mirror_params(self):
         w = init_weights(seed=43, **SMALL)
         grads = backward_one(w, random_input(seed=44), np.ones((2, 4)))
-        assert set(grads.params()) == set(w.params())
-        for name, arr in grads.params().items():
-            assert arr.shape == w.params()[name].shape
+        assert set(weight_views(grads)) == set(weight_views(w))
+        for name, arr in weight_views(grads).items():
+            assert arr.shape == weight_views(w)[name].shape
 
 
 class TestL1Loss:
@@ -319,8 +317,8 @@ class TestCheckpoint:
         save_weights(w, path)
         back = load_weights(path)
         assert (back.k, back.n_heads, back.c_enc, back.c_dec) == (3, 2, 8, 6)
-        for name, arr in w.params().items():
-            assert np.array_equal(arr, back.params()[name])
+        for name, arr in weight_views(w).items():
+            assert np.array_equal(arr, weight_views(back)[name])
 
     def test_same_weights_same_bytes(self, tmp_path):
         w = init_weights(seed=62, **SMALL)

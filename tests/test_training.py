@@ -15,7 +15,7 @@ from latetrack.training import (CONSTANT_ACCELERATION, CONSTANT_VELOCITY, DEFAUL
                                 sample_windows, split_tracks, train_pm)
 
 from _oracles import (BoundingBox, ReferenceAdamW, box_from_center, linear_track,
-                      sample_windows_loop, zero_motion_batch)
+                      sample_windows_loop, weight_views, zero_motion_batch)
 
 FIELDS = ("boxes", "intervals", "motions", "targets")
 
@@ -231,8 +231,8 @@ class TestTrainPM:
         w1, h1 = train_pm(groups, cfg, c_enc=8, c_dec=6)
         w2, h2 = train_pm(groups, cfg, c_enc=8, c_dec=6)
         assert h1 == h2
-        for name, arr in w1.params().items():
-            assert np.array_equal(arr, w2.params()[name])
+        for name, arr in weight_views(w1).items():
+            assert np.array_equal(arr, weight_views(w2)[name])
 
     def test_zero_epochs_returns_initialization(self):
         groups = [cv_samples(1, 1, length=16, seed=2)]
@@ -240,8 +240,8 @@ class TestTrainPM:
         weights, history = train_pm(groups, cfg, c_enc=8, c_dec=6)
         assert history == []
         fresh = init_weights(3, 2, c_enc=8, c_dec=6, seed=derive_seed(3, "pm-init"))
-        for name, arr in weights.params().items():
-            assert np.array_equal(arr, fresh.params()[name])
+        for name, arr in weight_views(weights).items():
+            assert np.array_equal(arr, weight_views(fresh)[name])
 
     def test_absurd_lr_raises_divergence(self):
         groups = [cv_samples(2, 0, length=20, seed=8)]
