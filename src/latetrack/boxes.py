@@ -29,6 +29,8 @@ from .errors import ValidationError, naming
 
 RAW = "raw"
 PREDICTED = "predicted"
+# Frames per second of a sequence whose file holds no clock.
+DEFAULT_FRAMERATE = 30.0
 
 @dataclass(frozen=True, slots=True)
 class FrameClock:
@@ -167,7 +169,7 @@ def _parse_line(line: str, lineno: int, path) -> tuple | None:
     return tuple(vals)
 
 
-def load_sequence(path, framerate: float = 30.0) -> Sequence:
+def load_sequence(path, framerate: float = DEFAULT_FRAMERATE) -> Sequence:
     """Read a ground-truth file: one "x,y,w,h" line per frame.
 
     Blank lines and NaN,NaN,NaN,NaN lines mark frames with no

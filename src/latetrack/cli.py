@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
-from .boxes import load_sequence, save_sequence
+from .boxes import DEFAULT_FRAMERATE, load_sequence, save_sequence
 from .config import (Config, predictor_from_config, synthetic_spec_from_config,
                      tracker_from_config)
 from .errors import DivergenceError, ValidationError
@@ -52,7 +52,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_sequences(arg: str, framerate: float = 30.0) -> tuple:
+def _load_sequences(arg: str, framerate: float = DEFAULT_FRAMERATE) -> tuple:
     """The sequences a file or directory holds, and their manifest
     inputs, `sequence:<file name>`."""
     path = Path(arg)
@@ -106,7 +106,7 @@ def cmd_gen(args) -> int:
     with timer.stage("write"):
         for seq in sequences:
             save_sequence(seq, out / f"{seq.name}.txt", manifest_ref=manifest.ref)
-    write_manifest(replace(manifest, stage_seconds=timer.stages), out)
+    write_manifest(manifest, out, timer.stages)
     print(f"wrote {len(sequences)} sequences to {out}")
     return EXIT_OK
 
@@ -131,7 +131,7 @@ def cmd_simulate(args) -> int:
         for seq, log in zip(sequences, logs):
             save_run_log(log, out / f"{seq.name}.log.csv", manifest_ref=manifest.ref)
             save_trace(log, out / f"{seq.name}.trace.csv", manifest_ref=manifest.ref)
-    write_manifest(replace(manifest, stage_seconds=timer.stages), out)
+    write_manifest(manifest, out, timer.stages)
     print(f"simulated {len(sequences)} sequences to {out}")
     return EXIT_OK
 
@@ -167,13 +167,9 @@ def cmd_evaluate(args) -> int:
                   manifest_ref=manifest.ref)
         write_json(out / "summary.json", {**overall, "per_sequence": per_seq},
                    manifest_ref=manifest.ref)
-        rows = [(name, f"{v['auc_la0']:.4f}", f"{v['dp_la0']:.4f}",
-                 f"{v['mauc']:.4f}", f"{v['mdp']:.4f}")
-                for name, v in sorted(per_seq.items())]
-        rows.append(("all", f"{overall['auc_la0']:.4f}", f"{overall['dp_la0']:.4f}",
-                     f"{overall['mauc']:.4f}", f"{overall['mdp']:.4f}"))
-        write_markdown_table(out / "summary.md",
-                             ["sequence", "auc_la0", "dp_la0", "mauc", "mdp"], rows,
+        rows = [(name, *summary.values())
+                for name, summary in [*sorted(per_seq.items()), ("all", overall)]]
+        write_markdown_table(out / "summary.md", ["sequence", *overall], rows,
                              manifest_ref=manifest.ref, title="Latency-aware evaluation")
         if args.format == "svg":
             svg_line_plot(out / "curves.svg",
@@ -182,7 +178,7 @@ def cmd_evaluate(args) -> int:
                           title="Latency-aware scores vs permitted latency",
                           x_label="permitted latency σ (frame periods)",
                           y_label="score", manifest_ref=manifest.ref)
-    write_manifest(replace(manifest, stage_seconds=timer.stages), out)
+    write_manifest(manifest, out, timer.stages)
     print(f"mAUC={overall['mauc']:.4f} mDP={overall['mdp']:.4f} "
           f"(AUC@La0={overall['auc_la0']:.4f} DP@La0={overall['dp_la0']:.4f})")
     return EXIT_OK
@@ -198,9 +194,9 @@ def cmd_train(args) -> int:
     values["milestones"] = tuple(m for m in values["milestones"] if m < values["epochs"])
     with cfg.naming() if args.config else nullcontext():
         opt = OptimizerConfig(**values)
-    k = cfg.get_int("k", DEFAULT_K)
-    horizon = cfg.get_int("horizon", 2)
-    stride_set = cfg.get_ints("stride_set", DEFAULT_STRIDE_SET)
+    k = cfg.get("k", int, DEFAULT_K)
+    horizon = cfg.get("horizon", int, 2)
+    stride_set = cfg.get("stride_set", (int,), DEFAULT_STRIDE_SET)
     sequences, inputs = _load_sequences(args.corpus)
     if args.config:
         inputs["config"] = args.config
@@ -225,7 +221,7 @@ def cmd_train(args) -> int:
     with timer.stage("write"):
         save_weights(weights, out / "pm_checkpoint.json", manifest_ref=manifest.ref)
         write_csv(out / "loss.csv", _LOSS_HEADER, history, manifest_ref=manifest.ref)
-    write_manifest(replace(manifest, stage_seconds=timer.stages), out)
+    write_manifest(manifest, out, timer.stages)
     if history:
         print(f"trained {opt.epochs} epochs; final val L1 {history[-1][2]:.6f}")
     else:
@@ -274,13 +270,11 @@ def cmd_compare(args) -> int:
             invocations = sum(log.predictor_invocations for log in logs)
             total_latency = sum(sum(log.predictor_latencies) for log in logs)
             extra = total_latency / invocations if invocations else 0.0
-            rows.append((name, auc_curve.values[0], dp_curve.values[0],
-                         auc_curve.aggregate, dp_curve.aggregate, extra))
+            rows.append((name, *_curve_summary(auc_curve, dp_curve).values(), extra))
     out = _out_dir(args)
     with timer.stage("write"):
         write_csv(out / "comparison.csv", _COMPARE_HEADER, rows, manifest_ref=manifest.ref)
-        md_rows = [(r[0], *(f"{v:.4f}" for v in r[1:])) for r in rows]
-        write_markdown_table(out / "comparison.md", _COMPARE_HEADER, md_rows,
+        write_markdown_table(out / "comparison.md", _COMPARE_HEADER, rows,
                              manifest_ref=manifest.ref, title="Predictor comparison")
         if args.format == "svg":
             grid = sigma_grid()
@@ -289,7 +283,7 @@ def cmd_compare(args) -> int:
                           title="AUC@Laσ by predictor",
                           x_label="permitted latency σ (frame periods)",
                           y_label="AUC", manifest_ref=manifest.ref)
-    write_manifest(replace(manifest, stage_seconds=timer.stages), out)
+    write_manifest(manifest, out, timer.stages)
     for row in rows:
         print(f"{row[0]}: AUC@La0={row[1]:.4f} DP@La0={row[2]:.4f} "
               f"mAUC={row[3]:.4f} mDP={row[4]:.4f} extra={row[5] * 1e3:.2f} ms")
@@ -313,7 +307,7 @@ def cmd_horizon(args) -> int:
         write_json(out / "horizon.json",
                    {"per_sequence": per_seq, "horizon_n": overall, "trials": args.trials},
                    manifest_ref=manifest.ref)
-    write_manifest(replace(manifest, stage_seconds=timer.stages), out)
+    write_manifest(manifest, out, timer.stages)
     print(f"horizon N = {overall}")
     return EXIT_OK
 
@@ -326,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common.add_argument("--out", required=True, help="output directory")
     reads = argparse.ArgumentParser(add_help=False, parents=[common])
-    reads.add_argument("--framerate", type=float, default=30.0,
+    reads.add_argument("--framerate", type=float, default=DEFAULT_FRAMERATE,
                        help="capture rate kappa in frames per second")
     reports = argparse.ArgumentParser(add_help=False, parents=[reads])
     reports.add_argument("--format", choices=["svg"],

@@ -2,7 +2,7 @@
 
 Format: one `key = value` per line, `#` comments, blank lines ignored.
 Dotted keys group related settings (latency.kind, latency.mean). Values
-are plain strings until a typed getter parses them; comma-separated
+are plain strings until `Config.get` parses them; comma-separated
 lists are allowed where a ranged or tuple value is expected. Each file
 a reader opens is noted in the config's `files`, for the manifest.
 A reader passes the library only the keys a file sets, so a key left
@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ValidationError, naming
-from .latency import LatencyProfile
+from .latency import CONSTANT, GAUSSIAN, REPLAY, LatencyProfile
 from .simulate import (KF, KF_LEARNED, NEURAL_PM, NONE, PREDICTOR_LATENCY, ZERO_MOTION,
                        TrackerAdapter, load_trace, predictor_for, run_files)
 from .training import SyntheticSpec
@@ -29,8 +29,8 @@ _LATENCY = "latency."
 # The keys each kind reads besides the one that names it (a latency kind's
 # after the group prefix), and how optional values parse: int, float, or
 # (int,)/(float,) for a comma-separated tuple.
-_LATENCY_KEYS = {"constant": ("mean",), "gaussian": ("mean", "stddev", "floor"),
-                 "replay": ("file",)}
+_LATENCY_KEYS = {CONSTANT: ("mean",), GAUSSIAN: ("mean", "stddev", "floor"),
+                 REPLAY: ("file",)}
 _LATENCY_GROUP = tuple(_LATENCY + key for key in ("kind", "mean", "stddev", "floor", "file"))
 _SPEC_VALUES = {"seed": int, "center_range": (float,), "size_range": (float,),
                 "speed_range": (float,), "accel_range": (float,), "amplitude_range": (float,),
@@ -77,9 +77,6 @@ class Config:
         path = Path(path)
         return cls.from_text(path.read_text(), str(path))
 
-    def __contains__(self, key: str) -> bool:
-        return key in self.values
-
     def reject_unknown(self, known, reader: str = None, prefix: str = "") -> None:
         """A ValidationError naming the first key under `prefix` whose
         rest is outside `known`, and the `reader` that does not read it."""
@@ -91,10 +88,10 @@ class Config:
     def has_group(self, prefix: str) -> bool:
         return any(k.startswith(prefix) for k in self.values)
 
-    def _get(self, key: str, default, kind=str):
+    def get(self, key: str, kind=str, default=None):
         """The key's value parsed as `kind` (a comma-separated tuple if
-        `kind` is `(int,)` or `(float,)`), else the default; a missing
-        key with no default is an error."""
+        `kind` is `(int,)` or `(float,)`), else the default. Unlike
+        dict.get, a missing key with no default is an error."""
         if key not in self.values:
             if default is None:
                 raise ValidationError(f"{self.source}: missing required key {key!r}")
@@ -110,29 +107,17 @@ class Config:
             raise ValidationError(
                 f"{self.source}: key {key!r} needs a {kind.__name__}, got {text!r}") from None
 
-    def get_str(self, key: str, default=None) -> str:
-        return self._get(key, default)
-
-    def get_int(self, key: str, default=None) -> int:
-        return self._get(key, default, int)
-
-    def get_float(self, key: str, default=None) -> float:
-        return self._get(key, default, float)
-
-    def get_ints(self, key: str, default=None) -> tuple:
-        return self._get(key, default, (int,))
-
     def set_values(self, kinds: dict, prefix: str = "") -> dict:
         """Each key of `kinds` that the file sets under `prefix`, parsed
         as its kind; a key the file leaves out is left out, so the
         library's default applies."""
-        return {key: self._get(prefix + key, None, kind)
+        return {key: self.get(prefix + key, kind)
                 for key, kind in kinds.items() if prefix + key in self.values}
 
     def get_name(self, key: str) -> str:
         """The key's value as a file or directory name; an empty value
         names none."""
-        name = self.get_str(key)
+        name = self.get(key)
         if not name:
             raise ValidationError(f"{self.source}: key {key!r} needs a file name, got ''")
         return name
@@ -157,17 +142,17 @@ class Config:
 
 
 def latency_from_config(cfg: Config) -> LatencyProfile:
-    kind = cfg.get_str(_LATENCY + "kind")
+    kind = cfg.get(_LATENCY + "kind")
     if kind not in _LATENCY_KEYS:
         raise ValidationError(f"{cfg.source}: unknown latency kind {kind!r}")
     cfg.reject_unknown(("kind", *_LATENCY_KEYS[kind]), f"latency kind {kind!r}", _LATENCY)
-    if kind == "constant":
+    if kind == CONSTANT:
         with cfg.naming():
-            return LatencyProfile.constant(cfg.get_float(_LATENCY + "mean"))
-    if kind == "gaussian":
+            return LatencyProfile.constant(cfg.get(_LATENCY + "mean", float))
+    if kind == GAUSSIAN:
         with cfg.naming():
-            return LatencyProfile.gaussian(cfg.get_float(_LATENCY + "mean"),
-                                           cfg.get_float(_LATENCY + "stddev"),
+            return LatencyProfile.gaussian(cfg.get(_LATENCY + "mean", float),
+                                           cfg.get(_LATENCY + "stddev", float),
                                            **cfg.set_values({"floor": float}, _LATENCY))
     path = Path(cfg.get_path(_LATENCY + "file"))
     try:
@@ -180,7 +165,7 @@ def latency_from_config(cfg: Config) -> LatencyProfile:
 
 def synthetic_spec_from_config(cfg: Config, seed_override=None) -> SyntheticSpec:
     cfg.reject_unknown(_SPEC_KEYS)
-    kind, count, length = cfg.get_str("kind"), cfg.get_int("count"), cfg.get_int("length")
+    kind, count, length = cfg.get("kind"), cfg.get("count", int), cfg.get("length", int)
     values = cfg.set_values(_SPEC_VALUES)
     if seed_override is not None:
         values["seed"] = seed_override
@@ -198,7 +183,7 @@ def tracker_from_config(cfg: Config, sequences) -> list:
     sequence's trace here, once, before a verb creates its --out:
     `trace` is a directory of <name>.trace.csv files, or one trace file
     for a single sequence."""
-    behavior = cfg.get_str("behavior", ORACLE_NOISY)
+    behavior = cfg.get("behavior", default=ORACLE_NOISY)
     if behavior not in _TRACKER_KEYS:
         raise ValidationError(f"{cfg.source}: unknown tracker behavior {behavior!r}")
     cfg.reject_unknown(("behavior", *_TRACKER_KEYS[behavior]),
@@ -223,13 +208,13 @@ def predictor_from_config(cfg: Config):
     `weights =` for pm), `horizon` (default 2; a pm horizon defaults to
     its checkpoint's head count), and an optional `latency.` group
     (default: constant PREDICTOR_LATENCY). `none` reads only `kind`."""
-    kind = cfg.get_str("kind")
+    kind = cfg.get("kind")
     if kind in _PREDICTOR_KEYS:  # predictor_for names an unknown kind
         cfg.reject_unknown(("kind", *_PREDICTOR_KEYS[kind]), f"predictor kind {kind!r}")
     file_key = {KF_LEARNED: "noise", NEURAL_PM: "weights"}.get(kind)
     latency = (latency_from_config(cfg) if cfg.has_group(_LATENCY)
                else LatencyProfile.constant(PREDICTOR_LATENCY))
     file = cfg.get_path(file_key) if file_key else None
-    horizon = cfg.get_int("horizon") if "horizon" in cfg else None
+    horizon = cfg.set_values({"horizon": int}).get("horizon")
     with cfg.naming():
         return predictor_for(kind, latency, file=file, horizon=horizon)

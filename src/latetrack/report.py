@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -45,6 +45,8 @@ def write_json(path, payload: dict, manifest_ref: str = None) -> None:
 
 def write_markdown_table(path, header, rows, manifest_ref: str = None,
                          title: str = None) -> None:
+    """A Markdown table; a float cell shows four decimals, any other
+    cell its str()."""
     lines = []
     if manifest_ref:
         lines.append(f"<!-- manifest={manifest_ref} -->")
@@ -54,7 +56,8 @@ def write_markdown_table(path, header, rows, manifest_ref: str = None,
     lines.append("| " + " | ".join(header) + " |")
     lines.append("|" + "|".join(" --- " for _ in header) + "|")
     for row in rows:
-        lines.append("| " + " | ".join(str(v) for v in row) + " |")
+        lines.append("| " + " | ".join(f"{v:.4f}" if isinstance(v, float) else str(v)
+                                       for v in row) + " |")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -142,7 +145,6 @@ class RunManifest:
     seeds: dict
     module_versions: dict
     input_digests: dict
-    stage_seconds: dict = field(default_factory=dict)
 
     @property
     def ref(self) -> str:
@@ -152,8 +154,8 @@ class RunManifest:
 
 def build_manifest(command: str, seed: int, config_payload: dict,
                    input_paths: dict = None) -> RunManifest:
-    """The manifest of one run, before any stage is timed; a verb adds
-    its `stage_seconds` with dataclasses.replace."""
+    """The manifest of one run; write_manifest adds the wall-clock
+    `stage_seconds`, which the ref does not cover."""
     from . import __version__
 
     digests = {name: file_digest(p) for name, p in sorted((input_paths or {}).items())}
@@ -169,10 +171,13 @@ def build_manifest(command: str, seed: int, config_payload: dict,
     )
 
 
-def write_manifest(manifest: RunManifest, out_dir) -> Path:
+def write_manifest(manifest: RunManifest, out_dir, stages: dict) -> Path:
+    """manifest.json in `out_dir`: the manifest, its ref, and the
+    wall-clock seconds of each stage as `stage_seconds`."""
     out = Path(out_dir) / "manifest.json"
     payload = asdict(manifest)
     payload["ref"] = manifest.ref
+    payload["stage_seconds"] = stages
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return out
 

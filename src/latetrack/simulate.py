@@ -568,9 +568,11 @@ def load_trace(path, name: str = None) -> RunLog:
 def run_files(path, sequences, suffix: str) -> list:
     """The run file of each sequence: `<name><suffix>` (".log.csv" or
     ".trace.csv") in a directory, or the one file given, which serves a
-    single sequence only. A missing file is a FileNotFoundError, the
-    I/O error (exit 3) of every input file the CLI cannot open."""
+    single sequence only. A missing path or file is a FileNotFoundError,
+    the I/O error (exit 3) of every input file the CLI cannot open."""
     path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such {suffix} file or directory: {path}")
     if path.is_dir():
         files = [path / f"{seq.name}{suffix}" for seq in sequences]
     elif len(sequences) != 1:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import FrameClock, Sequence, box_column, centers, corners
+from .boxes import DEFAULT_FRAMERATE, FrameClock, Sequence, box_column, centers, corners
 from .errors import DivergenceError, ValidationError
 from .motion import encode_motion_rows
 from .network import (DEFAULT_C_DEC, DEFAULT_C_ENC, backward_batch, forward_batch, init_weights,
@@ -349,8 +349,8 @@ def gen_synthetic(spec: SyntheticSpec) -> list:
     """Deterministic family of synthetic sequences; each sequence's
     randomness is derived from (seed, kind, index) so regenerating any
     subset reproduces the same tracks. The files gen writes hold no
-    clock, so every sequence runs at 30 fps."""
-    clock = FrameClock(30.0)
+    clock, so every sequence runs at DEFAULT_FRAMERATE."""
+    clock = FrameClock(DEFAULT_FRAMERATE)
     sequences = []
     for i in range(spec.n_sequences):
         rng = rng_for(spec.seed, "synthetic", spec.kind, i)

@@ -56,6 +56,13 @@ def read_csv_rows(path):
     return header, list(reader)
 
 
+def read_md_table(path):
+    """The header and data rows of a Markdown table, as cell strings."""
+    header, _, *rows = [[cell.strip() for cell in ln.strip("|").split("|")]
+                        for ln in Path(path).read_text().splitlines() if ln.startswith("|")]
+    return header, rows
+
+
 class TestGen:
     def test_writes_sequences_and_manifest(self, tmp_path, cv_spec):
         out = tmp_path / "out"
@@ -171,6 +178,16 @@ class TestSimulate:
         assert main(["simulate", "--sequences", str(seqs), "--tracker", replay,
                      "--out", str(out)]) == 2
         assert f"{trace} is one file for 3 sequences" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_trace_directory_is_an_io_error(self, tmp_path, capsys):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        nope = tmp_path / "nope"
+        replay = write_cfg(tmp_path / "nope.cfg", f"behavior = replay_log\ntrace = {nope}\n")
+        out = tmp_path / "replayed"
+        assert main(["simulate", "--sequences", str(seqs), "--tracker", replay,
+                     "--out", str(out)]) == 3
+        assert str(nope) in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -289,6 +306,16 @@ class TestEvaluate:
         assert "| sequence |" in text
         assert "| all |" in text
 
+    def test_markdown_cells_match_summary_json(self, tmp_path):
+        _, _, out = self.run_eval(tmp_path, tracker_mean=0.05, noise=0.8)
+        doc = json.loads((out / "summary.json").read_text())
+        header, rows = read_md_table(out / "summary.md")
+        assert header == ["sequence", "auc_la0", "dp_la0", "mauc", "mdp"]
+        assert [row[0] for row in rows] == [*sorted(doc["per_sequence"]), "all"]
+        for name, *cells in rows:
+            want = doc if name == "all" else doc["per_sequence"][name]
+            assert cells == [f"{want[key]:.4f}" for key in header[1:]]
+
     def test_svg_format(self, tmp_path):
         _, _, out = self.run_eval(tmp_path, fmt="svg")
         assert (out / "curves.svg").read_text().startswith("<svg ")
@@ -299,8 +326,18 @@ class TestEvaluate:
         runs.mkdir()
         assert main(["evaluate", "--sequences", str(seqs), "--logs", str(runs),
                      "--out", str(tmp_path / "eval")]) == 3
+        (runs / "one.log.csv").write_text("")
         assert main(["evaluate", "--sequences", str(seqs), "--logs", str(runs / "one.log.csv"),
                      "--out", str(tmp_path / "eval")]) == 2
+
+    def test_missing_logs_directory_is_an_io_error(self, tmp_path, capsys):
+        seqs = gen_corpus(tmp_path, count=2, length=30)
+        nope = tmp_path / "nope"
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--sequences", str(seqs), "--logs", str(nope),
+                     "--out", str(out)]) == 3
+        assert str(nope) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -383,6 +420,19 @@ class TestCompare:
         assert float(by_name["none"][5]) == 0.0
         assert float(by_name["kf"][5]) == pytest.approx(0.005)
         assert (out / "comparison.md").exists()
+
+    def test_markdown_cells_match_comparison_csv(self, tmp_path, tracker_cfg):
+        seqs = gen_corpus(tmp_path, count=2, length=60, noise=2.0)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--sequences", str(seqs), "--tracker", tracker_cfg,
+                     "--predictors", "none,zero,kf", "--out", str(out)]) == 0
+        header, rows = read_csv_rows(out / "comparison.csv")
+        md_header, md_rows = read_md_table(out / "comparison.md")
+        assert md_header == header
+        assert header[-1] == "mean_extra_latency_s"
+        assert [row[0] for row in md_rows] == [row[0] for row in rows] == ["none", "zero", "kf"]
+        for (_, *cells), (_, *values) in zip(md_rows, rows):
+            assert cells == [f"{float(v):.4f}" for v in values]
 
     def test_horizon_defaults_to_pre_run_pick(self, tmp_path, tracker_cfg):
         # 50 ms per frame at 30 fps skips one frame per step, so the

@@ -18,9 +18,9 @@ from _oracles import BoundingBox, linear_track
 class TestParsing:
     def test_key_value_lines(self):
         cfg = Config.from_text("a = 1\n# comment\n\nb.c = hello\n")
-        assert cfg.get_int("a") == 1
-        assert cfg.get_str("b.c") == "hello"
-        assert "a" in cfg and "missing" not in cfg
+        assert cfg.get("a", int) == 1
+        assert cfg.get("b.c") == "hello"
+        assert "a" in cfg.values and "missing" not in cfg.values
         assert cfg.has_group("b.")
 
     def test_missing_equals_rejected(self):
@@ -38,14 +38,14 @@ class TestParsing:
     def test_missing_required_key(self):
         cfg = Config.from_text("a = 1\n")
         with pytest.raises(ValidationError, match="missing required"):
-            cfg.get_str("b")
+            cfg.get("b")
 
     def test_typed_getters_with_defaults(self):
         cfg = Config.from_text("x = 2.5\nlist = 1, 2, 3\n")
-        assert cfg.get_float("x") == 2.5
-        assert cfg.get_float("absent", 7.0) == 7.0
-        assert cfg.get_ints("list") == (1, 2, 3)
-        assert cfg.get_ints("absent", (4,)) == (4,)
+        assert cfg.get("x", float) == 2.5
+        assert cfg.get("absent", float, 7.0) == 7.0
+        assert cfg.get("list", (int,)) == (1, 2, 3)
+        assert cfg.get("absent", (int,), (4,)) == (4,)
 
     def test_set_values_holds_only_the_keys_the_file_sets(self):
         cfg = Config.from_text("x = 2.5\nlist = 1, 2, 3\nn = 4\ng.y = 7\n")
@@ -66,14 +66,14 @@ class TestParsing:
     def test_wrong_type_rejected(self):
         cfg = Config.from_text("x = hello\n")
         with pytest.raises(ValidationError, match="needs a"):
-            cfg.get_int("x")
+            cfg.get("x", int)
 
     def test_load_names_the_file_in_errors(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("x = nope\n")
         cfg = Config.load(path)
         with pytest.raises(ValidationError, match="run.cfg"):
-            cfg.get_float("x")
+            cfg.get("x", float)
 
 
 class TestLatencyFromConfig:

@@ -2,7 +2,6 @@ import json
 import time
 import xml.dom.minidom
 import xml.sax.saxutils
-from dataclasses import replace
 
 import pytest
 
@@ -43,6 +42,12 @@ class TestWriters:
         assert "# Results" in text
         assert "| x | y |" in text
         assert "| 1 | 2 |" in text
+
+    def test_markdown_floats_take_four_decimals(self, tmp_path):
+        path = tmp_path / "t.md"
+        write_markdown_table(path, ["name", "v"], [["a", 0.123456], ["b", 3], ["c", 2.0]])
+        assert path.read_text().splitlines()[2:] == ["| a | 0.1235 |", "| b | 3 |",
+                                                     "| c | 2.0000 |"]
 
 
 class TestSvg:
@@ -94,16 +99,21 @@ class TestManifest:
         data.write_text("changed\n")
         assert build_manifest("evaluate", 3, {"a": 1}, {"in": data}).ref != base.ref
 
-    def test_wall_clock_does_not_move_the_ref(self):
+    def test_wall_clock_does_not_move_the_ref(self, tmp_path):
         base = build_manifest("train", 0, {})
-        fast = replace(base, stage_seconds={"fit": 0.1})
-        slow = replace(base, stage_seconds={"fit": 99.0})
-        assert fast.ref == slow.ref
-        assert fast.stage_seconds != slow.stage_seconds
+        (tmp_path / "fast").mkdir()
+        (tmp_path / "slow").mkdir()
+        fast = json.loads(write_manifest(base, tmp_path / "fast", {"fit": 0.1}).read_text())
+        slow = json.loads(write_manifest(base, tmp_path / "slow", {"fit": 99.0}).read_text())
+        assert fast["ref"] == slow["ref"] == base.ref
+        assert fast["stage_seconds"] == {"fit": 0.1}
+        assert slow["stage_seconds"] == {"fit": 99.0}
+        del fast["stage_seconds"], slow["stage_seconds"]
+        assert fast == slow
 
     def test_write_manifest_file(self, tmp_path):
         m = build_manifest("gen", 7, {"count": 3})
-        out = write_manifest(m, tmp_path)
+        out = write_manifest(m, tmp_path, {"generate": 0.5})
         assert out.name == "manifest.json"
         doc = json.loads(out.read_text())
         assert doc["ref"] == m.ref
